@@ -52,7 +52,6 @@ def per_client_accuracy(sim: Simulation, batch_size: int = 256) -> np.ndarray:
     set_flat_params(sim.model, sim.global_params)
     for live, saved in zip(sim.model.state_arrays(), sim.global_states):
         live[...] = saved
-    flatten = sim.config.model == "mlp"
     out = np.zeros(len(sim.clients))
     for i, client in enumerate(sim.clients):
         ds = client.dataset
@@ -60,8 +59,6 @@ def per_client_accuracy(sim: Simulation, batch_size: int = 256) -> np.ndarray:
         for start in range(0, len(ds), batch_size):
             x = ds.x[start : start + batch_size]
             y = ds.y[start : start + batch_size]
-            if flatten:
-                x = x.reshape(x.shape[0], -1)
             logits = sim.model(x, training=False)
             correct += int((logits.argmax(axis=1) == y).sum())
         out[i] = correct / len(ds)

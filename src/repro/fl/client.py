@@ -15,10 +15,10 @@ import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.data.loader import BatchLoader
-from repro.nn.layers import Layer
 from repro.nn.losses import cross_entropy
 from repro.nn.optim import SGD, Adam
-from repro.nn.params import get_flat_params, set_flat_params
+from repro.nn.params import set_flat_params
+from repro.nn.sequential import Sequential
 
 __all__ = ["LocalTrainResult", "Client"]
 
@@ -42,15 +42,12 @@ class Client:
         dataset: Dataset,
         batch_size: int,
         rng: np.random.Generator,
-        *,
-        flatten_inputs: bool = False,
     ):
         if len(dataset) == 0:
             raise ValueError(f"client {client_id} has an empty shard")
         self.client_id = int(client_id)
         self.dataset = dataset
         self.loader = BatchLoader(dataset, batch_size, rng=rng)
-        self.flatten_inputs = bool(flatten_inputs)
 
     @property
     def num_samples(self) -> int:
@@ -59,7 +56,7 @@ class Client:
 
     def local_train(
         self,
-        model: Layer,
+        model: Sequential,
         global_params: np.ndarray,
         *,
         lr: float,
@@ -88,31 +85,28 @@ class Client:
         if global_states is not None:
             for live, saved in zip(model.state_arrays(), global_states):
                 live[...] = saved
-        params = model.parameters()
+        data, grad = model.flat()
         if optimizer == "sgd":
-            opt = SGD(params, lr=lr, momentum=momentum, weight_decay=weight_decay)
+            opt = SGD(data, grad, lr=lr, momentum=momentum, weight_decay=weight_decay)
         elif optimizer == "adam":
-            opt = Adam(params, lr=lr, weight_decay=weight_decay)
+            opt = Adam(data, grad, lr=lr, weight_decay=weight_decay)
         else:
             raise ValueError(f"unknown local optimizer {optimizer!r}")
-        anchors = [p.data.copy() for p in params] if proximal_mu > 0 else None
+        anchor = data.copy() if proximal_mu > 0 else None
         total_loss = 0.0
         batches = 0
         for _ in range(epochs):
             for x, y in self.loader:
-                if self.flatten_inputs:
-                    x = x.reshape(x.shape[0], -1)
                 opt.zero_grad()
                 logits = model(x, training=True)
-                loss, grad = cross_entropy(logits, y)
-                model.backward(grad)
-                if anchors is not None:
-                    for p, anchor in zip(params, anchors):
-                        p.grad += proximal_mu * (p.data - anchor)
+                loss, grad_logits = cross_entropy(logits, y)
+                model.backward(grad_logits, input_grad=False)
+                if anchor is not None:
+                    grad += proximal_mu * (data - anchor)
                 opt.step()
                 total_loss += loss
                 batches += 1
-        delta = global_params - get_flat_params(model)
+        delta = global_params - data
         states = [a.copy() for a in model.state_arrays()]
         return LocalTrainResult(
             delta=delta,

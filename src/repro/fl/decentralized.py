@@ -106,10 +106,8 @@ class DecentralizedSimulation(EngineMixin):
         partition = dirichlet_partition(
             self.train_set.y, n, config.beta, seed=rngs.stream("partition")
         )
-        flatten = config.model == "mlp"
         self.clients = [
-            Client(cid, self.train_set.subset(ix), config.batch_size,
-                   rngs.child("client", cid), flatten_inputs=flatten)
+            Client(cid, self.train_set.subset(ix), config.batch_size, rngs.child("client", cid))
             for cid, ix in enumerate(partition.client_indices)
         ]
         self.model = build_config_model(config, seed=rngs.stream("model"))
@@ -230,7 +228,6 @@ class DecentralizedSimulation(EngineMixin):
     def mean_accuracy(self, batch_size: int = 256) -> float:
         """Average test accuracy over all client models."""
         accs = []
-        flatten = self.config.model == "mlp"
         for i in range(self.config.num_clients):
             set_flat_params(self.model, self.params[i])
             correct = 0
@@ -238,8 +235,6 @@ class DecentralizedSimulation(EngineMixin):
             for start in range(0, ntest, batch_size):
                 x = self.test_set.x[start : start + batch_size]
                 y = self.test_set.y[start : start + batch_size]
-                if flatten:
-                    x = x.reshape(x.shape[0], -1)
                 logits = self.model(x, training=False)
                 correct += int((logits.argmax(axis=1) == y).sum())
             accs.append(correct / ntest)

@@ -129,7 +129,6 @@ class Simulation(EngineMixin):
             if context is not None
             else Population.from_config(config, partition=self.partition)
         )
-        flatten = config.model == "mlp"
         cache = (
             config.hydration_cache
             if config.hydration_cache is not None
@@ -139,7 +138,6 @@ class Simulation(EngineMixin):
             self.population,
             self.train_set,
             config.batch_size,
-            flatten_inputs=flatten,
             cache_size=cache,
             label_flip_fraction=(
                 config.adversary_fraction
@@ -635,12 +633,9 @@ class Simulation(EngineMixin):
             live[...] = saved
         correct = 0
         n = len(self.test_set)
-        flatten = self.config.model == "mlp"
         for start in range(0, n, batch_size):
             x = self.test_set.x[start : start + batch_size]
             y = self.test_set.y[start : start + batch_size]
-            if flatten:
-                x = x.reshape(x.shape[0], -1)
             logits = self.model(x, training=False)
             correct += int((logits.argmax(axis=1) == y).sum())
         return correct / n

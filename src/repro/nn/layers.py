@@ -2,7 +2,9 @@
 
 Each :class:`Layer` caches what its backward pass needs during ``forward`` and
 exposes trainable tensors as :class:`Parameter` objects. Gradients accumulate
-into ``Parameter.grad`` so an optimizer can step over ``model.parameters()``.
+into ``Parameter.grad``; a model's parameters and gradients are views of two
+flat vectors (:meth:`repro.nn.sequential.Sequential.flat`) that the optimizer
+steps as a whole.
 """
 
 from __future__ import annotations
@@ -98,13 +100,13 @@ class Linear(Layer):
             y += self.bias.data
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         if self._x is None:
             raise RuntimeError("backward called before a training forward pass")
         self.weight.grad += self._x.T @ grad_out
         if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
-        grad_in = grad_out @ self.weight.data.T
+            self.bias.grad += np.add.reduce(grad_out, axis=0)
+        grad_in = grad_out @ self.weight.data.T if input_grad else None
         self._x = None
         return grad_in
 
@@ -151,7 +153,7 @@ class Conv2d(Layer):
             self._x_shape = x.shape
         return out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before a training forward pass")
         k, s, p = self.kernel_size, self.stride, self.padding
@@ -160,9 +162,11 @@ class Conv2d(Layer):
         gw = self._cols.T @ g2d  # (C*K*K, OC)
         self.weight.grad += gw.T.reshape(self.weight.data.shape)
         if self.bias is not None:
-            self.bias.grad += g2d.sum(axis=0)
-        gcols = g2d @ self.weight.data.reshape(oc, -1)  # (N*OH*OW, C*K*K)
-        grad_in = col2im(gcols, self._x_shape, k, k, s, p)
+            self.bias.grad += np.add.reduce(g2d, axis=0)
+        grad_in = None
+        if input_grad:
+            gcols = g2d @ self.weight.data.reshape(oc, -1)  # (N*OH*OW, C*K*K)
+            grad_in = col2im(gcols, self._x_shape, k, k, s, p)
         self._cols = None
         self._x_shape = None
         return grad_in
@@ -311,15 +315,14 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        mask = x > 0
         if training:
-            self._mask = mask
-        return np.where(mask, x, 0)
+            self._mask = x > 0
+        return np.maximum(x, 0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before a training forward pass")
-        grad_in = np.where(self._mask, grad_out, 0)
+        grad_in = grad_out * self._mask
         self._mask = None
         return grad_in
 

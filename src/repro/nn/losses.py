@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import log_softmax, softmax
-
 __all__ = ["cross_entropy", "mse_loss", "accuracy"]
 
 
@@ -19,12 +17,17 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     n = logits.shape[0]
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
-    lsm = log_softmax(logits, axis=1)
-    loss = -float(lsm[np.arange(n), labels].mean())
-    grad = softmax(logits, axis=1)
-    grad[np.arange(n), labels] -= 1.0
+    # One pass over the intermediates `functional.log_softmax` and `softmax`
+    # share, so loss and gradient are bit-equal to calling both.
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = np.sum(e, axis=1, keepdims=True)
+    rows = np.arange(n)
+    loss = -float((shifted[rows, labels] - np.log(total)[:, 0]).mean())
+    grad = e / total
+    grad[rows, labels] -= 1.0
     grad /= n
-    return loss, grad.astype(logits.dtype)
+    return loss, grad.astype(logits.dtype, copy=False)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

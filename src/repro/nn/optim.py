@@ -4,21 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Parameter
-
 __all__ = ["SGD", "Adam", "StepLR", "CosineLR", "ConstantLR"]
 
 
 class SGD:
-    """SGD with optional momentum and decoupled weight decay.
+    """SGD with optional momentum and coupled (L2) weight decay.
 
-    Updates happen in place on ``Parameter.data`` (HPC guide: avoid copies in
-    hot loops).
+    ``weight_decay · w`` is added to the gradient *before* momentum. ``data``
+    and ``grad`` are same-shaped float arrays — for a model, the two vectors
+    of :meth:`Sequential.flat`; updates happen in place on ``data`` (HPC
+    guide: avoid copies in hot loops).
     """
 
     def __init__(
         self,
-        params: list[Parameter],
+        data: np.ndarray,
+        grad: np.ndarray,
         lr: float,
         *,
         momentum: float = 0.0,
@@ -30,40 +31,41 @@ class SGD:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         if weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        self.params = list(params)
+        self.data = data
+        self.grad = grad
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.data) for p in self.params] if momentum > 0 else None
+        self._velocity = np.zeros_like(data) if momentum > 0 else None
 
     def zero_grad(self) -> None:
-        """Clear all parameter gradients."""
-        for p in self.params:
-            p.zero_grad()
+        """Clear the gradient."""
+        self.grad.fill(0)
 
     def step(self) -> None:
-        """Apply one update using the accumulated gradients."""
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if self.weight_decay > 0:
-                g = g + self.weight_decay * p.data
-            if self._velocity is not None:
-                v = self._velocity[i]
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
+        """Apply one update using the accumulated gradient."""
+        g = self.grad
+        if self.weight_decay > 0:
+            g = g + self.weight_decay * self.data
+        if self._velocity is not None:
+            v = self._velocity
+            v *= self.momentum
+            v += g
+            g = v
+        self.data -= self.lr * g
 
 
 class Adam:
     """Adam with decoupled weight decay (AdamW-style).
 
-    State updates are fully in-place on preallocated moment buffers.
+    ``data``/``grad`` as for :class:`SGD`. State updates are fully in-place
+    on preallocated moment buffers.
     """
 
     def __init__(
         self,
-        params: list[Parameter],
+        data: np.ndarray,
+        grad: np.ndarray,
         lr: float,
         *,
         beta1: float = 0.9,
@@ -79,35 +81,34 @@ class Adam:
             raise ValueError(f"eps must be > 0, got {eps}")
         if weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        self.params = list(params)
+        self.data = data
+        self.grad = grad
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m = np.zeros_like(data)
+        self._v = np.zeros_like(data)
         self._t = 0
 
     def zero_grad(self) -> None:
-        """Clear all parameter gradients."""
-        for p in self.params:
-            p.zero_grad()
+        """Clear the gradient."""
+        self.grad.fill(0)
 
     def step(self) -> None:
-        """Apply one Adam update using the accumulated gradients."""
+        """Apply one Adam update using the accumulated gradient."""
         self._t += 1
         bc1 = 1 - self.beta1**self._t
         bc2 = 1 - self.beta2**self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            if self.weight_decay > 0:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        g, m, v = self.grad, self._m, self._v
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * g * g
+        if self.weight_decay > 0:
+            self.data -= self.lr * self.weight_decay * self.data
+        self.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 class ConstantLR:

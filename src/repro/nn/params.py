@@ -1,15 +1,16 @@
-"""Flat-vector views of model parameters.
+"""Flat-vector access to model parameters.
 
 FL communication operates on a single contiguous float32 vector per model
-(the mpi4py guide's buffer-object idiom): clients send/receive flat vectors,
-and the substrate packs/unpacks them here.
+(the mpi4py guide's buffer-object idiom): clients send/receive flat vectors.
+A model *stores* its parameters as that vector (:meth:`Sequential.flat`), so
+loading and reading it here are single copies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Layer
+from repro.nn.sequential import Sequential
 
 __all__ = [
     "num_parameters",
@@ -22,12 +23,12 @@ __all__ = [
 ]
 
 
-def num_parameters(model: Layer) -> int:
+def num_parameters(model: Sequential) -> int:
     """Total scalar parameter count of ``model``."""
-    return int(sum(p.size for p in model.parameters()))
+    return model.flat()[0].size
 
 
-def param_slices(model: Layer) -> list[tuple[str, slice, tuple[int, ...]]]:
+def param_slices(model: Sequential) -> list[tuple[str, slice, tuple[int, ...]]]:
     """Describe the flat layout: (name, slice in the flat vector, shape)."""
     out: list[tuple[str, slice, tuple[int, ...]]] = []
     offset = 0
@@ -37,52 +38,40 @@ def param_slices(model: Layer) -> list[tuple[str, slice, tuple[int, ...]]]:
     return out
 
 
-def get_flat_params(model: Layer, out: np.ndarray | None = None) -> np.ndarray:
+def _read(vec: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return vec.copy()
+    if out.shape != vec.shape:
+        raise ValueError(f"out has shape {out.shape}, expected {vec.shape}")
+    np.copyto(out, vec)
+    return out
+
+
+def get_flat_params(model: Sequential, out: np.ndarray | None = None) -> np.ndarray:
     """Copy all parameters into one contiguous float32 vector."""
-    n = num_parameters(model)
-    if out is None:
-        out = np.empty(n, dtype=np.float32)
-    elif out.shape != (n,):
-        raise ValueError(f"out has shape {out.shape}, expected ({n},)")
-    offset = 0
-    for p in model.parameters():
-        out[offset : offset + p.size] = p.data.ravel()
-        offset += p.size
-    return out
+    return _read(model.flat()[0], out)
 
 
-def set_flat_params(model: Layer, flat: np.ndarray) -> None:
+def set_flat_params(model: Sequential, flat: np.ndarray) -> None:
     """Load parameters from a flat vector (inverse of :func:`get_flat_params`)."""
-    n = num_parameters(model)
+    data = model.flat()[0]
     flat = np.asarray(flat, dtype=np.float32)
-    if flat.shape != (n,):
-        raise ValueError(f"flat has shape {flat.shape}, expected ({n},)")
-    offset = 0
-    for p in model.parameters():
-        p.data[...] = flat[offset : offset + p.size].reshape(p.data.shape)
-        offset += p.size
+    if flat.shape != data.shape:
+        raise ValueError(f"flat has shape {flat.shape}, expected {data.shape}")
+    np.copyto(data, flat)
 
 
-def get_flat_grads(model: Layer, out: np.ndarray | None = None) -> np.ndarray:
+def get_flat_grads(model: Sequential, out: np.ndarray | None = None) -> np.ndarray:
     """Copy all gradients into one contiguous float32 vector."""
-    n = num_parameters(model)
-    if out is None:
-        out = np.empty(n, dtype=np.float32)
-    elif out.shape != (n,):
-        raise ValueError(f"out has shape {out.shape}, expected ({n},)")
-    offset = 0
-    for p in model.parameters():
-        out[offset : offset + p.size] = p.grad.ravel()
-        offset += p.size
-    return out
+    return _read(model.flat()[1], out)
 
 
-def clone_state(model: Layer) -> tuple[np.ndarray, list[np.ndarray]]:
+def clone_state(model: Sequential) -> tuple[np.ndarray, list[np.ndarray]]:
     """Snapshot parameters and persistent state (BN running stats)."""
     return get_flat_params(model), [a.copy() for a in model.state_arrays()]
 
 
-def restore_state(model: Layer, snapshot: tuple[np.ndarray, list[np.ndarray]]) -> None:
+def restore_state(model: Sequential, snapshot: tuple[np.ndarray, list[np.ndarray]]) -> None:
     """Restore a snapshot produced by :func:`clone_state`."""
     flat, states = snapshot
     set_flat_params(model, flat)

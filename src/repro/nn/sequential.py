@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import BatchNorm2d, Conv2d, Layer, Parameter, ReLU
+from repro.nn.layers import BatchNorm2d, Conv2d, Layer, Linear, Parameter, ReLU
 
 __all__ = ["Sequential", "BasicBlock"]
 
 
 class Sequential(Layer):
-    """Apply layers in order; backward walks them in reverse."""
+    """Apply layers in order; backward walks them in reverse.
+
+    The outermost container of a model also owns its parameter storage: see
+    :meth:`flat`.
+    """
+
+    _flat: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, *layers: Layer):
         self.layers: list[Layer] = list(layers)
@@ -18,17 +24,66 @@ class Sequential(Layer):
     def append(self, layer: Layer) -> "Sequential":
         """Add ``layer`` at the end (builder style)."""
         self.layers.append(layer)
+        self._flat = None
         return self
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """The model's ``(data, grad)`` float32 vectors, in ``parameters()`` order.
+
+        On first use every ``Parameter.data``/``.grad`` is re-homed as a
+        reshaped view into them, so loading, reading, zeroing and stepping the
+        whole model are single vector operations. From then on nothing may
+        rebind ``p.data``/``p.grad`` (write through ``p.data[...]``), and
+        ``flat`` must not be called on a container nested inside this one.
+        """
+        if self._flat is None:
+            params = self.parameters()
+            data = np.empty(sum(p.size for p in params), dtype=np.float32)
+            grad = np.empty_like(data)
+            offset = 0
+            for p in params:
+                span, shape = slice(offset, offset + p.size), p.data.shape
+                data[span] = p.data.ravel()
+                grad[span] = p.grad.ravel()
+                p.data = data[span].reshape(shape)
+                p.grad = grad[span].reshape(shape)
+                offset = span.stop
+            self._flat = (data, grad)
+        return self._flat
+
+    def __getstate__(self) -> dict:
+        # NumPy copies and pickles views as owners, so a copied or unpickled
+        # model drops the vectors and re-homes its parameters on first use.
+        state = self.__dict__.copy()
+        state.pop("_flat", None)
+        return state
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, training=training)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Backpropagate ``grad_out``; returns the gradient w.r.t. the input.
+
+        ``input_grad=False`` (a training step, which consumes only parameter
+        gradients) stops at the first trainable layer, skips that layer's own
+        input gradient, and returns ``None``.
+        """
+        if input_grad:
+            for layer in reversed(self.layers):
+                grad_out = layer.backward(grad_out)
+            return grad_out
+        first = next((i for i, layer in enumerate(self.layers) if layer.parameters()), len(self.layers))
+        for layer in reversed(self.layers[first + 1 :]):
             grad_out = layer.backward(grad_out)
-        return grad_out
+        if first < len(self.layers):
+            head = self.layers[first]
+            if isinstance(head, (Linear, Conv2d, Sequential)):
+                head.backward(grad_out, input_grad=False)
+            else:
+                head.backward(grad_out)
+        return None
 
     def parameters(self) -> list[Parameter]:
         out: list[Parameter] = []
@@ -88,15 +143,14 @@ class BasicBlock(Layer):
         out = self.conv2.forward(out, training=training)
         out = self.bn2.forward(out, training=training)
         out = out + identity
-        mask = out > 0
         if training:
-            self._out_mask = mask
-        return np.where(mask, out, 0)
+            self._out_mask = out > 0
+        return np.maximum(out, 0, out=out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out_mask is None:
             raise RuntimeError("backward called before a training forward pass")
-        g = np.where(self._out_mask, grad_out, 0)
+        g = grad_out * self._out_mask
         self._out_mask = None
         g_main = self.bn2.backward(g)
         g_main = self.conv2.backward(g_main)

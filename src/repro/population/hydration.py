@@ -82,7 +82,6 @@ class ClientPool:
         train_set,
         batch_size: int,
         *,
-        flatten_inputs: bool,
         cache_size: int,
         label_flip_fraction: float = 0.0,
     ):
@@ -95,7 +94,6 @@ class ClientPool:
         self._population = population
         self._train_set = train_set
         self._batch_size = int(batch_size)
-        self._flatten = bool(flatten_inputs)
         self._cache_size = int(cache_size)
         #: Label-flip poisoning (repro.robust): adversarial clients — a pure
         #: function of (population.seed, cid) — train on shards whose labels
@@ -162,13 +160,7 @@ class ClientPool:
 
                 if is_adversary(self._population.seed, cid, self._flip_fraction):
                     flip_labels(shard.y, self._num_classes)
-            client = _client_cls()(
-                cid,
-                shard,
-                self._batch_size,
-                self._loader_rng(cid),
-                flatten_inputs=self._flatten,
-            )
+            client = _client_cls()(cid, shard, self._batch_size, self._loader_rng(cid))
             self._cache[cid] = client
             self.hydrations += 1
             while len(self._cache) > self._cache_size:

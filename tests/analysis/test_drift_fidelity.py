@@ -67,7 +67,7 @@ class TestDriftOnRealClients:
         def client_updates(partition):
             updates = []
             for cid, ix in enumerate(partition.client_indices[:5]):
-                c = Client(cid, ds.subset(ix), 64, np.random.default_rng(cid), flatten_inputs=True)
+                c = Client(cid, ds.subset(ix), 64, np.random.default_rng(cid))
                 updates.append(c.local_train(model, w0, lr=0.1, epochs=1).delta)
             return updates
 

@@ -66,3 +66,17 @@ def check_layer_gradients(layer, x: np.ndarray, *, atol: float = 1e-2, rtol: flo
         num_gp = numeric_grad(probe, pdata)
         p.data = pdata.astype(np.float32)
         np.testing.assert_allclose(analytic, num_gp, atol=atol, rtol=rtol, err_msg=p.name)
+
+
+def is_aliased(model) -> bool:
+    """Whether every parameter and gradient of ``model`` is a view of its two
+    flat vectors, at the position ``parameters()`` order assigns it."""
+    data, grad = model.flat()
+    offset = 0
+    for p in model.parameters():
+        span = slice(offset, offset + p.size)
+        if not (p.data.base is data and p.grad.base is grad and p.data.flags.c_contiguous
+                and np.shares_memory(p.data, data[span]) and np.shares_memory(p.grad, grad[span])):
+            return False
+        offset = span.stop
+    return offset == data.size

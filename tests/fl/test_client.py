@@ -22,26 +22,26 @@ def model():
 class TestClient:
     def test_delta_sign_convention(self, shard, model):
         """Δw = w_t − w_local: applying w_t − Δw must give the trained model."""
-        client = Client(0, shard, 32, np.random.default_rng(0), flatten_inputs=True)
+        client = Client(0, shard, 32, np.random.default_rng(0))
         w0 = get_flat_params(model)
         res = client.local_train(model, w0, lr=0.1, epochs=1)
         trained = get_flat_params(model)
         np.testing.assert_allclose(w0 - res.delta, trained, atol=1e-6)
 
     def test_training_changes_params(self, shard, model):
-        client = Client(0, shard, 32, np.random.default_rng(0), flatten_inputs=True)
+        client = Client(0, shard, 32, np.random.default_rng(0))
         res = client.local_train(model, get_flat_params(model), lr=0.1, epochs=1)
         assert np.linalg.norm(res.delta) > 0
 
     def test_more_epochs_more_batches(self, shard, model):
-        client = Client(0, shard, 32, np.random.default_rng(0), flatten_inputs=True)
+        client = Client(0, shard, 32, np.random.default_rng(0))
         w0 = get_flat_params(model)
         r1 = client.local_train(model, w0, lr=0.01, epochs=1)
         r3 = client.local_train(model, w0, lr=0.01, epochs=3)
         assert r3.num_batches == 3 * r1.num_batches
 
     def test_loss_decreases_over_epochs(self, shard, model):
-        client = Client(0, shard, 32, np.random.default_rng(0), flatten_inputs=True)
+        client = Client(0, shard, 32, np.random.default_rng(0))
         w0 = get_flat_params(model)
         res = client.local_train(model, w0, lr=0.2, epochs=8)
         # Mean loss across 8 epochs must beat a 1-epoch run's mean loss.
@@ -67,8 +67,8 @@ class TestClient:
 
     def test_deterministic_given_rng(self, shard, model):
         w0 = get_flat_params(model)
-        c1 = Client(0, shard, 32, np.random.default_rng(5), flatten_inputs=True)
+        c1 = Client(0, shard, 32, np.random.default_rng(5))
         r1 = c1.local_train(model, w0, lr=0.1, epochs=1)
-        c2 = Client(0, shard, 32, np.random.default_rng(5), flatten_inputs=True)
+        c2 = Client(0, shard, 32, np.random.default_rng(5))
         r2 = c2.local_train(model, w0, lr=0.1, epochs=1)
         np.testing.assert_array_equal(r1.delta, r2.delta)

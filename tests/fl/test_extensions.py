@@ -22,9 +22,9 @@ class TestFedProx:
         shard = make_dataset("synth-cifar10", 256, seed=0)
         model = build_mlp(192, 10, hidden=(32,), seed=0)
         w0 = get_flat_params(model)
-        client = Client(0, shard, 64, np.random.default_rng(0), flatten_inputs=True)
+        client = Client(0, shard, 64, np.random.default_rng(0))
         plain = client.local_train(model, w0, lr=0.2, epochs=3, proximal_mu=0.0)
-        client2 = Client(0, shard, 64, np.random.default_rng(0), flatten_inputs=True)
+        client2 = Client(0, shard, 64, np.random.default_rng(0))
         prox = client2.local_train(model, w0, lr=0.2, epochs=3, proximal_mu=1.0)
         assert np.linalg.norm(prox.delta) < np.linalg.norm(plain.delta)
 
@@ -32,10 +32,10 @@ class TestFedProx:
         shard = make_dataset("synth-cifar10", 128, seed=0)
         model = build_mlp(192, 10, hidden=(16,), seed=0)
         w0 = get_flat_params(model)
-        r1 = Client(0, shard, 64, np.random.default_rng(1), flatten_inputs=True).local_train(
+        r1 = Client(0, shard, 64, np.random.default_rng(1)).local_train(
             model, w0, lr=0.1, epochs=1
         )
-        r2 = Client(0, shard, 64, np.random.default_rng(1), flatten_inputs=True).local_train(
+        r2 = Client(0, shard, 64, np.random.default_rng(1)).local_train(
             model, w0, lr=0.1, epochs=1, proximal_mu=0.0
         )
         np.testing.assert_array_equal(r1.delta, r2.delta)

@@ -218,3 +218,31 @@ class TestSequential:
     def test_append_builder(self, rng):
         model = Sequential().append(Linear(2, 2, rng))
         assert len(model) == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: Sequential(Flatten(), Linear(48, 4, rng), ReLU(), Linear(4, 2, rng)),
+            lambda rng: Sequential(Conv2d(3, 2, 3, rng, padding=1), ReLU(), GlobalAvgPool2d(), Linear(2, 2, rng)),
+            lambda rng: Sequential(BatchNorm2d(3), Conv2d(3, 2, 3, rng), GlobalAvgPool2d()),
+            lambda rng: Sequential(BasicBlock(3, 2, rng), GlobalAvgPool2d()),
+            lambda rng: Sequential(Sequential(Flatten(), Linear(48, 2, rng)), ReLU()),
+            lambda rng: Sequential(Flatten(), ReLU()),
+        ],
+        ids=["linear-first", "conv-first", "norm-first", "block-first", "nested-first", "no-params"],
+    )
+    def test_backward_without_input_grad(self, build, rng):
+        """input_grad=False returns None and leaves exactly the parameter
+        gradients a full backward does, whatever the first trainable layer is."""
+        model = build(rng)
+        x = rng.normal(size=(5, 3, 4, 4)).astype(np.float32)
+        grads = []
+        for input_grad in (True, False):
+            for p in model.parameters():
+                p.zero_grad()
+            out = model.forward(x, training=True)
+            grad_in = model.backward(np.ones_like(out), input_grad=input_grad)
+            assert (grad_in is None) == (not input_grad)
+            grads.append([p.grad.copy() for p in model.parameters()])
+        for full, lean in zip(*grads):
+            assert full.tobytes() == lean.tobytes()

@@ -1,12 +1,18 @@
 """Tests for flat-parameter packing and the model zoo."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fl.config import ExperimentConfig
+from repro.fl.simulation import Simulation
+from repro.nn.layers import Linear
 from repro.nn.losses import cross_entropy
-from repro.nn.models import build_mini_resnet, build_mlp, build_model, build_small_cnn
+from repro.nn.models import MODEL_BUILDERS, build_mini_resnet, build_mlp, build_model, build_small_cnn
 from repro.nn.optim import SGD
 from repro.nn.params import (
     clone_state,
@@ -17,6 +23,7 @@ from repro.nn.params import (
     restore_state,
     set_flat_params,
 )
+from tests.conftest import is_aliased
 
 
 class TestFlatParams:
@@ -61,11 +68,79 @@ class TestFlatParams:
         logits = model(x, training=True)  # mutates BN running stats
         _, g = cross_entropy(logits, rng.integers(0, 4, size=4))
         model.backward(g)
-        SGD(model.parameters(), lr=0.5).step()
+        SGD(*model.flat(), lr=0.5).step()
         restore_state(model, snap)
         np.testing.assert_array_equal(get_flat_params(model), snap[0])
         for live, saved in zip(model.state_arrays(), snap[1]):
             np.testing.assert_array_equal(live, saved)
+
+
+class TestFlatStorage:
+    @pytest.mark.parametrize("name", MODEL_BUILDERS)
+    def test_rehoming_keeps_values_and_layout(self, name, rng):
+        model = build_model(name, in_channels=3, image_size=8, num_classes=4, seed=1)
+        for p in model.parameters():
+            p.grad[...] = rng.normal(size=p.grad.shape)
+        want_data = np.concatenate([p.data.ravel() for p in model.parameters()])
+        want_grad = np.concatenate([p.grad.ravel() for p in model.parameters()])
+        data, grad = model.flat()
+        assert data.dtype == grad.dtype == np.float32
+        np.testing.assert_array_equal(data, want_data)
+        np.testing.assert_array_equal(grad, want_grad)
+        assert model.flat()[0] is data  # re-homed once
+        assert is_aliased(model)
+
+    def test_writes_go_both_ways(self):
+        model = build_mlp(4, 2, hidden=(3,), seed=0)
+        data, _ = model.flat()
+        head = model.parameters()[-1]
+        head.data[...] = 7.0
+        assert (data[-head.size :] == 7.0).all()
+        set_flat_params(model, np.arange(data.size, dtype=np.float32))
+        np.testing.assert_array_equal(head.data, data[-head.size :])
+
+    def test_append_rehomes(self, rng):
+        model = build_mlp(4, 3, hidden=(3,), seed=0)
+        before = num_parameters(model)
+        model.append(Linear(3, 2, rng))
+        assert num_parameters(model) == before + 8
+        assert is_aliased(model)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m)),
+                                       lambda m: pickle.loads(pickle.dumps(m, protocol=5))],
+                             ids=["deepcopy", "pickle", "pickle5"])
+    def test_copies_are_realiased_and_independent(self, clone):
+        model = build_small_cnn(3, 8, 4, seed=0)
+        original = get_flat_params(model)
+        twin = clone(model)
+        np.testing.assert_array_equal(get_flat_params(twin), original)
+        assert is_aliased(twin)
+        assert not np.shares_memory(twin.flat()[0], model.flat()[0])
+        twin.parameters()[0].grad[...] = 1.0
+        SGD(*twin.flat(), lr=0.5).step()  # steps the twin's buffer, the one its layers read
+        assert twin.parameters()[0].data.ravel()[0] == twin.flat()[0][0] != original[0]
+        np.testing.assert_array_equal(get_flat_params(model), original)
+        assert is_aliased(model)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("model_name", ["mlp", "small_cnn"])
+    def test_aliasing_survives_train_evaluate_restore(self, model_name, backend):
+        config = ExperimentConfig(dataset="synth-cifar10", model=model_name, num_clients=4, num_train=200,
+                                  num_test=50, rounds=2, seed=0, backend=backend, workers=2)
+        with Simulation(config) as sim:
+            snapshot = clone_state(sim.model)
+            sim.run()
+            assert is_aliased(sim.model)
+            if backend == "thread":
+                replicas = [ctx.model for ctx in sim.backend._contexts.values()]
+                assert replicas and sim.model not in replicas
+                for replica in replicas:
+                    assert is_aliased(replica)
+            sim.evaluate()
+            assert is_aliased(sim.model)
+            restore_state(sim.model, snapshot)
+            assert is_aliased(sim.model)
+            np.testing.assert_array_equal(sim.model.flat()[0], snapshot[0])
 
 
 class TestModelZoo:
@@ -110,7 +185,7 @@ class TestModelZoo:
             x = x.reshape(4, -1)
         labels = rng.integers(0, 4, size=4)
         before = get_flat_params(model).copy()
-        opt = SGD(model.parameters(), lr=0.01)
+        opt = SGD(*model.flat(), lr=0.01)
         logits = model(x, training=True)
         loss0, g = cross_entropy(logits, labels)
         model.backward(g)
@@ -122,7 +197,7 @@ class TestModelZoo:
         model = build_mlp(8, 3, hidden=(16,), seed=0)
         x = rng.normal(size=(32, 8)).astype(np.float32)
         labels = rng.integers(0, 3, size=32)
-        opt = SGD(model.parameters(), lr=0.5)
+        opt = SGD(*model.flat(), lr=0.5)
         losses = []
         for _ in range(30):
             opt.zero_grad()

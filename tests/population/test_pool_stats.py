@@ -26,7 +26,7 @@ def build_pool(cache_size: int = 4) -> ClientPool:
     train_set, _ = train_test_split(spec, cfg.num_train, cfg.num_test, seed=cfg.seed)
     pop = Population.from_config(cfg, partition=None)
     return ClientPool(
-        pop, train_set, cfg.batch_size, flatten_inputs=True, cache_size=cache_size
+        pop, train_set, cfg.batch_size, cache_size=cache_size
     )
 
 
