@@ -284,8 +284,8 @@ def section_agg(quick: bool, seed: int) -> tuple[list[dict], dict]:
     Two measurements. ``agg.sparse_sum_throughput`` is
     :func:`~repro.core.aggregation.weighted_sparse_sum` over a realistic
     round shape (many Top-K updates into one wide vector), arena path —
-    retained entries reduced per second; the arena makes the loop
-    allocation-free, so this tracks the pure pack+bincount cost.
+    retained entries reduced per second into the arena's reused
+    accumulator, so this tracks the per-update scatter-add cost.
     ``agg.robust_throughput`` is the order-statistic defenses
     (:func:`~repro.robust.aggregators.robust_aggregate`) at a
     million-coordinate model: the cohort densifies into the arena's row

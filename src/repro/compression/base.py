@@ -47,10 +47,14 @@ class SparseUpdate(CompressedUpdate):
                 f"indices/values must be matching 1-D arrays, got "
                 f"{self.indices.shape} and {self.values.shape}"
             )
-        if self.indices.size:
-            if int(self.indices.min()) < 0 or int(self.indices.max()) >= self.dense_size:
+        idx = self.indices
+        if idx.size:
+            # One pass: a strictly increasing array has its extremes at the ends.
+            increasing = bool((idx[1:] > idx[:-1]).all())
+            lo, hi = (idx[0], idx[-1]) if increasing else (idx.min(), idx.max())
+            if int(lo) < 0 or int(hi) >= self.dense_size:
                 raise ValueError("indices out of range")
-            if np.any(np.diff(self.indices) <= 0):
+            if not increasing:
                 raise ValueError("indices must be strictly increasing")
 
     @property

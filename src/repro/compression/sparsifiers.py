@@ -11,8 +11,8 @@ Fixed-``k`` sparsifiers (Top-K, Random-K — their retained count is
 an ``out=(index_buffer, value_buffer)`` block and write their output into
 it instead of allocating fresh arrays — the
 :class:`~repro.core.arena.AggregationArena` plans one such block per
-selected client and the aggregation bincounts over the packed buffers
-without re-concatenating. The class attribute ``fixed_k`` advertises the
+selected client and the aggregation scatter-adds straight from the
+blocks. The class attribute ``fixed_k`` advertises the
 capability (``ThresholdSparsifier``'s retained set is value-dependent, so
 its output size cannot be preplanned). Values written through ``out`` are
 bit-identical to the allocating path.
@@ -51,12 +51,40 @@ def _check_block(out: tuple[np.ndarray, np.ndarray], k: int) -> tuple[np.ndarray
     return idx_buf, val_buf
 
 
+def _topk_indices(update: np.ndarray, k: int) -> np.ndarray:
+    """Sorted int64 indices of the ``k`` largest-|value| entries.
+
+    Above a tenth density, by threshold: an in-place ``partition`` of ``|u|``
+    yields the k-th largest magnitude and ``flatnonzero`` of the entries
+    reaching it emits the survivors already in index order — O(d) at every
+    ratio, where sorting ``argpartition``'s indices costs k log k. At or
+    below a tenth that sort is the cheaper of the two (``flatnonzero`` walks
+    sparse masks entry by entry), and it also arbitrates whenever the
+    threshold set is not the answer: magnitudes tied at the cut (more than
+    ``k`` survivors) or a NaN ranked into the top ``k`` (it compares false).
+    Which tied entries survive is ``argpartition``'s pick — the one seeded
+    histories record.
+    """
+    d = update.shape[0]
+    if k >= d:
+        return np.arange(d, dtype=np.int64)
+    if 10 * k > d:
+        mag = np.abs(update)
+        mag.partition(d - k)
+        top = mag[d - k :]
+        cut = top[0]
+        idx = np.flatnonzero((update >= cut) | (update <= -cut))
+        if idx.size == k and not np.isnan(top.max()):
+            return idx.astype(np.int64, copy=False)
+    idx = np.argpartition(np.abs(update), d - k)[d - k :]
+    return np.sort(idx).astype(np.int64, copy=False)
+
+
 class TopK:
     """Magnitude Top-K sparsification.
 
-    Retains the ``k = ratio·d`` largest-|value| entries. Uses
-    ``np.argpartition`` (O(d)) rather than a full sort (HPC guide: choose the
-    cheaper algorithm).
+    Retains the ``k = ratio·d`` largest-|value| entries, selected in O(d) by
+    :func:`_topk_indices` (HPC guide: choose the cheaper algorithm).
     """
 
     name = "topk"
@@ -72,13 +100,9 @@ class TopK:
         update = np.ascontiguousarray(update, dtype=np.float32)
         d = update.shape[0]
         k = k_from_ratio(d, ratio)
-        if k >= d:
-            idx = np.arange(d, dtype=np.int64)
-        else:
-            idx = np.argpartition(np.abs(update), d - k)[d - k :]
-            idx = np.sort(idx).astype(np.int64)
+        idx = _topk_indices(update, k)
         if out is None:
-            return SparseUpdate(dense_size=d, indices=idx, values=update[idx])
+            return SparseUpdate(dense_size=d, indices=idx, values=np.take(update, idx))
         idx_buf, val_buf = _check_block(out, k)
         idx_buf[...] = idx
         np.take(update, idx_buf, out=val_buf)

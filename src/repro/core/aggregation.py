@@ -9,10 +9,10 @@ and produce the next global model:
 
 where ``η_s`` is the server step (1.0 recovers exact FedAvg for dense
 updates), ``p'_i`` comes from Eq. 6 and ``M`` from Algorithm 3. Aggregation
-concatenates every sparse update's (index, value) buffers and reduces them
-with a single weighted ``bincount`` — one C-level pass over all retained
-entries instead of a Python-loop scatter per client, and no dense
-per-client temporaries (HPC guide: in-place accumulation, no copies).
+scatter-adds each sparse update's weighted (and masked) values straight into
+one float64 accumulator — one C-level pass per client over its retained
+entries, no concatenation and no dense per-client temporaries (HPC guide:
+in-place accumulation, no copies).
 """
 
 from __future__ import annotations
@@ -35,19 +35,15 @@ def weighted_sparse_sum(
 ) -> np.ndarray:
     """Compute ``Σ_i weights[i] · (mask ⊙ dense(updates[i]))``.
 
-    Sparse updates are reduced in one pass: their index/value buffers are
-    pre-concatenated (with the weight folded into each value block) and
-    summed by a single ``np.bincount`` over the concatenated indices —
-    scatter-add without any per-client Python-loop work. Dense updates fall
-    back to vectorized AXPY. ``mask`` (the OPWA ``M``) applies at the
+    Each sparse update folds its weight (and ``mask[indices]``) into a
+    float64 copy of its values and ``np.add.at``-s it into the accumulator,
+    so every index sums its contributions in client order. Dense updates
+    follow as vectorized AXPYs. ``mask`` (the OPWA ``M``) applies at the
     parameter level.
 
-    With an ``arena``, the concatenation happens in the arena's reused pack
-    buffers (no fresh allocations, no per-update float64 temporaries) and,
-    when ``out`` is not given, the result lands in the arena's accumulator —
-    valid until the next arena-backed call. Every arena path performs the
-    identical IEEE operations in the identical order, so results are
-    bit-for-bit equal to the allocating path.
+    The result lands in ``out`` if given, else in the ``arena``'s
+    accumulator (valid until the next arena-backed call), else in a fresh
+    vector; the arithmetic is the same in all three.
     """
     if not updates:
         raise ValueError("need at least one update")
@@ -70,40 +66,19 @@ def weighted_sparse_sum(
             out = arena.accumulator()
         else:
             out = np.zeros(d, dtype=np.float64)
-    elif out.shape != (d,):
-        raise ValueError(f"out shape {out.shape} != ({d},)")
+    elif out.shape != (d,) or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape ({d},), got {out.dtype} {out.shape}")
     else:
         out[...] = 0.0
 
-    sparse = [(w, u) for w, u in zip(weights, updates) if isinstance(u, SparseUpdate)]
-    if sparse:
-        if arena is not None:
-            total = sum(u.indices.size for _, u in sparse)
-            all_indices, all_values = arena.pack(total)
-            offset = 0
-            for w, u in sparse:
-                n = u.indices.size
-                all_indices[offset : offset + n] = u.indices
-                block = all_values[offset : offset + n]
-                # copyto + *= w is elementwise fl(v64 · w): identical to the
-                # allocating path's w * values.astype(float64).
-                np.copyto(block, u.values)
-                block *= w
-                offset += n
-            if mask is not None and total:
-                gathered = arena.gather(total, mask.dtype)
-                np.take(mask, all_indices, out=gathered)
-                all_values *= gathered
-        else:
-            all_indices = np.concatenate([u.indices for _, u in sparse])
-            all_values = np.concatenate(
-                [w * u.values.astype(np.float64) for w, u in sparse]
-            )
+    for w, u in zip(weights, updates):
+        if isinstance(u, SparseUpdate):
+            # All-float64 operands keep np.add.at on its indexed fast loop;
+            # a dtype mismatch drops it to a generic one ~25x slower.
+            values = np.multiply(w, u.values, dtype=np.float64)
             if mask is not None:
-                all_values *= mask[all_indices]
-        if all_indices.size:
-            out += np.bincount(all_indices, weights=all_values, minlength=d)
-
+                values *= np.take(mask, u.indices)
+            np.add.at(out, u.indices, values)
     for w, u in zip(weights, updates):
         if not isinstance(u, SparseUpdate):
             dense = u.to_dense().astype(np.float64)

@@ -2,10 +2,10 @@
 
 Once training is vectorized, a compressing round's server-side cost is
 dominated by allocation-heavy array plumbing: every ``TopK.compress`` makes
-fresh ``(indices, values)`` arrays, ``weighted_sparse_sum`` re-concatenates
-all of them plus a per-update ``float64`` temporary, and the server step
-materializes two more full-width temporaries. :class:`AggregationArena`
-owns all of those buffers once and reuses them round after round:
+fresh ``(indices, values)`` arrays, ``weighted_sparse_sum`` a full-width
+``float64`` sum, and the server step two more full-width temporaries.
+:class:`AggregationArena` owns all of those buffers once and reuses them
+round after round:
 
 - **compress banks** — one index buffer and one value buffer sized ``Σkᵢ``
   that compressors write into directly through their optional ``out=``
@@ -13,11 +13,9 @@ owns all of those buffers once and reuses them round after round:
   **double-buffered**: the round being aggregated and the previous round's
   ``last_round_updates`` never share storage, so overlap analysis of the
   finished round stays valid while the next round compresses.
-- **pack buffers** — the concatenated ``(int64 indices, float64 weighted
-  values)`` arrays :func:`~repro.core.aggregation.weighted_sparse_sum`
-  bincounts over, plus a mask-gather scratch; packed block-by-block with
-  the weight folded in, so no per-update temporaries and no
-  ``np.concatenate``.
+- **accumulator** — the zeroed full-width ``float64`` vector
+  :func:`~repro.core.aggregation.weighted_sparse_sum` scatter-adds every
+  update's block into, straight from the compress bank.
 - **step scratch** — the ``float64`` working vector
   :func:`~repro.core.aggregation.apply_server_update` and the server
   optimizers use for their in-place ``out=`` path, eliminating the
@@ -63,10 +61,6 @@ class AggregationArena:
         if dense_size < 1:
             raise ValueError(f"dense_size must be >= 1, got {dense_size}")
         self.dense_size = int(dense_size)
-        # Aggregation-side pack buffers (grow to the largest Σkᵢ seen).
-        self._pack_idx = np.empty(0, dtype=np.int64)
-        self._pack_val = np.empty(0, dtype=np.float64)
-        self._gather = np.empty(0, dtype=np.float32)
         # Full-width accumulators/scratch (allocated once, O(d)).
         self._acc = np.zeros(self.dense_size, dtype=np.float64)
         self.step_scratch = np.empty(self.dense_size, dtype=np.float64)
@@ -119,25 +113,7 @@ class AggregationArena:
         bank = self._banks[self._bank_index]
         return bank.idx[offset : offset + k], bank.val[offset : offset + k]
 
-    # --------------------------------------------------------- pack buffers
-
-    def pack(self, nnz: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the concatenation buffers sized for ``nnz`` entries."""
-        if self._pack_idx.size < nnz:
-            self._pack_idx = np.empty(nnz, dtype=np.int64)
-            self._pack_val = np.empty(nnz, dtype=np.float64)
-        return self._pack_idx[:nnz], self._pack_val[:nnz]
-
-    def gather(self, nnz: int, dtype=np.float32) -> np.ndarray:
-        """Mask-gather scratch sized for ``nnz`` entries of ``dtype``.
-
-        ``np.take(mask, idx, out=...)`` needs the out buffer to match the
-        mask's dtype exactly; the subsequent ``values *= gathered`` upcasts
-        elementwise just like the allocating path's ``mask[idx]``.
-        """
-        if self._gather.size < nnz or self._gather.dtype != np.dtype(dtype):
-            self._gather = np.empty(nnz, dtype=dtype)
-        return self._gather[:nnz]
+    # ------------------------------------------------- full-width buffers
 
     def accumulator(self) -> np.ndarray:
         """The zeroed full-width ``float64`` reduction target."""
@@ -150,7 +126,7 @@ class AggregationArena:
         The order-statistic aggregators (:mod:`repro.robust.aggregators`)
         scatter each update into one row and reduce down the columns;
         reusing one grow-only matrix keeps a robust round allocation-free
-        after warmup, like the pack buffers do for the mean path.
+        after warmup.
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
@@ -164,7 +140,7 @@ class AggregationArena:
 
     def nbytes(self) -> int:
         """Total bytes currently held (observability/reporting)."""
-        arrays = [self._pack_idx, self._pack_val, self._gather, self._acc, self.step_scratch, self._rows]
+        arrays = [self._acc, self.step_scratch, self._rows]
         for bank in self._banks:
             arrays += [bank.idx, bank.val]
         return int(sum(a.nbytes for a in arrays))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import SparseUpdate
-from repro.core.overlap import overlap_counts
+from repro.core.overlap import narrow_overlap_counts
 from repro.utils.validation import check_positive
 
 __all__ = ["opwa_mask", "opwa_mask_from_updates"]
@@ -45,10 +45,9 @@ def opwa_mask(
     counts = np.asarray(counts)
     if counts.ndim != 1:
         raise ValueError(f"counts must be 1-D, got shape {counts.shape}")
-    mask = np.ones(counts.shape[0], dtype=dtype)
+    scalar = np.dtype(dtype).type
     low = (counts >= 1) & (counts <= required_overlap)
-    mask[low] = gamma
-    return mask
+    return np.where(low, scalar(gamma), scalar(1))
 
 
 def opwa_mask_from_updates(
@@ -59,5 +58,5 @@ def opwa_mask_from_updates(
 ) -> np.ndarray:
     """Convenience: CalculateOverlap + GenerateMask in one call (Alg. 3)."""
     return opwa_mask(
-        overlap_counts(updates), gamma, required_overlap=required_overlap
+        narrow_overlap_counts(updates), gamma, required_overlap=required_overlap
     )

@@ -19,21 +19,33 @@ from repro.compression.base import SparseUpdate
 __all__ = ["overlap_counts", "OverlapDistribution", "overlap_distribution"]
 
 
+def narrow_overlap_counts(updates: list[SparseUpdate]) -> np.ndarray:
+    """Retention counts in the narrowest unsigned dtype that holds the cohort.
+
+    uint8 below 256 updates: the full-width vector the histogram and the
+    mask re-read is 1 byte per parameter, not 8. One scatter-add of ones per
+    update, in the counter's own dtype so ``np.add.at`` stays on its indexed
+    fast loop.
+    """
+    if not updates:
+        raise ValueError("need at least one update")
+    d = updates[0].dense_size
+    counts = np.zeros(d, dtype=np.min_scalar_type(len(updates)))
+    ones = np.ones(max(u.indices.size for u in updates), dtype=counts.dtype)
+    for u in updates:
+        if u.dense_size != d:
+            raise ValueError(f"dense_size mismatch: {u.dense_size} != {d}")
+        np.add.at(counts, u.indices, ones[: u.indices.size])
+    return counts
+
+
 def overlap_counts(updates: list[SparseUpdate]) -> np.ndarray:
     """Per-index retention count across clients (Alg. 3 CalculateOverlap).
 
     Returns an int64 vector of length ``dense_size``; entry ``j`` is the
     number of clients whose sparse update retained index ``j`` (0 if none).
-    Vectorized as a single ``bincount`` over the concatenated index arrays.
     """
-    if not updates:
-        raise ValueError("need at least one update")
-    d = updates[0].dense_size
-    for u in updates:
-        if u.dense_size != d:
-            raise ValueError(f"dense_size mismatch: {u.dense_size} != {d}")
-    all_indices = np.concatenate([u.indices for u in updates])
-    return np.bincount(all_indices, minlength=d).astype(np.int64)
+    return narrow_overlap_counts(updates).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -62,8 +74,6 @@ class OverlapDistribution:
 
 def overlap_distribution(updates: list[SparseUpdate]) -> OverlapDistribution:
     """Compute the Fig. 4 histogram for one round's compressed updates."""
-    counts = overlap_counts(updates)
     n = len(updates)
-    retained = counts[counts > 0]
-    hist = np.bincount(retained, minlength=n + 1)[1 : n + 1]
+    hist = np.bincount(narrow_overlap_counts(updates), minlength=n + 1)[1 : n + 1]
     return OverlapDistribution(counts=hist.astype(np.int64), num_clients=n)

@@ -33,13 +33,21 @@ class TestSparseUpdate:
         assert s.density == pytest.approx(0.4)
         assert s.bits == 2 * 64
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            SparseUpdate(dense_size=5, indices=np.array([3, 1]), values=np.zeros(2, np.float32))
+    @pytest.mark.parametrize("indices", [[3, 1], [1, 1], [0, 2, 2, 4], [0, 4, 3]])
+    def test_rejects_unsorted(self, indices):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SparseUpdate(dense_size=5, indices=np.array(indices), values=np.zeros(len(indices), np.float32))
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SparseUpdate(dense_size=2, indices=np.array([0, 2]), values=np.zeros(2, np.float32))
+    @pytest.mark.parametrize("indices", [[0, 2], [-1, 0], [2], [-1]])
+    def test_rejects_out_of_range(self, indices):
+        with pytest.raises(ValueError, match="out of range"):
+            SparseUpdate(dense_size=2, indices=np.array(indices), values=np.zeros(len(indices), np.float32))
+
+    @pytest.mark.parametrize("indices", [[5, 1], [1, -1, 0], [0, 7, 3], [2, 2, 9]])
+    def test_out_of_range_reported_before_unsorted(self, indices):
+        """The extremes of an unsorted array are not at its ends."""
+        with pytest.raises(ValueError, match="out of range"):
+            SparseUpdate(dense_size=5, indices=np.array(indices), values=np.zeros(len(indices), np.float32))
 
     def test_to_dense_with_out(self):
         s = SparseUpdate(dense_size=3, indices=np.array([0]), values=np.array([1.0], np.float32))

@@ -47,7 +47,7 @@ class TestArenaSparseSum:
         """Stale buffer contents from a prior round never leak into the next."""
         d = 80
         arena = AggregationArena(d)
-        for n in (6, 3, 6):  # shrink then regrow the packed width
+        for n in (6, 3, 6):  # shrink then regrow the cohort
             updates = topk_updates(rng, d, n, 0.25)
             weights = rng.dirichlet(np.ones(n))
             got = weighted_sparse_sum(updates, weights, arena=arena).copy()
