@@ -17,21 +17,27 @@ from repro.compression.quantization import QSGDQuantizer, UniformQuantizer
 from repro.compression.sign import SignCompressor
 from repro.compression.sparsifiers import RandomK, ThresholdSparsifier, TopK
 
-__all__ = ["make_compressor", "available_compressors", "register_compressor"]
+__all__ = ["make_compressor", "available_compressors", "register_compressor", "compressor_traits"]
 
-_FACTORIES: dict[str, Callable[..., Compressor]] = {}
+#: name → (factory, reads its seed, instances carry per-client state)
+_FACTORIES: dict[str, tuple[Callable[..., Compressor], bool, bool]] = {}
 
 
-def register_compressor(name: str, factory: Callable[..., Compressor]) -> None:
+def register_compressor(
+    name: str, factory: Callable[..., Compressor], *, seeded: bool = True, stateful: bool = True
+) -> None:
     """Register a new compressor factory under ``name``.
 
     The factory receives ``(seed)`` as keyword argument and must return a
-    fresh, independent compressor instance (stateful compressors like error
-    feedback must not share state across clients).
+    fresh, independent compressor instance. ``seeded``: it reads that seed;
+    ``stateful``: an instance accumulates per-client state (error-feedback
+    residuals; a seeded generator always does). A ``CompressorPool`` shares
+    one instance of a stateless compressor among all clients and derives a
+    per-client stream only for a seeded one; the defaults are always safe.
     """
     if name in _FACTORIES:
         raise ValueError(f"compressor {name!r} already registered")
-    _FACTORIES[name] = factory
+    _FACTORIES[name] = (factory, bool(seeded), bool(stateful or seeded))
 
 
 def available_compressors() -> list[str]:
@@ -39,24 +45,33 @@ def available_compressors() -> list[str]:
     return sorted(_FACTORIES)
 
 
-def make_compressor(name: str, *, seed: int | np.random.Generator = 0) -> Compressor:
-    """Instantiate a fresh compressor by registry name."""
+def _entry(name: str) -> tuple[Callable[..., Compressor], bool, bool]:
     try:
-        factory = _FACTORIES[name]
+        return _FACTORIES[name]
     except KeyError:
         raise KeyError(
             f"unknown compressor {name!r}; available: {available_compressors()}"
         ) from None
-    return factory(seed=seed)
 
 
-register_compressor("topk", lambda seed=0: TopK())
-register_compressor("ef_topk", lambda seed=0: ErrorFeedback(TopK()))
+def compressor_traits(name: str) -> tuple[bool, bool]:
+    """``(seeded, stateful)`` as declared at registration."""
+    return _entry(name)[1:]
+
+
+def make_compressor(name: str, *, seed: int | np.random.Generator = 0) -> Compressor:
+    """Instantiate a fresh compressor by registry name."""
+    return _entry(name)[0](seed=seed)
+
+
+_PURE = {"seeded": False, "stateful": False}
+register_compressor("topk", lambda seed=0: TopK(), **_PURE)
+register_compressor("ef_topk", lambda seed=0: ErrorFeedback(TopK()), seeded=False)
 register_compressor("randomk", lambda seed=0: RandomK(seed=seed))
 register_compressor("ef_randomk", lambda seed=0: ErrorFeedback(RandomK(seed=seed)))
-register_compressor("threshold", lambda seed=0: ThresholdSparsifier(threshold=1e-4))
+register_compressor("threshold", lambda seed=0: ThresholdSparsifier(threshold=1e-4), **_PURE)
 register_compressor("qsgd8", lambda seed=0: QSGDQuantizer(bits=8, seed=seed))
 register_compressor("qsgd4", lambda seed=0: QSGDQuantizer(bits=4, seed=seed))
-register_compressor("uniform8", lambda seed=0: UniformQuantizer(bits=8))
-register_compressor("sign", lambda seed=0: SignCompressor())
-register_compressor("ef_sign", lambda seed=0: ErrorFeedback(SignCompressor()))
+register_compressor("uniform8", lambda seed=0: UniformQuantizer(bits=8), **_PURE)
+register_compressor("sign", lambda seed=0: SignCompressor(), **_PURE)
+register_compressor("ef_sign", lambda seed=0: ErrorFeedback(SignCompressor()), seeded=False)

@@ -52,29 +52,31 @@ def _check_block(out: tuple[np.ndarray, np.ndarray], k: int) -> tuple[np.ndarray
 
 
 def _topk_indices(update: np.ndarray, k: int) -> np.ndarray:
-    """Sorted int64 indices of the ``k`` largest-|value| entries.
+    """Sorted int64 indices of the ``k`` largest-|value| entries (float32 in).
 
-    Above a tenth density, by threshold: an in-place ``partition`` of ``|u|``
-    yields the k-th largest magnitude and ``flatnonzero`` of the entries
-    reaching it emits the survivors already in index order — O(d) at every
-    ratio, where sorting ``argpartition``'s indices costs k log k. At or
-    below a tenth that sort is the cheaper of the two (``flatnonzero`` walks
-    sparse masks entry by entry), and it also arbitrates whenever the
-    threshold set is not the answer: magnitudes tied at the cut (more than
-    ``k`` survivors) or a NaN ranked into the top ``k`` (it compares false).
-    Which tied entries survive is ``argpartition``'s pick — the one seeded
-    histories record.
+    Above a tenth density, by threshold: an in-place ``partition`` yields the
+    k-th largest magnitude and ``flatnonzero`` of the entries reaching it
+    emits the survivors already in index order — O(d) at every ratio, where
+    sorting ``argpartition``'s indices costs k log k. The select runs on the
+    ``uint32`` view of ``|u|``, 2–3× cheaper and exact: non-negative binary32
+    values order as their bit patterns, with every |NaN| above +inf, where
+    the float select puts them. At or below a tenth that sort is the cheaper
+    of the two (``flatnonzero`` walks sparse masks entry by entry), and it
+    also arbitrates whenever the threshold set is not the answer: magnitudes
+    tied at the cut (more than ``k`` survivors) or a NaN ranked into the top
+    ``k`` (it compares false). Which tied entries survive is the float-keyed
+    ``argpartition``'s pick — the one seeded histories record.
     """
     d = update.shape[0]
     if k >= d:
         return np.arange(d, dtype=np.int64)
     if 10 * k > d:
         mag = np.abs(update)
-        mag.partition(d - k)
-        top = mag[d - k :]
-        cut = top[0]
+        bits = mag.view(np.uint32)
+        bits.partition(d - k)
+        cut = mag[d - k]
         idx = np.flatnonzero((update >= cut) | (update <= -cut))
-        if idx.size == k and not np.isnan(top.max()):
+        if idx.size == k and bits[d - k :].max() <= 0x7F800000:  # +inf: no NaN on top
             return idx.astype(np.int64, copy=False)
     idx = np.argpartition(np.abs(update), d - k)[d - k :]
     return np.sort(idx).astype(np.int64, copy=False)

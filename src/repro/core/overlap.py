@@ -54,6 +54,8 @@ class OverlapDistribution:
 
     counts: np.ndarray  # counts[f-1] = number of indices retained by exactly f clients
     num_clients: int
+    #: The narrow per-index counts the histogram was built from (the OPWA mask reuses them).
+    per_index: np.ndarray | None = None
 
     @property
     def total_retained(self) -> int:
@@ -75,5 +77,6 @@ class OverlapDistribution:
 def overlap_distribution(updates: list[SparseUpdate]) -> OverlapDistribution:
     """Compute the Fig. 4 histogram for one round's compressed updates."""
     n = len(updates)
-    hist = np.bincount(narrow_overlap_counts(updates), minlength=n + 1)[1 : n + 1]
-    return OverlapDistribution(counts=hist.astype(np.int64), num_clients=n)
+    per_index = narrow_overlap_counts(updates)
+    hist = np.bincount(per_index, minlength=n + 1)[1 : n + 1]
+    return OverlapDistribution(counts=hist.astype(np.int64), num_clients=n, per_index=per_index)

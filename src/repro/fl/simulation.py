@@ -179,8 +179,8 @@ class Simulation(EngineMixin):
             if config.compressor is not None
             else self.algorithm.compressor_name
         )
-        # Compressors hydrate on first use and persist forever (EF residuals
-        # are client state); only ever-sampled clients pay the cost.
+        # Stateful compressors hydrate on first use and persist forever (EF
+        # residuals are client state); a stateless one is a single shared object.
         self.compressors = (
             CompressorPool(comp_name, self.population) if comp_name else None
         )
@@ -267,10 +267,11 @@ class Simulation(EngineMixin):
         singleton = None
         sparse = [u for u in updates if isinstance(u, SparseUpdate)]
         if sparse:
-            singleton = overlap_distribution(sparse).singleton_fraction()
+            overlap = overlap_distribution(sparse)  # its one scan also feeds the mask
+            singleton = overlap.singleton_fraction()
         if use_opwa and sparse:
             mask = opwa_mask_from_updates(
-                sparse, cfg.gamma, required_overlap=cfg.required_overlap
+                sparse, cfg.gamma, required_overlap=cfg.required_overlap, counts=overlap.per_index
             )
         arena = self.arena
         # aggregator="mean" routes straight through weighted_sparse_sum with

@@ -13,10 +13,10 @@ while a client is *hot*:
   arrays and loader object; re-hydration resumes the identical RNG stream,
   so cache size is semantically invisible — a fact the equivalence suite
   pins by running goldens under a cache of 2.
-- :class:`CompressorPool` hydrates compressors on first use and keeps them
-  forever: error-feedback residuals *are* client state and have no
-  reconstruction rule, so a compressor that has compressed once can never
-  be dropped. Only ever-sampled clients pay this cost.
+- :class:`CompressorPool` hands every client the one shared instance of a
+  stateless compressor (Top-K). A stateful one hydrates on first use and is
+  kept forever: error-feedback residuals and advancing generators *are*
+  client state with no reconstruction rule. Only ever-sampled clients pay.
 
 Stream derivation matches the population's shard regime: the partitioned
 regime keeps the historical ``RngFactory.child`` SeedSequence families
@@ -43,7 +43,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.compression.registry import make_compressor
+from repro.compression.registry import compressor_traits, make_compressor
+from repro.obs.tracer import NULL_TRACER
 from repro.population.table import Population
 from repro.utils.rng import RngFactory
 
@@ -150,17 +151,17 @@ class ClientPool:
                 if obs is not None:
                     obs.metrics.counter("hydration", outcome="hit").inc()
                 return client
-            self.misses += 1
-            if obs is not None:
-                hydrate_cm = obs.tracer.span("hydrate", cat="pop", cid=cid)
-                hydrate_cm.__enter__()
-            shard = self._train_set.subset(self._population.shard_indices(cid))
-            if self._flip_fraction > 0.0:
-                from repro.robust.attacks import flip_labels, is_adversary
+            tracer = obs.tracer if obs is not None else NULL_TRACER
+            # ``with``: a raising shard build still closes the span (and counts nothing).
+            with tracer.span("hydrate", cat="pop", cid=cid):
+                shard = self._train_set.subset(self._population.shard_indices(cid))
+                if self._flip_fraction > 0.0:
+                    from repro.robust.attacks import flip_labels, is_adversary
 
-                if is_adversary(self._population.seed, cid, self._flip_fraction):
-                    flip_labels(shard.y, self._num_classes)
-            client = _client_cls()(cid, shard, self._batch_size, self._loader_rng(cid))
+                    if is_adversary(self._population.seed, cid, self._flip_fraction):
+                        flip_labels(shard.y, self._num_classes)
+                client = _client_cls()(cid, shard, self._batch_size, self._loader_rng(cid))
+            self.misses += 1
             self._cache[cid] = client
             self.hydrations += 1
             while len(self._cache) > self._cache_size:
@@ -174,7 +175,6 @@ class ClientPool:
             if len(self._cache) > self.peak_resident:
                 self.peak_resident = len(self._cache)
             if obs is not None:
-                hydrate_cm.__exit__(None, None, None)
                 obs.metrics.counter("hydration", outcome="miss").inc()
                 obs.metrics.gauge("resident_clients").set(len(self._cache))
             return client
@@ -209,11 +209,14 @@ class ClientPool:
 
 
 class CompressorPool:
-    """Lazy per-client compressors; hydrated once, retained forever."""
+    """Lazy per-client compressors — one shared instance where the registry says
+    stateless (``topk``); else hydrated once (own stream only if seeded), retained forever."""
 
     def __init__(self, name: str, population: Population):
         self._name = str(name)
         self._population = population
+        self._seeded, stateful = compressor_traits(self._name)
+        self._shared = None if stateful else make_compressor(self._name)
         self._rngs = RngFactory(population.seed)
         self._counter_streams = population.partition is None
         self._pool: dict[int, object] = {}
@@ -229,10 +232,14 @@ class CompressorPool:
         cid = int(cid)
         if not 0 <= cid < len(self):
             raise IndexError(f"client id {cid} out of range [0, {len(self)})")
+        if self._shared is not None:
+            return self._shared
         with self._lock:
             comp = self._pool.get(cid)
             if comp is None:
-                if self._counter_streams:
+                if not self._seeded:
+                    seed = 0
+                elif self._counter_streams:
                     seed = self._rngs.counter("compressor", cid)
                 else:
                     seed = self._rngs.child("compressor", cid)
@@ -242,5 +249,5 @@ class CompressorPool:
 
     @property
     def resident(self) -> int:
-        """Compressors hydrated so far (ever-sampled clients)."""
+        """Per-client compressors built so far (0 for a stateless name)."""
         return len(self._pool)

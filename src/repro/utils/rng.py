@@ -59,8 +59,11 @@ class RngFactory:
         rng_b = f.stream("partition")
     """
 
+    _MAX_KEYS = 64  # bound of the counter_key memo: FaultInjector mints a name per epoch
+
     def __init__(self, seed: int):
         self._seed = int(seed)
+        self._keys: dict[str, int] = {}
 
     @property
     def seed(self) -> int:
@@ -92,14 +95,17 @@ class RngFactory:
         A keyed BLAKE2 digest of the stream name, salted with the root seed,
         so distinct ``(seed, name)`` pairs map to distinct key words (up to a
         2⁻⁶⁴ hash collision) and renaming a stream can never silently alias
-        another one.
+        another one. Hashed once per name; per-client ``counter`` calls reuse it.
         """
-        digest = hashlib.blake2b(
-            name.encode("utf-8"),
-            digest_size=8,
-            key=str(self._seed).encode("utf-8"),
-        ).digest()
-        return int.from_bytes(digest, "little")
+        key = self._keys.get(name)
+        if key is None:
+            if len(self._keys) >= self._MAX_KEYS:
+                self._keys.clear()
+            digest = hashlib.blake2b(
+                name.encode("utf-8"), digest_size=8, key=str(self._seed).encode("utf-8")
+            ).digest()
+            key = self._keys[name] = int.from_bytes(digest, "little")
+        return key
 
     def counter(self, name: str, index: int) -> np.random.Generator:
         """Counter-based per-entity stream: ``Philox(key=(seed⊕name, index))``.

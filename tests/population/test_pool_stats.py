@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.data.datasets import DATASET_SPECS, train_test_split
 from repro.fl.config import ExperimentConfig
 from repro.obs import MetricsRegistry, Obs, Tracer
@@ -86,3 +88,71 @@ class TestStats:
         assert pool._obs is None
         pool[0]
         assert pool.stats()["misses"] == 1  # plain accounting still on
+
+
+class TestFailedHydration:
+    """A shard build that raises must not leave the pool half-updated."""
+
+    @staticmethod
+    def break_once(pool, monkeypatch, where):
+        """Make the next shard construction raise, then heal."""
+        if where == "client":  # e.g. Client rejecting an empty shard
+            import repro.population.hydration as hydration
+
+            target, name, real = hydration, "_client_cls", hydration._client_cls
+        else:  # a bad shard draw
+            target, name = pool._population, "shard_indices"
+            real = pool._population.shard_indices
+        state = {"armed": True}
+
+        def flaky(*args, **kwargs):
+            if state["armed"]:
+                state["armed"] = False
+                raise ValueError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, flaky)
+
+    @pytest.mark.parametrize("where", ["indices", "client"])
+    @pytest.mark.parametrize("observed", [True, False])
+    def test_span_closed_stats_consistent_next_lookup_works(
+        self, monkeypatch, where, observed
+    ):
+        obs = Obs(Tracer(), MetricsRegistry())
+        pool = build_pool(cache_size=2)
+        if observed:
+            pool.observe(obs)
+        pool[0]
+        before = pool.stats()
+        self.break_once(pool, monkeypatch, where)
+        with pytest.raises(ValueError, match="boom"):
+            pool[1]
+        # The failed lookup is neither a hit nor a miss and hydrated nothing.
+        assert pool.stats() == before
+        assert not pool._lock.locked()
+        if observed:
+            # The span of the failed build was closed (recorded), not leaked.
+            assert [s.args["cid"] for s in obs.tracer.spans if s.name == "hydrate"] == [0, 1]
+            assert obs.metrics.value("hydration", outcome="miss") == 1
+        client = pool[1]  # same cid, now healthy
+        assert client.client_id == 1 and pool[1] is client
+        stats = pool.stats()
+        assert stats["misses"] == stats["hydrations"] == 2
+        assert stats["hits"] == 1 and stats["resident"] == 2
+        if observed:
+            spans = [s for s in obs.tracer.spans if s.name == "hydrate"]
+            assert [s.args["cid"] for s in spans] == [0, 1, 1]
+            assert all(s.end >= s.start for s in spans)
+            assert obs.metrics.value("hydration", outcome="miss") == 2
+            assert obs.metrics.value("resident_clients") == 2
+
+    def test_failed_build_does_not_disturb_the_loader_stream(self, monkeypatch):
+        """The retried client reads the stream a never-failed twin reads."""
+        flaky, steady = build_pool(), build_pool()
+        self.break_once(flaky, monkeypatch, "client")
+        with pytest.raises(ValueError):
+            flaky[3]
+        got = next(iter(flaky[3].loader))
+        want = next(iter(steady[3].loader))
+        assert got[1].tolist() == want[1].tolist()
+        assert got[0].tobytes() == want[0].tobytes()
