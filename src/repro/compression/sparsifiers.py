@@ -60,12 +60,16 @@ def _topk_indices(update: np.ndarray, k: int) -> np.ndarray:
     sorting ``argpartition``'s indices costs k log k. The select runs on the
     ``uint32`` view of ``|u|``, 2–3× cheaper and exact: non-negative binary32
     values order as their bit patterns, with every |NaN| above +inf, where
-    the float select puts them. At or below a tenth that sort is the cheaper
-    of the two (``flatnonzero`` walks sparse masks entry by entry), and it
-    also arbitrates whenever the threshold set is not the answer: magnitudes
-    tied at the cut (more than ``k`` survivors) or a NaN ranked into the top
-    ``k`` (it compares false). Which tied entries survive is the float-keyed
-    ``argpartition``'s pick — the one seeded histories record.
+    the float select puts them. At or below a tenth the index sort stays
+    (``flatnonzero`` walks sparse masks entry by entry). Since the integer-key
+    cut it is the cheaper of the two only at paper width (d = 1M, 1/10
+    density: 2.9 vs 3.2 ms; d = 33,610: 67 vs 40 µs), but dropping the rule
+    cost ``wide_kernels`` 2–5 % — docs/PERFORMANCE.md, "Invariants hoisted out
+    of the step and dispatch loops". The index sort also arbitrates whenever
+    the threshold set is not the answer: magnitudes tied at the cut (more than
+    ``k`` survivors) or a NaN ranked into the top ``k`` (it compares false).
+    Which tied entries survive is the float-keyed ``argpartition``'s pick —
+    the one seeded histories record.
     """
     d = update.shape[0]
     if k >= d:

@@ -30,6 +30,7 @@ import time
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -158,6 +159,9 @@ class WorkerContext:
         #: must leave this ``None``: forked workers cannot see the parent's
         #: post-fork block plans.
         self.arena = arena
+        #: Trace lane of this context's tasks: the pid of the process that
+        #: first executes one (forked workers inherit the context unused).
+        self._pid: int | None = None
 
     def execute(
         self,
@@ -219,20 +223,15 @@ class WorkerContext:
                     f"task for client {task.cid} requests compression at ratio "
                     f"{task.ratio} but no compressors were configured"
                 )
-            block = (
-                self.arena.compress_block(task.position)
-                if self.arena is not None
-                else None
-            )
-            if block is not None:
-                update = self.compressors[task.cid].compress(
-                    res.delta, float(task.ratio), out=block
-                )
-            else:
-                update = self.compressors[task.cid].compress(
-                    res.delta, float(task.ratio)
-                )
+            compress = self.compressors[task.cid].compress
+            if self.arena is not None:
+                block = self.arena.compress_block(task.position)
+                if block is not None:  # planned only for compressors taking ``out=``
+                    compress = partial(compress, out=block)
+            update = compress(res.delta, float(task.ratio))
         compress_seconds = time.perf_counter() - t0
+        if self._pid is None:
+            self._pid = os.getpid()
 
         return TaskResult(
             position=task.position,
@@ -246,7 +245,7 @@ class WorkerContext:
             delta=res.delta if spec.return_delta else None,
             wall_start=wall_start,
             wall_compress=wall_compress,
-            worker_pid=os.getpid(),
+            worker_pid=self._pid,
         )
 
 

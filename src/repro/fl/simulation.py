@@ -338,6 +338,7 @@ class Simulation(EngineMixin):
     def _stage_dispatch(
         self,
         cid: int,
+        link: LinkSpec,
         ratio: float | None,
         update: CompressedUpdate | None,
         *,
@@ -345,6 +346,8 @@ class Simulation(EngineMixin):
     ) -> tuple[Payload, float, float, float]:
         """(payload, download, train, exclusive-upload) of one dispatch —
         the single pricing computation every protocol path shares.
+        ``link`` is the client's *current* link, built once by the caller
+        (per cohort per round; drifting links are re-read every round).
         ``payload`` overrides the derived wire volume (fault injection
         re-prices truncated uploads at their delivered bits)."""
         cfg = self.config
@@ -353,14 +356,13 @@ class Simulation(EngineMixin):
         if self.obs.enabled:
             self.obs.metrics.counter("wire_bits", kind=payload.kind).inc(payload.bits)
         down, train_t, up = pipeline_times(
-            self.devices[cid],
+            self.devices.with_link(cid, link),
             volume_bits=self.volume_bits,
             ratio=ratio,
             num_samples=int(self.population.data_sizes[cid]),
             epochs=cfg.local_epochs,
             include_downlink=cfg.include_downlink,
             downlink_factor=cfg.downlink_factor,
-            link=self.links[cid],
             payload=payload,
         )
         return payload, down, train_t, up
@@ -368,6 +370,7 @@ class Simulation(EngineMixin):
     def _price_dispatch(
         self,
         cid: int,
+        link: LinkSpec,
         ratio: float | None,
         t: float,
         tag: int,
@@ -382,7 +385,7 @@ class Simulation(EngineMixin):
         resolution, not here).
         """
         payload, down, train_t, up = self._stage_dispatch(
-            cid, ratio, update, payload=payload
+            cid, link, ratio, update, payload=payload
         )
         t0 = t + down
         self.spans.add(cid, "train", t0, t0 + train_t, tag=tag)
@@ -393,6 +396,7 @@ class Simulation(EngineMixin):
     def _price_round(
         self,
         selected,
+        links: list[LinkSpec],
         ratios,
         updates: list[CompressedUpdate] | None,
         t: float,
@@ -400,8 +404,9 @@ class Simulation(EngineMixin):
     ) -> tuple[list[float], list[float], list[float]]:
         """Price one synchronized batch of dispatches starting at ``t``.
 
+        ``links`` are the cohort's current links, aligned with ``selected``.
         Returns (per-dispatch pipeline durations, uplink bits, downlink
-        bits), aligned with ``selected``. Exclusive transports keep the
+        bits), aligned the same way. Exclusive transports keep the
         historical per-link arithmetic bit-for-bit; fair transports admit
         every upload into one fresh ingress epoch and water-fill, so the
         round's finish times reflect server-side bandwidth sharing.
@@ -412,22 +417,22 @@ class Simulation(EngineMixin):
             cid = int(cid)
             ratio = None if ratios is None else float(ratios[pos])
             update = None if updates is None else updates[pos]
-            payload, down, train_t, up = self._stage_dispatch(cid, ratio, update)
-            staged.append((cid, payload, down, train_t, up))
+            link = links[pos]
+            payload, down, train_t, up = self._stage_dispatch(cid, link, ratio, update)
+            staged.append((cid, link, payload, down, train_t, up))
 
         ends: list[float] | None = None
         if self.transport.contended:
             flows = [
-                (payload, self.links[cid], (t + down) + train_t)
-                for cid, payload, down, train_t, _ in staged
+                (payload, link, (t + down) + train_t)
+                for _, link, payload, down, train_t, _ in staged
             ]
             with self.obs.tracer.span("transport.resolve", cat="net", flows=len(flows)):
                 ends = [rec.end for rec in self.transport.resolve_uploads(flows)]
 
         durations: list[float] = []
         up_bits: list[float] = []
-        down_bits: list[float] = []
-        for pos, (cid, payload, down, train_t, up) in enumerate(staged):
+        for pos, (cid, _, payload, down, train_t, up) in enumerate(staged):
             t0 = t + down
             self.spans.add(cid, "train", t0, t0 + train_t, tag=tag)
             if ends is None:
@@ -437,7 +442,7 @@ class Simulation(EngineMixin):
                 self.spans.add(cid, "upload", t0 + train_t, ends[pos], tag=tag)
                 durations.append(ends[pos] - t)
             up_bits.append(payload.bits)
-            down_bits.append(self.volume_bits if cfg.include_downlink else 0.0)
+        down_bits = [self.volume_bits if cfg.include_downlink else 0.0] * len(staged)
         return durations, up_bits, down_bits
 
     @staticmethod
@@ -569,7 +574,7 @@ class Simulation(EngineMixin):
         sim_start = self.sim_clock
         with tracer.span("transport.price", cat="net", dispatches=len(selected)):
             durations, up_bits, down_bits = self._price_round(
-                selected, plan.ratios, wire_updates, sim_start, tag=self.round_index
+                selected, sel_links, plan.ratios, wire_updates, sim_start, tag=self.round_index
             )
         # The barrier waits on delivered contributors; an all-lost round
         # still spans the slowest expected upload (the server's timeout).

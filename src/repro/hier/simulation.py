@@ -131,7 +131,7 @@ class HierSimulation(Simulation):
         # ingress epoch per (edge, sub-round) — each edge aggregator owns
         # its own ingress capacity.
         durs, up_bits, down_bits = self._price_round(
-            selected, plan.ratios, updates, t_start, tag=self.round_index
+            selected, sel_links, plan.ratios, updates, t_start, tag=self.round_index
         )
         durations = np.array(durs)
 

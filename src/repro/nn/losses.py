@@ -18,16 +18,17 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
     # One pass over the intermediates `functional.log_softmax` and `softmax`
-    # share, so loss and gradient are bit-equal to calling both.
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    # share, so loss and gradient are bit-equal to calling both; reductions
+    # are direct ufunc calls and the gradient is built in `e`'s storage.
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
-    total = np.sum(e, axis=1, keepdims=True)
+    total = np.add.reduce(e, axis=1, keepdims=True)
     rows = np.arange(n)
-    loss = -float((shifted[rows, labels] - np.log(total)[:, 0]).mean())
-    grad = e / total
-    grad[rows, labels] -= 1.0
-    grad /= n
-    return loss, grad.astype(logits.dtype, copy=False)
+    loss = -float(np.add.reduce(shifted[rows, labels] - np.log(total)[:, 0]) / n)
+    np.divide(e, total, out=e)
+    e[rows, labels] -= 1.0
+    e /= n
+    return loss, e.astype(logits.dtype, copy=False)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

@@ -2,9 +2,27 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["SGD", "Adam", "StepLR", "CosineLR", "ConstantLR"]
+
+
+# A run builds one optimizer per client task from the same few values, so
+# each distinct tuple is checked once (a raise is never cached).
+@lru_cache(maxsize=32)
+def _check_hyperparameters(lr, momentum, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    if lr <= 0:
+        raise ValueError(f"lr must be > 0, got {lr}")
+    if not 0 <= momentum < 1:
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+    if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
+        raise ValueError(f"betas must be in [0, 1), got {beta1}, {beta2}")
+    if eps <= 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    if weight_decay < 0:
+        raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
 
 
 class SGD:
@@ -25,12 +43,7 @@ class SGD:
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ):
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
-        if not 0 <= momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+        _check_hyperparameters(lr, momentum, weight_decay)
         self.data = data
         self.grad = grad
         self.lr = float(lr)
@@ -73,14 +86,7 @@ class Adam:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ValueError(f"betas must be in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0:
-            raise ValueError(f"eps must be > 0, got {eps}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+        _check_hyperparameters(lr, 0.0, weight_decay, beta1, beta2, eps)
         self.data = data
         self.grad = grad
         self.lr = float(lr)

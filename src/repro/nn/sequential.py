@@ -13,10 +13,14 @@ class Sequential(Layer):
     """Apply layers in order; backward walks them in reverse.
 
     The outermost container of a model also owns its parameter storage: see
-    :meth:`flat`.
+    :meth:`flat`. What a container derives from its layer list — the flat
+    vectors, the ``input_grad=False`` walk, the persistent-buffer list — is
+    computed once and dropped by :meth:`append` and by copying/pickling.
     """
 
     _flat: tuple[np.ndarray, np.ndarray] | None = None
+    _train_walk: tuple[Layer | None, tuple[Layer, ...]] | None = None
+    _states: tuple[np.ndarray, ...] | None = None
 
     def __init__(self, *layers: Layer):
         self.layers: list[Layer] = list(layers)
@@ -24,7 +28,7 @@ class Sequential(Layer):
     def append(self, layer: Layer) -> "Sequential":
         """Add ``layer`` at the end (builder style)."""
         self.layers.append(layer)
-        self._flat = None
+        self._flat = self._train_walk = self._states = None
         return self
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
@@ -54,8 +58,11 @@ class Sequential(Layer):
     def __getstate__(self) -> dict:
         # NumPy copies and pickles views as owners, so a copied or unpickled
         # model drops the vectors and re-homes its parameters on first use.
+        # The walk and buffer list go with them: they hold the original's
+        # layers and arrays.
         state = self.__dict__.copy()
-        state.pop("_flat", None)
+        for name in ("_flat", "_train_walk", "_states"):
+            state.pop(name, None)
         return state
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
@@ -74,15 +81,18 @@ class Sequential(Layer):
             for layer in reversed(self.layers):
                 grad_out = layer.backward(grad_out)
             return grad_out
-        first = next((i for i, layer in enumerate(self.layers) if layer.parameters()), len(self.layers))
-        for layer in reversed(self.layers[first + 1 :]):
+        if self._train_walk is None:
+            layers = self.layers
+            first = next((i for i, layer in enumerate(layers) if layer.parameters()), len(layers))
+            head = layers[first] if first < len(layers) else None
+            self._train_walk = (head, tuple(reversed(layers[first + 1 :])))
+        head, tail = self._train_walk
+        for layer in tail:
             grad_out = layer.backward(grad_out)
-        if first < len(self.layers):
-            head = self.layers[first]
-            if isinstance(head, (Linear, Conv2d, Sequential)):
-                head.backward(grad_out, input_grad=False)
-            else:
-                head.backward(grad_out)
+        if isinstance(head, (Linear, Conv2d, Sequential)):
+            head.backward(grad_out, input_grad=False)
+        elif head is not None:
+            head.backward(grad_out)
         return None
 
     def parameters(self) -> list[Parameter]:
@@ -92,10 +102,11 @@ class Sequential(Layer):
         return out
 
     def state_arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.extend(layer.state_arrays())
-        return out
+        """The persistent buffers, in layer order. Layers update them in
+        place, so which arrays they are is worked out once."""
+        if self._states is None:
+            self._states = tuple(a for layer in self.layers for a in layer.state_arrays())
+        return list(self._states)
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -12,7 +12,9 @@ while a client is *hot*:
   in a side table outside the LRU. Eviction therefore only drops the shard
   arrays and loader object; re-hydration resumes the identical RNG stream,
   so cache size is semantically invisible — a fact the equivalence suite
-  pins by running goldens under a cache of 2.
+  pins by running goldens under a cache of 2. The side table is the one
+  part of the pool that is *not* cohort-bound: it keeps one generator per
+  distinct participant for the life of the run (``loader_streams``).
 - :class:`CompressorPool` hands every client the one shared instance of a
   stateless compressor (Top-K). A stateful one hydrates on first use and is
   kept forever: error-feedback residuals and advancing generators *are*
@@ -108,7 +110,9 @@ class ClientPool:
         self._counter_streams = population.partition is None
         self._cache: OrderedDict[int, object] = OrderedDict()
         #: cid → loader generator; survives eviction (the one piece of
-        #: client state that advances during training).
+        #: client state that advances during training), so it grows by one
+        #: Philox/PCG generator per *distinct participant*, not per cohort —
+        #: reported as ``stats()["loader_streams"]``.
         self._loader_rngs: dict[int, np.random.Generator] = {}
         self._lock = threading.Lock()
         #: Total Client constructions ever (rehydrations included) — the
@@ -190,7 +194,9 @@ class ClientPool:
         self._obs = obs if obs is not None and obs.enabled else None
 
     def stats(self) -> dict:
-        """Cache accounting: hits/misses/evictions/resident/peak."""
+        """Cache accounting: hits/misses/evictions/resident/peak, plus
+        ``loader_streams`` — loader generators held outside the LRU, one per
+        distinct client ever hydrated (eviction does not release them)."""
         with self._lock:
             return {
                 "hits": self.hits,
@@ -200,6 +206,7 @@ class ClientPool:
                 "resident": len(self._cache),
                 "peak_resident": self.peak_resident,
                 "cache_size": self._cache_size,
+                "loader_streams": len(self._loader_rngs),
             }
 
     @property

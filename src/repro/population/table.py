@@ -124,6 +124,11 @@ class DeviceColumns:
         return self._pop.num_clients
 
     def __getitem__(self, cid: int) -> DeviceProfile:
+        return self.with_link(cid, self._pop.links[cid])
+
+    def with_link(self, cid: int, link: LinkSpec) -> DeviceProfile:
+        """Client ``cid``'s profile over a ``link`` the caller already holds
+        (the round's cohort links, a drifted link) — no second link object."""
         pop = self._pop
         return DeviceProfile(
             cid=int(cid),
@@ -131,7 +136,7 @@ class DeviceColumns:
                 s_per_sample=float(pop.s_per_sample[cid]),
                 overhead_s=pop.compute_overhead_s,
             ),
-            link=pop.links[cid],
+            link=link,
         )
 
     def __iter__(self):

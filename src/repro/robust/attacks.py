@@ -22,6 +22,8 @@ Two corruption sites:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.utils.rng import RngFactory
@@ -30,6 +32,10 @@ __all__ = ["ADVERSARY_STREAM", "is_adversary", "apply_delta_attack", "flip_label
 
 #: The counter-stream name adversarial membership draws from.
 ADVERSARY_STREAM = "adversary"
+
+#: One factory per seed, so its ``counter_key`` memo serves every membership
+#: draw of a run (a handful of seeds live at once: sweep cells, tests).
+_factory = lru_cache(maxsize=8)(RngFactory)
 
 
 def is_adversary(seed: int, cid: int, fraction: float) -> bool:
@@ -45,7 +51,7 @@ def is_adversary(seed: int, cid: int, fraction: float) -> bool:
         return False
     if fraction >= 1.0:
         return True
-    rng = RngFactory(seed).counter(ADVERSARY_STREAM, cid)
+    rng = _factory(seed).counter(ADVERSARY_STREAM, cid)
     return float(rng.random()) < fraction
 
 

@@ -40,6 +40,7 @@ from repro.fl.config import ExperimentConfig
 from repro.fl.history import RoundComm, RoundRecord
 from repro.fl.simulation import Simulation
 from repro.compression.sparsifiers import k_from_ratio
+from repro.network.cost import LinkSpec
 from repro.network.metrics import RoundTimes
 from repro.network.transport import FaultInjector, Payload
 from repro.utils.rng import RngFactory
@@ -117,9 +118,15 @@ class _EventDrivenSimulation(Simulation):
         )
 
     def _dispatch(
-        self, cid: int, ratio: float | None, t: float, result: TaskResult | None = None
+        self,
+        cid: int,
+        link: LinkSpec,
+        ratio: float | None,
+        t: float,
+        result: TaskResult | None = None,
     ) -> _Pending:
-        """Enter a dispatch's upload into the server ingress.
+        """Enter a dispatch's upload into the server ingress over ``link``
+        (the client's current link — priced and admitted as the one object).
 
         With ``result=None`` training is deferred until :meth:`_flush_training`
         (one backend batch per aggregation window instead of one per dispatch);
@@ -157,7 +164,7 @@ class _EventDrivenSimulation(Simulation):
                     # a truncated block is discarded whole.
                     fate = "drop"
         down, train_t, up, payload = self._price_dispatch(
-            cid, ratio, t, tag=self.version, update=update, payload=payload_override
+            cid, link, ratio, t, tag=self.version, update=update, payload=payload_override
         )
         duration = down + train_t + up
         up_start = (t + down) + train_t
@@ -180,12 +187,12 @@ class _EventDrivenSimulation(Simulation):
         if result is None:
             self._untrained.append(pend)
         if self.transport.contended:
-            pend.fid = self._pipe.admit(payload.bits, self.links[cid], up_start)
+            pend.fid = self._pipe.admit(payload.bits, link, up_start)
         else:
             # Exclusive links: hand the pipe the already-priced finish so the
             # historical arrival arithmetic survives bit-for-bit.
             pend.fid = self._pipe.admit(
-                payload.bits, self.links[cid], up_start, finish=pend.t_arrival
+                payload.bits, link, up_start, finish=pend.t_arrival
             )
         self._flights[pend.fid] = pend
         self._window_down.append(cid)
@@ -459,7 +466,7 @@ class AsyncSimulation(_EventDrivenSimulation):
         # Training is deferred: the whole aggregation window trains as one
         # backend batch in _flush_training (arrival times need only the
         # device profile), so parallel backends see real batches.
-        self._dispatch(cid, self._uniform_ratio(), t)
+        self._dispatch(cid, self.links[cid], self._uniform_ratio(), t)
         self._in_flight.add(cid)
 
     def run_round(self) -> RoundRecord:
@@ -576,9 +583,7 @@ class SemiSyncSimulation(_EventDrivenSimulation):
             ]
             results = self._train_now(tasks)
             for pos, (cid, res) in enumerate(zip(selected, results)):
-                pend = self._dispatch(
-                    cid, None if plan.ratios is None else float(plan.ratios[pos]), t0, res
-                )
+                pend = self._dispatch(cid, sel_links[pos], tasks[pos].ratio, t0, res)
                 own.append(pend)
                 plan_weights[cid] = float(plan.weights[pos])
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,25 @@ class TestBackendPlumbing:
         # state and silently diverge from serial — it must raise instead.
         with pytest.raises(RuntimeError, match="closed"):
             sim.run_round()
+
+    def test_worker_pid_is_stamped_where_the_task_ran(self):
+        """The context stamps its pid on first use: forked workers inherit
+        it unstamped, so each reports its own pid, not the parent's."""
+        tasks = [ClientTask(position=pos, cid=cid, ratio=0.1) for pos, cid in enumerate(range(4))]
+        with Simulation(small_config(backend="process", workers=2)) as sim:
+            rounds = [
+                sim.backend.run_round(tasks, sim.global_params, sim.global_states, sim._train_spec)
+                for _ in range(2)
+            ]
+            workers = {proc.pid for proc in sim.backend._pool.procs}
+            assert os.getpid() not in workers
+            assert {r.worker_pid for r in rounds[0]} == workers
+            assert [r.worker_pid for r in rounds[0]] == [r.worker_pid for r in rounds[1]]
+        with Simulation(small_config()) as sim:
+            results = sim.backend.run_round(
+                tasks, sim.global_params, sim.global_states, sim._train_spec
+            )
+            assert {r.worker_pid for r in results} == {os.getpid()}
 
     def test_worker_error_propagates(self):
         cfg = small_config(backend="process", workers=2)

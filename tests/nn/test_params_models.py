@@ -143,6 +143,101 @@ class TestFlatStorage:
             np.testing.assert_array_equal(sim.model.flat()[0], snapshot[0])
 
 
+def train_grads(model, x, labels, *, input_grad: bool):
+    """Flat parameter gradient of one training forward/backward."""
+    _, grad = model.flat()
+    grad.fill(0)
+    _, g = cross_entropy(model(x, training=True), labels)
+    model.backward(g, input_grad=input_grad)
+    return grad.copy()
+
+
+CLONES = {
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda m: pickle.loads(pickle.dumps(m)),
+}
+
+
+class TestDerivedCaches:
+    """The ``input_grad=False`` walk and the ``state_arrays()`` list are kept
+    beside ``_flat`` and dropped with it: by ``append`` and by copying."""
+
+    def batch(self, rng, n=6):
+        x = rng.normal(size=(n, 3, 8, 8)).astype(np.float32)
+        return x, rng.integers(0, 4, size=n)
+
+    def test_walk_and_states_are_built_once(self, rng):
+        model = build_small_cnn(3, 8, 4, seed=0)
+        x, labels = self.batch(rng)
+        want = train_grads(model, x, labels, input_grad=True)
+        for _ in range(2):
+            np.testing.assert_array_equal(train_grads(model, x, labels, input_grad=False), want)
+        assert model._train_walk is not None
+        first = model.state_arrays()
+        first.clear()  # callers get their own list; the kept one is not theirs to edit
+        assert model._states is not None and len(model.state_arrays()) == len(model._states) > 0
+        bn = [layer for layer in model.layers if layer.state_arrays()]
+        assert [id(a) for a in model.state_arrays()] == [
+            id(a) for layer in bn for a in layer.state_arrays()
+        ]
+
+    def test_append_drops_the_walk(self, rng):
+        model = build_mlp(3 * 8 * 8, 5, hidden=(6,), seed=0)
+        x, labels = self.batch(rng)
+        train_grads(model, x, labels, input_grad=False)  # walk cached without the new tail
+        tail = Linear(5, 4, rng)
+        model.append(tail)
+        got = train_grads(model, x, labels, input_grad=False)
+        assert np.any(tail.weight.grad != 0)  # the appended layer is walked
+        np.testing.assert_array_equal(got, train_grads(model, x, labels, input_grad=True))
+
+    def test_append_drops_the_state_list(self, rng):
+        from repro.nn.layers import BatchNorm2d
+        from repro.nn.sequential import Sequential
+
+        model = Sequential(BatchNorm2d(3))
+        assert len(model.state_arrays()) == 2
+        extra = BatchNorm2d(3)
+        model.append(extra)
+        states = model.state_arrays()
+        assert len(states) == 4 and states[2] is extra.running_mean
+
+    @pytest.mark.parametrize("how", CLONES)
+    def test_copies_walk_their_own_layers(self, how, rng):
+        model = build_small_cnn(3, 8, 4, seed=0)
+        x, labels = self.batch(rng)
+        want = train_grads(model, x, labels, input_grad=False)  # warm both caches
+        model.state_arrays()
+        twin = CLONES[how](model)
+        assert twin._train_walk is None and twin._states is None
+        model.flat()[1].fill(0)
+        np.testing.assert_array_equal(train_grads(twin, x, labels, input_grad=False), want)
+        assert not model.flat()[1].any()  # the original's layers were not walked
+        for mine, theirs in zip(twin.state_arrays(), model.state_arrays()):
+            assert not np.shares_memory(mine, theirs)
+        live = [a for layer in twin.layers for a in layer.state_arrays()]
+        assert [id(a) for a in twin.state_arrays()] == [id(a) for a in live]
+
+    def test_nested_container_as_head(self, rng):
+        from repro.nn.layers import Flatten, ReLU
+        from repro.nn.sequential import Sequential
+
+        def build():
+            r = np.random.default_rng(3)
+            stem = Sequential(Linear(3 * 8 * 8, 7, r), ReLU())
+            return Sequential(Flatten(), stem, Linear(7, 4, r)), stem
+
+        x, labels = self.batch(rng)
+        model, stem = build()
+        want = train_grads(build()[0], x, labels, input_grad=True)
+        for _ in range(2):  # second pass runs on both containers' cached walks
+            np.testing.assert_array_equal(train_grads(model, x, labels, input_grad=False), want)
+        assert model._train_walk[0] is stem and stem._train_walk is not None
+        twin = copy.deepcopy(model)
+        assert twin.layers[1]._train_walk is None  # nested copies drop theirs too
+        np.testing.assert_array_equal(train_grads(twin, x, labels, input_grad=False), want)
+
+
 class TestModelZoo:
     def test_mlp_output_shape(self, rng):
         model = build_mlp(12, 5, seed=0)

@@ -389,3 +389,22 @@ def test_cross_entropy_matches_two_pass_reference(dtype):
             assert grad.tobytes() == ref_grad.tobytes()
             assert grad.dtype == ref_grad.dtype == dtype
     assert np.isfinite(cross_entropy(logits[finite_rows], labels[finite_rows])[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", [1.0, 10.0, 50.0])
+@pytest.mark.parametrize("batch", [1, 7, 36, 64])
+def test_cross_entropy_grid_matches_reference(batch, scale, dtype):
+    """Direct reductions and the gradient built in ``exp``'s own storage:
+    same bytes over the batch sizes a ragged shard produces (full, tail, one)
+    and from calm to saturating logits; the input is left untouched."""
+    rng = np.random.default_rng(batch * 1000 + int(scale))
+    logits = rng.normal(scale=scale, size=(batch, 10)).astype(dtype)
+    labels = rng.integers(0, 10, size=batch)
+    before = logits.copy()
+    loss, grad = cross_entropy(logits, labels)
+    ref_loss, ref_grad = ref_cross_entropy(logits, labels)
+    assert isinstance(loss, float)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes() and grad.dtype == dtype
+    assert logits.tobytes() == before.tobytes() and not np.shares_memory(grad, logits)

@@ -43,6 +43,7 @@ class TestStats:
             "resident": 0,
             "peak_resident": 0,
             "cache_size": 4,
+            "loader_streams": 0,
         }
 
     def test_hits_misses_and_evictions(self):
@@ -59,6 +60,23 @@ class TestStats:
         assert stats["evictions"] == 2
         assert stats["resident"] == 2
         assert stats["peak_resident"] == 2
+
+    def test_loader_streams_count_distinct_clients_and_outlive_eviction(self):
+        """Residency is cohort-bound; the loader generators are not — one per
+        distinct client ever hydrated, kept through eviction so a rehydrated
+        client resumes its batch stream."""
+        pool = build_pool(cache_size=2)
+        for cid in (0, 1, 0, 2, 3, 0, 1):  # 0 and 1 are evicted and rebuilt
+            pool[cid]
+        stats = pool.stats()
+        assert stats["evictions"] > 0 and stats["resident"] == 2
+        assert stats["hydrations"] == 6
+        assert stats["loader_streams"] == 4  # clients {0, 1, 2, 3}
+        before = stats["loader_streams"]
+        pool[4]  # evicts one more client: the count grows by the new client only
+        assert pool.stats()["loader_streams"] == before + 1
+        pool[4]  # a hit changes nothing
+        assert pool.stats()["loader_streams"] == before + 1
 
     def test_peak_tracks_high_water_mark_not_current(self):
         pool = build_pool(cache_size=8)

@@ -182,6 +182,39 @@ class TestAdversaryMembership:
         frac = sum(is_adversary(7, cid, 0.3) for cid in range(4000)) / 4000
         assert abs(frac - 0.3) < 0.03
 
+    @pytest.mark.parametrize(
+        "seed,fraction,packed",
+        [
+            (0, 0.1, "1020c000000040200100000000008010100201011040000404"),
+            (0, 0.4, "7aa0cc13811f64a4179d131c849980133a8a01791a4b001584"),
+            (7, 0.1, "8000010000000000030000400400000208002a000001430000"),
+            (7, 0.4, "e6e0f9c2204205000b05424025b471f30e026a41335b43ce26"),
+        ],
+    )
+    def test_first_200_draws_are_pinned(self, seed, fraction, packed):
+        """Membership of clients 0..199, bit-packed, as recorded while every
+        call still built its own ``RngFactory``."""
+        bits = np.array([is_adversary(seed, cid, fraction) for cid in range(200)])
+        assert np.packbits(bits).tobytes().hex() == packed
+
+    def test_one_key_digest_per_seed(self, monkeypatch):
+        """All draws of a seed go through one factory, so the stream name is
+        hashed once, not once per client."""
+        import hashlib
+
+        from repro.robust import attacks
+
+        calls = []
+        real = hashlib.blake2b
+        monkeypatch.setattr(
+            hashlib, "blake2b", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        attacks._factory.cache_clear()
+        for seed in (3, 4):
+            for cid in range(50):
+                is_adversary(seed, cid, 0.5)
+        assert len(calls) == 2
+
 
 class TestAttacks:
     def test_sign_flip_is_an_involution(self):
