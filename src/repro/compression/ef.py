@@ -38,11 +38,6 @@ class ErrorFeedback:
         return f"ef_{inner_name}"
 
     @property
-    def fixed_k(self) -> bool:
-        """Whether the wrapped compressor can preplan its output block."""
-        return bool(getattr(self.inner, "fixed_k", False))
-
-    @property
     def memory(self) -> np.ndarray | None:
         """Current residual (None before the first compression)."""
         return self._memory
@@ -51,12 +46,7 @@ class ErrorFeedback:
         """Drop accumulated residual (e.g. when a client is re-initialized)."""
         self._memory = None
 
-    def compress(
-        self,
-        update: np.ndarray,
-        ratio: float,
-        out: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> CompressedUpdate:
+    def compress(self, update: np.ndarray, ratio: float) -> CompressedUpdate:
         update = np.ascontiguousarray(update, dtype=np.float32)
         if self._memory is None:
             self._memory = np.zeros_like(update)
@@ -66,10 +56,7 @@ class ErrorFeedback:
             )
         self._memory += update
         corrected = self._memory
-        if out is not None:
-            compressed = self.inner.compress(corrected, ratio, out=out)
-        else:
-            compressed = self.inner.compress(corrected, ratio)
+        compressed = self.inner.compress(corrected, ratio)
         # Residual = what the compressor failed to transmit this round.
         if isinstance(compressed, SparseUpdate):
             # Sparse indices are unique, so the scatter-subtract hits each

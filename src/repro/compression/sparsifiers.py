@@ -6,16 +6,10 @@ alternatives the framework also integrates (Sec. 1: "We also incorporate
 several commonly used compression techniques into our compressed FL
 framework").
 
-Fixed-``k`` sparsifiers (Top-K, Random-K — their retained count is
-``k_from_ratio(d, ratio)`` exactly, value-independent) additionally accept
-an ``out=(index_buffer, value_buffer)`` block and write their output into
-it instead of allocating fresh arrays — the
-:class:`~repro.core.arena.AggregationArena` plans one such block per
-selected client and the aggregation scatter-adds straight from the
-blocks. The class attribute ``fixed_k`` advertises the
-capability (``ThresholdSparsifier``'s retained set is value-dependent, so
-its output size cannot be preplanned). Values written through ``out`` are
-bit-identical to the allocating path.
+Every ``compress`` returns a :class:`~repro.compression.base.SparseUpdate`
+that owns freshly allocated ``(indices, values)`` arrays — sorted ``int64``
+indices, ``float32`` values — so an update stays valid however long the
+caller holds it and whichever backend produced it.
 """
 
 from __future__ import annotations
@@ -38,17 +32,6 @@ def k_from_ratio(dense_size: int, ratio: float) -> int:
     if dense_size < 1:
         raise ValueError(f"dense_size must be >= 1, got {dense_size}")
     return max(1, min(dense_size, int(round(dense_size * ratio))))
-
-
-def _check_block(out: tuple[np.ndarray, np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a planned (index, value) output block against the actual k."""
-    idx_buf, val_buf = out
-    if idx_buf.shape != (k,) or val_buf.shape != (k,):
-        raise ValueError(
-            f"out block sized ({idx_buf.shape}, {val_buf.shape}) but the "
-            f"compressor will emit k={k} entries"
-        )
-    return idx_buf, val_buf
 
 
 def _topk_indices(update: np.ndarray, k: int) -> np.ndarray:
@@ -94,25 +77,13 @@ class TopK:
     """
 
     name = "topk"
-    #: Emits exactly ``k_from_ratio(d, ratio)`` entries — accepts ``out=``.
-    fixed_k = True
 
-    def compress(
-        self,
-        update: np.ndarray,
-        ratio: float,
-        out: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> SparseUpdate:
+    def compress(self, update: np.ndarray, ratio: float) -> SparseUpdate:
         update = np.ascontiguousarray(update, dtype=np.float32)
         d = update.shape[0]
         k = k_from_ratio(d, ratio)
         idx = _topk_indices(update, k)
-        if out is None:
-            return SparseUpdate(dense_size=d, indices=idx, values=np.take(update, idx))
-        idx_buf, val_buf = _check_block(out, k)
-        idx_buf[...] = idx
-        np.take(update, idx_buf, out=val_buf)
-        return SparseUpdate(dense_size=d, indices=idx_buf, values=val_buf)
+        return SparseUpdate(dense_size=d, indices=idx, values=np.take(update, idx))
 
 
 class RandomK:
@@ -123,37 +94,20 @@ class RandomK:
     """
 
     name = "randomk"
-    #: Emits exactly ``k_from_ratio(d, ratio)`` entries — accepts ``out=``.
-    fixed_k = True
 
     def __init__(self, seed: int | np.random.Generator = 0, *, unbiased: bool = True):
         self.rng = as_generator(seed)
         self.unbiased = bool(unbiased)
 
-    def compress(
-        self,
-        update: np.ndarray,
-        ratio: float,
-        out: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> SparseUpdate:
+    def compress(self, update: np.ndarray, ratio: float) -> SparseUpdate:
         update = np.ascontiguousarray(update, dtype=np.float32)
         d = update.shape[0]
         k = k_from_ratio(d, ratio)
         idx = np.sort(self.rng.choice(d, size=k, replace=False)).astype(np.int64)
-        if out is None:
-            values = update[idx]
-            if self.unbiased:
-                values = (values.astype(np.float64) * (d / k)).astype(np.float32)
-            return SparseUpdate(dense_size=d, indices=idx, values=values)
-        idx_buf, val_buf = _check_block(out, k)
-        idx_buf[...] = idx
+        values = update[idx]
         if self.unbiased:
-            scaled = update[idx].astype(np.float64)
-            scaled *= d / k
-            np.copyto(val_buf, scaled, casting="unsafe")
-        else:
-            np.take(update, idx_buf, out=val_buf)
-        return SparseUpdate(dense_size=d, indices=idx_buf, values=val_buf)
+            values = (values.astype(np.float64) * (d / k)).astype(np.float32)
+        return SparseUpdate(dense_size=d, indices=idx, values=values)
 
 
 class ThresholdSparsifier:
@@ -166,8 +120,6 @@ class ThresholdSparsifier:
     """
 
     name = "threshold"
-    #: Retained set is value-dependent — output size cannot be preplanned.
-    fixed_k = False
 
     def __init__(self, threshold: float):
         self.threshold = check_positive("threshold", threshold)

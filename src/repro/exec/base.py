@@ -21,6 +21,10 @@ the client from the population's column table on first touch. Because each
 per-client stream is a pure function of ``(seed, stream, cid)``, hydrating
 inside a worker yields the same object state as hydrating in the parent —
 backends need no materialization step before fan-out.
+
+A :class:`TaskResult`'s update owns its arrays on every backend — a worker
+writes into no buffer the server reuses — so the round loop may hold results
+(``Simulation.last_round_updates``, semi-sync carryover) across rounds.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import time
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -146,19 +149,10 @@ class WorkerContext:
         clients: Sequence,
         compressors: Sequence[Compressor] | None,
         model,
-        arena=None,
     ):
         self.clients = clients
         self.compressors = compressors
         self.model = model
-        #: Optional :class:`~repro.core.arena.AggregationArena`. When the
-        #: round planned a compress block for this task's position, the
-        #: compressor writes its (indices, values) directly into the arena's
-        #: bank instead of allocating — blocks are disjoint slices, so
-        #: thread workers sharing one arena never race. Process backends
-        #: must leave this ``None``: forked workers cannot see the parent's
-        #: post-fork block plans.
-        self.arena = arena
         #: Trace lane of this context's tasks: the pid of the process that
         #: first executes one (forked workers inherit the context unused).
         self._pid: int | None = None
@@ -223,12 +217,7 @@ class WorkerContext:
                     f"task for client {task.cid} requests compression at ratio "
                     f"{task.ratio} but no compressors were configured"
                 )
-            compress = self.compressors[task.cid].compress
-            if self.arena is not None:
-                block = self.arena.compress_block(task.position)
-                if block is not None:  # planned only for compressors taking ``out=``
-                    compress = partial(compress, out=block)
-            update = compress(res.delta, float(task.ratio))
+            update = self.compressors[task.cid].compress(res.delta, float(task.ratio))
         compress_seconds = time.perf_counter() - t0
         if self._pid is None:
             self._pid = os.getpid()

@@ -80,6 +80,7 @@ class Algorithm:
 
     name = "fedavg"
     compressor_name: str | None = None  # registry name for client compressors
+    use_opwa = False  # whether aggregation applies the OPWA mask (Alg. 3)
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -182,7 +183,6 @@ class BCRSAlgorithm(Algorithm):
 
     name = "bcrs"
     compressor_name = "topk"
-    use_opwa = False
 
     def plan(self, links, data_frequencies, volume_bits) -> RoundPlan:
         cfg = self.config

@@ -70,18 +70,11 @@ class EngineMixin:
                 "state — build a fresh simulation instead"
             )
         if self._backend is None:
-            # The host's arena (when compress-into-bank is enabled for its
-            # protocol/backend/compressor combination) is shared by every
-            # worker context: planned blocks are disjoint per position, so
-            # thread workers never race on it.
-            arena = getattr(self, "_exec_arena", None)
             self._backend = make_backend(
                 self.config.backend,
-                context=WorkerContext(
-                    self.clients, self.compressors, self.model, arena=arena
-                ),
+                context=WorkerContext(self.clients, self.compressors, self.model),
                 context_factory=lambda: WorkerContext(
-                    self.clients, self.compressors, self._replica_model(), arena=arena
+                    self.clients, self.compressors, self._replica_model()
                 ),
                 workers=self.config.workers,
             )

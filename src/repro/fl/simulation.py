@@ -9,9 +9,13 @@ links, global model and algorithm, and advances round by round:
    compress their updates (line 12) — dispatched as independent tasks to a
    pluggable execution backend (:mod:`repro.exec`: serial, thread pool, or
    forked process pool), all of which yield bit-identical seeded results;
-4. the round's communication times are scored with the Sec. 5.2 metrics;
-5. the server aggregates (lines 14–18, with the OPWA mask of Alg. 3 when
-   enabled) and evaluates the new global model.
+4. the server aggregates (lines 14–18, with the OPWA mask of Alg. 3 when
+   enabled);
+5. the round's communication times are scored with the Sec. 5.2 metrics,
+   the new global model is evaluated and the round is recorded.
+
+Each step is one ``Simulation`` method (the *round stages*); the other three
+centralised protocols assemble their rounds from the same methods.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import CompressedUpdate, SparseUpdate
-from repro.compression.registry import make_compressor
 from repro.compression.sparsifiers import k_from_ratio
 from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask_from_updates
@@ -27,13 +30,14 @@ from repro.core.server_opt import make_server_optimizer
 from repro.core.overlap import overlap_distribution
 from repro.data.datasets import DATASET_SPECS, train_test_split
 from repro.data.partition import dirichlet_partition, iid_partition, shard_partition
-from repro.exec import ClientTask, TrainSpec
-from repro.fl.algorithms import Algorithm, make_algorithm
+from repro.exec import ClientTask, TaskResult, TrainSpec
+from repro.fl.algorithms import Algorithm, RoundPlan, make_algorithm
 from repro.fl.config import ExperimentConfig
 from repro.fl.engine import EngineMixin, build_config_model
 from repro.fl.history import History, RoundComm, RoundRecord
 from repro.fl.sampler import UniformSampler
 from repro.network.cost import LinkSpec, model_bits
+from repro.network.metrics import RoundTimes
 from repro.network.links import TimeVaryingLink
 from repro.network.transport import FaultInjector, Payload, Transport
 from repro.obs import NULL_OBS, Obs
@@ -58,14 +62,6 @@ class Simulation(EngineMixin):
     exactly the same named RNG streams either way, so seeded histories are
     bit-identical with or without one.
     """
-
-    #: Whether compressors may write into the arena's per-round banks.
-    #: True only where an update's (indices, values) views never outlive
-    #: the double buffer: the flat synchronous round loop. The event-driven
-    #: protocols carry updates across aggregation windows (semisync
-    #: carryover) and the hierarchical protocol accumulates updates across
-    #: per-edge sub-rounds, so their compressors keep allocating.
-    _arena_compress: bool = True
 
     def __init__(
         self, config: ExperimentConfig, obs: Obs | None = None, context=None
@@ -199,27 +195,10 @@ class Simulation(EngineMixin):
             self.compressors is not None and config.volume_override_bits is None
         )
 
-        # The fused upload→aggregate arena: preallocated pack buffers, the
-        # float64 accumulator and step scratch every round reuses, plus the
-        # double-buffered compressor banks. Compress-into-bank is gated to
-        # fixed-k compressors (their per-task output size is preplannable),
-        # flat-sync protocols (update views must not outlive the double
-        # buffer), and in-process backends (forked workers cannot see the
-        # parent's post-fork block plans).
+        # The server-side full-width buffers every aggregation reuses: the
+        # float64 accumulator, the server-step scratch and the robust
+        # aggregators' densified rows (updates own their arrays).
         self.arena = AggregationArena(self.dense_size)
-        self._fixed_k_compressors = bool(
-            comp_name
-            and getattr(make_compressor(comp_name, seed=0), "fixed_k", False)
-        )
-        self._exec_arena = (
-            self.arena
-            if (
-                self._arena_compress
-                and self._fixed_k_compressors
-                and config.backend in ("serial", "thread")
-            )
-            else None
-        )
 
         # Server optimizer over the aggregated pseudo-gradient (FedOpt family;
         # plain SGD with lr=server_step and no momentum is Algorithm 1 verbatim).
@@ -231,17 +210,42 @@ class Simulation(EngineMixin):
         self.last_round_updates: list[CompressedUpdate] = []
 
         self._train_spec = TrainSpec.from_config(config)
+        self._commit_wall = trace_clock()  # wall instant of the previous commit
 
-    # ------------------------------------------------------- shared helpers
-    # (used by this synchronous round loop and by the event-driven
-    # protocols in repro.simtime.protocols — one copy of the semantics)
+    # --------------------------------------------------------- round stages
+    # (the stages of Algorithm 1 every protocol's round is assembled from —
+    # this synchronous loop, the event-driven protocols in
+    # repro.simtime.protocols and the hierarchy in repro.hier; a protocol
+    # keeps only its own cohort choice, membership and barrier)
 
-    def _should_evaluate(self) -> bool:
-        """Evaluation cadence: every ``eval_every`` rounds plus the last."""
-        cfg = self.config
-        return (self.round_index % cfg.eval_every == 0) or (
-            self.round_index == cfg.rounds - 1
-        )
+    def _step_links(self) -> None:
+        """Advance drifting links by one round (fixed links: nothing to do)."""
+        if self._varying is not None:
+            self.links = [tv.step() for tv in self._varying]
+
+    def _plan_cohort(
+        self, selected
+    ) -> tuple[list[LinkSpec], np.ndarray, RoundPlan, list[ClientTask]]:
+        """Alg. 1 lines 8–12 up to dispatch: the cohort's current links, its
+        data frequencies, the algorithm's plan (BCRS, Alg. 2) and one task
+        per member — each in selection order."""
+        links = [self.links[i] for i in selected]
+        # f_i = |D_i| / n over the selected set (Alg. 1 lines 8/13) — read
+        # from the population columns so the parent never hydrates clients
+        # (under the process backend, hydration belongs to the workers).
+        sizes = self.population.sizes_of(selected)
+        freqs = sizes / sizes.sum()
+        with self.obs.tracer.span("plan", cat="sim"):
+            plan = self.algorithm.plan(links, freqs, self.volume_bits)
+        tasks = [
+            ClientTask(
+                position=pos,
+                cid=int(cid),
+                ratio=None if plan.ratios is None else float(plan.ratios[pos]),
+            )
+            for pos, cid in enumerate(selected)
+        ]
+        return links, freqs, plan, tasks
 
     def _make_server_opt(self):
         """One server optimizer per aggregation point (the hierarchical
@@ -290,18 +294,6 @@ class Simulation(EngineMixin):
         )
         return stepped, singleton
 
-    def _aggregate_updates(
-        self, updates: list[CompressedUpdate], weights, use_opwa: bool
-    ) -> float | None:
-        """Alg. 1 lines 14–18: (masked) weighted sparse sum + server step.
-
-        Returns the OPWA singleton-fraction diagnostic (None when dense).
-        """
-        self.global_params, singleton = self._aggregate_into(
-            self.global_params, self.server_opt, updates, weights, use_opwa
-        )
-        return singleton
-
     @staticmethod
     def _average_states_into(targets: list[np.ndarray], freqs, state_arrays_per_client) -> None:
         """FedAvg ``state_arrays_per_client`` by ``freqs`` into ``targets``."""
@@ -311,11 +303,24 @@ class Simulation(EngineMixin):
                 acc += f * states[j]
             targets[j] = acc.astype(targets[j].dtype)
 
-    def _average_states(self, freqs, state_arrays_per_client) -> None:
-        """FedAvg the persistent buffers (BN running stats) by ``freqs``."""
-        if not self.global_states:
-            return
-        self._average_states_into(self.global_states, freqs, state_arrays_per_client)
+    def _aggregate(
+        self, params, states, server_opt, updates, weights, state_freqs, results
+    ) -> tuple[np.ndarray, float | None]:
+        """The aggregate stage at one aggregation point (the global model,
+        or an edge's): Alg. 1 lines 14–18 on ``params`` and FedAvg of the
+        contributors' persistent buffers (BN running stats) into ``states``.
+
+        Returns (stepped params, OPWA singleton-fraction diagnostic).
+        """
+        with self.obs.tracer.span("aggregate", cat="sim", contributions=len(updates)):
+            stepped, singleton = self._aggregate_into(
+                params, server_opt, updates, weights, self.algorithm.use_opwa
+            )
+            if states:
+                self._average_states_into(
+                    states, state_freqs, [r.state_arrays for r in results]
+                )
+        return stepped, singleton
 
     def _payload_for(self, update: CompressedUpdate | None, ratio: float | None) -> Payload:
         """What this dispatch puts on the wire.
@@ -412,96 +417,65 @@ class Simulation(EngineMixin):
         round's finish times reflect server-side bandwidth sharing.
         """
         cfg = self.config
-        staged = []
-        for pos, cid in enumerate(selected):
-            cid = int(cid)
-            ratio = None if ratios is None else float(ratios[pos])
-            update = None if updates is None else updates[pos]
-            link = links[pos]
-            payload, down, train_t, up = self._stage_dispatch(cid, link, ratio, update)
-            staged.append((cid, link, payload, down, train_t, up))
+        with self.obs.tracer.span("transport.price", cat="net", dispatches=len(selected)):
+            staged = []
+            for pos, cid in enumerate(selected):
+                cid = int(cid)
+                ratio = None if ratios is None else float(ratios[pos])
+                update = None if updates is None else updates[pos]
+                link = links[pos]
+                payload, down, train_t, up = self._stage_dispatch(cid, link, ratio, update)
+                staged.append((cid, link, payload, down, train_t, up))
 
-        ends: list[float] | None = None
-        if self.transport.contended:
-            flows = [
-                (payload, link, (t + down) + train_t)
-                for _, link, payload, down, train_t, _ in staged
-            ]
-            with self.obs.tracer.span("transport.resolve", cat="net", flows=len(flows)):
-                ends = [rec.end for rec in self.transport.resolve_uploads(flows)]
+            ends: list[float] | None = None
+            if self.transport.contended:
+                flows = [
+                    (payload, link, (t + down) + train_t)
+                    for _, link, payload, down, train_t, _ in staged
+                ]
+                with self.obs.tracer.span("transport.resolve", cat="net", flows=len(flows)):
+                    ends = [rec.end for rec in self.transport.resolve_uploads(flows)]
 
-        durations: list[float] = []
-        up_bits: list[float] = []
-        for pos, (cid, _, payload, down, train_t, up) in enumerate(staged):
-            t0 = t + down
-            self.spans.add(cid, "train", t0, t0 + train_t, tag=tag)
-            if ends is None:
-                self.spans.add(cid, "upload", t0 + train_t, t0 + train_t + up, tag=tag)
-                durations.append(down + train_t + up)
-            else:
-                self.spans.add(cid, "upload", t0 + train_t, ends[pos], tag=tag)
-                durations.append(ends[pos] - t)
-            up_bits.append(payload.bits)
-        down_bits = [self.volume_bits if cfg.include_downlink else 0.0] * len(staged)
-        return durations, up_bits, down_bits
+            durations: list[float] = []
+            up_bits: list[float] = []
+            for pos, (cid, _, payload, down, train_t, up) in enumerate(staged):
+                t0 = t + down
+                self.spans.add(cid, "train", t0, t0 + train_t, tag=tag)
+                if ends is None:
+                    self.spans.add(cid, "upload", t0 + train_t, t0 + train_t + up, tag=tag)
+                    durations.append(down + train_t + up)
+                else:
+                    self.spans.add(cid, "upload", t0 + train_t, ends[pos], tag=tag)
+                    durations.append(ends[pos] - t)
+                up_bits.append(payload.bits)
+            down_bits = [self.volume_bits if cfg.include_downlink else 0.0] * len(staged)
+            return durations, up_bits, down_bits
 
     @staticmethod
-    def _comm_maps(selected, bits_list) -> dict[int, float]:
-        """Accumulate a per-endpoint bits map (ids may repeat)."""
-        out: dict[int, float] = {}
-        for cid, bits in zip(selected, bits_list):
-            out[int(cid)] = out.get(int(cid), 0.0) + bits
-        return out
+    def _add_bits(ledger: dict[int, float], ids, bits) -> dict[int, float]:
+        """Accumulate per-endpoint ``bits`` into ``ledger`` (ids may repeat)."""
+        for cid, b in zip(ids, bits):
+            ledger[int(cid)] = ledger.get(int(cid), 0.0) + b
+        return ledger
 
     # ------------------------------------------------------------------ round
 
     def run_round(self) -> RoundRecord:
         """Advance one communication round and return its record."""
-        cfg = self.config
-        tracer = self.obs.tracer
-        round_cm = tracer.span("round", cat="sim", round=self.round_index)
-        round_cm.__enter__()
-        with tracer.span("sample", cat="sim"):
+        with self.obs.tracer.span("round", cat="sim", round=self.round_index):
+            return self._sync_round()
+
+    def _sync_round(self) -> RoundRecord:
+        with self.obs.tracer.span("sample", cat="sim"):
             selected = self.sampler.sample()
-        if self._varying is not None:
-            self.links = [tv.step() for tv in self._varying]
-        sel_links = [self.links[i] for i in selected]
-
-        # f_i = |D_i| / n over the selected set (Alg. 1 lines 8/13) — read
-        # from the population columns so the parent never hydrates clients
-        # (under the process backend, hydration belongs to the workers).
-        sizes = self.population.sizes_of(selected)
-        freqs = sizes / sizes.sum()
-
-        with tracer.span("plan", cat="sim"):
-            plan = self.algorithm.plan(sel_links, freqs, self.volume_bits)
+        self._step_links()
+        links, freqs, plan, tasks = self._plan_cohort(selected)
 
         # Local training + compression (lines 11–12): one task per selected
         # client, dispatched to the configured execution backend.
-        tasks = [
-            ClientTask(
-                position=pos,
-                cid=int(cid),
-                ratio=None if plan.ratios is None else float(plan.ratios[pos]),
-            )
-            for pos, cid in enumerate(selected)
-        ]
-        if self._exec_arena is not None:
-            # Lay out this round's compressor output blocks (flipping the
-            # double buffer, which keeps last_round_updates' views valid).
-            self.arena.plan_compress(
-                [
-                    None
-                    if t.ratio is None
-                    else k_from_ratio(self.dense_size, t.ratio)
-                    for t in tasks
-                ]
-            )
         results = self._run_tasks(
             tasks, self.global_params, self.global_states, self._train_spec
         )
-        train_seconds = sum(r.train_seconds for r in results)
-        compress_seconds = sum(r.compress_seconds for r in results)
         updates: list[CompressedUpdate] = [r.update for r in results]
 
         # Transport fault injection: decide each upload's fate — a pure
@@ -526,43 +500,30 @@ class Simulation(EngineMixin):
                 if trunc is not None:
                     wire_updates[pos] = trunc
         surv = [pos for pos, u in enumerate(delivered) if u is not None]
-        agg_updates = [delivered[pos] for pos in surv]
-        self.last_round_updates = agg_updates
+        self.last_round_updates = [delivered[pos] for pos in surv]
 
         # OPWA mask (line 17), aggregation (lines 14/16/18), and FedAvg of
         # the persistent buffers (BN running stats) — over the *delivered*
         # cohort, weights renormalized when uploads were lost. A round that
         # loses every upload is well-defined: the model and BN state are
         # unchanged and the record carries num_participants=0.
-        with tracer.span("aggregate", cat="sim"):
-            if len(surv) == len(selected):
-                singleton = self._aggregate_updates(
-                    agg_updates, plan.weights, plan.use_opwa
-                )
-                self._average_states(freqs, [r.state_arrays for r in results])
-            elif surv:
-                w = np.asarray([plan.weights[pos] for pos in surv], dtype=np.float64)
-                if w.sum() > 0:
-                    w = w / w.sum()
-                singleton = self._aggregate_updates(agg_updates, w, plan.use_opwa)
-                f = freqs[surv]
-                self._average_states(
-                    f / f.sum(), [results[pos].state_arrays for pos in surv]
-                )
-            else:
-                singleton = None
-
-        if self._should_evaluate():
-            with tracer.span("evaluate", cat="sim"):
-                test_acc = self.evaluate()
-        else:
-            test_acc = None
-
-        realized = (
-            tuple(float(u.density) for u in updates if isinstance(u, SparseUpdate))
-            if plan.ratios is not None
-            else tuple(1.0 for _ in updates)
-        )
+        singleton = None
+        if surv:
+            weights, state_freqs = plan.weights, freqs
+            if len(surv) < len(selected):
+                weights = np.asarray([plan.weights[pos] for pos in surv], dtype=np.float64)
+                if weights.sum() > 0:
+                    weights = weights / weights.sum()
+                state_freqs = freqs[surv] / freqs[surv].sum()
+            self.global_params, singleton = self._aggregate(
+                self.global_params,
+                self.global_states,
+                self.server_opt,
+                self.last_round_updates,
+                weights,
+                state_freqs,
+                [results[pos] for pos in surv],
+            )
 
         # Virtual-clock span: the synchronous barrier releases when the
         # slowest *aggregated* client has downloaded, computed, and
@@ -572,10 +533,9 @@ class Simulation(EngineMixin):
         # the transport from the actually-emitted payloads; with fair
         # contention the round is one shared-ingress epoch.
         sim_start = self.sim_clock
-        with tracer.span("transport.price", cat="net", dispatches=len(selected)):
-            durations, up_bits, down_bits = self._price_round(
-                selected, sel_links, plan.ratios, wire_updates, sim_start, tag=self.round_index
-            )
+        durations, up_bits, down_bits = self._price_round(
+            selected, links, plan.ratios, wire_updates, sim_start, tag=self.round_index
+        )
         # The barrier waits on delivered contributors; an all-lost round
         # still spans the slowest expected upload (the server's timeout).
         barrier = surv if surv else range(len(selected))
@@ -583,45 +543,85 @@ class Simulation(EngineMixin):
         for pos in barrier:
             if plan.weights[pos] > 0:
                 round_span = max(round_span, durations[pos])
-        self.sim_clock = sim_start + round_span
-        comm = RoundComm.from_maps(
-            uplink=self._comm_maps(selected, up_bits),
-            downlink=self._comm_maps(selected, down_bits),
+        return self._commit(
+            selected=selected,
+            results=results,
+            updates=updates,
+            times=plan.times,
+            weights=plan.weights,
+            singleton=singleton,
+            sim_start=sim_start,
+            sim_end=sim_start + round_span,
+            comm=RoundComm.from_maps(
+                uplink=self._add_bits({}, selected, up_bits),
+                downlink=self._add_bits({}, selected, down_bits),
+            ),
+            num_participants=(len(surv) if self.faults is not None else None),
         )
 
+    def _commit(
+        self,
+        *,
+        selected,
+        results: list[TaskResult],
+        updates: list[CompressedUpdate],
+        times: RoundTimes,
+        weights,
+        singleton: float | None,
+        sim_start: float,
+        sim_end: float,
+        comm: RoundComm,
+        mean_staleness: float = 0.0,
+        num_participants: int | None = None,
+        edge_breakdown=None,
+    ) -> RoundRecord:
+        """Close a round: evaluate on cadence, append its record, advance the
+        round index and the virtual clock, write the round-end metrics.
+
+        ``results`` are the tasks the record's loss and wall-clock sums range
+        over; ``updates`` the emitted updates whose realized ratios it
+        reports (density for sparse ones, 1.0 for dense or quantized).
+        """
+        cfg = self.config
+        # Evaluation cadence: every ``eval_every`` rounds plus the last.
+        if self.round_index % cfg.eval_every == 0 or self.round_index == cfg.rounds - 1:
+            with self.obs.tracer.span("evaluate", cat="sim"):
+                test_acc = self.evaluate()
+        else:
+            test_acc = None
         record = RoundRecord(
             round_index=self.round_index,
             selected=tuple(int(i) for i in selected),
-            train_loss=float(np.mean([r.mean_loss for r in results])),
+            train_loss=float(np.mean([r.mean_loss for r in results])) if results else 0.0,
             test_accuracy=test_acc,
-            times=plan.times,
-            ratios=realized,
-            weights=tuple(float(w) for w in plan.weights),
+            times=times,
+            ratios=tuple(
+                float(u.density) if isinstance(u, SparseUpdate) else 1.0 for u in updates
+            ),
+            weights=tuple(float(w) for w in weights),
             singleton_fraction=singleton,
-            train_seconds=train_seconds,
-            compress_seconds=compress_seconds,
+            train_seconds=sum(r.train_seconds for r in results),
+            compress_seconds=sum(r.compress_seconds for r in results),
             sim_start=sim_start,
-            sim_end=self.sim_clock,
-            mean_staleness=0.0,
+            sim_end=sim_end,
+            mean_staleness=mean_staleness,
+            edge_breakdown=edge_breakdown,
             comm=comm,
-            num_participants=(len(surv) if self.faults is not None else None),
+            num_participants=num_participants,
         )
         self.history.append(record)
         self.round_index += 1
-        round_cm.__exit__(None, None, None)
+        self.sim_clock = sim_end
         if self.obs.enabled:
-            self._observe_round_end(round_cm)
+            metrics = self.obs.metrics
+            metrics.counter("rounds_completed").inc()
+            # Round rate as the wall time between consecutive commits.
+            now = trace_clock()
+            if now > self._commit_wall:
+                metrics.gauge("rounds_per_second").set(1.0 / (now - self._commit_wall))
+            self._commit_wall = now
+            metrics.snapshot(record.round_index)
         return record
-
-    def _observe_round_end(self, round_cm=None) -> None:
-        """Per-round metrics bookkeeping shared by every protocol loop."""
-        metrics = self.obs.metrics
-        metrics.counter("rounds_completed").inc()
-        if round_cm is not None and getattr(round_cm, "_t0", None) is not None:
-            wall = trace_clock() - round_cm._t0
-            if wall > 0:
-                metrics.gauge("rounds_per_second").set(1.0 / wall)
-        metrics.snapshot(self.round_index - 1)
 
     def run(self, rounds: int | None = None) -> History:
         """Run ``rounds`` (default: the configured count) and return history."""

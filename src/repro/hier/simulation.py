@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import CompressedUpdate, SparseUpdate
-from repro.exec import ClientTask
+from repro.compression.base import CompressedUpdate
+from repro.exec import TaskResult
 from repro.fl.config import ExperimentConfig
 from repro.fl.history import EdgeRecord, RoundComm, RoundRecord
 from repro.fl.simulation import Simulation
@@ -48,12 +48,6 @@ _EPS = 1e-9
 
 class HierSimulation(Simulation):
     """Two-tier federated rounds: per-edge sub-rounds + cloud averaging."""
-
-    #: ``last_round_updates`` accumulates across every (edge, sub-round)
-    #: pair of a cloud round; one double-buffered bank per plan would be
-    #: overwritten mid-round, so hier compressors keep allocating. (The
-    #: arena's aggregation-side buffers are still used, per edge.)
-    _arena_compress = False
 
     def __init__(self, config: ExperimentConfig, obs=None, context=None):
         super().__init__(config, obs=obs, context=context)
@@ -106,21 +100,8 @@ class HierSimulation(Simulation):
         cfg = self.config
         group = self.topology.groups[edge]
         selected = self._sample_group(group)
-        sel_links = [self.links[i] for i in selected]
-
-        sizes = self.population.sizes_of(selected)
-        freqs = sizes / sizes.sum()
         # BCRS benchmarks against this group's own slowest member.
-        plan = self.algorithm.plan(sel_links, freqs, self.volume_bits)
-
-        tasks = [
-            ClientTask(
-                position=pos,
-                cid=int(cid),
-                ratio=None if plan.ratios is None else float(plan.ratios[pos]),
-            )
-            for pos, cid in enumerate(selected)
-        ]
+        links, freqs, plan, tasks = self._plan_cohort(selected)
         results = self._run_tasks(
             tasks, self._edge_params[edge], self._edge_states[edge], self._train_spec
         )
@@ -131,7 +112,7 @@ class HierSimulation(Simulation):
         # ingress epoch per (edge, sub-round) — each edge aggregator owns
         # its own ingress capacity.
         durs, up_bits, down_bits = self._price_round(
-            selected, sel_links, plan.ratios, updates, t_start, tag=self.round_index
+            selected, links, plan.ratios, updates, t_start, tag=self.round_index
         )
         durations = np.array(durs)
 
@@ -166,7 +147,7 @@ class HierSimulation(Simulation):
             agg_updates = [updates[pos] for pos in used]
             agg_weights = weights[used]
             state_freqs = freqs[arrived] / freqs[arrived].sum()
-            state_arrays = [r.state_arrays for r, a in zip(results, arrived) if a]
+            state_results = [r for r, a in zip(results, arrived) if a]
         else:
             # Lock-step barrier at the group's slowest *aggregated* member
             # (plan-dropped stragglers still burn device time but are not
@@ -178,32 +159,22 @@ class HierSimulation(Simulation):
             agg_updates = updates
             agg_weights = weights
             state_freqs = freqs
-            state_arrays = [r.state_arrays for r in results]
+            state_results = results
 
-        self._edge_params[edge], singleton = self._aggregate_into(
+        self._edge_params[edge], singleton = self._aggregate(
             self._edge_params[edge],
+            self._edge_states[edge],
             self.edge_opts[edge],
             agg_updates,
             agg_weights,
-            plan.use_opwa,
-        )
-        if self._edge_states[edge]:
-            self._average_states_into(self._edge_states[edge], state_freqs, state_arrays)
-
-        realized = (
-            tuple(float(u.density) for u in updates if isinstance(u, SparseUpdate))
-            if plan.ratios is not None
-            else tuple(1.0 for _ in updates)
+            state_freqs,
+            state_results,
         )
         fragments = {
             "selected": tuple(int(i) for i in selected),
-            "weights": tuple(float(w) for w in weights),
-            "ratios": realized,
-            "losses": [r.mean_loss for r in results],
-            "train_seconds": sum(r.train_seconds for r in results),
-            "compress_seconds": sum(r.compress_seconds for r in results),
+            "weights": weights,
+            "results": results,
             "singleton": singleton,
-            "updates": updates,
             "up_bits": up_bits,
             "down_bits": down_bits,
         }
@@ -214,16 +185,12 @@ class HierSimulation(Simulation):
     def run_round(self) -> RoundRecord:
         """One cloud round: K₁ sub-rounds per edge, then cloud averaging."""
         with self.obs.tracer.span("round", cat="sim", round=self.round_index):
-            record = self._cloud_round()
-        if self.obs.enabled:
-            self._observe_round_end()
-        return record
+            return self._cloud_round()
 
     def _cloud_round(self) -> RoundRecord:
         cfg = self.config
         E = self.topology.num_edges
-        if self._varying is not None:
-            self.links = [tv.step() for tv in self._varying]
+        self._step_links()
 
         sim_start = self.sim_clock
         # Edge-aggregator crash events: each edge fails this cloud round
@@ -268,12 +235,9 @@ class HierSimulation(Simulation):
         down_sum = [0.0] * E
         selected_all: list[int] = []
         weights_all: list[float] = []
-        ratios_all: list[float] = []
-        losses_all: list[float] = []
+        results_all: list[TaskResult] = []
         singletons: list[float] = []
         edge_selected: list[list[int]] = [[] for _ in range(E)]
-        train_seconds = compress_seconds = 0.0
-        round_updates: list[CompressedUpdate] = []
         up_map: dict[int, float] = {}
         down_map: dict[int, float] = {}
 
@@ -297,18 +261,12 @@ class HierSimulation(Simulation):
                 selected_all.extend(frag["selected"])
                 edge_selected[e].extend(frag["selected"])
                 weights_all.extend(frag["weights"])
-                ratios_all.extend(frag["ratios"])
-                losses_all.extend(frag["losses"])
+                results_all.extend(frag["results"])
                 if frag["singleton"] is not None:
                     singletons.append(frag["singleton"])
-                train_seconds += frag["train_seconds"]
-                compress_seconds += frag["compress_seconds"]
-                round_updates.extend(frag["updates"])
-                for cid, bits in zip(frag["selected"], frag["up_bits"]):
-                    up_map[cid] = up_map.get(cid, 0.0) + bits
-                for cid, bits in zip(frag["selected"], frag["down_bits"]):
-                    down_map[cid] = down_map.get(cid, 0.0) + bits
-        self.last_round_updates = round_updates
+                self._add_bits(up_map, frag["selected"], frag["up_bits"])
+                self._add_bits(down_map, frag["selected"], frag["down_bits"])
+        self.last_round_updates = [r.update for r in results_all]
 
         # Edge→cloud uploads (dense edge models over the backhaul), then the
         # cloud averages edge models by group data size — two-level FedAvg.
@@ -363,12 +321,6 @@ class HierSimulation(Simulation):
                     [self._edge_states[e] for e in alive],
                 )
 
-        if self._should_evaluate():
-            with self.obs.tracer.span("evaluate", cat="sim"):
-                test_acc = self.evaluate()
-        else:
-            test_acc = None
-
         backhaul_s = [backhaul_up[e] + backhaul_down[e] for e in range(E)]
         if alive:
             times = RoundTimes(
@@ -379,8 +331,6 @@ class HierSimulation(Simulation):
             )
         else:
             times = RoundTimes(0.0, 0.0, 0.0, 0.0)
-        round_span = max(edge_totals)
-        self.sim_clock = sim_start + round_span
 
         breakdown = tuple(
             EdgeRecord(
@@ -393,20 +343,15 @@ class HierSimulation(Simulation):
             )
             for e in range(E)
         )
-        record = RoundRecord(
-            round_index=self.round_index,
-            selected=tuple(selected_all),
-            train_loss=float(np.mean(losses_all)) if losses_all else 0.0,
-            test_accuracy=test_acc,
+        return self._commit(
+            selected=selected_all,
+            results=results_all,
+            updates=self.last_round_updates,
             times=times,
-            ratios=tuple(ratios_all),
-            weights=tuple(weights_all),
-            singleton_fraction=float(np.mean(singletons)) if singletons else None,
-            train_seconds=train_seconds,
-            compress_seconds=compress_seconds,
+            weights=weights_all,
+            singleton=float(np.mean(singletons)) if singletons else None,
             sim_start=sim_start,
-            sim_end=self.sim_clock,
-            mean_staleness=0.0,
+            sim_end=sim_start + max(edge_totals),
             edge_breakdown=breakdown,
             comm=RoundComm.from_maps(
                 uplink=up_map, downlink=down_map, backhaul=backhaul_map
@@ -415,6 +360,3 @@ class HierSimulation(Simulation):
                 len(selected_all) if cfg.edge_crash_prob > 0.0 else None
             ),
         )
-        self.history.append(record)
-        self.round_index += 1
-        return record

@@ -45,5 +45,3 @@ def load_checkpoint(sim: Simulation, path: str | Path) -> None:
         # at the restored time so virtual timestamps continue, not restart.
         if hasattr(sim, "now"):
             sim.now = sim.sim_clock
-        if hasattr(sim, "_last_agg"):
-            sim._last_agg = sim.sim_clock

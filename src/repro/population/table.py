@@ -84,12 +84,13 @@ def _fleet_link_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized link draws for virtual-shard fleets (same distributions,
     column-at-a-time order — new seeds, not the legacy scalar sequence)."""
-    bw = np.maximum(
-        rng.normal(model.bandwidth_mean_bps, model.bandwidth_std_bps, num_clients),
-        model.bandwidth_floor_bps,
-    )
+    # Floor and flip in place over the arrays just drawn: a throw-away
+    # full-width temporary is 8 MB of fresh pages at a million clients.
+    bw = rng.normal(model.bandwidth_mean_bps, model.bandwidth_std_bps, num_clients)
+    np.maximum(bw, model.bandwidth_floor_bps, out=bw)
     span = model.latency_high_s - model.latency_low_s
-    lat = model.latency_high_s - rng.uniform(0.0, span, num_clients)
+    lat = rng.uniform(0.0, span, num_clients)
+    np.subtract(model.latency_high_s, lat, out=lat)
     return bw, lat
 
 
@@ -210,9 +211,9 @@ class Population:
             sizes = partition.sizes()
         z = rngs.stream("compute").standard_normal(n)
         if config.virtual_shards:
-            s_per_sample = config.compute_s_per_sample * np.exp(
-                config.compute_heterogeneity * z
-            )
+            s_per_sample = np.multiply(config.compute_heterogeneity, z, out=z)
+            np.exp(s_per_sample, out=s_per_sample)  # c · exp(h · z), in place
+            s_per_sample *= config.compute_s_per_sample
         else:
             # Scalar np.exp, one client at a time — the historical
             # sample_device_profiles arithmetic. numpy's SIMD exp loop can

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.base import CompressedUpdate, SparseUpdate
+from repro.compression.base import CompressedUpdate
 from repro.exec import ClientTask, TaskResult
 from repro.fl.config import ExperimentConfig
 from repro.fl.history import RoundComm, RoundRecord
@@ -83,12 +83,6 @@ class _Pending:
 
 class _EventDrivenSimulation(Simulation):
     """Shared machinery: dispatch pipeline, staleness weighting, aggregation."""
-
-    #: Carryover keeps a _Pending's update alive across aggregation windows
-    #: (semisync ``late_policy="carryover"``), which outlives the arena's
-    #: double-buffered compress banks — compressors allocate as before.
-    #: (The arena's aggregation-side buffers are still used.)
-    _arena_compress = False
 
     def __init__(self, config: ExperimentConfig, obs=None, context=None):
         super().__init__(config, obs=obs, context=context)
@@ -230,18 +224,13 @@ class _EventDrivenSimulation(Simulation):
         """Flow ledger of one aggregation window: contributed uplink bits,
         bits spent by drop-fated uploads (transmitted, never aggregated),
         plus (when downlink accounting is on) this window's broadcasts."""
-        up_map: dict[int, float] = {}
-        for p in contributions:
-            up_map[p.cid] = up_map.get(p.cid, 0.0) + p.payload.bits
-        for p in self._window_lost:
-            up_map[p.cid] = up_map.get(p.cid, 0.0) + p.payload.bits
-        self._window_lost = []
-        down_map: dict[int, float] = {}
-        if self.config.include_downlink:
-            for cid in self._window_down:
-                down_map[cid] = down_map.get(cid, 0.0) + self.volume_bits
-        self._window_down = []
-        return RoundComm.from_maps(uplink=up_map, downlink=down_map)
+        spent = contributions + self._window_lost
+        down = self._window_down if self.config.include_downlink else []
+        self._window_lost, self._window_down = [], []
+        return RoundComm.from_maps(
+            uplink=self._add_bits({}, [p.cid for p in spent], [p.payload.bits for p in spent]),
+            downlink=self._add_bits({}, down, [self.volume_bits] * len(down)),
+        )
 
     def _flush_training(self) -> None:
         """Train every deferred dispatch, batched per aggregation window.
@@ -320,77 +309,49 @@ class _EventDrivenSimulation(Simulation):
             downlink=max(p.downlink for p in ranged),
         )
 
-    def _apply_aggregate(self, contributions: list[_Pending], weights: np.ndarray) -> tuple[float | None, list[CompressedUpdate]]:
-        """Server update from ``contributions``: masked sparse sum + opt step.
-
-        Returns (OPWA singleton fraction diagnostic, the updates used).
-        Mirrors the synchronous round's aggregation (Alg. 1 lines 14–18)
-        including persistent-buffer (BN) averaging.
-        """
-        updates = [self._delivered_update(p) for p in contributions]
-        self.last_round_updates = updates
-        with self.obs.tracer.span("aggregate", cat="sim", contributions=len(contributions)):
-            singleton = self._aggregate_updates(
-                updates, weights, getattr(self.algorithm, "use_opwa", False)
-            )
-            self._average_states(
-                self._contribution_freqs(contributions),
-                [p.result.state_arrays for p in contributions],
-            )
-        self.version += 1
-        return singleton, updates
-
-    def _record(
+    def _close_window(
         self,
-        *,
         contributions: list[_Pending],
         weights: np.ndarray,
-        updates: list[CompressedUpdate],
-        singleton: float | None,
+        *,
         times: RoundTimes,
         sim_start: float,
         sim_end: float,
         selected: tuple[int, ...],
     ) -> RoundRecord:
-        """Build/append the aggregation's record (evaluation on cadence)."""
-        lags = [self.version - 1 - p.version for p in contributions]
-        comm = self._window_comm(contributions)
-        if self._should_evaluate():
-            with self.obs.tracer.span("evaluate", cat="sim"):
-                test_acc = self.evaluate()
-        else:
-            test_acc = None
-        record = RoundRecord(
-            round_index=self.round_index,
+        """Aggregate ``contributions`` into the global model (bumping its
+        version) and commit the window's record. A window that lost every
+        upload is a well-defined empty round: model and version unchanged.
+        """
+        lags = [self.version - p.version for p in contributions]
+        updates = [self._delivered_update(p) for p in contributions]
+        results = [p.result for p in contributions]
+        singleton = None
+        if contributions:
+            self.last_round_updates = updates
+            self.global_params, singleton = self._aggregate(
+                self.global_params,
+                self.global_states,
+                self.server_opt,
+                updates,
+                weights,
+                self._contribution_freqs(contributions),
+                results,
+            )
+            self.version += 1
+        return self._commit(
             selected=selected,
-            train_loss=(
-                float(np.mean([p.result.mean_loss for p in contributions]))
-                if contributions
-                else 0.0
-            ),
-            test_accuracy=test_acc,
+            results=results,
+            updates=updates,
             times=times,
-            ratios=tuple(
-                float(u.density) if isinstance(u, SparseUpdate) else 1.0 for u in updates
-            ),
-            weights=tuple(float(w) for w in weights),
-            singleton_fraction=singleton,
-            train_seconds=sum(p.result.train_seconds for p in contributions),
-            compress_seconds=sum(p.result.compress_seconds for p in contributions),
+            weights=weights,
+            singleton=singleton,
             sim_start=sim_start,
             sim_end=sim_end,
+            comm=self._window_comm(contributions),
             mean_staleness=float(np.mean(lags)) if lags else 0.0,
-            comm=comm,
-            num_participants=(
-                len(contributions) if self.faults is not None else None
-            ),
+            num_participants=(len(contributions) if self.faults is not None else None),
         )
-        self.history.append(record)
-        self.round_index += 1
-        self.sim_clock = sim_end
-        if self.obs.enabled:
-            self._observe_round_end()
-        return record
 
     def _uniform_ratio(self) -> float | None:
         """Per-dispatch compression ratio: uniform CR* when the algorithm
@@ -445,7 +406,6 @@ class AsyncSimulation(_EventDrivenSimulation):
         self._rng = RngFactory(config.seed).stream("async-dispatch")
         self._buffer: list[_Pending] = []
         self._in_flight: set[int] = set()
-        self._last_agg = 0.0
         self._primed = False
 
     def _prime(self) -> None:
@@ -453,7 +413,6 @@ class AsyncSimulation(_EventDrivenSimulation):
         current clock (0 on a fresh run, the restored clock after a
         checkpoint load)."""
         self._primed = True
-        self._last_agg = self.now
         first = np.sort(
             self._rng.choice(
                 self.config.num_clients, size=self.config.async_concurrency, replace=False
@@ -503,26 +462,20 @@ class AsyncSimulation(_EventDrivenSimulation):
         # yields nothing decodable degrades to a drop (dense updates, k < 1).
         contributions = [p for p in window if self._delivered_update(p) is not None]
         self._window_lost.extend(p for p in window if p.fate == "drop")
-        if contributions:
-            weights = self._staleness_weights(contributions)
-            singleton, updates = self._apply_aggregate(contributions, weights)
-        else:
-            weights = np.empty(0, dtype=np.float64)
-            singleton, updates = None, []
+        weights = (
+            self._staleness_weights(contributions)
+            if contributions
+            else np.empty(0, dtype=np.float64)
+        )
         pool = contributions or window
-        times = self._comm_times(pool, pool)
-        record = self._record(
-            contributions=contributions,
-            weights=weights,
-            updates=updates,
-            singleton=singleton,
-            times=times,
-            sim_start=self._last_agg,
+        return self._close_window(
+            contributions,
+            weights,
+            times=self._comm_times(pool, pool),
+            sim_start=self.sim_clock,  # where the previous window closed
             sim_end=self.now,
             selected=tuple(p.cid for p in window),
         )
-        self._last_agg = self.now
-        return record
 
 
 class SemiSyncSimulation(_EventDrivenSimulation):
@@ -561,29 +514,17 @@ class SemiSyncSimulation(_EventDrivenSimulation):
         t0 = self.now
         selected = self._select()
 
-        if self._varying is not None:
-            self.links = [tv.step() for tv in self._varying]
+        self._step_links()
 
         # Plan + train the round's fresh dispatches in one backend batch
         # (selection order = position order, per the exec contract).
         own: list[_Pending] = []
         plan_weights: dict[int, float] = {}
         if selected:
-            sel_links = [self.links[i] for i in selected]
-            sizes = self.population.sizes_of(selected)
-            freqs = sizes / sizes.sum()
-            plan = self.algorithm.plan(sel_links, freqs, self.volume_bits)
-            tasks = [
-                ClientTask(
-                    position=pos,
-                    cid=cid,
-                    ratio=None if plan.ratios is None else float(plan.ratios[pos]),
-                )
-                for pos, cid in enumerate(selected)
-            ]
+            links, _, plan, tasks = self._plan_cohort(selected)
             results = self._train_now(tasks)
             for pos, (cid, res) in enumerate(zip(selected, results)):
-                pend = self._dispatch(cid, sel_links[pos], tasks[pos].ratio, t0, res)
+                pend = self._dispatch(cid, links[pos], tasks[pos].ratio, t0, res)
                 own.append(pend)
                 plan_weights[cid] = float(plan.weights[pos])
 
@@ -659,20 +600,14 @@ class SemiSyncSimulation(_EventDrivenSimulation):
             if w.sum() == 0:  # every contributor excluded and no carryovers
                 w = stale_w  # degenerate fallback, mirroring the plan's own
             weights = w / w.sum()
-            singleton, updates = self._apply_aggregate(contributions, weights)
         else:
-            # Every completed upload this window was lost in flight: a
-            # well-defined empty round — model and version unchanged.
             weights = np.empty(0, dtype=np.float64)
-            singleton, updates = None, []
 
         times = self._comm_times(contributions or arrived, own)
         self.now = t_end
-        return self._record(
-            contributions=contributions,
-            weights=weights,
-            updates=updates,
-            singleton=singleton,
+        return self._close_window(
+            contributions,
+            weights,
             times=times,
             sim_start=t0,
             sim_end=t_end,

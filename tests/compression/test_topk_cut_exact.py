@@ -49,24 +49,20 @@ def draw(kind, rng, d):
 
 
 def assert_same_selection(update, ratio):
-    """Live == frozen for the index function and both ``TopK`` output paths."""
+    """Live == frozen for the index function and for what ``TopK`` emits."""
     d = update.shape[0]
     k = k_from_ratio(d, ratio)
     before = update.tobytes()
     with np.errstate(invalid="ignore"):
         ref = ref_topk_indices(update, k)
         got = _topk_indices(update, k)
-        allocating = TopK().compress(update, ratio)
-        block = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.float32)
-        into_block = TopK().compress(update, ratio, out=block)
+        emitted = TopK().compress(update, ratio)
     assert update.tobytes() == before  # the select works on a copy
     assert got.dtype == ref.dtype == np.int64
     assert got.tobytes() == ref.tobytes()
-    assert into_block.indices is block[0] and into_block.values is block[1]
-    for emitted in (allocating, into_block):
-        assert emitted.indices.tobytes() == ref.tobytes()
-        assert emitted.values.dtype == np.float32
-        assert emitted.values.tobytes() == update[ref].tobytes()
+    assert emitted.indices.tobytes() == ref.tobytes()
+    assert emitted.values.dtype == np.float32
+    assert emitted.values.tobytes() == update[ref].tobytes()
 
 
 @pytest.mark.parametrize("kind", DRAWS)

@@ -76,52 +76,11 @@ class TestArenaSparseSum:
             weighted_sparse_sum(updates, np.array([1.0]), arena=AggregationArena(21))
 
 
-class TestCompressBanks:
-    def test_blocks_are_disjoint_bank_slices(self):
-        arena = AggregationArena(100)
-        arena.plan_compress([3, None, 5, 2])
-        blocks = [arena.compress_block(i) for i in range(4)]
-        assert blocks[1] is None
-        spans = []
-        for b in (blocks[0], blocks[2], blocks[3]):
-            idx, val = b
-            assert idx.dtype == np.int64 and val.dtype == np.float32
-            assert idx.size == val.size
-            spans.append(idx.size)
-        assert spans == [3, 5, 2]
-        # writing one block never touches another
-        blocks[0][1][...] = 1.0
-        blocks[2][1][...] = 2.0
-        assert float(blocks[0][1][0]) == 1.0
-
-    def test_double_buffer_keeps_last_round_views_valid(self):
-        arena = AggregationArena(100)
-        arena.plan_compress([2])
-        idx, val = arena.compress_block(0)
-        idx[...] = [4, 9]
-        val[...] = [1.5, -2.5]
-        arena.plan_compress([2])  # next round flips banks
-        idx2, val2 = arena.compress_block(0)
-        idx2[...] = [0, 1]
-        val2[...] = [9.0, 9.0]
-        # previous round's views are intact
-        np.testing.assert_array_equal(idx, [4, 9])
-        np.testing.assert_array_equal(val, [1.5, -2.5])
-
-    def test_out_of_range_position_returns_none(self):
-        arena = AggregationArena(10)
-        arena.plan_compress([2])
-        assert arena.compress_block(5) is None
-
-    def test_bad_block_size_rejected(self):
-        arena = AggregationArena(10)
-        with pytest.raises(ValueError):
-            arena.plan_compress([0])
-
+class TestArenaBuffers:
     def test_nbytes_reports_growth(self):
         arena = AggregationArena(10)
         before = arena.nbytes()
-        arena.plan_compress([64])
+        arena.rows(64)
         assert arena.nbytes() > before
 
 

@@ -108,6 +108,20 @@ class TestBackendEquivalence:
         )
         assert_histories_identical(serial, proc)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_held_round_updates_survive_later_rounds(self, backend):
+        """An update owns its arrays: ``last_round_updates`` kept by a caller
+        reads the same three rounds later, whichever backend produced it."""
+        with Simulation(small_config(rounds=4, backend=backend, workers=2)) as sim:
+            sim.run_round()
+            held = sim.last_round_updates
+            snapshot = [(u.indices.copy(), u.values.copy()) for u in held]
+            sim.run(3)
+        assert held and sim.last_round_updates is not held
+        for update, (indices, values) in zip(held, snapshot):
+            assert update.indices.tobytes() == indices.tobytes()
+            assert update.values.tobytes() == values.tobytes()
+
     def test_decentralized_rejects_parallel_backend_with_bn_model(self):
         cfg = ExperimentConfig(
             dataset="synth-cifar10",

@@ -73,12 +73,27 @@ class TestTracingDeterminism:
         traced = run_history(cfg, obs=Obs(Tracer(), MetricsRegistry()))
         assert_histories_identical(plain, traced)
 
-    def test_traced_run_actually_recorded_spans_and_metrics(self):
+    @pytest.mark.filterwarnings("ignore:algorithm 'bcrs_opwa' under mode='async'")
+    @pytest.mark.parametrize("mode", MODES)
+    def test_traced_run_actually_recorded_spans_and_metrics(self, mode):
         obs = Obs(Tracer(), MetricsRegistry())
-        run_history(small_config(), obs=obs)
+        run_history(small_config(mode=mode), obs=obs)
         names = {s.name for s in obs.tracer.spans}
-        assert {"round", "sample", "exec.round", "aggregate"} <= names
+        everywhere = {
+            "round", "exec.round", "client.train", "client.compress",
+            "hydrate", "aggregate", "evaluate",
+        }
+        assert everywhere <= names
+        # One code path emits each stage's span, so a span is there exactly
+        # where its stage runs: the flat sampler in sync only, algorithm.plan
+        # everywhere but async, _price_round in the two lock-step protocols.
+        assert ("sample" in names) == (mode == "sync")
+        assert ("plan" in names) == (mode != "async")
+        assert ("transport.price" in names) == (mode in ("sync", "hier"))
         assert obs.metrics.value("rounds_completed") == 3
+        assert obs.metrics.value("rounds_per_second") > 0
+        assert [snap["round"] for snap in obs.metrics.snapshots] == [0, 1, 2]
+        assert all("rounds_per_second" in snap["values"] for snap in obs.metrics.snapshots)
 
     def test_metrics_only_obs_is_enabled(self):
         obs = Obs(metrics=MetricsRegistry())

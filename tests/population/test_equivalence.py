@@ -11,7 +11,11 @@ rehydrated mid-run.
 
 These goldens are frozen artifacts, not build products: ``check_golden`` is
 called with ``regen=False`` so ``REGEN_GOLDEN=1`` (which rebuilds the
-robustness goldens in ``tests/goldens``) can never overwrite them.
+robustness goldens in ``tests/goldens``) can never overwrite them. One
+amendment since capture: PR 17 fixed ``RoundRecord.ratios`` for dense and
+quantised updates in sync (one ``1.0`` per emitted update, where the record
+used to be empty), and ``sync-qsgd8.json`` pinned the defect — its four
+``ratios`` lists were edited ``[] → [1.0] * 6``, every other byte as captured.
 """
 
 from __future__ import annotations

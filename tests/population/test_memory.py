@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.fl.config import ExperimentConfig
@@ -85,3 +86,34 @@ def test_population_columns_scale_linearly_and_small():
     pop = Population.from_config(cfg, partition=None)
     # 3 float64 + 1 int64 + 1 bool + 1 int32 column = 37 bytes/client.
     assert pop.memory_bytes() == 100_000 * 37
+
+
+def ref_fleet_columns(cfg: ExperimentConfig):
+    """The virtual-fleet link and speed columns as they were built before the
+    in-place construction, frozen: every step through a fresh temporary."""
+    from repro.network.links import PAPER_LINK_MODEL as model
+    from repro.utils.rng import RngFactory
+
+    rngs, n = RngFactory(cfg.seed), cfg.num_clients
+    rng = rngs.stream("links")
+    bw = np.maximum(
+        rng.normal(model.bandwidth_mean_bps, model.bandwidth_std_bps, n),
+        model.bandwidth_floor_bps,
+    )
+    span = model.latency_high_s - model.latency_low_s
+    lat = model.latency_high_s - rng.uniform(0.0, span, n)
+    z = rngs.stream("compute").standard_normal(n)
+    return bw, lat, cfg.compute_s_per_sample * np.exp(cfg.compute_heterogeneity * z)
+
+
+@pytest.mark.parametrize("num_clients", [1, 1000, 100_003])
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+def test_in_place_fleet_columns_are_byte_equal(seed, num_clients):
+    from repro.population import Population
+
+    cfg = fleet_config(COHORT).with_(num_clients=num_clients, seed=seed)
+    pop = Population.from_config(cfg, partition=None)
+    live = (pop.bandwidth_bps, pop.latency_s, pop.s_per_sample)
+    for got, ref in zip(live, ref_fleet_columns(cfg)):
+        assert got.dtype == ref.dtype == np.float64
+        assert got.tobytes() == ref.tobytes()

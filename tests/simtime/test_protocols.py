@@ -74,6 +74,17 @@ class TestVirtualSpans:
         kinds = {s.kind for s in sim.spans}
         assert kinds == {"train", "upload"}
 
+    @pytest.mark.parametrize("compressor", ["qsgd8", "sign"])
+    @pytest.mark.parametrize("mode", ["sync", "semisync", "async", "hier"])
+    def test_dense_updates_record_one_unit_ratio_each(self, mode, compressor):
+        """A quantiser beneath topk emits dense updates: every mode records
+        1.0 per emitted update (sync and hier used to record none)."""
+        _, h = run_sim(small_config(mode=mode, compressor=compressor))
+        for r in h.records:
+            assert r.ratios and set(r.ratios) == {1.0}
+            if mode in ("sync", "hier"):  # lock-step: the whole cohort emits
+                assert len(r.ratios) == len(r.selected)
+
     def test_accuracy_vs_simtime_uses_spans(self):
         _, h = run_sim(small_config(mode="async"))
         t, acc = h.accuracy_vs_simtime()
