@@ -8,14 +8,14 @@ for fast clients. This ablation quantifies the trade-off.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, format_table, sweep
+from repro.experiments import bench_config, format_table, run_grid
 
 RULES = ["max", "median"]
 
 
 def test_ablation_benchmark_rule(once):
     base = bench_config("cifar10", "bcrs", beta=0.1, compression_ratio=0.01, rounds=40)
-    results = once(sweep, base, "benchmark", RULES)
+    results = once(run_grid, base, {"benchmark": RULES}).by_axis("benchmark")
 
     rows = []
     for rule in RULES:

@@ -8,14 +8,14 @@ dropping non-IID clients discards exactly the unique data FL exists to use.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import accuracy_auc, bench_config, format_table, run_comparison
+from repro.experiments import accuracy_auc, bench_config, format_table, run_grid
 
 ALGS = ["topk", "deadline_topk", "bcrs", "bcrs_opwa"]
 
 
 def test_ablation_deadline_vs_bcrs(once):
-    base = bench_config("cifar10", "fedavg", beta=0.1, rounds=40)
-    results = once(run_comparison, base, ALGS, compression_ratio=0.05)
+    base = bench_config("cifar10", "bcrs_opwa", beta=0.1, rounds=40, compression_ratio=0.05)
+    results = once(run_grid, base, {"algorithm": ALGS}).by_axis("algorithm")
 
     rows = []
     for alg in ALGS:

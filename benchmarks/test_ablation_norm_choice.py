@@ -8,14 +8,14 @@ the sum-normalization (our default) at least as good as using raw ratios.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, format_table, sweep
+from repro.experiments import bench_config, format_table, run_grid
 
 MODES = ["sum", "max", "none"]
 
 
 def test_ablation_norm_choice(once):
     base = bench_config("cifar10", "bcrs", beta=0.1, compression_ratio=0.01, rounds=40)
-    results = once(sweep, base, "norm_mode", MODES)
+    results = once(run_grid, base, {"norm_mode": MODES}).by_axis("norm_mode")
 
     rows = [
         [mode, f"{results[mode].final_accuracy():.4f}", f"{results[mode].best_accuracy():.4f}"]

@@ -10,7 +10,7 @@ sweeps D and reports accuracy plus how much of the model each D enlarges.
 from benchmarks.conftest import emit
 from repro.compression.base import SparseUpdate
 from repro.core.opwa import opwa_mask_from_updates
-from repro.experiments import bench_config, format_table, sweep
+from repro.experiments import bench_config, format_table, run_grid
 from repro.fl import Simulation
 
 DS = [1, 2, 3]
@@ -18,7 +18,7 @@ DS = [1, 2, 3]
 
 def test_ablation_overlap_threshold(once):
     base = bench_config("cifar10", "bcrs_opwa", beta=0.1, compression_ratio=0.01, rounds=40)
-    results = once(sweep, base, "required_overlap", DS)
+    results = once(run_grid, base, {"required_overlap": DS}).by_axis("required_overlap")
 
     # Measure the enlarged share for each D on a fresh round's updates.
     sim = Simulation(base)

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, format_table, run_comparison
+from repro.experiments import bench_config, format_table, run_grid
 
 ALGS = ["fedavg", "topk", "eftopk", "bcrs"]
 
 
 @pytest.mark.parametrize("beta,cr", [(0.1, 0.1), (0.1, 0.01), (0.5, 0.1), (0.5, 0.01)])
 def test_fig10_accuracy_vs_time(once, beta, cr):
-    base = bench_config("cifar10", "fedavg", beta=beta, rounds=50)
-    results = once(run_comparison, base, ALGS, compression_ratio=cr)
+    base = bench_config("cifar10", "bcrs", beta=beta, rounds=50, compression_ratio=cr)
+    results = once(run_grid, base, {"algorithm": ALGS}).by_axis("algorithm")
 
     rows = []
     for alg in ALGS:

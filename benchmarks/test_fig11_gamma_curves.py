@@ -8,7 +8,8 @@ FedAvg at CR=0.1 (the paper shows OPWA overtaking it around round 60).
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, format_table, run_comparison, sweep
+from repro.experiments import bench_config, format_table, run_grid
+from repro.fl import run_experiment
 
 GAMMAS = [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
 
@@ -16,8 +17,8 @@ GAMMAS = [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
 @pytest.mark.parametrize("beta", [0.5, 0.1])
 def test_fig11_gamma_curves(once, beta):
     base = bench_config("cifar10", "bcrs_opwa", beta=beta, compression_ratio=0.1)
-    results = once(sweep, base, "gamma", GAMMAS)
-    fedavg = run_comparison(base, ["fedavg"])["fedavg"]
+    results = once(run_grid, base, {"gamma": GAMMAS}).by_axis("gamma")
+    fedavg = run_experiment(base.with_(algorithm="fedavg"))
 
     rows = [["fedavg", f"{fedavg.final_accuracy():.4f}", f"{fedavg.best_accuracy():.4f}"]]
     for g in GAMMAS:

@@ -9,7 +9,8 @@ the sweep is at least |S_t|/2 (small γ is never optimal at CR=0.01).
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, format_table, run_comparison, sweep
+from repro.experiments import bench_config, format_table, run_grid
+from repro.fl import run_experiment
 
 GAMMAS = [2.0, 5.0, 8.0, 11.0, 14.0]
 
@@ -24,8 +25,8 @@ def test_fig12_gamma_scaling(once, num_clients):
         num_clients=num_clients,
         num_train=1600,
     )
-    results = once(sweep, base, "gamma", GAMMAS)
-    topk = run_comparison(base, ["topk"], compression_ratio=0.01)["topk"]
+    results = once(run_grid, base, {"gamma": GAMMAS}).by_axis("gamma")
+    topk = run_experiment(base.with_(algorithm="topk"))
 
     rows = [["topk", f"{topk.final_accuracy():.4f}"]]
     rows += [[f"gamma={int(g)}", f"{results[g].final_accuracy():.4f}"] for g in GAMMAS]

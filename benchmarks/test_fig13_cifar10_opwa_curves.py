@@ -8,15 +8,15 @@ or better than uncompressed FedAvg; BCRS+OPWA ≥ BCRS everywhere.
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, run_comparison, series_text
+from repro.experiments import bench_config, run_grid, series_text
 
 ALGS = ["fedavg", "topk", "eftopk", "bcrs", "bcrs_opwa"]
 
 
 @pytest.mark.parametrize("beta,cr", [(0.1, 0.01), (0.1, 0.1), (0.5, 0.1), (0.5, 0.01)])
 def test_fig13_panel(once, beta, cr):
-    base = bench_config("cifar10", "fedavg", beta=beta)
-    results = once(run_comparison, base, ALGS, compression_ratio=cr)
+    base = bench_config("cifar10", "bcrs_opwa", beta=beta, compression_ratio=cr)
+    results = once(run_grid, base, {"algorithm": ALGS}).by_axis("algorithm")
 
     for alg in ("bcrs_opwa", "topk", "fedavg"):
         emit(

@@ -7,19 +7,20 @@ every panel and closes most of the FedAvg gap at severe compression.
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, run_comparison, series_text, summarize_comparison
+from repro.experiments import bench_config, run_grid, series_text, summarize_sweep
 
 ALGS = ["fedavg", "topk", "eftopk", "bcrs", "bcrs_opwa"]
 
 
 @pytest.mark.parametrize("beta,cr", [(0.1, 0.1), (0.1, 0.01), (0.5, 0.1), (0.5, 0.01)])
 def test_fig14_panel(once, beta, cr):
-    base = bench_config("cifar100", "fedavg", beta=beta)
-    results = once(run_comparison, base, ALGS, compression_ratio=cr)
+    base = bench_config("cifar100", "bcrs_opwa", beta=beta, compression_ratio=cr)
+    report = once(run_grid, base, {"algorithm": ALGS})
+    results = report.by_axis("algorithm")
 
     emit(
         f"Fig. 14 — cifar100 beta={beta} CR={cr}",
-        summarize_comparison(results),
+        summarize_sweep(report),
     )
     emit(
         f"Fig. 14 — cifar100 beta={beta} CR={cr}: bcrs_opwa curve",

@@ -8,19 +8,20 @@ compression gaps opening at CR=0.01 — as in the paper's panels.
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, run_comparison, series_text, summarize_comparison
+from repro.experiments import bench_config, run_grid, series_text, summarize_sweep
 
 ALGS = ["fedavg", "topk", "eftopk", "bcrs", "bcrs_opwa"]
 
 
 @pytest.mark.parametrize("beta,cr", [(0.1, 0.1), (0.1, 0.01), (0.5, 0.1), (0.5, 0.01)])
 def test_fig15_panel(once, beta, cr):
-    base = bench_config("svhn", "fedavg", beta=beta)
-    results = once(run_comparison, base, ALGS, compression_ratio=cr)
+    base = bench_config("svhn", "bcrs_opwa", beta=beta, compression_ratio=cr)
+    report = once(run_grid, base, {"algorithm": ALGS})
+    results = report.by_axis("algorithm")
 
     emit(
         f"Fig. 15 — svhn beta={beta} CR={cr}",
-        summarize_comparison(results),
+        summarize_sweep(report),
     )
     emit(
         f"Fig. 15 — svhn beta={beta} CR={cr}: bcrs_opwa curve",

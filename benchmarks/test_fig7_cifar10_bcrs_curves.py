@@ -8,7 +8,7 @@ below FedAvg while BCRS converges above TopK.
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, run_comparison, series_text
+from repro.experiments import bench_config, run_grid, series_text
 
 ALGS = ["fedavg", "topk", "eftopk", "bcrs"]
 DATASET = "cifar10"
@@ -16,8 +16,8 @@ DATASET = "cifar10"
 
 @pytest.mark.parametrize("beta,cr", [(0.1, 0.1), (0.5, 0.1), (0.1, 0.01), (0.5, 0.01)])
 def test_fig7_panel(once, beta, cr):
-    base = bench_config(DATASET, "fedavg", beta=beta)
-    results = once(run_comparison, base, ALGS, compression_ratio=cr)
+    base = bench_config(DATASET, "bcrs", beta=beta, compression_ratio=cr)
+    results = once(run_grid, base, {"algorithm": ALGS}).by_axis("algorithm")
 
     for alg in ALGS:
         emit(

@@ -10,7 +10,7 @@ most of the gap (and can exceed FedAvg at CR=0.1).
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, format_table, run_comparison
+from repro.experiments import bench_config, format_table, run_grid
 from repro.experiments.paper_reference import TABLE2
 
 ALGS = ["fedavg", "topk", "eftopk", "bcrs", "bcrs_opwa"]
@@ -20,8 +20,8 @@ SETTINGS = [(0.1, 0.1), (0.1, 0.01), (0.5, 0.1), (0.5, 0.01)]
 @pytest.mark.parametrize("dataset", ["cifar10", "svhn", "cifar100"])
 @pytest.mark.parametrize("beta,cr", SETTINGS)
 def test_table2_cell(once, dataset, beta, cr):
-    base = bench_config(dataset, "fedavg", beta=beta)
-    results = once(run_comparison, base, ALGS, compression_ratio=cr)
+    base = bench_config(dataset, "bcrs_opwa", beta=beta, compression_ratio=cr)
+    results = once(run_grid, base, {"algorithm": ALGS}).by_axis("algorithm")
 
     rows = []
     for alg in ALGS:

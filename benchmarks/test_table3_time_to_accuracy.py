@@ -10,7 +10,7 @@ shows how much straggler waiting a perfect scheduler removes; the abstract's
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, format_table, run_comparison, time_to_accuracy_row
+from repro.experiments import bench_config, format_table, run_grid, time_to_accuracy_row
 from repro.experiments.paper_reference import SPEEDUP_RANGE, TABLE3
 
 TARGET = 0.40
@@ -19,8 +19,8 @@ ALGS = ["fedavg", "topk", "eftopk", "bcrs"]
 
 @pytest.mark.parametrize("cr", [0.1, 0.01])
 def test_table3_time_to_target(once, cr):
-    base = bench_config("cifar10", "fedavg", beta=0.1, rounds=60)
-    results = once(run_comparison, base, ALGS, compression_ratio=cr)
+    base = bench_config("cifar10", "bcrs", beta=0.1, rounds=60, compression_ratio=cr)
+    results = once(run_grid, base, {"algorithm": ALGS}).by_axis("algorithm")
 
     rows = [
         time_to_accuracy_row(alg, results[alg], TARGET, paper=TABLE3[alg][cr])

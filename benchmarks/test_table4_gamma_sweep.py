@@ -9,7 +9,7 @@ helps — the optimum is near or above |S_t| (5 selected clients here), i.e.
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, format_table, sweep
+from repro.experiments import bench_config, format_table, run_grid
 from repro.experiments.paper_reference import TABLE4
 
 GAMMAS = [3.0, 5.0, 7.0]
@@ -18,7 +18,7 @@ GAMMAS = [3.0, 5.0, 7.0]
 @pytest.mark.parametrize("beta,cr", [(0.1, 0.1), (0.1, 0.01), (0.5, 0.1), (0.5, 0.01)])
 def test_table4_gamma(once, beta, cr):
     base = bench_config("cifar10", "bcrs_opwa", beta=beta, compression_ratio=cr)
-    results = once(sweep, base, "gamma", GAMMAS)
+    results = once(run_grid, base, {"gamma": GAMMAS}).by_axis("gamma")
 
     rows = [
         [f"gamma={int(g)}", f"{results[g].final_accuracy():.4f}", f"{TABLE4[(beta, cr)][int(g)]:.4f}"]

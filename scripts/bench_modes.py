@@ -26,9 +26,11 @@ import time
 from pathlib import Path
 
 from repro.experiments.presets import bench_config
-from repro.experiments.runner import PROTOCOL_RACE_MODES
 from repro.fl.config import BACKENDS
 from repro.simtime import make_simulation
+
+#: The three flat protocols (hier at one edge duplicates sync).
+PROTOCOL_RACE_MODES = ("sync", "semisync", "async")
 
 
 def bench_mode(base, mode: str, target: float) -> dict:

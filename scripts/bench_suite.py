@@ -45,7 +45,6 @@ import bench_modes  # noqa: E402
 import bench_transport  # noqa: E402
 
 from repro.experiments.presets import bench_config  # noqa: E402
-from repro.experiments.runner import PROTOCOL_RACE_MODES  # noqa: E402
 from repro.obs import NULL_TRACER, Obs, Tracer, MetricsRegistry  # noqa: E402
 from repro.simtime import make_simulation  # noqa: E402
 
@@ -68,7 +67,7 @@ def section_modes(quick: bool, seed: int) -> tuple[list[dict], dict]:
     base = bench_config(
         "cifar10", "topk", compression_ratio=0.1, rounds=rounds, seed=seed
     )
-    rows = [bench_modes.bench_mode(base, mode, 0.25) for mode in PROTOCOL_RACE_MODES]
+    rows = [bench_modes.bench_mode(base, mode, 0.25) for mode in bench_modes.PROTOCOL_RACE_MODES]
     benchmarks = [
         _bench(
             f"modes.{r['mode']}.rounds_per_sec",

@@ -6,23 +6,28 @@
     python -m repro run --dataset cifar10 --mode async --buffer-size 3
     python -m repro run --dataset cifar10 --mode hier --num-edges 4 --edge-rounds 2
     python -m repro run --dataset cifar10 --contention fair --ingress-mbps 2
-    python -m repro compare --dataset svhn --cr 0.01 --beta 0.5 --rounds 40
-    python -m repro modes --dataset cifar10 --algorithm topk --target-acc 0.3
-    python -m repro hier --edges 1,2,5 --algorithm bcrs_opwa --backhaul-mbps 100
     python -m repro comm --dataset cifar10 --algorithm topk --cr 0.1
-    python -m repro sweep --param gamma --values 3,5,7 --algorithm bcrs_opwa --cr 0.01
+    python -m repro sweep --dataset svhn --cr 0.01 --grid algorithm=fedavg,topk,eftopk,bcrs,bcrs_opwa
     python -m repro sweep --grid gamma=3,5,7 --grid alpha=0.1,0.3 --seeds 2 --parallel 4
+    python -m repro sweep --algorithm topk --grid mode=sync,semisync,async --target-acc 0.3
+    python -m repro sweep --mode hier --backhaul-mbps 100 --grid num_edges=1,2,5
     python -m repro scenario list
     python -m repro scenario run straggler-storm
     python -m repro report --store runs/ --trace trace.json --out report.html
     python -m repro info
 
-``run``/``compare``/``sweep`` accept ``--save-history out.json`` and
-``--export-csv out.csv`` for downstream plotting. ``sweep --store DIR``
-persists one JSON per grid cell and resumes interrupted sweeps (completed
-cells are skipped on rerun). ``--html PATH`` on ``run``/``comm``/``sweep``/
-``scenario run`` renders a self-contained HTML report of the run's
-artifacts; the ``report`` verb rebuilds one post-hoc from stored files.
+More than one run is a sweep: an algorithm comparison, a mode race and an
+edge-width sweep are ``sweep --grid`` over ``algorithm``, ``mode`` and
+``num_edges``. ``run``/``comm``/``scenario run`` accept ``--save-history
+out.json`` and ``--export-csv out.csv`` for downstream plotting; on ``sweep``
+the same flags write one file per cell (``out.json.<spec hash>.json``).
+``sweep --store DIR`` persists one JSON per grid cell and resumes
+interrupted sweeps (completed cells are skipped on rerun). ``--html PATH``
+on ``run``/``comm``/``sweep``/``scenario run`` renders a self-contained HTML
+report of the run's artifacts; the ``report`` verb rebuilds one post-hoc
+from stored files. A config the flags cannot build (``--workers 0``,
+``--contention fair`` without ``--ingress-mbps``) is a usage error: its
+message on stderr, exit status 2.
 """
 
 from __future__ import annotations
@@ -36,20 +41,16 @@ from pathlib import Path
 from repro import __version__
 from repro.compression.registry import available_compressors
 from repro.experiments.presets import bench_config, paper_config
-from repro.experiments.reporting import (
-    series_text,
-    summarize_comm,
-    summarize_comparison,
-    summarize_hier,
-    summarize_modes,
-    summarize_sweep,
+from repro.experiments.reporting import series_text, summarize_comm, summarize_sweep
+from repro.fl.config import (
+    ADVERSARIES,
+    AGGREGATORS,
+    ALGORITHMS,
+    BACKENDS,
+    CONTENTION_MODES,
+    EDGE_ASSIGNMENTS,
+    MODES,
 )
-from repro.experiments.runner import (
-    run_comparison,
-    run_hier,
-    run_modes,
-)
-from repro.fl.config import ALGORITHMS, BACKENDS, MODES
 from repro.io.history_io import export_curves_csv, load_history, save_history
 from repro.obs import SweepProgress, format_profile, load_trace, make_obs
 from repro.report import write_report
@@ -60,135 +61,128 @@ from repro.scenarios import (
     SWEEP_EXECUTORS,
     SweepReport,
     SweepRunner,
-    coerce_field,
     expand_grid,
     get_scenario,
     parse_axis,
 )
 from repro.simtime import make_simulation
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "CONFIG_FLAGS"]
 
-
-def _add_common(p: argparse.ArgumentParser, *, mode_flag: bool = True) -> None:
-    p.add_argument("--dataset", default="cifar10", help="cifar10 | svhn | cifar100 | synth-*")
-    p.add_argument("--beta", type=float, default=0.5, help="Dirichlet heterogeneity")
-    p.add_argument("--cr", type=float, default=0.1, help="compression ratio CR*")
-    p.add_argument("--rounds", type=int, default=None, help="communication rounds")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paper-scale", action="store_true", help="use the full Sec. 5.1 budget")
-    p.add_argument(
-        "--backend", default="serial", choices=BACKENDS,
-        help="execution backend for the round's client work",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel worker count for thread/process backends (default: auto)",
-    )
-    if mode_flag:  # the `modes` subcommand races every protocol instead
-        p.add_argument(
-            "--mode", default="sync", choices=MODES,
-            help="round protocol: lock-step sync, deadline semisync, FedBuff async",
-        )
-    p.add_argument(
-        "--num-clients", type=int, default=None, metavar="N",
+#: Every flag that sets one ``ExperimentConfig`` field, declared once:
+#: ``(flag, field, argparse kwargs)``. The parser stores each under its
+#: field name with default None ("not typed" — the preset's or scenario's
+#: value stands) unless the kwargs give a CLI default; :func:`_config`
+#: copies the non-None ones into the config.
+CONFIG_FLAGS = (
+    ("--beta", "beta", dict(type=float, default=0.5, help="Dirichlet heterogeneity")),
+    ("--cr", "compression_ratio", dict(type=float, default=0.1, help="compression ratio CR*")),
+    ("--rounds", "rounds", dict(type=int, help="communication rounds")),
+    ("--seed", "seed", dict(type=int, help="root seed (default: 0)")),
+    ("--backend", "backend", dict(
+        choices=BACKENDS,
+        help="execution backend for the round's client work (default: serial)")),
+    ("--workers", "workers", dict(
+        type=int,
+        help="parallel worker count for thread/process backends (default: auto)")),
+    ("--mode", "mode", dict(
+        choices=MODES,
+        help="round protocol: lock-step sync (default), deadline semisync, "
+             "FedBuff async, cloud-edge-client hier")),
+    ("--num-clients", "num_clients", dict(
+        type=int, metavar="N",
         help="fleet size (population columns scale to millions; see "
-             "--virtual-shards for fleets larger than the corpus)",
-    )
-    p.add_argument(
-        "--participation", type=float, default=None, metavar="C",
-        help="fraction of the fleet sampled per round",
-    )
-    p.add_argument(
-        "--virtual-shards", action="store_true",
+             "--virtual-shards for fleets larger than the corpus)")),
+    ("--participation", "participation", dict(
+        type=float, metavar="C", help="fraction of the fleet sampled per round")),
+    ("--virtual-shards", "virtual_shards", dict(
+        action="store_true",
         help="fleet-scale data regime: client shards are counter-seeded "
-             "draws from the shared corpus instead of a partition of it",
-    )
-    p.add_argument(
-        "--hydration-cache", type=int, default=None, metavar="K",
-        help="LRU capacity for hydrated Client objects (default: cohort size)",
-    )
-    p.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
+             "draws from the shared corpus instead of a partition of it")),
+    ("--hydration-cache", "hydration_cache", dict(
+        type=int, metavar="K",
+        help="LRU capacity for hydrated Client objects (default: cohort size)")),
+    ("--deadline", "deadline_s", dict(
+        type=float, metavar="SECONDS",
         help="semisync: fixed round deadline on the virtual clock "
-             "(default: per-round quantile of predicted finish times)",
-    )
-    p.add_argument(
-        "--buffer-size", type=int, default=None, metavar="K",
-        help="async: aggregate every K arrivals (default: half the concurrency)",
-    )
-    p.add_argument(
-        "--num-edges", type=int, default=None, metavar="E",
-        help="hier: edge aggregators between cloud and clients (default: 1)",
-    )
-    p.add_argument(
-        "--edge-rounds", type=int, default=None, metavar="K1",
-        help="hier: client↔edge sub-rounds per cloud round (default: 1)",
-    )
-    p.add_argument(
-        "--edge-assignment", default=None, metavar="MODE",
-        choices=("contiguous", "random", "bandwidth"),
-        help="hier: client→edge placement (default: contiguous)",
-    )
-    p.add_argument(
-        "--backhaul-mbps", type=float, default=None, metavar="MBPS",
-        help="hier: mean edge↔cloud bandwidth (default: free backhaul)",
-    )
-    p.add_argument(
-        "--backhaul-latency", type=float, default=None, metavar="SECONDS",
-        help="hier: mean edge↔cloud latency (default: 0)",
-    )
-    p.add_argument(
-        "--contention", default=None, choices=("none", "fair"),
+             "(default: per-round quantile of predicted finish times)")),
+    ("--buffer-size", "buffer_size", dict(
+        type=int, metavar="K",
+        help="async: aggregate every K arrivals (default: half the concurrency)")),
+    ("--num-edges", "num_edges", dict(
+        type=int, metavar="E",
+        help="hier: edge aggregators between cloud and clients (default: 1)")),
+    ("--edge-rounds", "edge_rounds", dict(
+        type=int, metavar="K1",
+        help="hier: client↔edge sub-rounds per cloud round (default: 1)")),
+    ("--edge-assignment", "edge_assignment", dict(
+        choices=EDGE_ASSIGNMENTS,
+        help="hier: client→edge placement (default: contiguous)")),
+    ("--backhaul-mbps", "backhaul_bandwidth_mbps", dict(
+        type=float, metavar="MBPS",
+        help="hier: mean edge↔cloud bandwidth (default: free backhaul)")),
+    ("--backhaul-latency", "backhaul_latency_s", dict(
+        type=float, metavar="SECONDS",
+        help="hier: mean edge↔cloud latency (default: 0)")),
+    ("--contention", "contention", dict(
+        choices=CONTENTION_MODES,
         help="server-ingress contention: exclusive links, or fair-shared "
-             "capacity (needs --ingress-mbps)",
-    )
-    p.add_argument(
-        "--ingress-mbps", type=float, default=None, metavar="MBPS",
+             "capacity (needs --ingress-mbps)")),
+    ("--ingress-mbps", "server_ingress_mbps", dict(
+        type=float, metavar="MBPS",
         help="shared server-ingress capacity fair-shared among concurrent "
-             "uploads (per edge under --mode hier)",
-    )
-    p.add_argument(
-        "--adversary", default=None, choices=("sign_flip", "scaled", "label_flip"),
+             "uploads (per edge under --mode hier)")),
+    ("--adversary", "adversary", dict(
+        choices=ADVERSARIES,
         help="byzantine client behavior (members drawn per client from a "
-             "seed-pure counter stream; see --adversary-fraction)",
-    )
-    p.add_argument(
-        "--adversary-fraction", type=float, default=None, metavar="F",
-        help="expected fraction of adversarial clients (default: 0)",
-    )
-    p.add_argument(
-        "--adversary-scale", type=float, default=None, metavar="LAMBDA",
-        help="update magnification for --adversary scaled (default: 10)",
-    )
-    p.add_argument(
-        "--aggregator", default=None,
-        choices=("mean", "median", "trimmed_mean", "norm_clip"),
-        help="server aggregation rule (default: weighted mean)",
-    )
-    p.add_argument(
-        "--trim-beta", type=float, default=None, metavar="BETA",
-        help="trimmed_mean: trim ⌊β·n⌋ updates per coordinate tail",
-    )
-    p.add_argument(
-        "--clip-tau", type=float, default=None, metavar="TAU",
-        help="norm_clip: L2 radius updates are scaled into",
-    )
-    p.add_argument(
-        "--drop-prob", type=float, default=None, metavar="P",
-        help="per-upload probability the payload is lost in flight",
-    )
-    p.add_argument(
-        "--truncate-prob", type=float, default=None, metavar="P",
+             "seed-pure counter stream; see --adversary-fraction)")),
+    ("--adversary-fraction", "adversary_fraction", dict(
+        type=float, metavar="F",
+        help="expected fraction of adversarial clients (default: 0)")),
+    ("--adversary-scale", "adversary_scale", dict(
+        type=float, metavar="LAMBDA",
+        help="update magnification for --adversary scaled (default: 10)")),
+    ("--aggregator", "aggregator", dict(
+        choices=AGGREGATORS, help="server aggregation rule (default: weighted mean)")),
+    ("--trim-beta", "trim_beta", dict(
+        type=float, metavar="BETA",
+        help="trimmed_mean: trim ⌊β·n⌋ updates per coordinate tail")),
+    ("--clip-tau", "clip_tau", dict(
+        type=float, metavar="TAU", help="norm_clip: L2 radius updates are scaled into")),
+    ("--drop-prob", "drop_prob", dict(
+        type=float, metavar="P",
+        help="per-upload probability the payload is lost in flight")),
+    ("--truncate-prob", "truncate_prob", dict(
+        type=float, metavar="P",
         help="per-upload probability the payload arrives truncated "
-             "(re-priced at its delivered bits)",
-    )
-    p.add_argument(
-        "--edge-crash-prob", type=float, default=None, metavar="P",
-        help="hier: per-(round, edge) aggregator crash probability",
-    )
+             "(re-priced at its delivered bits)")),
+    ("--edge-crash-prob", "edge_crash_prob", dict(
+        type=float, metavar="P",
+        help="hier: per-(round, edge) aggregator crash probability")),
+)
+
+#: The engine/budget fields that also layer onto a registered scenario
+#: (``scenario run``, ``sweep --scenario``); the rest describe the preset.
+_LAYERED_FIELDS = ("rounds", "seed", "backend", "workers")
+
+
+def _add_config_flags(p: argparse.ArgumentParser, only: tuple[str, ...] | None = None) -> None:
+    for flag, field, kwargs in CONFIG_FLAGS:
+        if only is None or field in only:
+            p.add_argument(flag, dest=field, **{"default": None, **kwargs})
+
+
+def _add_artifact_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--save-history", metavar="PATH", default=None)
     p.add_argument("--export-csv", metavar="PATH", default=None)
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--algorithm", default="bcrs_opwa", choices=ALGORITHMS)
+    p.add_argument("--dataset", default="cifar10", help="cifar10 | svhn | cifar100 | synth-*")
+    p.add_argument("--paper-scale", action="store_true", help="use the full Sec. 5.1 budget")
+    _add_config_flags(p)
+    _add_artifact_flags(p)
 
 
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
@@ -288,51 +282,15 @@ def _finish_obs(obs, sim=None) -> None:
         print(f"wrote {path}")
 
 
-def _config(args: argparse.Namespace, algorithm: str):
+def _config(args: argparse.Namespace):
+    """The preset config the flags describe (``--scenario`` bases aside)."""
     maker = paper_config if args.paper_scale else bench_config
     overrides = {
-        "workers": args.workers,
-        "mode": getattr(args, "mode", "sync"),
-        "deadline_s": args.deadline,
-        "buffer_size": args.buffer_size,
+        field: value
+        for _, field, _ in CONFIG_FLAGS
+        if (value := getattr(args, field)) is not None
     }
-    # `sweep` nulls these defaults so "explicitly passed" is detectable
-    # (a --scenario base must not be silently clobbered by defaults).
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.rounds is not None:
-        overrides["rounds"] = args.rounds
-    if getattr(args, "virtual_shards", False):
-        overrides["virtual_shards"] = True
-    for flag, field in (
-        ("num_clients", "num_clients"),
-        ("participation", "participation"),
-        ("hydration_cache", "hydration_cache"),
-        ("num_edges", "num_edges"),
-        ("edge_rounds", "edge_rounds"),
-        ("edge_assignment", "edge_assignment"),
-        ("backhaul_mbps", "backhaul_bandwidth_mbps"),
-        ("backhaul_latency", "backhaul_latency_s"),
-        ("contention", "contention"),
-        ("ingress_mbps", "server_ingress_mbps"),
-        ("adversary", "adversary"),
-        ("adversary_fraction", "adversary_fraction"),
-        ("adversary_scale", "adversary_scale"),
-        ("aggregator", "aggregator"),
-        ("trim_beta", "trim_beta"),
-        ("clip_tau", "clip_tau"),
-        ("drop_prob", "drop_prob"),
-        ("truncate_prob", "truncate_prob"),
-        ("edge_crash_prob", "edge_crash_prob"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    return maker(
-        args.dataset, algorithm, beta=args.beta, compression_ratio=args.cr, **overrides
-    )
+    return maker(args.dataset, args.algorithm, **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,22 +302,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one algorithm and print its curve")
-    p_run.add_argument("--algorithm", default="bcrs_opwa", choices=ALGORITHMS)
     _add_common(p_run)
     _add_obs_flags(p_run)
+    p_run.set_defaults(func=_cmd_single)
 
-    p_cmp = sub.add_parser("compare", help="run all five Table 2 algorithms")
-    p_cmp.add_argument(
-        "--algorithms", default=",".join(ALGORITHMS), help="comma-separated subset"
+    p_comm = sub.add_parser(
+        "comm", help="run one config and print its end-to-end flow ledger"
     )
-    _add_common(p_cmp)
+    p_comm.add_argument(
+        "--top", type=int, default=5,
+        help="how many top-uplink clients to list (default: 5)",
+    )
+    _add_common(p_comm)
+    _add_obs_flags(p_comm)
+    p_comm.set_defaults(func=_cmd_single)
 
     p_sweep = sub.add_parser(
-        "sweep", help="sweep config fields (single --param axis or multi --grid)"
+        "sweep",
+        help="run a grid over config fields: algorithms, gamma, modes, edge counts, ...",
     )
-    p_sweep.add_argument("--algorithm", default="bcrs_opwa", choices=ALGORITHMS)
-    p_sweep.add_argument("--param", default=None, help="config field, e.g. gamma, alpha")
-    p_sweep.add_argument("--values", default=None, help="comma-separated values for --param")
     p_sweep.add_argument(
         "--grid", action="append", default=None, metavar="FIELD=V1,V2,...",
         help="one grid axis (repeatable); values are typed through the "
@@ -397,60 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_sweep)
     _add_obs_flags(p_sweep)
-    # Null the defaults so a --scenario base is only overridden by flags
-    # the user actually typed (see _config / _cmd_sweep).
-    p_sweep.set_defaults(seed=None, backend=None)
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_scn = sub.add_parser(
         "scenario", help="list, show, or run registered cross-feature scenarios"
     )
     p_scn.add_argument("action", choices=("list", "show", "run"))
     p_scn.add_argument("name", nargs="?", help="scenario name (for show/run)")
-    p_scn.add_argument("--rounds", type=int, default=None, help="override the budget")
-    p_scn.add_argument("--seed", type=int, default=None, help="override the seed")
-    p_scn.add_argument(
-        "--backend", default=None, choices=BACKENDS,
-        help="override the execution backend",
-    )
-    p_scn.add_argument("--workers", type=int, default=None)
-    p_scn.add_argument("--save-history", metavar="PATH", default=None)
-    p_scn.add_argument("--export-csv", metavar="PATH", default=None)
+    _add_config_flags(p_scn, only=_LAYERED_FIELDS)
+    _add_artifact_flags(p_scn)
     _add_obs_flags(p_scn)
-
-    p_modes = sub.add_parser(
-        "modes", help="race sync vs semisync vs async on one config"
-    )
-    p_modes.add_argument("--algorithm", default="topk", choices=ALGORITHMS)
-    p_modes.add_argument(
-        "--target-acc", type=float, default=None,
-        help="also report virtual time-to-target accuracy per mode",
-    )
-    _add_common(p_modes, mode_flag=False)
-
-    p_hier = sub.add_parser(
-        "hier", help="sweep the edge-tier width (flat baseline = 1 edge)"
-    )
-    p_hier.add_argument("--algorithm", default="bcrs_opwa", choices=ALGORITHMS)
-    p_hier.add_argument(
-        "--edges", default="1,2,5",
-        help="comma-separated num_edges values to race (each <= num_clients)",
-    )
-    p_hier.add_argument(
-        "--target-acc", type=float, default=None,
-        help="also report virtual time-to-target accuracy per edge count",
-    )
-    _add_common(p_hier, mode_flag=False)
-
-    p_comm = sub.add_parser(
-        "comm", help="run one config and print its end-to-end flow ledger"
-    )
-    p_comm.add_argument("--algorithm", default="bcrs_opwa", choices=ALGORITHMS)
-    p_comm.add_argument(
-        "--top", type=int, default=5,
-        help="how many top-uplink clients to list (default: 5)",
-    )
-    _add_common(p_comm)
-    _add_obs_flags(p_comm)
+    p_scn.set_defaults(func=_cmd_scenario)
 
     p_rep = sub.add_parser(
         "report",
@@ -483,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument(
         "--title", default="Experiment report", help="page title"
     )
+    p_rep.set_defaults(func=_cmd_report)
 
     p_prof = sub.add_parser(
         "profile", help="rank the top hot spots from an exported trace"
@@ -491,126 +410,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--top", type=int, default=10, help="hot spots to list (default: 10)"
     )
+    p_prof.set_defaults(func=_cmd_profile)
 
-    sub.add_parser("info", help="print registered algorithms and compressors")
+    p_info = sub.add_parser("info", help="print registered algorithms and compressors")
+    p_info.set_defaults(func=_cmd_info)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    return args.func(args)
 
-    if args.command == "info":
-        print(f"repro {__version__}")
-        print("algorithms: " + ", ".join(ALGORITHMS))
-        print("compressors: " + ", ".join(available_compressors()))
-        return 0
 
-    if args.command == "profile":
-        try:
-            spans = load_trace(args.trace)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot read trace {args.trace!r}: {exc}", file=sys.stderr)
-            return 2
-        print(format_profile(spans, top=args.top))
-        return 0
+def _cmd_info(args: argparse.Namespace) -> int:
+    print(f"repro {__version__}")
+    print("algorithms: " + ", ".join(ALGORITHMS))
+    print("compressors: " + ", ".join(available_compressors()))
+    return 0
 
-    if args.command == "report":
-        return _cmd_report(args)
 
-    if args.command == "run":
-        cfg = _config(args, args.algorithm)
-        obs = make_obs(args.trace, args.metrics)
-        with make_simulation(cfg, obs=obs) as sim:
-            history = sim.run()
-            _finish_obs(obs, sim)
-        print(series_text(history, every=max(1, cfg.rounds // 10)))
-        virt = history.records[-1].sim_end if history.records else 0.0
-        print(f"\nfinal accuracy {history.final_accuracy():.4f}  "
-              f"comm time {history.time.actual_total:.1f}s  "
-              f"virtual time {virt:.1f}s  mode {cfg.mode}")
-        if args.save_history:
-            save_history(history, args.save_history)
-        if args.export_csv:
-            export_curves_csv(history, args.export_csv)
-        _write_html(
-            args, history=history, obs=obs, manifest=_run_manifest(cfg),
-            title=f"run: {args.algorithm} on {cfg.dataset}",
-        )
-        return 0
-
-    if args.command == "compare":
-        algs = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-        unknown = [a for a in algs if a not in ALGORITHMS]
-        if unknown:
-            print(f"unknown algorithms: {unknown}", file=sys.stderr)
-            return 2
-        base = _config(args, "fedavg")
-        results = run_comparison(base, algs, compression_ratio=args.cr)
-        print(summarize_comparison(results))
-        if args.save_history:
-            for alg, h in results.items():
-                save_history(h, f"{args.save_history}.{alg}.json")
-        return 0
-
-    if args.command == "modes":
-        base = _config(args, args.algorithm)
-        results = run_modes(base)
-        print(summarize_modes(results, target=args.target_acc))
-        if args.save_history:
-            for mode, h in results.items():
-                save_history(h, f"{args.save_history}.{mode}.json")
-        if args.export_csv:
-            for mode, h in results.items():
-                export_curves_csv(h, f"{args.export_csv}.{mode}.csv")
-        return 0
-
-    if args.command == "hier":
-        base = _config(args, args.algorithm)
-        edge_counts = [int(v) for v in args.edges.split(",") if v.strip()]
-        bad = [e for e in edge_counts if not 1 <= e <= base.num_clients]
-        if bad:
-            print(
-                f"--edges values must be in [1, num_clients={base.num_clients}], "
-                f"got {bad}",
-                file=sys.stderr,
-            )
-            return 2
-        results = run_hier(base, edge_counts)
-        print(summarize_hier(results, target=args.target_acc))
-        if args.save_history:
-            for e, h in results.items():
-                save_history(h, f"{args.save_history}.edges{e}.json")
-        if args.export_csv:
-            for e, h in results.items():
-                export_curves_csv(h, f"{args.export_csv}.edges{e}.csv")
-        return 0
-
-    if args.command == "comm":
-        cfg = _config(args, args.algorithm)
-        obs = make_obs(args.trace, args.metrics)
-        with make_simulation(cfg, obs=obs) as sim:
-            history = sim.run()
-            _finish_obs(obs, sim)
-        print(summarize_comm(history, top=args.top))
-        print(f"\nmode {cfg.mode}  contention {cfg.contention}  "
-              f"final accuracy {history.final_accuracy():.4f}")
-        if args.save_history:
-            save_history(history, args.save_history)
-        if args.export_csv:
-            export_curves_csv(history, args.export_csv)
-        _write_html(
-            args, history=history, obs=obs, manifest=_run_manifest(cfg),
-            title=f"comm: {args.algorithm} on {cfg.dataset}",
-        )
-        return 0
-
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-
-    if args.command == "scenario":
-        return _cmd_scenario(args)
-
-    raise AssertionError("unreachable")
+def _cmd_profile(args: argparse.Namespace) -> int:
+    try:
+        spans = load_trace(args.trace)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"cannot read trace {args.trace!r}: {exc}", file=sys.stderr)
+        return 2
+    print(format_profile(spans, top=args.top))
+    return 0
 
 
 def _errmsg(exc: BaseException) -> str:
@@ -626,40 +452,72 @@ def _layered_overrides(args: argparse.Namespace) -> dict:
     """
     return {
         field: value
-        for field, value in (
-            ("rounds", args.rounds),
-            ("seed", args.seed),
-            ("backend", args.backend),
-            ("workers", args.workers),
-        )
-        if value is not None
+        for field in _LAYERED_FIELDS
+        if (value := getattr(args, field)) is not None
     }
 
 
+def _cmd_single(args: argparse.Namespace, spec: ScenarioSpec | None = None) -> int:
+    """``run``, ``comm`` and ``scenario run``: one simulation, start to finish.
+
+    The verbs differ only in where the config comes from (preset flags, or
+    ``spec`` with the typed engine/budget flags layered on), the summary
+    printed and the manifest's scenario lines. An error raised while
+    building the config or the simulation is a usage error (its message on
+    stderr, exit 2, like ``sweep``); one raised during the run propagates.
+    """
+    try:
+        if spec is None:
+            cfg = _config(args)
+        else:
+            spec = spec.with_overrides(**_layered_overrides(args))
+            cfg = spec.to_config()
+        obs = make_obs(args.trace, args.metrics)
+        sim = make_simulation(cfg, obs=obs)
+    except (KeyError, ValueError) as exc:
+        print(_errmsg(exc), file=sys.stderr)
+        return 2
+    with sim:
+        history = sim.run()
+        _finish_obs(obs, sim)
+
+    accuracy = f"final accuracy {history.final_accuracy():.4f}"
+    virtual = f"virtual time {history.virtual_end() or 0.0:.1f}s"
+    if args.command == "comm":
+        print(summarize_comm(history, top=args.top))
+        print(f"\nmode {cfg.mode}  contention {cfg.contention}  {accuracy}")
+    else:
+        print(series_text(history, every=max(1, cfg.rounds // 10)))
+        if spec is not None:
+            print(f"\nscenario {spec.name}  mode {cfg.mode}  {accuracy}  {virtual}")
+        else:
+            print(f"\n{accuracy}  comm time {history.time.actual_total:.1f}s  "
+                  f"{virtual}  mode {cfg.mode}")
+    if args.save_history:
+        save_history(history, args.save_history)
+    if args.export_csv:
+        export_curves_csv(history, args.export_csv)
+    _write_html(
+        args, history=history, obs=obs, manifest=_run_manifest(cfg, spec=spec),
+        title=(
+            f"scenario: {spec.name}" if spec is not None
+            else f"{args.command}: {args.algorithm} on {cfg.dataset}"
+        ),
+    )
+    return 0
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """The generalized sweep: typed axes, grids, parallelism, resume."""
+    """A grid of runs: typed axes, seeds, parallelism, resume."""
     axes: dict[str, list] = {}
     try:
-        if (args.param is None) != (args.values is None):
-            raise ValueError("--param and --values go together")
-        if args.param is not None:
-            # The single-axis legacy spelling; values are typed through the
-            # dataclass field type (booleans and 'none' included) instead
-            # of the old stringify-then-cast, which mangled both.
-            axes[args.param] = [
-                coerce_field(args.param, v.strip())
-                for v in args.values.split(",")
-                if v.strip()
-            ]
-            if not axes[args.param]:
-                raise ValueError("--values is empty")
         for text in args.grid or []:
             name, values = parse_axis(text)
             if name in axes:
                 raise ValueError(f"axis {name!r} given twice")
             axes[name] = values
         if not axes:
-            raise ValueError("nothing to sweep: give --param/--values or --grid")
+            raise ValueError("nothing to sweep: give --grid FIELD=V1,V2,...")
         if args.scenario is not None:
             # The scenario is the base; explicitly-typed engine/budget flags
             # layer on top (like `scenario run`); the preset flags
@@ -669,10 +527,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if layered:
                 base = base.with_overrides(**layered)
         else:
-            base = ScenarioSpec.from_config(_config(args, args.algorithm), name="sweep")
+            base = ScenarioSpec.from_config(_config(args), name="sweep")
         cells = expand_grid(base, axes, seeds=args.seeds)
-        for cell in cells:
-            cell.to_config()  # surface cross-field errors before running
         store = RunStore(args.store) if args.store else None
         obs = make_obs(args.trace, args.metrics)
         live = (
@@ -680,6 +536,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             if args.progress
             else None
         )
+        # Building the runner validates every cell's config, so a
+        # cross-field error exits here, before anything runs.
         runner = SweepRunner(
             cells,
             parallel=args.parallel,
@@ -772,26 +630,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print(f"\nspec hash: {spec.spec_hash()}")
         return 0
 
-    spec = spec.with_overrides(**_layered_overrides(args))
-    cfg = spec.to_config()
-    obs = make_obs(args.trace, args.metrics)
-    with make_simulation(cfg, obs=obs) as sim:
-        history = sim.run()
-        _finish_obs(obs, sim)
-    print(series_text(history, every=max(1, cfg.rounds // 10)))
-    virt = history.records[-1].sim_end if history.records else 0.0
-    print(f"\nscenario {spec.name}  mode {cfg.mode}  "
-          f"final accuracy {history.final_accuracy():.4f}  "
-          f"virtual time {virt:.1f}s")
-    if args.save_history:
-        save_history(history, args.save_history)
-    if args.export_csv:
-        export_curves_csv(history, args.export_csv)
-    _write_html(
-        args, history=history, obs=obs, manifest=_run_manifest(cfg, spec=spec),
-        title=f"scenario: {spec.name}",
-    )
-    return 0
+    return _cmd_single(args, spec)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -1,50 +1,33 @@
-"""Experiment harness: paper presets, runners, reporting, reference numbers."""
+"""Experiment harness: paper presets, text reporting, reference numbers.
+
+Multi-run experiments — algorithm comparisons, γ sweeps, mode races,
+edge-width sweeps — are grids: :func:`run_grid` (from
+:mod:`repro.scenarios`) runs them and :func:`summarize_sweep` prints them.
+"""
 
 from repro.experiments.presets import DATASET_NAME_MAP, bench_config, bench_scale, paper_config
 from repro.experiments.reporting import (
-    accuracy_row,
     format_table,
-    paired_row,
     series_text,
-    summarize_comparison,
-    summarize_hier,
-    summarize_modes,
     summarize_sweep,
     time_to_accuracy_row,
 )
 from repro.experiments.metrics import accuracy_auc, rounds_speedup, speedup_to_target
-from repro.experiments.runner import (
-    run_comparison,
-    run_grid,
-    run_hier,
-    run_modes,
-    run_scenario,
-    sweep,
-)
 from repro.experiments import paper_reference
+from repro.scenarios import run_grid
 
 __all__ = [
     "paper_config",
     "bench_config",
     "bench_scale",
     "DATASET_NAME_MAP",
-    "run_comparison",
-    "run_modes",
-    "run_hier",
-    "run_scenario",
     "run_grid",
-    "sweep",
-    "summarize_modes",
-    "summarize_hier",
     "summarize_sweep",
     "accuracy_auc",
     "speedup_to_target",
     "rounds_speedup",
     "format_table",
-    "accuracy_row",
     "time_to_accuracy_row",
-    "paired_row",
     "series_text",
-    "summarize_comparison",
     "paper_reference",
 ]

@@ -1,42 +1,24 @@
-"""Render measured results next to the paper's reported numbers."""
+"""Text summaries of runs and sweeps, next to the paper's reported numbers.
+
+The numbers come from the summary-data layer —
+:meth:`SweepReport.rows() <repro.scenarios.report.SweepReport.rows>` for
+sweeps, :meth:`History.comm_totals() <repro.fl.history.History.comm_totals>`
+for the flow ledger — and the table/cell formatting from
+:mod:`repro.viz.ascii`; this module only lays them out.
+"""
 
 from __future__ import annotations
 
 from repro.fl.history import History
+from repro.viz.ascii import _num, ascii_comm_table, format_table
 
 __all__ = [
     "format_table",
-    "accuracy_row",
     "time_to_accuracy_row",
     "series_text",
-    "paired_row",
-    "summarize_comparison",
-    "summarize_modes",
-    "summarize_hier",
     "summarize_comm",
     "summarize_sweep",
 ]
-
-
-def format_table(headers: list[str], rows: list[list[str]]) -> str:
-    """Plain-text table with aligned columns."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
-    sep = "  ".join("-" * w for w in widths)
-    return "\n".join([fmt(headers), sep] + [fmt(r) for r in rows])
-
-
-def _num(x: float | None, nd: int = 4) -> str:
-    return "--" if x is None else f"{x:.{nd}f}"
-
-
-def accuracy_row(name: str, history: History, paper_value: float | None) -> list[str]:
-    """[algorithm, measured final acc, paper acc] for a Table 2-style row."""
-    return [name, _num(history.final_accuracy()), _num(paper_value)]
 
 
 def time_to_accuracy_row(
@@ -48,11 +30,6 @@ def time_to_accuracy_row(
     if paper is not None:
         row.append(_num(paper[0], 2))
     return row
-
-
-def paired_row(label: str, measured: float | None, paper: float | None, nd: int = 4) -> list[str]:
-    """Generic [label, measured, paper] row."""
-    return [label, _num(measured, nd), _num(paper, nd)]
 
 
 def series_text(history: History, *, every: int = 10, width: int = 40) -> str:
@@ -69,85 +46,15 @@ def series_text(history: History, *, every: int = 10, width: int = 40) -> str:
     return "\n".join(lines)
 
 
-def summarize_modes(results: dict[str, History], *, target: float | None = None) -> str:
-    """Mode-race summary: accuracy, virtual time, and time-to-target.
-
-    ``results`` maps mode name → history (see
-    :func:`repro.experiments.runner.run_modes`). ``virtual_time`` is the
-    clock at the last round's end — download + compute + upload, the axis
-    on which sync/semisync/async are comparable; ``t_to_target`` is when
-    ``target`` accuracy was first reached on that axis.
-    """
-    headers = ["mode", "rounds", "final_acc", "best_acc", "virtual_time"]
-    if target is not None:
-        headers.append(f"t_to_acc>={target:g}")
-    rows = []
-    for mode, h in results.items():
-        end = h.records[-1].sim_end if h.records else None
-        row = [
-            mode,
-            str(len(h)),
-            _num(h.final_accuracy()),
-            _num(h.best_accuracy()),
-            "--" if end is None else f"{end:.1f}s",
-        ]
-        if target is not None:
-            t = h.simtime_to_accuracy(target)
-            row.append("--" if t is None else f"{t:.1f}s")
-        rows.append(row)
-    return format_table(headers, rows)
-
-
-def summarize_hier(results: dict[int, History], *, target: float | None = None) -> str:
-    """Edge-tier sweep summary: accuracy and per-tier virtual timings.
-
-    ``results`` maps ``num_edges`` → history (see
-    :func:`repro.experiments.runner.run_hier`). ``backhaul`` is the mean
-    per-round edge↔cloud transfer time over the slowest edge; rows with one
-    edge and a free backhaul are the flat baseline.
-    """
-    headers = ["edges", "rounds", "final_acc", "best_acc", "virtual_time", "backhaul/rnd"]
-    if target is not None:
-        headers.append(f"t_to_acc>={target:g}")
-    rows = []
-    for edges, h in results.items():
-        end = h.records[-1].sim_end if h.records else None
-        per_round_backhaul = [
-            max(e.backhaul_s for e in r.edge_breakdown)
-            for r in h.records
-            if r.edge_breakdown
-        ]
-        mean_backhaul = (
-            sum(per_round_backhaul) / len(per_round_backhaul)
-            if per_round_backhaul
-            else None
-        )
-        row = [
-            str(edges),
-            str(len(h)),
-            _num(h.final_accuracy()),
-            _num(h.best_accuracy()),
-            "--" if end is None else f"{end:.1f}s",
-            "--" if mean_backhaul is None else f"{mean_backhaul:.2f}s",
-        ]
-        if target is not None:
-            t = h.simtime_to_accuracy(target)
-            row.append("--" if t is None else f"{t:.1f}s")
-        rows.append(row)
-    return format_table(headers, rows)
-
-
 def summarize_comm(history: History, *, top: int = 5) -> str:
     """Flow-accounting summary of one run: the transport ledger table plus
     the headline totals (wire bytes moved, virtual seconds, effective
     goodput) — what the CLI ``comm`` subcommand prints.
     """
-    from repro.viz.ascii import ascii_comm_table
-
     lines = [ascii_comm_table(history, top=top)]
     totals = history.comm_totals()
-    if totals["rounds"] > 0 and history.records:
-        end = history.records[-1].sim_end
+    if totals["rounds"] > 0:
+        end = history.virtual_end()
         mb = totals["total_bytes"] / 1e6
         lines.append("")
         line = (
@@ -166,46 +73,51 @@ def summarize_comm(history: History, *, top: int = 5) -> str:
 def summarize_sweep(report, *, target: float | None = None, top: int = 8) -> str:
     """Render a :class:`~repro.scenarios.report.SweepReport` as text tables.
 
-    Three sections: the ``top`` cells ranked by final accuracy, one
-    marginal table per grid axis (mean over every other axis and seed),
-    and — when ``target`` is given — the virtual time-to-target frontier.
-    A trailing line accounts for resume (cells run vs loaded from the run
-    store).
+    Three sections: the ``top`` cells ranked by final accuracy (with
+    accumulated communication time, virtual end time and — when any cell
+    ran hierarchically — the mean per-round backhaul of its slowest edge),
+    one marginal table per grid axis whose values each average over more
+    than one cell (an axis that labels one cell per value would repeat the
+    cell table), and — when ``target`` is given — the virtual
+    time-to-target frontier. A trailing line accounts for resume (cells
+    run vs loaded from the run store).
     """
     lines = []
-    ranked = report.best_cells(metric="final", top=top)
-    rows = []
-    for spec, h, final in ranked:
-        end = h.records[-1].sim_end if h.records else None
-        rows.append([
-            report.label(spec),
-            str(len(h)),
-            _num(final),
-            _num(h.best_accuracy()),
-            "--" if end is None else f"{end:.1f}s",
-        ])
+    cells = report.rows()
+    ranked = sorted(
+        (c for c in cells if c["final"] is not None), key=lambda c: -c["final"]
+    )[:top]
+    hier = any(c["backhaul"] is not None for c in cells)
+    headers = ["cell", "rounds", "final_acc", "best_acc", "comm_time", "virtual_time"]
+    rows = [
+        [
+            c["label"], str(c["rounds"]), _num(c["final"]), _num(c["best"]),
+            _num(c["comm_time"], 1, "s"), _num(c["virtual_time"], 1, "s"),
+        ]
+        + ([_num(c["backhaul"], 2, "s")] if hier else [])
+        for c in ranked
+    ]
     if rows:
         lines.append(f"top cells (of {len(report)}) by final accuracy:")
-        lines.append(format_table(
-            ["cell", "rounds", "final_acc", "best_acc", "virtual_time"], rows
-        ))
+        lines.append(format_table(headers + (["backhaul/rnd"] if hier else []), rows))
     else:
         lines.append("(no evaluated cells)")
 
     for axis, values in report.marginals().items():
+        if all(stats["n"] == 1 for stats in values.values()):
+            continue
         rows = [
             [f"{axis}={value}", _num(stats["mean_final"]), _num(stats["mean_best"]),
              str(int(stats["n"]))]
             for value, stats in values.items()
         ]
-        if rows:
-            lines.append("")
-            lines.append(f"marginal over {axis} (mean across other axes/seeds):")
-            lines.append(format_table(["value", "mean_final", "mean_best", "cells"], rows))
+        lines.append("")
+        lines.append(f"marginal over {axis} (mean across other axes/seeds):")
+        lines.append(format_table(["value", "mean_final", "mean_best", "cells"], rows))
 
     if target is not None:
         rows = [
-            [report.label(spec), "--" if t is None else f"{t:.1f}s"]
+            [report.label(spec), _num(t, 1, "s")]
             for spec, t in report.time_to_accuracy_frontier(target)
         ]
         lines.append("")
@@ -215,12 +127,3 @@ def summarize_sweep(report, *, target: float | None = None, top: int = 8) -> str
     lines.append("")
     lines.append(f"{report.executed} cell(s) run, {report.reused} loaded from store")
     return "\n".join(lines)
-
-
-def summarize_comparison(results: dict[str, History]) -> str:
-    """One-line-per-algorithm summary of a run group."""
-    rows = [
-        [alg, _num(h.final_accuracy()), _num(h.best_accuracy()), f"{h.time.actual_total:.1f}s"]
-        for alg, h in results.items()
-    ]
-    return format_table(["algorithm", "final_acc", "best_acc", "comm_time"], rows)

@@ -201,6 +201,11 @@ class History:
             raise ValueError("no evaluations recorded")
         return float(accs.max())
 
+    def virtual_end(self) -> float | None:
+        """Virtual-clock time at the last record's end (None on an empty
+        history, or one persisted before the scheduler existed)."""
+        return self.records[-1].sim_end if self.records else None
+
     # ---- Table 3: time to target accuracy ----------------------------------
 
     def time_to_accuracy(self, target: float) -> dict[str, float | None]:
@@ -225,13 +230,14 @@ class History:
     # ---- transport flow accounting -----------------------------------------
 
     def comm_totals(self) -> dict[str, float]:
-        """Accumulated wire bytes per direction over rounds with ledgers.
+        """Accumulated wire bytes and transfer counts per direction over
+        rounds with ledgers.
 
         ``rounds`` counts the records carrying a flow ledger (0 on legacy
-        histories, where every byte field is 0 too).
+        histories, where every other field is 0 too).
         """
         up = down = back = 0.0
-        n = 0
+        n = n_up = n_down = n_back = 0
         for r in self.records:
             if r.comm is None:
                 continue
@@ -239,11 +245,17 @@ class History:
             up += r.comm.uplink_bits
             down += r.comm.downlink_bits
             back += r.comm.backhaul_bits
+            n_up += len(r.comm.uplink)
+            n_down += len(r.comm.downlink)
+            n_back += len(r.comm.backhaul)
         return {
             "uplink_bytes": up / 8.0,
             "downlink_bytes": down / 8.0,
             "backhaul_bytes": back / 8.0,
             "total_bytes": (up + down + back) / 8.0,
+            "uplink_transfers": n_up,
+            "downlink_transfers": n_down,
+            "backhaul_transfers": n_back,
             "rounds": float(n),
         }
 

@@ -18,7 +18,6 @@ import math
 from repro.obs.profile import lane_utilization, profile_spans
 from repro.report.svg import (
     esc,
-    fmt_bytes,
     fmt_num,
     series_color,
     sparkline,
@@ -27,6 +26,7 @@ from repro.report.svg import (
     svg_plot,
     svg_timeline,
 )
+from repro.viz.ascii import _num, fmt_bytes
 
 __all__ = [
     "manifest_section",
@@ -97,10 +97,6 @@ def _section(anchor: str, heading: str, *parts: str) -> str:
     )
 
 
-def _num(x, nd: int = 4) -> str:
-    return "--" if x is None else f"{x:.{nd}f}"
-
-
 # --------------------------------------------------------------- manifest
 
 
@@ -130,7 +126,7 @@ def history_section(history, *, heading: str = "Run history", anchor: str = "his
     """
     parts: list[str] = []
     rounds, accs = history.accuracy_series()
-    virt = history.records[-1].sim_end if history.records else None
+    virt = history.virtual_end()
     totals = history.comm_totals()
     tiles = [("rounds", str(len(history)))]
     if accs.size:
@@ -170,7 +166,7 @@ def history_section(history, *, heading: str = "Run history", anchor: str = "his
     if comm_rows:
         series = {}
         for direction in ("uplink", "downlink", "backhaul"):
-            ys = [sum(b for _, b in getattr(c, direction)) / 8.0 for _, c in comm_rows]
+            ys = [getattr(c, f"{direction}_bits") / 8.0 for _, c in comm_rows]
             if any(ys):
                 series[direction] = ([ri for ri, _ in comm_rows], ys)
         if series:
@@ -182,12 +178,15 @@ def history_section(history, *, heading: str = "Run history", anchor: str = "his
                 ),
                 legend=list(series),
             ))
-        rows = []
-        n = len(comm_rows)
-        for direction in ("uplink", "downlink", "backhaul"):
-            total = sum(sum(b for _, b in getattr(c, direction)) for _, c in comm_rows) / 8.0
-            count = sum(len(getattr(c, direction)) for _, c in comm_rows)
-            rows.append([direction, str(count), fmt_bytes(total), fmt_bytes(total / n)])
+        rows = [
+            [
+                direction,
+                str(totals[f"{direction}_transfers"]),
+                fmt_bytes(totals[f"{direction}_bytes"]),
+                fmt_bytes(totals[f"{direction}_bytes"] / totals["rounds"]),
+            ]
+            for direction in ("uplink", "downlink", "backhaul")
+        ]
         parts.append(html_table(["direction", "transfers", "bytes", "per round"], rows))
 
     stale = [
@@ -230,15 +229,18 @@ def sweep_section(
         ("axes", ", ".join(report.axis_names()) or "--"),
     ])]
 
-    ranked = report.best_cells(metric="final", top=top)
+    cells = report.rows()
+    ranked = sorted(
+        (c for c in cells if c["final"] is not None), key=lambda c: -c["final"]
+    )[:top]
     if ranked:
-        rows = []
-        for spec, h, final in ranked:
-            end = h.records[-1].sim_end if h.records else None
-            rows.append([
-                report.label(spec), str(len(h)), _num(final),
-                _num(h.best_accuracy()), "--" if end is None else f"{end:.1f}s",
-            ])
+        rows = [
+            [
+                c["label"], str(c["rounds"]), _num(c["final"]), _num(c["best"]),
+                _num(c["virtual_time"], 1, "s"),
+            ]
+            for c in ranked
+        ]
         parts.append(f"<h3>Top cells (of {len(report)}) by final accuracy</h3>")
         parts.append(html_table(
             ["cell", "rounds", "final_acc", "best_acc", "virtual_time"], rows
@@ -265,11 +267,10 @@ def sweep_section(
     pareto = report.pareto_frontier()
     if pareto:
         all_pts = [
-            (h.records[-1].sim_end, _best_or_none(h))
-            for _, h in report.cells
-            if h.records and h.records[-1].sim_end is not None
+            (c["virtual_time"], c["best"])
+            for c in cells
+            if c["virtual_time"] is not None and c["best"] is not None
         ]
-        all_pts = [(t, a) for t, a in all_pts if a is not None]
         series = {"cells": tuple(zip(*all_pts))} if all_pts else {}
         series["frontier"] = (
             [t for *_, t, _ in pareto], [a for *_, _, a in pareto]
@@ -303,25 +304,15 @@ def sweep_section(
     axes = report.axis_names()
     if len(axes) >= 2:
         x_axis, y_axis = axes[0], axes[1]
-        acc: dict[tuple, list[float]] = {}
-        xs: dict = {}
-        ys: dict = {}
-        for spec, h in report.cells:
-            if x_axis not in spec.axes or y_axis not in spec.axes:
-                continue
-            final = _final_or_none(h)
-            if final is None:
-                continue
-            x, y = spec.axes[x_axis], spec.axes[y_axis]
-            xs.setdefault(x)
-            ys.setdefault(y)
-            acc.setdefault((x, y), []).append(final)
-        if acc:
-            means = {k: sum(v) / len(v) for k, v in acc.items()}
+        try:
+            xs, ys, means = report.grid_means(x_axis, y_axis)
+        except ValueError:
+            pass  # no evaluated cell carries both axes: no grid to draw
+        else:
             parts.append(figure(
                 f"Grid: mean final accuracy over {y_axis} × {x_axis}",
                 svg_heatmap(
-                    list(xs), list(ys), means,
+                    xs, ys, means,
                     x_label=x_axis, y_label=y_axis, fmt=lambda v: f"{v:.4f}",
                 ),
             ))
@@ -369,20 +360,6 @@ def robustness_section(
     if not parts:
         return ""
     return _section(anchor, heading, *parts)
-
-
-def _final_or_none(h) -> float | None:
-    try:
-        return h.final_accuracy()
-    except ValueError:
-        return None
-
-
-def _best_or_none(h) -> float | None:
-    try:
-        return h.best_accuracy()
-    except ValueError:
-        return None
 
 
 # ------------------------------------------------------------------ trace

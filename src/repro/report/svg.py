@@ -84,14 +84,6 @@ def fmt_num(x: float) -> str:
     return f"{x:.4g}"
 
 
-def fmt_bytes(n: float) -> str:
-    """Human volume: 512B, 24.2kB, 1.5MB, 2.1GB (mirrors viz.ascii)."""
-    for cut, suffix in ((1e9, "GB"), (1e6, "MB"), (1e3, "kB")):
-        if abs(n) >= cut:
-            return f"{n / cut:.3g}{suffix}"
-    return f"{n:.3g}B"
-
-
 def _c(v: float) -> str:
     """One coordinate, rounded to a stable 2-decimal string."""
     return f"{v:.2f}"

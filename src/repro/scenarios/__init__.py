@@ -15,9 +15,10 @@ them:
   seed replication;
 - :mod:`~repro.scenarios.sweep` — :class:`SweepRunner`: cells fan out
   over serial/thread/process pools with a resumable on-disk
-  :class:`~repro.scenarios.store.RunStore`;
-- :mod:`~repro.scenarios.report` — :class:`SweepReport`: best-cell
-  rankings, per-axis marginals, time-to-accuracy frontiers.
+  :class:`~repro.scenarios.store.RunStore`; :func:`run_grid` expands,
+  runs and reports in one call;
+- :mod:`~repro.scenarios.report` — :class:`SweepReport`: per-cell summary
+  rows, best-cell rankings, per-axis marginals, time-to-accuracy frontiers.
 
 CLI: ``python -m repro scenario {list,show,run}`` and
 ``python -m repro sweep --grid field=a,b,c --parallel N``.
@@ -41,7 +42,7 @@ from repro.scenarios.spec import (
     config_to_dict,
 )
 from repro.scenarios.store import RunStore
-from repro.scenarios.sweep import SWEEP_EXECUTORS, SweepRunner, run_cell
+from repro.scenarios.sweep import SWEEP_EXECUTORS, SweepRunner, run_cell, run_grid
 
 __all__ = [
     "ScenarioSpec",
@@ -63,4 +64,5 @@ __all__ = [
     "SweepReport",
     "SWEEP_EXECUTORS",
     "run_cell",
+    "run_grid",
 ]

@@ -1,13 +1,19 @@
 """Cross-run aggregation over a sweep's (spec, history) cells.
 
-A :class:`SweepReport` answers the questions a grid was run to ask:
-which cells won (:meth:`best_cells`), what each axis did on its own
-(:meth:`marginals` — mean over every other axis and seed), and where the
-time-to-accuracy frontier lies (:meth:`time_to_accuracy_frontier` for a
-fixed target, :meth:`pareto_frontier` for the full accuracy-vs-virtual-time
-trade-off). Rendering lives in
+A :class:`SweepReport` is the summary-data layer of every multi-run
+experiment: :meth:`~SweepReport.rows` derives each cell's headline numbers
+once, and everything else reads them — which cells won
+(:meth:`~SweepReport.best_cells`), what each axis did on its own
+(:meth:`~SweepReport.marginals` — mean over every other axis and seed),
+the two-axis mean grid (:meth:`~SweepReport.grid_means`), and where the
+time-to-accuracy frontier lies
+(:meth:`~SweepReport.time_to_accuracy_frontier` for a fixed target,
+:meth:`~SweepReport.pareto_frontier` for the full accuracy-vs-virtual-time
+trade-off). :meth:`~SweepReport.by_axis` hands a one-factor grid back as
+``{value: History}``. The renderers hold no arithmetic of their own: text in
 :func:`repro.experiments.reporting.summarize_sweep` and
-:func:`repro.viz.ascii.ascii_sweep_grid`.
+:func:`repro.viz.ascii.ascii_sweep_grid`, HTML in
+:func:`repro.report.sections.sweep_section`.
 """
 
 from __future__ import annotations
@@ -35,10 +41,15 @@ def _best(h: History) -> float | None:
         return None
 
 
-def _virtual_end(h: History) -> float | None:
-    if not h.records:
-        return None
-    return h.records[-1].sim_end
+def _mean_backhaul(h: History) -> float | None:
+    """Mean per-round edge↔cloud transfer time of the slowest edge (None
+    for flat histories, which carry no ``edge_breakdown``)."""
+    per_round = [
+        max(e.backhaul_s for e in r.edge_breakdown)
+        for r in h.records
+        if r.edge_breakdown
+    ]
+    return sum(per_round) / len(per_round) if per_round else None
 
 
 @dataclass
@@ -69,6 +80,58 @@ class SweepReport:
                 seen.setdefault(name)
         return list(seen)
 
+    # ----------------------------------------------------------------- rows
+
+    def rows(self, target: float | None = None) -> list[dict]:
+        """One plain record per cell, in sweep order — the single place a
+        cell's headline numbers are derived.
+
+        Keys: ``label``, ``rounds``, ``final``/``best`` accuracy (None when
+        the run never evaluated), ``comm_time`` (accumulated actual
+        communication seconds — Table 3's axis), ``virtual_time`` (the
+        clock at the last round's end), ``backhaul`` (mean per-round
+        edge↔cloud time of the slowest edge; None for flat histories) and,
+        given a ``target``, ``t_to_target`` (virtual time when that
+        accuracy was first reached; None if never).
+        """
+        out = []
+        for spec, h in self.cells:
+            row = {
+                "label": self.label(spec),
+                "rounds": len(h),
+                "final": _final(h),
+                "best": _best(h),
+                "comm_time": h.time.actual_total,
+                "virtual_time": h.virtual_end(),
+                "backhaul": _mean_backhaul(h),
+            }
+            if target is not None:
+                row["t_to_target"] = h.simtime_to_accuracy(target)
+            out.append(row)
+        return out
+
+    def by_axis(self, name: str) -> dict[object, History]:
+        """Axis value → history, for a grid in which ``name`` alone tells
+        the cells apart (a one-factor comparison: algorithms, γ, modes).
+
+        Raises:
+            ValueError: If a cell lacks the axis, or a value labels more
+                than one cell (seed replicates or a second axis) — the
+                lookup never silently keeps the last one.
+        """
+        out: dict[object, History] = {}
+        for spec, h in self.cells:
+            if name not in spec.axes:
+                raise ValueError(f"cell {spec.name!r} has no axis {name!r}")
+            value = spec.axes[name]
+            if value in out:
+                raise ValueError(
+                    f"{name}={value!r} labels more than one cell; by_axis "
+                    "needs a grid that varies this axis alone"
+                )
+            out[value] = h
+        return out
+
     # ------------------------------------------------------------- rankings
 
     def best_cells(
@@ -81,13 +144,12 @@ class SweepReport:
         """
         if metric not in ("final", "best"):
             raise ValueError(f"metric must be 'final' or 'best', got {metric!r}")
-        score = _final if metric == "final" else _best
         scored = [
-            (spec, h, s)
-            for spec, h in self.cells
-            if (s := score(h)) is not None
+            (spec, h, row[metric])
+            for (spec, h), row in zip(self.cells, self.rows())
+            if row[metric] is not None
         ]
-        scored.sort(key=lambda row: -row[2])
+        scored.sort(key=lambda cell: -cell[2])
         return scored if top is None else scored[:top]
 
     def marginals(self) -> dict[str, dict[object, dict[str, float]]]:
@@ -98,15 +160,15 @@ class SweepReport:
         factorial sweep. Values keep their first-seen order.
         """
         out: dict[str, dict[object, dict[str, float]]] = {}
+        rows = self.rows()
         for axis in self.axis_names():
             buckets: dict[object, list[tuple[float, float]]] = {}
-            for spec, h in self.cells:
-                if axis not in spec.axes:
+            for (spec, _), row in zip(self.cells, rows):
+                if axis not in spec.axes or row["final"] is None:
                     continue
-                f, b = _final(h), _best(h)
-                if f is None or b is None:
-                    continue
-                buckets.setdefault(spec.axes[axis], []).append((f, b))
+                buckets.setdefault(spec.axes[axis], []).append(
+                    (row["final"], row["best"])
+                )
             out[axis] = {
                 value: {
                     "mean_final": sum(f for f, _ in pairs) / len(pairs),
@@ -140,6 +202,37 @@ class SweepReport:
         rows.sort(key=lambda r: r[0])
         return rows
 
+    def grid_means(
+        self, x_axis: str, y_axis: str, metric: str = "final"
+    ) -> tuple[list, list, dict[tuple, float]]:
+        """A two-axis view of the sweep: ``(xs, ys, means)``.
+
+        ``means`` maps ``(x, y)`` → mean ``metric`` (``"final"`` or
+        ``"best"`` accuracy) over every other axis and seed; ``xs``/``ys``
+        list the axis values in first-seen order. Cells that never
+        evaluated are skipped, so a coordinate can be missing from
+        ``means``.
+
+        Raises:
+            ValueError: On an unknown ``metric``, or when no evaluated cell
+                carries both axes.
+        """
+        if metric not in ("final", "best"):
+            raise ValueError(f"metric must be 'final' or 'best', got {metric!r}")
+        acc: dict[tuple, list[float]] = {}
+        xs: dict[object, None] = {}
+        ys: dict[object, None] = {}
+        for (spec, _), row in zip(self.cells, self.rows()):
+            if x_axis not in spec.axes or y_axis not in spec.axes or row[metric] is None:
+                continue
+            x, y = spec.axes[x_axis], spec.axes[y_axis]
+            xs.setdefault(x)
+            ys.setdefault(y)
+            acc.setdefault((x, y), []).append(row[metric])
+        if not acc:
+            raise ValueError(f"no cells carry both axes {x_axis!r} and {y_axis!r}")
+        return list(xs), list(ys), {k: sum(v) / len(v) for k, v in acc.items()}
+
     # ------------------------------------------------------------ frontiers
 
     def time_to_accuracy_frontier(
@@ -150,12 +243,12 @@ class SweepReport:
         Cells that never reach it sort last (time ``None``), so the head of
         the list *is* the frontier: the fastest routes to the target.
         """
-        rows = [(spec, h.simtime_to_accuracy(target)) for spec, h in self.cells]
+        times = [row["t_to_target"] for row in self.rows(target)]
         order = sorted(
-            range(len(rows)),
-            key=lambda i: (rows[i][1] is None, rows[i][1] if rows[i][1] is not None else 0.0),
+            range(len(times)),
+            key=lambda i: (times[i] is None, times[i] if times[i] is not None else 0.0),
         )
-        return [rows[i] for i in order]
+        return [(self.cells[i][0], times[i]) for i in order]
 
     def pareto_frontier(self) -> list[tuple[ScenarioSpec, History, float, float]]:
         """Non-dominated cells on (total virtual time ↓, best accuracy ↑).
@@ -164,18 +257,18 @@ class SweepReport:
         in strictly less virtual time (and strictly better in one of the
         two). Returned sorted by virtual time.
         """
-        rows = [
-            (spec, h, t, acc)
-            for spec, h in self.cells
-            if (t := _virtual_end(h)) is not None and (acc := _best(h)) is not None
+        points = [
+            (spec, h, row["virtual_time"], row["best"])
+            for (spec, h), row in zip(self.cells, self.rows())
+            if row["virtual_time"] is not None and row["best"] is not None
         ]
-        rows.sort(key=lambda r: (r[2], -r[3]))
+        points.sort(key=lambda p: (p[2], -p[3]))
         frontier: list[tuple[ScenarioSpec, History, float, float]] = []
         best_acc = float("-inf")
-        for row in rows:
-            if row[3] > best_acc:
-                frontier.append(row)
-                best_acc = row[3]
+        for point in points:
+            if point[3] > best_acc:
+                frontier.append(point)
+                best_acc = point[3]
         return frontier
 
     # ------------------------------------------------------------ exporting
@@ -188,11 +281,11 @@ class SweepReport:
             "cells": [
                 {
                     "spec": spec.to_dict(),
-                    "final_accuracy": _final(h),
-                    "best_accuracy": _best(h),
-                    "virtual_time": _virtual_end(h),
-                    "rounds": len(h),
+                    "final_accuracy": row["final"],
+                    "best_accuracy": row["best"],
+                    "virtual_time": row["virtual_time"],
+                    "rounds": row["rounds"],
                 }
-                for spec, h in self.cells
+                for (spec, _), row in zip(self.cells, self.rows())
             ],
         }

@@ -3,6 +3,9 @@
 :class:`SweepRunner` takes a list of :class:`ScenarioSpec` cells (usually
 from :func:`~repro.scenarios.grid.expand_grid`), runs each cell's full
 experiment, and returns a :class:`~repro.scenarios.report.SweepReport`.
+:func:`run_grid` is the one-call form — expand, run, report — and the only
+multi-run entry point: an algorithm comparison, a γ sweep, a mode race and
+an edge-width sweep are all one-axis grids.
 
 Concurrency is *across cells*: whole experiments fan out over a pool named
 after the exec-backend vocabulary — ``"serial"`` (in-order, the reference),
@@ -49,11 +52,12 @@ from repro.fl.context import WorldCache
 from repro.fl.history import History
 from repro.fl.simulation import run_experiment
 from repro.io.history_io import history_from_dict, history_to_dict
+from repro.scenarios.grid import expand_grid
 from repro.scenarios.report import SweepReport
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import RunStore
 
-__all__ = ["SweepRunner", "SWEEP_EXECUTORS", "run_cell", "WORLD_CACHE"]
+__all__ = ["SweepRunner", "SWEEP_EXECUTORS", "run_cell", "run_grid", "WORLD_CACHE"]
 
 #: How cells fan out; mirrors the exec-backend vocabulary.
 SWEEP_EXECUTORS = ("serial", "thread", "process")
@@ -161,6 +165,8 @@ class SweepRunner:
                 f"executor must be one of {SWEEP_EXECUTORS}, got {executor!r}"
             )
         self.specs = list(specs)
+        # Cross-field config errors surface here, before any cell runs.
+        configs = [s.to_config() for s in self.specs]
         names = [s.name for s in self.specs]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -180,7 +186,7 @@ class SweepRunner:
         self._pool: Executor | None = None
         self._entered = False
         if self.executor == "process" and self.parallel > 1:
-            busy = sorted({s.to_config().backend for s in self.specs} - {"serial"})
+            busy = sorted({c.backend for c in configs} - {"serial"})
             if busy:
                 warnings.warn(
                     f"sweep cells use backend={busy} inside a process-pool "
@@ -315,3 +321,42 @@ class SweepRunner:
         return SweepReport(
             cells=ordered, executed=len(pending), reused=len(cached)
         )
+
+
+def run_grid(
+    base,
+    axes: dict,
+    *,
+    seeds=None,
+    parallel: int = 1,
+    executor: str | None = None,
+    store=None,
+):
+    """Expand a grid over ``base`` and run it (parallel, resumable).
+
+    Equivalent to
+    ``SweepRunner(expand_grid(base, axes, seeds=seeds), ...).run()``.
+
+    Args:
+        base: An :class:`~repro.fl.config.ExperimentConfig` or
+            :class:`~repro.scenarios.ScenarioSpec` supplying every field
+            the axes don't vary.
+        axes: Config field → list of values (cartesian product; values
+            typed through the field types).
+        seeds: Seed replication — an int ``k`` (base seed .. base seed
+            + k − 1), an explicit sequence, or None for the base seed only.
+        parallel: Max cells in flight (1 = sequential).
+        executor: ``"serial"`` | ``"thread"`` | ``"process"`` cell pool
+            (default: process when ``parallel > 1``).
+        store: Optional :class:`~repro.scenarios.RunStore` (or directory
+            path) enabling resume: completed cells load instead of re-run.
+
+    Returns:
+        A :class:`~repro.scenarios.SweepReport` with the cells in
+        expansion order; for a one-axis grid,
+        ``report.by_axis(name)[value]`` is that cell's history.
+    """
+    cells = expand_grid(base, axes, seeds=seeds)
+    return SweepRunner(
+        cells, parallel=parallel, executor=executor, store=store
+    ).run()

@@ -15,9 +15,37 @@ __all__ = [
     "ascii_tier_tree",
     "ascii_comm_table",
     "ascii_sweep_grid",
+    "format_table",
+    "fmt_bytes",
 ]
 
 _MARKERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def format_table(headers: list[str], rows: list[list[str]]) -> str:
+    """Plain-text table with aligned columns."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    def fmt(cells):
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
+    sep = "  ".join("-" * w for w in widths)
+    return "\n".join([fmt(headers), sep] + [fmt(r) for r in rows])
+
+
+def _num(x: float | None, nd: int = 4, unit: str = "") -> str:
+    """A table cell: the number at ``nd`` decimals (``unit`` appended), or
+    ``--`` for None."""
+    return "--" if x is None else f"{x:.{nd}f}{unit}"
+
+
+def fmt_bytes(n: float) -> str:
+    """Human volume: 512B, 24.2kB, 1.5MB, 2.1GB."""
+    for cut, suffix in ((1e9, "GB"), (1e6, "MB"), (1e3, "kB")):
+        if abs(n) >= cut:
+            return f"{n / cut:.3g}{suffix}"
+    return f"{n:.3g}B"
 
 
 def ascii_plot(
@@ -178,68 +206,45 @@ def ascii_tier_tree(topology, breakdown=None) -> str:
     return "\n".join(lines)
 
 
-def _fmt_bytes(n: float) -> str:
-    """Human volume: 512B, 24.2kB, 1.5MB, 2.1GB."""
-    for cut, suffix in ((1e9, "GB"), (1e6, "MB"), (1e3, "kB")):
-        if n >= cut:
-            return f"{n / cut:.3g}{suffix}"
-    return f"{n:.3g}B"
-
-
 def ascii_comm_table(history, *, top: int = 5) -> str:
     """End-to-end flow accounting table from a run's transport ledgers.
 
-    ``history`` is duck-typed: an object with ``records`` whose entries
-    carry a :class:`~repro.fl.history.RoundComm` in ``comm`` (None entries
-    — legacy histories — are skipped). One row per direction (wire bytes,
-    transfer count, share of the total), plus the ``top`` clients by
-    accumulated uplink bytes — the devices actually paying for the run.
+    One row per direction (wire bytes, transfer count, share of the total)
+    out of :meth:`History.comm_totals() <repro.fl.history.History.comm_totals>`,
+    plus the ``top`` clients by accumulated uplink bytes
+    (:meth:`~repro.fl.history.History.comm_per_client`) — the devices
+    actually paying for the run. Records without a ledger (legacy
+    histories) are skipped.
     """
-    totals = {"uplink": 0.0, "downlink": 0.0, "backhaul": 0.0}
-    counts = {"uplink": 0, "downlink": 0, "backhaul": 0}
-    per_client: dict[int, float] = {}
-    rounds = 0
-    for r in history.records:
-        comm = r.comm
-        if comm is None:
-            continue
-        rounds += 1
-        for direction in totals:
-            entries = getattr(comm, direction)
-            totals[direction] += sum(b for _, b in entries) / 8.0
-            counts[direction] += len(entries)
-        for cid, bits in comm.uplink:
-            per_client[cid] = per_client.get(cid, 0.0) + bits / 8.0
+    totals = history.comm_totals()
+    rounds = totals["rounds"]
     if rounds == 0:
         return "(no flow ledgers recorded)"
 
-    grand = sum(totals.values()) or 1.0
-    headers = ["direction", "transfers", "bytes", "share", "per round"]
+    directions = ("uplink", "downlink", "backhaul")
+    grand = totals["total_bytes"] or 1.0
     rows = [
         [
             d,
-            str(counts[d]),
-            _fmt_bytes(totals[d]),
-            f"{100.0 * totals[d] / grand:.1f}%",
-            _fmt_bytes(totals[d] / rounds),
+            str(totals[f"{d}_transfers"]),
+            fmt_bytes(totals[f"{d}_bytes"]),
+            f"{100.0 * totals[f'{d}_bytes'] / grand:.1f}%",
+            fmt_bytes(totals[f"{d}_bytes"] / rounds),
         ]
-        for d in ("uplink", "downlink", "backhaul")
+        for d in directions
     ]
     rows.append(
-        ["total", str(sum(counts.values())), _fmt_bytes(sum(totals.values())), "100.0%",
-         _fmt_bytes(sum(totals.values()) / rounds)]
+        ["total", str(sum(totals[f"{d}_transfers"] for d in directions)),
+         fmt_bytes(totals["total_bytes"]), "100.0%",
+         fmt_bytes(totals["total_bytes"] / rounds)]
     )
-    widths = [max(len(h), max(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-
-    def fmt(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
-
-    lines = [fmt(headers), "  ".join("-" * w for w in widths)] + [fmt(r) for r in rows]
+    lines = [format_table(["direction", "transfers", "bytes", "share", "per round"], rows)]
+    per_client = history.comm_per_client()
     if per_client:
         talkers = sorted(per_client.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
         lines.append(
             "top uplink clients: "
-            + "  ".join(f"c{cid} {_fmt_bytes(v)}" for cid, v in talkers)
+            + "  ".join(f"c{cid} {fmt_bytes(v)}" for cid, v in talkers)
         )
     return "\n".join(lines)
 
@@ -252,33 +257,13 @@ def ascii_sweep_grid(
     metric: str = "final",
 ) -> str:
     """Render a 2-axis sweep as a value grid: rows = ``y_axis``, columns =
-    ``x_axis``, each cell the mean accuracy over every other axis and seed.
-
-    ``report`` is a :class:`~repro.scenarios.report.SweepReport` (duck
-    typed: ``cells`` of ``(spec, history)``). ``metric`` is ``"final"`` or
-    ``"best"``. Cells with no data render ``--``; a shaded mini-bar next to
-    each value makes the gradient visible without color.
+    ``x_axis``, each cell the mean accuracy over every other axis and seed
+    (:meth:`SweepReport.grid_means <repro.scenarios.report.SweepReport.grid_means>`,
+    whose ``ValueError`` for an unknown ``metric`` or axes no cell carries
+    propagates). Cells with no data render ``--``; a shaded mini-bar next
+    to each value makes the gradient visible without color.
     """
-    if metric not in ("final", "best"):
-        raise ValueError(f"metric must be 'final' or 'best', got {metric!r}")
-    acc: dict[tuple, list[float]] = {}
-    xs: dict[object, None] = {}
-    ys: dict[object, None] = {}
-    for spec, history in report.cells:
-        if x_axis not in spec.axes or y_axis not in spec.axes:
-            continue
-        try:
-            value = history.final_accuracy() if metric == "final" else history.best_accuracy()
-        except ValueError:
-            continue
-        x, y = spec.axes[x_axis], spec.axes[y_axis]
-        xs.setdefault(x)
-        ys.setdefault(y)
-        acc.setdefault((x, y), []).append(value)
-    if not acc:
-        raise ValueError(f"no cells carry both axes {x_axis!r} and {y_axis!r}")
-
-    means = {k: sum(v) / len(v) for k, v in acc.items()}
+    xs, ys, means = report.grid_means(x_axis, y_axis, metric)
     lo, hi = min(means.values()), max(means.values())
     span = (hi - lo) or 1.0
     shades = " ░▒▓█"
@@ -292,14 +277,10 @@ def ascii_sweep_grid(
 
     headers = [f"{y_axis} \\ {x_axis}"] + [str(x) for x in xs]
     rows = [[str(y)] + [cell(x, y) for x in xs] for y in ys]
-    widths = [max(len(h), max(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-
-    def fmt(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths))
-
-    lines = [fmt(headers), "  ".join("-" * w for w in widths)] + [fmt(r) for r in rows]
-    lines.append(f"mean {metric} accuracy; shade spans [{lo:.4f}, {hi:.4f}]")
-    return "\n".join(lines)
+    return "\n".join([
+        format_table(headers, rows),
+        f"mean {metric} accuracy; shade spans [{lo:.4f}, {hi:.4f}]",
+    ])
 
 
 def ascii_bars(values: dict[str, float], *, width: int = 50, unit: str = "") -> str:

@@ -1,21 +1,13 @@
-"""Tests for experiment presets, runners and reporting."""
+"""Tests for experiment presets, one-axis grids and reporting."""
 
-import numpy as np
 import pytest
 
+from repro.experiments import run_grid
 from repro.experiments.paper_reference import TABLE2, TABLE3, TABLE4
 from repro.experiments.presets import DATASET_NAME_MAP, bench_config, paper_config
-from repro.experiments.reporting import (
-    accuracy_row,
-    format_table,
-    paired_row,
-    series_text,
-    summarize_comparison,
-    time_to_accuracy_row,
-)
-from repro.experiments.runner import run_comparison, sweep
-from repro.fl.config import ExperimentConfig
-from repro.fl.simulation import Simulation
+from repro.experiments.reporting import format_table, series_text, time_to_accuracy_row
+from repro.fl.simulation import Simulation, run_experiment
+from repro.io.history_io import history_to_dict
 
 SMALL = dict(rounds=4, num_train=400, num_test=150, eval_every=2)
 
@@ -54,26 +46,50 @@ class TestPresets:
         assert cfg.rounds == 5
 
 
+def digestable(history) -> dict:
+    """The history as a dict with wall-clock fields zeroed (what
+    ``repro.testing.goldens`` compares)."""
+    d = history_to_dict(history)
+    for rec in d["records"]:
+        rec["train_seconds"] = rec["compress_seconds"] = 0.0
+    return d
+
+
 class TestRunner:
-    def test_run_comparison_all_algorithms(self):
-        base = paper_config("cifar10", "fedavg", **SMALL)
-        results = run_comparison(base, ["fedavg", "topk"], compression_ratio=0.1)
+    def test_algorithm_grid_runs_every_cell(self):
+        base = paper_config("cifar10", "topk", compression_ratio=0.1, **SMALL)
+        results = run_grid(base, {"algorithm": ["fedavg", "topk"]}).by_axis("algorithm")
         assert set(results) == {"fedavg", "topk"}
         for h in results.values():
             assert len(h) == 4
 
     def test_comparison_shares_seed(self):
         """Same seed => same client selection sequence across algorithms."""
-        base = paper_config("cifar10", "fedavg", **SMALL)
-        results = run_comparison(base, ["fedavg", "topk"], compression_ratio=0.1)
+        base = paper_config("cifar10", "topk", compression_ratio=0.1, **SMALL)
+        results = run_grid(base, {"algorithm": ["fedavg", "topk"]}).by_axis("algorithm")
         sel_a = [r.selected for r in results["fedavg"].records]
         sel_b = [r.selected for r in results["topk"].records]
         assert sel_a == sel_b
 
     def test_sweep(self):
         base = paper_config("cifar10", "bcrs_opwa", compression_ratio=0.1, **SMALL)
-        out = sweep(base, "gamma", [3.0, 5.0])
+        out = run_grid(base, {"gamma": [3.0, 5.0]}).by_axis("gamma")
         assert set(out) == {3.0, 5.0}
+
+    def test_comparison_cells_are_the_tuned_presets(self):
+        """The comparison base is the preset of the method under test, so the
+        bcrs_opwa cell runs at the paper's tuned gamma = 7 — the experiment
+        `run_experiment` on that preset runs — and the fedavg cell, which
+        ignores the compression knobs, is the dense CR = 1.0 run."""
+        base = bench_config(
+            "cifar10", "bcrs_opwa", beta=0.1, rounds=10, compression_ratio=0.01
+        )
+        assert base.gamma == 7.0
+        results = run_grid(base, {"algorithm": ["fedavg", "bcrs_opwa"]}).by_axis("algorithm")
+        assert digestable(results["bcrs_opwa"]) == digestable(run_experiment(base))
+        dense = bench_config("cifar10", "fedavg", beta=0.1, rounds=10)
+        assert dense.compression_ratio == 1.0
+        assert digestable(results["fedavg"]) == digestable(run_experiment(dense))
 
 
 class TestReporting:
@@ -87,25 +103,13 @@ class TestReporting:
         assert len(lines) == 4
         assert all(len(l) == len(lines[0]) for l in lines[1:])
 
-    def test_accuracy_row(self, history):
-        row = accuracy_row("topk", history, 0.4669)
-        assert row[0] == "topk"
-        assert row[2] == "0.4669"
-
     def test_time_row_handles_unreached(self, history):
         row = time_to_accuracy_row("topk", history, target=1.01)
         assert row[1] == "--"
 
-    def test_paired_row_none(self):
-        assert paired_row("x", None, 0.5) == ["x", "--", "0.5000"]
-
     def test_series_text(self, history):
         text = series_text(history, every=2)
         assert "round" in text and "acc" in text
-
-    def test_summarize_comparison(self, history):
-        text = summarize_comparison({"topk": history})
-        assert "topk" in text and "final_acc" in text
 
 
 class TestPaperReference:

@@ -244,21 +244,19 @@ class TestTwoLevelSemantics:
 
 
 class TestRunnerReporting:
-    def test_run_hier_and_summary(self):
-        from repro.experiments.runner import run_hier
-        from repro.experiments.reporting import summarize_hier
+    def test_edge_width_grid_and_summary(self):
+        """An edge-width sweep is a grid over num_edges under mode=hier."""
+        from repro.experiments import run_grid, summarize_sweep
 
-        base = small_config(rounds=2, backhaul_bandwidth_mbps=100.0)
-        results = run_hier(base, [1, 3])
+        base = small_config(mode="hier", rounds=2, backhaul_bandwidth_mbps=100.0)
+        report = run_grid(base, {"num_edges": [1, 3]})
+        results = report.by_axis("num_edges")
         assert sorted(results) == [1, 3]
-        text = summarize_hier(results, target=0.05)
-        assert "edges" in text and "backhaul/rnd" in text
-        assert "t_to_acc>=0.05" in text
-
-    def test_modes_race_excludes_hier_by_default(self):
-        from repro.experiments.runner import PROTOCOL_RACE_MODES
-
-        assert "hier" not in PROTOCOL_RACE_MODES
+        assert all(r.edge_breakdown for h in results.values() for r in h.records)
+        assert all(row["backhaul"] > 0 for row in report.rows())
+        text = summarize_sweep(report, target=0.05)
+        assert "num_edges=1" in text and "num_edges=3" in text
+        assert "backhaul/rnd" in text and "t_to_target" in text
 
 
 class TestBackendDeterminism:

@@ -7,7 +7,7 @@ golden test can pin whole pages byte-for-byte.
 from __future__ import annotations
 
 from repro.fl.config import ExperimentConfig
-from repro.fl.history import History, RoundComm, RoundRecord
+from repro.fl.history import EdgeRecord, History, RoundComm, RoundRecord
 from repro.network.metrics import RoundTimes
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span
@@ -20,8 +20,13 @@ def make_history(
     staleness: bool = False,
     comm: bool = True,
     evaluate: bool = True,
+    edges: bool = False,
 ) -> History:
-    """A history with the given accuracy curve and fixed everything else."""
+    """A history with the given accuracy curve and fixed everything else.
+
+    ``edges`` makes it hier-shaped: every round carries two ``EdgeRecord``s,
+    the slower one's backhaul taking ``0.5 + 0.5 * round`` virtual seconds.
+    """
     h = History()
     for i, acc in enumerate(accs):
         h.append(
@@ -45,6 +50,18 @@ def make_history(
                         downlink={0: 4_000.0, 1: 4_000.0},
                     )
                     if comm
+                    else None
+                ),
+                edge_breakdown=(
+                    tuple(
+                        EdgeRecord(
+                            edge=e, selected=(e,), sub_spans=(1.0,),
+                            backhaul_s=(0.25, 0.5 + 0.5 * i)[e],
+                            start=float(i) * 2.0, end=float(i) * 2.0 + 2.0,
+                        )
+                        for e in (0, 1)
+                    )
+                    if edges
                     else None
                 ),
             )
@@ -72,6 +89,18 @@ def make_sweep() -> SweepReport:
         cells=[(spec, make_history(accs)) for spec, accs in zip(cells, curves)],
         executed=3,
         reused=1,
+    )
+
+
+def make_hier_sweep() -> SweepReport:
+    """An edge-width sweep: one flat-shaped cell, one hier-shaped cell."""
+    cells = expand_grid(tiny_base(mode="hier"), {"num_edges": [1, 2]})
+    return SweepReport(
+        cells=[
+            (cells[0], make_history((0.2, 0.4))),
+            (cells[1], make_history((0.3, 0.5), edges=True)),
+        ],
+        executed=2,
     )
 
 

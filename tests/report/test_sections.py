@@ -12,7 +12,7 @@ from repro.report.sections import (
     sweep_section,
     trace_section,
 )
-from _artifacts import MANIFEST, make_history
+from _artifacts import MANIFEST, make_hier_sweep, make_history
 
 from repro.obs.tracer import Span
 
@@ -85,6 +85,14 @@ class TestSweepSection:
         out = sweep_section(single)
         assert "heatmap" not in out
         assert "Marginal over gamma" in out
+
+    def test_rows_carry_the_slowest_edges_mean_backhaul(self):
+        """The hier-shaped cell's rounds have slowest-edge backhauls of 0.5 s
+        and 1.0 s; the flat-shaped cell has no edge breakdown at all."""
+        flat, hier = make_hier_sweep().rows()
+        assert flat["backhaul"] is None
+        assert hier["backhaul"] == 0.75
+        assert (hier["comm_time"], hier["virtual_time"]) == (2.0, 4.0)
 
 
 class TestTraceSection:

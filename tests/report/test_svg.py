@@ -7,7 +7,6 @@ import pytest
 from repro.report.svg import (
     Frame,
     esc,
-    fmt_bytes,
     fmt_num,
     nice_ticks,
     series_color,
@@ -17,6 +16,7 @@ from repro.report.svg import (
     svg_plot,
     svg_timeline,
 )
+from repro.viz.ascii import fmt_bytes
 
 
 class TestHelpers:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import run_grid
 from repro.fl.config import ExperimentConfig
 from repro.io.history_io import history_to_dict
+from repro.scenarios import run_grid
 from repro.simtime import make_simulation
 from repro.testing.goldens import run_trace
 

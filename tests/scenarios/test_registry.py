@@ -90,18 +90,24 @@ class TestCompressorOverride:
         # bits per client; qsgd8 ships 8 d bits — an exact 8x reduction.
         assert quant_bits == pytest.approx(dense_bits / 8.0)
 
-    def test_run_comparison_drops_override_for_fedavg_baseline(self):
-        """Comparing a compressor scenario against dense FedAvg must not
-        trip fedavg's compressor-override rejection."""
-        from repro.experiments.runner import run_comparison
+    def test_algorithm_grid_rejects_override_for_fedavg_cell(self, monkeypatch):
+        """A compressor override is not silently dropped for the dense
+        baseline: the grid fails with the config's own message before any
+        cell (the valid topk one comes first) runs."""
+        from repro.scenarios import run_grid, sweep
+
+        def no_cell_may_run(*args, **kwargs):
+            raise AssertionError("a cell ran before the grid was validated")
+
+        monkeypatch.setattr(sweep, "run_cell", no_cell_may_run)
 
         base = ExperimentConfig(
             dataset="synth-cifar10", num_train=160, num_test=80, num_clients=4,
             participation=0.5, rounds=1, batch_size=32, algorithm="topk",
             compressor="qsgd8", compression_ratio=0.5, eval_every=1,
         )
-        results = run_comparison(base, ["fedavg", "topk"])
-        assert set(results) == {"fedavg", "topk"}
+        with pytest.raises(ValueError, match="compressor override requires a compressing"):
+            run_grid(base, {"algorithm": ["topk", "fedavg"]})
 
     def test_edge_quantized_scenario_runs_hier_with_qsgd(self):
         spec = get_scenario("edge-quantized").with_overrides(

@@ -7,14 +7,16 @@ import json
 import pytest
 
 from repro.experiments.reporting import summarize_sweep
-from repro.experiments.runner import run_grid, run_scenario
 from repro.fl.config import ExperimentConfig
+from repro.fl.simulation import run_experiment
 from repro.io.history_io import history_to_dict
 from repro.scenarios import (
     RunStore,
     ScenarioSpec,
     SweepRunner,
     expand_grid,
+    get_scenario,
+    run_grid,
 )
 from repro.viz.ascii import ascii_sweep_grid
 
@@ -182,13 +184,12 @@ class TestRunnerBridges:
         )
         assert again.reused == 2
 
-    def test_run_scenario_by_name_with_overrides(self):
-        history = run_scenario(
-            "paper-baseline", rounds=1, num_train=160, num_test=80,
-            num_clients=4, eval_every=1,
+    def test_registered_scenario_runs_with_overrides(self):
+        spec = get_scenario("paper-baseline").with_overrides(
+            rounds=1, num_train=160, num_test=80, num_clients=4, eval_every=1,
         )
-        assert len(history) == 1
+        assert len(run_experiment(spec.to_config())) == 1
 
-    def test_run_scenario_accepts_spec(self):
+    def test_adhoc_spec_runs(self):
         spec = ScenarioSpec.from_config(tiny_base(rounds=1), name="adhoc")
-        assert len(run_scenario(spec)) == 1
+        assert len(run_experiment(spec.to_config())) == 1

@@ -1,10 +1,20 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import CONFIG_FLAGS, build_parser, main
+from repro.fl.config import (
+    ADVERSARIES,
+    AGGREGATORS,
+    BACKENDS,
+    CONTENTION_MODES,
+    EDGE_ASSIGNMENTS,
+    MODES,
+    ExperimentConfig,
+)
 
 FAST_ARGS = ["--rounds", "3", "--dataset", "cifar10", "--beta", "0.5", "--cr", "0.2"]
 
@@ -22,6 +32,27 @@ class TestParser:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--algorithm", "sgd"])
+
+    def test_flag_table_names_config_fields_and_reads_their_vocabularies(self):
+        """Each config-mapped flag is declared once, against a real field,
+        and a choice flag accepts exactly what the config validates."""
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert {field for _, field, _ in CONFIG_FLAGS} <= fields
+        vocabularies = {
+            "--backend": BACKENDS,
+            "--mode": MODES,
+            "--edge-assignment": EDGE_ASSIGNMENTS,
+            "--contention": CONTENTION_MODES,
+            "--adversary": ADVERSARIES,
+            "--aggregator": AGGREGATORS,
+        }
+        by_flag = {flag: (field, kwargs) for flag, field, kwargs in CONFIG_FLAGS}
+        assert {f for f, (_, kw) in by_flag.items() if "choices" in kw} == set(vocabularies)
+        parser = build_parser()
+        for flag, vocabulary in vocabularies.items():
+            for word in vocabulary:
+                args = parser.parse_args(["run", flag, word])
+                assert getattr(args, by_flag[flag][0]) == word
 
 
 class TestCommands:
@@ -49,31 +80,56 @@ class TestCommands:
         assert csv_path.read_text().startswith("round,")
 
     def test_compare(self, capsys):
-        rc = main(["compare", "--algorithms", "fedavg,topk", *FAST_ARGS])
+        """An algorithm comparison is a one-axis grid; the cell table
+        carries Table 3's comm_time next to the accuracies."""
+        rc = main(["sweep", "--grid", "algorithm=fedavg,topk", *FAST_ARGS])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "fedavg" in out and "topk" in out
+        assert "algorithm=fedavg" in out and "algorithm=topk" in out
+        assert "comm_time" in out
+        assert "marginal over" not in out  # one cell per value: no repeat table
 
     def test_compare_rejects_unknown(self, capsys):
-        rc = main(["compare", "--algorithms", "fedavg,nope", *FAST_ARGS])
+        rc = main(["sweep", "--grid", "algorithm=fedavg,nope", *FAST_ARGS])
         assert rc == 2
+        assert "algorithm must be one of" in capsys.readouterr().err
+
+    def test_compare_rejects_compressor_override_on_fedavg(self, capsys):
+        rc = main([
+            "sweep", "--scenario", "edge-quantized", "--rounds", "1",
+            "--grid", "algorithm=topk,fedavg",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "compressor override requires a compressing algorithm" in captured.err
+        assert captured.out == ""  # rejected before the topk cell ran
 
     def test_sweep(self, capsys):
-        rc = main([
-            "sweep", "--algorithm", "bcrs_opwa", "--param", "gamma",
-            "--values", "3,5", *FAST_ARGS,
-        ])
+        rc = main(["sweep", "--algorithm", "bcrs_opwa", "--grid", "gamma=3,5", *FAST_ARGS])
         assert rc == 0
         out = capsys.readouterr().out
         assert "gamma=3.0" in out and "gamma=5.0" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--workers", "0"], "workers must be >= 1, got 0"),
+            (["comm", "--contention", "fair"], "needs server_ingress_mbps"),
+            (["run", "--num-edges", "99"], "num_edges must be in [1, num_clients=10]"),
+            (["scenario", "run", "straggler-storm", "--workers", "0"],
+             "workers must be >= 1, got 0"),
+        ],
+    )
+    def test_config_errors_exit_2_without_traceback(self, capsys, argv, message):
+        """`run`, `comm` and `scenario run` report a config the flags cannot
+        build the way `sweep` does: the message on stderr, exit 2."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
 
 class TestSweepGrid:
-    def test_param_without_values_rejected(self, capsys):
-        rc = main(["sweep", "--param", "gamma", *FAST_ARGS])
-        assert rc == 2
-        assert "go together" in capsys.readouterr().err
-
     def test_nothing_to_sweep_rejected(self, capsys):
         rc = main(["sweep", *FAST_ARGS])
         assert rc == 2
@@ -194,14 +250,23 @@ class TestScenarioCommand:
 
 class TestHierCommand:
     def test_hier_summary_table(self, capsys):
-        rc = main(["hier", "--edges", "1,2", "--target-acc", "0.05", *FAST_ARGS])
+        rc = main([
+            "sweep", "--mode", "hier", "--grid", "num_edges=1,2",
+            "--target-acc", "0.05", *FAST_ARGS,
+        ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "edges" in out and "backhaul/rnd" in out and "t_to_acc>=0.05" in out
+        assert "num_edges=1" in out and "num_edges=2" in out
+        assert "backhaul/rnd" in out and "t_to_target" in out
+
+    def test_flat_sweep_has_no_backhaul_column(self, capsys):
+        assert main(["sweep", "--grid", "gamma=3,5", *FAST_ARGS]) == 0
+        assert "backhaul/rnd" not in capsys.readouterr().out
 
     def test_hier_rejects_too_many_edges(self, capsys):
-        rc = main(["hier", "--edges", "99", *FAST_ARGS])
+        rc = main(["sweep", "--mode", "hier", "--grid", "num_edges=99", *FAST_ARGS])
         assert rc == 2
+        assert "num_edges must be in [1, num_clients=10]" in capsys.readouterr().err
 
     def test_run_mode_hier_with_knobs(self, capsys):
         rc = main([
@@ -213,13 +278,18 @@ class TestHierCommand:
         assert "mode hier" in capsys.readouterr().out
 
     def test_hier_saves_per_edge_histories(self, tmp_path, capsys):
+        """Per-cell artifacts are named by spec hash, one per edge count."""
         hist = tmp_path / "h"
         rc = main([
-            "hier", "--edges", "1,2", "--save-history", str(hist), *FAST_ARGS,
+            "sweep", "--mode", "hier", "--grid", "num_edges=1,2",
+            "--save-history", str(hist), *FAST_ARGS,
         ])
         assert rc == 0
-        data = json.loads((tmp_path / "h.edges2.json").read_text())
-        assert data["records"][0]["edge_breakdown"] is not None
+        saved = sorted(tmp_path.glob("h.*.json"))
+        assert len(saved) == 2
+        for path in saved:
+            data = json.loads(path.read_text())
+            assert data["records"][0]["edge_breakdown"] is not None
 
     def test_comm_summary(self, capsys):
         rc = main(["comm", "--algorithm", "topk", *FAST_ARGS])

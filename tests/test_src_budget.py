@@ -5,8 +5,8 @@ CHANGES.md, a PR that deletes code lowers it."""
 
 from pathlib import Path
 
-#: Physical lines of ``src/**/*.py`` after PR 17 (17,090 before it).
-SRC_LINE_CEILING = 16_822
+#: Physical lines of ``src/**/*.py`` after PR 18 (16,822 before it).
+SRC_LINE_CEILING = 16_407
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
