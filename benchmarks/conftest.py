@@ -41,14 +41,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def once(benchmark):
-    """Run a callable exactly once under pytest-benchmark timing.
+def once():
+    """Run a callable exactly once: a plain call.
 
-    Simulation runs are deterministic and expensive; a single measured
-    iteration is the honest cost of regenerating the artifact.
+    Simulation runs are deterministic and expensive, so regenerating an
+    artifact is one run. Nothing is timed here — wall-clock numbers come
+    from ``python3 -m bench`` (see ``bench/README.md``).
     """
 
     def _run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+        return fn(*args, **kwargs)
 
     return _run

@@ -30,7 +30,6 @@ def weighted_sparse_sum(
     weights: np.ndarray,
     *,
     mask: np.ndarray | None = None,
-    out: np.ndarray | None = None,
     arena: AggregationArena | None = None,
 ) -> np.ndarray:
     """Compute ``Σ_i weights[i] · (mask ⊙ dense(updates[i]))``.
@@ -41,9 +40,9 @@ def weighted_sparse_sum(
     follow as vectorized AXPYs. ``mask`` (the OPWA ``M``) applies at the
     parameter level.
 
-    The result lands in ``out`` if given, else in the ``arena``'s
-    accumulator (valid until the next arena-backed call), else in a fresh
-    vector; the arithmetic is the same in all three.
+    The result lands in the ``arena``'s accumulator if one is given (valid
+    until the next arena-backed call), else in a fresh vector; the
+    arithmetic is the same in both.
     """
     if not updates:
         raise ValueError("need at least one update")
@@ -57,19 +56,14 @@ def weighted_sparse_sum(
     if mask is not None and mask.shape != (d,):
         raise ValueError(f"mask shape {mask.shape} != ({d},)")
 
-    if out is None:
-        if arena is not None:
-            if arena.dense_size != d:
-                raise ValueError(
-                    f"arena dense_size {arena.dense_size} != updates' {d}"
-                )
-            out = arena.accumulator()
-        else:
-            out = np.zeros(d, dtype=np.float64)
-    elif out.shape != (d,) or out.dtype != np.float64:
-        raise ValueError(f"out must be float64 of shape ({d},), got {out.dtype} {out.shape}")
+    if arena is not None:
+        if arena.dense_size != d:
+            raise ValueError(
+                f"arena dense_size {arena.dense_size} != updates' {d}"
+            )
+        out = arena.accumulator()
     else:
-        out[...] = 0.0
+        out = np.zeros(d, dtype=np.float64)
 
     for w, u in zip(weights, updates):
         if isinstance(u, SparseUpdate):

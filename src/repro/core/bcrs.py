@@ -22,7 +22,11 @@ import numpy as np
 from repro.network.cost import SPARSE_VOLUME_FACTOR, LinkSpec, sparse_uplink_time
 from repro.utils.validation import check_fraction, check_positive
 
-__all__ = ["BCRSSchedule", "schedule_ratios"]
+__all__ = ["BENCHMARK_RULES", "BCRSSchedule", "schedule_ratios"]
+
+#: Which client's default-ratio time sets ``T_bench`` (the ``benchmark``
+#: ablation axis of :func:`schedule_ratios`).
+BENCHMARK_RULES = ("max", "median")
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,9 @@ def schedule_ratios(
         bench_idx = int(order[len(order) // 2])
         t_bench = float(default_times[bench_idx])
     else:
-        raise ValueError(f"unknown benchmark rule {benchmark!r}")
+        raise ValueError(
+            f"unknown benchmark rule {benchmark!r}; expected one of {BENCHMARK_RULES}"
+        )
 
     bandwidths = np.array([l.bandwidth_bps for l in links])
     latencies = np.array([l.latency_s for l in links])

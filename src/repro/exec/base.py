@@ -99,15 +99,11 @@ class ClientTask:
     the round's ``global_params`` and set ``params_row`` to this client's
     row — the matrix then travels once through the process backend's
     shared-memory broadcast instead of once per task over a pipe.
-    ``params`` embeds an explicit start vector in the task itself (heavier;
-    kept for ad-hoc tasks). Precedence: ``params`` > ``params_row`` >
-    the round's global parameters.
     """
 
     position: int  # index into the round's selected list (result ordering)
     cid: int  # client id — keys per-client loader/compressor state
     ratio: float | None
-    params: np.ndarray | None = None
     params_row: int | None = None
 
 
@@ -165,9 +161,7 @@ class WorkerContext:
         spec: TrainSpec,
     ) -> TaskResult:
         """Run one client task to completion (train, then compress)."""
-        if task.params is not None:
-            params = task.params
-        elif task.params_row is not None:
+        if task.params_row is not None:
             if global_params is None:
                 raise ValueError(
                     f"task for client {task.cid} indexes params_row "

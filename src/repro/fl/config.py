@@ -4,8 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.core.bcrs import BENCHMARK_RULES
+from repro.core.coefficients import NORM_MODES
+from repro.data.datasets import DATASET_SPECS
 from repro.exec import BACKENDS
 from repro.network.transport import CONTENTION_MODES
+from repro.nn.models import MODEL_BUILDERS
 from repro.utils.validation import check_fraction, check_positive
 
 __all__ = [
@@ -175,6 +179,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        # Names resolved deep inside the first round (dataset and model
+        # registries, Eq. 6 Norm(), the BCRS benchmark rule): a typo must
+        # fail here, naming the field, not as a bare KeyError mid-sweep.
+        for name, known in (
+            ("dataset", tuple(DATASET_SPECS)),
+            ("model", tuple(MODEL_BUILDERS)),
+            ("norm_mode", NORM_MODES),
+            ("benchmark", BENCHMARK_RULES),
+        ):
+            if getattr(self, name) not in known:
+                raise ValueError(f"{name} must be one of {known}, got {getattr(self, name)!r}")
         check_fraction("participation", self.participation)
         check_fraction("compression_ratio", self.compression_ratio)
         if self.compressor is not None:
@@ -194,7 +209,15 @@ class ExperimentConfig:
         check_positive("lr", self.lr)
         check_positive("alpha", self.alpha)
         check_positive("gamma", self.gamma)
-        for name in ("num_clients", "rounds", "local_epochs", "batch_size", "num_train", "num_test", "eval_every"):
+        for name in ("momentum", "server_momentum"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        check_positive("weight_decay", self.weight_decay, strict=False)
+        check_positive("link_volatility", self.link_volatility, strict=False)
+        for name in (
+            "num_clients", "rounds", "local_epochs", "batch_size", "num_train", "num_test",
+            "eval_every", "required_overlap",
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.partition not in ("dirichlet", "iid", "shard"):
@@ -229,8 +252,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"server_optimizer must be 'sgd' or 'adam', got {self.server_optimizer!r}"
             )
-        if not 0 <= self.server_momentum < 1:
-            raise ValueError(f"server_momentum must be in [0, 1), got {self.server_momentum}")
         check_positive("downlink_factor", self.downlink_factor)
         check_fraction("deadline_quantile", self.deadline_quantile)
         if self.backend not in BACKENDS:

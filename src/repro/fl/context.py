@@ -14,9 +14,9 @@ Correctness rests on two properties:
 - **stream independence** — the construction consumes the ``RngFactory``
   named streams ``"partition"``, ``"links"``, ``"compute"`` and
   ``"shard-sizes"``, each an independent child of the config seed, so
-  building them inside a context (before any simulation exists) draws
-  exactly the values :class:`Simulation.__init__` would have drawn in
-  place. Seeded histories are bit-identical with or without a context
+  building them before any simulation exists shifts none of the streams a
+  simulation draws afterwards. Seeded histories are bit-identical with a
+  cached context or one the simulation built for itself
   (``tests/fl/test_context.py`` pins this).
 - **column immutability** — the only population columns a running
   simulation ever writes (``available``, ``edge_of``) are freshly allocated
@@ -73,79 +73,70 @@ DATASET_KEY_FIELDS = (
 )
 
 
+#: The population columns every simulation of one dataset key shares, and
+#: the scalar ``Population`` fields that travel with them.
+_SHARED_COLUMNS = ("bandwidth_bps", "latency_s", "s_per_sample", "data_sizes")
+_SHARED_SCALARS = ("seed", "compute_overhead_s", "partition", "corpus_size")
+
+
 def dataset_key(config) -> tuple:
     """The world-cache key: the dataset-relevant slice of ``config``."""
     return tuple(getattr(config, name) for name in DATASET_KEY_FIELDS)
 
 
-def _build_partition(config, rngs: RngFactory) -> Partition | None:
-    """The client partition exactly as ``Simulation.__init__`` draws it."""
+def _build_partition(config, train_set) -> Partition | None:
+    """The client partition of ``train_set`` — none in the virtual-shard
+    regime, where each client's shard is a counter-seeded procedural draw
+    from the corpus and the fleet may dwarf it (:mod:`repro.population`)."""
     if config.virtual_shards:
         return None
-    train_set, _ = _split(config)
+    stream = RngFactory(config.seed).stream("partition")
     if config.partition == "dirichlet":
-        return dirichlet_partition(
-            train_set.y, config.num_clients, config.beta, seed=rngs.stream("partition")
-        )
+        return dirichlet_partition(train_set.y, config.num_clients, config.beta, seed=stream)
     if config.partition == "iid":
-        return iid_partition(
-            train_set.y, config.num_clients, seed=rngs.stream("partition")
-        )
-    return shard_partition(
-        train_set.y, config.num_clients, seed=rngs.stream("partition")
-    )
-
-
-def _split(config):
-    spec = DATASET_SPECS[config.dataset]
-    return train_test_split(
-        spec, config.num_train, config.num_test, seed=config.seed
-    )
+        return iid_partition(train_set.y, config.num_clients, seed=stream)
+    return shard_partition(train_set.y, config.num_clients, seed=stream)
 
 
 @dataclass(frozen=True)
 class SimulationContext:
     """The cached, immutable products of one dataset key.
 
-    ``template`` is a fully-built :class:`Population` whose columns
-    :meth:`make_population` shares into per-simulation instances; the
-    template itself is never handed to a simulation.
+    ``fleet`` holds the :class:`Population` fields every simulation of the
+    key shares — the four frozen link/compute/size columns and the scalars
+    beside them — and nothing per-simulation: a context that kept a
+    whole ``Population`` alive would also keep its ``available`` and
+    ``edge_of`` columns (5 B/client, 5 MB at a million clients) that no
+    simulation ever sees.
     """
 
     key: tuple
     train_set: object
     test_set: object
     partition: Partition | None
-    template: Population
+    fleet: dict
 
     @classmethod
     def build(cls, config) -> "SimulationContext":
-        """Construct the world for ``config``'s dataset key.
-
-        Draws the same named RNG streams, in the same way, as a cold
-        :class:`~repro.fl.simulation.Simulation` — stream independence makes
-        the order of construction irrelevant, so the arrays are bit-equal.
-        """
-        rngs = RngFactory(config.seed)
-        train_set, test_set = _split(config)
-        partition = _build_partition(config, rngs)
-        template = Population.from_config(config, partition=partition)
+        """Construct the world for ``config``'s dataset key — the one place
+        a centralised simulation's dataset, partition and fleet columns are
+        drawn (:class:`~repro.fl.simulation.Simulation` builds a context of
+        its own when it is not handed a cached one)."""
+        train_set, test_set = train_test_split(
+            DATASET_SPECS[config.dataset], config.num_train, config.num_test, seed=config.seed
+        )
+        partition = _build_partition(config, train_set)
+        drawn = Population.from_config(config, partition=partition)
         # Freeze the shared columns: a write from any consumer would leak
-        # state between cells — fail loudly instead. (``available`` and
-        # ``edge_of`` are per-instance and stay writable.)
-        for col in (
-            template.bandwidth_bps,
-            template.latency_s,
-            template.s_per_sample,
-            template.data_sizes,
-        ):
-            col.flags.writeable = False
+        # state between cells — fail loudly instead.
+        for name in _SHARED_COLUMNS:
+            getattr(drawn, name).flags.writeable = False
         return cls(
             key=dataset_key(config),
             train_set=train_set,
             test_set=test_set,
             partition=partition,
-            template=template,
+            fleet={name: getattr(drawn, name) for name in _SHARED_COLUMNS + _SHARED_SCALARS},
         )
 
     def check(self, config) -> None:
@@ -165,21 +156,11 @@ class SimulationContext:
         ``Population.__post_init__``, so sibling cells never observe each
         other's round state.
         """
-        t = self.template
-        return Population(
-            seed=t.seed,
-            bandwidth_bps=t.bandwidth_bps,
-            latency_s=t.latency_s,
-            s_per_sample=t.s_per_sample,
-            data_sizes=t.data_sizes,
-            compute_overhead_s=t.compute_overhead_s,
-            partition=t.partition,
-            corpus_size=t.corpus_size,
-        )
+        return Population(**self.fleet)
 
     def nbytes(self) -> int:
         """Approximate cached bytes (dataset arrays + columns)."""
-        total = self.template.memory_bytes()
+        total = sum(int(self.fleet[name].nbytes) for name in _SHARED_COLUMNS)
         for ds in (self.train_set, self.test_set):
             for name in ("x", "y"):
                 arr = getattr(ds, name, None)

@@ -28,11 +28,10 @@ from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask_from_updates
 from repro.core.server_opt import make_server_optimizer
 from repro.core.overlap import overlap_distribution
-from repro.data.datasets import DATASET_SPECS, train_test_split
-from repro.data.partition import dirichlet_partition, iid_partition, shard_partition
 from repro.exec import ClientTask, TaskResult, TrainSpec
 from repro.fl.algorithms import Algorithm, RoundPlan, make_algorithm
 from repro.fl.config import ExperimentConfig
+from repro.fl.context import SimulationContext
 from repro.fl.engine import EngineMixin, build_config_model
 from repro.fl.history import History, RoundComm, RoundRecord
 from repro.fl.sampler import UniformSampler
@@ -43,7 +42,7 @@ from repro.network.transport import FaultInjector, Payload, Transport
 from repro.obs import NULL_OBS, Obs
 from repro.obs.tracer import trace_clock
 from repro.nn.params import get_flat_params, num_parameters, set_flat_params
-from repro.population import ClientPool, CompressorPool, Population, default_cache_size
+from repro.population import ClientPool, CompressorPool, default_cache_size
 from repro.population.table import LinkColumns
 from repro.robust.aggregators import robust_aggregate
 from repro.simtime.events import SpanLog
@@ -58,9 +57,9 @@ class Simulation(EngineMixin):
 
     ``context`` is an optional :class:`~repro.fl.context.SimulationContext`
     carrying prebuilt dataset/partition/population products for this
-    config's dataset key (cross-cell sweep caching). Construction draws
-    exactly the same named RNG streams either way, so seeded histories are
-    bit-identical with or without one.
+    config's dataset key (cross-cell sweep caching). Without one the
+    simulation builds its own through the same call, so seeded histories
+    are bit-identical either way.
     """
 
     def __init__(
@@ -72,35 +71,16 @@ class Simulation(EngineMixin):
         self.obs = obs if obs is not None else NULL_OBS
         rngs = RngFactory(config.seed)
 
-        # Data: shared templates for train/test, then a client partition —
-        # skipped entirely in the virtual-shard regime, where each client's
-        # shard is a counter-seeded procedural draw from the corpus and the
-        # fleet may dwarf it (repro.population). A context supplies all of
-        # it prebuilt (the "partition" stream it consumed is independent of
-        # every stream drawn below, so nothing here shifts).
-        if context is not None:
-            context.check(config)
-            self.train_set, self.test_set = context.train_set, context.test_set
-            self.partition = context.partition
-        else:
-            spec = DATASET_SPECS[config.dataset]
-            self.train_set, self.test_set = train_test_split(
-                spec, config.num_train, config.num_test, seed=config.seed
-            )
-            if config.virtual_shards:
-                self.partition = None
-            elif config.partition == "dirichlet":
-                self.partition = dirichlet_partition(
-                    self.train_set.y, config.num_clients, config.beta, seed=rngs.stream("partition")
-                )
-            elif config.partition == "iid":
-                self.partition = iid_partition(
-                    self.train_set.y, config.num_clients, seed=rngs.stream("partition")
-                )
-            else:
-                self.partition = shard_partition(
-                    self.train_set.y, config.num_clients, seed=rngs.stream("partition")
-                )
+        # Data: the train/test splits, the client partition (none in the
+        # virtual-shard regime) and the fleet's columns all come from the
+        # context — a cached one (cross-cell sweep reuse) or one built here.
+        # The streams it consumed are independent of every stream drawn
+        # below, so nothing here shifts either way.
+        if context is None:
+            context = SimulationContext.build(config)
+        context.check(config)
+        self.train_set, self.test_set = context.train_set, context.test_set
+        self.partition = context.partition
 
         # Model and its flat-parameter view.
         self.model = build_config_model(config, seed=rngs.stream("model"))
@@ -120,11 +100,7 @@ class Simulation(EngineMixin):
         # objects hydrated lazily for the sampled cohort only. The
         # partitioned regime replays the historical draw order, so seeded
         # runs reproduce the pre-population histories bit-for-bit.
-        self.population = (
-            context.make_population()
-            if context is not None
-            else Population.from_config(config, partition=self.partition)
-        )
+        self.population = context.make_population()
         cache = (
             config.hydration_cache
             if config.hydration_cache is not None

@@ -12,9 +12,10 @@ experiment — that's :class:`~repro.fl.history.History`) routes through an
 
 The default everywhere is :data:`NULL_OBS`: both halves are the shared
 null implementations, ``enabled`` is False, and every instrumentation site
-degrades to an attribute load plus a branch — the measured overhead of the
-disabled path is <1% (tracked by ``scripts/bench_suite.py``'s ``obs``
-section). The hard contract, enforced by ``tests/obs/test_determinism.py``:
+degrades to an attribute load plus a branch — an untraced run reaches a
+fixed handful of sites per round and none per client step
+(``tests/obs/test_null_path_budget.py``). The hard contract, enforced by
+``tests/obs/test_determinism.py``:
 observability never touches a seeded RNG stream, so histories are
 bit-identical with tracing on or off, on every backend, in every protocol
 mode.

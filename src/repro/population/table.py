@@ -116,26 +116,29 @@ class LinkColumns(Sequence):
 
 
 class DeviceColumns:
-    """Lazy :class:`DeviceProfile` view over the compute + link columns."""
+    """Lazy :class:`DeviceProfile` view over the compute + link columns —
+    the columns, not the :class:`Population`: in a reference cycle a dropped
+    population would keep its MBs of columns until the cyclic collector ran."""
 
-    def __init__(self, population: "Population"):
-        self._pop = population
+    def __init__(self, s_per_sample: np.ndarray, overhead_s: float, links: LinkColumns):
+        self._s_per_sample = s_per_sample
+        self._overhead_s = overhead_s
+        self._links = links
 
     def __len__(self) -> int:
-        return self._pop.num_clients
+        return len(self._links)
 
     def __getitem__(self, cid: int) -> DeviceProfile:
-        return self.with_link(cid, self._pop.links[cid])
+        return self.with_link(cid, self._links[cid])
 
     def with_link(self, cid: int, link: LinkSpec) -> DeviceProfile:
         """Client ``cid``'s profile over a ``link`` the caller already holds
         (the round's cohort links, a drifted link) — no second link object."""
-        pop = self._pop
         return DeviceProfile(
             cid=int(cid),
             compute=ComputeSpec(
-                s_per_sample=float(pop.s_per_sample[cid]),
-                overhead_s=pop.compute_overhead_s,
+                s_per_sample=float(self._s_per_sample[cid]),
+                overhead_s=self._overhead_s,
             ),
             link=link,
         )
@@ -177,7 +180,7 @@ class Population:
             self.edge_of = np.full(n, -1, dtype=np.int32)
         self._rngs = RngFactory(self.seed)
         self.links = LinkColumns(self.bandwidth_bps, self.latency_s)
-        self.devices = DeviceColumns(self)
+        self.devices = DeviceColumns(self.s_per_sample, self.compute_overhead_s, self.links)
 
     # ------------------------------------------------------------- building
 
@@ -246,11 +249,6 @@ class Population:
         """Float64 shard sizes of ``ids`` — the round loop's ``n_k`` reads,
         vectorized over the cohort without touching client objects."""
         return self.data_sizes[np.asarray(ids, dtype=np.int64)].astype(np.float64)
-
-    def frequencies_of(self, ids) -> np.ndarray:
-        """Normalized FedAvg frequencies ``f_i`` over the cohort ``ids``."""
-        sizes = self.sizes_of(ids)
-        return sizes / sizes.sum()
 
     def group_size(self, ids) -> int:
         """Total samples held by the clients in ``ids`` (edge-tier weights)."""

@@ -91,16 +91,12 @@ def coordinate_median(
     updates: list[CompressedUpdate],
     *,
     mask: np.ndarray | None = None,
-    out: np.ndarray | None = None,
     arena: AggregationArena | None = None,
 ) -> np.ndarray:
     """Per-coordinate median of the densified cohort (breakdown point 1/2)."""
     d = _check_updates(updates)
     rows = densify_updates(updates, arena=arena)
-    if out is None:
-        out = arena.accumulator() if arena is not None else np.empty(d, dtype=np.float64)
-    elif out.shape != (d,):
-        raise ValueError(f"out shape {out.shape} != ({d},)")
+    out = arena.accumulator() if arena is not None else np.empty(d, dtype=np.float64)
     np.median(rows, axis=0, out=out, overwrite_input=True)
     return _masked(out, mask)
 
@@ -110,7 +106,6 @@ def trimmed_mean(
     beta: float,
     *,
     mask: np.ndarray | None = None,
-    out: np.ndarray | None = None,
     arena: AggregationArena | None = None,
 ) -> np.ndarray:
     """Per-coordinate β-trimmed mean: drop ``⌊β·n⌋`` per tail, average the rest.
@@ -124,10 +119,7 @@ def trimmed_mean(
     n = len(updates)
     k = int(beta * n)
     rows = densify_updates(updates, arena=arena)
-    if out is None:
-        out = arena.accumulator() if arena is not None else np.empty(d, dtype=np.float64)
-    elif out.shape != (d,):
-        raise ValueError(f"out shape {out.shape} != ({d},)")
+    out = arena.accumulator() if arena is not None else np.empty(d, dtype=np.float64)
     rows.sort(axis=0)
     np.mean(rows[k : n - k], axis=0, out=out)
     return _masked(out, mask)
@@ -167,7 +159,6 @@ def robust_aggregate(
     trim_beta: float = 0.1,
     clip_tau: float | None = None,
     mask: np.ndarray | None = None,
-    out: np.ndarray | None = None,
     arena: AggregationArena | None = None,
 ) -> np.ndarray:
     """The pseudo-gradient under one named aggregation rule.
@@ -179,14 +170,14 @@ def robust_aggregate(
     order-statistic rules ignore them by design.
     """
     if aggregator == "mean":
-        return weighted_sparse_sum(updates, weights, mask=mask, out=out, arena=arena)
+        return weighted_sparse_sum(updates, weights, mask=mask, arena=arena)
     if aggregator == "norm_clip":
         if clip_tau is None:
             raise ValueError("aggregator='norm_clip' needs clip_tau")
         clipped = norm_clip_weights(updates, weights, clip_tau)
-        return weighted_sparse_sum(updates, clipped, mask=mask, out=out, arena=arena)
+        return weighted_sparse_sum(updates, clipped, mask=mask, arena=arena)
     if aggregator == "median":
-        return coordinate_median(updates, mask=mask, out=out, arena=arena)
+        return coordinate_median(updates, mask=mask, arena=arena)
     if aggregator == "trimmed_mean":
-        return trimmed_mean(updates, trim_beta, mask=mask, out=out, arena=arena)
+        return trimmed_mean(updates, trim_beta, mask=mask, arena=arena)
     raise ValueError(f"unknown aggregator {aggregator!r}")

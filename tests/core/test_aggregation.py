@@ -6,6 +6,7 @@ import pytest
 from repro.compression.base import DenseUpdate, SparseUpdate
 from repro.compression.sparsifiers import TopK
 from repro.core.aggregation import aggregate, apply_server_update, weighted_sparse_sum
+from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask_from_updates
 
 
@@ -51,8 +52,9 @@ class TestWeightedSparseSum:
     def test_out_buffer_reused(self, rng):
         d = 10
         u = sparse(d, [3], [1.0])
-        buf = np.full(d, 7.0)
-        got = weighted_sparse_sum([u], np.array([1.0]), out=buf)
+        arena = AggregationArena(d)
+        buf = weighted_sparse_sum([sparse(d, [0], [7.0])], np.array([1.0]), arena=arena)
+        got = weighted_sparse_sum([u], np.array([1.0]), arena=arena)
         assert got is buf
         assert buf[3] == 1.0 and buf[0] == 0.0
 

@@ -8,12 +8,13 @@ owns the memory, never a single IEEE operation.
 import numpy as np
 import pytest
 
-from repro.compression.base import DenseUpdate, SparseUpdate
+from repro.compression.base import DenseUpdate
 from repro.compression.sparsifiers import TopK
 from repro.core.aggregation import apply_server_update, weighted_sparse_sum
 from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask_from_updates
 from repro.core.server_opt import make_server_optimizer
+from repro.robust.aggregators import coordinate_median, trimmed_mean
 
 
 def topk_updates(rng, d, n, ratio):
@@ -82,6 +83,24 @@ class TestArenaBuffers:
         before = arena.nbytes()
         arena.rows(64)
         assert arena.nbytes() > before
+
+    def test_robust_rounds_reuse_the_rows_and_the_accumulator(self, rng):
+        """The order-statistic rules densify into the arena's grow-only row
+        matrix and reduce into its accumulator: after the first round a
+        robust round allocates no ``(n, d)`` matrix, and the values are the
+        allocating path's bit for bit."""
+        d = 60
+        arena = AggregationArena(d)
+        updates = topk_updates(rng, d, 6, 0.2)
+        first = trimmed_mean(updates, 0.2, arena=arena)
+        rows, held = arena._rows, arena.nbytes()
+        for rule in (coordinate_median, lambda u, **kw: trimmed_mean(u, 0.2, **kw)):
+            got = rule(updates[:4], arena=arena)  # a smaller cohort: a view, not a new matrix
+            assert got is first is arena._acc
+            assert arena._rows is rows and arena.nbytes() == held
+            np.testing.assert_array_equal(got, rule(updates[:4]))
+        with pytest.raises(ValueError, match="arena dense_size"):
+            coordinate_median(updates, arena=AggregationArena(d + 1))
 
 
 class TestInPlaceServerStep:

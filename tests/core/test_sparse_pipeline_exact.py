@@ -180,19 +180,15 @@ def cohort(rng, d):
 
 
 def check_sum_everywhere(updates, weights, mask):
-    """Live sum on all three landing buffers == both frozen branches."""
+    """Live sum on both landing buffers == both frozen branches."""
     d = updates[0].dense_size
     ref = ref_weighted_sparse_sum(updates, weights, mask=mask)
     ref_arena = ref_weighted_sparse_sum(updates, weights, mask=mask, arena=RefPackArena(d))
     assert_same_array(ref_arena, ref)
     arena = AggregationArena(d)
-    caller_out = np.full(d, np.nan)
     assert_same_array(weighted_sparse_sum(updates, weights, mask=mask), ref)
     for _ in range(2):  # the second call sees the first one's leftovers
         assert_same_array(weighted_sparse_sum(updates, weights, mask=mask, arena=arena), ref)
-    got = weighted_sparse_sum(updates, weights, mask=mask, out=caller_out, arena=arena)
-    assert got is caller_out
-    assert_same_array(got, ref)
 
 
 # --------------------------------------------------------------------------
@@ -327,10 +323,10 @@ class TestSumEdges:
         with np.errstate(invalid="ignore"):
             check_sum_everywhere([a, b], np.array([0.25, 0.75]), None)
 
-    def test_float32_out_rejected(self):
+    def test_wrong_width_arena_rejected(self):
         u = SparseUpdate(dense_size=4, indices=np.array([1]), values=np.ones(1, np.float32))
-        with pytest.raises(ValueError, match="float64"):
-            weighted_sparse_sum([u], np.ones(1), out=np.zeros(4, dtype=np.float32))
+        with pytest.raises(ValueError, match="arena dense_size 5"):
+            weighted_sparse_sum([u], np.ones(1), arena=AggregationArena(5))
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 70_000])
@@ -378,11 +374,11 @@ def test_scatter_adds_stay_on_the_indexed_fast_loop(rng):
         indices=np.arange(d, dtype=np.int64),
         values=rng.normal(size=d).astype(np.float32),
     )
-    out = np.zeros(d, dtype=np.float64)
+    arena = AggregationArena(d)
     weighted = update.values.astype(np.float64)
 
     bincount_s = best_of(lambda: np.bincount(update.indices, weights=weighted, minlength=d))
-    sum_s = best_of(lambda: weighted_sparse_sum([update], np.array([0.5]), out=out))
+    sum_s = best_of(lambda: weighted_sparse_sum([update], np.array([0.5]), arena=arena))
     assert sum_s < 4 * bincount_s, f"sum {sum_s:.4f}s vs bincount {bincount_s:.4f}s"
 
     bincount_s = best_of(lambda: np.bincount(update.indices, minlength=d))

@@ -221,7 +221,7 @@ class TestBackendPlumbing:
         sim = Simulation(cfg)
         try:
             backend = sim.backend
-            bad = [ClientTask(position=0, cid=0, ratio=None, params=None)]
+            bad = [ClientTask(position=0, cid=0, ratio=None)]
             spec = TrainSpec(lr=0.1, epochs=1)
             with pytest.raises(RuntimeError, match="worker"):
                 backend.run_round(bad, None, None, spec)  # no params anywhere

@@ -91,6 +91,28 @@ class TestRunner:
         assert dense.compression_ratio == 1.0
         assert digestable(results["fedavg"]) == digestable(run_experiment(dense))
 
+    def test_paper_grid_cells_are_the_per_algorithm_presets(self):
+        """The README's long-form Table 2 command is one grid over the
+        bcrs_opwa preset (dataset × beta × compression_ratio × algorithm).
+        Every cell is the experiment the per-algorithm preset describes —
+        what a hand-rolled loop over ``paper_config(ds, alg, ...)`` ran."""
+        ds, beta, cr = "synth-svhn", 0.1, 0.01
+        report = run_grid(
+            paper_config("cifar10", "bcrs_opwa", rounds=3),
+            {
+                "dataset": [ds],
+                "beta": [beta],
+                "compression_ratio": [cr],
+                "algorithm": ["fedavg", "topk", "eftopk", "bcrs", "bcrs_opwa"],
+            },
+        )
+        assert len(report.cells) == 5
+        for spec, history in report.cells:
+            preset = paper_config(
+                ds, spec.axes["algorithm"], beta=beta, compression_ratio=cr, rounds=3
+            )
+            assert digestable(history) == digestable(run_experiment(preset)), spec.axes
+
 
 class TestReporting:
     @pytest.fixture

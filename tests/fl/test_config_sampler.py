@@ -28,6 +28,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("dataset", "cifar10"),  # the paper's name; the registry's is synth-cifar10
+        ("model", "resnet18"),
+        ("norm_mode", "bogus"),
+        ("benchmark", "min"),
+        ("required_overlap", 0),
+        ("momentum", -1.0),
+        ("weight_decay", -1.0),
+        ("link_volatility", -1.0),
+    ])
+    def test_values_a_round_would_reject_fail_at_construction(self, field, value):
+        """Each of these used to construct and die inside the first round
+        (a bare KeyError for the registry names); the error names the field."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExperimentConfig(algorithm="bcrs_opwa", **{field: value})
+
     def test_with_override(self):
         cfg = ExperimentConfig().with_(algorithm="bcrs", compression_ratio=0.1)
         assert cfg.algorithm == "bcrs"

@@ -5,9 +5,6 @@ knobs never share a world, the LRU evicts, and the shared columns are
 frozen against accidental writes.
 """
 
-import dataclasses
-
-import numpy as np
 import pytest
 
 from repro.fl.config import ExperimentConfig
@@ -147,7 +144,7 @@ class TestColumnSharing:
     def test_shared_columns_frozen(self):
         ctx = SimulationContext.build(tiny())
         pop = ctx.make_population()
-        assert pop.bandwidth_bps is ctx.template.bandwidth_bps
+        assert pop.bandwidth_bps is ctx.fleet["bandwidth_bps"]
         with pytest.raises(ValueError):
             pop.bandwidth_bps[0] = 1.0
 

@@ -279,6 +279,30 @@ class TestFairPipeProperties:
             runs.append([pipe.finish_time(f) for f in fids])
         assert runs[0] == runs[1]  # bitwise, not approx
 
+    @pytest.mark.parametrize("n", [10, 50, 200])
+    def test_event_budget_is_linear_in_flows(self, n, monkeypatch):
+        """A batch of N flows resolves in one fluid event per entry and per
+        completion — 2N ``_advance`` steps and 2N − 1 ``_rates`` solves (the
+        first step only moves the idle frontier to the first entry), never
+        one solve per (event, flow) pair. Counts, not flows per second: they
+        repeat exactly."""
+        counts = {"advance": 0, "rates": 0}
+
+        def counting(key, inner):
+            def wrapper(*args):
+                counts[key] += 1
+                return inner(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(IngressPipe, "_advance", counting("advance", IngressPipe._advance))
+        monkeypatch.setattr(IngressPipe, "_rates", counting("rates", IngressPipe._rates))
+        pipe = IngressPipe(5.0 * MBIT)
+        for i, link in enumerate(sample_links(n, LinkModel(), seed=1)):
+            pipe.admit(1e6 + 1e4 * i, link, 0.1 * (i % 7))
+        assert len(pipe.drain()) == n
+        assert counts == {"advance": 2 * n, "rates": 2 * n - 1}
+
 
 class TestTransport:
     def test_contention_validation(self):

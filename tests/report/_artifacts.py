@@ -104,6 +104,20 @@ def make_hier_sweep() -> SweepReport:
     )
 
 
+def make_robust_sweep() -> SweepReport:
+    """An aggregator × adversary_fraction grid: accuracy falls with the
+    byzantine fraction, more slowly under the trimmed mean."""
+    cells = expand_grid(
+        tiny_base(adversary="sign_flip"),
+        {"aggregator": ["mean", "trimmed_mean"], "adversary_fraction": [0.0, 0.15, 0.3]},
+    )
+    curves = [(0.3, 0.5), (0.2, 0.3), (0.1, 0.15), (0.3, 0.5), (0.25, 0.45), (0.2, 0.4)]
+    return SweepReport(
+        cells=[(spec, make_history(accs)) for spec, accs in zip(cells, curves)],
+        executed=6,
+    )
+
+
 def make_spans() -> list[Span]:
     return [
         Span(name="round", cat="sim", start=0.0, end=1.0, tid=0),

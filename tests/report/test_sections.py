@@ -9,10 +9,11 @@ from repro.report.sections import (
     history_section,
     manifest_section,
     metrics_section,
+    robustness_section,
     sweep_section,
     trace_section,
 )
-from _artifacts import MANIFEST, make_hier_sweep, make_history
+from _artifacts import MANIFEST, make_hier_sweep, make_history, make_robust_sweep
 
 from repro.obs.tracer import Span
 
@@ -93,6 +94,19 @@ class TestSweepSection:
         assert flat["backhaul"] is None
         assert hier["backhaul"] == 0.75
         assert (hier["comm_time"], hier["virtual_time"]) == (2.0, 4.0)
+
+
+class TestRobustnessSection:
+    def test_robustness_axis_renders_a_degradation_curve(self):
+        out = robustness_section(make_robust_sweep())
+        assert out.startswith('<section id="robustness">')
+        assert "Accuracy vs adversary_fraction" in out
+        # Marginalized over the aggregator axis: three intensities, two cells each.
+        assert out.count("<tr>") == 1 + 3
+        assert "<td>0.15</td><td>0.3750</td>" in out
+
+    def test_sweep_without_a_robustness_axis_renders_nothing(self, sweep):
+        assert robustness_section(sweep) == ""
 
 
 class TestTraceSection:

@@ -202,6 +202,28 @@ class TestSweepGrid:
         assert rc == 2
         assert "alpha must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--grid", "dataset=cifar10,svhn"],
+             "dataset must be one of ('synth-cifar10', 'synth-cifar100', 'synth-svhn'), got 'cifar10'"),
+            (["--algorithm", "bcrs", "--grid", "norm_mode=sum,bogus"],
+             "norm_mode must be one of ('sum', 'max', 'none'), got 'bogus'"),
+        ],
+    )
+    def test_unknown_name_on_an_axis_fails_before_any_cell_runs(
+        self, tmp_path, capsys, argv, message
+    ):
+        """A value only the first round would have rejected — the second
+        case after running its valid first cell — stops the sweep up front."""
+        store = tmp_path / "runs"
+        rc = main(["sweep", *argv, "--store", str(store), "--rounds", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not store.exists() or not any(store.iterdir())
+
     def test_duplicate_cells_exit_cleanly(self, capsys):
         rc = main(["sweep", "--grid", "gamma=3,3.0", *FAST_ARGS])
         assert rc == 2
