@@ -339,6 +339,11 @@ class ExperimentConfig:
                 "drop_prob + truncate_prob must be <= 1, got "
                 f"{self.drop_prob} + {self.truncate_prob}"
             )
+        if self.mode == "hier" and (self.drop_prob > 0.0 or self.truncate_prob > 0.0):
+            raise ValueError(
+                "drop_prob/truncate_prob are not supported in mode='hier' — "
+                "edge failures are modeled by edge_crash_prob"
+            )
 
     @property
     def clients_per_round(self) -> int:

@@ -18,9 +18,9 @@ Correctness rests on two properties:
   simulation draws afterwards. Seeded histories are bit-identical with a
   cached context or one the simulation built for itself
   (``tests/fl/test_context.py`` pins this).
-- **column immutability** — the only population columns a running
-  simulation ever writes (``available``, ``edge_of``) are freshly allocated
-  per :meth:`SimulationContext.make_population` call; the shared columns
+- **column immutability** — the only population column a running
+  simulation ever writes (``available``) is freshly allocated per
+  :meth:`SimulationContext.make_population` call; the shared columns
   are additionally frozen (``writeable=False``) so an accidental write
   raises instead of corrupting sibling cells.
 
@@ -105,9 +105,8 @@ class SimulationContext:
     ``fleet`` holds the :class:`Population` fields every simulation of the
     key shares — the four frozen link/compute/size columns and the scalars
     beside them — and nothing per-simulation: a context that kept a
-    whole ``Population`` alive would also keep its ``available`` and
-    ``edge_of`` columns (5 B/client, 5 MB at a million clients) that no
-    simulation ever sees.
+    whole ``Population`` alive would also keep its ``available`` column
+    (1 B/client, 1 MB at a million clients) that no simulation ever sees.
     """
 
     key: tuple
@@ -151,10 +150,9 @@ class SimulationContext:
     def make_population(self) -> Population:
         """A fresh :class:`Population` sharing the immutable columns.
 
-        ``available`` and ``edge_of`` — the only columns simulations mutate
-        (availability churn, hierarchy binding) — are freshly allocated by
-        ``Population.__post_init__``, so sibling cells never observe each
-        other's round state.
+        ``available`` — the only column simulations mutate (availability
+        churn) — is freshly allocated by ``Population.__post_init__``, so
+        sibling cells never observe each other's round state.
         """
         return Population(**self.fleet)
 

@@ -182,7 +182,7 @@ class Simulation(EngineMixin):
 
         self.history = History()
         self.round_index = 0
-        #: Sparse updates of the most recent round (for overlap analysis, Fig. 4).
+        #: What the most recent round aggregated (Fig. 4); released by _begin_round.
         self.last_round_updates: list[CompressedUpdate] = []
 
         self._train_spec = TrainSpec.from_config(config)
@@ -194,8 +194,11 @@ class Simulation(EngineMixin):
     # repro.simtime.protocols and the hierarchy in repro.hier; a protocol
     # keeps only its own cohort choice, membership and barrier)
 
-    def _step_links(self) -> None:
-        """Advance drifting links by one round (fixed links: nothing to do)."""
+    def _begin_round(self) -> None:
+        """Before anything is dispatched: release the previous round's uploads
+        (a round holds one cohort's, not two; rebound, so a list a caller kept
+        still reads) and advance drifting links (fixed links: nothing to do)."""
+        self.last_round_updates = []
         if self._varying is not None:
             self.links = [tv.step() for tv in self._varying]
 
@@ -444,7 +447,7 @@ class Simulation(EngineMixin):
     def _sync_round(self) -> RoundRecord:
         with self.obs.tracer.span("sample", cat="sim"):
             selected = self.sampler.sample()
-        self._step_links()
+        self._begin_round()
         links, freqs, plan, tasks = self._plan_cohort(selected)
 
         # Local training + compression (lines 11–12): one task per selected

@@ -67,10 +67,8 @@ class HierSimulation(Simulation):
         # One server optimizer per edge (identical hyperparameters); its
         # state (momentum/Adam moments) persists across cloud rounds.
         self.edge_opts = [self._make_server_opt() for _ in self.topology.groups]
-        # Record the client→edge assignment in the population table, and
-        # weight the cloud tier by each group's data — summed from the size
+        # Weight the cloud tier by each group's data — summed from the size
         # column, so a fleet-scale hierarchy never hydrates clients here.
-        self.population.bind_edges(self.topology.groups)
         sizes = np.array(
             [self.population.group_size(group) for group in self.topology.groups],
             dtype=np.float64,
@@ -190,7 +188,7 @@ class HierSimulation(Simulation):
     def _cloud_round(self) -> RoundRecord:
         cfg = self.config
         E = self.topology.num_edges
-        self._step_links()
+        self._begin_round()
 
         sim_start = self.sim_clock
         # Edge-aggregator crash events: each edge fails this cloud round

@@ -14,7 +14,6 @@ column                meaning
 ``s_per_sample``      local-training speed (lognormal around the median)
 ``data_sizes``        shard size ``n_k`` (drives FedAvg frequencies)
 ``available``         current availability mask (churn models write it)
-``edge_of``           serving edge aggregator (−1 until a hierarchy binds)
 ====================  =====================================================
 
 Samplers, availability models, BCRS planning and the round loop read these
@@ -163,7 +162,6 @@ class Population:
     #: Corpus size virtual shards draw from (ignored when partitioned).
     corpus_size: int = 0
     available: np.ndarray = field(default=None)  # type: ignore[assignment]
-    edge_of: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         n = len(self.bandwidth_bps)
@@ -176,8 +174,6 @@ class Population:
             raise ValueError("every client needs at least one sample")
         if self.available is None:
             self.available = np.ones(n, dtype=bool)
-        if self.edge_of is None:
-            self.edge_of = np.full(n, -1, dtype=np.int32)
         self._rngs = RngFactory(self.seed)
         self.links = LinkColumns(self.bandwidth_bps, self.latency_s)
         self.devices = DeviceColumns(self.s_per_sample, self.compute_overhead_s, self.links)
@@ -267,16 +263,6 @@ class Population:
         rng = self._rngs.counter(SHARD_STREAM, int(cid))
         return rng.integers(0, self.corpus_size, size=int(self.data_sizes[cid]))
 
-    def available_ids(self) -> np.ndarray:
-        """Ids currently marked available (sorted, vectorized)."""
-        return np.flatnonzero(self.available)
-
-    def bind_edges(self, groups: Sequence[Sequence[int]]) -> None:
-        """Record the hierarchy's client→edge assignment in the ``edge_of``
-        column (vectorized lookups for per-edge cohort slicing)."""
-        for e, group in enumerate(groups):
-            self.edge_of[np.asarray(group, dtype=np.int64)] = e
-
     def memory_bytes(self) -> int:
         """Total bytes held by the numpy columns (the O(fleet) footprint)."""
         cols = (
@@ -285,6 +271,5 @@ class Population:
             self.s_per_sample,
             self.data_sizes,
             self.available,
-            self.edge_of,
         )
         return int(sum(c.nbytes for c in cols))

@@ -320,7 +320,7 @@ register_scenario(ScenarioSpec(
     ),
     expected=(
         "Construction completes in milliseconds and memory stays flat in "
-        "fleet size (the population is six numpy columns); each round "
+        "fleet size (the population is five numpy columns); each round "
         "hydrates only sampled clients, so a laptop-class machine "
         "completes seeded rounds at N=1e6."
     ),

@@ -52,6 +52,8 @@ from repro.fl.context import WorldCache
 from repro.fl.history import History
 from repro.fl.simulation import run_experiment
 from repro.io.history_io import history_from_dict, history_to_dict
+from repro.obs import NULL_OBS
+from repro.obs.tracer import trace_clock
 from repro.scenarios.grid import expand_grid
 from repro.scenarios.report import SweepReport
 from repro.scenarios.spec import ScenarioSpec
@@ -127,7 +129,8 @@ class SweepRunner:
     store:
         Optional :class:`RunStore` (or path) for resume: completed cells
         are loaded instead of re-run, fresh cells are persisted as they
-        finish — an interrupt loses only in-flight cells.
+        finish — an interrupt loses only in-flight cells; a cell that raises
+        fails the sweep (``RuntimeError`` naming it) once its siblings are saved.
     progress:
         Optional callback ``(spec, cached: bool)`` invoked as each cell
         resolves (from worker threads' completion loop order, not cell
@@ -178,11 +181,7 @@ class SweepRunner:
         self.store = store
         self.progress = progress
         self.on_start = on_start
-        if obs is None:
-            from repro.obs import NULL_OBS
-
-            obs = NULL_OBS
-        self.obs = obs
+        self.obs = obs if obs is not None else NULL_OBS
         self._pool: Executor | None = None
         self._entered = False
         if self.executor == "process" and self.parallel > 1:
@@ -257,8 +256,6 @@ class SweepRunner:
 
         def dispatch(i: int) -> None:
             if obs.enabled:
-                from repro.obs.tracer import trace_clock
-
                 starts[i] = trace_clock()
             if self.on_start is not None:
                 self.on_start(self.specs[i])
@@ -267,8 +264,6 @@ class SweepRunner:
             history = history_from_dict(history_dict)
             results[i] = history
             if obs.enabled:
-                from repro.obs.tracer import trace_clock
-
                 t0 = starts.pop(i, None)
                 if t0 is not None:
                     t1 = trace_clock()
@@ -283,12 +278,18 @@ class SweepRunner:
                 self.progress(self.specs[i], False)
 
         force_serial = self.executor == "process" and self.parallel > 1
+        failed: tuple[int, BaseException] | None = None  # first cell that raised
         if not pending:
             pass
         elif self.parallel == 1 or self.executor == "serial" or len(pending) == 1:
             for i in pending:
                 dispatch(i)
-                resolve(i, run_cell(self.specs[i].to_dict()))
+                try:
+                    payload = run_cell(self.specs[i].to_dict())
+                except Exception as exc:
+                    failed = (i, exc)
+                    break
+                resolve(i, payload)
         else:
             try:
                 pool = self._ensure_pool()
@@ -310,13 +311,21 @@ class SweepRunner:
                         ] = i
                     done, _ = wait(futures, return_when=FIRST_COMPLETED)
                     for fut in done:
-                        resolve(futures.pop(fut), fut.result())
+                        i, exc = futures.pop(fut), fut.exception()
+                        if exc is None:
+                            resolve(i, fut.result())
+                        elif failed is None:
+                            # Submit nothing more; cells in flight still land.
+                            failed, todo = (i, exc), []
             finally:
                 # Outside a ``with`` block the pool is single-use, matching
                 # the historical behavior; entered runners keep it warm.
                 if not self._entered:
                     self.close()
 
+        if failed is not None:
+            i, exc = failed
+            raise RuntimeError(f"sweep cell {self.specs[i].name!r} failed: {exc!r}") from exc
         ordered = [(self.specs[i], results[i]) for i in range(len(self.specs))]
         return SweepReport(
             cells=ordered, executed=len(pending), reused=len(cached)

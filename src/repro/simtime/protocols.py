@@ -434,6 +434,7 @@ class AsyncSimulation(_EventDrivenSimulation):
             return self._advance_window()
 
     def _advance_window(self) -> RoundRecord:
+        self._begin_round()
         if not self._primed:
             self._prime()
         K = self.config.async_buffer_size
@@ -514,7 +515,7 @@ class SemiSyncSimulation(_EventDrivenSimulation):
         t0 = self.now
         selected = self._select()
 
-        self._step_links()
+        self._begin_round()
 
         # Plan + train the round's fresh dispatches in one backend batch
         # (selection order = position order, per the exec contract).

@@ -44,6 +44,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ExperimentConfig(algorithm="bcrs_opwa", **{field: value})
 
+    @pytest.mark.parametrize("field", ["drop_prob", "truncate_prob"])
+    def test_hier_rejects_client_uplink_faults_at_construction(self, field):
+        """The pair used to construct and raise from ``HierSimulation.__init__``
+        — after a sweep's earlier cells had run; the error names both sides."""
+        with pytest.raises(ValueError, match="mode='hier'") as err:
+            ExperimentConfig(mode="hier", **{field: 0.1})
+        assert field in str(err.value)
+        with pytest.raises(ValueError, match="mode='hier'"):
+            ExperimentConfig(**{field: 0.1}).with_(mode="hier")
+        # The flat modes take faults, and hier its own failure model.
+        for mode in ("sync", "semisync", "async"):
+            ExperimentConfig(mode=mode, **{field: 0.1})
+        ExperimentConfig(mode="hier", edge_crash_prob=0.1)
+
     def test_with_override(self):
         cfg = ExperimentConfig().with_(algorithm="bcrs", compression_ratio=0.1)
         assert cfg.algorithm == "bcrs"

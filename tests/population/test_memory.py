@@ -24,8 +24,8 @@ from repro.fl.simulation import Simulation
 
 COHORT = 64
 
-#: 100×-fleet overhead allowed beyond the small fleet's peak: the six
-#: population columns at 100K clients are ~2.6 MB; 32 MB of slack absorbs
+#: 100×-fleet overhead allowed beyond the small fleet's peak: the five
+#: population columns at 100K clients are ~3.3 MB; 32 MB of slack absorbs
 #: allocator noise while staying ~3 orders of magnitude below what eager
 #: hydration of 100K shards would cost.
 SLACK_BYTES = 32 * 1024 * 1024
@@ -84,8 +84,44 @@ def test_population_columns_scale_linearly_and_small():
     from repro.population import Population
 
     pop = Population.from_config(cfg, partition=None)
-    # 3 float64 + 1 int64 + 1 bool + 1 int32 column = 37 bytes/client.
-    assert pop.memory_bytes() == 100_000 * 37
+    # Five numpy columns: 3 float64 + 1 int64 + 1 bool = 33 bytes/client.
+    assert pop.memory_bytes() == 100_000 * 33
+
+
+def updates_nbytes(updates) -> int:
+    return sum(u.indices.nbytes + u.values.nbytes for u in updates)
+
+
+def test_steady_state_round_holds_one_cohort_of_updates():
+    """From the second round on, a round's transient memory is one cohort's
+    uploads — the previous round's are released before dispatch, not after
+    the new ones are all built.
+
+    Plain ``topk`` so every round's uploads are the same size and nothing
+    else grows (``eftopk`` adds 64 new clients' residuals per round — client
+    state, not round state). Measured with tracemalloc on this config:
+    (peak − static) / round-3 upload bytes = 1.06 with the release at round
+    start, 2.06 when the attribute was only rebound at aggregation; the 1.5
+    bound sits midway.
+    """
+    cfg = fleet_config(100_000).with_(algorithm="topk", rounds=4)
+    tracemalloc.start()
+    try:
+        with Simulation(cfg) as sim:
+            for _ in range(3):
+                sim.run_round()
+            static = tracemalloc.get_traced_memory()[0] - updates_nbytes(sim.last_round_updates)
+            tracemalloc.reset_peak()
+            sim.run_round()
+            _, peak = tracemalloc.get_traced_memory()
+            held = updates_nbytes(sim.last_round_updates)
+    finally:
+        tracemalloc.stop()
+    assert len(sim.last_round_updates) == COHORT and held > 0
+    assert peak - static <= 1.5 * held, (
+        f"round 3 peaked {(peak - static) / 1e6:.1f} MB above the static state "
+        f"for {held / 1e6:.1f} MB of uploads — a second cohort is being held"
+    )
 
 
 def ref_fleet_columns(cfg: ExperimentConfig):

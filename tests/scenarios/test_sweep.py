@@ -89,6 +89,42 @@ class TestResume:
         for (_, ha), (_, hb) in zip(full.cells, again.cells):
             assert stripped(ha) == stripped(hb)
 
+    @pytest.mark.parametrize("executor", ["thread", "serial"])
+    def test_failing_cell_loses_no_finished_cell(self, tmp_path, monkeypatch, executor):
+        """One raising cell fails the sweep, but every cell that finished —
+        on the pool path the ones in flight beside it too — is in the store
+        first, and the error names the cell that raised."""
+        from repro.scenarios import sweep
+
+        cells = tiny_cells()
+        bad = cells[1]
+        real = sweep.run_cell
+
+        def flaky(spec_dict, **kwargs):
+            if spec_dict["name"] == bad.name:
+                raise OSError("disk on fire")
+            return real(spec_dict, **kwargs)
+
+        monkeypatch.setattr(sweep, "run_cell", flaky)
+        store = RunStore(tmp_path / "runs")
+        seen: list[str] = []
+        with pytest.raises(RuntimeError) as err:
+            SweepRunner(
+                cells, parallel=4, executor=executor, store=store,
+                progress=lambda spec, cached: seen.append(spec.name),
+            ).run()
+        assert repr(bad.name) in str(err.value)
+        assert isinstance(err.value.__cause__, OSError)
+        # Serial stops at the failure; the pool had all four in flight.
+        finished = cells[:1] if executor == "serial" else [c for c in cells if c is not bad]
+        assert store.completed_hashes() == {c.spec_hash() for c in finished}
+        assert sorted(seen) == sorted(c.name for c in finished)
+
+        monkeypatch.setattr(sweep, "run_cell", real)
+        rerun = SweepRunner(cells, parallel=1, store=store).run()
+        assert rerun.reused == len(finished)
+        assert rerun.executed == len(cells) - len(finished)
+
     def test_cached_cells_equal_fresh_cells_bitwise(self, tmp_path):
         cells = tiny_cells()[:2]
         fresh = SweepRunner(cells, parallel=1).run()

@@ -299,6 +299,28 @@ class TestReviewRegressions:
                 tightened = True
         assert tightened  # the fix must bite on at least one round
 
+    @pytest.mark.parametrize("mode", ["sync", "semisync", "async"])
+    def test_all_lost_round_leaves_no_round_updates(self, mode):
+        """A round that loses every upload aggregated nothing, so it holds
+        nothing — the event-driven windows used to keep the *previous*
+        window's updates here while the sync path already read ``[]``."""
+        from repro.network.transport import FaultInjector
+
+        cfg = small_config(mode=mode, rounds=12)
+        with make_simulation(cfg) as sim:
+            sim.run_round()
+            assert sim.last_round_updates
+            # From here on every upload is lost in flight (uploads already
+            # in the async/semisync ingress still land, so run until a
+            # window consists of drop-fated arrivals only).
+            sim.faults = FaultInjector.from_config(cfg.with_(drop_prob=1.0))
+            for _ in range(8):
+                record = sim.run_round()
+                if record.num_participants == 0:
+                    break
+            assert record.num_participants == 0
+            assert sim.last_round_updates == []
+
 
 class TestBackendDeterminism:
     """Same seed ⇒ identical event order/records on every exec backend."""

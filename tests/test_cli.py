@@ -209,6 +209,10 @@ class TestSweepGrid:
              "dataset must be one of ('synth-cifar10', 'synth-cifar100', 'synth-svhn'), got 'cifar10'"),
             (["--algorithm", "bcrs", "--grid", "norm_mode=sum,bogus"],
              "norm_mode must be one of ('sum', 'max', 'none'), got 'bogus'"),
+            # A cross-field pair only HierSimulation.__init__ used to reject,
+            # after the grid's `sync` cell had already run.
+            (["--algorithm", "topk", "--drop-prob", "0.1", "--grid", "mode=sync,hier,async"],
+             "drop_prob/truncate_prob are not supported in mode='hier'"),
         ],
     )
     def test_unknown_name_on_an_axis_fails_before_any_cell_runs(

@@ -5,8 +5,8 @@ CHANGES.md, a PR that deletes code lowers it."""
 
 from pathlib import Path
 
-#: Physical lines of ``src/**/*.py`` after PR 19 (16,407 before it).
-SRC_LINE_CEILING = 16_369
+#: Physical lines of ``src/**/*.py`` after PR 24 (16,369 before it).
+SRC_LINE_CEILING = 16_368
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
