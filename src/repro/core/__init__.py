@@ -1,7 +1,7 @@
 """The paper's contribution: BCRS scheduling, Eq. 6 coefficients, the
 degree-of-overlap metric, the OPWA mask, and the aggregation rules."""
 
-from repro.core.aggregation import aggregate, apply_server_update, weighted_sparse_sum
+from repro.core.aggregation import apply_server_update, weighted_sparse_sum
 from repro.core.bcrs import BCRSSchedule, schedule_ratios
 from repro.core.coefficients import adjusted_coefficients, fedavg_coefficients, normalize_ratios
 from repro.core.opwa import opwa_mask, opwa_mask_from_updates
@@ -21,7 +21,6 @@ __all__ = [
     "opwa_mask_from_updates",
     "weighted_sparse_sum",
     "apply_server_update",
-    "aggregate",
     "ServerOptimizer",
     "ServerSGD",
     "ServerAdam",

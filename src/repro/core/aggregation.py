@@ -22,7 +22,7 @@ import numpy as np
 from repro.compression.base import CompressedUpdate, SparseUpdate
 from repro.core.arena import AggregationArena
 
-__all__ = ["weighted_sparse_sum", "apply_server_update", "aggregate"]
+__all__ = ["weighted_sparse_sum", "apply_server_update"]
 
 
 def weighted_sparse_sum(
@@ -123,16 +123,3 @@ def apply_server_update(
         raise ValueError(f"out shape {out.shape} != {global_params.shape}")
     np.copyto(out, scratch, casting="unsafe")
     return out
-
-
-def aggregate(
-    global_params: np.ndarray,
-    updates: list[CompressedUpdate],
-    weights: np.ndarray,
-    *,
-    mask: np.ndarray | None = None,
-    server_step: float = 1.0,
-) -> np.ndarray:
-    """One-call aggregation: weighted (optionally masked) sum, then the step."""
-    total = weighted_sparse_sum(updates, weights, mask=mask)
-    return apply_server_update(global_params, total, server_step)

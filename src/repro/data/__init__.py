@@ -1,13 +1,11 @@
 """Data substrate: synthetic datasets, non-IID partitioning, batching, stats."""
 
 from repro.data.datasets import DATASET_SPECS, Dataset, SyntheticSpec, make_dataset, train_test_split
-from repro.data.federated import FederatedDataset, make_feature_skew_federation
 from repro.data.loader import BatchLoader
 from repro.data.partition import (
     Partition,
     dirichlet_partition,
     iid_partition,
-    quantity_skew_partition,
     shard_partition,
 )
 from repro.data.stats import (
@@ -29,9 +27,6 @@ __all__ = [
     "dirichlet_partition",
     "iid_partition",
     "shard_partition",
-    "quantity_skew_partition",
-    "FederatedDataset",
-    "make_feature_skew_federation",
     "label_entropy",
     "mean_label_entropy",
     "earth_movers_distance",

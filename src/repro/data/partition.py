@@ -18,7 +18,6 @@ __all__ = [
     "dirichlet_partition",
     "iid_partition",
     "shard_partition",
-    "quantity_skew_partition",
 ]
 
 
@@ -115,47 +114,6 @@ def iid_partition(
     rng = as_generator(seed)
     perm = rng.permutation(labels.size)
     chunks = np.array_split(perm, num_clients)
-    num_classes = int(labels.max()) + 1 if labels.size else 0
-    return Partition([np.sort(c) for c in chunks], labels, num_classes)
-
-
-def quantity_skew_partition(
-    labels: np.ndarray,
-    num_clients: int,
-    skew: float = 1.0,
-    seed: int | np.random.Generator = 0,
-    *,
-    min_size: int = 1,
-) -> Partition:
-    """Label-balanced but *size*-imbalanced split.
-
-    Client sizes follow ``Dir(skew)`` over the sample pool (lower ``skew`` =
-    more imbalanced), while each client's label distribution stays close to
-    global. Isolates the effect of heterogeneous ``f_i = n_i/n`` on the
-    Eq. 6 coefficients without confounding label skew.
-    """
-    labels = np.asarray(labels)
-    if num_clients < 1:
-        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if skew <= 0:
-        raise ValueError(f"skew must be > 0, got {skew}")
-    rng = as_generator(seed)
-    n = labels.size
-    proportions = rng.dirichlet(np.full(num_clients, skew))
-    # Floor each client at min_size, re-normalize the remainder.
-    base = np.full(num_clients, min_size, dtype=np.int64)
-    remainder = n - base.sum()
-    if remainder < 0:
-        raise ValueError(f"min_size {min_size} infeasible for {n} samples, {num_clients} clients")
-    extra = np.floor(proportions * remainder).astype(np.int64)
-    # Distribute the rounding slack to the largest shares.
-    slack = remainder - extra.sum()
-    order = np.argsort(proportions)[::-1]
-    extra[order[:slack]] += 1
-    sizes = base + extra
-    perm = rng.permutation(n)  # label-balanced in expectation
-    cuts = np.cumsum(sizes)[:-1]
-    chunks = np.split(perm, cuts)
     num_classes = int(labels.max()) + 1 if labels.size else 0
     return Partition([np.sort(c) for c in chunks], labels, num_classes)
 

@@ -1,11 +1,6 @@
 """Federated-learning engine: Algorithm 1 with pluggable algorithms."""
 
 from repro.fl.algorithms import Algorithm, RoundPlan, make_algorithm
-from repro.fl.availability import (
-    AvailabilityAwareSampler,
-    BernoulliAvailability,
-    MarkovAvailability,
-)
 from repro.fl.client import Client, LocalTrainResult
 from repro.fl.config import ALGORITHMS, ExperimentConfig
 from repro.fl.decentralized import (
@@ -35,7 +30,4 @@ __all__ = [
     "mixing_matrix",
     "ring_edges",
     "random_regular_edges",
-    "BernoulliAvailability",
-    "MarkovAvailability",
-    "AvailabilityAwareSampler",
 ]

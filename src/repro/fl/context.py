@@ -18,11 +18,10 @@ Correctness rests on two properties:
   simulation draws afterwards. Seeded histories are bit-identical with a
   cached context or one the simulation built for itself
   (``tests/fl/test_context.py`` pins this).
-- **column immutability** — the only population column a running
-  simulation ever writes (``available``) is freshly allocated per
-  :meth:`SimulationContext.make_population` call; the shared columns
-  are additionally frozen (``writeable=False``) so an accidental write
-  raises instead of corrupting sibling cells.
+- **column immutability** — every simulation of a key shares the
+  context's one :class:`~repro.population.table.Population`, and its
+  columns are frozen (``writeable=False``), so an accidental write raises
+  instead of corrupting sibling cells.
 
 Keying is deliberately conservative: every field that *could* influence the
 products is in the key, so two configs differing in any non-IID knob
@@ -73,12 +72,6 @@ DATASET_KEY_FIELDS = (
 )
 
 
-#: The population columns every simulation of one dataset key shares, and
-#: the scalar ``Population`` fields that travel with them.
-_SHARED_COLUMNS = ("bandwidth_bps", "latency_s", "s_per_sample", "data_sizes")
-_SHARED_SCALARS = ("seed", "compute_overhead_s", "partition", "corpus_size")
-
-
 def dataset_key(config) -> tuple:
     """The world-cache key: the dataset-relevant slice of ``config``."""
     return tuple(getattr(config, name) for name in DATASET_KEY_FIELDS)
@@ -102,18 +95,18 @@ def _build_partition(config, train_set) -> Partition | None:
 class SimulationContext:
     """The cached, immutable products of one dataset key.
 
-    ``fleet`` holds the :class:`Population` fields every simulation of the
-    key shares — the four frozen link/compute/size columns and the scalars
-    beside them — and nothing per-simulation: a context that kept a
-    whole ``Population`` alive would also keep its ``available`` column
-    (1 B/client, 1 MB at a million clients) that no simulation ever sees.
+    ``population`` is the one :class:`Population` every simulation of the
+    key uses, its four columns frozen. Its only mutable state is the
+    :class:`~repro.utils.rng.RngFactory` memo of counter keys, which stores
+    a deterministic hash per stream name and never changes a value, so
+    cells running on a thread executor share it safely.
     """
 
     key: tuple
     train_set: object
     test_set: object
     partition: Partition | None
-    fleet: dict
+    population: Population
 
     @classmethod
     def build(cls, config) -> "SimulationContext":
@@ -125,17 +118,17 @@ class SimulationContext:
             DATASET_SPECS[config.dataset], config.num_train, config.num_test, seed=config.seed
         )
         partition = _build_partition(config, train_set)
-        drawn = Population.from_config(config, partition=partition)
-        # Freeze the shared columns: a write from any consumer would leak
-        # state between cells — fail loudly instead.
-        for name in _SHARED_COLUMNS:
-            getattr(drawn, name).flags.writeable = False
+        population = Population.from_config(config, partition=partition)
+        # Freeze the columns: a write from any consumer would leak state
+        # between cells — fail loudly instead.
+        for name in ("bandwidth_bps", "latency_s", "s_per_sample", "data_sizes"):
+            getattr(population, name).flags.writeable = False
         return cls(
             key=dataset_key(config),
             train_set=train_set,
             test_set=test_set,
             partition=partition,
-            fleet={name: getattr(drawn, name) for name in _SHARED_COLUMNS + _SHARED_SCALARS},
+            population=population,
         )
 
     def check(self, config) -> None:
@@ -146,25 +139,6 @@ class SimulationContext:
                 f"context built for dataset key {self.key} cannot serve a "
                 f"config with key {key}"
             )
-
-    def make_population(self) -> Population:
-        """A fresh :class:`Population` sharing the immutable columns.
-
-        ``available`` — the only column simulations mutate (availability
-        churn) — is freshly allocated by ``Population.__post_init__``, so
-        sibling cells never observe each other's round state.
-        """
-        return Population(**self.fleet)
-
-    def nbytes(self) -> int:
-        """Approximate cached bytes (dataset arrays + columns)."""
-        total = sum(int(self.fleet[name].nbytes) for name in _SHARED_COLUMNS)
-        for ds in (self.train_set, self.test_set):
-            for name in ("x", "y"):
-                arr = getattr(ds, name, None)
-                if arr is not None:
-                    total += int(arr.nbytes)
-        return total
 
 
 class WorldCache:

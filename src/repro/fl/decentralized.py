@@ -21,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.registry import make_compressor
-from repro.data.datasets import DATASET_SPECS, train_test_split
-from repro.data.partition import dirichlet_partition
 from repro.exec import ClientTask, TrainSpec
-from repro.fl.client import Client
 from repro.fl.config import ExperimentConfig
+from repro.fl.context import SimulationContext
 from repro.fl.engine import EngineMixin, build_config_model
 from repro.network.cost import model_bits, sparse_uplink_time
-from repro.network.links import PAPER_LINK_MODEL, sample_links
 from repro.nn.params import get_flat_params, num_parameters, set_flat_params
+from repro.population import ClientPool
 from repro.utils.rng import RngFactory
 
 __all__ = ["mixing_matrix", "ring_edges", "random_regular_edges", "DecentralizedSimulation"]
@@ -99,22 +97,16 @@ class DecentralizedSimulation(EngineMixin):
         self.mixing = mixing_matrix(n, self.edges)
         rngs = RngFactory(config.seed)
 
-        spec = DATASET_SPECS[config.dataset]
-        self.train_set, self.test_set = train_test_split(
-            spec, config.num_train, config.num_test, seed=config.seed
-        )
-        partition = dirichlet_partition(
-            self.train_set.y, n, config.beta, seed=rngs.stream("partition")
-        )
-        self.clients = [
-            Client(cid, self.train_set.subset(ix), config.batch_size, rngs.child("client", cid))
-            for cid, ix in enumerate(partition.client_indices)
-        ]
+        # The same world a centralised run of this config trains on: its
+        # split, its config.partition shards and its fleet's link column.
+        world = SimulationContext.build(config)
+        self.train_set, self.test_set = world.train_set, world.test_set
+        self.clients = ClientPool(world.population, self.train_set, config.batch_size, cache_size=n)
         self.model = build_config_model(config, seed=rngs.stream("model"))
         init = get_flat_params(self.model)
         self.params = np.tile(init, (n, 1))  # one row per client
         self.volume_bits = model_bits(num_parameters(self.model))
-        self.links = sample_links(n, PAPER_LINK_MODEL, seed=rngs.stream("links"))
+        self.links = world.population.links
         self.compressors = [
             make_compressor("topk", seed=rngs.child("compressor", cid)) for cid in range(n)
         ]

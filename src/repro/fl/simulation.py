@@ -100,7 +100,7 @@ class Simulation(EngineMixin):
         # objects hydrated lazily for the sampled cohort only. The
         # partitioned regime replays the historical draw order, so seeded
         # runs reproduce the pre-population histories bit-for-bit.
-        self.population = context.make_population()
+        self.population = context.population
         cache = (
             config.hydration_cache
             if config.hydration_cache is not None
@@ -136,7 +136,7 @@ class Simulation(EngineMixin):
         # on demand. Used to price each round's virtual-time span; the
         # event-driven protocols schedule from them directly.
         self.devices = self.population.devices
-        self.spans = SpanLog()  # per-client train/upload intervals (viz/ascii timeline)
+        self.spans = SpanLog()  # per-client train/upload intervals (trace timeline)
         self.sim_clock = 0.0  # virtual time at which the last round completed
 
         self.sampler = UniformSampler(

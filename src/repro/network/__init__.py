@@ -16,7 +16,6 @@ from repro.network.cost import (
 )
 from repro.network.links import MBIT, PAPER_LINK_MODEL, LinkModel, TimeVaryingLink, sample_links
 from repro.network.metrics import RoundTimes, TimeAccumulator
-from repro.network.topology import StarTopology
 
 __all__ = [
     "LinkSpec",
@@ -31,7 +30,6 @@ __all__ = [
     "TimeVaryingLink",
     "RoundTimes",
     "TimeAccumulator",
-    "StarTopology",
     "Payload",
     "TransferRecord",
     "IngressPipe",

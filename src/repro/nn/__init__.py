@@ -5,45 +5,31 @@ forward/backward passes, losses, SGD, flat-parameter packing, and a model zoo
 (MLP, small CNN, ResNet-style MiniResNet).
 """
 
-from repro.nn.functional import conv_output_size, im2col, col2im, log_softmax, one_hot, softmax
+from repro.nn.functional import conv_output_size, im2col, col2im
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     GroupNorm,
     Layer,
-    LayerNorm,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     Parameter,
     ReLU,
 )
-from repro.nn.losses import accuracy, cross_entropy, mse_loss
+from repro.nn.losses import cross_entropy
 from repro.nn.models import build_gn_cnn, build_mini_resnet, build_mlp, build_model, build_small_cnn
-from repro.nn.optim import SGD, Adam, ConstantLR, CosineLR, StepLR
-from repro.nn.params import (
-    clone_state,
-    get_flat_grads,
-    get_flat_params,
-    num_parameters,
-    param_slices,
-    restore_state,
-    set_flat_params,
-)
+from repro.nn.optim import SGD, Adam
+from repro.nn.params import get_flat_params, num_parameters, param_slices, set_flat_params
 from repro.nn.sequential import BasicBlock, Sequential
 
 __all__ = [
-    "softmax", "log_softmax", "one_hot", "im2col", "col2im", "conv_output_size",
+    "im2col", "col2im", "conv_output_size",
     "Layer", "Parameter", "Linear", "Conv2d", "BatchNorm2d", "GroupNorm",
-    "LayerNorm", "ReLU", "LeakyReLU", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d",
-    "Flatten", "Dropout", "Sequential", "BasicBlock",
-    "cross_entropy", "mse_loss", "accuracy",
-    "SGD", "Adam", "ConstantLR", "StepLR", "CosineLR",
+    "ReLU", "MaxPool2d", "GlobalAvgPool2d", "Flatten", "Sequential", "BasicBlock",
+    "cross_entropy",
+    "SGD", "Adam",
     "num_parameters", "param_slices", "get_flat_params", "set_flat_params",
-    "get_flat_grads", "clone_state", "restore_state",
     "build_mlp", "build_small_cnn", "build_gn_cnn", "build_mini_resnet", "build_model",
 ]

@@ -10,41 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "softmax",
-    "log_softmax",
-    "one_hot",
     "im2col",
     "col2im",
     "conv_output_size",
 ]
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float32) -> np.ndarray:
-    """Encode integer ``labels`` of shape (N,) as an (N, num_classes) matrix."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(
-            f"labels must be in [0, {num_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
-    out[np.arange(labels.shape[0]), labels] = 1
-    return out
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_normal", "kaiming_uniform", "xavier_uniform", "zeros", "ones"]
+__all__ = ["kaiming_normal", "kaiming_uniform", "zeros", "ones"]
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -28,13 +28,6 @@ def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator, dtype=np.f
     """He-uniform initialization (gain for ReLU)."""
     fan_in, _ = _fan_in_out(shape)
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
-    """Glorot-uniform initialization."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 

@@ -21,14 +21,10 @@ __all__ = [
     "Conv2d",
     "BatchNorm2d",
     "GroupNorm",
-    "LayerNorm",
     "ReLU",
-    "LeakyReLU",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
-    "Dropout",
 ]
 
 
@@ -271,43 +267,6 @@ class GroupNorm(Layer):
         return [self.gamma, self.beta]
 
 
-class LayerNorm(Layer):
-    """Layer normalization over the last dimension of (N, F) inputs."""
-
-    def __init__(self, num_features: int, *, eps: float = 1e-5, name: str = "ln"):
-        self.gamma = Parameter(f"{name}.gamma", initializers.ones((num_features,)))
-        self.beta = Parameter(f"{name}.beta", initializers.zeros((num_features,)))
-        self.eps = float(eps)
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
-        out = self.gamma.data * x_hat + self.beta.data
-        if training:
-            self._cache = (x_hat, inv_std)
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before a training forward pass")
-        x_hat, inv_std = self._cache
-        f = grad_out.shape[-1]
-        self.gamma.grad += (grad_out * x_hat).sum(axis=tuple(range(grad_out.ndim - 1)))
-        self.beta.grad += grad_out.sum(axis=tuple(range(grad_out.ndim - 1)))
-        g = grad_out * self.gamma.data
-        sum_g = g.sum(axis=-1, keepdims=True)
-        sum_gx = (g * x_hat).sum(axis=-1, keepdims=True)
-        grad_in = (inv_std / f) * (f * g - sum_g - x_hat * sum_gx)
-        self._cache = None
-        return grad_in
-
-    def parameters(self) -> list[Parameter]:
-        return [self.gamma, self.beta]
-
-
 class ReLU(Layer):
     """Rectified linear unit."""
 
@@ -323,27 +282,6 @@ class ReLU(Layer):
         if self._mask is None:
             raise RuntimeError("backward called before a training forward pass")
         grad_in = grad_out * self._mask
-        self._mask = None
-        return grad_in
-
-
-class LeakyReLU(Layer):
-    """Leaky ReLU with negative slope ``alpha``."""
-
-    def __init__(self, alpha: float = 0.01):
-        self.alpha = float(alpha)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        mask = x > 0
-        if training:
-            self._mask = mask
-        return np.where(mask, x, self.alpha * x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before a training forward pass")
-        grad_in = np.where(self._mask, grad_out, self.alpha * grad_out)
         self._mask = None
         return grad_in
 
@@ -393,45 +331,6 @@ class MaxPool2d(Layer):
         return grad_in
 
 
-class AvgPool2d(Layer):
-    """Average pooling over NCHW inputs."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride) if stride is not None else self.kernel_size
-        self._x_shape: tuple | None = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        n, c, h, w = x.shape
-        k, s = self.kernel_size, self.stride
-        oh = conv_output_size(h, k, s, 0)
-        ow = conv_output_size(w, k, s, 0)
-        sn, sc, sh, sw = x.strides
-        windows = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(n, c, oh, ow, k, k),
-            strides=(sn, sc, sh * s, sw * s, sh, sw),
-            writeable=False,
-        )
-        if training:
-            self._x_shape = x.shape
-        return windows.mean(axis=(4, 5))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before a training forward pass")
-        n, c, h, w = self._x_shape
-        k, s = self.kernel_size, self.stride
-        oh, ow = grad_out.shape[2], grad_out.shape[3]
-        grad_in = np.zeros(self._x_shape, dtype=grad_out.dtype)
-        scaled = grad_out / (k * k)
-        for i in range(k):
-            for j in range(k):
-                grad_in[:, :, i : i + s * oh : s, j : j + s * ow : s] += scaled
-        self._x_shape = None
-        return grad_in
-
-
 class GlobalAvgPool2d(Layer):
     """Collapse NCHW to (N, C) by spatial averaging."""
 
@@ -468,30 +367,4 @@ class Flatten(Layer):
             raise RuntimeError("backward called before a training forward pass")
         grad_in = grad_out.reshape(self._x_shape)
         self._x_shape = None
-        return grad_in
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at evaluation time."""
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        if not 0 <= p < 1:
-            raise ValueError(f"dropout p must be in [0, 1), got {p}")
-        self.p = float(p)
-        self.rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if not training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        grad_in = grad_out * self._mask
-        self._mask = None
         return grad_in

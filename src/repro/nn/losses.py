@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["cross_entropy", "mse_loss", "accuracy"]
+__all__ = ["cross_entropy"]
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -17,8 +17,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     n = logits.shape[0]
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
-    # One pass over the intermediates `functional.log_softmax` and `softmax`
-    # share, so loss and gradient are bit-equal to calling both; reductions
+    # One pass over the intermediates a stable log-softmax and softmax
+    # share, so loss and gradient are bit-equal to computing both; reductions
     # are direct ufunc calls and the gradient is built in `e`'s storage.
     shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -29,18 +29,3 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     e[rows, labels] -= 1.0
     e /= n
     return loss, e.astype(logits.dtype, copy=False)
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and its gradient w.r.t. ``pred``."""
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    diff = pred - target
-    loss = float(np.mean(diff**2))
-    grad = (2.0 / diff.size) * diff
-    return loss, grad.astype(pred.dtype)
-
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy for a batch."""
-    return float((logits.argmax(axis=1) == np.asarray(labels)).mean())

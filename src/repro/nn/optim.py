@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["SGD", "Adam", "StepLR", "CosineLR", "ConstantLR"]
+__all__ = ["SGD", "Adam"]
 
 
 # A run builds one optimizer per client task from the same few values, so
@@ -115,42 +115,3 @@ class Adam:
         if self.weight_decay > 0:
             self.data -= self.lr * self.weight_decay * self.data
         self.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-class ConstantLR:
-    """Constant learning rate schedule."""
-
-    def __init__(self, lr: float):
-        self.lr = float(lr)
-
-    def __call__(self, step: int) -> float:
-        return self.lr
-
-
-class StepLR:
-    """Multiply the base LR by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, base_lr: float, step_size: int, gamma: float = 0.1):
-        if step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {step_size}")
-        self.base_lr = float(base_lr)
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def __call__(self, step: int) -> float:
-        return self.base_lr * self.gamma ** (step // self.step_size)
-
-
-class CosineLR:
-    """Cosine annealing from ``base_lr`` to ``min_lr`` over ``total_steps``."""
-
-    def __init__(self, base_lr: float, total_steps: int, min_lr: float = 0.0):
-        if total_steps <= 0:
-            raise ValueError(f"total_steps must be > 0, got {total_steps}")
-        self.base_lr = float(base_lr)
-        self.total_steps = int(total_steps)
-        self.min_lr = float(min_lr)
-
-    def __call__(self, step: int) -> float:
-        t = min(step, self.total_steps) / self.total_steps
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1 + np.cos(np.pi * t))

@@ -16,10 +16,7 @@ __all__ = [
     "num_parameters",
     "get_flat_params",
     "set_flat_params",
-    "get_flat_grads",
     "param_slices",
-    "clone_state",
-    "restore_state",
 ]
 
 
@@ -59,24 +56,3 @@ def set_flat_params(model: Sequential, flat: np.ndarray) -> None:
     if flat.shape != data.shape:
         raise ValueError(f"flat has shape {flat.shape}, expected {data.shape}")
     np.copyto(data, flat)
-
-
-def get_flat_grads(model: Sequential, out: np.ndarray | None = None) -> np.ndarray:
-    """Copy all gradients into one contiguous float32 vector."""
-    return _read(model.flat()[1], out)
-
-
-def clone_state(model: Sequential) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Snapshot parameters and persistent state (BN running stats)."""
-    return get_flat_params(model), [a.copy() for a in model.state_arrays()]
-
-
-def restore_state(model: Sequential, snapshot: tuple[np.ndarray, list[np.ndarray]]) -> None:
-    """Restore a snapshot produced by :func:`clone_state`."""
-    flat, states = snapshot
-    set_flat_params(model, flat)
-    live = model.state_arrays()
-    if len(live) != len(states):
-        raise ValueError(f"state count mismatch: {len(live)} vs {len(states)}")
-    for dst, src in zip(live, states):
-        dst[...] = src

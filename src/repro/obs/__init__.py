@@ -44,7 +44,6 @@ from repro.obs.profile import (
     format_profile,
     lane_utilization,
     profile_spans,
-    profile_trace,
 )
 from repro.obs.progress import SweepProgress
 from repro.obs.tracer import (
@@ -75,7 +74,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "HotSpot",
     "profile_spans",
-    "profile_trace",
     "lane_utilization",
     "format_profile",
     "SweepProgress",

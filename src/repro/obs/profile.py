@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.tracer import Span, load_trace
+from repro.obs.tracer import Span
 
-__all__ = ["HotSpot", "profile_spans", "profile_trace", "lane_utilization", "format_profile"]
+__all__ = ["HotSpot", "profile_spans", "lane_utilization", "format_profile"]
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,6 @@ def profile_spans(spans: list[Span], *, top: int | None = None) -> list[HotSpot]
     ]
     spots.sort(key=lambda h: h.self_s, reverse=True)
     return spots if top is None else spots[:top]
-
-
-def profile_trace(path, *, top: int | None = None) -> list[HotSpot]:
-    """Load a trace file (Chrome JSON or JSONL) and rank its hot spots."""
-    return profile_spans(load_trace(path), top=top)
 
 
 def lane_utilization(spans: list[Span]) -> dict[int, float]:

@@ -13,11 +13,11 @@ column                meaning
 ``latency_s``         last-mile latency
 ``s_per_sample``      local-training speed (lognormal around the median)
 ``data_sizes``        shard size ``n_k`` (drives FedAvg frequencies)
-``available``         current availability mask (churn models write it)
 ====================  =====================================================
 
-Samplers, availability models, BCRS planning and the round loop read these
-columns vectorized; full :class:`~repro.fl.client.Client` objects are
+The columns are drawn once per world and never written afterwards
+(:class:`~repro.fl.context.SimulationContext` freezes them). Samplers, BCRS
+planning and the round loop read them vectorized; full :class:`~repro.fl.client.Client` objects are
 *hydrated* on demand — only for the sampled cohort — by the pools in
 :mod:`repro.population.hydration`. Memory is therefore O(active cohort) +
 O(columns), not O(fleet) objects.
@@ -41,13 +41,13 @@ Two shard regimes:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.partition import Partition
 from repro.network.cost import LinkSpec
-from repro.network.links import LinkModel, PAPER_LINK_MODEL
+from repro.network.links import LinkModel, PAPER_LINK_MODEL, sample_links
 from repro.simtime.profiles import ComputeSpec, DeviceProfile
 from repro.utils.rng import RngFactory
 
@@ -56,26 +56,6 @@ __all__ = ["Population", "LinkColumns", "DeviceColumns", "SHARD_STREAM"]
 #: Counter-based stream name for virtual shard contents (one Philox stream
 #: per client id, reconstructible on any worker in any order).
 SHARD_STREAM = "virtual-shard"
-
-
-def _legacy_link_columns(
-    num_clients: int, model: LinkModel, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Replay :func:`~repro.network.links.sample_links`'s exact draw order.
-
-    One interleaved (normal, uniform) pair per client — the scalar sequence
-    every pre-population golden history was recorded under. Ziggurat
-    rejection sampling consumes a variable number of raw words per normal
-    draw, so this interleaving cannot be vectorized without changing the
-    values; fleets that need vectorized construction use the virtual regime.
-    """
-    bw = np.empty(num_clients, dtype=np.float64)
-    lat = np.empty(num_clients, dtype=np.float64)
-    for i in range(num_clients):
-        spec = model.sample(rng)
-        bw[i] = spec.bandwidth_bps
-        lat[i] = spec.latency_s
-    return bw, lat
 
 
 def _fleet_link_columns(
@@ -161,7 +141,6 @@ class Population:
     partition: Partition | None = None
     #: Corpus size virtual shards draw from (ignored when partitioned).
     corpus_size: int = 0
-    available: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         n = len(self.bandwidth_bps)
@@ -172,8 +151,6 @@ class Population:
             raise ValueError("virtual populations need a positive corpus_size")
         if np.any(self.data_sizes < 1):
             raise ValueError("every client needs at least one sample")
-        if self.available is None:
-            self.available = np.ones(n, dtype=bool)
         self._rngs = RngFactory(self.seed)
         self.links = LinkColumns(self.bandwidth_bps, self.latency_s)
         self.devices = DeviceColumns(self.s_per_sample, self.compute_overhead_s, self.links)
@@ -206,7 +183,15 @@ class Population:
         else:
             if partition is None:
                 raise ValueError("partitioned populations need the corpus partition")
-            bw, lat = _legacy_link_columns(n, link_model, rngs.stream("links"))
+            # sample_links's interleaved (normal, uniform) pair per client is
+            # the scalar sequence every pre-population golden history was
+            # recorded under. Ziggurat rejection sampling consumes a variable
+            # number of raw words per normal draw, so it cannot be vectorized
+            # without changing the values; fleets that need vectorized
+            # construction use the virtual regime.
+            links = sample_links(n, link_model, seed=rngs.stream("links"))
+            bw = [link.bandwidth_bps for link in links]
+            lat = [link.latency_s for link in links]
             sizes = partition.sizes()
         z = rngs.stream("compute").standard_normal(n)
         if config.virtual_shards:
@@ -215,7 +200,7 @@ class Population:
             s_per_sample *= config.compute_s_per_sample
         else:
             # Scalar np.exp, one client at a time — the historical
-            # sample_device_profiles arithmetic. numpy's SIMD exp loop can
+            # per-client profile arithmetic. numpy's SIMD exp loop can
             # differ from the scalar path in the last ulp, which would break
             # bit-for-bit golden equivalence.
             s_per_sample = np.array(
@@ -265,11 +250,5 @@ class Population:
 
     def memory_bytes(self) -> int:
         """Total bytes held by the numpy columns (the O(fleet) footprint)."""
-        cols = (
-            self.bandwidth_bps,
-            self.latency_s,
-            self.s_per_sample,
-            self.data_sizes,
-            self.available,
-        )
+        cols = (self.bandwidth_bps, self.latency_s, self.s_per_sample, self.data_sizes)
         return int(sum(c.nbytes for c in cols))

@@ -2,7 +2,7 @@
 
 The pipeline is artifact → section → SVG: :mod:`repro.report.svg` is the
 chart kit (one axis/scale layer shared by line/step/scatter/bar/heatmap/
-timeline primitives, mirroring the ``viz.ascii`` API), :mod:`repro.report
+timeline primitives), :mod:`repro.report
 .sections` renders one ``<section>`` per artifact kind, and :func:`render_
 report` assembles whichever artifacts exist into one byte-deterministic
 page. CLI entry points: ``--html PATH`` on ``run``/``comm``/``sweep``/

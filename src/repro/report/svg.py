@@ -3,11 +3,9 @@
 Dependency-free and **byte-deterministic**: every primitive is a pure
 function of its inputs — no timestamps, no random ids, coordinates rounded
 through one formatter — so golden tests can pin whole pages. The plotting
-entry point mirrors :func:`repro.viz.ascii.ascii_plot`'s API (named series
-of ``(x, y)`` arrays on a shared axis frame) so both renderers consume the
-same series dicts; the other primitives mirror their ASCII counterparts
-(``svg_bars`` ↔ ``ascii_bars``, ``svg_heatmap`` ↔ ``ascii_sweep_grid``,
-``svg_timeline`` ↔ ``ascii_timeline``).
+entry point takes named series of ``(x, y)`` arrays on a shared axis
+frame; ``svg_heatmap`` is the SVG twin of
+:func:`repro.viz.ascii.ascii_sweep_grid`.
 
 Colors are CSS custom properties (``var(--c0)`` …) defined by the page
 stylesheet (:data:`repro.report.page.PAGE_CSS`), which supplies light and
@@ -220,7 +218,7 @@ def svg_plot(
     x_fmt=fmt_num,
     y_fmt=fmt_num,
 ) -> str:
-    """Named (x, y) series on one axis frame — the `ascii_plot` of SVG.
+    """Named (x, y) series on one axis frame.
 
     ``kinds`` maps a series name to ``"line"`` (default), ``"step"``
     (post-step), or ``"scatter"``; unlisted series draw as lines. Series
@@ -300,7 +298,7 @@ def svg_bars(
     fmt=fmt_num,
     slot: int = 0,
 ) -> str:
-    """Horizontal labelled bars — the `ascii_bars` of SVG.
+    """Horizontal labelled bars.
 
     One hue for the whole set (the bars are one series); value at the tip;
     4px rounded data-end, square baseline; 18px bars with air between.
@@ -429,7 +427,7 @@ def svg_timeline(
     lane_h: int = 20,
     t_fmt=fmt_num,
 ) -> str:
-    """Per-lane span timeline — the `ascii_timeline` of SVG.
+    """Per-lane span timeline.
 
     ``lanes`` is ``[(label, [(start, end, name, cat), ...]), ...]``; spans
     are colored by category (fixed mapping) and tooltipped with name and

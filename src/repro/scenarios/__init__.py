@@ -28,10 +28,8 @@ from repro.scenarios.grid import cell_label, expand_grid, parse_axis
 from repro.scenarios.registry import (
     REGISTRY,
     ScenarioRegistry,
-    available_scenarios,
     get_scenario,
     register_scenario,
-    scenarios_by_tag,
 )
 from repro.scenarios.report import SweepReport
 from repro.scenarios.spec import (
@@ -50,8 +48,6 @@ __all__ = [
     "REGISTRY",
     "register_scenario",
     "get_scenario",
-    "available_scenarios",
-    "scenarios_by_tag",
     "coerce_field",
     "config_field_names",
     "config_overrides",

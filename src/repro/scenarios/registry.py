@@ -22,8 +22,6 @@ __all__ = [
     "ScenarioRegistry",
     "register_scenario",
     "get_scenario",
-    "available_scenarios",
-    "scenarios_by_tag",
     "REGISTRY",
 ]
 
@@ -54,9 +52,6 @@ class ScenarioRegistry:
         """Registered names, in registration order."""
         return list(self._specs)
 
-    def by_tag(self, tag: str) -> list[ScenarioSpec]:
-        return [s for s in self._specs.values() if tag in s.tags]
-
     def __iter__(self) -> Iterator[ScenarioSpec]:
         return iter(self._specs.values())
 
@@ -79,16 +74,6 @@ def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
 def get_scenario(name: str) -> ScenarioSpec:
     """Fetch a scenario from the default registry by name."""
     return REGISTRY.get(name)
-
-
-def available_scenarios() -> list[str]:
-    """Names in the default registry, in registration order."""
-    return REGISTRY.names()
-
-
-def scenarios_by_tag(tag: str) -> list[ScenarioSpec]:
-    """Default-registry scenarios carrying ``tag``."""
-    return REGISTRY.by_tag(tag)
 
 
 # --------------------------------------------------------------------------
@@ -320,7 +305,7 @@ register_scenario(ScenarioSpec(
     ),
     expected=(
         "Construction completes in milliseconds and memory stays flat in "
-        "fleet size (the population is five numpy columns); each round "
+        "fleet size (the population is four numpy columns); each round "
         "hydrates only sampled clients, so a laptop-class machine "
         "completes seeded rounds at N=1e6."
     ),

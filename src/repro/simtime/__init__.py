@@ -5,9 +5,8 @@ the slowest selected client sets the pace. This package adds a deterministic
 *virtual clock* so the simulator can exploit, not just plot, the paper's
 cost model (Eq. 4):
 
-- :mod:`repro.simtime.events` — a discrete-event queue whose ordering is a
-  pure function of (timestamp, insertion order), so event-driven runs are
-  bit-identical across execution backends;
+- :mod:`repro.simtime.events` — the span log of per-client train/upload
+  intervals every protocol writes;
 - :mod:`repro.simtime.profiles` — per-device timing: :class:`ComputeSpec`
   (seconds per sample), :class:`DeviceProfile` (compute + link draw),
   :class:`TraceProfile` (trace-driven speeds);
@@ -24,24 +23,20 @@ and build it via :func:`make_simulation`.
 
 from __future__ import annotations
 
-from repro.simtime.events import ClientSpan, Event, EventQueue, SpanLog
+from repro.simtime.events import ClientSpan, SpanLog
 from repro.simtime.profiles import (
     ComputeSpec,
     DeviceProfile,
     TraceProfile,
     pipeline_times,
-    sample_device_profiles,
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "ClientSpan",
     "SpanLog",
     "ComputeSpec",
     "DeviceProfile",
     "TraceProfile",
-    "sample_device_profiles",
     "pipeline_times",
     "AsyncSimulation",
     "SemiSyncSimulation",

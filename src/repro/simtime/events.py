@@ -1,78 +1,19 @@
-"""The deterministic discrete-event core: a virtual clock's ordered queue.
+"""The virtual clock's event log: who trained and uploaded when.
 
 Determinism contract (extends the :mod:`repro.exec` contract to virtual
-time): event order is a pure function of ``(time, insertion sequence)``.
-Ties at the same virtual timestamp pop in insertion order, and insertion
-order is itself deterministic in a seeded run, so the full event trace —
-and everything derived from it (dispatch order, aggregation membership,
-staleness) — is bit-identical across execution backends.
-
-Upload arrivals themselves are now scheduled by the transport layer's
-:class:`~repro.network.transport.IngressPipe`, which honors the same
-``(finish, admission order)`` contract while supporting contended
-(fair-shared) finish times; this queue remains the general-purpose
-scheduling primitive (and the :class:`SpanLog` stays the event log every
-protocol writes).
+time): upload arrivals are scheduled by the transport layer's
+:class:`~repro.network.transport.IngressPipe`, whose order is a pure
+function of ``(finish, admission order)``, so the full event trace — and
+everything derived from it (dispatch order, aggregation membership,
+staleness) — is bit-identical across execution backends. The
+:class:`SpanLog` is the event log every protocol writes.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
-__all__ = ["Event", "EventQueue", "ClientSpan", "SpanLog"]
-
-
-@dataclass(frozen=True, order=True)
-class Event:
-    """One scheduled occurrence on the virtual clock.
-
-    Ordering compares ``(time, seq)`` only; ``kind``/``cid``/``payload``
-    are cargo. ``seq`` is assigned by the queue at push time.
-    """
-
-    time: float
-    seq: int
-    kind: str = field(compare=False)
-    cid: int = field(compare=False, default=-1)
-    payload: Any = field(compare=False, default=None)
-
-
-class EventQueue:
-    """A min-heap of :class:`Event` with deterministic tie-breaking."""
-
-    def __init__(self):
-        self._heap: list[Event] = []
-        self._seq = 0
-
-    def push(self, time: float, kind: str, cid: int = -1, payload: Any = None) -> Event:
-        """Schedule ``kind`` at virtual ``time`` and return the event."""
-        if not math.isfinite(time) or time < 0:
-            raise ValueError(f"event time must be finite and >= 0, got {time}")
-        ev = Event(time=float(time), seq=self._seq, kind=kind, cid=int(cid), payload=payload)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return ev
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event (FIFO within a timestamp)."""
-        if not self._heap:
-            raise IndexError("pop from an empty EventQueue")
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> Event:
-        """The earliest event without removing it."""
-        if not self._heap:
-            raise IndexError("peek at an empty EventQueue")
-        return self._heap[0]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+__all__ = ["ClientSpan", "SpanLog"]
 
 
 @dataclass(frozen=True)
@@ -93,8 +34,8 @@ class ClientSpan:
 class SpanLog:
     """Append-only log of :class:`ClientSpan` — the scheduler's event log.
 
-    The ASCII timeline view (:func:`repro.viz.ascii.ascii_timeline`) renders
-    directly from this; tests compare logs across backends to enforce the
+    The trace export (:meth:`repro.obs.tracer.Tracer.add_virtual_spans`)
+    mirrors it; tests compare logs across backends to enforce the
     virtual-time determinism contract.
     """
 

@@ -20,18 +20,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.network.cost import LinkSpec, downlink_time, sparse_uplink_time, uplink_time
 from repro.network.transport import Payload
-from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive
 
 __all__ = [
     "ComputeSpec",
     "TraceProfile",
     "DeviceProfile",
-    "sample_device_profiles",
     "pipeline_times",
 ]
 
@@ -131,38 +127,6 @@ class DeviceProfile:
         """Broadcast (server→client) time for the dense global model."""
         link = self.link if link is None else link
         return downlink_time(link, volume_bits, bandwidth_factor=bandwidth_factor)
-
-
-def sample_device_profiles(
-    links: Sequence[LinkSpec],
-    *,
-    median_s_per_sample: float,
-    heterogeneity: float = 0.0,
-    overhead_s: float = 0.0,
-    seed: int | np.random.Generator = 0,
-) -> list[DeviceProfile]:
-    """Draw one :class:`DeviceProfile` per link.
-
-    Per-client compute speed is lognormal around the median:
-    ``s_i = median × exp(heterogeneity × z_i)`` with ``z_i ~ N(0, 1)`` —
-    ``heterogeneity=0`` gives a homogeneous fleet, ``≈0.5`` a realistic
-    mobile spread (fastest/slowest ratio of ~5–10× at N=100).
-    """
-    check_positive("median_s_per_sample", median_s_per_sample)
-    check_positive("heterogeneity", heterogeneity, strict=False)
-    rng = as_generator(seed)
-    z = rng.standard_normal(len(links))
-    return [
-        DeviceProfile(
-            cid=i,
-            compute=ComputeSpec(
-                s_per_sample=float(median_s_per_sample * np.exp(heterogeneity * z[i])),
-                overhead_s=overhead_s,
-            ),
-            link=link,
-        )
-        for i, link in enumerate(links)
-    ]
 
 
 def pipeline_times(

@@ -1,17 +1,11 @@
 """Shared utilities: seeded RNG streams, validation helpers, lightweight logging."""
 
-from repro.utils.rng import RngFactory, as_generator, spawn_generators
-from repro.utils.validation import (
-    check_fraction,
-    check_positive,
-    check_probability_vector,
-)
+from repro.utils.rng import RngFactory, as_generator
+from repro.utils.validation import check_fraction, check_positive
 
 __all__ = [
     "RngFactory",
     "as_generator",
-    "spawn_generators",
     "check_fraction",
     "check_positive",
-    "check_probability_vector",
 ]

@@ -26,7 +26,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["as_generator", "spawn_generators", "RngFactory"]
+__all__ = ["as_generator", "RngFactory"]
 
 
 def as_generator(seed_or_rng: int | np.random.Generator | None) -> np.random.Generator:
@@ -38,14 +38,6 @@ def as_generator(seed_or_rng: int | np.random.Generator | None) -> np.random.Gen
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
-
-
-def spawn_generators(root: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent generators from ``root``."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    rng = as_generator(root)
-    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
 
 
 class RngFactory:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_positive", "check_fraction", "check_probability_vector"]
+__all__ = ["check_positive", "check_fraction"]
 
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> float:
@@ -29,16 +29,3 @@ def check_fraction(name: str, value: float, *, allow_zero: bool = False) -> floa
         bound = "[0, 1]" if allow_zero else "(0, 1]"
         raise ValueError(f"{name} must be in {bound}, got {value!r}")
     return value
-
-
-def check_probability_vector(name: str, p: np.ndarray, *, atol: float = 1e-6) -> np.ndarray:
-    """Validate that ``p`` is a 1-D non-negative vector summing to 1."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {p.shape}")
-    if np.any(p < -atol):
-        raise ValueError(f"{name} must be non-negative")
-    total = float(p.sum())
-    if abs(total - 1.0) > atol:
-        raise ValueError(f"{name} must sum to 1, sums to {total}")
-    return p

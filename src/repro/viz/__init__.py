@@ -1,5 +1,1 @@
-"""Terminal visualization (ASCII charts) for curves and breakdowns."""
-
-from repro.viz.ascii import ascii_bars, ascii_plot, ascii_tier_tree, ascii_timeline
-
-__all__ = ["ascii_plot", "ascii_bars", "ascii_timeline", "ascii_tier_tree"]
+"""Terminal rendering: plain-text tables and the comm-ledger and sweep-grid views."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro.compression.base import DenseUpdate, SparseUpdate
 from repro.compression.sparsifiers import TopK
-from repro.core.aggregation import aggregate, apply_server_update, weighted_sparse_sum
+from repro.core.aggregation import apply_server_update, weighted_sparse_sum
 from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask_from_updates
 
@@ -101,7 +101,7 @@ class TestFedAvgRecovery:
         client_models = [rng.normal(size=d).astype(np.float32) for _ in range(5)]
         f = rng.dirichlet(np.ones(5))
         updates = [DenseUpdate(dense_size=d, values=w_global - wm) for wm in client_models]
-        new = aggregate(w_global, updates, f, server_step=1.0)
+        new = apply_server_update(w_global, weighted_sparse_sum(updates, f), server_step=1.0)
         expected = sum(fi * wm.astype(np.float64) for fi, wm in zip(f, client_models))
         np.testing.assert_allclose(new, expected, atol=1e-5)
 
@@ -112,7 +112,7 @@ class TestFedAvgRecovery:
         u1 = sparse(d, [0], [1.0])
         u2 = sparse(d, [1], [1.0])
         weights = np.array([0.5, 0.5])
-        uniform = aggregate(w, [u1, u2], weights)
+        uniform = apply_server_update(w, weighted_sparse_sum([u1, u2], weights))
         mask = opwa_mask_from_updates([u1, u2], gamma=2.0)
-        masked = aggregate(w, [u1, u2], weights, mask=mask)
+        masked = apply_server_update(w, weighted_sparse_sum([u1, u2], weights, mask=mask))
         assert abs(masked[0]) == pytest.approx(2 * abs(uniform[0]))

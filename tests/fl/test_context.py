@@ -9,7 +9,7 @@ import pytest
 
 from repro.fl.config import ExperimentConfig
 from repro.fl.context import DATASET_KEY_FIELDS, SimulationContext, WorldCache, dataset_key
-from repro.fl.simulation import run_experiment
+from repro.fl.simulation import Simulation, run_experiment
 from repro.io.history_io import history_to_dict
 
 WALL_CLOCK_FIELDS = ("train_seconds", "compress_seconds")
@@ -135,22 +135,17 @@ class TestWorldCache:
         with pytest.raises(ValueError):
             WorldCache(max_entries=0)
 
-    def test_nbytes_positive(self):
-        ctx = SimulationContext.build(tiny())
-        assert ctx.nbytes() > 0
-
 
 class TestColumnSharing:
     def test_shared_columns_frozen(self):
         ctx = SimulationContext.build(tiny())
-        pop = ctx.make_population()
-        assert pop.bandwidth_bps is ctx.fleet["bandwidth_bps"]
-        with pytest.raises(ValueError):
-            pop.bandwidth_bps[0] = 1.0
+        pop = ctx.population
+        for name in ("bandwidth_bps", "latency_s", "s_per_sample", "data_sizes"):
+            with pytest.raises(ValueError):
+                getattr(pop, name)[0] = 1
 
-    def test_mutable_columns_fresh_per_population(self):
-        ctx = SimulationContext.build(tiny())
-        a, b = ctx.make_population(), ctx.make_population()
-        assert a.available is not b.available
-        a.available[0] = False
-        assert bool(b.available[0])
+    def test_simulations_of_one_context_share_its_population(self):
+        cfg = tiny()
+        ctx = SimulationContext.build(cfg)
+        with Simulation(cfg, context=ctx) as a, Simulation(cfg, context=ctx) as b:
+            assert a.population is b.population is ctx.population

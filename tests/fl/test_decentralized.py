@@ -1,9 +1,13 @@
 """Tests for the decentralized gossip engine."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.experiments import bench_config
 from repro.fl.config import ExperimentConfig
+from repro.fl.context import SimulationContext
 from repro.fl.decentralized import (
     DecentralizedSimulation,
     mixing_matrix,
@@ -104,3 +108,29 @@ class TestGossipDynamics:
         sim = DecentralizedSimulation(ExperimentConfig(**FAST), edges=edges)
         sim.run(1)
         assert sim.mixing[0, 1] > 0
+
+
+def gossip_digest(sim) -> str:
+    """Final per-client parameters and every round record, hashed."""
+    h = hashlib.sha256(np.ascontiguousarray(sim.params).tobytes())
+    for r in sim.history:
+        h.update(repr((r.round_index, r.mean_accuracy, r.consensus_distance, r.comm_time)).encode())
+    return h.hexdigest()[:16]
+
+
+class TestWorld:
+    def test_example_ring_run_is_pinned(self):
+        """examples/decentralized_gossip.py's config, 3 rounds on the 8-client ring."""
+        cfg = bench_config(
+            "cifar10", "topk", beta=0.5, compression_ratio=0.1, rounds=3,
+        ).with_(num_clients=8, eval_every=20)
+        sim = DecentralizedSimulation(cfg, edges=ring_edges(8))
+        sim.run()
+        assert gossip_digest(sim) == "7d08e5044e762f2e"
+
+    def test_partition_follows_the_config(self):
+        cfg = ExperimentConfig(**{**FAST, "partition": "iid"})
+        sim = DecentralizedSimulation(cfg)
+        sizes = [sim.clients[cid].num_samples for cid in range(cfg.num_clients)]
+        assert sizes == SimulationContext.build(cfg).population.data_sizes.tolist()
+        assert sizes == [100] * 4

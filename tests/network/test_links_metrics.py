@@ -1,4 +1,4 @@
-"""Tests for link sampling, time-varying links, metrics, topology."""
+"""Tests for link sampling, time-varying links and round-time metrics."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.network.cost import LinkSpec
 from repro.network.links import MBIT, PAPER_LINK_MODEL, LinkModel, TimeVaryingLink, sample_links
 from repro.network.metrics import RoundTimes, TimeAccumulator
-from repro.network.topology import StarTopology
 
 
 class TestLinkSampling:
@@ -89,38 +88,3 @@ class TestTimeAccumulator:
         acc = TimeAccumulator()
         acc.update(RoundTimes(actual=2.0, maximum=2.0, minimum=0.5))
         assert acc.straggler_gap() == pytest.approx(1.5)
-
-
-class TestStarTopology:
-    @pytest.fixture
-    def topo(self):
-        return StarTopology(
-            [LinkSpec(2e6, 0.1), LinkSpec(1e6, 0.05), LinkSpec(0.5e6, 0.2)]
-        )
-
-    def test_basic_accessors(self, topo):
-        assert topo.num_clients == 3
-        np.testing.assert_allclose(topo.bandwidths(), [2e6, 1e6, 0.5e6])
-        np.testing.assert_allclose(topo.latencies(), [0.1, 0.05, 0.2])
-
-    def test_uplink_times_ordering(self, topo):
-        times = topo.uplink_times(1e6)
-        assert times[2] > times[1]  # slowest link takes longest
-
-    def test_sparse_uplink_times(self, topo):
-        times = topo.sparse_uplink_times(1e6, np.array([0.1, 0.1]), [0, 2])
-        assert times[1] > times[0]
-
-    def test_sparse_times_length_mismatch(self, topo):
-        with pytest.raises(ValueError):
-            topo.sparse_uplink_times(1e6, np.array([0.1]), [0, 1])
-
-    def test_networkx_export(self, topo):
-        g = topo.to_networkx()
-        assert g.number_of_nodes() == 4
-        assert g.number_of_edges() == 3
-        assert g["server"]["client0"]["bandwidth_bps"] == 2e6
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            StarTopology([])

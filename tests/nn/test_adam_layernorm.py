@@ -1,13 +1,12 @@
-"""Tests for the Adam optimizer and LayerNorm."""
+"""Tests for the Adam optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.nn.layers import LayerNorm, Parameter
+from repro.nn.layers import Parameter
 from repro.nn.losses import cross_entropy
 from repro.nn.models import build_mlp
 from repro.nn.optim import Adam
-from tests.conftest import check_layer_gradients
 
 
 class TestAdam:
@@ -53,27 +52,3 @@ class TestAdam:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             Adam(np.zeros(1), np.zeros(1), **kwargs)
-
-
-class TestLayerNorm:
-    def test_normalizes_rows(self, rng):
-        ln = LayerNorm(16)
-        x = rng.normal(loc=4.0, scale=3.0, size=(8, 16)).astype(np.float32)
-        out = ln(x, training=True)
-        np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-5)
-        np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-3)
-
-    def test_batch_size_independent(self, rng):
-        """Unlike BatchNorm, LayerNorm gives identical outputs per-row
-        regardless of what else is in the batch."""
-        ln = LayerNorm(8)
-        x = rng.normal(size=(4, 8)).astype(np.float32)
-        full = ln(x, training=False)
-        single = np.concatenate([ln(x[i : i + 1], training=False) for i in range(4)])
-        np.testing.assert_allclose(full, single, atol=1e-6)
-
-    def test_gradients(self, rng):
-        check_layer_gradients(LayerNorm(6), rng.normal(size=(4, 6)), atol=2e-2)
-
-    def test_parameters_exposed(self):
-        assert len(LayerNorm(4).parameters()) == 2

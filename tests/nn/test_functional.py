@@ -4,52 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.nn.functional import (
     col2im,
     conv_output_size,
     im2col,
-    log_softmax,
-    one_hot,
-    softmax,
 )
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self, rng):
-        x = rng.normal(size=(8, 5)).astype(np.float32)
-        s = softmax(x, axis=1)
-        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-6)
-
-    def test_shift_invariance(self, rng):
-        x = rng.normal(size=(4, 7))
-        np.testing.assert_allclose(softmax(x), softmax(x + 100.0), atol=1e-6)
-
-    def test_large_values_stable(self):
-        x = np.array([[1000.0, 1000.0, -1000.0]])
-        s = softmax(x)
-        assert np.all(np.isfinite(s))
-        np.testing.assert_allclose(s[0, :2], 0.5, atol=1e-6)
-
-    @given(arrays(np.float64, (3, 4), elements=st.floats(-50, 50)))
-    @settings(max_examples=30, deadline=None)
-    def test_log_softmax_consistent(self, x):
-        np.testing.assert_allclose(np.exp(log_softmax(x)), softmax(x), atol=1e-8)
-
-
-class TestOneHot:
-    def test_basic(self):
-        oh = one_hot(np.array([0, 2, 1]), 3)
-        np.testing.assert_array_equal(oh, np.eye(3)[[0, 2, 1]])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            one_hot(np.array([0, 5]), 3)
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            one_hot(np.zeros((2, 2), dtype=int), 3)
 
 
 class TestConvOutputSize:

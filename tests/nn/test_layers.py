@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     GroupNorm,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     ReLU,
@@ -125,13 +122,6 @@ class TestActivations:
     def test_relu_gradients(self, rng):
         check_layer_gradients(ReLU(), rng.normal(size=(3, 5)) + 0.1)
 
-    def test_leaky_relu_gradients(self, rng):
-        check_layer_gradients(LeakyReLU(0.1), rng.normal(size=(3, 5)) + 0.1)
-
-    def test_leaky_negative_slope(self):
-        out = LeakyReLU(0.1)(np.array([[-10.0]], dtype=np.float32))
-        np.testing.assert_allclose(out, [[-1.0]])
-
 
 class TestPooling:
     def test_maxpool_forward(self):
@@ -141,14 +131,6 @@ class TestPooling:
 
     def test_maxpool_gradients(self, rng):
         check_layer_gradients(MaxPool2d(2), rng.normal(size=(2, 2, 4, 4)))
-
-    def test_avgpool_forward(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = AvgPool2d(2)(x)
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avgpool_gradients(self, rng):
-        check_layer_gradients(AvgPool2d(2), rng.normal(size=(2, 2, 4, 4)))
 
     def test_global_avgpool(self, rng):
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
@@ -167,21 +149,6 @@ class TestFlattenDropout:
         assert out.shape == (2, 48)
         back = layer.backward(out)
         assert back.shape == x.shape
-
-    def test_dropout_eval_identity(self, rng):
-        layer = Dropout(0.5, rng)
-        x = rng.normal(size=(4, 4)).astype(np.float32)
-        np.testing.assert_array_equal(layer(x, training=False), x)
-
-    def test_dropout_preserves_expectation(self, rng):
-        layer = Dropout(0.3, rng)
-        x = np.ones((200, 200), dtype=np.float32)
-        out = layer(x, training=True)
-        assert out.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_dropout_rejects_bad_p(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
 
 
 class TestBasicBlock:

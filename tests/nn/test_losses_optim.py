@@ -1,11 +1,11 @@
-"""Tests for losses, optimizers and LR schedules."""
+"""Tests for the cross-entropy loss and the SGD optimizer."""
 
 import numpy as np
 import pytest
 
 from repro.nn.layers import Linear, Parameter
-from repro.nn.losses import accuracy, cross_entropy, mse_loss
-from repro.nn.optim import SGD, ConstantLR, CosineLR, StepLR
+from repro.nn.losses import cross_entropy
+from repro.nn.optim import SGD
 from tests.conftest import numeric_grad
 
 
@@ -35,35 +35,6 @@ class TestCrossEntropy:
         logits = np.array([[10.0, -10.0]], dtype=np.float32)
         loss, _ = cross_entropy(logits, np.array([0]))
         assert loss < 1e-4
-
-
-class TestMSE:
-    def test_zero_at_target(self):
-        x = np.ones((2, 3))
-        loss, grad = mse_loss(x, x.copy())
-        assert loss == 0.0
-        np.testing.assert_array_equal(grad, 0.0)
-
-    def test_gradient_matches_numeric(self, rng):
-        pred = rng.normal(size=(3, 2)).astype(np.float64)
-        target = rng.normal(size=(3, 2))
-        _, grad = mse_loss(pred, target)
-        num = numeric_grad(lambda: mse_loss(pred, target)[0], pred, eps=1e-6)
-        np.testing.assert_allclose(grad, num, atol=1e-5)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-class TestAccuracy:
-    def test_perfect(self):
-        logits = np.eye(3)
-        assert accuracy(logits, np.array([0, 1, 2])) == 1.0
-
-    def test_partial(self):
-        logits = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert accuracy(logits, np.array([0, 1])) == 0.5
 
 
 class TestSGD:
@@ -110,26 +81,3 @@ class TestSGD:
             p.grad[...] = 2 * p.data  # d/dw w^2
             opt.step()
         assert abs(p.data[0]) < 1e-3
-
-
-class TestSchedules:
-    def test_constant(self):
-        assert ConstantLR(0.1)(0) == ConstantLR(0.1)(1000) == 0.1
-
-    def test_step_decay(self):
-        sched = StepLR(1.0, step_size=10, gamma=0.1)
-        assert sched(0) == 1.0
-        assert sched(10) == pytest.approx(0.1)
-        assert sched(25) == pytest.approx(0.01)
-
-    def test_cosine_endpoints(self):
-        sched = CosineLR(1.0, total_steps=100, min_lr=0.0)
-        assert sched(0) == pytest.approx(1.0)
-        assert sched(100) == pytest.approx(0.0, abs=1e-9)
-        assert sched(50) == pytest.approx(0.5, abs=1e-9)
-
-    def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError):
-            StepLR(1.0, 0)
-        with pytest.raises(ValueError):
-            CosineLR(1.0, 0)

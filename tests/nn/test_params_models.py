@@ -15,12 +15,9 @@ from repro.nn.losses import cross_entropy
 from repro.nn.models import MODEL_BUILDERS, build_mini_resnet, build_mlp, build_model, build_small_cnn
 from repro.nn.optim import SGD
 from repro.nn.params import (
-    clone_state,
-    get_flat_grads,
     get_flat_params,
     num_parameters,
     param_slices,
-    restore_state,
     set_flat_params,
 )
 from tests.conftest import is_aliased
@@ -50,29 +47,6 @@ class TestFlatParams:
         model = build_mlp(4, 2, hidden=(3,), seed=0)
         with pytest.raises(ValueError):
             set_flat_params(model, np.zeros(3, dtype=np.float32))
-
-    def test_grads_flatten(self, rng):
-        model = build_mlp(4, 2, hidden=(3,), seed=0)
-        x = rng.normal(size=(5, 4)).astype(np.float32)
-        logits = model(x)
-        _, g = cross_entropy(logits, rng.integers(0, 2, size=5))
-        model.backward(g)
-        flat_g = get_flat_grads(model)
-        assert flat_g.shape == (num_parameters(model),)
-        assert np.any(flat_g != 0)
-
-    def test_clone_restore_state(self, rng):
-        model = build_small_cnn(3, 8, 4, seed=0)
-        snap = clone_state(model)
-        x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
-        logits = model(x, training=True)  # mutates BN running stats
-        _, g = cross_entropy(logits, rng.integers(0, 4, size=4))
-        model.backward(g)
-        SGD(*model.flat(), lr=0.5).step()
-        restore_state(model, snap)
-        np.testing.assert_array_equal(get_flat_params(model), snap[0])
-        for live, saved in zip(model.state_arrays(), snap[1]):
-            np.testing.assert_array_equal(live, saved)
 
 
 class TestFlatStorage:
@@ -128,7 +102,8 @@ class TestFlatStorage:
         config = ExperimentConfig(dataset="synth-cifar10", model=model_name, num_clients=4, num_train=200,
                                   num_test=50, rounds=2, seed=0, backend=backend, workers=2)
         with Simulation(config) as sim:
-            snapshot = clone_state(sim.model)
+            params = get_flat_params(sim.model)
+            states = [a.copy() for a in sim.model.state_arrays()]
             sim.run()
             assert is_aliased(sim.model)
             if backend == "thread":
@@ -138,9 +113,11 @@ class TestFlatStorage:
                     assert is_aliased(replica)
             sim.evaluate()
             assert is_aliased(sim.model)
-            restore_state(sim.model, snapshot)
+            set_flat_params(sim.model, params)
+            for live, saved in zip(sim.model.state_arrays(), states):
+                np.copyto(live, saved)
             assert is_aliased(sim.model)
-            np.testing.assert_array_equal(sim.model.flat()[0], snapshot[0])
+            np.testing.assert_array_equal(sim.model.flat()[0], params)
 
 
 def train_grads(model, x, labels, *, input_grad: bool):

@@ -84,8 +84,8 @@ def test_population_columns_scale_linearly_and_small():
     from repro.population import Population
 
     pop = Population.from_config(cfg, partition=None)
-    # Five numpy columns: 3 float64 + 1 int64 + 1 bool = 33 bytes/client.
-    assert pop.memory_bytes() == 100_000 * 33
+    # Four numpy columns: 3 float64 + 1 int64 = 32 bytes/client.
+    assert pop.memory_bytes() == 100_000 * 32
 
 
 def updates_nbytes(updates) -> int:

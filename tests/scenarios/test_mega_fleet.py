@@ -27,5 +27,5 @@ def test_simulation_constructs_without_hydrating_a_single_client():
         assert sim.clients.hydrations == 0  # columns only, no Client objects
         assert sim.compressors.resident == 0
         assert sim.partition is None
-        # The fleet's whole footprint is five numpy columns: 33 bytes/client.
-        assert sim.population.memory_bytes() == 1_000_000 * 33
+        # The fleet's whole footprint is four numpy columns: 32 bytes/client.
+        assert sim.population.memory_bytes() == 1_000_000 * 32

@@ -10,9 +10,7 @@ from repro.scenarios import (
     REGISTRY,
     ScenarioRegistry,
     ScenarioSpec,
-    available_scenarios,
     get_scenario,
-    scenarios_by_tag,
 )
 
 
@@ -39,10 +37,10 @@ class TestBuiltins:
 
     def test_by_tag_and_get(self):
         assert get_scenario("straggler-storm").to_config().contention == "fair"
-        assert {s.name for s in scenarios_by_tag("hier")} >= {
+        assert {s.name for s in REGISTRY if "hier" in s.tags} >= {
             "edge-quantized", "wan-hierarchy"
         }
-        assert "paper-baseline" in available_scenarios()
+        assert "paper-baseline" in REGISTRY.names()
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(KeyError, match="available"):

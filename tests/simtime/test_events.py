@@ -1,58 +1,8 @@
-"""Tests for the deterministic event queue and span log."""
+"""Tests for the per-client span log."""
 
 import pytest
 
-from repro.simtime.events import ClientSpan, EventQueue, SpanLog
-
-
-class TestEventQueue:
-    def test_pops_in_time_order(self):
-        q = EventQueue()
-        q.push(3.0, "c")
-        q.push(1.0, "a")
-        q.push(2.0, "b")
-        assert [q.pop().kind for _ in range(3)] == ["a", "b", "c"]
-
-    def test_ties_pop_in_insertion_order(self):
-        """The determinism contract: equal timestamps are FIFO."""
-        q = EventQueue()
-        for i in range(50):
-            q.push(1.0, "e", cid=i)
-        assert [q.pop().cid for _ in range(50)] == list(range(50))
-
-    def test_interleaved_push_pop_keeps_order(self):
-        q = EventQueue()
-        q.push(5.0, "late")
-        q.push(1.0, "early")
-        assert q.pop().kind == "early"
-        q.push(2.0, "mid")
-        assert q.pop().kind == "mid"
-        assert q.pop().kind == "late"
-
-    def test_peek_does_not_remove(self):
-        q = EventQueue()
-        q.push(1.0, "only")
-        assert q.peek().kind == "only"
-        assert len(q) == 1
-
-    def test_empty_pop_and_peek_raise(self):
-        q = EventQueue()
-        with pytest.raises(IndexError):
-            q.pop()
-        with pytest.raises(IndexError):
-            q.peek()
-        assert not q
-
-    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
-    def test_rejects_bad_times(self, bad):
-        with pytest.raises(ValueError):
-            EventQueue().push(bad, "e")
-
-    def test_payload_travels(self):
-        q = EventQueue()
-        q.push(1.0, "e", cid=7, payload={"x": 1})
-        ev = q.pop()
-        assert ev.cid == 7 and ev.payload == {"x": 1}
+from repro.simtime.events import ClientSpan, SpanLog
 
 
 class TestSpanLog:

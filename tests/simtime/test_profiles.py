@@ -1,6 +1,5 @@
 """Tests for device timing profiles and dispatch pricing."""
 
-import numpy as np
 import pytest
 
 from repro.network.cost import LinkSpec, sparse_uplink_time, uplink_time
@@ -9,7 +8,6 @@ from repro.simtime.profiles import (
     DeviceProfile,
     TraceProfile,
     pipeline_times,
-    sample_device_profiles,
 )
 
 LINK = LinkSpec(bandwidth_bps=1e6, latency_s=0.1)
@@ -67,30 +65,6 @@ class TestDeviceProfile:
         d10 = dev.download_time(1e6, bandwidth_factor=10.0)
         assert d10 < d1
         assert d10 == pytest.approx(0.1 + 1e6 / 1e7)
-
-
-class TestSampleDeviceProfiles:
-    def test_deterministic_in_seed(self):
-        links = [LINK] * 8
-        a = sample_device_profiles(links, median_s_per_sample=0.01, heterogeneity=0.5, seed=3)
-        b = sample_device_profiles(links, median_s_per_sample=0.01, heterogeneity=0.5, seed=3)
-        assert [p.compute.s_per_sample for p in a] == [p.compute.s_per_sample for p in b]
-
-    def test_zero_heterogeneity_is_uniform(self):
-        profs = sample_device_profiles(
-            [LINK] * 5, median_s_per_sample=0.01, heterogeneity=0.0, seed=0
-        )
-        assert all(p.compute.s_per_sample == pytest.approx(0.01) for p in profs)
-
-    def test_heterogeneity_spreads_speeds(self):
-        profs = sample_device_profiles(
-            [LINK] * 200, median_s_per_sample=0.01, heterogeneity=0.5, seed=0
-        )
-        speeds = np.array([p.compute.s_per_sample for p in profs])
-        assert speeds.max() / speeds.min() > 3.0
-        # Lognormal around the median: roughly half the fleet on each side.
-        frac_above = (speeds > 0.01).mean()
-        assert 0.35 < frac_above < 0.65
 
 
 class TestPipelineTimes:

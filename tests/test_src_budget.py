@@ -5,8 +5,9 @@ CHANGES.md, a PR that deletes code lowers it."""
 
 from pathlib import Path
 
-#: Physical lines of ``src/**/*.py`` after PR 24 (16,369 before it).
-SRC_LINE_CEILING = 16_368
+#: Physical lines of ``src/**/*.py`` after the test-only code was deleted
+#: (16,368 before it).
+SRC_LINE_CEILING = 15_245
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngFactory, as_generator, spawn_generators
-from repro.utils.validation import check_fraction, check_positive, check_probability_vector
+from repro.utils.rng import RngFactory, as_generator
+from repro.utils.validation import check_fraction, check_positive
 
 
 class TestAsGenerator:
@@ -18,25 +18,6 @@ class TestAsGenerator:
 
     def test_same_seed_same_stream(self):
         assert as_generator(7).random() == as_generator(7).random()
-
-
-class TestSpawnGenerators:
-    def test_count(self):
-        gens = spawn_generators(0, 5)
-        assert len(gens) == 5
-
-    def test_independence(self):
-        a, b = spawn_generators(0, 2)
-        assert a.random() != b.random()
-
-    def test_reproducible(self):
-        x = [g.random() for g in spawn_generators(3, 4)]
-        y = [g.random() for g in spawn_generators(3, 4)]
-        assert x == y
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
 
 
 class TestRngFactory:
@@ -88,13 +69,3 @@ class TestValidation:
             check_fraction("x", 1.1)
         with pytest.raises(ValueError):
             check_fraction("x", float("inf"))
-
-    def test_check_probability_vector(self):
-        p = check_probability_vector("p", np.array([0.25, 0.75]))
-        assert p.dtype == np.float64
-        with pytest.raises(ValueError):
-            check_probability_vector("p", np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            check_probability_vector("p", np.array([[0.5], [0.5]]))
-        with pytest.raises(ValueError):
-            check_probability_vector("p", np.array([1.5, -0.5]))

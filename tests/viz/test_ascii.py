@@ -1,190 +1,6 @@
-"""Tests for ASCII plotting."""
+"""Tests for the ASCII comm-ledger table."""
 
-import numpy as np
-import pytest
-
-from repro.simtime.events import ClientSpan, SpanLog
-from repro.viz.ascii import (
-    ascii_bars,
-    ascii_comm_table,
-    ascii_plot,
-    ascii_tier_tree,
-    ascii_timeline,
-)
-
-
-class TestAsciiPlot:
-    def test_markers_and_legend(self):
-        x = np.arange(10)
-        out = ascii_plot({"one": (x, x), "two": (x, x[::-1])})
-        assert "a = one" in out
-        assert "b = two" in out
-        assert "a" in out.splitlines()[0] + out.splitlines()[1]
-
-    def test_monotone_series_occupies_diagonal(self):
-        x = np.arange(20)
-        out = ascii_plot({"lin": (x, x)}, width=20, height=10)
-        rows = [l for l in out.splitlines() if "a" in l]
-        # first 'a' row (top) has marker far right; last has it far left
-        first = rows[0].rindex("a")
-        last = rows[-1].rindex("a")
-        assert first > last
-
-    def test_constant_series_no_crash(self):
-        x = np.arange(5)
-        out = ascii_plot({"flat": (x, np.ones(5))})
-        assert "flat" in out
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ascii_plot({})
-        with pytest.raises(ValueError):
-            ascii_plot({"x": (np.arange(3), np.arange(4))})
-        with pytest.raises(ValueError):
-            ascii_plot({"x": (np.arange(3), np.arange(3))}, width=5)
-
-    def test_axis_labels_shown(self):
-        out = ascii_plot({"s": (np.arange(3), np.arange(3))}, x_label="round", y_label="acc")
-        assert "acc vs round" in out
-
-
-class TestAsciiTimeline:
-    @staticmethod
-    def spans():
-        return [
-            ClientSpan(cid=0, kind="train", start=0.0, end=4.0),
-            ClientSpan(cid=0, kind="upload", start=4.0, end=10.0),
-            ClientSpan(cid=2, kind="train", start=0.0, end=1.0),
-            ClientSpan(cid=2, kind="upload", start=1.0, end=2.0),
-        ]
-
-    def test_one_row_per_client_with_glyphs(self):
-        out = ascii_timeline(self.spans(), width=20)
-        lines = out.splitlines()
-        assert lines[0].startswith("c0")
-        assert lines[1].startswith("c2")
-        assert "█" in lines[0] and "░" in lines[0]
-        assert "█ train" in out and "░ upload" in out
-
-    def test_proportions_roughly_match_durations(self):
-        out = ascii_timeline(self.spans(), width=20)
-        row0 = out.splitlines()[0]
-        # c0 trains 4s of a 10s window on 20 cells ⇒ ~8 train cells, ~12 upload.
-        assert 6 <= row0.count("█") <= 10
-        assert 10 <= row0.count("░") <= 14
-        # c2 finished at t=2: nothing drawn in the right half of its row.
-        row2 = out.splitlines()[1]
-        assert set(row2[row2.index("│") + 11 : row2.rindex("│")]) <= {" "}
-
-    def test_window_crop(self):
-        out = ascii_timeline(self.spans(), t0=0.0, t1=2.0, width=20)
-        # Window ends at 2s: c0 is still training (no upload glyph visible).
-        row0 = out.splitlines()[0]
-        assert "░" not in row0
-
-    def test_accepts_span_log(self):
-        log = SpanLog()
-        log.add(1, "train", 0.0, 1.0)
-        out = ascii_timeline(log, width=12)
-        assert out.splitlines()[0].startswith("c1")
-
-    def test_sub_cell_span_still_visible(self):
-        spans = [
-            ClientSpan(cid=0, kind="train", start=0.0, end=0.001),
-            ClientSpan(cid=1, kind="train", start=0.0, end=100.0),
-        ]
-        out = ascii_timeline(spans, width=20)
-        assert "█" in out.splitlines()[0]
-
-    def test_axis_labels_show_window(self):
-        out = ascii_timeline(self.spans(), width=20)
-        assert "0s" in out and "10s" in out
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ascii_timeline([])
-        with pytest.raises(ValueError):
-            ascii_timeline(self.spans(), width=5)
-
-
-class TestAsciiBars:
-    def test_longest_bar_is_peak(self):
-        out = ascii_bars({"small": 1.0, "big": 10.0}, width=10)
-        lines = out.splitlines()
-        assert lines[1].count("█") == 10
-        assert lines[0].count("█") == 1
-
-    def test_unit_suffix(self):
-        out = ascii_bars({"t": 2.0}, unit="s")
-        assert "2s" in out
-
-    def test_zero_values_ok(self):
-        out = ascii_bars({"z": 0.0, "one": 1.0})
-        assert "z" in out
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ascii_bars({})
-        with pytest.raises(ValueError):
-            ascii_bars({"neg": -1.0})
-
-
-class TestAsciiTierTree:
-    def topology(self, backhaul_mbps=100.0):
-        from repro.hier.topology import TierTopology, assign_edges, sample_backhaul_links
-        from repro.network.links import sample_links
-
-        links = sample_links(5, seed=0)
-        return TierTopology(
-            groups=assign_edges(5, 2, "contiguous"),
-            client_links=tuple(links),
-            backhaul_links=sample_backhaul_links(
-                2, bandwidth_mbps=backhaul_mbps, latency_s=0.01, seed=1
-            ),
-        )
-
-    def test_renders_every_tier(self):
-        text = ascii_tier_tree(self.topology())
-        lines = text.splitlines()
-        assert lines[0] == "cloud"
-        assert sum("edge" in l for l in lines) == 2
-        for cid in range(5):
-            assert f"c{cid}" in text
-        assert "backhaul" in text and "Mb/s" in text
-
-    def test_free_backhaul_labelled(self):
-        text = ascii_tier_tree(self.topology(backhaul_mbps=None))
-        assert "free backhaul" in text
-
-    def test_breakdown_adds_timings(self):
-        from repro.fl.history import EdgeRecord
-
-        breakdown = (
-            EdgeRecord(edge=0, selected=(0, 1), sub_spans=(1.5, 2.0),
-                       backhaul_s=0.25, start=0.0, end=3.75),
-            EdgeRecord(edge=1, selected=(3,), sub_spans=(2.5,),
-                       backhaul_s=0.5, start=0.0, end=3.0),
-        )
-        text = ascii_tier_tree(self.topology(), breakdown)
-        assert "sub-rounds [1.5s 2s]" in text
-        assert "backhaul 0.25s" in text
-        assert "done 3.75s" in text
-
-    def test_round_record_breakdown_renders(self):
-        """The tree consumes a hierarchical run's breakdown directly."""
-        from repro.fl.config import ExperimentConfig
-        from repro.simtime import make_simulation
-
-        cfg = ExperimentConfig(
-            dataset="synth-cifar10", model="mlp", num_train=160, num_test=80,
-            num_clients=4, rounds=1, batch_size=32, algorithm="topk",
-            compression_ratio=0.2, mode="hier", num_edges=2,
-            backhaul_bandwidth_mbps=50.0,
-        )
-        with make_simulation(cfg) as sim:
-            record = sim.run_round()
-        text = ascii_tier_tree(sim.topology, record.edge_breakdown)
-        assert "sub-rounds" in text and "done" in text
+from repro.viz.ascii import ascii_comm_table
 
 
 class TestCommTable:
