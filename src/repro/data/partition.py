@@ -64,12 +64,12 @@ def dirichlet_partition(
     seed: int | np.random.Generator = 0,
     *,
     min_size: int = 1,
-    max_retries: int = 100,
 ) -> Partition:
     """Label-skew partition with per-class Dirichlet(beta) client proportions.
 
-    Resamples until every client holds at least ``min_size`` samples (the
-    standard practice in the non-IID FL literature the paper follows).
+    Resamples (up to 100 times) until every client holds at least
+    ``min_size`` samples (the standard practice in the non-IID FL literature
+    the paper follows).
     """
     labels = np.asarray(labels)
     if labels.ndim != 1:
@@ -81,7 +81,7 @@ def dirichlet_partition(
     rng = as_generator(seed)
     num_classes = int(labels.max()) + 1 if labels.size else 0
 
-    for _ in range(max_retries):
+    for _ in range(100):
         buckets: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
         for k in range(num_classes):
             idx_k = np.flatnonzero(labels == k)
@@ -99,7 +99,7 @@ def dirichlet_partition(
         if min(len(ix) for ix in client_indices) >= min_size:
             return Partition(client_indices, labels, num_classes)
     raise RuntimeError(
-        f"could not satisfy min_size={min_size} after {max_retries} retries "
+        f"could not satisfy min_size={min_size} after 100 retries "
         f"(beta={beta}, num_clients={num_clients}, n={labels.size})"
     )
 

@@ -60,9 +60,10 @@ def mean_emd_to_global(partition: Partition) -> float:
     return float(np.mean([earth_movers_distance(d, global_dist) for d in dists]))
 
 
-def heatmap_text(partition: Partition, *, max_classes: int = 10) -> str:
-    """ASCII rendition of the Fig. 5 class×client count heatmap."""
-    mat = partition.counts_matrix()[:max_classes]
+def heatmap_text(partition: Partition) -> str:
+    """ASCII rendition of the Fig. 5 class×client count heatmap (first ten
+    classes)."""
+    mat = partition.counts_matrix()[:10]
     lines = ["class\\client " + " ".join(f"{c:>6d}" for c in range(partition.num_clients))]
     for k, row in enumerate(mat):
         lines.append(f"{k:>12d} " + " ".join(f"{v:>6d}" for v in row))

@@ -55,10 +55,7 @@ class TrainSpec:
 
     lr: float
     epochs: int
-    momentum: float = 0.0
-    weight_decay: float = 0.0
     proximal_mu: float = 0.0
-    optimizer: str = "sgd"
     #: Ship the raw dense delta back alongside the compressed update
     #: (needed by the decentralized engine's mixing step).
     return_delta: bool = False
@@ -77,10 +74,7 @@ class TrainSpec:
         return cls(
             lr=config.lr,
             epochs=config.local_epochs,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
             proximal_mu=config.proximal_mu,
-            optimizer=config.local_optimizer,
             return_delta=return_delta,
             adversary=config.adversary,
             adversary_fraction=config.adversary_fraction,
@@ -180,10 +174,7 @@ class WorkerContext:
             params,
             lr=spec.lr,
             epochs=spec.epochs,
-            momentum=spec.momentum,
-            weight_decay=spec.weight_decay,
             proximal_mu=spec.proximal_mu,
-            optimizer=spec.optimizer,
             global_states=global_states,
         )
         train_seconds = time.perf_counter() - t0
@@ -258,10 +249,10 @@ class ExecutionBackend(ABC):
         self.close()
 
 
-def resolve_workers(workers: int | None, *, default_cap: int = 8) -> int:
-    """Worker count: explicit value, else ``min(cpu_count, default_cap)``."""
+def resolve_workers(workers: int | None) -> int:
+    """Worker count: explicit value, else ``min(cpu_count, 8)``."""
     if workers is not None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         return int(workers)
-    return max(1, min(os.cpu_count() or 1, default_cap))
+    return max(1, min(os.cpu_count() or 1, 8))

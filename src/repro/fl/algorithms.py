@@ -15,7 +15,13 @@ import numpy as np
 from repro.core.bcrs import schedule_ratios
 from repro.core.coefficients import adjusted_coefficients, fedavg_coefficients
 from repro.fl.config import ExperimentConfig
-from repro.network.cost import LinkSpec, downlink_time, sparse_uplink_time, uplink_time
+from repro.network.cost import (
+    DOWNLINK_FACTOR,
+    LinkSpec,
+    downlink_time,
+    sparse_uplink_time,
+    uplink_time,
+)
 from repro.network.metrics import RoundTimes
 
 __all__ = ["RoundPlan", "Algorithm", "make_algorithm"]
@@ -31,13 +37,12 @@ class RoundPlan:
     times: RoundTimes  # actual/max/min per Sec. 5.2 semantics
 
 
-def _downlink_times(
-    links: list[LinkSpec], volume_bits: float, factor: float
-) -> np.ndarray:
-    """Broadcast time of the dense global model at ``factor``× the uplink
-    bandwidth (downlink is uncompressed — Sec. 3.3's uplink-only rationale)."""
+def _downlink_times(links: list[LinkSpec], volume_bits: float) -> np.ndarray:
+    """Broadcast time of the dense global model at ``DOWNLINK_FACTOR``× the
+    uplink bandwidth (downlink is uncompressed — Sec. 3.3's uplink-only
+    rationale)."""
     return np.array(
-        [downlink_time(l, volume_bits, bandwidth_factor=factor) for l in links]
+        [downlink_time(l, volume_bits, bandwidth_factor=DOWNLINK_FACTOR) for l in links]
     )
 
 
@@ -88,7 +93,7 @@ class Algorithm:
     def _downlink(self, links: list[LinkSpec], volume_bits: float) -> np.ndarray | None:
         if not self.config.include_downlink:
             return None
-        return _downlink_times(links, volume_bits, self.config.downlink_factor)
+        return _downlink_times(links, volume_bits)
 
     def plan(
         self,

@@ -16,7 +16,7 @@ import numpy as np
 from repro.data.datasets import Dataset
 from repro.data.loader import BatchLoader
 from repro.nn.losses import cross_entropy
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import SGD
 from repro.nn.params import set_flat_params
 from repro.nn.sequential import Sequential
 
@@ -61,10 +61,7 @@ class Client:
         *,
         lr: float,
         epochs: int,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
         proximal_mu: float = 0.0,
-        optimizer: str = "sgd",
         global_states: list[np.ndarray] | None = None,
     ) -> LocalTrainResult:
         """Run LOCALTRAINING on a shared model instance.
@@ -86,12 +83,7 @@ class Client:
             for live, saved in zip(model.state_arrays(), global_states):
                 live[...] = saved
         data, grad = model.flat()
-        if optimizer == "sgd":
-            opt = SGD(data, grad, lr=lr, momentum=momentum, weight_decay=weight_decay)
-        elif optimizer == "adam":
-            opt = Adam(data, grad, lr=lr, weight_decay=weight_decay)
-        else:
-            raise ValueError(f"unknown local optimizer {optimizer!r}")
+        opt = SGD(data, grad, lr=lr)
         anchor = data.copy() if proximal_mu > 0 else None
         total_loss = 0.0
         batches = 0

@@ -80,12 +80,9 @@ class ExperimentConfig:
     local_epochs: int = 1  # E
     batch_size: int = 64
 
-    # Local optimizer (η)
-    lr: float = 0.05
-    momentum: float = 0.0
-    weight_decay: float = 0.0
+    # Local optimizer: plain SGD (Alg. 1 lines 21–27)
+    lr: float = 0.05  # η
     proximal_mu: float = 0.0  # FedProx proximal term μ·||w − w_t||²/2 (0 = off)
-    local_optimizer: str = "sgd"  # "sgd" | "adam"
 
     # Algorithm under test
     algorithm: str = "fedavg"
@@ -118,7 +115,6 @@ class ExperimentConfig:
     partition: str = "dirichlet"  # dirichlet | iid | shard
     volume_override_bits: float | None = None  # simulate a paper-scale model volume
     include_downlink: bool = False  # add broadcast (downlink) time to round metrics
-    downlink_factor: float = 10.0  # downlink bandwidth = factor × uplink (Sec. 3.3)
     time_varying_links: bool = False
     link_volatility: float = 0.1
     seed: int = 0
@@ -138,7 +134,6 @@ class ExperimentConfig:
     late_policy: str = "carryover"  # semisync: late updates "carryover" | "drop"
 
     # Device compute heterogeneity (repro.simtime.profiles).
-    compute_s_per_sample: float = 5e-3  # median local-training cost (s per sample×epoch)
     compute_heterogeneity: float = 0.5  # lognormal sigma of per-client speed (0 = uniform)
 
     # Transport (repro.network.transport): how concurrent uploads share the
@@ -209,10 +204,8 @@ class ExperimentConfig:
         check_positive("lr", self.lr)
         check_positive("alpha", self.alpha)
         check_positive("gamma", self.gamma)
-        for name in ("momentum", "server_momentum"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        check_positive("weight_decay", self.weight_decay, strict=False)
+        if not 0 <= self.server_momentum < 1:
+            raise ValueError(f"server_momentum must be in [0, 1), got {self.server_momentum}")
         check_positive("link_volatility", self.link_volatility, strict=False)
         for name in (
             "num_clients", "rounds", "local_epochs", "batch_size", "num_train", "num_test",
@@ -244,15 +237,10 @@ class ExperimentConfig:
             )
         if self.proximal_mu < 0:
             raise ValueError(f"proximal_mu must be >= 0, got {self.proximal_mu}")
-        if self.local_optimizer not in ("sgd", "adam"):
-            raise ValueError(
-                f"local_optimizer must be 'sgd' or 'adam', got {self.local_optimizer!r}"
-            )
         if self.server_optimizer not in ("sgd", "adam"):
             raise ValueError(
                 f"server_optimizer must be 'sgd' or 'adam', got {self.server_optimizer!r}"
             )
-        check_positive("downlink_factor", self.downlink_factor)
         check_fraction("deadline_quantile", self.deadline_quantile)
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
@@ -277,7 +265,6 @@ class ExperimentConfig:
             )
         if self.deadline_s is not None:
             check_positive("deadline_s", self.deadline_s)
-        check_positive("compute_s_per_sample", self.compute_s_per_sample)
         check_positive("compute_heterogeneity", self.compute_heterogeneity, strict=False)
         if self.contention not in CONTENTION_MODES:
             raise ValueError(

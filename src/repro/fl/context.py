@@ -67,7 +67,6 @@ DATASET_KEY_FIELDS = (
     "virtual_shards",
     "virtual_shard_min",
     "virtual_shard_max",
-    "compute_s_per_sample",
     "compute_heterogeneity",
 )
 

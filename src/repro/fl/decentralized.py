@@ -128,15 +128,11 @@ class DecentralizedSimulation(EngineMixin):
                 "parallel workers — use backend='serial' or a buffer-free "
                 "model (e.g. 'mlp', 'gn_cnn')"
             )
-        # Deliberately NOT TrainSpec.from_config: D-PSGD local steps have
-        # always used plain SGD with no proximal term, whatever the config's
-        # FedProx/Adam knobs say (they parameterize the *centralized* engine).
+        # Deliberately NOT TrainSpec.from_config: D-PSGD local steps have no
+        # proximal term, whatever the config's FedProx knob says (it
+        # parameterizes the *centralized* engine).
         self._train_spec = TrainSpec(
-            lr=config.lr,
-            epochs=config.local_epochs,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
-            return_delta=True,
+            lr=config.lr, epochs=config.local_epochs, return_delta=True
         )
 
     # ------------------------------------------------------------------

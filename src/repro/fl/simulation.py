@@ -346,7 +346,6 @@ class Simulation(EngineMixin):
             num_samples=int(self.population.data_sizes[cid]),
             epochs=cfg.local_epochs,
             include_downlink=cfg.include_downlink,
-            downlink_factor=cfg.downlink_factor,
             payload=payload,
         )
         return payload, down, train_t, up

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.network.cost import LinkSpec, downlink_time, uplink_time
+from repro.network.cost import LinkSpec, uplink_time
 from repro.utils.rng import as_generator
 
 __all__ = ["TierTopology", "assign_edges", "sample_backhaul_links", "build_tier_topology"]
@@ -149,15 +149,6 @@ class TierTopology:
         """Edge→cloud transfer time of a dense ``volume_bits`` payload."""
         link = self.backhaul_links[edge]
         return 0.0 if link is None else uplink_time(link, volume_bits)
-
-    def backhaul_downlink_time(
-        self, edge: int, volume_bits: float, *, bandwidth_factor: float = 1.0
-    ) -> float:
-        """Cloud→edge broadcast time of the dense global model."""
-        link = self.backhaul_links[edge]
-        if link is None:
-            return 0.0
-        return downlink_time(link, volume_bits, bandwidth_factor=bandwidth_factor)
 
     def to_networkx(self):
         """Export the two-tier tree with link attributes (optional dep)."""

@@ -31,6 +31,7 @@ __all__ = [
     "sparse_uplink_time",
     "model_bits",
     "SPARSE_VOLUME_FACTOR",
+    "DOWNLINK_FACTOR",
 ]
 
 #: Paper's factor for sparse transfers (index + value per retained entry).
@@ -38,26 +39,25 @@ __all__ = [
 #: update's exact bits via repro.network.transport.Payload.
 SPARSE_VOLUME_FACTOR = 2.0
 
+#: Client downlink bandwidth as a multiple of its uplink (Sec. 3.3:
+#: downstream bandwidth is typically ~10× upstream).
+DOWNLINK_FACTOR = 10.0
+
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """One client's link: uplink bandwidth in bits/s, latency in seconds.
+    """One link: uplink bandwidth in bits/s, latency in seconds.
 
-    ``downlink_bps`` is the measured downstream bandwidth; ``None`` (the
-    default, so existing two-argument constructions keep working) means the
-    downlink equals the uplink and :func:`downlink_time`'s
-    ``bandwidth_factor`` models the asymmetry instead.
+    The downlink is priced from the same bandwidth scaled by
+    :func:`downlink_time`'s ``bandwidth_factor``.
     """
 
     bandwidth_bps: float
     latency_s: float
-    downlink_bps: float | None = None
 
     def __post_init__(self):
         check_positive("bandwidth_bps", self.bandwidth_bps)
         check_positive("latency_s", self.latency_s, strict=False)
-        if self.downlink_bps is not None:
-            check_positive("downlink_bps", self.downlink_bps)
 
 
 def model_bits(num_parameters: int, *, bits_per_value: int = 32) -> float:
@@ -84,20 +84,14 @@ def downlink_time(
     The paper charges only the uplink (Sec. 3.3: broadcast shares one
     transmission and downstream bandwidth is typically ~10× upstream), but
     time-to-accuracy accounting needs the server→client volume priced too.
-    The downlink bandwidth is the link's measured ``downlink_bps`` when
-    present; otherwise ``bandwidth_factor`` scales the uplink bandwidth
-    (e.g. 10.0 for the asymmetric-residential assumption). Latency is
+    ``bandwidth_factor`` scales the uplink bandwidth: clients use
+    :data:`DOWNLINK_FACTOR`, an edge's symmetric backhaul 1. Latency is
     direction-symmetric.
     """
     check_positive("bandwidth_factor", bandwidth_factor)
     if volume_bits < 0:
         raise ValueError(f"volume_bits must be >= 0, got {volume_bits}")
-    down_bps = (
-        link.downlink_bps
-        if link.downlink_bps is not None
-        else link.bandwidth_bps * bandwidth_factor
-    )
-    return link.latency_s + volume_bits / down_bps
+    return link.latency_s + volume_bits / (link.bandwidth_bps * bandwidth_factor)
 
 
 def sparse_uplink_time(link: LinkSpec, dense_volume_bits: float, cr: float) -> float:

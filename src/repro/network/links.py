@@ -78,7 +78,6 @@ class TimeVaryingLink:
         *,
         volatility: float = 0.1,
         reversion: float = 0.3,
-        floor_bps: float = 0.05 * MBIT,
     ):
         if not 0 <= reversion <= 1:
             raise ValueError(f"reversion must be in [0, 1], got {reversion}")
@@ -87,12 +86,12 @@ class TimeVaryingLink:
         self.rng = rng
         self.volatility = float(volatility)
         self.reversion = float(reversion)
-        self.floor_bps = float(floor_bps)
         self._current_bw = base.bandwidth_bps
 
     def step(self) -> LinkSpec:
         """Advance one round and return the current link state."""
         shock = self.rng.normal(0.0, self.volatility)
         drift = self.reversion * (np.log(self.base.bandwidth_bps) - np.log(self._current_bw))
-        self._current_bw = max(self._current_bw * float(np.exp(drift + shock)), self.floor_bps)
+        # Bandwidth never drifts below 0.05 Mbit/s.
+        self._current_bw = max(self._current_bw * float(np.exp(drift + shock)), 0.05 * MBIT)
         return LinkSpec(bandwidth_bps=self._current_bw, latency_s=self.base.latency_s)

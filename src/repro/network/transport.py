@@ -517,13 +517,12 @@ class Transport:
         """Exclusive-link upload time: Eq. 4 with the payload's exact bits."""
         return uplink_time(link, payload.bits)
 
-    def broadcast_seconds(
-        self, link: LinkSpec | None, payload: Payload, *, bandwidth_factor: float = 1.0
-    ) -> float:
-        """Server→client/edge broadcast time (``None`` link = free tier)."""
+    def broadcast_seconds(self, link: LinkSpec | None, payload: Payload) -> float:
+        """Cloud→edge broadcast time over a symmetric backhaul (``None``
+        link = free tier)."""
         if link is None:
             return 0.0
-        return downlink_time(link, payload.bits, bandwidth_factor=bandwidth_factor)
+        return downlink_time(link, payload.bits)
 
     # ------------------------------------------------------------ contended
 

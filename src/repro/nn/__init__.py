@@ -20,7 +20,7 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import cross_entropy
 from repro.nn.models import build_gn_cnn, build_mini_resnet, build_mlp, build_model, build_small_cnn
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import SGD
 from repro.nn.params import get_flat_params, num_parameters, param_slices, set_flat_params
 from repro.nn.sequential import BasicBlock, Sequential
 
@@ -29,7 +29,7 @@ __all__ = [
     "Layer", "Parameter", "Linear", "Conv2d", "BatchNorm2d", "GroupNorm",
     "ReLU", "MaxPool2d", "GlobalAvgPool2d", "Flatten", "Sequential", "BasicBlock",
     "cross_entropy",
-    "SGD", "Adam",
+    "SGD",
     "num_parameters", "param_slices", "get_flat_params", "set_flat_params",
     "build_mlp", "build_small_cnn", "build_gn_cnn", "build_mini_resnet", "build_model",
 ]

@@ -51,11 +51,15 @@ from repro.network.links import LinkModel, PAPER_LINK_MODEL, sample_links
 from repro.simtime.profiles import ComputeSpec, DeviceProfile
 from repro.utils.rng import RngFactory
 
-__all__ = ["Population", "LinkColumns", "DeviceColumns", "SHARD_STREAM"]
+__all__ = ["Population", "LinkColumns", "DeviceColumns", "SHARD_STREAM", "COMPUTE_S_PER_SAMPLE"]
 
 #: Counter-based stream name for virtual shard contents (one Philox stream
 #: per client id, reconstructible on any worker in any order).
 SHARD_STREAM = "virtual-shard"
+
+#: Median local-training cost in seconds per sample × epoch; each client's
+#: speed is lognormal around it (``config.compute_heterogeneity``).
+COMPUTE_S_PER_SAMPLE = 5e-3
 
 
 def _fleet_link_columns(
@@ -158,13 +162,7 @@ class Population:
     # ------------------------------------------------------------- building
 
     @classmethod
-    def from_config(
-        cls,
-        config,
-        *,
-        partition: Partition | None,
-        link_model: LinkModel = PAPER_LINK_MODEL,
-    ) -> "Population":
+    def from_config(cls, config, *, partition: Partition | None) -> "Population":
         """Assemble the population an ``ExperimentConfig`` describes.
 
         Streams consumed (all independent of each other and of every other
@@ -176,7 +174,7 @@ class Population:
         rngs = RngFactory(config.seed)
         n = config.num_clients
         if config.virtual_shards:
-            bw, lat = _fleet_link_columns(n, link_model, rngs.stream("links"))
+            bw, lat = _fleet_link_columns(n, PAPER_LINK_MODEL, rngs.stream("links"))
             sizes = rngs.stream("shard-sizes").integers(
                 config.virtual_shard_min, config.virtual_shard_max + 1, size=n
             )
@@ -189,7 +187,7 @@ class Population:
             # number of raw words per normal draw, so it cannot be vectorized
             # without changing the values; fleets that need vectorized
             # construction use the virtual regime.
-            links = sample_links(n, link_model, seed=rngs.stream("links"))
+            links = sample_links(n, PAPER_LINK_MODEL, seed=rngs.stream("links"))
             bw = [link.bandwidth_bps for link in links]
             lat = [link.latency_s for link in links]
             sizes = partition.sizes()
@@ -197,7 +195,7 @@ class Population:
         if config.virtual_shards:
             s_per_sample = np.multiply(config.compute_heterogeneity, z, out=z)
             np.exp(s_per_sample, out=s_per_sample)  # c · exp(h · z), in place
-            s_per_sample *= config.compute_s_per_sample
+            s_per_sample *= COMPUTE_S_PER_SAMPLE
         else:
             # Scalar np.exp, one client at a time — the historical
             # per-client profile arithmetic. numpy's SIMD exp loop can
@@ -205,7 +203,7 @@ class Population:
             # bit-for-bit golden equivalence.
             s_per_sample = np.array(
                 [
-                    float(config.compute_s_per_sample * np.exp(config.compute_heterogeneity * z[i]))
+                    float(COMPUTE_S_PER_SAMPLE * np.exp(config.compute_heterogeneity * z[i]))
                     for i in range(n)
                 ],
                 dtype=np.float64,

@@ -100,7 +100,7 @@ def _section(anchor: str, heading: str, *parts: str) -> str:
 # --------------------------------------------------------------- manifest
 
 
-def manifest_section(manifest: dict, *, anchor: str = "manifest") -> str:
+def manifest_section(manifest: dict) -> str:
     """The run-manifest header: what was run, under which knobs.
 
     ``manifest`` is plain key → value data (spec hash, seed, backend, mode,
@@ -112,13 +112,13 @@ def manifest_section(manifest: dict, *, anchor: str = "manifest") -> str:
         f'<span class="kv-v">{esc(v)}</span></div>'
         for k, v in manifest.items()
     )
-    return f'<section id="{esc(anchor)}"><div class="manifest">{items}</div></section>'
+    return f'<section id="manifest"><div class="manifest">{items}</div></section>'
 
 
 # ---------------------------------------------------------------- history
 
 
-def history_section(history, *, heading: str = "Run history", anchor: str = "history") -> str:
+def history_section(history) -> str:
     """Accuracy curves, loss, per-round comm ledger, staleness — one run.
 
     Works on any :class:`~repro.fl.history.History`, including legacy ones
@@ -200,7 +200,7 @@ def history_section(history, *, heading: str = "Run history", anchor: str = "his
             "Mean staleness vs round",
             svg_plot({"staleness": (sx, sy)}, x_label="round", y_label="model-version lag"),
         ))
-    return _section(anchor, heading, *parts)
+    return _section("history", "Run history", *parts)
 
 
 # ------------------------------------------------------------------ sweep
@@ -210,8 +210,6 @@ def sweep_section(
     report,
     *,
     target: float | None = None,
-    heading: str = "Sweep",
-    anchor: str = "sweep",
     top: int = 10,
 ) -> str:
     """Best-cell ranking, per-axis marginals, frontiers, and the grid.
@@ -316,12 +314,10 @@ def sweep_section(
                     x_label=x_axis, y_label=y_axis, fmt=lambda v: f"{v:.4f}",
                 ),
             ))
-    return _section(anchor, heading, *parts)
+    return _section("sweep", "Sweep", *parts)
 
 
-def robustness_section(
-    report, *, heading: str = "Robustness", anchor: str = "robustness"
-) -> str:
+def robustness_section(report) -> str:
     """Accuracy-degradation curves over the sweep's robustness axes.
 
     One chart per :data:`ROBUSTNESS_AXES` member present in the grid
@@ -359,10 +355,14 @@ def robustness_section(
         ))
     if not parts:
         return ""
-    return _section(anchor, heading, *parts)
+    return _section("robustness", "Robustness", *parts)
 
 
 # ------------------------------------------------------------------ trace
+
+
+#: Spans drawn per timeline lane (earliest first); the rest are counted.
+_MAX_SPANS_PER_LANE = 400
 
 
 def trace_section(
@@ -370,9 +370,6 @@ def trace_section(
     *,
     top: int = 10,
     max_lanes: int = 12,
-    max_spans_per_lane: int = 400,
-    heading: str = "Trace",
-    anchor: str = "trace",
 ) -> str:
     """Span timeline, hot-spot table, lane utilization — one trace.
 
@@ -384,7 +381,7 @@ def trace_section(
     """
     spans = list(spans)
     if not spans:
-        return _section(anchor, heading, '<p class="muted">No wall-clock spans.</p>')
+        return _section("trace", "Trace", '<p class="muted">No wall-clock spans.</p>')
     t0 = min(s.start for s in spans)
     t1 = max(s.end for s in spans)
     extent = t1 - t0
@@ -398,9 +395,9 @@ def trace_section(
     clipped = len(tids) - len(shown_tids)
     for tid in shown_tids:
         lane = sorted(by_tid[tid], key=lambda s: (s.start, s.end, s.name))
-        if len(lane) > max_spans_per_lane:
+        if len(lane) > _MAX_SPANS_PER_LANE:
             clipped += 1  # count lanes with clipped spans too
-            lane = lane[:max_spans_per_lane]
+            lane = lane[:_MAX_SPANS_PER_LANE]
         lanes.append((
             "main" if tid == 0 else f"lane {tid}",
             [(s.start - t0, s.end - t0, s.name, s.cat) for s in lane],
@@ -418,7 +415,7 @@ def trace_section(
     if clipped:
         parts.append(
             f'<p class="muted">timeline clipped to the first {max_lanes} lanes / '
-            f"{max_spans_per_lane} spans per lane; the hot-spot table below "
+            f"{_MAX_SPANS_PER_LANE} spans per lane; the hot-spot table below "
             "covers the full trace.</p>"
         )
 
@@ -448,7 +445,7 @@ def trace_section(
             unit="%", fmt=lambda x: f"{x:.1f}", slot=2,
         ),
     ))
-    return _section(anchor, heading, *parts)
+    return _section("trace", "Trace", *parts)
 
 
 # ---------------------------------------------------------------- metrics
@@ -488,9 +485,7 @@ def _histogram_quantile(row: dict, q: float) -> float | None:
     return row.get("max")
 
 
-def metrics_section(
-    metrics, *, heading: str = "Metrics", anchor: str = "metrics"
-) -> str:
+def metrics_section(metrics) -> str:
     """Per-round sparklines and distribution summaries — one registry.
 
     ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry` or its
@@ -570,7 +565,7 @@ def metrics_section(
     if gauge_rows:
         parts.append("<h3>Gauges</h3>")
         parts.append(html_table(["gauge", "value", "peak"], gauge_rows))
-    return _section(anchor, heading, *parts)
+    return _section("metrics", "Metrics", *parts)
 
 
 def _fmt_q(x: float | None) -> str:

@@ -124,10 +124,6 @@ class Frame:
         y_hi: float,
         x_label: str = "x",
         y_label: str = "y",
-        margin_l: int = 58,
-        margin_r: int = 16,
-        margin_t: int = 14,
-        margin_b: int = 44,
         x_fmt=fmt_num,
         y_fmt=fmt_num,
     ):
@@ -139,7 +135,7 @@ class Frame:
         self.x_lo, self.x_hi = float(x_lo), float(x_hi)
         self.y_lo, self.y_hi = float(y_lo), float(y_hi)
         self.x_label, self.y_label = x_label, y_label
-        self.l, self.r, self.t, self.b = margin_l, margin_r, margin_t, margin_b
+        self.l, self.r, self.t, self.b = 58, 16, 14, 44  # margins
         self.x_fmt, self.y_fmt = x_fmt, y_fmt
 
     @property
@@ -351,8 +347,6 @@ def svg_heatmap(
     x_label: str = "x",
     y_label: str = "y",
     fmt=fmt_num,
-    cell_w: int = 84,
-    cell_h: int = 34,
 ) -> str:
     """Value grid as sequential-ramp tiles — the `ascii_sweep_grid` of SVG.
 
@@ -362,7 +356,7 @@ def svg_heatmap(
     """
     if not cells:
         raise ValueError("need at least one cell")
-    label_w, top_h = 120, 26
+    label_w, top_h, cell_w, cell_h = 120, 26, 84, 34
     width = label_w + len(x_values) * cell_w + 10
     height = top_h + len(y_values) * cell_h + 30
     vals = list(cells.values())
@@ -424,7 +418,6 @@ def svg_timeline(
     t0: float,
     t1: float,
     width: int = 760,
-    lane_h: int = 20,
     t_fmt=fmt_num,
 ) -> str:
     """Per-lane span timeline.
@@ -437,7 +430,7 @@ def svg_timeline(
         raise ValueError("need at least one lane")
     if t1 <= t0:
         t1 = t0 + 1.0
-    label_w, gap = 110, 6
+    label_w, gap, lane_h = 110, 6, 20
     height = len(lanes) * (lane_h + gap) + gap + 26
     plot_w = width - label_w - 14
     scale = plot_w / (t1 - t0)

@@ -37,6 +37,18 @@ _NONE_WORDS = frozenset({"none", "null", "nil", "~"})
 _TRUE_WORDS = frozenset({"true", "1", "yes", "on"})
 _FALSE_WORDS = frozenset({"false", "0", "no", "off"})
 
+#: Config fields that no longer exist, at their old defaults (nothing but
+#: tests set them). ``spec_hash`` still hashes them so run-store cells
+#: recorded while they were fields keep their keys and resume. A stored
+#: spec whose overrides *name* one fails to load.
+_RETIRED_FIELDS = {
+    "momentum": 0.0,
+    "weight_decay": 0.0,
+    "local_optimizer": "sgd",
+    "downlink_factor": 10.0,
+    "compute_s_per_sample": 5e-3,
+}
+
 
 def _field_types() -> dict[str, type]:
     """Resolved annotation per ExperimentConfig field (cached)."""
@@ -233,7 +245,8 @@ class ScenarioSpec:
         default's value changing in a future version changes the key
         (stale cached results are not silently reused).
         """
-        payload = json.dumps(config_to_dict(self.to_config()), sort_keys=True)
+        resolved = {**_RETIRED_FIELDS, **config_to_dict(self.to_config())}
+        payload = json.dumps(resolved, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def summary(self) -> str:

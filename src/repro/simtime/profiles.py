@@ -20,7 +20,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.network.cost import LinkSpec, downlink_time, sparse_uplink_time, uplink_time
+from repro.network.cost import (
+    DOWNLINK_FACTOR,
+    LinkSpec,
+    downlink_time,
+    sparse_uplink_time,
+    uplink_time,
+)
 from repro.network.transport import Payload
 from repro.utils.validation import check_positive
 
@@ -121,12 +127,11 @@ class DeviceProfile:
             return uplink_time(link, volume_bits)
         return sparse_uplink_time(link, volume_bits, float(ratio))
 
-    def download_time(
-        self, volume_bits: float, *, bandwidth_factor: float = 1.0, link: LinkSpec | None = None
-    ) -> float:
-        """Broadcast (server→client) time for the dense global model."""
+    def download_time(self, volume_bits: float, *, link: LinkSpec | None = None) -> float:
+        """Broadcast (server→client) time for the dense global model, at
+        :data:`~repro.network.cost.DOWNLINK_FACTOR` × the uplink bandwidth."""
         link = self.link if link is None else link
-        return downlink_time(link, volume_bits, bandwidth_factor=bandwidth_factor)
+        return downlink_time(link, volume_bits, bandwidth_factor=DOWNLINK_FACTOR)
 
 
 def pipeline_times(
@@ -137,7 +142,6 @@ def pipeline_times(
     num_samples: int,
     epochs: int,
     include_downlink: bool,
-    downlink_factor: float,
     link: LinkSpec | None = None,
     payload: Payload | None = None,
 ) -> tuple[float, float, float]:
@@ -149,7 +153,7 @@ def pipeline_times(
     to price the exact emitted bits instead of the ratio plan.
     """
     down = (
-        device.download_time(volume_bits, bandwidth_factor=downlink_factor, link=link)
+        device.download_time(volume_bits, link=link)
         if include_downlink
         else 0.0
     )

@@ -75,7 +75,7 @@ class TestLearnability:
         carry signal, or every FL experiment degenerates to noise."""
         train, test = train_test_split("synth-cifar10", 1500, 400, seed=3)
         model = build_mlp(3 * 8 * 8, 10, hidden=(64,), seed=0)
-        opt = SGD(*model.flat(), lr=0.1, momentum=0.9)
+        opt = SGD(*model.flat(), lr=0.1)
         xf = train.x.reshape(len(train), -1)
         rng = np.random.default_rng(0)
         for _ in range(60):

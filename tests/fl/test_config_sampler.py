@@ -34,8 +34,6 @@ class TestConfig:
         ("norm_mode", "bogus"),
         ("benchmark", "min"),
         ("required_overlap", 0),
-        ("momentum", -1.0),
-        ("weight_decay", -1.0),
         ("link_volatility", -1.0),
     ])
     def test_values_a_round_would_reject_fail_at_construction(self, field, value):

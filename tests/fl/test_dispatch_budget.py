@@ -15,7 +15,6 @@ import repro.exec.base as exec_base
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.network.cost import LinkSpec
-from repro.nn import optim
 from repro.nn.layers import Layer
 from repro.simtime.profiles import ComputeSpec
 
@@ -33,7 +32,6 @@ def config() -> ExperimentConfig:
         rounds=ROUNDS,
         batch_size=16,
         lr=0.05,
-        momentum=0.5,
         algorithm="bcrs_opwa",
         compression_ratio=0.1,
         mode="sync",
@@ -80,12 +78,10 @@ def counted_run(monkeypatch) -> dict:
             "__init__",
             counting("contexts", exec_base.WorkerContext.__init__),
         )
-        optim._check_hyperparameters.cache_clear()
         with Simulation(config()) as sim:
             built = dict(counts)  # construction draws links for nothing we count here
             sim.run_round()
             first = {k: counts[k] - built[k] for k in counts}
-            checks_first = optim._check_hyperparameters.cache_info().misses
             for _ in range(ROUNDS - 1):
                 sim.run_round()
             total = {k: counts[k] - built[k] for k in counts}
@@ -95,7 +91,6 @@ def counted_run(monkeypatch) -> dict:
         "first": first,
         "total": total,
         "contexts": contexts,
-        "checks": (checks_first, optim._check_hyperparameters.cache_info().misses),
         # a synchronous round dispatches its whole cohort, once
         "dispatches": sum(len(r.selected) for r in records),
     }
@@ -118,9 +113,6 @@ def test_dispatch_and_step_budget(monkeypatch):
     # from parameters() on a model's first step and never again.
     assert first["parameters"] > 0
     assert total["parameters"] == first["parameters"]
-
-    # Hyper-parameters are checked on the first optimizer of the run only.
-    assert run["checks"] == (1, 1)
 
     # One pid lookup per worker context, however many tasks it executes.
     assert run["contexts"] >= 1

@@ -62,7 +62,6 @@ def ref_stage_dispatch(self, cid, link, ratio, update, *, payload=None):
         num_samples=int(self.population.data_sizes[cid]),
         epochs=cfg.local_epochs,
         include_downlink=cfg.include_downlink,
-        downlink_factor=cfg.downlink_factor,
         link=self.links[cid],
         payload=payload,
     )

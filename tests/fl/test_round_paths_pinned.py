@@ -13,7 +13,11 @@ stages that moves any of them shows up as the first differing round.
 Recorded at the commit before the round stages were folded into
 ``Simulation`` (PR 17); the sync and hier ``qsgd8`` cells were re-recorded in
 that PR, where ``ratios`` became ``(1.0, …)`` for dense updates and nothing
-else in those traces changed. Every cell runs on ``serial``; the sync cells
+else in those traces changed. The four ``small_cnn`` cells trained with
+local SGD momentum 0.5 until the local momentum, weight-decay and Adam knobs
+were deleted (the paper's clients run plain SGD, Alg. 1 lines 21–27); they
+were re-recorded at momentum 0 on the commit before that deletion, and their
+span-log digests did not change. Every cell runs on ``serial``; the sync cells
 also on ``thread``.
 """
 
@@ -57,7 +61,7 @@ _FAIR = dict(include_downlink=True, contention="fair", server_ingress_mbps=4.0)
 _BACKHAUL = dict(
     backhaul_bandwidth_mbps=20.0, backhaul_latency_s=0.05, backhaul_heterogeneity=0.3
 )
-_CNN = dict(model="small_cnn", num_train=240, num_test=64, batch_size=16, momentum=0.5)
+_CNN = dict(model="small_cnn", num_train=240, num_test=64, batch_size=16)
 
 CELLS: dict[str, ExperimentConfig] = {
     # fault fates over error-feedback Top-K (hier rejects per-flow faults)
@@ -154,18 +158,18 @@ PINNED: dict[str, list[str]] = {
         "4fddb46b307ba974", "1743e4a432ebfce9", "3272899ab500bd5b", "65c3e0c0eff6cddb",
     ],
     "sync-small_cnn": [
-        "02dbc9361389b244", "c042ebc5825bbc90", "ec1dd84400ca2cca", "dd6b43348267378f",
+        "193eeaeb5320b3f3", "93bf694f7a5fa2ae", "37fb83d8c0506a33", "dd6b43348267378f",
     ],
     "semisync-small_cnn": [
-        "e5a3b32f63eedc7e", "6356788cd08553ea", "8596e2c48fceed47", "0334b3583725a932",
+        "b830deca77edf9e6", "99d83d3b1c583eb6", "bd90d9a745732085", "62cb75a05c143b3c",
         "3e1bba2ede955fe9",
     ],
     "async-small_cnn": [
-        "1d22ba7b41c49db8", "c2492d4a82237788", "f9e8bf220ff10c9e", "3c37550c24d8d416",
+        "e9037c4edadeeb62", "786f4cc846eec74c", "c008bb219bc357a9", "c48af8fd29983d71",
         "82d6930b07e01fe1",
     ],
     "hier-small_cnn-edge-semisync": [
-        "860e7cf09c49deb9", "204eb72e8b7dc3da", "317fed30e58e722c", "d78752e1a2e396f3",
+        "4c1b1fab4e4f95cd", "cb98cff912640181", "dc87f7ffd4bf912d", "d78752e1a2e396f3",
     ],
     "sync-qsgd8": [
         "8f51268ffa51e49b", "914ecc2bc15cda07", "e130bfd842a1d9ea", "0904e4d6170c7531",

@@ -101,7 +101,6 @@ class TestTierTopology:
         assert t == pytest.approx(link.latency_s + v / link.bandwidth_bps)
         free = self.build(backhaul_mbps=None)
         assert free.backhaul_uplink_time(0, v) == 0.0
-        assert free.backhaul_downlink_time(0, v) == 0.0
 
     def test_validation(self):
         ls = tuple(links(4))

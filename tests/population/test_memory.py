@@ -128,6 +128,7 @@ def ref_fleet_columns(cfg: ExperimentConfig):
     """The virtual-fleet link and speed columns as they were built before the
     in-place construction, frozen: every step through a fresh temporary."""
     from repro.network.links import PAPER_LINK_MODEL as model
+    from repro.population.table import COMPUTE_S_PER_SAMPLE
     from repro.utils.rng import RngFactory
 
     rngs, n = RngFactory(cfg.seed), cfg.num_clients
@@ -139,7 +140,7 @@ def ref_fleet_columns(cfg: ExperimentConfig):
     span = model.latency_high_s - model.latency_low_s
     lat = model.latency_high_s - rng.uniform(0.0, span, n)
     z = rngs.stream("compute").standard_normal(n)
-    return bw, lat, cfg.compute_s_per_sample * np.exp(cfg.compute_heterogeneity * z)
+    return bw, lat, COMPUTE_S_PER_SAMPLE * np.exp(cfg.compute_heterogeneity * z)
 
 
 @pytest.mark.parametrize("num_clients", [1, 1000, 100_003])

@@ -6,8 +6,18 @@ import json
 
 import pytest
 
+from repro.experiments.presets import bench_config, paper_config
 from repro.fl.config import ExperimentConfig
-from repro.scenarios import ScenarioSpec, coerce_field, config_overrides, config_to_dict
+from repro.fl.history import History
+from repro.io.history_io import history_to_dict
+from repro.scenarios import (
+    REGISTRY,
+    RunStore,
+    ScenarioSpec,
+    coerce_field,
+    config_overrides,
+    config_to_dict,
+)
 
 
 class TestCoerceField:
@@ -108,3 +118,63 @@ class TestSpecHash:
         b = a.with_overrides(rounds=9)
         assert b.overrides == {"rounds": 9, "gamma": 3.0}
         assert a.overrides["rounds"] == 5  # original untouched
+
+
+#: Run-store keys recorded before the five never-set config fields were
+#: retired; ``spec_hash`` must keep producing them so stored cells resume.
+_PINNED_SPEC_HASHES = {
+    "paper-baseline": "07a8269d22ed3a7d",
+    "mega-fleet": "e4c0c00a8bec8bf0",
+    "wan-hierarchy": "e0d8093ccd19363c",
+    "byzantine-storm": "85746d089c76092a",
+    "diurnal-churn": "120297debd358eae",
+    "drift-guard-async": "73aa2055028872ec",
+    "edge-crash-recovery": "c7d109ce3f6a8528",
+    "edge-quantized": "784909d6a1c6af3b",
+    "extreme-noniid": "957cde29d868244d",
+    "flaky-links": "e884639bb6116ebf",
+    "lossy-uplink": "b67102db03ef0b10",
+    "metro-contention": "358bde57de27bc6e",
+    "poisoned-edge": "e4d7143c4841910c",
+    "straggler-storm": "0439c384fb2f63f3",
+}
+
+
+class TestPinnedSpecHashes:
+    def test_every_registered_scenario_is_pinned(self):
+        assert sorted(REGISTRY.names()) == sorted(_PINNED_SPEC_HASHES)
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_SPEC_HASHES))
+    def test_registered_scenario(self, name):
+        assert REGISTRY.get(name).spec_hash() == _PINNED_SPEC_HASHES[name]
+
+    def test_default_config(self):
+        spec = ScenarioSpec.from_config(ExperimentConfig(), name="default")
+        assert spec.spec_hash() == "0b26f4ca2fc256d9"
+
+    def test_paper_config_cell(self):
+        cfg = paper_config("synth-cifar10", "bcrs_opwa")
+        assert ScenarioSpec.from_config(cfg, name="p").spec_hash() == "e85bdc155d7b379d"
+
+    def test_bench_config_cell(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+        cfg = bench_config("cifar10", "topk")
+        assert ScenarioSpec.from_config(cfg, name="b").spec_hash() == "4d60790d5c22163c"
+
+    def test_stored_cell_naming_a_retired_field_is_skipped(self, tmp_path):
+        store = RunStore(tmp_path)
+        kept = ScenarioSpec(name="kept", overrides={"rounds": 5})
+        store.save(kept, History())
+        retired = kept.to_dict()
+        retired["name"] = "retired"
+        retired["overrides"]["momentum"] = 0.5
+        with pytest.raises(ValueError, match="unknown config field 'momentum'"):
+            ScenarioSpec.from_dict(retired)
+        stale = {
+            "spec": retired,
+            "spec_hash": "0" * 16,
+            "history": history_to_dict(History()),
+            "completed": True,
+        }
+        (tmp_path / f"{'0' * 16}.json").write_text(json.dumps(stale))
+        assert [spec.name for spec, _ in store.load_all()] == ["kept"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.cost import LinkSpec, sparse_uplink_time, uplink_time
+from repro.network.cost import DOWNLINK_FACTOR, LinkSpec, sparse_uplink_time, uplink_time
 from repro.simtime.profiles import (
     ComputeSpec,
     DeviceProfile,
@@ -61,10 +61,10 @@ class TestDeviceProfile:
 
     def test_download_uses_bandwidth_factor(self):
         dev = DeviceProfile(cid=0, compute=ComputeSpec(0.01), link=LINK)
-        d1 = dev.download_time(1e6, bandwidth_factor=1.0)
-        d10 = dev.download_time(1e6, bandwidth_factor=10.0)
-        assert d10 < d1
-        assert d10 == pytest.approx(0.1 + 1e6 / 1e7)
+        down = dev.download_time(1e6)
+        assert DOWNLINK_FACTOR == 10.0
+        assert down < dev.upload_time(1e6, None)
+        assert down == pytest.approx(0.1 + 1e6 / 1e7)
 
 
 class TestPipelineTimes:
@@ -72,9 +72,9 @@ class TestPipelineTimes:
         dev = DeviceProfile(cid=0, compute=ComputeSpec(0.01), link=LINK)
         down, train, up = pipeline_times(
             dev, volume_bits=1e6, ratio=0.1, num_samples=100, epochs=1,
-            include_downlink=True, downlink_factor=10.0,
+            include_downlink=True,
         )
-        assert down == pytest.approx(dev.download_time(1e6, bandwidth_factor=10.0))
+        assert down == pytest.approx(dev.download_time(1e6))
         assert train == pytest.approx(1.0)
         assert up == pytest.approx(sparse_uplink_time(LINK, 1e6, 0.1))
 
@@ -82,6 +82,6 @@ class TestPipelineTimes:
         dev = DeviceProfile(cid=0, compute=ComputeSpec(0.01), link=LINK)
         down, _, _ = pipeline_times(
             dev, volume_bits=1e6, ratio=None, num_samples=10, epochs=1,
-            include_downlink=False, downlink_factor=10.0,
+            include_downlink=False,
         )
         assert down == 0.0

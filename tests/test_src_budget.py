@@ -5,9 +5,9 @@ CHANGES.md, a PR that deletes code lowers it."""
 
 from pathlib import Path
 
-#: Physical lines of ``src/**/*.py`` after the test-only code was deleted
-#: (16,368 before it).
-SRC_LINE_CEILING = 15_245
+#: Physical lines of ``src/**/*.py`` after the config fields only tests set
+#: were deleted with the code beneath them (15,245 before).
+SRC_LINE_CEILING = 15_114
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
