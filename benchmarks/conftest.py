@@ -4,7 +4,7 @@ Every bench regenerates one paper artifact at CPU scale and prints measured
 numbers next to the paper's (visible with ``pytest -s`` or in the benchmark
 run's captured output). Assertions check the *shape* claims — orderings,
 crossovers, rough factors — not absolute values (our substrate is a
-synthetic-data simulator; see DESIGN.md §2/§4).
+synthetic-data simulator; see docs/ARCHITECTURE.md).
 """
 
 from __future__ import annotations

@@ -50,8 +50,6 @@ class FairnessReport:
 def per_client_accuracy(sim: Simulation, batch_size: int = 256) -> np.ndarray:
     """Accuracy of the current global model on each client's local shard."""
     set_flat_params(sim.model, sim.global_params)
-    for live, saved in zip(sim.model.state_arrays(), sim.global_states):
-        live[...] = saved
     out = np.zeros(len(sim.clients))
     for i, client in enumerate(sim.clients):
         ds = client.dataset

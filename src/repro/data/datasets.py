@@ -3,7 +3,7 @@
 The paper evaluates on CIFAR-10, CIFAR-100 and SVHN; this environment has no
 network access, so we generate *synthetic stand-ins* with the same tensor
 geometry (``C×H×W`` float images, integer labels) and learnable class
-structure (DESIGN.md §2). Each class is a smooth spatial template plus
+structure (docs/ARCHITECTURE.md). Each class is a smooth spatial template plus
 class-conditional color statistics; samples are template + noise + random
 shift, so models must learn spatially structured features (not just means),
 and harder datasets overlap their templates more.

@@ -2,8 +2,8 @@
 
 A round of Algorithm 1 fans out into independent *client tasks* — "train
 client ``i`` from the current global model and compress its update at ratio
-``CR_i``" — whose only shared inputs (global parameters, persistent buffers)
-are read-only for the duration of the round. That independence is what makes
+``CR_i``" — whose only shared input, the global parameters, is read-only
+for the duration of the round. That independence is what makes
 the round parallelizable: every backend consumes the same
 :class:`ClientTask` list and returns the same :class:`TaskResult` list, so
 the round loop in :mod:`repro.fl.simulation` is backend-agnostic.
@@ -108,7 +108,6 @@ class TaskResult:
     position: int
     cid: int
     update: CompressedUpdate
-    state_arrays: list[np.ndarray]  # post-training persistent buffers
     mean_loss: float
     num_batches: int
     train_seconds: float  # per-task wall clock (summed into Fig. 6)
@@ -129,7 +128,7 @@ class WorkerContext:
 
     Exactly one context must own a given client's (loader, compressor) state
     at a time — the backends arrange that. The model is a scratch instance:
-    :meth:`execute` loads the task's parameters and buffers into it before
+    :meth:`execute` loads the task's parameters into it before
     training, so any architecturally-identical replica yields identical
     results.
     """
@@ -151,7 +150,6 @@ class WorkerContext:
         self,
         task: ClientTask,
         global_params: np.ndarray | None,
-        global_states: list[np.ndarray] | None,
         spec: TrainSpec,
     ) -> TaskResult:
         """Run one client task to completion (train, then compress)."""
@@ -175,7 +173,6 @@ class WorkerContext:
             lr=spec.lr,
             epochs=spec.epochs,
             proximal_mu=spec.proximal_mu,
-            global_states=global_states,
         )
         train_seconds = time.perf_counter() - t0
 
@@ -211,7 +208,6 @@ class WorkerContext:
             position=task.position,
             cid=task.cid,
             update=update,
-            state_arrays=res.state_arrays,
             mean_loss=res.mean_loss,
             num_batches=res.num_batches,
             train_seconds=train_seconds,
@@ -234,7 +230,6 @@ class ExecutionBackend(ABC):
         self,
         tasks: Sequence[ClientTask],
         global_params: np.ndarray | None,
-        global_states: list[np.ndarray] | None,
         spec: TrainSpec,
     ) -> list[TaskResult]:
         """Execute ``tasks`` and return results sorted by ``position``."""

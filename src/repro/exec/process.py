@@ -17,11 +17,10 @@ Design:
   are bit-identical across backends. Changing ``workers`` mid-run would
   break this, so the count is fixed at construction.
 - **Shared read-only global parameters.** Each round the parent writes the
-  global parameter vector and persistent buffers into one POSIX
-  shared-memory block; workers map it once and read zero-copy views. Only
-  the small task list travels over the pipe. If shared memory is
-  unavailable the backend transparently falls back to shipping the arrays
-  in the task message.
+  global parameter vector into one POSIX shared-memory block; workers map
+  it once and read a zero-copy view. Only the small task list travels over
+  the pipe. If shared memory is unavailable the backend transparently falls
+  back to shipping the vector in the task message.
 
 The backend requires the ``fork`` start method (Linux, macOS); ``spawn``
 would have to rebuild client state from pickles and is deliberately not
@@ -53,12 +52,10 @@ _CMD_ATTACH = "attach"
 _CMD_STOP = "stop"
 
 
-def _np_views(buf, layout: list[tuple[int, tuple[int, ...], str]]) -> list[np.ndarray]:
-    """Array views over a shared buffer described by (offset, shape, dtype)."""
-    return [
-        np.ndarray(shape, dtype=np.dtype(dtype), buffer=buf, offset=offset)
-        for offset, shape, dtype in layout
-    ]
+def _np_view(buf, layout: tuple[tuple[int, ...], str]) -> np.ndarray:
+    """The parameter array over a shared buffer described by (shape, dtype)."""
+    shape, dtype = layout
+    return np.ndarray(shape, dtype=np.dtype(dtype), buffer=buf)
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -88,7 +85,7 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 def _worker_loop(conn, context: WorkerContext) -> None:
     """Serve rounds until told to stop. Runs in the forked child."""
     shm = None
-    views: list[np.ndarray] | None = None
+    view: np.ndarray | None = None
     try:
         while True:
             msg = conn.recv()
@@ -98,7 +95,7 @@ def _worker_loop(conn, context: WorkerContext) -> None:
             if cmd == _CMD_ATTACH:
                 _, name, layout = msg
                 shm = _attach_untracked(name)
-                views = _np_views(shm.buf, layout)
+                view = _np_view(shm.buf, layout)
                 continue
             # cmd == _CMD_ROUND. The payload says explicitly where this
             # round's globals live — "shared" must never be inferred from a
@@ -107,15 +104,13 @@ def _worker_loop(conn, context: WorkerContext) -> None:
             _, tasks, spec, payload = msg
             kind = payload[0]
             if kind == "inline":
-                global_params, global_states = payload[1], payload[2]
+                global_params = payload[1]
             elif kind == "shared":
-                global_params, global_states = views[0], list(views[1:])
+                global_params = view
             else:  # "none"
-                global_params, global_states = None, None
+                global_params = None
             try:
-                results = [
-                    context.execute(t, global_params, global_states, spec) for t in tasks
-                ]
+                results = [context.execute(t, global_params, spec) for t in tasks]
                 conn.send(("ok", results))
             except Exception as exc:  # surface worker failures to the parent
                 import traceback
@@ -173,7 +168,7 @@ class ProcessBackend(ExecutionBackend):
         self.workers = resolve_workers(workers)
         self._factory = context_factory
         self._pool: _Pool | None = None
-        self._layout: list[tuple[int, tuple[int, ...], str]] | None = None
+        self._layout: tuple[tuple[int, ...], str] | None = None
         self._finalizer = None
         self._poisoned = False
 
@@ -197,21 +192,16 @@ class ProcessBackend(ExecutionBackend):
         self._pool = pool
         self._finalizer = weakref.finalize(self, _Pool.cleanup, pool)
 
-    def _ensure_shared(
-        self, global_params: np.ndarray, global_states: list[np.ndarray]
-    ) -> bool:
+    def _ensure_shared(self, global_params: np.ndarray) -> bool:
         """Allocate + announce the shared block; False → use inline fallback."""
         if self._layout is not None:
             return True
         assert self._pool is not None
-        arrays = [global_params, *global_states]
-        layout: list[tuple[int, tuple[int, ...], str]] = []
-        offset = 0
-        for a in arrays:
-            layout.append((offset, a.shape, a.dtype.str))
-            offset += a.nbytes
+        layout = (global_params.shape, global_params.dtype.str)
         try:
-            self._pool.shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
+            self._pool.shm = shared_memory.SharedMemory(
+                create=True, size=max(global_params.nbytes, 1)
+            )
         except (OSError, ValueError):
             return False
         self._layout = layout
@@ -219,24 +209,17 @@ class ProcessBackend(ExecutionBackend):
             conn.send((_CMD_ATTACH, self._pool.shm.name, layout))
         return True
 
-    def _broadcast(
-        self,
-        global_params: np.ndarray | None,
-        global_states: list[np.ndarray] | None,
-    ) -> tuple:
+    def _broadcast(self, global_params: np.ndarray | None) -> tuple:
         """Publish round inputs; returns the payload tag for the task message:
-        ``("shared",)`` (read the shm views), ``("inline", params, states)``
-        (shm unavailable), or ``("none",)`` (this round has no globals)."""
+        ``("shared",)`` (read the shm view), ``("inline", params)`` (shm
+        unavailable), or ``("none",)`` (this round has no globals)."""
         if global_params is None:
             return ("none",)
-        states = global_states or []
-        if self._ensure_shared(global_params, states):
+        if self._ensure_shared(global_params):
             assert self._pool is not None and self._pool.shm is not None
-            views = _np_views(self._pool.shm.buf, self._layout or [])
-            for view, src in zip(views, [global_params, *states]):
-                view[...] = src
+            _np_view(self._pool.shm.buf, self._layout)[...] = global_params
             return ("shared",)
-        return ("inline", global_params, states)
+        return ("inline", global_params)
 
     # ------------------------------------------------------------------ round
 
@@ -244,7 +227,6 @@ class ProcessBackend(ExecutionBackend):
         self,
         tasks: Sequence[ClientTask],
         global_params: np.ndarray | None,
-        global_states: list[np.ndarray] | None,
         spec: TrainSpec,
     ) -> list[TaskResult]:
         if self._poisoned:
@@ -255,7 +237,7 @@ class ProcessBackend(ExecutionBackend):
             )
         self._ensure_started()
         assert self._pool is not None
-        payload = self._broadcast(global_params, global_states)
+        payload = self._broadcast(global_params)
 
         # Stable sharding: client cid always runs on worker cid % workers.
         shards: list[list[ClientTask]] = [[] for _ in range(self.workers)]

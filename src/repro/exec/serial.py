@@ -28,7 +28,6 @@ class SerialBackend(ExecutionBackend):
         self,
         tasks: Sequence[ClientTask],
         global_params: np.ndarray | None,
-        global_states: list[np.ndarray] | None,
         spec: TrainSpec,
     ) -> list[TaskResult]:
-        return [self.context.execute(t, global_params, global_states, spec) for t in tasks]
+        return [self.context.execute(t, global_params, spec) for t in tasks]

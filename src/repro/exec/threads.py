@@ -56,7 +56,6 @@ class ThreadBackend(ExecutionBackend):
         self,
         tasks: Sequence[ClientTask],
         global_params: np.ndarray | None,
-        global_states: list[np.ndarray] | None,
         spec: TrainSpec,
     ) -> list[TaskResult]:
         if self._poisoned:
@@ -71,7 +70,7 @@ class ThreadBackend(ExecutionBackend):
             )
 
         def run_chunk(ctx: WorkerContext, chunk: list[ClientTask]) -> list[TaskResult]:
-            return [ctx.execute(t, global_params, global_states, spec) for t in chunk]
+            return [ctx.execute(t, global_params, spec) for t in chunk]
 
         # Round-robin task chunks; each chunk runs on one context/thread.
         futures = [

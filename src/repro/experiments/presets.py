@@ -1,7 +1,7 @@
 """Experiment presets mirroring the paper's configurations.
 
 ``paper_config`` reproduces the Sec. 5.1 setting at the scaled-down geometry
-of DESIGN.md §2 (synthetic datasets, MLP/CNN models). ``bench_config``
+of docs/ARCHITECTURE.md (synthetic datasets, the MLP). ``bench_config``
 further shrinks rounds/samples so the full table/figure suite finishes on
 CPU; set ``REPRO_BENCH_SCALE`` > 1 to run closer to the paper's budget.
 """

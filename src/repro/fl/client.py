@@ -2,9 +2,7 @@
 
 A client receives the global model ``w_t``, runs ``E`` epochs of mini-batch
 SGD on its local shard, and returns the *update* ``Δw = w_t − w_E`` (positive
-update = descent direction, matching Alg. 1 line 26) together with its
-post-training persistent state (BN running stats, which FedAvg averages like
-any other buffer).
+update = descent direction, matching Alg. 1 line 26).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ class LocalTrainResult:
     """Output of one client round."""
 
     delta: np.ndarray  # Δw = w_t − w_local, flat float32
-    state_arrays: list[np.ndarray]  # post-training persistent buffers
     mean_loss: float  # average training loss over the round's batches
     num_batches: int
 
@@ -62,14 +59,12 @@ class Client:
         lr: float,
         epochs: int,
         proximal_mu: float = 0.0,
-        global_states: list[np.ndarray] | None = None,
     ) -> LocalTrainResult:
         """Run LOCALTRAINING on a shared model instance.
 
         The caller owns the model object; this method loads ``global_params``
-        (and, when given, the ``global_states`` persistent buffers — BN
-        running stats) into it, trains in place, and reads the result out —
-        the single-process analogue of shipping the model to the device.
+        into it, trains in place, and reads the result out — the
+        single-process analogue of shipping the model to the device.
         Because the model is fully re-initialized from the round's inputs,
         any architecturally-identical replica produces the same result,
         which is what lets execution backends train on private model copies.
@@ -79,9 +74,6 @@ class Client:
         model to counter client drift (Li et al., the paper's FedProx [27]).
         """
         set_flat_params(model, global_params)
-        if global_states is not None:
-            for live, saved in zip(model.state_arrays(), global_states):
-                live[...] = saved
         data, grad = model.flat()
         opt = SGD(data, grad, lr=lr)
         anchor = data.copy() if proximal_mu > 0 else None
@@ -99,10 +91,8 @@ class Client:
                 total_loss += loss
                 batches += 1
         delta = global_params - data
-        states = [a.copy() for a in model.state_arrays()]
         return LocalTrainResult(
             delta=delta,
-            state_arrays=states,
             mean_loss=total_loss / max(batches, 1),
             num_batches=batches,
         )

@@ -63,11 +63,14 @@ class ExperimentConfig:
 
     Defaults follow the paper's federated setting (Sec. 5.1): N=10 clients,
     participation C=0.5, batch size 64, E=1 local epoch, Dirichlet β, with
-    the synthetic datasets and scaled-down models of DESIGN.md §2.
+    the synthetic datasets and the MLP of docs/ARCHITECTURE.md.
     """
 
     # Task
     dataset: str = "synth-cifar10"
+    # One legal value ("mlp"). The field stays because bench/workloads.py
+    # passes model="mlp" three times, and bench/ changes only in a change to
+    # the benchmark itself.
     model: str = "mlp"
     num_train: int = 2000
     num_test: int = 500

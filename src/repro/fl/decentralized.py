@@ -113,21 +113,6 @@ class DecentralizedSimulation(EngineMixin):
         self.history: list[GossipRound] = []
         self.round_index = 0
 
-        # Every client trains every round, so gossip rounds parallelize the
-        # same way as centralized ones. Persistent model state (BN stats) is
-        # deliberately NOT synchronized between clients here — matching the
-        # pre-backend behaviour — so only the serial backend is exactly
-        # order-reproducing for models with persistent buffers. Rather than
-        # silently break the cross-backend bit-identity contract, refuse the
-        # combination outright; the stock decentralized models (MLP/GN)
-        # carry no buffers and parallelize freely.
-        if config.backend != "serial" and self.model.state_arrays():
-            raise ValueError(
-                f"model {config.model!r} carries persistent buffers (BN stats), "
-                "which the decentralized engine does not synchronize across "
-                "parallel workers — use backend='serial' or a buffer-free "
-                "model (e.g. 'mlp', 'gn_cnn')"
-            )
         # Deliberately NOT TrainSpec.from_config: D-PSGD local steps have no
         # proximal term, whatever the config's FedProx knob says (it
         # parameterizes the *centralized* engine).
@@ -162,7 +147,7 @@ class DecentralizedSimulation(EngineMixin):
                 ClientTask(position=i, cid=i, ratio=cfg.compression_ratio, params_row=i)
                 for i in range(n)
             ]
-            results = self._run_tasks(tasks, self.params, None, self._train_spec)
+            results = self._run_tasks(tasks, self.params, self._train_spec)
             for i, res in enumerate(results):
                 new_params[i] = self.params[i] - res.delta
                 compressed_new[i] = self.params[i] - res.update.to_dense()

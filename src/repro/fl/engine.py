@@ -80,7 +80,7 @@ class EngineMixin:
             )
         return self._backend
 
-    def _run_tasks(self, tasks, global_params, global_states, spec):
+    def _run_tasks(self, tasks, global_params, spec):
         """``backend.run_round`` plus observability: the one fan-out site.
 
         Wraps the round's task execution in an ``exec.round`` span and, when
@@ -92,10 +92,10 @@ class EngineMixin:
         """
         obs = self.obs
         if not obs.enabled:
-            return self.backend.run_round(tasks, global_params, global_states, spec)
+            return self.backend.run_round(tasks, global_params, spec)
         tracer, metrics = obs.tracer, obs.metrics
         with tracer.span("exec.round", cat="exec", tasks=len(tasks)):
-            results = self.backend.run_round(tasks, global_params, global_states, spec)
+            results = self.backend.run_round(tasks, global_params, spec)
         train_hist = metrics.histogram("task_train_seconds")
         compress_hist = metrics.histogram("task_compress_seconds")
         for r in results:

@@ -85,7 +85,6 @@ class Simulation(EngineMixin):
         # Model and its flat-parameter view.
         self.model = build_config_model(config, seed=rngs.stream("model"))
         self.global_params = get_flat_params(self.model)
-        self.global_states = [a.copy() for a in self.model.state_arrays()]
         # The timing simulation can price a paper-scale model (e.g. ResNet-18's
         # volume) while the trained model stays CPU-sized; the compression and
         # aggregation pipeline is identical either way.
@@ -204,10 +203,10 @@ class Simulation(EngineMixin):
 
     def _plan_cohort(
         self, selected
-    ) -> tuple[list[LinkSpec], np.ndarray, RoundPlan, list[ClientTask]]:
-        """Alg. 1 lines 8–12 up to dispatch: the cohort's current links, its
-        data frequencies, the algorithm's plan (BCRS, Alg. 2) and one task
-        per member — each in selection order."""
+    ) -> tuple[list[LinkSpec], RoundPlan, list[ClientTask]]:
+        """Alg. 1 lines 8–12 up to dispatch: the cohort's current links, the
+        algorithm's plan (BCRS, Alg. 2) over its data frequencies, and one
+        task per member — each in selection order."""
         links = [self.links[i] for i in selected]
         # f_i = |D_i| / n over the selected set (Alg. 1 lines 8/13) — read
         # from the population columns so the parent never hydrates clients
@@ -224,7 +223,7 @@ class Simulation(EngineMixin):
             )
             for pos, cid in enumerate(selected)
         ]
-        return links, freqs, plan, tasks
+        return links, plan, tasks
 
     def _make_server_opt(self):
         """One server optimizer per aggregation point (the hierarchical
@@ -273,33 +272,18 @@ class Simulation(EngineMixin):
         )
         return stepped, singleton
 
-    @staticmethod
-    def _average_states_into(targets: list[np.ndarray], freqs, state_arrays_per_client) -> None:
-        """FedAvg ``state_arrays_per_client`` by ``freqs`` into ``targets``."""
-        for j in range(len(targets)):
-            acc = np.zeros_like(targets[j], dtype=np.float64)
-            for f, states in zip(freqs, state_arrays_per_client):
-                acc += f * states[j]
-            targets[j] = acc.astype(targets[j].dtype)
-
     def _aggregate(
-        self, params, states, server_opt, updates, weights, state_freqs, results
+        self, params, server_opt, updates, weights
     ) -> tuple[np.ndarray, float | None]:
         """The aggregate stage at one aggregation point (the global model,
-        or an edge's): Alg. 1 lines 14–18 on ``params`` and FedAvg of the
-        contributors' persistent buffers (BN running stats) into ``states``.
+        or an edge's): Alg. 1 lines 14–18 on ``params``.
 
         Returns (stepped params, OPWA singleton-fraction diagnostic).
         """
         with self.obs.tracer.span("aggregate", cat="sim", contributions=len(updates)):
-            stepped, singleton = self._aggregate_into(
+            return self._aggregate_into(
                 params, server_opt, updates, weights, self.algorithm.use_opwa
             )
-            if states:
-                self._average_states_into(
-                    states, state_freqs, [r.state_arrays for r in results]
-                )
-        return stepped, singleton
 
     def _payload_for(self, update: CompressedUpdate | None, ratio: float | None) -> Payload:
         """What this dispatch puts on the wire.
@@ -447,13 +431,11 @@ class Simulation(EngineMixin):
         with self.obs.tracer.span("sample", cat="sim"):
             selected = self.sampler.sample()
         self._begin_round()
-        links, freqs, plan, tasks = self._plan_cohort(selected)
+        links, plan, tasks = self._plan_cohort(selected)
 
         # Local training + compression (lines 11–12): one task per selected
         # client, dispatched to the configured execution backend.
-        results = self._run_tasks(
-            tasks, self.global_params, self.global_states, self._train_spec
-        )
+        results = self._run_tasks(tasks, self.global_params, self._train_spec)
         updates: list[CompressedUpdate] = [r.update for r in results]
 
         # Transport fault injection: decide each upload's fate — a pure
@@ -480,27 +462,19 @@ class Simulation(EngineMixin):
         surv = [pos for pos, u in enumerate(delivered) if u is not None]
         self.last_round_updates = [delivered[pos] for pos in surv]
 
-        # OPWA mask (line 17), aggregation (lines 14/16/18), and FedAvg of
-        # the persistent buffers (BN running stats) — over the *delivered*
-        # cohort, weights renormalized when uploads were lost. A round that
-        # loses every upload is well-defined: the model and BN state are
+        # OPWA mask (line 17) and aggregation (lines 14/16/18) — over the
+        # *delivered* cohort, weights renormalized when uploads were lost. A
+        # round that loses every upload is well-defined: the model is
         # unchanged and the record carries num_participants=0.
         singleton = None
         if surv:
-            weights, state_freqs = plan.weights, freqs
+            weights = plan.weights
             if len(surv) < len(selected):
                 weights = np.asarray([plan.weights[pos] for pos in surv], dtype=np.float64)
                 if weights.sum() > 0:
                     weights = weights / weights.sum()
-                state_freqs = freqs[surv] / freqs[surv].sum()
             self.global_params, singleton = self._aggregate(
-                self.global_params,
-                self.global_states,
-                self.server_opt,
-                self.last_round_updates,
-                weights,
-                state_freqs,
-                [results[pos] for pos in surv],
+                self.global_params, self.server_opt, self.last_round_updates, weights
             )
 
         # Virtual-clock span: the synchronous barrier releases when the
@@ -613,8 +587,6 @@ class Simulation(EngineMixin):
     def evaluate(self, batch_size: int = 256) -> float:
         """Test accuracy of the current global model."""
         set_flat_params(self.model, self.global_params)
-        for live, saved in zip(self.model.state_arrays(), self.global_states):
-            live[...] = saved
         correct = 0
         n = len(self.test_set)
         for start in range(0, n, batch_size):

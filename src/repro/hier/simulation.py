@@ -99,10 +99,8 @@ class HierSimulation(Simulation):
         group = self.topology.groups[edge]
         selected = self._sample_group(group)
         # BCRS benchmarks against this group's own slowest member.
-        links, freqs, plan, tasks = self._plan_cohort(selected)
-        results = self._run_tasks(
-            tasks, self._edge_params[edge], self._edge_states[edge], self._train_spec
-        )
+        links, plan, tasks = self._plan_cohort(selected)
+        results = self._run_tasks(tasks, self._edge_params[edge], self._train_spec)
         updates: list[CompressedUpdate] = [r.update for r in results]
 
         # Price every dispatch at the edge's clock through the transport:
@@ -127,8 +125,7 @@ class HierSimulation(Simulation):
                 if cfg.deadline_s is not None
                 else float(np.quantile(durations, cfg.deadline_quantile))
             )
-            arrived = durations <= deadline + _EPS
-            w = weights * arrived
+            w = weights * (durations <= deadline + _EPS)
             if w.sum() == 0.0:
                 # Every planned contributor missed the cut: extend to the
                 # fastest *planned* member rather than resurrect an update
@@ -138,14 +135,11 @@ class HierSimulation(Simulation):
                 fastest = int(pool[np.argmin(durations[pool])])
                 w = np.zeros_like(weights)
                 w[fastest] = 1.0
-                arrived[fastest] = True
             weights = w / w.sum()
             used = [pos for pos in range(len(selected)) if weights[pos] > 0]
             span = max(deadline, max(durations[pos] for pos in used))
             agg_updates = [updates[pos] for pos in used]
             agg_weights = weights[used]
-            state_freqs = freqs[arrived] / freqs[arrived].sum()
-            state_results = [r for r, a in zip(results, arrived) if a]
         else:
             # Lock-step barrier at the group's slowest *aggregated* member
             # (plan-dropped stragglers still burn device time but are not
@@ -156,17 +150,9 @@ class HierSimulation(Simulation):
             )
             agg_updates = updates
             agg_weights = weights
-            state_freqs = freqs
-            state_results = results
 
         self._edge_params[edge], singleton = self._aggregate(
-            self._edge_params[edge],
-            self._edge_states[edge],
-            self.edge_opts[edge],
-            agg_updates,
-            agg_weights,
-            state_freqs,
-            state_results,
+            self._edge_params[edge], self.edge_opts[edge], agg_updates, agg_weights
         )
         fragments = {
             "selected": tuple(int(i) for i in selected),
@@ -210,9 +196,6 @@ class HierSimulation(Simulation):
 
         # Every edge starts from this round's global model.
         self._edge_params = [self.global_params.copy() for _ in range(E)]
-        self._edge_states = [
-            [a.copy() for a in self.global_states] for _ in range(E)
-        ]
 
         # Cloud→edge broadcast opens the round (charged only when downlink
         # accounting is on, mirroring the client tier). Backhaul links are
@@ -307,17 +290,11 @@ class HierSimulation(Simulation):
             freqs_alive = self.edge_freqs[alive]
             freqs_alive = freqs_alive / freqs_alive.sum()
         if alive:
-            merged = [self.global_params]  # the edge tier's averaging kernel,
-            self._average_states_into(  # applied once at the cloud tier
-                merged, freqs_alive, [[self._edge_params[e]] for e in alive]
-            )
-            self.global_params = merged[0]
-            if self.global_states:
-                self._average_states_into(
-                    self.global_states,
-                    freqs_alive,
-                    [self._edge_states[e] for e in alive],
-                )
+            # float64 sum in ``alive`` order, rounded once: the goldens pin it.
+            acc = np.zeros_like(self.global_params, dtype=np.float64)
+            for f, e in zip(freqs_alive, alive):
+                acc += f * self._edge_params[e]
+            self.global_params = acc.astype(np.float32)
 
         backhaul_s = [backhaul_up[e] + backhaul_down[e] for e in range(E)]
         if alive:

@@ -1,4 +1,4 @@
-"""Global-model checkpointing (npz: flat params + persistent buffers)."""
+"""Global-model checkpointing (npz: flat params, round index and clock)."""
 
 from __future__ import annotations
 
@@ -12,14 +12,12 @@ __all__ = ["save_checkpoint", "load_checkpoint"]
 
 
 def save_checkpoint(sim: Simulation, path: str | Path) -> None:
-    """Save the simulation's global model (params + BN buffers + round index)."""
+    """Save the simulation's global model (params + round index + clock)."""
     arrays = {
         "global_params": sim.global_params,
         "round_index": np.array(sim.round_index),
         "sim_clock": np.array(sim.sim_clock),
     }
-    for i, state in enumerate(sim.global_states):
-        arrays[f"state_{i}"] = state
     np.savez(path, **arrays)
 
 
@@ -33,11 +31,6 @@ def load_checkpoint(sim: Simulation, path: str | Path) -> None:
             f"{sim.global_params.shape[0]} — config mismatch"
         )
     sim.global_params = params.astype(np.float32)
-    n_states = sum(1 for k in data.files if k.startswith("state_"))
-    if n_states != len(sim.global_states):
-        raise ValueError(f"checkpoint has {n_states} buffers, simulation has {len(sim.global_states)}")
-    for i in range(n_states):
-        sim.global_states[i] = data[f"state_{i}"].copy()
     sim.round_index = int(data["round_index"])
     if "sim_clock" in data.files:  # absent in pre-scheduler checkpoints
         sim.sim_clock = float(data["sim_clock"])

@@ -1,35 +1,20 @@
-"""Model zoo used by the experiments.
+"""The model the experiments train.
 
-The paper trains ResNet-18 on CIFAR-sized images; this repo substitutes
-scaled-down but architecturally faithful models (see DESIGN.md §2). All
-builders take an explicit RNG for reproducible initialization.
+The paper trains ResNet-18 on CIFAR-sized images; this repo trains an MLP
+over flattened synthetic images and prices uploads at paper scale through
+``volume_override_bits`` (see docs/ARCHITECTURE.md, "The training
+substrate"). Builders take an explicit RNG for reproducible initialization.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import (
-    BatchNorm2d,
-    Conv2d,
-    Flatten,
-    GlobalAvgPool2d,
-    GroupNorm,
-    Linear,
-    MaxPool2d,
-    ReLU,
-)
-from repro.nn.sequential import BasicBlock, Sequential
+from repro.nn.layers import Flatten, Linear, ReLU
+from repro.nn.sequential import Sequential
 from repro.utils.rng import as_generator
 
-__all__ = [
-    "build_mlp",
-    "build_small_cnn",
-    "build_gn_cnn",
-    "build_mini_resnet",
-    "build_model",
-    "MODEL_BUILDERS",
-]
+__all__ = ["build_mlp", "build_model", "MODEL_BUILDERS"]
 
 
 def build_mlp(
@@ -51,99 +36,7 @@ def build_mlp(
     return Sequential(*layers)
 
 
-def build_small_cnn(
-    in_channels: int,
-    image_size: int,
-    num_classes: int,
-    *,
-    width: int = 16,
-    seed: int | np.random.Generator = 0,
-) -> Sequential:
-    """Conv-BN-ReLU ×2 with pooling, then a linear head (LeNet-scale)."""
-    rng = as_generator(seed)
-    return Sequential(
-        Conv2d(in_channels, width, 3, rng, padding=1, bias=False, name="conv1"),
-        BatchNorm2d(width, name="bn1"),
-        ReLU(),
-        MaxPool2d(2),
-        Conv2d(width, 2 * width, 3, rng, padding=1, bias=False, name="conv2"),
-        BatchNorm2d(2 * width, name="bn2"),
-        ReLU(),
-        GlobalAvgPool2d(),
-        Linear(2 * width, num_classes, rng, name="head"),
-    )
-
-
-def build_gn_cnn(
-    in_channels: int,
-    num_classes: int,
-    *,
-    width: int = 16,
-    groups: int = 4,
-    seed: int | np.random.Generator = 0,
-) -> Sequential:
-    """GroupNorm CNN: the BatchNorm-free architecture for non-IID FL.
-
-    BatchNorm's batch statistics are a known failure mode under label skew
-    (each client normalizes by its own biased batch distribution); GroupNorm
-    is batch-independent and carries *no persistent buffers*, so the server
-    has nothing extra to average — the standard recommendation for federated
-    vision models (Hsieh et al., 2020).
-    """
-    rng = as_generator(seed)
-    return Sequential(
-        Conv2d(in_channels, width, 3, rng, padding=1, bias=False, name="conv1"),
-        GroupNorm(groups, width, name="gn1"),
-        ReLU(),
-        MaxPool2d(2),
-        Conv2d(width, 2 * width, 3, rng, padding=1, bias=False, name="conv2"),
-        GroupNorm(groups, 2 * width, name="gn2"),
-        ReLU(),
-        GlobalAvgPool2d(),
-        Linear(2 * width, num_classes, rng, name="head"),
-    )
-
-
-def build_mini_resnet(
-    in_channels: int,
-    num_classes: int,
-    *,
-    width: int = 16,
-    blocks_per_stage: tuple[int, ...] = (1, 1, 1),
-    seed: int | np.random.Generator = 0,
-) -> Sequential:
-    """ResNet-18-style network scaled for small synthetic images.
-
-    Stem conv then ``len(blocks_per_stage)`` stages of :class:`BasicBlock`s,
-    doubling channels and halving resolution per stage, then global average
-    pooling and a linear classifier — the same topology family as the paper's
-    ResNet-18, with fewer/narrower blocks so CPU training is feasible.
-    """
-    rng = as_generator(seed)
-    layers: list = [
-        Conv2d(in_channels, width, 3, rng, padding=1, bias=False, name="stem"),
-        BatchNorm2d(width, name="stem_bn"),
-        ReLU(),
-    ]
-    channels = width
-    for stage, n_blocks in enumerate(blocks_per_stage):
-        out_channels = width * (2**stage)
-        for b in range(n_blocks):
-            stride = 2 if (b == 0 and stage > 0) else 1
-            layers.append(
-                BasicBlock(channels, out_channels, rng, stride=stride, name=f"s{stage}b{b}")
-            )
-            channels = out_channels
-    layers.extend([GlobalAvgPool2d(), Linear(channels, num_classes, rng, name="head")])
-    return Sequential(*layers)
-
-
-MODEL_BUILDERS = {
-    "mlp": build_mlp,
-    "small_cnn": build_small_cnn,
-    "gn_cnn": build_gn_cnn,
-    "mini_resnet": build_mini_resnet,
-}
+MODEL_BUILDERS = {"mlp": build_mlp}
 
 
 def build_model(
@@ -158,10 +51,4 @@ def build_model(
     """Build a model by registry name with dataset geometry."""
     if name == "mlp":
         return build_mlp(in_channels * image_size * image_size, num_classes, seed=seed, **kwargs)
-    if name == "small_cnn":
-        return build_small_cnn(in_channels, image_size, num_classes, seed=seed, **kwargs)
-    if name == "gn_cnn":
-        return build_gn_cnn(in_channels, num_classes, seed=seed, **kwargs)
-    if name == "mini_resnet":
-        return build_mini_resnet(in_channels, num_classes, seed=seed, **kwargs)
     raise KeyError(f"unknown model {name!r}; available: {sorted(MODEL_BUILDERS)}")

@@ -107,9 +107,7 @@ class _EventDrivenSimulation(Simulation):
 
     def _train_now(self, tasks: list[ClientTask]) -> list[TaskResult]:
         """Run client tasks through the execution backend as one batch."""
-        return self._run_tasks(
-            tasks, self.global_params, self.global_states, self._train_spec
-        )
+        return self._run_tasks(tasks, self.global_params, self._train_spec)
 
     def _dispatch(
         self,
@@ -268,11 +266,6 @@ class _EventDrivenSimulation(Simulation):
 
     # ------------------------------------------------------------ aggregate
 
-    def _contribution_freqs(self, contributions: list[_Pending]) -> np.ndarray:
-        """Data frequencies f_i over the contributors (normalized)."""
-        sizes = self.population.sizes_of([p.cid for p in contributions])
-        return sizes / sizes.sum()
-
     def _staleness_weights(self, contributions: list[_Pending]) -> np.ndarray:
         """Data-frequency weights discounted by ``(1+s)^-a`` and normalized.
 
@@ -280,7 +273,8 @@ class _EventDrivenSimulation(Simulation):
         the current model); ``a`` is ``config.staleness_exponent`` —
         FedBuff's ``1/sqrt(1+s)`` at the default 0.5.
         """
-        freqs = self._contribution_freqs(contributions)
+        sizes = self.population.sizes_of([p.cid for p in contributions])
+        freqs = sizes / sizes.sum()
         lags = np.array([self.version - p.version for p in contributions], dtype=np.float64)
         w = freqs * (1.0 + lags) ** (-self.config.staleness_exponent)
         return w / w.sum()
@@ -330,13 +324,7 @@ class _EventDrivenSimulation(Simulation):
         if contributions:
             self.last_round_updates = updates
             self.global_params, singleton = self._aggregate(
-                self.global_params,
-                self.global_states,
-                self.server_opt,
-                updates,
-                weights,
-                self._contribution_freqs(contributions),
-                results,
+                self.global_params, self.server_opt, updates, weights
             )
             self.version += 1
         return self._commit(
@@ -522,7 +510,7 @@ class SemiSyncSimulation(_EventDrivenSimulation):
         own: list[_Pending] = []
         plan_weights: dict[int, float] = {}
         if selected:
-            links, _, plan, tasks = self._plan_cohort(selected)
+            links, plan, tasks = self._plan_cohort(selected)
             results = self._train_now(tasks)
             for pos, (cid, res) in enumerate(zip(selected, results)):
                 pend = self._dispatch(cid, links[pos], tasks[pos].ratio, t0, res)

@@ -81,24 +81,6 @@ class TestBackendEquivalence:
         )
         assert_histories_identical(serial, other)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_bn_state_model_matches_serial(self, backend):
-        """BatchNorm buffers travel through global_states on every backend."""
-        cfg = small_config(
-            model="small_cnn",
-            algorithm="bcrs",
-            compression_ratio=0.2,
-            num_clients=4,
-            num_train=120,
-            num_test=60,
-            rounds=2,
-            batch_size=16,
-            seed=1,
-        )
-        serial = run_history(cfg)
-        other = run_history(cfg.with_(backend=backend, workers=2))
-        assert_histories_identical(serial, other)
-
     def test_dense_fedavg_matches_serial(self):
         serial = run_history(small_config(algorithm="fedavg", compression_ratio=1.0))
         proc = run_history(
@@ -121,20 +103,6 @@ class TestBackendEquivalence:
         for update, (indices, values) in zip(held, snapshot):
             assert update.indices.tobytes() == indices.tobytes()
             assert update.values.tobytes() == values.tobytes()
-
-    def test_decentralized_rejects_parallel_backend_with_bn_model(self):
-        cfg = ExperimentConfig(
-            dataset="synth-cifar10",
-            model="small_cnn",  # carries BN running stats
-            num_train=120,
-            num_test=60,
-            num_clients=4,
-            rounds=2,
-            backend="process",
-            workers=2,
-        )
-        with pytest.raises(ValueError, match="persistent buffers"):
-            DecentralizedSimulation(cfg)
 
     def test_decentralized_process_matches_serial(self):
         base = ExperimentConfig(
@@ -203,7 +171,7 @@ class TestBackendPlumbing:
         tasks = [ClientTask(position=pos, cid=cid, ratio=0.1) for pos, cid in enumerate(range(4))]
         with Simulation(small_config(backend="process", workers=2)) as sim:
             rounds = [
-                sim.backend.run_round(tasks, sim.global_params, sim.global_states, sim._train_spec)
+                sim.backend.run_round(tasks, sim.global_params, sim._train_spec)
                 for _ in range(2)
             ]
             workers = {proc.pid for proc in sim.backend._pool.procs}
@@ -211,9 +179,7 @@ class TestBackendPlumbing:
             assert {r.worker_pid for r in rounds[0]} == workers
             assert [r.worker_pid for r in rounds[0]] == [r.worker_pid for r in rounds[1]]
         with Simulation(small_config()) as sim:
-            results = sim.backend.run_round(
-                tasks, sim.global_params, sim.global_states, sim._train_spec
-            )
+            results = sim.backend.run_round(tasks, sim.global_params, sim._train_spec)
             assert {r.worker_pid for r in results} == {os.getpid()}
 
     def test_worker_error_propagates(self):
@@ -224,11 +190,11 @@ class TestBackendPlumbing:
             bad = [ClientTask(position=0, cid=0, ratio=None)]
             spec = TrainSpec(lr=0.1, epochs=1)
             with pytest.raises(RuntimeError, match="worker"):
-                backend.run_round(bad, None, None, spec)  # no params anywhere
+                backend.run_round(bad, None, spec)  # no params anywhere
             # A failed round may have advanced state on healthy workers;
             # the backend refuses further rounds instead of diverging.
             with pytest.raises(RuntimeError, match="previous round"):
-                backend.run_round(bad, None, None, spec)
+                backend.run_round(bad, None, spec)
         finally:
             sim.close()
 

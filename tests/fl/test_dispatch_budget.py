@@ -24,7 +24,7 @@ ROUNDS = 6
 def config() -> ExperimentConfig:
     return ExperimentConfig(
         dataset="synth-cifar10",
-        model="small_cnn",  # BN buffers: state_arrays() is on the step path too
+        model="mlp",
         num_train=320,
         num_test=64,
         num_clients=8,

@@ -128,16 +128,3 @@ class TestAlgorithmsEndToEnd:
         sim.run_round()
         bw1 = [l.bandwidth_bps for l in sim.links]
         assert bw0 != bw1
-
-
-class TestBatchNormModels:
-    def test_cnn_with_bn_runs_and_evaluates(self):
-        cfg = ExperimentConfig(
-            **{**FAST, "model": "small_cnn", "rounds": 3, "num_train": 300, "num_test": 100}
-        )
-        h = run_experiment(cfg)
-        assert h.final_accuracy() >= 0.0
-        # Global BN stats must have been updated away from init.
-        sim = Simulation(cfg)
-        sim.run_round()
-        assert any(np.abs(s).sum() > 0 for s in sim.global_states)

@@ -105,6 +105,6 @@ class TestCheckpoint:
     def test_shape_mismatch_rejected(self, sim, tmp_path):
         p = tmp_path / "ckpt.npz"
         save_checkpoint(sim, p)
-        other = Simulation(ExperimentConfig(**{**FAST, "model": "small_cnn"}))
+        other = Simulation(ExperimentConfig(**{**FAST, "dataset": "synth-cifar100"}))  # other head
         with pytest.raises(ValueError):
             load_checkpoint(other, p)

@@ -3,17 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import (
-    BatchNorm2d,
-    Conv2d,
-    Flatten,
-    GlobalAvgPool2d,
-    GroupNorm,
-    Linear,
-    MaxPool2d,
-    ReLU,
-)
-from repro.nn.sequential import BasicBlock, Sequential
+from repro.nn.layers import Flatten, Linear, ReLU
+from repro.nn.sequential import Sequential
 from tests.conftest import check_layer_gradients
 
 
@@ -46,74 +37,6 @@ class TestLinear:
         np.testing.assert_allclose(layer.weight.grad, 2 * first, rtol=1e-5)
 
 
-class TestConv2d:
-    def test_output_shape(self, rng):
-        layer = Conv2d(3, 8, 3, rng, stride=2, padding=1)
-        out = layer(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
-        assert out.shape == (2, 8, 4, 4)
-
-    def test_gradients(self, rng):
-        layer = Conv2d(2, 3, 3, rng, stride=1, padding=1)
-        check_layer_gradients(layer, rng.normal(size=(2, 2, 4, 4)))
-
-    def test_gradients_strided_no_pad(self, rng):
-        layer = Conv2d(1, 2, 2, rng, stride=2, padding=0)
-        check_layer_gradients(layer, rng.normal(size=(1, 1, 4, 4)))
-
-    def test_matches_naive_convolution(self, rng):
-        layer = Conv2d(1, 1, 3, rng, padding=0, bias=False)
-        x = rng.normal(size=(1, 1, 5, 5)).astype(np.float32)
-        out = layer(x, training=False)
-        k = layer.weight.data[0, 0]
-        naive = np.zeros((3, 3), dtype=np.float64)
-        for i in range(3):
-            for j in range(3):
-                naive[i, j] = np.sum(x[0, 0, i : i + 3, j : j + 3] * k)
-        np.testing.assert_allclose(out[0, 0], naive, rtol=1e-5)
-
-
-class TestBatchNorm2d:
-    def test_normalizes_batch(self, rng):
-        layer = BatchNorm2d(4)
-        x = rng.normal(loc=3.0, scale=2.0, size=(16, 4, 3, 3)).astype(np.float32)
-        out = layer(x, training=True)
-        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-5)
-        np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
-
-    def test_running_stats_move_toward_batch(self, rng):
-        layer = BatchNorm2d(2, momentum=0.5)
-        x = rng.normal(loc=5.0, size=(8, 2, 2, 2)).astype(np.float32)
-        layer(x, training=True)
-        assert np.all(layer.running_mean > 1.0)
-
-    def test_eval_uses_running_stats(self, rng):
-        layer = BatchNorm2d(2)
-        x = rng.normal(size=(8, 2, 2, 2)).astype(np.float32)
-        out = layer(x, training=False)
-        np.testing.assert_allclose(out, x / np.sqrt(1 + layer.eps), atol=1e-5)
-
-    def test_gradients(self, rng):
-        layer = BatchNorm2d(3)
-        check_layer_gradients(layer, rng.normal(size=(4, 3, 2, 2)), atol=2e-2)
-
-
-class TestGroupNorm:
-    def test_rejects_bad_groups(self):
-        with pytest.raises(ValueError):
-            GroupNorm(3, 4)
-
-    def test_normalizes_groups(self, rng):
-        layer = GroupNorm(2, 4)
-        x = rng.normal(loc=2.0, size=(3, 4, 4, 4)).astype(np.float32)
-        out = layer(x, training=True)
-        grouped = out.reshape(3, 2, -1)
-        np.testing.assert_allclose(grouped.mean(axis=2), 0.0, atol=1e-5)
-
-    def test_gradients(self, rng):
-        layer = GroupNorm(2, 4)
-        check_layer_gradients(layer, rng.normal(size=(2, 4, 2, 2)), atol=2e-2)
-
-
 class TestActivations:
     def test_relu_forward(self):
         out = ReLU()(np.array([[-1.0, 2.0]], dtype=np.float32))
@@ -121,24 +44,6 @@ class TestActivations:
 
     def test_relu_gradients(self, rng):
         check_layer_gradients(ReLU(), rng.normal(size=(3, 5)) + 0.1)
-
-
-class TestPooling:
-    def test_maxpool_forward(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = MaxPool2d(2)(x)
-        np.testing.assert_array_equal(out[0, 0], [[5, 7], [13, 15]])
-
-    def test_maxpool_gradients(self, rng):
-        check_layer_gradients(MaxPool2d(2), rng.normal(size=(2, 2, 4, 4)))
-
-    def test_global_avgpool(self, rng):
-        x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
-        out = GlobalAvgPool2d()(x)
-        np.testing.assert_allclose(out, x.mean(axis=(2, 3)), atol=1e-6)
-
-    def test_global_avgpool_gradients(self, rng):
-        check_layer_gradients(GlobalAvgPool2d(), rng.normal(size=(2, 3, 3, 3)))
 
 
 class TestFlattenDropout:
@@ -149,27 +54,6 @@ class TestFlattenDropout:
         assert out.shape == (2, 48)
         back = layer.backward(out)
         assert back.shape == x.shape
-
-
-class TestBasicBlock:
-    def test_identity_skip_shape(self, rng):
-        block = BasicBlock(4, 4, rng)
-        out = block(rng.normal(size=(2, 4, 4, 4)).astype(np.float32))
-        assert out.shape == (2, 4, 4, 4)
-
-    def test_projection_skip_shape(self, rng):
-        block = BasicBlock(4, 8, rng, stride=2)
-        out = block(rng.normal(size=(2, 4, 4, 4)).astype(np.float32))
-        assert out.shape == (2, 8, 2, 2)
-        assert block.downsample is not None
-
-    def test_gradients_identity(self, rng):
-        block = BasicBlock(2, 2, rng)
-        check_layer_gradients(block, rng.normal(size=(2, 2, 3, 3)), atol=3e-2)
-
-    def test_gradients_projection(self, rng):
-        block = BasicBlock(2, 4, rng, stride=2)
-        check_layer_gradients(block, rng.normal(size=(2, 2, 4, 4)), atol=3e-2)
 
 
 class TestSequential:
@@ -190,13 +74,13 @@ class TestSequential:
         "build",
         [
             lambda rng: Sequential(Flatten(), Linear(48, 4, rng), ReLU(), Linear(4, 2, rng)),
-            lambda rng: Sequential(Conv2d(3, 2, 3, rng, padding=1), ReLU(), GlobalAvgPool2d(), Linear(2, 2, rng)),
-            lambda rng: Sequential(BatchNorm2d(3), Conv2d(3, 2, 3, rng), GlobalAvgPool2d()),
-            lambda rng: Sequential(BasicBlock(3, 2, rng), GlobalAvgPool2d()),
+            lambda rng: Sequential(Flatten(), Linear(48, 4, rng, bias=False), ReLU(), Linear(4, 2, rng)),
+            lambda rng: Sequential(Flatten(), ReLU(), Linear(48, 2, rng)),
             lambda rng: Sequential(Sequential(Flatten(), Linear(48, 2, rng)), ReLU()),
+            lambda rng: Sequential(Sequential(Sequential(Flatten(), Linear(48, 3, rng)), ReLU()), Linear(3, 2, rng)),
             lambda rng: Sequential(Flatten(), ReLU()),
         ],
-        ids=["linear-first", "conv-first", "norm-first", "block-first", "nested-first", "no-params"],
+        ids=["linear-first", "unbiased-first", "relu-first", "nested-first", "doubly-nested-first", "no-params"],
     )
     def test_backward_without_input_grad(self, build, rng):
         """input_grad=False returns None and leaves exactly the parameter

@@ -1,4 +1,4 @@
-"""Tests for flat-parameter packing and the model zoo."""
+"""Tests for flat-parameter packing and the model builders."""
 
 import copy
 import pickle
@@ -12,7 +12,7 @@ from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.nn.layers import Linear
 from repro.nn.losses import cross_entropy
-from repro.nn.models import MODEL_BUILDERS, build_mini_resnet, build_mlp, build_model, build_small_cnn
+from repro.nn.models import MODEL_BUILDERS, build_mlp, build_model
 from repro.nn.optim import SGD
 from repro.nn.params import (
     get_flat_params,
@@ -84,7 +84,7 @@ class TestFlatStorage:
                                        lambda m: pickle.loads(pickle.dumps(m, protocol=5))],
                              ids=["deepcopy", "pickle", "pickle5"])
     def test_copies_are_realiased_and_independent(self, clone):
-        model = build_small_cnn(3, 8, 4, seed=0)
+        model = build_mlp(3 * 8 * 8, 4, seed=0)
         original = get_flat_params(model)
         twin = clone(model)
         np.testing.assert_array_equal(get_flat_params(twin), original)
@@ -97,13 +97,12 @@ class TestFlatStorage:
         assert is_aliased(model)
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
-    @pytest.mark.parametrize("model_name", ["mlp", "small_cnn"])
+    @pytest.mark.parametrize("model_name", ["mlp"])
     def test_aliasing_survives_train_evaluate_restore(self, model_name, backend):
         config = ExperimentConfig(dataset="synth-cifar10", model=model_name, num_clients=4, num_train=200,
                                   num_test=50, rounds=2, seed=0, backend=backend, workers=2)
         with Simulation(config) as sim:
             params = get_flat_params(sim.model)
-            states = [a.copy() for a in sim.model.state_arrays()]
             sim.run()
             assert is_aliased(sim.model)
             if backend == "thread":
@@ -114,8 +113,6 @@ class TestFlatStorage:
             sim.evaluate()
             assert is_aliased(sim.model)
             set_flat_params(sim.model, params)
-            for live, saved in zip(sim.model.state_arrays(), states):
-                np.copyto(live, saved)
             assert is_aliased(sim.model)
             np.testing.assert_array_equal(sim.model.flat()[0], params)
 
@@ -136,27 +133,25 @@ CLONES = {
 
 
 class TestDerivedCaches:
-    """The ``input_grad=False`` walk and the ``state_arrays()`` list are kept
-    beside ``_flat`` and dropped with it: by ``append`` and by copying."""
+    """The ``input_grad=False`` walk is kept beside ``_flat`` and dropped
+    with it: by ``append`` and by copying."""
 
     def batch(self, rng, n=6):
         x = rng.normal(size=(n, 3, 8, 8)).astype(np.float32)
         return x, rng.integers(0, 4, size=n)
 
-    def test_walk_and_states_are_built_once(self, rng):
-        model = build_small_cnn(3, 8, 4, seed=0)
+    def test_walk_is_built_once(self, rng):
+        model = build_mlp(3 * 8 * 8, 4, hidden=(6, 5), seed=0)
         x, labels = self.batch(rng)
         want = train_grads(model, x, labels, input_grad=True)
-        for _ in range(2):
-            np.testing.assert_array_equal(train_grads(model, x, labels, input_grad=False), want)
-        assert model._train_walk is not None
-        first = model.state_arrays()
-        first.clear()  # callers get their own list; the kept one is not theirs to edit
-        assert model._states is not None and len(model.state_arrays()) == len(model._states) > 0
-        bn = [layer for layer in model.layers if layer.state_arrays()]
-        assert [id(a) for a in model.state_arrays()] == [
-            id(a) for layer in bn for a in layer.state_arrays()
-        ]
+        assert model._train_walk is None  # a full backward does not build it
+        np.testing.assert_array_equal(train_grads(model, x, labels, input_grad=False), want)
+        walk = model._train_walk
+        head, tail = walk
+        assert head is model.layers[1]  # the first Linear; Flatten is never walked
+        assert list(tail) == model.layers[:1:-1]
+        np.testing.assert_array_equal(train_grads(model, x, labels, input_grad=False), want)
+        assert model._train_walk is walk
 
     def test_append_drops_the_walk(self, rng):
         model = build_mlp(3 * 8 * 8, 5, hidden=(6,), seed=0)
@@ -168,32 +163,16 @@ class TestDerivedCaches:
         assert np.any(tail.weight.grad != 0)  # the appended layer is walked
         np.testing.assert_array_equal(got, train_grads(model, x, labels, input_grad=True))
 
-    def test_append_drops_the_state_list(self, rng):
-        from repro.nn.layers import BatchNorm2d
-        from repro.nn.sequential import Sequential
-
-        model = Sequential(BatchNorm2d(3))
-        assert len(model.state_arrays()) == 2
-        extra = BatchNorm2d(3)
-        model.append(extra)
-        states = model.state_arrays()
-        assert len(states) == 4 and states[2] is extra.running_mean
-
     @pytest.mark.parametrize("how", CLONES)
     def test_copies_walk_their_own_layers(self, how, rng):
-        model = build_small_cnn(3, 8, 4, seed=0)
+        model = build_mlp(3 * 8 * 8, 4, hidden=(6,), seed=0)
         x, labels = self.batch(rng)
-        want = train_grads(model, x, labels, input_grad=False)  # warm both caches
-        model.state_arrays()
+        want = train_grads(model, x, labels, input_grad=False)  # warm the walk
         twin = CLONES[how](model)
-        assert twin._train_walk is None and twin._states is None
+        assert twin._train_walk is None
         model.flat()[1].fill(0)
         np.testing.assert_array_equal(train_grads(twin, x, labels, input_grad=False), want)
         assert not model.flat()[1].any()  # the original's layers were not walked
-        for mine, theirs in zip(twin.state_arrays(), model.state_arrays()):
-            assert not np.shares_memory(mine, theirs)
-        live = [a for layer in twin.layers for a in layer.state_arrays()]
-        assert [id(a) for a in twin.state_arrays()] == [id(a) for a in live]
 
     def test_nested_container_as_head(self, rng):
         from repro.nn.layers import Flatten, ReLU
@@ -221,16 +200,6 @@ class TestModelZoo:
         out = model(rng.normal(size=(3, 12)).astype(np.float32), training=False)
         assert out.shape == (3, 5)
 
-    def test_small_cnn_output_shape(self, rng):
-        model = build_small_cnn(3, 8, 10, seed=0)
-        out = model(rng.normal(size=(2, 3, 8, 8)).astype(np.float32), training=False)
-        assert out.shape == (2, 10)
-
-    def test_mini_resnet_output_shape(self, rng):
-        model = build_mini_resnet(3, 10, width=8, blocks_per_stage=(1, 1), seed=0)
-        out = model(rng.normal(size=(2, 3, 8, 8)).astype(np.float32), training=False)
-        assert out.shape == (2, 10)
-
     def test_same_seed_same_init(self):
         a = get_flat_params(build_mlp(6, 2, seed=42))
         b = get_flat_params(build_mlp(6, 2, seed=42))
@@ -247,14 +216,12 @@ class TestModelZoo:
         with pytest.raises(KeyError):
             build_model("nope", in_channels=1, image_size=4, num_classes=2)
 
-    @given(st.sampled_from(["mlp", "small_cnn", "mini_resnet"]))
+    @given(st.sampled_from(sorted(MODEL_BUILDERS)))
     @settings(max_examples=6, deadline=None)
     def test_all_models_trainable_one_step(self, name):
         rng = np.random.default_rng(0)
         model = build_model(name, in_channels=3, image_size=8, num_classes=4, seed=0)
         x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
-        if name == "mlp":
-            x = x.reshape(4, -1)
         labels = rng.integers(0, 4, size=4)
         before = get_flat_params(model).copy()
         opt = SGD(*model.flat(), lr=0.01)

@@ -5,9 +5,10 @@ CHANGES.md, a PR that deletes code lowers it."""
 
 from pathlib import Path
 
-#: Physical lines of ``src/**/*.py`` after the config fields only tests set
-#: were deleted with the code beneath them (15,245 before).
-SRC_LINE_CEILING = 15_114
+#: Physical lines of ``src/**/*.py`` after the CNN models only tests selected
+#: were deleted with the BatchNorm-buffer plumbing beneath them (15,114
+#: before).
+SRC_LINE_CEILING = 14_448
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
