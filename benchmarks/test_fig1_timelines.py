@@ -19,8 +19,8 @@ CR = 0.05
 
 
 def build_timelines():
-    dense = np.array([uplink_time(l, VOLUME) for l in LINKS])
-    uniform = np.array([sparse_uplink_time(l, VOLUME, CR) for l in LINKS])
+    dense = np.array([uplink_time(link, VOLUME) for link in LINKS])
+    uniform = np.array([sparse_uplink_time(link, VOLUME, CR) for link in LINKS])
     sched = schedule_ratios(LINKS, VOLUME, CR)
     return dense, uniform, sched
 

@@ -52,7 +52,9 @@ from repro.fl.config import (
     MODES,
 )
 from repro.io.history_io import export_curves_csv, load_history, save_history
-from repro.obs import SweepProgress, format_profile, load_trace, make_obs
+from repro.obs import load_trace, make_obs
+from repro.obs.profile import format_profile
+from repro.obs.progress import SweepProgress
 from repro.report import write_report
 from repro.scenarios import (
     REGISTRY,

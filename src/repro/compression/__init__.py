@@ -7,10 +7,7 @@ from repro.compression.base import (
     SparseUpdate,
     compression_error,
 )
-from repro.compression.ef import ErrorFeedback
-from repro.compression.quantization import QSGDQuantizer, UniformQuantizer
 from repro.compression.registry import available_compressors, make_compressor, register_compressor
-from repro.compression.sign import SignCompressor, SignUpdate
 from repro.compression.sparsifiers import RandomK, ThresholdSparsifier, TopK, k_from_ratio
 
 __all__ = [
@@ -23,12 +20,7 @@ __all__ = [
     "RandomK",
     "ThresholdSparsifier",
     "k_from_ratio",
-    "ErrorFeedback",
-    "QSGDQuantizer",
-    "UniformQuantizer",
     "make_compressor",
     "available_compressors",
     "register_compressor",
-    "SignCompressor",
-    "SignUpdate",
 ]

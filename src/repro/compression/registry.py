@@ -12,9 +12,6 @@ from typing import Callable
 import numpy as np
 
 from repro.compression.base import Compressor
-from repro.compression.ef import ErrorFeedback
-from repro.compression.quantization import QSGDQuantizer, UniformQuantizer
-from repro.compression.sign import SignCompressor
 from repro.compression.sparsifiers import RandomK, ThresholdSparsifier, TopK
 
 __all__ = ["make_compressor", "available_compressors", "register_compressor", "compressor_traits"]
@@ -64,14 +61,42 @@ def make_compressor(name: str, *, seed: int | np.random.Generator = 0) -> Compre
     return _entry(name)[0](seed=seed)
 
 
+# Error feedback, quantizers and sign are imported by their factories, so a
+# run loads only the compressor it selects; names and traits register here.
+
+
+def _ef(inner: Compressor) -> Compressor:
+    from repro.compression.ef import ErrorFeedback
+
+    return ErrorFeedback(inner)
+
+
+def _qsgd(bits: int, seed: int | np.random.Generator) -> Compressor:
+    from repro.compression.quantization import QSGDQuantizer
+
+    return QSGDQuantizer(bits=bits, seed=seed)
+
+
+def _uniform(bits: int) -> Compressor:
+    from repro.compression.quantization import UniformQuantizer
+
+    return UniformQuantizer(bits=bits)
+
+
+def _sign() -> Compressor:
+    from repro.compression.sign import SignCompressor
+
+    return SignCompressor()
+
+
 _PURE = {"seeded": False, "stateful": False}
 register_compressor("topk", lambda seed=0: TopK(), **_PURE)
-register_compressor("ef_topk", lambda seed=0: ErrorFeedback(TopK()), seeded=False)
+register_compressor("ef_topk", lambda seed=0: _ef(TopK()), seeded=False)
 register_compressor("randomk", lambda seed=0: RandomK(seed=seed))
-register_compressor("ef_randomk", lambda seed=0: ErrorFeedback(RandomK(seed=seed)))
+register_compressor("ef_randomk", lambda seed=0: _ef(RandomK(seed=seed)))
 register_compressor("threshold", lambda seed=0: ThresholdSparsifier(threshold=1e-4), **_PURE)
-register_compressor("qsgd8", lambda seed=0: QSGDQuantizer(bits=8, seed=seed))
-register_compressor("qsgd4", lambda seed=0: QSGDQuantizer(bits=4, seed=seed))
-register_compressor("uniform8", lambda seed=0: UniformQuantizer(bits=8), **_PURE)
-register_compressor("sign", lambda seed=0: SignCompressor(), **_PURE)
-register_compressor("ef_sign", lambda seed=0: ErrorFeedback(SignCompressor()), seeded=False)
+register_compressor("qsgd8", lambda seed=0: _qsgd(8, seed))
+register_compressor("qsgd4", lambda seed=0: _qsgd(4, seed))
+register_compressor("uniform8", lambda seed=0: _uniform(8), **_PURE)
+register_compressor("sign", lambda seed=0: _sign(), **_PURE)
+register_compressor("ef_sign", lambda seed=0: _ef(_sign()), seeded=False)

@@ -105,8 +105,8 @@ def schedule_ratios(
             f"unknown benchmark rule {benchmark!r}; expected one of {BENCHMARK_RULES}"
         )
 
-    bandwidths = np.array([l.bandwidth_bps for l in links])
-    latencies = np.array([l.latency_s for l in links])
+    bandwidths = np.array([link.bandwidth_bps for link in links])
+    latencies = np.array([link.latency_s for link in links])
     # Alg. 2 line 13; clip handles clients slower than a non-max benchmark
     # (ratio below CR*) and very fast clients (ratio above cr_max).
     raw = (t_bench - latencies) / (SPARSE_VOLUME_FACTOR * volume_bits) * bandwidths

@@ -8,13 +8,6 @@ from repro.data.partition import (
     iid_partition,
     shard_partition,
 )
-from repro.data.stats import (
-    earth_movers_distance,
-    heatmap_text,
-    label_entropy,
-    mean_emd_to_global,
-    mean_label_entropy,
-)
 
 __all__ = [
     "Dataset",
@@ -27,9 +20,4 @@ __all__ = [
     "dirichlet_partition",
     "iid_partition",
     "shard_partition",
-    "label_entropy",
-    "mean_label_entropy",
-    "earth_movers_distance",
-    "mean_emd_to_global",
-    "heatmap_text",
 ]

@@ -158,7 +158,6 @@ def train_test_split(
 ) -> tuple[Dataset, Dataset]:
     """Generate train and test splits sharing the same class templates."""
     full = make_dataset(spec, num_train + num_test, seed)
-    rng = as_generator(seed if not isinstance(seed, np.random.Generator) else seed)
     perm = np.random.default_rng(12345).permutation(len(full))
     return full.subset(perm[:num_train]), full.subset(perm[num_train:])
 

@@ -34,9 +34,7 @@ from repro.exec.base import (
     WorkerContext,
     resolve_workers,
 )
-from repro.exec.process import ProcessBackend
 from repro.exec.serial import SerialBackend
-from repro.exec.threads import ThreadBackend
 
 __all__ = [
     "BACKENDS",
@@ -46,8 +44,6 @@ __all__ = [
     "WorkerContext",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
     "make_backend",
     "resolve_workers",
 ]
@@ -72,7 +68,11 @@ def make_backend(
     if name == "serial":
         return SerialBackend(context)
     if name == "thread":
+        from repro.exec.threads import ThreadBackend
+
         return ThreadBackend(context_factory, workers)
     if name == "process":
+        from repro.exec.process import ProcessBackend
+
         return ProcessBackend(context_factory, workers)
     raise ValueError(f"unknown execution backend {name!r}; expected one of {BACKENDS}")

@@ -3,12 +3,6 @@
 from repro.fl.algorithms import Algorithm, RoundPlan, make_algorithm
 from repro.fl.client import Client, LocalTrainResult
 from repro.fl.config import ALGORITHMS, ExperimentConfig
-from repro.fl.decentralized import (
-    DecentralizedSimulation,
-    mixing_matrix,
-    random_regular_edges,
-    ring_edges,
-)
 from repro.fl.history import History, RoundRecord
 from repro.fl.sampler import UniformSampler
 from repro.fl.simulation import Simulation, run_experiment
@@ -26,8 +20,4 @@ __all__ = [
     "RoundRecord",
     "Simulation",
     "run_experiment",
-    "DecentralizedSimulation",
-    "mixing_matrix",
-    "ring_edges",
-    "random_regular_edges",
 ]

@@ -42,7 +42,7 @@ def _downlink_times(links: list[LinkSpec], volume_bits: float) -> np.ndarray:
     uplink bandwidth (downlink is uncompressed — Sec. 3.3's uplink-only
     rationale)."""
     return np.array(
-        [downlink_time(l, volume_bits, bandwidth_factor=DOWNLINK_FACTOR) for l in links]
+        [downlink_time(link, volume_bits, bandwidth_factor=DOWNLINK_FACTOR) for link in links]
     )
 
 
@@ -57,12 +57,12 @@ def _round_times(
     (the FedAvg cost of the same round); *actual*/*minimum* are the
     algorithm's own slowest/fastest client under its ratios. ``downlink``
     (optional per-client broadcast times) adds to every metric."""
-    dense = np.array([uplink_time(l, volume_bits) for l in links])
+    dense = np.array([uplink_time(link, volume_bits) for link in links])
     if ratios is None:
         compressed = dense
     else:
         compressed = np.array(
-            [sparse_uplink_time(l, volume_bits, r) for l, r in zip(links, ratios)]
+            [sparse_uplink_time(link, volume_bits, r) for link, r in zip(links, ratios)]
         )
     if downlink is not None:
         dense = dense + downlink
@@ -149,7 +149,7 @@ class DeadlineTopKAlgorithm(TopKAlgorithm):
         cfg = self.config
         ratios = np.full(len(links), cfg.compression_ratio)
         compressed = np.array(
-            [sparse_uplink_time(l, volume_bits, cfg.compression_ratio) for l in links]
+            [sparse_uplink_time(link, volume_bits, cfg.compression_ratio) for link in links]
         )
         deadline = float(np.quantile(compressed, cfg.deadline_quantile))
         included = compressed <= deadline + 1e-12
@@ -162,7 +162,7 @@ class DeadlineTopKAlgorithm(TopKAlgorithm):
             included[fastest] = True
         else:
             weights /= total
-        dense = np.array([uplink_time(l, volume_bits) for l in links])
+        dense = np.array([uplink_time(link, volume_bits) for link in links])
         down = self._downlink(links, volume_bits)
         actual = deadline
         minimum = float(compressed.min())
@@ -200,7 +200,7 @@ class BCRSAlgorithm(Algorithm):
         weights = adjusted_coefficients(
             data_frequencies, sched.ratios, cfg.alpha, norm=cfg.norm_mode
         )
-        dense = np.array([uplink_time(l, volume_bits) for l in links])
+        dense = np.array([uplink_time(link, volume_bits) for link in links])
         scheduled = sched.scheduled_times
         down = self._downlink(links, volume_bits)
         if down is not None:

@@ -126,8 +126,8 @@ class Simulation(EngineMixin):
         if config.time_varying_links:
             link_rng = rngs.stream("link-drift")
             self._varying = [
-                TimeVaryingLink(l, link_rng, volatility=config.link_volatility)
-                for l in self.links
+                TimeVaryingLink(link, link_rng, volatility=config.link_volatility)
+                for link in self.links
             ]
 
         # Device timing profiles (repro.simtime): per-client compute speed

@@ -64,7 +64,7 @@ def assign_edges(
         if len(links) != num_clients:
             raise ValueError(f"{len(links)} links for {num_clients} clients")
         # Stable sort keeps equal-bandwidth ties in id order (deterministic).
-        order = np.argsort([l.bandwidth_bps for l in links], kind="stable")
+        order = np.argsort([link.bandwidth_bps for link in links], kind="stable")
     else:
         raise ValueError(f"unknown edge assignment {mode!r}")
     return tuple(

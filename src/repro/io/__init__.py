@@ -1,6 +1,5 @@
 """Persistence: run histories (JSON/CSV) and model checkpoints (npz)."""
 
-from repro.io.checkpoint import load_checkpoint, save_checkpoint
 from repro.io.history_io import (
     export_curves_csv,
     history_from_dict,
@@ -15,6 +14,4 @@ __all__ = [
     "save_history",
     "load_history",
     "export_curves_csv",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

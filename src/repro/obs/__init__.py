@@ -39,13 +39,6 @@ from repro.obs.metrics import (
     NULL_METRICS,
     NullMetrics,
 )
-from repro.obs.profile import (
-    HotSpot,
-    format_profile,
-    lane_utilization,
-    profile_spans,
-)
-from repro.obs.progress import SweepProgress
 from repro.obs.tracer import (
     NULL_TRACER,
     Instant,
@@ -72,11 +65,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "DEFAULT_BUCKETS",
-    "HotSpot",
-    "profile_spans",
-    "lane_utilization",
-    "format_profile",
-    "SweepProgress",
 ]
 
 

@@ -21,16 +21,8 @@ from repro.robust.aggregators import (
     robust_aggregate,
     trimmed_mean,
 )
-from repro.robust.attacks import (
-    apply_delta_attack,
-    flip_labels,
-    is_adversary,
-)
 
 __all__ = [
-    "is_adversary",
-    "apply_delta_attack",
-    "flip_labels",
     "densify_updates",
     "coordinate_median",
     "trimmed_mean",

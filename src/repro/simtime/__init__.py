@@ -73,13 +73,16 @@ def make_simulation(config, obs=None, context=None):
     (cross-cell dataset caching) — likewise invisible in the history.
     """
     from repro.fl.simulation import Simulation
-    from repro.simtime.protocols import AsyncSimulation, SemiSyncSimulation
 
     if config.mode == "sync":
         return Simulation(config, obs=obs, context=context)
     if config.mode == "semisync":
+        from repro.simtime.protocols import SemiSyncSimulation
+
         return SemiSyncSimulation(config, obs=obs, context=context)
     if config.mode == "async":
+        from repro.simtime.protocols import AsyncSimulation
+
         return AsyncSimulation(config, obs=obs, context=context)
     if config.mode == "hier":
         from repro.hier.simulation import HierSimulation

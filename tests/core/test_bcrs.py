@@ -116,7 +116,7 @@ class TestProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_invariants(self, raw_links, default_cr):
-        links = [LinkSpec(b, l) for b, l in raw_links]
+        links = [LinkSpec(b, lat) for b, lat in raw_links]
         sched = schedule_ratios(links, V, default_cr)
         # Ratios bounded.
         assert np.all(sched.ratios >= default_cr - 1e-12)
@@ -124,5 +124,5 @@ class TestProperties:
         # No scheduled time beyond the benchmark.
         assert np.all(sched.scheduled_times <= sched.t_bench + 1e-9)
         # Scheduled times never beat the latency floor.
-        lats = np.array([l.latency_s for l in links])
+        lats = np.array([link.latency_s for link in links])
         assert np.all(sched.scheduled_times >= lats - 1e-12)

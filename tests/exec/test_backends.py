@@ -12,14 +12,14 @@ from repro.core.overlap import overlap_counts
 from repro.exec import (
     BACKENDS,
     ClientTask,
-    ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     TrainSpec,
     WorkerContext,
     make_backend,
     resolve_workers,
 )
+from repro.exec.process import ProcessBackend
+from repro.exec.threads import ThreadBackend
 from repro.fl.config import ExperimentConfig
 from repro.fl.decentralized import DecentralizedSimulation
 from repro.fl.simulation import Simulation

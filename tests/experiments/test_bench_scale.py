@@ -1,7 +1,5 @@
 """Tests for the REPRO_BENCH_SCALE knob and preset scaling."""
 
-import pytest
-
 from repro.experiments.presets import bench_config, bench_scale
 
 

@@ -123,7 +123,7 @@ class TestReporting:
         text = format_table(["a", "bb"], [["1", "2"], ["333", "4"]])
         lines = text.splitlines()
         assert len(lines) == 4
-        assert all(len(l) == len(lines[0]) for l in lines[1:])
+        assert all(len(line) == len(lines[0]) for line in lines[1:])
 
     def test_time_row_handles_unreached(self, history):
         row = time_to_accuracy_row("topk", history, target=1.01)

@@ -26,7 +26,7 @@ class TestFedAvgPlan:
 
     def test_actual_is_dense_straggler(self):
         plan = plan_for("fedavg")
-        expected = max(uplink_time(l, V) for l in LINKS)
+        expected = max(uplink_time(link, V) for link in LINKS)
         assert plan.times.actual == pytest.approx(expected)
         assert plan.times.maximum == plan.times.actual
 
@@ -39,13 +39,13 @@ class TestTopKPlan:
 
     def test_actual_is_compressed_straggler(self):
         plan = plan_for("topk", compression_ratio=0.1)
-        expected = max(sparse_uplink_time(l, V, 0.1) for l in LINKS)
+        expected = max(sparse_uplink_time(link, V, 0.1) for link in LINKS)
         assert plan.times.actual == pytest.approx(expected)
 
     def test_maximum_is_uncompressed_straggler(self):
         """Sec. 5.2: Max Time accumulates FedAvg's (dense) transmission cost."""
         plan = plan_for("topk", compression_ratio=0.01)
-        expected = max(uplink_time(l, V) for l in LINKS)
+        expected = max(uplink_time(link, V) for link in LINKS)
         assert plan.times.maximum == pytest.approx(expected)
         assert plan.times.actual < plan.times.maximum
 

@@ -31,7 +31,7 @@ class TestDeadlinePlan:
 
     def test_actual_time_is_deadline(self):
         p = plan(compression_ratio=0.1, deadline_quantile=0.5)
-        compressed = [sparse_uplink_time(l, V, 0.1) for l in LINKS]
+        compressed = [sparse_uplink_time(link, V, 0.1) for link in LINKS]
         assert p.times.actual == pytest.approx(float(np.quantile(compressed, 0.5)))
         assert p.times.actual < max(compressed)
 

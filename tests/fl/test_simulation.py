@@ -27,7 +27,7 @@ class TestSimulationConstruction:
     def test_links_sampled(self):
         sim = Simulation(ExperimentConfig(**FAST))
         assert len(sim.links) == 6
-        assert all(l.bandwidth_bps > 0 for l in sim.links)
+        assert all(link.bandwidth_bps > 0 for link in sim.links)
 
     def test_volume_matches_model(self):
         sim = Simulation(ExperimentConfig(**FAST))
@@ -124,7 +124,7 @@ class TestAlgorithmsEndToEnd:
     def test_time_varying_links(self):
         cfg = ExperimentConfig(**FAST, time_varying_links=True, link_volatility=0.3)
         sim = Simulation(cfg)
-        bw0 = [l.bandwidth_bps for l in sim.links]
+        bw0 = [link.bandwidth_bps for link in sim.links]
         sim.run_round()
-        bw1 = [l.bandwidth_bps for l in sim.links]
+        bw1 = [link.bandwidth_bps for link in sim.links]
         assert bw0 != bw1

@@ -67,13 +67,13 @@ class TestBackhaulLinks:
         bh = sample_backhaul_links(
             4, bandwidth_mbps=100.0, latency_s=0.01, heterogeneity=0.0, seed=1
         )
-        assert all(l == LinkSpec(bandwidth_bps=100e6, latency_s=0.01) for l in bh)
+        assert all(link == LinkSpec(bandwidth_bps=100e6, latency_s=0.01) for link in bh)
 
     def test_heterogeneity_spreads_draws_deterministically(self):
         a = sample_backhaul_links(8, bandwidth_mbps=100.0, latency_s=0.01, heterogeneity=0.5, seed=2)
         b = sample_backhaul_links(8, bandwidth_mbps=100.0, latency_s=0.01, heterogeneity=0.5, seed=2)
         assert a == b
-        assert len({l.bandwidth_bps for l in a}) > 1
+        assert len({link.bandwidth_bps for link in a}) > 1
 
 
 class TestTierTopology:

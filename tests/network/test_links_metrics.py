@@ -11,8 +11,8 @@ from repro.network.metrics import RoundTimes, TimeAccumulator
 class TestLinkSampling:
     def test_paper_distribution_moments(self):
         links = sample_links(5000, PAPER_LINK_MODEL, seed=0)
-        bws = np.array([l.bandwidth_bps for l in links])
-        lats = np.array([l.latency_s for l in links])
+        bws = np.array([link.bandwidth_bps for link in links])
+        lats = np.array([link.latency_s for link in links])
         assert bws.mean() == pytest.approx(1.0 * MBIT, rel=0.02)
         assert bws.std() == pytest.approx(0.2 * MBIT, rel=0.05)
         assert lats.min() > 0.050 and lats.max() <= 0.200
@@ -21,7 +21,7 @@ class TestLinkSampling:
     def test_bandwidth_floor(self):
         model = LinkModel(bandwidth_mean_bps=0.1 * MBIT, bandwidth_std_bps=1.0 * MBIT)
         links = sample_links(200, model, seed=0)
-        assert min(l.bandwidth_bps for l in links) >= model.bandwidth_floor_bps
+        assert min(link.bandwidth_bps for link in links) >= model.bandwidth_floor_bps
 
     def test_determinism(self):
         a = sample_links(10, seed=5)

@@ -139,7 +139,7 @@ def random_flows(seed: int, n: int):
     links = sample_links(n, LinkModel(), seed=rng)
     starts = np.sort(rng.uniform(0.0, 2.0, size=n))
     bits = rng.uniform(1e5, 4e6, size=n)
-    return [(float(b), l, float(s)) for b, l, s in zip(bits, links, starts)]
+    return [(float(b), link, float(s)) for b, link, s in zip(bits, links, starts)]
 
 
 class TestFairPipeProperties:
@@ -152,19 +152,19 @@ class TestFairPipeProperties:
     def test_fair_never_beats_exclusive(self, seed, n):
         flows = random_flows(seed, n)
         pipe = IngressPipe(self.CAPACITY)
-        fids = [pipe.admit(b, l, s) for b, l, s in flows]
+        fids = [pipe.admit(b, link, s) for b, link, s in flows]
         pipe.drain()
-        for fid, (b, l, s) in zip(fids, flows):
-            exclusive = s + l.latency_s + b / l.bandwidth_bps
+        for fid, (b, link, s) in zip(fids, flows):
+            exclusive = s + link.latency_s + b / link.bandwidth_bps
             assert pipe.finish_time(fid) >= exclusive - 1e-9
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rates_respect_capacity_and_links(self, seed):
         flows = random_flows(seed, 8)
         pipe = IngressPipe(self.CAPACITY, trace=True)
-        fids = [pipe.admit(b, l, s) for b, l, s in flows]
+        fids = [pipe.admit(b, link, s) for b, link, s in flows]
         pipe.drain()
-        link_of = {fid: l for fid, (_, l, _) in zip(fids, flows)}
+        link_of = {fid: link for fid, (_, link, _) in zip(fids, flows)}
         assert pipe.segments  # the fluid sim actually ran
         for t0, t1, rates in pipe.segments:
             assert t1 > t0
@@ -176,7 +176,7 @@ class TestFairPipeProperties:
     def test_flows_transfer_exactly_their_bits(self, seed):
         flows = random_flows(seed, 6)
         pipe = IngressPipe(self.CAPACITY, trace=True)
-        fids = [pipe.admit(b, l, s) for b, l, s in flows]
+        fids = [pipe.admit(b, link, s) for b, link, s in flows]
         pipe.drain()
         moved = {fid: 0.0 for fid in fids}
         for t0, t1, rates in pipe.segments:
@@ -263,8 +263,8 @@ class TestFairPipeProperties:
         protocol pipes must not grow with the event count), and streaming
         pops release the finish map."""
         pipe = IngressPipe(self.CAPACITY)
-        for b, l, s in random_flows(0, 10):
-            pipe.admit(b, l, s)
+        for b, link, s in random_flows(0, 10):
+            pipe.admit(b, link, s)
         while pipe.pop_next() is not None:
             pass
         assert pipe.segments == []
@@ -274,7 +274,7 @@ class TestFairPipeProperties:
         runs = []
         for _ in range(2):
             pipe = IngressPipe(self.CAPACITY)
-            fids = [pipe.admit(b, l, s) for b, l, s in random_flows(5, 10)]
+            fids = [pipe.admit(b, link, s) for b, link, s in random_flows(5, 10)]
             pipe.drain()
             runs.append([pipe.finish_time(f) for f in fids])
         assert runs[0] == runs[1]  # bitwise, not approx

@@ -31,9 +31,11 @@ class TestLinear:
         layer = Linear(3, 2, rng)
         x = rng.normal(size=(4, 3)).astype(np.float32)
         g = rng.normal(size=(4, 2)).astype(np.float32)
-        layer(x); layer.backward(g)
+        layer(x)
+        layer.backward(g)
         first = layer.weight.grad.copy()
-        layer(x); layer.backward(g)
+        layer(x)
+        layer.backward(g)
         np.testing.assert_allclose(layer.weight.grad, 2 * first, rtol=1e-5)
 
 

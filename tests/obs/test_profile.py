@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.obs import Span, format_profile, lane_utilization, profile_spans
+from repro.obs import Span
+from repro.obs.profile import format_profile, lane_utilization, profile_spans
 
 
 def span(name, start, end, tid=0, cat="sim"):

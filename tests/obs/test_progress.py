@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 
-from repro.obs import SweepProgress
+from repro.obs.progress import SweepProgress
 
 
 class FakeClock:

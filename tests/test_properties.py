@@ -7,7 +7,6 @@ determinism of the engine.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,7 +104,7 @@ class TestBCRSFeasibility:
     )
     @settings(max_examples=60, deadline=None)
     def test_schedule_never_misses_benchmark(self, raw, default_cr, volume):
-        links = [LinkSpec(b, l) for b, l in raw]
+        links = [LinkSpec(b, lat) for b, lat in raw]
         sched = schedule_ratios(links, volume, default_cr)
         # Feasibility: every scheduled upload fits in the benchmark window.
         for link, cr in zip(links, sched.ratios):

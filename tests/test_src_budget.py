@@ -5,10 +5,9 @@ CHANGES.md, a PR that deletes code lowers it."""
 
 from pathlib import Path
 
-#: Physical lines of ``src/**/*.py`` after the CNN models only tests selected
-#: were deleted with the BatchNorm-buffer plumbing beneath them (15,114
-#: before).
-SRC_LINE_CEILING = 14_448
+#: Physical lines of ``src/**/*.py`` after twelve optional modules left the
+#: package facades and moved to the code that selects them (14,448 before).
+SRC_LINE_CEILING = 14_424
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -44,7 +44,7 @@ class TestCommTable:
 
     def test_backhaul_share_nonzero(self):
         out = ascii_comm_table(self.history(with_backhaul=True))
-        line = [l for l in out.splitlines() if l.startswith("backhaul")][0]
+        line = [row for row in out.splitlines() if row.startswith("backhaul")][0]
         assert "0.0%" not in line
 
     def test_empty_history_safe(self):
