@@ -5,14 +5,14 @@ and produce the next global model:
 
 - **FedAvg** (line 14):     ``w ← w − η_s · Σ f_i · Δw_i``
 - **BCRS** (line 16):       ``w ← w − η_s · Σ p'_i · Δw_i``
-- **BCRS+OPWA** (line 18):  ``w ← w − η_s · Σ p'_i · M ⊙ Δw_i``
+- **BCRS+OPWA** (line 18):  ``w ← w − η_s · M ⊙ Σ p'_i · Δw_i``
 
 where ``η_s`` is the server step (1.0 recovers exact FedAvg for dense
-updates), ``p'_i`` comes from Eq. 6 and ``M`` from Algorithm 3. Aggregation
-scatter-adds each sparse update's weighted (and masked) values straight into
-one float64 accumulator — one C-level pass per client over its retained
-entries, no concatenation and no dense per-client temporaries (HPC guide:
-in-place accumulation, no copies).
+updates), ``p'_i`` comes from Eq. 6 and ``M`` from Algorithm 3. Eq. 7 is linear
+in ``M``, so under every rule ``M`` scales the aggregate once: ``agg(u, mask=M) =
+M ⊙ agg(u)``; at ``D = 1`` and ``γ ≥ 1`` bit-identical to masking each update (an
+enlarged index has one contributor). Sparse updates scatter-add straight into one float64
+accumulator: one C-level pass per client, no concatenation, no dense temporaries.
 """
 
 from __future__ import annotations
@@ -32,13 +32,11 @@ def weighted_sparse_sum(
     mask: np.ndarray | None = None,
     arena: AggregationArena | None = None,
 ) -> np.ndarray:
-    """Compute ``Σ_i weights[i] · (mask ⊙ dense(updates[i]))``.
+    """Compute ``mask ⊙ Σ_i weights[i] · dense(updates[i])``.
 
-    Each sparse update folds its weight (and ``mask[indices]``) into a
-    float64 copy of its values and ``np.add.at``-s it into the accumulator,
-    so every index sums its contributions in client order. Dense updates
-    follow as vectorized AXPYs. ``mask`` (the OPWA ``M``) applies at the
-    parameter level.
+    Each sparse update's weighted float64 values are ``np.add.at``-ed into the
+    accumulator, so every index sums its contributions in client order; dense
+    updates follow as AXPYs. ``mask`` (the OPWA ``M``) then scales the sum once.
 
     The result lands in the ``arena``'s accumulator if one is given (valid
     until the next arena-backed call), else in a fresh vector; the
@@ -69,16 +67,12 @@ def weighted_sparse_sum(
         if isinstance(u, SparseUpdate):
             # All-float64 operands keep np.add.at on its indexed fast loop;
             # a dtype mismatch drops it to a generic one ~25x slower.
-            values = np.multiply(w, u.values, dtype=np.float64)
-            if mask is not None:
-                values *= np.take(mask, u.indices)
-            np.add.at(out, u.indices, values)
+            np.add.at(out, u.indices, np.multiply(w, u.values, dtype=np.float64))
     for w, u in zip(weights, updates):
         if not isinstance(u, SparseUpdate):
-            dense = u.to_dense().astype(np.float64)
-            if mask is not None:
-                dense *= mask
-            out += w * dense
+            out += w * u.to_dense().astype(np.float64)
+    if mask is not None:
+        out *= mask
     return out
 
 

@@ -81,9 +81,9 @@ class Client:
         batches = 0
         for _ in range(epochs):
             for x, y in self.loader:
-                opt.zero_grad()
+                # Allocation-free: layer workspaces; the loss gradient overwrites the logits.
                 logits = model(x, training=True)
-                loss, grad_logits = cross_entropy(logits, y)
+                loss, grad_logits = cross_entropy(logits, y, out=logits)
                 model.backward(grad_logits, input_grad=False)
                 if anchor is not None:
                     grad += proximal_mu * (data - anchor)

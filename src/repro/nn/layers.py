@@ -1,10 +1,12 @@
 """Layers with explicit forward/backward passes.
 
 Each :class:`Layer` caches what its backward pass needs during ``forward`` and
-exposes trainable tensors as :class:`Parameter` objects. Gradients accumulate
-into ``Parameter.grad``; a model's parameters and gradients are views of two
-flat vectors (:meth:`repro.nn.sequential.Sequential.flat`) that the optimizer
-steps as a whole.
+exposes trainable tensors as :class:`Parameter` objects. ``backward`` writes
+(not adds to) each ``Parameter.grad``; a model's parameters and gradients are
+views of two flat vectors (:meth:`repro.nn.sequential.Sequential.flat`) that
+the optimizer steps as a whole. Training passes allocate nothing: outputs and
+input gradients are row views of per-layer workspaces, valid until the layer's
+next training pass; ``training=False`` returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = [
 
 
 class Parameter:
-    """A trainable tensor with an accumulated gradient."""
+    """A trainable tensor with its gradient."""
 
     __slots__ = ("name", "data", "grad")
 
@@ -36,10 +38,6 @@ class Parameter:
     def size(self) -> int:
         """Number of scalar entries."""
         return self.data.size
-
-    def zero_grad(self) -> None:
-        """Reset the accumulated gradient in place."""
-        self.grad[...] = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Parameter({self.name}, shape={self.data.shape})"
@@ -61,6 +59,13 @@ class Layer:
     def __call__(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         return self.forward(x, training=training)
 
+    def _workspace(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """Rows ``[:shape[0]]`` of buffer ``name``, regrown only for a taller batch."""
+        buf = self.__dict__.get(name)
+        if buf is None or len(buf) < shape[0] or buf.shape[1:] != shape[1:] or buf.dtype != dtype:
+            buf = self.__dict__[name] = np.empty(shape, dtype=dtype)
+        return buf[: shape[0]]
+
 
 class Linear(Layer):
     """Affine map ``y = x @ W + b`` for inputs of shape (N, in_features)."""
@@ -79,22 +84,29 @@ class Linear(Layer):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+        w, y = self.weight.data, None
         if training:
             self._x = x
-        y = x @ self.weight.data
+            y = self._workspace("_y", (x.shape[0], w.shape[1]), np.result_type(x, w))
+        y = np.matmul(x, w, out=y)
         if self.bias is not None:
             y += self.bias.data
         return y
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        if self._x is None:
+        # Written, not added: `g` and `0 + g` differ only in a zero's sign, which
+        # moves no parameter unless it is −0.0 (no init or step produces one).
+        x, w = self._x, self.weight.data
+        if x is None:
             raise RuntimeError("backward called before a training forward pass")
-        self.weight.grad += self._x.T @ grad_out
+        np.matmul(x.T, grad_out, out=self.weight.grad)
         if self.bias is not None:
-            self.bias.grad += np.add.reduce(grad_out, axis=0)
-        grad_in = grad_out @ self.weight.data.T if input_grad else None
+            np.add.reduce(grad_out, axis=0, out=self.bias.grad)
         self._x = None
-        return grad_in
+        if not input_grad:
+            return None
+        grad_in = self._workspace("_grad_in", x.shape, np.result_type(grad_out, w))
+        return np.matmul(grad_out, w.T, out=grad_in)
 
     def parameters(self) -> list[Parameter]:
         return [self.weight] + ([self.bias] if self.bias is not None else [])
@@ -107,16 +119,17 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if training:
-            self._mask = x > 0
-        return np.maximum(x, 0)
+        if not training:
+            return np.maximum(x, 0)
+        self._mask = np.greater(x, 0, out=self._workspace("_active", x.shape, np.bool_))
+        return np.maximum(x, 0, out=self._workspace("_y", x.shape, x.dtype))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             raise RuntimeError("backward called before a training forward pass")
-        grad_in = grad_out * self._mask
-        self._mask = None
-        return grad_in
+        grad_in = self._workspace("_grad_in", grad_out.shape, grad_out.dtype)
+        return np.multiply(grad_out, mask, out=grad_in)
 
 
 class Flatten(Layer):

@@ -11,7 +11,8 @@ class SGD:
     """Plain SGD: ``w ← w − lr · g``.
 
     ``data`` and ``grad`` are same-shaped float arrays — for a model, the two
-    vectors of :meth:`Sequential.flat`; updates happen in place on ``data``.
+    vectors of :meth:`Sequential.flat`. A step updates ``data`` in place and
+    consumes ``grad``, which the next ``backward`` writes afresh.
     """
 
     def __init__(self, data: np.ndarray, grad: np.ndarray, lr: float):
@@ -21,10 +22,7 @@ class SGD:
         self.grad = grad
         self.lr = float(lr)
 
-    def zero_grad(self) -> None:
-        """Clear the gradient."""
-        self.grad.fill(0)
-
     def step(self) -> None:
-        """Apply one update using the accumulated gradient."""
-        self.data -= self.lr * self.grad
+        """``grad *= lr; data -= grad``: the roundings of ``data -= lr * grad``."""
+        self.grad *= self.lr
+        self.data -= self.grad

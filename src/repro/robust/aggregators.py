@@ -17,10 +17,10 @@ would re-open the door to weight-inflation attacks); they densify the
 cohort into an :meth:`AggregationArena.rows <repro.core.arena.
 AggregationArena.rows>` matrix — the dense fallback the issue requires for
 non-fixed-k compressors comes for free, since densification never assumes a
-uniform nnz. The OPWA mask applies to the aggregated pseudo-gradient
-(``m ⊙ agg(u)``); for the linear mean that is algebraically the historical
-per-update masking, for the order statistics it is the only well-defined
-choice (masking before the median would let zeroed coordinates vote).
+uniform nnz. Under every rule, the weighted mean included, the OPWA mask
+scales the aggregated pseudo-gradient once: ``agg(u, mask=m) = m ⊙ agg(u)``.
+For the order statistics it is the only well-defined choice (masking before
+the median would let zeroed coordinates vote).
 
 All rules produce a pseudo-gradient consumed by the unchanged
 :func:`repro.core.aggregation.apply_server_update` / server-optimizer step.

@@ -14,7 +14,8 @@ Two per-entity derivation schemes coexist:
   directly on ``(seed, name, index)`` — O(1) construction with no
   SeedSequence mixing, the scheme the million-client population table uses
   for per-client draws (shard contents) that must be reconstructible on
-  demand, in any order, on any process worker.
+  demand, in any order, on any process worker; a stream read once and dropped
+  takes :meth:`RngFactory.once`, the same draws from a re-keyed ``Philox``.
 
 Both are pure functions of their inputs, so hydrating a client lazily
 yields exactly the stream its eager construction would have received.
@@ -23,10 +24,23 @@ yields exactly the stream its eager construction would have received.
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["as_generator", "RngFactory"]
+
+
+class _Key(ISeedSequence):
+    """Seeds ``Philox`` with ready key words: ``Philox(key=words)``'s stream, minus
+    the throw-away ``SeedSequence`` that constructor first seeds from OS entropy."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def as_generator(seed_or_rng: int | np.random.Generator | None) -> np.random.Generator:
@@ -56,6 +70,7 @@ class RngFactory:
     def __init__(self, seed: int):
         self._seed = int(seed)
         self._keys: dict[str, int] = {}
+        self._lent: dict[int, np.random.Generator] = {}  # thread id → what `once` re-keys
 
     @property
     def seed(self) -> int:
@@ -85,9 +100,9 @@ class RngFactory:
         """The 64-bit Philox key word identifying stream ``name`` under this seed.
 
         A keyed BLAKE2 digest of the stream name, salted with the root seed,
-        so distinct ``(seed, name)`` pairs map to distinct key words (up to a
-        2⁻⁶⁴ hash collision) and renaming a stream can never silently alias
-        another one. Hashed once per name; per-client ``counter`` calls reuse it.
+        so distinct ``(seed, name)`` pairs map to distinct words (up to a 2⁻⁶⁴
+        hash collision). Philox does not receive every word exactly; see
+        :meth:`philox_key`. Hashed once per name; per-client calls reuse it.
         """
         key = self._keys.get(name)
         if key is None:
@@ -99,8 +114,17 @@ class RngFactory:
             key = self._keys[name] = int.from_bytes(digest, "little")
         return key
 
+    def philox_key(self, name: str, index: int) -> np.ndarray:
+        """The uint64 key words of stream ``(name, index)``, as ``Philox(key=[word, index])``
+        converts them (``np.asarray(key).astype(np.uint64)``): a word from 2⁶³ up makes
+        the list float64 and arrives rounded to 53 bits (seed 2's ``"virtual-shard"``
+        10976505321236964543 runs as ...5376). Every virtual-fleet history ran on these."""
+        if index < 0:
+            raise ValueError(f"index must be non-negative, got {index}")
+        return np.asarray([self.counter_key(name), int(index)]).astype(np.uint64)
+
     def counter(self, name: str, index: int) -> np.random.Generator:
-        """Counter-based per-entity stream: ``Philox(key=(seed⊕name, index))``.
+        """Counter-based per-entity stream: ``Philox(key=philox_key(name, index))``.
 
         Unlike :meth:`child`, the key is consumed directly by the Philox
         block cipher — no SeedSequence pool mixing — so constructing the
@@ -112,7 +136,17 @@ class RngFactory:
         per-client randomness on demand instead of holding a million
         generator objects.
         """
-        if index < 0:
-            raise ValueError(f"index must be non-negative, got {index}")
-        bitgen = np.random.Philox(key=[self.counter_key(name), int(index)])
-        return np.random.Generator(bitgen)
+        return np.random.Generator(np.random.Philox(_Key(self.philox_key(name, index))))
+
+    def once(self, name: str, index: int) -> np.random.Generator:
+        """:meth:`counter`'s stream for a draw read once: this factory's Philox for
+        the calling thread, re-keyed with counter, buffer and uint32 carry reset
+        rather than built anew. Lent until the thread's next ``once``; a stream
+        that persists (a loader, a seeded compressor) takes :meth:`counter`."""
+        gen = self._lent.get(thread := threading.get_ident())
+        if gen is None:
+            gen = self._lent[thread] = self.counter(name, index)
+        state = {"counter": (0,) * 4, "key": self.philox_key(name, index)}
+        gen.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": (0,) * 4,
+                                   "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return gen

@@ -44,9 +44,7 @@ def check_layer_gradients(layer, x: np.ndarray, *, atol: float = 1e-2, rtol: flo
     out = layer.forward(x.astype(np.float32), training=True)
     w = rng.normal(size=out.shape).astype(np.float64)
 
-    # Analytic gradients.
-    for p in layer.parameters():
-        p.zero_grad()
+    # Analytic gradients (backward writes them; nothing to zero first).
     grad_in = layer.backward(w.astype(np.float32))
 
     # Numeric input gradient.

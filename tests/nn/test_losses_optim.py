@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear, Parameter
+from repro.nn.layers import Parameter
 from repro.nn.losses import cross_entropy
 from repro.nn.optim import SGD
 from tests.conftest import numeric_grad
@@ -44,12 +44,13 @@ class TestSGD:
         SGD(p.data, p.grad, lr=0.1).step()
         np.testing.assert_allclose(p.data, [0.95, 1.95], rtol=1e-6)
 
-    def test_zero_grad(self, rng):
-        layer = Linear(2, 2, rng)
-        layer.weight.grad[...] = 1.0
-        opt = SGD(layer.weight.data, layer.weight.grad, lr=0.1)
-        opt.zero_grad()
-        np.testing.assert_array_equal(layer.weight.grad, 0.0)
+    def test_step_matches_lr_times_grad(self, rng):
+        """``grad *= lr; data -= grad`` rounds exactly like ``data -= lr * grad``."""
+        data = rng.normal(size=1000).astype(np.float32)
+        grad = rng.normal(size=1000).astype(np.float32)
+        want = data - 0.37 * grad
+        SGD(data, grad, lr=0.37).step()
+        assert data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kwargs", [dict(lr=0)])
     def test_rejects_bad_hparams(self, kwargs):
@@ -60,7 +61,6 @@ class TestSGD:
         p = Parameter("w", np.array([5.0], dtype=np.float32))
         opt = SGD(p.data, p.grad, lr=0.1)
         for _ in range(100):
-            p.zero_grad()
             p.grad[...] = 2 * p.data  # d/dw w^2
             opt.step()
         assert abs(p.data[0]) < 1e-3

@@ -239,7 +239,6 @@ class TestModelZoo:
         opt = SGD(*model.flat(), lr=0.5)
         losses = []
         for _ in range(30):
-            opt.zero_grad()
             loss, g = cross_entropy(model(x), labels)
             model.backward(g)
             opt.step()

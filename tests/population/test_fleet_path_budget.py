@@ -3,7 +3,7 @@
 One ``bcrs_opwa`` round over 100,000 virtual-shard clients with a cohort of
 50, run under counting monkeypatches. What is asserted is *how often* the
 expensive per-participant primitives run — Philox stream constructions
-(BLAKE2 aside, each seeds a throw-away ``SeedSequence`` from ``os.urandom``),
+(a draw read once re-keys the thread's one Philox instead of building one),
 keyed BLAKE2 digests, per-client compressor objects — so the budget repeats
 exactly on any host and needs no timing. A regression here is per-client
 Python creeping back into the round.
@@ -80,11 +80,11 @@ def one_round(config):
 @pytest.mark.parametrize(
     "compressor,streams_per_miss,objects,names",
     [
-        # loader stream + shard draw; the shared Top-K needs neither a
-        # stream nor an object of its own.
-        (None, 2, 0, [b"client", b"virtual-shard"]),
+        # the loader stream (the shard draw re-keys a per-thread Philox); the
+        # shared Top-K needs neither a stream nor an object of its own.
+        (None, 1, 0, [b"client", b"virtual-shard"]),
         # a seeded compressor adds its own stream and a per-client object.
-        ("randomk", 3, COHORT, [b"client", b"compressor", b"virtual-shard"]),
+        ("randomk", 2, COHORT, [b"client", b"compressor", b"virtual-shard"]),
     ],
     ids=["topk", "randomk"],
 )
@@ -92,7 +92,8 @@ def test_budget(counted, compressor, streams_per_miss, objects, names):
     stats, resident = one_round(fleet_config(compressor=compressor))
     assert stats["misses"] == stats["hydrations"] == COHORT
     assert resident == objects
-    assert 0 < counted["philox"] <= streams_per_miss * stats["misses"]
+    # + 1: the one Philox the serial run's thread re-keys for every shard draw.
+    assert 0 < counted["philox"] <= streams_per_miss * stats["misses"] + 1
     # One keyed digest per stream name — not one per client, not one per call.
     assert sorted(counted["blake2"]) == names
 
@@ -104,4 +105,4 @@ def test_budget_repeats_exactly(counted):
         counted["philox"], counted["blake2"][:] = 0, []
         one_round(fleet_config())
         seen.append((counted["philox"], sorted(counted["blake2"])))
-    assert seen[0] == seen[1] == (2 * COHORT, [b"client", b"virtual-shard"])
+    assert seen[0] == seen[1] == (COHORT + 1, [b"client", b"virtual-shard"])

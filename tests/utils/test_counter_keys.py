@@ -5,9 +5,12 @@ is a function of these keys: a drift here silently re-draws every fleet-scale
 history. The values were recorded before the key was memoised.
 """
 
+import copy
 import hashlib
 import pickle
+import threading
 
+import numpy as np
 import pytest
 
 from repro.utils import rng as rng_module
@@ -41,6 +44,61 @@ def test_first_draws_are_pinned(seed, name, index, first):
     rngs = RngFactory(seed)
     for _ in range(2):  # cold key, then memoised key
         assert rngs.counter(name, index).integers(0, 2**63, size=4).tolist() == first
+
+
+#: (seed, name, key word, the uint64 key words Philox runs stream index 17 on).
+#: NumPy converts ``key=[word, index]`` with ``np.asarray``: a word below 2⁶³
+#: makes an int64 list and arrives exactly; one above makes a float64 list and
+#: arrives rounded to 53 bits. Every virtual-fleet history ran on these keys.
+PHILOX_KEYS = [
+    (1, "virtual-shard", 7605754334627608055, [7605754334627608055, 17]),
+    (2, "virtual-shard", 10976505321236964543, [10976505321236965376, 17]),
+]
+
+
+@pytest.mark.parametrize("seed,name,word,key", PHILOX_KEYS, ids=["below-2^63", "above-2^63"])
+def test_philox_key_derivation_is_pinned(seed, name, word, key):
+    rngs = RngFactory(seed)
+    assert rngs.counter_key(name) == word
+    got = rngs.philox_key(name, 17)
+    assert got.dtype == np.uint64 and got.tolist() == key
+    assert np.random.Philox(key=[word, 17]).state["state"]["key"].tolist() == key
+    for make in (rngs.counter, rngs.once):
+        assert make(name, 17).bit_generator.state["state"]["key"].tolist() == key
+
+
+def _reads(rng):
+    """An odd count of 32-bit integers (leaves a carried half-word), then doubles."""
+    return rng.integers(0, 1000, size=7).tolist(), rng.random(3).tolist()
+
+
+def test_once_draws_what_counter_draws():
+    """A re-keyed draw starts from a fresh stream's counter, buffer and uint32
+    carry, whatever the previous draw left behind."""
+    rngs = RngFactory(2)
+    for name, index in [("virtual-shard", 0), ("fault-3", 41), ("virtual-shard", 0), ("adversary", 10**6)]:
+        assert _reads(rngs.once(name, index)) == _reads(rngs.counter(name, index))
+
+
+def test_once_lends_one_generator_per_thread():
+    rngs = RngFactory(4)
+    mine = rngs.once("a", 1)
+    assert rngs.once("b", 2) is mine
+    theirs = []
+    thread = threading.Thread(target=lambda: theirs.append(rngs.once("a", 1)))
+    thread.start()
+    thread.join()
+    assert theirs[0] is not mine
+    assert RngFactory(4).once("a", 1) is not mine  # per factory, too
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+def test_a_factory_that_has_lent_a_generator_still_copies(clone):
+    rngs = RngFactory(6)
+    lent = rngs.once("virtual-shard", 3)
+    twin = clone(rngs)
+    assert twin.once("virtual-shard", 3) is not lent
+    assert _reads(twin.once("virtual-shard", 3)) == _reads(rngs.counter("virtual-shard", 3))
 
 
 @pytest.fixture
