@@ -54,7 +54,9 @@ def aggregation_fidelity(
     true = np.zeros(updates[0].shape[0], dtype=np.float64)
     for w, u in zip(weights, updates):
         true += w * u.astype(np.float64)
-    approx = weighted_sparse_sum(compressed, weights, mask=mask)
+    approx = weighted_sparse_sum(compressed, weights)
+    if mask is not None:
+        approx *= mask
     denom = np.linalg.norm(true) * np.linalg.norm(approx)
     if denom == 0.0:
         return 1.0 if not true.any() and not approx.any() else 0.0

@@ -9,10 +9,11 @@ and produce the next global model:
 
 where ``η_s`` is the server step (1.0 recovers exact FedAvg for dense
 updates), ``p'_i`` comes from Eq. 6 and ``M`` from Algorithm 3. Eq. 7 is linear
-in ``M``, so under every rule ``M`` scales the aggregate once: ``agg(u, mask=M) =
-M ⊙ agg(u)``; at ``D = 1`` and ``γ ≥ 1`` bit-identical to masking each update (an
-enlarged index has one contributor). Sparse updates scatter-add straight into one float64
-accumulator: one C-level pass per client, no concatenation, no dense temporaries.
+in ``M``, so under every rule ``M`` scales the aggregate once, in
+:func:`~repro.robust.aggregators.robust_aggregate`; at ``D = 1`` and ``γ ≥ 1``
+bit-identical to masking each update (an enlarged index has one contributor).
+Sparse updates scatter-add straight into one float64 accumulator: one C-level
+pass per client, no concatenation, no dense temporaries.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ def weighted_sparse_sum(
     updates: list[CompressedUpdate],
     weights: np.ndarray,
     *,
-    mask: np.ndarray | None = None,
     arena: AggregationArena | None = None,
 ) -> np.ndarray:
-    """Compute ``mask ⊙ Σ_i weights[i] · dense(updates[i])``.
+    """Compute ``Σ_i weights[i] · dense(updates[i])``.
 
     Each sparse update's weighted float64 values are ``np.add.at``-ed into the
     accumulator, so every index sums its contributions in client order; dense
-    updates follow as AXPYs. ``mask`` (the OPWA ``M``) then scales the sum once.
+    updates follow as AXPYs.
 
     The result lands in the ``arena``'s accumulator if one is given (valid
     until the next arena-backed call), else in a fresh vector; the
@@ -51,8 +51,6 @@ def weighted_sparse_sum(
     for u in updates:
         if u.dense_size != d:
             raise ValueError("updates disagree on dense_size")
-    if mask is not None and mask.shape != (d,):
-        raise ValueError(f"mask shape {mask.shape} != ({d},)")
 
     if arena is not None:
         if arena.dense_size != d:
@@ -71,8 +69,6 @@ def weighted_sparse_sum(
     for w, u in zip(weights, updates):
         if not isinstance(u, SparseUpdate):
             out += w * u.to_dense().astype(np.float64)
-    if mask is not None:
-        out *= mask
     return out
 
 

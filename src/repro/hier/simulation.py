@@ -185,7 +185,7 @@ class HierSimulation(Simulation):
         if cfg.edge_crash_prob > 0.0:
             crashed = [
                 float(
-                    self._crash_rngs.once(
+                    self._crash_rngs.counter(
                         f"edge-crash-{self.round_index}", e
                     ).random()
                 )

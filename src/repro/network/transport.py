@@ -437,7 +437,7 @@ class FaultInjector:
         Returns ``("deliver", 1.0)``, ``("drop", 0.0)``, or
         ``("truncate", frac)`` with ``frac`` the surviving payload fraction.
         """
-        rng = self._rngs.once(f"{self._stream}-{int(epoch)}", int(cid))
+        rng = self._rngs.counter(f"{self._stream}-{int(epoch)}", int(cid))
         u = float(rng.random())
         if u < self.drop_prob:
             return ("drop", 0.0)

@@ -243,7 +243,7 @@ class Population:
         """
         if self.partition is not None:
             return self.partition.client_indices[cid]
-        rng = self._rngs.once(SHARD_STREAM, int(cid))
+        rng = self._rngs.counter(SHARD_STREAM, int(cid))
         return rng.integers(0, self.corpus_size, size=int(self.data_sizes[cid]))
 
     def memory_bytes(self) -> int:

@@ -81,16 +81,9 @@ def densify_updates(
     return rows
 
 
-def _masked(out: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    if mask is not None:
-        out *= mask
-    return out
-
-
 def coordinate_median(
     updates: list[CompressedUpdate],
     *,
-    mask: np.ndarray | None = None,
     arena: AggregationArena | None = None,
 ) -> np.ndarray:
     """Per-coordinate median of the densified cohort (breakdown point 1/2)."""
@@ -98,14 +91,13 @@ def coordinate_median(
     rows = densify_updates(updates, arena=arena)
     out = arena.accumulator() if arena is not None else np.empty(d, dtype=np.float64)
     np.median(rows, axis=0, out=out, overwrite_input=True)
-    return _masked(out, mask)
+    return out
 
 
 def trimmed_mean(
     updates: list[CompressedUpdate],
     beta: float,
     *,
-    mask: np.ndarray | None = None,
     arena: AggregationArena | None = None,
 ) -> np.ndarray:
     """Per-coordinate β-trimmed mean: drop ``⌊β·n⌋`` per tail, average the rest.
@@ -122,7 +114,7 @@ def trimmed_mean(
     out = arena.accumulator() if arena is not None else np.empty(d, dtype=np.float64)
     rows.sort(axis=0)
     np.mean(rows[k : n - k], axis=0, out=out)
-    return _masked(out, mask)
+    return out
 
 
 def norm_clip_weights(
@@ -167,17 +159,24 @@ def robust_aggregate(
     historical :func:`~repro.core.aggregation.weighted_sparse_sum` (same
     call, same buffers, bit-identical), the rest are this module's
     defenses. ``weights`` feed the mean and norm-clip rules; the
-    order-statistic rules ignore them by design.
+    order-statistic rules ignore them by design. ``mask`` (the OPWA ``M``)
+    then scales the rule's aggregate: ``m ⊙ agg(u)``, for every rule.
     """
     if aggregator == "mean":
-        return weighted_sparse_sum(updates, weights, mask=mask, arena=arena)
-    if aggregator == "norm_clip":
+        out = weighted_sparse_sum(updates, weights, arena=arena)
+    elif aggregator == "norm_clip":
         if clip_tau is None:
             raise ValueError("aggregator='norm_clip' needs clip_tau")
         clipped = norm_clip_weights(updates, weights, clip_tau)
-        return weighted_sparse_sum(updates, clipped, mask=mask, arena=arena)
-    if aggregator == "median":
-        return coordinate_median(updates, mask=mask, arena=arena)
-    if aggregator == "trimmed_mean":
-        return trimmed_mean(updates, trim_beta, mask=mask, arena=arena)
-    raise ValueError(f"unknown aggregator {aggregator!r}")
+        out = weighted_sparse_sum(updates, clipped, arena=arena)
+    elif aggregator == "median":
+        out = coordinate_median(updates, arena=arena)
+    elif aggregator == "trimmed_mean":
+        out = trimmed_mean(updates, trim_beta, arena=arena)
+    else:
+        raise ValueError(f"unknown aggregator {aggregator!r}")
+    if mask is not None:
+        if mask.shape != out.shape:
+            raise ValueError(f"mask shape {mask.shape} != {out.shape}")
+        out *= mask
+    return out

@@ -51,7 +51,7 @@ def is_adversary(seed: int, cid: int, fraction: float) -> bool:
         return False
     if fraction >= 1.0:
         return True
-    rng = _factory(seed).once(ADVERSARY_STREAM, cid)
+    rng = _factory(seed).counter(ADVERSARY_STREAM, cid)
     return float(rng.random()) < fraction
 
 

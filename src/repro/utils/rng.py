@@ -14,8 +14,7 @@ Two per-entity derivation schemes coexist:
   directly on ``(seed, name, index)`` — O(1) construction with no
   SeedSequence mixing, the scheme the million-client population table uses
   for per-client draws (shard contents) that must be reconstructible on
-  demand, in any order, on any process worker; a stream read once and dropped
-  takes :meth:`RngFactory.once`, the same draws from a re-keyed ``Philox``.
+  demand, in any order, on any process worker.
 
 Both are pure functions of their inputs, so hydrating a client lazily
 yields exactly the stream its eager construction would have received.
@@ -24,7 +23,6 @@ yields exactly the stream its eager construction would have received.
 from __future__ import annotations
 
 import hashlib
-import threading
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -40,6 +38,9 @@ class _Key(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != self.words.size or np.dtype(dtype) != self.words.dtype:
+            raise ValueError(f"Philox asked for {n_words} {np.dtype(dtype)} words; the key is "
+                             f"{self.words.size} {self.words.dtype}")
         return self.words
 
 
@@ -70,7 +71,6 @@ class RngFactory:
     def __init__(self, seed: int):
         self._seed = int(seed)
         self._keys: dict[str, int] = {}
-        self._lent: dict[int, np.random.Generator] = {}  # thread id → what `once` re-keys
 
     @property
     def seed(self) -> int:
@@ -137,16 +137,3 @@ class RngFactory:
         generator objects.
         """
         return np.random.Generator(np.random.Philox(_Key(self.philox_key(name, index))))
-
-    def once(self, name: str, index: int) -> np.random.Generator:
-        """:meth:`counter`'s stream for a draw read once: this factory's Philox for
-        the calling thread, re-keyed with counter, buffer and uint32 carry reset
-        rather than built anew. Lent until the thread's next ``once``; a stream
-        that persists (a loader, a seeded compressor) takes :meth:`counter`."""
-        gen = self._lent.get(thread := threading.get_ident())
-        if gen is None:
-            gen = self._lent[thread] = self.counter(name, index)
-        state = {"counter": (0,) * 4, "key": self.philox_key(name, index)}
-        gen.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": (0,) * 4,
-                                   "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        return gen

@@ -8,6 +8,7 @@ from repro.compression.sparsifiers import TopK
 from repro.core.aggregation import apply_server_update, weighted_sparse_sum
 from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask_from_updates
+from repro.robust.aggregators import robust_aggregate
 
 
 def sparse(d, idx, vals):
@@ -31,7 +32,7 @@ class TestWeightedSparseSum:
         u1 = sparse(4, [0, 1], [1.0, 1.0])
         u2 = sparse(4, [1, 2], [1.0, 1.0])
         mask = opwa_mask_from_updates([u1, u2], gamma=10.0)
-        got = weighted_sparse_sum([u1, u2], np.array([0.5, 0.5]), mask=mask)
+        got = robust_aggregate([u1, u2], np.array([0.5, 0.5]), mask=mask)
         # idx0: unique → 0.5·10 = 5; idx1: overlap 2 → 0.5+0.5 = 1; idx2: unique → 5.
         np.testing.assert_allclose(got, [5.0, 1.0, 5.0, 0.0])
 
@@ -114,5 +115,5 @@ class TestFedAvgRecovery:
         weights = np.array([0.5, 0.5])
         uniform = apply_server_update(w, weighted_sparse_sum([u1, u2], weights))
         mask = opwa_mask_from_updates([u1, u2], gamma=2.0)
-        masked = apply_server_update(w, weighted_sparse_sum([u1, u2], weights, mask=mask))
+        masked = apply_server_update(w, robust_aggregate([u1, u2], weights, mask=mask))
         assert abs(masked[0]) == pytest.approx(2 * abs(uniform[0]))

@@ -14,7 +14,7 @@ from repro.core.aggregation import apply_server_update, weighted_sparse_sum
 from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask_from_updates
 from repro.core.server_opt import make_server_optimizer
-from repro.robust.aggregators import coordinate_median, trimmed_mean
+from repro.robust.aggregators import coordinate_median, robust_aggregate, trimmed_mean
 
 
 def topk_updates(rng, d, n, ratio):
@@ -40,8 +40,8 @@ class TestArenaSparseSum:
         weights = rng.dirichlet(np.ones(4))
         mask = opwa_mask_from_updates(updates, gamma=7.0)
         arena = AggregationArena(d)
-        got = weighted_sparse_sum(updates, weights, mask=mask, arena=arena)
-        ref = weighted_sparse_sum(updates, weights, mask=mask)
+        got = robust_aggregate(updates, weights, mask=mask, arena=arena)
+        ref = robust_aggregate(updates, weights, mask=mask)
         np.testing.assert_array_equal(got, ref)
 
     def test_reuse_across_calls_bit_identical(self, rng):

@@ -32,6 +32,7 @@ from repro.core.aggregation import weighted_sparse_sum
 from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask, opwa_mask_from_updates
 from repro.core.overlap import narrow_overlap_counts, overlap_counts, overlap_distribution
+from repro.robust.aggregators import robust_aggregate
 
 # --------------------------------------------------------------------------
 # The frozen reference kernels.
@@ -204,9 +205,9 @@ def check_sum_everywhere(updates, weights, mask, *, post_mask=False):
     if post_mask and mask is not None:
         ref *= mask
     arena = AggregationArena(d)
-    assert_same_array(weighted_sparse_sum(updates, weights, mask=mask), ref)
+    assert_same_array(robust_aggregate(updates, weights, mask=mask), ref)
     for _ in range(2):  # the second call sees the first one's leftovers
-        assert_same_array(weighted_sparse_sum(updates, weights, mask=mask, arena=arena), ref)
+        assert_same_array(robust_aggregate(updates, weights, mask=mask, arena=arena), ref)
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +388,7 @@ def test_post_masked_sum_is_the_per_update_reference_at_d1(cohort_):
         if gamma >= 1:
             check_sum_everywhere(updates, weights, mask)
             return
-        got = weighted_sparse_sum(updates, weights, mask=mask)
+        got = robust_aggregate(updates, weights, mask=mask)
         ref = ref_weighted_sparse_sum(updates, weights, mask=mask)
     same_bits = got.view(np.int64) == ref.view(np.int64)
     assert (same_bits | ((got == 0) & (ref == 0))).all()

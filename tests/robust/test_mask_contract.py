@@ -56,3 +56,10 @@ def test_mask_scales_the_aggregate(rule, dense, required_overlap, arena):
     want = agg(None) * mask
     assert got.dtype == want.dtype == np.float64
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_a_mask_of_another_width_is_refused(rule):
+    updates, weights = cohort(seed=1)
+    with pytest.raises(ValueError, match="mask shape"):
+        robust_aggregate(updates, weights, aggregator=rule, mask=np.ones(63, np.float32), **RULES[rule])

@@ -6,9 +6,9 @@ CHANGES.md, a PR that deletes code lowers it."""
 from pathlib import Path
 
 #: Physical lines of ``src/**/*.py`` after the fleet participant path lost its
-#: per-step allocations, per-update mask and per-draw Philox (14,424 before:
-#: +40 for the layer workspaces, ``RngFactory.philox_key`` and ``once``).
-SRC_LINE_CEILING = 14_464
+#: per-step allocations, per-update mask and per-draw OS entropy (14,424
+#: before: +24 for the layer workspaces, ``RngFactory.philox_key`` and ``_Key``).
+SRC_LINE_CEILING = 14_448
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

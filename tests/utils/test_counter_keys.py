@@ -5,10 +5,8 @@ is a function of these keys: a drift here silently re-draws every fleet-scale
 history. The values were recorded before the key was memoised.
 """
 
-import copy
 import hashlib
 import pickle
-import threading
 
 import numpy as np
 import pytest
@@ -63,8 +61,7 @@ def test_philox_key_derivation_is_pinned(seed, name, word, key):
     got = rngs.philox_key(name, 17)
     assert got.dtype == np.uint64 and got.tolist() == key
     assert np.random.Philox(key=[word, 17]).state["state"]["key"].tolist() == key
-    for make in (rngs.counter, rngs.once):
-        assert make(name, 17).bit_generator.state["state"]["key"].tolist() == key
+    assert rngs.counter(name, 17).bit_generator.state["state"]["key"].tolist() == key
 
 
 def _reads(rng):
@@ -72,33 +69,23 @@ def _reads(rng):
     return rng.integers(0, 1000, size=7).tolist(), rng.random(3).tolist()
 
 
-def test_once_draws_what_counter_draws():
-    """A re-keyed draw starts from a fresh stream's counter, buffer and uint32
-    carry, whatever the previous draw left behind."""
+def test_counter_draws_what_the_philox_key_constructor_draws():
+    """``counter`` seeds Philox with ready key words instead of ``key=``: the
+    stream is the same, carried half-word included."""
     rngs = RngFactory(2)
-    for name, index in [("virtual-shard", 0), ("fault-3", 41), ("virtual-shard", 0), ("adversary", 10**6)]:
-        assert _reads(rngs.once(name, index)) == _reads(rngs.counter(name, index))
+    for name, index in [("virtual-shard", 0), ("fault-3", 41), ("adversary", 10**6)]:
+        theirs = np.random.Generator(np.random.Philox(key=[rngs.counter_key(name), index]))
+        assert _reads(rngs.counter(name, index)) == _reads(theirs)
 
 
-def test_once_lends_one_generator_per_thread():
-    rngs = RngFactory(4)
-    mine = rngs.once("a", 1)
-    assert rngs.once("b", 2) is mine
-    theirs = []
-    thread = threading.Thread(target=lambda: theirs.append(rngs.once("a", 1)))
-    thread.start()
-    thread.join()
-    assert theirs[0] is not mine
-    assert RngFactory(4).once("a", 1) is not mine  # per factory, too
-
-
-@pytest.mark.parametrize("clone", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
-def test_a_factory_that_has_lent_a_generator_still_copies(clone):
-    rngs = RngFactory(6)
-    lent = rngs.once("virtual-shard", 3)
-    twin = clone(rngs)
-    assert twin.once("virtual-shard", 3) is not lent
-    assert _reads(twin.once("virtual-shard", 3)) == _reads(rngs.counter("virtual-shard", 3))
+@pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (2, np.uint32), (1, np.uint64)])
+def test_ready_key_words_refuse_any_other_request(n_words, dtype):
+    """Should NumPy ever ask for key words of another count or width, a stream
+    fails loudly instead of running on a silently different key."""
+    key = rng_module._Key(RngFactory(1).philox_key("virtual-shard", 17))
+    assert key.generate_state(2, np.uint64).tolist() == [7605754334627608055, 17]
+    with pytest.raises(ValueError, match="Philox asked for"):
+        key.generate_state(n_words, dtype)
 
 
 @pytest.fixture
