@@ -3,8 +3,10 @@
 
 The paper positions its framework as "a versatile foundation for future
 cross-device, communication-efficient FL research". This example registers a
-new compressor — Top-K applied per layer rather than globally — and runs it
-through the standard engine, comparing against global Top-K.
+new compressor — Top-K applied per block rather than globally — and selects
+it by name with the ``compressor`` config field, so the standard engine
+builds it through the registry like any built-in. It runs beneath the
+``topk`` algorithm (uniform ratios, f-weights) against global Top-K.
 
 Run:  python examples/custom_compressor.py
 """
@@ -16,7 +18,6 @@ from repro.compression.registry import available_compressors, register_compresso
 from repro.compression.sparsifiers import k_from_ratio
 from repro.experiments import bench_config, format_table
 from repro.fl import Simulation
-from repro.fl.algorithms import TopKAlgorithm
 
 
 class BlockTopK:
@@ -47,25 +48,18 @@ class BlockTopK:
         return SparseUpdate(dense_size=d, indices=idx, values=update[idx])
 
 
-class BlockTopKAlgorithm(TopKAlgorithm):
-    """Uniform-ratio FedAvg using the custom compressor."""
-
-    name = "topk"  # reuse the topk plan (uniform ratios, f-weights)
-    compressor_name = "block_topk"
-
-
 def main() -> None:
-    register_compressor("block_topk", lambda seed=0: BlockTopK())
+    # Stateless and unseeded: every client shares one instance.
+    register_compressor("block_topk", lambda seed=0: BlockTopK(), seeded=False, stateful=False)
     print("registered compressors:", ", ".join(available_compressors()))
 
     rows = []
-    for label, algo_cls in [("global topk", TopKAlgorithm), ("block topk", BlockTopKAlgorithm)]:
-        cfg = bench_config("cifar10", "topk", beta=0.1, compression_ratio=0.02, rounds=25)
-        sim = Simulation(cfg)
-        sim.algorithm = algo_cls(cfg)
-        if algo_cls.compressor_name == "block_topk":
-            sim.compressors = [BlockTopK() for _ in range(cfg.num_clients)]
-        h = sim.run()
+    for label, compressor in [("global topk", None), ("block topk", "block_topk")]:
+        cfg = bench_config(
+            "cifar10", "topk", beta=0.1, compression_ratio=0.02, rounds=25, compressor=compressor
+        )
+        with Simulation(cfg) as sim:
+            h = sim.run()
         rows.append([label, f"{h.final_accuracy():.4f}", f"{h.time.actual_total:.1f}s"])
     print(format_table(["compressor", "final accuracy", "comm time"], rows))
 

@@ -6,7 +6,7 @@ Subpackages
 - ``repro.nn``: numpy neural-network substrate (models the paper trains).
 - ``repro.data``: synthetic federated datasets + Dirichlet non-IID partitioning.
 - ``repro.network``: the paper's communication cost model and time metrics.
-- ``repro.compression``: Top-K / Random-K / threshold / quantization / EF.
+- ``repro.compression``: Top-K, QSGD quantization, error feedback.
 - ``repro.core``: the paper's contribution — BCRS scheduling and OPWA.
 - ``repro.fl``: the federated simulation engine (Algorithm 1).
 - ``repro.simtime``: virtual-clock scheduler (async/semi-sync protocols).

@@ -40,8 +40,6 @@ from pathlib import Path
 
 from repro import __version__
 from repro.compression.registry import available_compressors
-from repro.experiments.presets import bench_config, paper_config
-from repro.experiments.reporting import series_text, summarize_comm, summarize_sweep
 from repro.fl.config import (
     ADVERSARIES,
     AGGREGATORS,
@@ -51,11 +49,7 @@ from repro.fl.config import (
     EDGE_ASSIGNMENTS,
     MODES,
 )
-from repro.io.history_io import export_curves_csv, load_history, save_history
 from repro.obs import load_trace, make_obs
-from repro.obs.profile import format_profile
-from repro.obs.progress import SweepProgress
-from repro.report import write_report
 from repro.scenarios import (
     REGISTRY,
     RunStore,
@@ -254,6 +248,8 @@ def _write_html(
     """Render the ``--html`` page for a run that just finished (if asked)."""
     if getattr(args, "html", None) is None:
         return
+    from repro.report import write_report
+
     trace = metrics = None
     if obs is not None and obs.tracer.enabled and obs.tracer.spans:
         trace = list(obs.tracer.spans)
@@ -286,6 +282,8 @@ def _finish_obs(obs, sim=None) -> None:
 
 def _config(args: argparse.Namespace):
     """The preset config the flags describe (``--scenario`` bases aside)."""
+    from repro.experiments.presets import bench_config, paper_config
+
     maker = paper_config if args.paper_scale else bench_config
     overrides = {
         field: value
@@ -437,6 +435,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot read trace {args.trace!r}: {exc}", file=sys.stderr)
         return 2
+    from repro.obs.profile import format_profile
+
     print(format_profile(spans, top=args.top))
     return 0
 
@@ -482,6 +482,9 @@ def _cmd_single(args: argparse.Namespace, spec: ScenarioSpec | None = None) -> i
     with sim:
         history = sim.run()
         _finish_obs(obs, sim)
+
+    from repro.experiments.reporting import series_text, summarize_comm
+    from repro.io.history_io import export_curves_csv, save_history
 
     accuracy = f"final accuracy {history.final_accuracy():.4f}"
     virtual = f"virtual time {history.virtual_end() or 0.0:.1f}s"
@@ -533,11 +536,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cells = expand_grid(base, axes, seeds=args.seeds)
         store = RunStore(args.store) if args.store else None
         obs = make_obs(args.trace, args.metrics)
-        live = (
-            SweepProgress(len(cells), parallel=args.parallel)
-            if args.progress
-            else None
-        )
+        live = None
+        if args.progress:
+            from repro.obs.progress import SweepProgress
+
+            live = SweepProgress(len(cells), parallel=args.parallel)
         # Building the runner validates every cell's config, so a
         # cross-field error exits here, before anything runs.
         runner = SweepRunner(
@@ -563,6 +566,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if live is not None:
             live.close()
     _finish_obs(obs)
+    from repro.experiments.reporting import summarize_sweep
+    from repro.io.history_io import export_curves_csv, save_history
+
     for spec, h in report.cells:
         print(f"{report.label(spec)}: final {h.final_accuracy():.4f}  "
               f"best {h.best_accuracy():.4f}")
@@ -645,6 +651,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.io.history_io import load_history
+    from repro.report import write_report
+
     try:
         history = load_history(args.history) if args.history else None
         sweep = None

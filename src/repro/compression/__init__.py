@@ -1,4 +1,4 @@
-"""Compression substrate: sparsifiers, quantizers, error feedback, registry."""
+"""Compression substrate: Top-K, QSGD quantization, error feedback, registry."""
 
 from repro.compression.base import (
     CompressedUpdate,
@@ -8,7 +8,7 @@ from repro.compression.base import (
     compression_error,
 )
 from repro.compression.registry import available_compressors, make_compressor, register_compressor
-from repro.compression.sparsifiers import RandomK, ThresholdSparsifier, TopK, k_from_ratio
+from repro.compression.sparsifiers import TopK, k_from_ratio
 
 __all__ = [
     "CompressedUpdate",
@@ -17,8 +17,6 @@ __all__ = [
     "Compressor",
     "compression_error",
     "TopK",
-    "RandomK",
-    "ThresholdSparsifier",
     "k_from_ratio",
     "make_compressor",
     "available_compressors",

@@ -1,9 +1,9 @@
-"""Quantizing compressors (Sec. 2.2's orthogonal direction).
+"""QSGD quantization (Sec. 2.2's orthogonal direction).
 
-These reduce bits-per-value instead of entry count: QSGD-style stochastic
-quantization (Alekhine et al.'s scheme as used by FedPAQ) and a deterministic
-uniform quantizer. They emit :class:`DenseUpdate`s whose ``bits`` reflect the
-reduced precision, so the same network cost model prices them.
+It reduces bits-per-value instead of entry count: QSGD-style stochastic
+quantization (Alekhine et al.'s scheme as used by FedPAQ). It emits
+:class:`DenseUpdate`s whose ``bits`` reflect the reduced precision, so the
+same network cost model prices them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from repro.compression.base import DenseUpdate
 from repro.utils.rng import as_generator
 
-__all__ = ["QSGDQuantizer", "UniformQuantizer"]
+__all__ = ["QSGDQuantizer"]
 
 
 class QSGDQuantizer:
@@ -45,24 +45,3 @@ class QSGDQuantizer:
         values = (np.sign(update) * quantized * (scale / levels)).astype(np.float32)
         return DenseUpdate(dense_size=d, values=values, value_bits=self.bits)
 
-
-class UniformQuantizer:
-    """Deterministic round-to-nearest uniform quantization (biased, low variance)."""
-
-    name = "uniform_quant"
-
-    def __init__(self, bits: int = 8):
-        if not 1 <= bits <= 32:
-            raise ValueError(f"bits must be in [1, 32], got {bits}")
-        self.bits = int(bits)
-
-    def compress(self, update: np.ndarray, ratio: float = 1.0) -> DenseUpdate:
-        update = np.ascontiguousarray(update, dtype=np.float32)
-        d = update.shape[0]
-        scale = float(np.max(np.abs(update))) if d else 0.0
-        if scale == 0.0:
-            return DenseUpdate(dense_size=d, values=update.copy(), value_bits=self.bits)
-        levels = (1 << self.bits) - 1
-        quantized = np.round(update / scale * levels)
-        values = (quantized * (scale / levels)).astype(np.float32)
-        return DenseUpdate(dense_size=d, values=values, value_bits=self.bits)

@@ -1,8 +1,11 @@
 """Name → compressor-factory registry.
 
-Lets experiment configs refer to compressors by string (``"topk"``,
-``"ef_topk"``, ``"randomk"``, ``"qsgd8"``, ...) while keeping construction —
-including per-client statefulness for error feedback — in one place.
+Lets experiment configs refer to compressors by string while keeping
+construction — including per-client statefulness for error feedback — in
+one place. Three are built in, one per trait combination: ``"topk"`` (the
+paper's Alg. 1 line 12; shared, stateless), ``"ef_topk"`` (the EF-TopK
+baseline; a residual per client) and ``"qsgd8"`` (Sec. 2.2's quantization;
+a seeded stream per client). :func:`register_compressor` adds more.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from repro.compression.base import Compressor
-from repro.compression.sparsifiers import RandomK, ThresholdSparsifier, TopK
+from repro.compression.sparsifiers import TopK
 
 __all__ = ["make_compressor", "available_compressors", "register_compressor", "compressor_traits"]
 
@@ -61,8 +64,8 @@ def make_compressor(name: str, *, seed: int | np.random.Generator = 0) -> Compre
     return _entry(name)[0](seed=seed)
 
 
-# Error feedback, quantizers and sign are imported by their factories, so a
-# run loads only the compressor it selects; names and traits register here.
+# Error feedback and the quantizer are imported by their factories, so a run
+# loads only the compressor it selects; names and traits register here.
 
 
 def _ef(inner: Compressor) -> Compressor:
@@ -77,26 +80,6 @@ def _qsgd(bits: int, seed: int | np.random.Generator) -> Compressor:
     return QSGDQuantizer(bits=bits, seed=seed)
 
 
-def _uniform(bits: int) -> Compressor:
-    from repro.compression.quantization import UniformQuantizer
-
-    return UniformQuantizer(bits=bits)
-
-
-def _sign() -> Compressor:
-    from repro.compression.sign import SignCompressor
-
-    return SignCompressor()
-
-
-_PURE = {"seeded": False, "stateful": False}
-register_compressor("topk", lambda seed=0: TopK(), **_PURE)
+register_compressor("topk", lambda seed=0: TopK(), seeded=False, stateful=False)
 register_compressor("ef_topk", lambda seed=0: _ef(TopK()), seeded=False)
-register_compressor("randomk", lambda seed=0: RandomK(seed=seed))
-register_compressor("ef_randomk", lambda seed=0: _ef(RandomK(seed=seed)))
-register_compressor("threshold", lambda seed=0: ThresholdSparsifier(threshold=1e-4), **_PURE)
 register_compressor("qsgd8", lambda seed=0: _qsgd(8, seed))
-register_compressor("qsgd4", lambda seed=0: _qsgd(4, seed))
-register_compressor("uniform8", lambda seed=0: _uniform(8), **_PURE)
-register_compressor("sign", lambda seed=0: _sign(), **_PURE)
-register_compressor("ef_sign", lambda seed=0: _ef(_sign()), seeded=False)

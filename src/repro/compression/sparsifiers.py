@@ -1,12 +1,8 @@
-"""Sparsifying compressors: Top-K, Random-K, hard threshold.
+"""Top-K magnitude sparsification, the paper's compressor.
 
-Top-K magnitude pruning is the paper's compressor (Alg. 1 line 12,
-``TopK(Δw, CR_i)``); Random-K and threshold sparsification are the common
-alternatives the framework also integrates (Sec. 1: "We also incorporate
-several commonly used compression techniques into our compressed FL
-framework").
-
-Every ``compress`` returns a :class:`~repro.compression.base.SparseUpdate`
+Alg. 1 line 12 compresses each client's update with ``TopK(Δw, CR_i)``;
+``ef_topk`` wraps the same sparsifier in error feedback (the EF-TopK
+baseline). ``compress`` returns a :class:`~repro.compression.base.SparseUpdate`
 that owns freshly allocated ``(indices, values)`` arrays — sorted ``int64``
 indices, ``float32`` values — so an update stays valid however long the
 caller holds it and whichever backend produced it.
@@ -17,10 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import SparseUpdate
-from repro.utils.rng import as_generator
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import check_fraction
 
-__all__ = ["TopK", "RandomK", "ThresholdSparsifier", "k_from_ratio"]
+__all__ = ["TopK", "k_from_ratio"]
 
 
 def k_from_ratio(dense_size: int, ratio: float) -> int:
@@ -85,55 +80,3 @@ class TopK:
         idx = _topk_indices(update, k)
         return SparseUpdate(dense_size=d, indices=idx, values=np.take(update, idx))
 
-
-class RandomK:
-    """Uniform Random-K sparsification with unbiased inverse-probability scaling.
-
-    Each retained value is scaled by ``d/k`` so the sparsified update is an
-    unbiased estimator of the dense one (Wangni et al., 2018).
-    """
-
-    name = "randomk"
-
-    def __init__(self, seed: int | np.random.Generator = 0, *, unbiased: bool = True):
-        self.rng = as_generator(seed)
-        self.unbiased = bool(unbiased)
-
-    def compress(self, update: np.ndarray, ratio: float) -> SparseUpdate:
-        update = np.ascontiguousarray(update, dtype=np.float32)
-        d = update.shape[0]
-        k = k_from_ratio(d, ratio)
-        idx = np.sort(self.rng.choice(d, size=k, replace=False)).astype(np.int64)
-        values = update[idx]
-        if self.unbiased:
-            values = (values.astype(np.float64) * (d / k)).astype(np.float32)
-        return SparseUpdate(dense_size=d, indices=idx, values=values)
-
-
-class ThresholdSparsifier:
-    """Keep entries with ``|value| >= threshold``; ``ratio`` caps the count.
-
-    The adaptive-threshold family (e.g. hard-threshold sparsification): the
-    kept set is value-dependent, so realized density varies round to round.
-    ``ratio`` acts as a safety cap — if more than ``ratio·d`` entries clear the
-    threshold, only the largest are kept.
-    """
-
-    name = "threshold"
-
-    def __init__(self, threshold: float):
-        self.threshold = check_positive("threshold", threshold)
-
-    def compress(self, update: np.ndarray, ratio: float) -> SparseUpdate:
-        update = np.ascontiguousarray(update, dtype=np.float32)
-        d = update.shape[0]
-        cap = k_from_ratio(d, ratio)
-        mask = np.abs(update) >= self.threshold
-        idx = np.flatnonzero(mask)
-        if idx.size > cap:
-            order = np.argsort(np.abs(update[idx]))[::-1][:cap]
-            idx = idx[order]
-        elif idx.size == 0:
-            idx = np.array([int(np.argmax(np.abs(update)))])
-        idx = np.sort(idx).astype(np.int64)
-        return SparseUpdate(dense_size=d, indices=idx, values=update[idx])

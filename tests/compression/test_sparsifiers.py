@@ -1,4 +1,4 @@
-"""Tests for Top-K / Random-K / threshold sparsification."""
+"""Tests for Top-K sparsification and the update formats compressors emit."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.compression.base import SparseUpdate, compression_error
-from repro.compression.sparsifiers import RandomK, ThresholdSparsifier, TopK, k_from_ratio
+from repro.compression.base import DenseUpdate, SparseUpdate, compression_error
+from repro.compression.sparsifiers import TopK, k_from_ratio
 
 
 class TestKFromRatio:
@@ -57,7 +57,35 @@ class TestSparseUpdate:
         np.testing.assert_array_equal(out, [1, 0, 0])
 
 
+class TestDenseUpdate:
+    def test_roundtrip(self):
+        s = DenseUpdate(dense_size=3, values=np.array([2.0, -1.0, 0.0], np.float32))
+        np.testing.assert_array_equal(s.to_dense(), [2.0, -1.0, 0.0])
+
+    def test_bits_follow_value_width(self):
+        assert DenseUpdate(dense_size=100, values=np.zeros(100, np.float32)).bits == 100 * 32
+        assert DenseUpdate(dense_size=100, values=np.zeros(100, np.float32), value_bits=8).bits == 800
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            DenseUpdate(dense_size=2, values=np.zeros(3, np.float32))
+
+    def test_to_dense_is_a_copy(self):
+        s = DenseUpdate(dense_size=2, values=np.array([1.0, 2.0], np.float32))
+        s.to_dense()[:] = 0.0
+        np.testing.assert_array_equal(s.to_dense(), [1.0, 2.0])
+
+
 class TestTopK:
+    def test_never_empty(self):
+        u = np.full(10, 1e-9, dtype=np.float32)
+        assert TopK().compress(u, 0.01).nnz == 1
+
+    def test_preserves_signs(self, rng):
+        u = rng.normal(size=50).astype(np.float32)
+        s = TopK().compress(u, 0.3)
+        np.testing.assert_array_equal(np.sign(s.values), np.sign(u[s.indices]))
+
     def test_keeps_largest_magnitudes(self):
         u = np.array([0.1, -5.0, 0.2, 3.0, -0.05], dtype=np.float32)
         s = TopK().compress(u, 0.4)
@@ -95,49 +123,3 @@ class TestTopK:
         assert errs == sorted(errs, reverse=True)
         assert errs[-1] == 0.0
 
-
-class TestRandomK:
-    def test_unbiasedness(self):
-        u = np.ones(200, dtype=np.float32)
-        comp = RandomK(seed=0)
-        dense_mean = np.mean(
-            [comp.compress(u, 0.25).to_dense() for _ in range(400)], axis=0
-        )
-        # Per-trial, per-coordinate variance is p(1-p)(1/p)^2 = 3, so the
-        # 400-trial mean has std ~0.087; allow ~4 sigma for the max over 200
-        # coordinates and check the global mean tightly.
-        assert float(dense_mean.mean()) == pytest.approx(1.0, abs=0.02)
-        np.testing.assert_allclose(dense_mean, 1.0, atol=0.35)
-
-    def test_biased_mode_no_scaling(self):
-        u = np.full(100, 2.0, dtype=np.float32)
-        s = RandomK(seed=0, unbiased=False).compress(u, 0.1)
-        np.testing.assert_array_equal(s.values, 2.0)
-
-    def test_determinism_per_seed(self):
-        u = np.arange(50, dtype=np.float32)
-        a = RandomK(seed=9).compress(u, 0.2)
-        b = RandomK(seed=9).compress(u, 0.2)
-        np.testing.assert_array_equal(a.indices, b.indices)
-
-
-class TestThreshold:
-    def test_keeps_above_threshold(self):
-        u = np.array([0.5, 0.01, -0.7, 0.02], dtype=np.float32)
-        s = ThresholdSparsifier(0.1).compress(u, 1.0)
-        np.testing.assert_array_equal(s.indices, [0, 2])
-
-    def test_ratio_caps_count(self):
-        u = np.arange(1, 101, dtype=np.float32)
-        s = ThresholdSparsifier(0.5).compress(u, 0.1)
-        assert s.nnz == 10
-        assert 100 in s.indices + 1  # keeps the largest
-
-    def test_never_empty(self):
-        u = np.full(10, 1e-9, dtype=np.float32)
-        s = ThresholdSparsifier(1.0).compress(u, 0.5)
-        assert s.nnz == 1
-
-    def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ValueError):
-            ThresholdSparsifier(0.0)

@@ -5,7 +5,7 @@ Each cell is a short seeded run whose trace
 record plus one for the virtual-time span log. The cells pair every protocol
 mode with the features whose handling the round loops share — fault fates,
 zero-weight stragglers, drifting links, fair-share ingress with downlink
-accounting, quantising and seeded compressors, robust
+accounting, a quantising compressor with a seeded stream per client, robust
 aggregation, a server optimizer with state, planned-volume pricing, late
 policies, edge deadlines/crashes/backhaul — so a change to the shared round
 stages that moves any of them shows up as the first differing round.
@@ -17,7 +17,12 @@ else in those traces changed. Four ``small_cnn`` cells, one per mode, pinned
 BatchNorm running-statistics averaging; they were deleted with the CNN
 models and the buffer plumbing, which no run selected (every preset,
 scenario and workload trains the MLP). The edge-semisync path they also
-reached stays pinned by ``hier-deadline_topk-edge-semisync``. Every cell
+reached stays pinned by ``hier-deadline_topk-edge-semisync``. Three
+cells pinned compressors no preset, scenario, workload or example selected
+(``sync-randomk``, ``sync-ef_randomk-lossy``, ``sync-threshold``); they
+were deleted with Random-K and the threshold sparsifier. Error feedback
+under drop + truncate stays pinned by ``sync-lossy-eftopk``, and the seeded
+per-client compressor stream by the four ``qsgd8`` cells. Every cell
 runs on ``serial`` and on ``thread``: seeded runs are bit-identical across
 backends, so both replay the same digests.
 """
@@ -86,10 +91,6 @@ CELLS: dict[str, ExperimentConfig] = {
     "semisync-qsgd8": _cfg(**_SEMISYNC, compressor="qsgd8"),
     "async-qsgd8-lossy": _cfg(**_ASYNC, compressor="qsgd8", truncate_prob=0.4),
     "hier-qsgd8": _cfg(**_HIER, compressor="qsgd8"),
-    # seeded / stateful / value-dependent sparsifiers
-    "sync-randomk": _cfg(compressor="randomk"),
-    "sync-ef_randomk-lossy": _cfg(compressor="ef_randomk", drop_prob=0.2, truncate_prob=0.3),
-    "sync-threshold": _cfg(compressor="threshold"),
     # order-statistic aggregation, a server optimizer with moments
     "sync-trimmed-adam": _cfg(aggregator="trimmed_mean", trim_beta=0.2, server_optimizer="adam", server_step=0.01),
     "semisync-trimmed": _cfg(**_SEMISYNC, aggregator="trimmed_mean", trim_beta=0.2),
@@ -165,15 +166,6 @@ PINNED: dict[str, list[str]] = {
     ],
     "hier-qsgd8": [
         "55884feb45cff597", "68b9769c4a420a21", "6ef9cb1c4f525f79", "015c7bcb21703a19",
-    ],
-    "sync-randomk": [
-        "3814f95af2b7e5fe", "490b2c7f4e907f43", "db47015ddeccef7f", "6701a3daaae24d73",
-    ],
-    "sync-ef_randomk-lossy": [
-        "25772981c5919fc7", "ea75834eb7425cab", "612e71c2db20ce99", "0be7bcfb55e304f7",
-    ],
-    "sync-threshold": [
-        "3e8bef66eda92f9e", "640d2c6e1839a749", "893a44497c8c5923", "6701a3daaae24d73",
     ],
     "sync-trimmed-adam": [
         "bb9d617ca2ef85d1", "bad44117fb048cf5", "715c51d3b193a522", "6701a3daaae24d73",

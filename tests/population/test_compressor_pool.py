@@ -21,7 +21,7 @@ from repro.compression.registry import (
     make_compressor,
     register_compressor,
 )
-from repro.compression.sparsifiers import RandomK
+from repro.compression.quantization import QSGDQuantizer
 from repro.data.partition import Partition
 from repro.population import CompressorPool, Population
 
@@ -30,9 +30,9 @@ N = 40
 D = 600
 CIDS = [0, 7, 39, 7]
 
-STATELESS = ["topk", "threshold", "uniform8", "sign"]
-STATE_ONLY = ["ef_topk", "ef_sign"]
-SEEDED = ["randomk", "ef_randomk", "qsgd8", "qsgd4"]
+STATELESS = ["topk"]
+STATE_ONLY = ["ef_topk"]
+SEEDED = ["qsgd8"]
 
 
 def population(regime: str) -> Population:
@@ -110,7 +110,7 @@ def test_stateless_names_share_one_object(name, regime):
 
 
 @pytest.mark.parametrize("regime", ["child", "counter"])
-@pytest.mark.parametrize("name", ["ef_topk", "randomk", "qsgd8", "ef_randomk", "ef_sign"])
+@pytest.mark.parametrize("name", STATE_ONLY + SEEDED)
 def test_stateful_names_match_the_old_construction(name, regime):
     pool = CompressorPool(name, population(regime))
     comps = {cid: pool[cid] for cid in CIDS}
@@ -127,8 +127,8 @@ def test_stateful_names_match_the_old_construction(name, regime):
 
 @pytest.mark.parametrize("regime", ["child", "counter"])
 def test_seeded_outputs_differ_between_clients(regime):
-    pool = CompressorPool("randomk", population(regime))
-    picks = {cid: pool[cid].compress(delta(0, 0), 0.1).indices.tobytes() for cid in range(6)}
+    pool = CompressorPool("qsgd8", population(regime))
+    picks = {cid: pool[cid].compress(delta(0, 0)).values.tobytes() for cid in range(6)}
     assert len(set(picks.values())) == 6
 
 
@@ -156,7 +156,7 @@ def test_third_party_factory_without_metadata_stays_per_client_and_seeded(
 
     def factory(seed=0):
         seeds.append(seed)
-        return RandomK(seed=seed)
+        return QSGDQuantizer(seed=seed)
 
     register_compressor("third_party", factory)
     assert compressor_traits("third_party") == (True, True)
@@ -166,14 +166,14 @@ def test_third_party_factory_without_metadata_stays_per_client_and_seeded(
     assert a is not b and pool[1] is a and pool.resident == 2
     assert all(isinstance(s, np.random.Generator) for s in seeds) and len(seeds) == 2
     for cid, comp in ((1, a), (2, b)):
-        want = RandomK(seed=old_stream(regime, cid)).compress(delta(cid, 0), 0.2)
+        want = QSGDQuantizer(seed=old_stream(regime, cid)).compress(delta(cid, 0), 0.2)
         assert signature(comp.compress(delta(cid, 0), 0.2)) == signature(want)
 
 
 def test_declared_stateless_third_party_is_shared(scratch_registry):
     built = []
     register_compressor(
-        "pure", lambda seed=0: built.append(seed) or RandomK(seed=0), seeded=False, stateful=False
+        "pure", lambda seed=0: built.append(seed) or QSGDQuantizer(seed=0), seeded=False, stateful=False
     )
     pool = CompressorPool("pure", population("counter"))
     assert pool[0] is pool[39] and pool.resident == 0 and built == [0]
@@ -181,7 +181,7 @@ def test_declared_stateless_third_party_is_shared(scratch_registry):
 
 def test_seeded_implies_per_client(scratch_registry):
     """A generator that advances is client state, whatever the caller says."""
-    register_compressor("odd", lambda seed=0: RandomK(seed=seed), seeded=True, stateful=False)
+    register_compressor("odd", lambda seed=0: QSGDQuantizer(seed=seed), seeded=True, stateful=False)
     assert compressor_traits("odd") == (True, True)
 
 

@@ -83,9 +83,9 @@ def one_round(config):
         # stream nor an object of its own.
         (None, 2, 0, [b"client", b"virtual-shard"]),
         # a seeded compressor adds its own stream and a per-client object.
-        ("randomk", 3, COHORT, [b"client", b"compressor", b"virtual-shard"]),
+        ("qsgd8", 3, COHORT, [b"client", b"compressor", b"virtual-shard"]),
     ],
-    ids=["topk", "randomk"],
+    ids=["topk", "qsgd8"],
 )
 def test_budget(counted, compressor, streams_per_miss, objects, names):
     stats, resident = one_round(fleet_config(compressor=compressor))

@@ -7,7 +7,10 @@ factory, the mode dispatch, a compressor's factory. A sync, serial
 smoke size) therefore never loads the modules below, and every module it
 loads is compiled and executed on each cold start.
 
-The check runs in a fresh interpreter, so no other test can have loaded a
+The same holds for the CLI: each verb imports what it runs, so
+``python -m repro info`` loads no preset, reporting or HTML code.
+
+The checks run in a fresh interpreter, so no other test can have loaded a
 module first. The positive controls prove each selector still reaches its
 subsystem.
 """
@@ -27,7 +30,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 UNSELECTED = (
     "repro.compression.ef",
     "repro.compression.quantization",
-    "repro.compression.sign",
     "repro.data.stats",
     "repro.exec.process",
     "repro.exec.threads",
@@ -108,11 +110,28 @@ SCRIPT = textwrap.dedent(
 )
 
 
-def _run_probe() -> dict:
+#: ``python -m repro info``, then the modules it loaded.
+INFO_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import runpy
+    import sys
+
+    sys.argv = ["repro", "info"]
+    try:
+        runpy.run_module("repro", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+    print(json.dumps(sorted(sys.modules)))
+    """
+)
+
+
+def _run_probe(script: str = SCRIPT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
@@ -142,3 +161,12 @@ def test_a_sync_serial_run_loads_only_what_it_selects():
     assert "repro.compression.quantization" in probe["qsgd8"]
     assert "repro.simtime.protocols" in probe["semisync"]
     assert "repro.exec.threads" in probe["thread"]
+
+
+def test_the_info_verb_loads_no_reporting_or_preset_code():
+    """Each CLI verb imports what it runs: listing the registries renders
+    nothing and builds no preset."""
+    loaded = _run_probe(INFO_SCRIPT)
+    assert "repro.cli" in loaded  # the probe really ran the CLI
+    for package in ("repro.report", "repro.viz", "repro.experiments"):
+        assert _under(loaded, package) == []

@@ -5,10 +5,11 @@ CHANGES.md, a PR that deletes code lowers it."""
 
 from pathlib import Path
 
-#: Physical lines of ``src/**/*.py`` after the fleet participant path lost its
-#: per-step allocations, per-update mask and per-draw OS entropy (14,424
-#: before: +24 for the layer workspaces, ``RngFactory.philox_key`` and ``_Key``).
-SRC_LINE_CEILING = 14_448
+#: Physical lines of ``src/**/*.py`` after the seven compressors no run
+#: selected were retired (14,448 before: −143 for Random-K, the threshold
+#: sparsifier, the uniform quantizer, sign compression, their registrations,
+#: and the CLI's per-verb imports).
+SRC_LINE_CEILING = 14_305
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
