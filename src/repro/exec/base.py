@@ -56,9 +56,6 @@ class TrainSpec:
     lr: float
     epochs: int
     proximal_mu: float = 0.0
-    #: Ship the raw dense delta back alongside the compressed update
-    #: (needed by the decentralized engine's mixing step).
-    return_delta: bool = False
     #: Byzantine behavior (repro.robust). Carried on the spec — not the
     #: worker — so forked process workers corrupt the identical clients:
     #: membership is a pure function of ``(seed, cid)``, evaluated wherever
@@ -69,13 +66,12 @@ class TrainSpec:
     seed: int = 0
 
     @classmethod
-    def from_config(cls, config, *, return_delta: bool = False) -> "TrainSpec":
+    def from_config(cls, config) -> "TrainSpec":
         """Extract the local-optimizer knobs from an ``ExperimentConfig``."""
         return cls(
             lr=config.lr,
             epochs=config.local_epochs,
             proximal_mu=config.proximal_mu,
-            return_delta=return_delta,
             adversary=config.adversary,
             adversary_fraction=config.adversary_fraction,
             adversary_scale=config.adversary_scale,
@@ -85,25 +81,24 @@ class TrainSpec:
 
 @dataclass(frozen=True)
 class ClientTask:
-    """One unit of round work: train one client, compress its update.
+    """One unit of round work: train one client from the round's parameters,
+    compress its update.
 
     ``ratio`` is the scheduled compression ratio ``CR_i`` (``None`` = dense
-    upload). Engines where every client starts from its own model
-    (decentralized D-PSGD) pass the stacked per-client parameter matrix as
-    the round's ``global_params`` and set ``params_row`` to this client's
-    row — the matrix then travels once through the process backend's
-    shared-memory broadcast instead of once per task over a pipe.
+    upload). Every task of a round starts from the same parameter vector,
+    which the backend broadcasts once per round.
     """
 
     position: int  # index into the round's selected list (result ordering)
     cid: int  # client id — keys per-client loader/compressor state
     ratio: float | None
-    params_row: int | None = None
 
 
 @dataclass
 class TaskResult:
-    """Everything the server needs back from one client task."""
+    """Everything the server needs back from one client task: the emitted
+    update (compressed, or the dense delta for ``ratio=None``), the
+    training loss and the task's wall-clock timings."""
 
     position: int
     cid: int
@@ -112,7 +107,6 @@ class TaskResult:
     num_batches: int
     train_seconds: float  # per-task wall clock (summed into Fig. 6)
     compress_seconds: float
-    delta: np.ndarray | None = None  # raw dense delta iff spec.return_delta
     #: Trace-clock instants bounding the task (``time.perf_counter`` is
     #: CLOCK_MONOTONIC on Linux, shared across forked workers, so these are
     #: directly comparable to the parent tracer's epoch). ``wall_start`` →
@@ -153,23 +147,14 @@ class WorkerContext:
         spec: TrainSpec,
     ) -> TaskResult:
         """Run one client task to completion (train, then compress)."""
-        if task.params_row is not None:
-            if global_params is None:
-                raise ValueError(
-                    f"task for client {task.cid} indexes params_row "
-                    f"{task.params_row} but no global parameters were given"
-                )
-            params = global_params[task.params_row]
-        else:
-            params = global_params
-        if params is None:
+        if global_params is None:
             raise ValueError(f"task for client {task.cid} has no parameters")
         client = self.clients[task.cid]
 
         wall_start = t0 = time.perf_counter()
         res = client.local_train(
             self.model,
-            params,
+            global_params,
             lr=spec.lr,
             epochs=spec.epochs,
             proximal_mu=spec.proximal_mu,
@@ -212,7 +197,6 @@ class WorkerContext:
             num_batches=res.num_batches,
             train_seconds=train_seconds,
             compress_seconds=compress_seconds,
-            delta=res.delta if spec.return_delta else None,
             wall_start=wall_start,
             wall_compress=wall_compress,
             worker_pid=self._pid,

@@ -16,6 +16,15 @@ links, global model and algorithm, and advances round by round:
 
 Each step is one ``Simulation`` method (the *round stages*); the other three
 centralised protocols assemble their rounds from the same methods.
+
+The simulation also owns the execution backend's lifecycle: the backend is
+built lazily on first use (serial runs stay free), parallel workers get
+replica models, and ``close()`` is **permanent**. Parallel backends advance
+per-client state (batch-loader RNG streams, error-feedback residuals)
+inside their workers, so the parent's copies go stale the moment a round
+runs. Re-creating a backend after ``close()`` would silently replay that
+stale state — instead any further backend access raises, and a fresh
+simulation must be built.
 """
 
 from __future__ import annotations
@@ -28,11 +37,18 @@ from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask_from_updates
 from repro.core.server_opt import make_server_optimizer
 from repro.core.overlap import overlap_distribution
-from repro.exec import ClientTask, TaskResult, TrainSpec
+from repro.data.datasets import DATASET_SPECS
+from repro.exec import (
+    ClientTask,
+    ExecutionBackend,
+    TaskResult,
+    TrainSpec,
+    WorkerContext,
+    make_backend,
+)
 from repro.fl.algorithms import Algorithm, RoundPlan, make_algorithm
 from repro.fl.config import ExperimentConfig
 from repro.fl.context import SimulationContext
-from repro.fl.engine import EngineMixin, build_config_model
 from repro.fl.history import History, RoundComm, RoundRecord
 from repro.fl.sampler import UniformSampler
 from repro.network.cost import LinkSpec, model_bits
@@ -41,6 +57,7 @@ from repro.network.links import TimeVaryingLink
 from repro.network.transport import FaultInjector, Payload, Transport
 from repro.obs import NULL_OBS, Obs
 from repro.obs.tracer import trace_clock
+from repro.nn.models import build_model
 from repro.nn.params import get_flat_params, num_parameters, set_flat_params
 from repro.population import ClientPool, CompressorPool, default_cache_size
 from repro.population.table import LinkColumns
@@ -52,7 +69,24 @@ from repro.utils.rng import RngFactory
 __all__ = ["Simulation", "run_experiment"]
 
 
-class Simulation(EngineMixin):
+def build_config_model(config, seed):
+    """Build the config's model with the dataset's geometry unpacked.
+
+    The single place that turns an ``ExperimentConfig`` into a model
+    instance — used for the simulation's own model and for the parallel
+    workers' replicas.
+    """
+    spec = DATASET_SPECS[config.dataset]
+    return build_model(
+        config.model,
+        in_channels=spec.channels,
+        image_size=spec.image_size,
+        num_classes=spec.num_classes,
+        seed=seed,
+    )
+
+
+class Simulation:
     """A fully-seeded FL run; the round's client work runs on ``backend``.
 
     ``context`` is an optional :class:`~repro.fl.context.SimulationContext`
@@ -69,6 +103,8 @@ class Simulation(EngineMixin):
         # Observability is deliberately NOT part of ExperimentConfig — it
         # never affects the experiment, so it must not perturb spec hashes.
         self.obs = obs if obs is not None else NULL_OBS
+        self._backend: ExecutionBackend | None = None
+        self._engine_closed = False
         rngs = RngFactory(config.seed)
 
         # Data: the train/test splits, the client partition (none in the
@@ -186,6 +222,97 @@ class Simulation(EngineMixin):
 
         self._train_spec = TrainSpec.from_config(config)
         self._commit_wall = trace_clock()  # wall instant of the previous commit
+
+    # ------------------------------------------------------ execution engine
+
+    def _replica_model(self):
+        """A fresh architecturally-identical model for a parallel worker.
+
+        Workers fully re-initialize the model from the round's inputs before
+        training, so the replica's own init seed is irrelevant.
+        """
+        return build_config_model(self.config, seed=0)
+
+    @property
+    def backend(self) -> ExecutionBackend:
+        """The execution backend (created lazily so serial runs stay free)."""
+        if self._engine_closed:
+            raise RuntimeError(
+                "simulation was closed; per-client state advanced inside the "
+                "old backend's workers, so a new backend would replay stale "
+                "state — build a fresh simulation instead"
+            )
+        if self._backend is None:
+            self._backend = make_backend(
+                self.config.backend,
+                context=WorkerContext(self.clients, self.compressors, self.model),
+                context_factory=lambda: WorkerContext(
+                    self.clients, self.compressors, self._replica_model()
+                ),
+                workers=self.config.workers,
+            )
+        return self._backend
+
+    def _run_tasks(self, tasks, global_params, spec):
+        """``backend.run_round`` plus observability: the one fan-out site.
+
+        Wraps the round's task execution in an ``exec.round`` span and, when
+        observability is live, replays each task's wall-clock instants
+        (stamped inside the worker by :meth:`WorkerContext.execute`) as
+        ``client.train`` / ``client.compress`` spans on the worker's pid
+        lane. perf_counter is process-shared on Linux, so worker timestamps
+        line up with the parent trace without any clock translation.
+        """
+        obs = self.obs
+        if not obs.enabled:
+            return self.backend.run_round(tasks, global_params, spec)
+        tracer, metrics = obs.tracer, obs.metrics
+        with tracer.span("exec.round", cat="exec", tasks=len(tasks)):
+            results = self.backend.run_round(tasks, global_params, spec)
+        train_hist = metrics.histogram("task_train_seconds")
+        compress_hist = metrics.histogram("task_compress_seconds")
+        for r in results:
+            if r.wall_start:
+                tracer.name_lane(r.worker_pid, f"worker-{r.worker_pid}")
+                tracer.add_span(
+                    "client.train",
+                    r.wall_start,
+                    r.wall_compress,
+                    cat="exec",
+                    tid=r.worker_pid,
+                    cid=r.cid,
+                )
+                tracer.add_span(
+                    "client.compress",
+                    r.wall_compress,
+                    r.wall_compress + r.compress_seconds,
+                    cat="exec",
+                    tid=r.worker_pid,
+                    cid=r.cid,
+                )
+                metrics.counter("worker_busy_seconds", worker=r.worker_pid).inc(
+                    r.train_seconds + r.compress_seconds
+                )
+            train_hist.observe(r.train_seconds)
+            compress_hist.observe(r.compress_seconds)
+        metrics.counter("tasks_executed").inc(len(results))
+        return results
+
+    def close(self) -> None:
+        """Shut down backend workers and retire this simulation's engine.
+
+        Idempotent; afterwards any backend access raises (see module note).
+        """
+        if self._backend is not None:
+            self._backend.close()
+            self._backend = None
+        self._engine_closed = True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # --------------------------------------------------------- round stages
     # (the stages of Algorithm 1 every protocol's round is assembled from —

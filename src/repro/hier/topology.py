@@ -150,31 +150,6 @@ class TierTopology:
         link = self.backhaul_links[edge]
         return 0.0 if link is None else uplink_time(link, volume_bits)
 
-    def to_networkx(self):
-        """Export the two-tier tree with link attributes (optional dep)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_node("cloud")
-        for e, group in enumerate(self.groups):
-            link = self.backhaul_links[e]
-            g.add_node(f"edge{e}")
-            g.add_edge(
-                "cloud",
-                f"edge{e}",
-                bandwidth_bps=None if link is None else link.bandwidth_bps,
-                latency_s=None if link is None else link.latency_s,
-            )
-            for c in group:
-                g.add_node(f"client{c}")
-                g.add_edge(
-                    f"edge{e}",
-                    f"client{c}",
-                    bandwidth_bps=self.client_links[c].bandwidth_bps,
-                    latency_s=self.client_links[c].latency_s,
-                )
-        return g
-
 
 def build_tier_topology(config, client_links: Sequence[LinkSpec], rngs) -> TierTopology:
     """Assemble the tier topology an ``ExperimentConfig`` describes.

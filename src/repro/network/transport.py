@@ -452,8 +452,7 @@ class FaultInjector:
         Sparse payloads stream (index, value) pairs, so the first
         ``⌊frac·nnz⌋`` entries form a valid smaller update (prefix of a
         strictly increasing index vector). Dense/quantized payloads have no
-        partial-block semantics and degrade to a drop. Buffers are copied:
-        the source may be an arena bank view whose storage is recycled.
+        partial-block semantics and degrade to a drop.
         """
         if not isinstance(update, SparseUpdate):
             return None
@@ -462,8 +461,8 @@ class FaultInjector:
             return None
         return SparseUpdate(
             dense_size=update.dense_size,
-            indices=update.indices[:k].copy(),
-            values=update.values[:k].copy(),
+            indices=update.indices[:k],
+            values=update.values[:k],
             index_bits=update.index_bits,
             value_bits=update.value_bits,
         )

@@ -8,8 +8,7 @@ cost model (Eq. 4):
 - :mod:`repro.simtime.events` — the span log of per-client train/upload
   intervals every protocol writes;
 - :mod:`repro.simtime.profiles` — per-device timing: :class:`ComputeSpec`
-  (seconds per sample), :class:`DeviceProfile` (compute + link draw),
-  :class:`TraceProfile` (trace-driven speeds);
+  (seconds per sample) and :class:`DeviceProfile` (compute + link draw);
 - :mod:`repro.simtime.protocols` — two event-driven training protocols
   whose upload completions come from the transport layer's ingress pipe
   (:mod:`repro.network.transport` — exclusive links or fair-shared server
@@ -24,19 +23,13 @@ and build it via :func:`make_simulation`.
 from __future__ import annotations
 
 from repro.simtime.events import ClientSpan, SpanLog
-from repro.simtime.profiles import (
-    ComputeSpec,
-    DeviceProfile,
-    TraceProfile,
-    pipeline_times,
-)
+from repro.simtime.profiles import ComputeSpec, DeviceProfile, pipeline_times
 
 __all__ = [
     "ClientSpan",
     "SpanLog",
     "ComputeSpec",
     "DeviceProfile",
-    "TraceProfile",
     "pipeline_times",
     "AsyncSimulation",
     "SemiSyncSimulation",

@@ -6,8 +6,7 @@ priced from seeded draws:
 
 - **compute**: :class:`ComputeSpec` charges ``overhead + s_per_sample ×
   samples × epochs`` seconds; per-client speeds come from a lognormal draw
-  around the configured median (device heterogeneity), or from a
-  :class:`TraceProfile` replaying measured speeds;
+  around the configured median (device heterogeneity);
 - **comm**: the paper's alpha-beta cost model (:mod:`repro.network.cost`) —
   uplink via Eq. 4 / Alg. 2 line 7, downlink via the broadcast variant.
 
@@ -17,7 +16,6 @@ bit-identical across execution backends.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.network.cost import (
@@ -32,7 +30,6 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "ComputeSpec",
-    "TraceProfile",
     "DeviceProfile",
     "pipeline_times",
 ]
@@ -56,49 +53,18 @@ class ComputeSpec:
         return self.overhead_s + self.s_per_sample * num_samples * epochs
 
 
-class TraceProfile:
-    """Trace-driven compute speeds: replay measured per-dispatch multipliers.
-
-    Wraps a base :class:`ComputeSpec` and scales each successive dispatch's
-    compute time by the next entry of ``trace`` (cycling) — e.g. a device
-    that throttles every other invocation replays ``(1.0, 2.5)``. Stateful:
-    the k-th call uses ``trace[k % len(trace)]``, so the sequence of costs
-    is deterministic given the (deterministic) dispatch order.
-    """
-
-    def __init__(self, base: ComputeSpec, trace: Sequence[float]):
-        if len(trace) == 0:
-            raise ValueError("trace must be non-empty")
-        trace = tuple(float(m) for m in trace)
-        if any(m <= 0 for m in trace):
-            raise ValueError(f"trace multipliers must be > 0, got {trace}")
-        self.base = base
-        self.trace = trace
-        self._calls = 0
-
-    @property
-    def overhead_s(self) -> float:
-        return self.base.overhead_s
-
-    def train_time(self, num_samples: int, epochs: int) -> float:
-        """Next dispatch's compute time, advancing the trace cursor."""
-        mult = self.trace[self._calls % len(self.trace)]
-        self._calls += 1
-        return self.base.overhead_s + self.base.s_per_sample * mult * num_samples * epochs
-
-
 @dataclass
 class DeviceProfile:
     """One client's full timing identity: compute speed + link draw.
 
-    ``compute`` is a :class:`ComputeSpec` or :class:`TraceProfile` (duck
-    typed on ``train_time``); ``link`` is the client's uplink draw. Comm
-    methods accept a ``link`` override so time-varying links can be priced
-    at their current state without rebuilding the profile.
+    ``compute`` is the client's :class:`ComputeSpec`; ``link`` is its
+    uplink draw. Comm methods accept a ``link`` override so time-varying
+    links can be priced at their current state without rebuilding the
+    profile.
     """
 
     cid: int
-    compute: ComputeSpec | TraceProfile
+    compute: ComputeSpec
     link: LinkSpec
 
     def train_time(self, num_samples: int, epochs: int) -> float:

@@ -7,8 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.compression.base import SparseUpdate
+from repro.compression.base import DenseUpdate, SparseUpdate
 from repro.core.overlap import overlap_counts
+from repro.data.datasets import DATASET_SPECS
 from repro.exec import (
     BACKENDS,
     ClientTask,
@@ -21,8 +22,8 @@ from repro.exec import (
 from repro.exec.process import ProcessBackend
 from repro.exec.threads import ThreadBackend
 from repro.fl.config import ExperimentConfig
-from repro.fl.decentralized import DecentralizedSimulation
 from repro.fl.simulation import Simulation
+from repro.simtime import make_simulation
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -104,28 +105,6 @@ class TestBackendEquivalence:
             assert update.indices.tobytes() == indices.tobytes()
             assert update.values.tobytes() == values.tobytes()
 
-    def test_decentralized_process_matches_serial(self):
-        base = ExperimentConfig(
-            dataset="synth-cifar10",
-            model="mlp",
-            num_train=160,
-            num_test=80,
-            num_clients=4,
-            rounds=2,
-            batch_size=32,
-            compression_ratio=0.3,
-            seed=2,
-        )
-        with DecentralizedSimulation(base) as a, DecentralizedSimulation(
-            base.with_(backend="process", workers=2)
-        ) as b:
-            a.run()
-            b.run()
-            np.testing.assert_array_equal(a.params, b.params)
-            assert [r.consensus_distance for r in a.history] == [
-                r.consensus_distance for r in b.history
-            ]
-
 
 class TestBackendPlumbing:
     def test_make_backend_rejects_unknown_name(self):
@@ -164,6 +143,58 @@ class TestBackendPlumbing:
         # state and silently diverge from serial — it must raise instead.
         with pytest.raises(RuntimeError, match="closed"):
             sim.run_round()
+
+    @pytest.mark.parametrize("mode", ["sync", "semisync", "async", "hier"])
+    def test_every_protocol_closes_for_good_on_exit(self, mode):
+        """Every protocol is a ``Simulation`` and inherits its engine
+        lifecycle: leaving the ``with`` block retires the backend."""
+        with make_simulation(small_config(mode=mode, algorithm="topk")) as sim:
+            sim.run_round()
+            assert sim.backend is sim.backend  # built once, then reused
+        sim.close()  # idempotent after __exit__
+        with pytest.raises(RuntimeError, match="closed"):
+            sim.backend
+
+    @pytest.mark.parametrize("dataset", sorted(DATASET_SPECS))
+    def test_replica_model_has_the_simulation_models_geometry(self, dataset):
+        """A parallel worker's replica is built from the config's dataset
+        geometry, so it trains the same architecture as the parent."""
+        with Simulation(small_config(dataset=dataset)) as sim:
+            replica = sim._replica_model()
+            assert replica is not sim.model
+            x = sim.test_set.x[:4]
+            assert replica(x, training=False).shape == (4, DATASET_SPECS[dataset].num_classes)
+            assert sim.model(x, training=False).shape == (4, DATASET_SPECS[dataset].num_classes)
+            assert replica.flat()[0].shape == sim.model.flat()[0].shape
+
+    def test_train_spec_carries_the_local_knobs_of_the_config(self):
+        cfg = small_config(
+            lr=0.05, local_epochs=3, proximal_mu=0.01, adversary="sign_flip",
+            adversary_fraction=0.2, adversary_scale=4.0, seed=11,
+        )
+        assert TrainSpec.from_config(cfg) == TrainSpec(
+            lr=0.05, epochs=3, proximal_mu=0.01, adversary="sign_flip",
+            adversary_fraction=0.2, adversary_scale=4.0, seed=11,
+        )
+
+    def test_a_task_without_parameters_is_refused(self):
+        with Simulation(small_config()) as sim:
+            ctx = WorkerContext(sim.clients, sim.compressors, sim.model)
+            task = ClientTask(position=0, cid=2, ratio=0.1)
+            with pytest.raises(ValueError, match="client 2 has no parameters"):
+                ctx.execute(task, None, sim._train_spec)
+
+    def test_compression_without_compressors_is_refused(self):
+        with Simulation(small_config(algorithm="fedavg", compression_ratio=1.0)) as sim:
+            ctx = WorkerContext(sim.clients, None, sim.model)
+            dense = ctx.execute(
+                ClientTask(position=0, cid=1, ratio=None), sim.global_params, sim._train_spec
+            )
+            assert isinstance(dense.update, DenseUpdate)
+            with pytest.raises(ValueError, match="no compressors were configured"):
+                ctx.execute(
+                    ClientTask(position=0, cid=1, ratio=0.1), sim.global_params, sim._train_spec
+                )
 
     def test_worker_pid_is_stamped_where_the_task_ran(self):
         """The context stamps its pid on first use: forked workers inherit

@@ -110,11 +110,3 @@ class TestTierTopology:
             TierTopology(groups=((0, 1), (2, 3)), client_links=ls, backhaul_links=(None,))
         with pytest.raises(ValueError, match="at least one client"):
             TierTopology(groups=((0, 1, 2, 3), ()), client_links=ls, backhaul_links=(None, None))
-
-    def test_to_networkx_tree(self):
-        nx = pytest.importorskip("networkx")
-        topo = self.build()
-        g = topo.to_networkx()
-        assert g.number_of_nodes() == 1 + 2 + 6
-        assert nx.is_tree(g)
-        assert g.degree("cloud") == 2

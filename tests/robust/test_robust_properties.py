@@ -275,6 +275,18 @@ class TestFaultInjector:
         assert cut.bits == u.bits / 2
         assert FaultInjector.truncate(u, 0.05) is None  # k < 1: nothing left
 
+    def test_truncate_delivers_a_view_of_the_upload(self):
+        """Every update owns its arrays (no buffer is recycled under it), so
+        the delivered prefix is a view, not a copy."""
+        u = SparseUpdate(
+            dense_size=16,
+            indices=np.arange(8, dtype=np.int64),
+            values=np.arange(8, dtype=np.float32),
+        )
+        cut = FaultInjector.truncate(u, 0.5)
+        assert np.shares_memory(cut.indices, u.indices)
+        assert np.shares_memory(cut.values, u.values)
+
     def test_truncate_discards_dense_blocks(self):
         u = DenseUpdate(dense_size=4, values=np.ones(4, dtype=np.float32))
         assert FaultInjector.truncate(u, 0.9) is None

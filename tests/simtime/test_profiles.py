@@ -3,12 +3,7 @@
 import pytest
 
 from repro.network.cost import DOWNLINK_FACTOR, LinkSpec, sparse_uplink_time, uplink_time
-from repro.simtime.profiles import (
-    ComputeSpec,
-    DeviceProfile,
-    TraceProfile,
-    pipeline_times,
-)
+from repro.simtime.profiles import ComputeSpec, DeviceProfile, pipeline_times
 
 LINK = LinkSpec(bandwidth_bps=1e6, latency_s=0.1)
 
@@ -26,26 +21,6 @@ class TestComputeSpec:
             ComputeSpec(s_per_sample=0.0)
         with pytest.raises(ValueError):
             ComputeSpec(0.01).train_time(-1, 1)
-
-
-class TestTraceProfile:
-    def test_cycles_through_trace(self):
-        tp = TraceProfile(ComputeSpec(0.01), trace=(1.0, 3.0))
-        t1 = tp.train_time(100, 1)
-        t2 = tp.train_time(100, 1)
-        t3 = tp.train_time(100, 1)
-        assert t2 == pytest.approx(3 * t1)
-        assert t3 == pytest.approx(t1)  # wrapped around
-
-    def test_substitutes_for_compute_spec_in_profile(self):
-        dev = DeviceProfile(cid=0, compute=TraceProfile(ComputeSpec(0.01), (2.0,)), link=LINK)
-        assert dev.train_time(50, 1) == pytest.approx(0.01 * 2.0 * 50)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TraceProfile(ComputeSpec(0.01), trace=())
-        with pytest.raises(ValueError):
-            TraceProfile(ComputeSpec(0.01), trace=(1.0, 0.0))
 
 
 class TestDeviceProfile:

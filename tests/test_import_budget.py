@@ -10,6 +10,10 @@ loads is compiled and executed on each cold start.
 The same holds for the CLI: each verb imports what it runs, so
 ``python -m repro info`` loads no preset, reporting or HTML code.
 
+The program itself depends on nothing but the standard library and numpy:
+no file under ``src/repro``, ``examples/`` or ``scripts/`` imports anything
+else, lazily or not.
+
 The checks run in a fresh interpreter, so no other test can have loaded a
 module first. The positive controls prove each selector still reaches its
 subsystem.
@@ -17,6 +21,8 @@ subsystem.
 
 from __future__ import annotations
 
+import ast
+import functools
 import json
 import os
 import subprocess
@@ -24,7 +30,10 @@ import sys
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 
 #: Optional subsystems a sync, serial, ``bcrs_opwa`` run never executes.
 UNSELECTED = (
@@ -33,13 +42,16 @@ UNSELECTED = (
     "repro.data.stats",
     "repro.exec.process",
     "repro.exec.threads",
-    "repro.fl.decentralized",
     "repro.io.checkpoint",
     "repro.obs.profile",
     "repro.obs.progress",
     "repro.robust.attacks",
     "repro.simtime.protocols",
 )
+#: ``repro`` modules the sync, serial run loads: every one is compiled and
+#: executed on each cold start (55 since ``fl/engine.py`` was folded into
+#: ``fl/simulation.py``). A change that needs more raises it and says why.
+SYNC_RUN_MODULE_CEILING = 55
 #: Packages (with everything below them) the run has no business loading.
 UNSELECTED_PACKAGES = (
     "repro.hier",
@@ -127,6 +139,7 @@ INFO_SCRIPT = textwrap.dedent(
 )
 
 
+@functools.cache
 def _run_probe(script: str = SCRIPT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -163,6 +176,11 @@ def test_a_sync_serial_run_loads_only_what_it_selects():
     assert "repro.exec.threads" in probe["thread"]
 
 
+def test_a_sync_serial_run_stays_within_its_module_budget():
+    loaded = _under(_run_probe()["sync_run"], "repro")
+    assert len(loaded) <= SYNC_RUN_MODULE_CEILING, loaded
+
+
 def test_the_info_verb_loads_no_reporting_or_preset_code():
     """Each CLI verb imports what it runs: listing the registries renders
     nothing and builds no preset."""
@@ -170,3 +188,32 @@ def test_the_info_verb_loads_no_reporting_or_preset_code():
     assert "repro.cli" in loaded  # the probe really ran the CLI
     for package in ("repro.report", "repro.viz", "repro.experiments"):
         assert _under(loaded, package) == []
+
+
+#: Top-level modules the program may import besides the standard library.
+THIRD_PARTY = ("numpy",)
+#: Repo-local modules a script puts on ``sys.path`` itself, with their file.
+LOCAL_MODULES = {"robust_golden_configs": "tests/goldens/robust_golden_configs.py"}
+
+
+def _imported_modules(path: Path):
+    """``(line, module)`` of every absolute import in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, node.module
+
+
+@pytest.mark.parametrize("root", ["src/repro", "examples", "scripts"])
+def test_the_program_imports_only_the_stdlib_numpy_and_itself(root):
+    assert all((REPO / f).is_file() for f in LOCAL_MODULES.values())
+    allowed = set(sys.stdlib_module_names) | {"repro", *THIRD_PARTY, *LOCAL_MODULES}
+    foreign = [
+        f"{path.relative_to(REPO)}:{line} imports {module}"
+        for path in sorted((REPO / root).rglob("*.py"))
+        for line, module in _imported_modules(path)
+        if module.split(".")[0] not in allowed
+    ]
+    assert foreign == []

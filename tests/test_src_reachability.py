@@ -10,10 +10,12 @@ Imports are followed, by ``ast``, from the program's real entry points:
 
 What counts as a use: an import whose bound name the importing file loads,
 and a load of a module's own top-level name from another of its top-level
-statements. A package ``__init__``'s re-export — its import line or its
-``__all__`` entry — is not a use, but code in the ``__init__`` that loads
-the import is (``exec/__init__.py::make_backend`` constructing
-``SerialBackend``). ``tests/`` is never walked, so what only a test
+statements. A name an annotation mentions — of an argument, a return or an
+annotated assignment — is not loaded: a type nothing constructs, calls or
+subclasses is unused however many signatures name it. A package
+``__init__``'s re-export — its import line or its ``__all__`` entry — is
+not a use, but code in the ``__init__`` that loads the import is
+(``exec/__init__.py::make_backend`` constructing ``SerialBackend``). ``tests/`` is never walked, so what only a test
 imports is unreached. ``bench/layers.py`` imports every module by walking
 the package at run time; that dynamic import is deliberately not followed.
 An allowlisted module is kept on purpose, so it is walked as an entry
@@ -46,6 +48,9 @@ ALLOWED_MODULES = {
 }
 #: Exported names that only tests may use.
 ALLOWED_NAMES = {
+    ("repro.compression.base", "Compressor"): (
+        "a typing.Protocol: annotations are its only use by design"
+    ),
     ("repro.compression.base", "compression_error"): (
         "the reference metric the compressor tests measure against"
     ),
@@ -74,7 +79,7 @@ class _File:
     exports: list = field(default_factory=list)
 
     def __post_init__(self):
-        for node in ast.walk(self.tree):
+        for node in _walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
@@ -101,6 +106,27 @@ class _File:
             if bound == name:
                 return module, imported
         return None
+
+
+def _annotations(node: ast.AST) -> tuple:
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        return (node.annotation,)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return (node.returns,)
+    return ()
+
+
+def _walk(tree: ast.AST):
+    """``ast.walk`` that does not descend into annotations."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        skip = _annotations(node)
+        todo.extend(
+            child for child in ast.iter_child_nodes(node)
+            if not any(child is ann for ann in skip)
+        )
 
 
 def _chain(node: ast.Attribute) -> list[str] | None:
@@ -203,7 +229,7 @@ def unreached(src: Path = SRC, repo: Path = REPO) -> tuple[list[str], list[str]]
                     reach(current)
         if f.name in modules:
             for stmt in f.tree.body:
-                loads = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+                loads = {n.id for n in _walk(stmt) if isinstance(n, ast.Name)}
                 for name in (loads & f.defined) - _defines(stmt):
                     used.add((f.name, name))
 
@@ -294,3 +320,46 @@ def test_a_reexport_is_not_a_use(tmp_path):
     init.write_text("from repro.utils.orphan import f\n" + init.read_text())
     dead_modules, _ = unreached(src)
     assert dead_modules == ["repro.utils.orphan"]
+
+
+
+_IMPORTED = "from repro.utils.validation import Marker\n\n\n"
+
+
+@pytest.mark.parametrize(
+    "where, use, flagged",
+    [
+        ("validation", "def typed(x: Marker) -> Marker:\n    y: Marker = x\n    return y\n", True),
+        ("validation", "def typed(*args: Marker, k: Marker, **kw: Marker):\n    pass\n", True),
+        ("validation", "async def typed(x: Marker, /) -> Marker:\n    pass\n", True),
+        ("validation", "class Holder:\n    field: Marker | None\n", True),
+        ("validation", "class Holder:\n    def __init__(self):\n        self.m: Marker = None\n", True),
+        ("rng", _IMPORTED + "def typed(x: Marker) -> Marker:\n    return x\n", True),
+        ("validation", "def build():\n    return Marker()\n", False),
+        ("validation", "def check(x):\n    return isinstance(x, Marker)\n", False),
+        ("validation", "class Holder:\n    field: Marker = Marker()\n", False),
+        ("rng", _IMPORTED + "class Special(Marker):\n    pass\n", False),
+    ],
+    ids=[
+        "annotated",
+        "star-and-keyword-args",
+        "async-positional-only",
+        "class-field",
+        "attribute",
+        "imported-and-annotated",
+        "called",
+        "isinstance",
+        "annotated-and-called",
+        "imported-and-subclassed",
+    ],
+)
+def test_an_annotation_is_not_a_use(tmp_path, where, use, flagged):
+    src = _copy_src(tmp_path)
+    utils = src / "repro" / "utils"
+    validation = utils / "validation.py"
+    text = validation.read_text().replace('__all__ = ["', '__all__ = ["Marker", "', 1)
+    validation.write_text(text + "\n\nclass Marker:\n    pass\n")
+    path = utils / f"{where}.py"
+    path.write_text(path.read_text() + "\n\n" + use)
+    _, dead_names = unreached(src)
+    assert dead_names == (["repro.utils.validation.Marker"] if flagged else [])
