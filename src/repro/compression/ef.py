@@ -42,10 +42,6 @@ class ErrorFeedback:
         """Current residual (None before the first compression)."""
         return self._memory
 
-    def reset(self) -> None:
-        """Drop accumulated residual (e.g. when a client is re-initialized)."""
-        self._memory = None
-
     def compress(self, update: np.ndarray, ratio: float) -> CompressedUpdate:
         update = np.ascontiguousarray(update, dtype=np.float32)
         if self._memory is None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import CompressedUpdate, SparseUpdate
-from repro.core.arena import AggregationArena
+from repro.core.arena import AggregationArena, arena_for
 
 __all__ = ["weighted_sparse_sum", "apply_server_update"]
 
@@ -38,28 +38,14 @@ def weighted_sparse_sum(
     accumulator, so every index sums its contributions in client order; dense
     updates follow as AXPYs.
 
-    The result lands in the ``arena``'s accumulator if one is given (valid
-    until the next arena-backed call), else in a fresh vector; the
-    arithmetic is the same in both.
+    The result lands in the ``arena``'s accumulator (valid until the next
+    call on that arena); without one, in a fresh arena's.
     """
-    if not updates:
-        raise ValueError("need at least one update")
+    arena = arena_for(updates, arena)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(updates),):
         raise ValueError(f"weights shape {weights.shape} != ({len(updates)},)")
-    d = updates[0].dense_size
-    for u in updates:
-        if u.dense_size != d:
-            raise ValueError("updates disagree on dense_size")
-
-    if arena is not None:
-        if arena.dense_size != d:
-            raise ValueError(
-                f"arena dense_size {arena.dense_size} != updates' {d}"
-            )
-        out = arena.accumulator()
-    else:
-        out = np.zeros(d, dtype=np.float64)
+    out = arena.accumulator()
 
     for w, u in zip(weights, updates):
         if isinstance(u, SparseUpdate):
@@ -85,31 +71,25 @@ def apply_server_update(
     ``out`` (float32, params-shaped) receives the stepped parameters in
     place — ``out=global_params`` is legal, reads complete before the write.
     ``scratch`` (float64, params-shaped) is the working vector, letting a
-    caller with an :class:`~repro.core.arena.AggregationArena` avoid the
-    float64 temporary on the widest array in the system. Either keyword
-    selects the buffered path; results are bit-identical to the copying
-    path (``a − s·b ≡ (−s)·b + a`` and ``copyto`` rounds exactly like
-    ``astype`` — the exactness test in ``tests/core/test_arena.py`` pins
-    this).
+    caller with an :class:`~repro.core.arena.AggregationArena` reuse it
+    round after round. A caller that passes neither gets fresh buffers; the
+    arithmetic is the same: ``fl((−s)·b + a) ≡ fl(a − s·b)``, rounded to
+    float32 by ``copyto``.
     """
     if global_params.shape != aggregated_update.shape:
         raise ValueError(
             f"shape mismatch {global_params.shape} vs {aggregated_update.shape}"
         )
-    if out is None and scratch is None:
-        return (
-            global_params.astype(np.float64) - server_step * aggregated_update
-        ).astype(np.float32)
     if scratch is None:
         scratch = np.empty(global_params.shape, dtype=np.float64)
     elif scratch.shape != global_params.shape or scratch.dtype != np.float64:
         raise ValueError("scratch must be a float64 array of the params' shape")
+    if out is None:
+        out = np.empty(global_params.shape, dtype=np.float32)
+    elif out.shape != global_params.shape:
+        raise ValueError(f"out shape {out.shape} != {global_params.shape}")
     # fl(−s·b) = −fl(s·b) (sign-exact), then fl(−s·b + a) ≡ fl(a − s·b).
     np.multiply(aggregated_update, -float(server_step), out=scratch)
     scratch += global_params
-    if out is None:
-        return scratch.astype(np.float32)
-    if out.shape != global_params.shape:
-        raise ValueError(f"out shape {out.shape} != {global_params.shape}")
     np.copyto(out, scratch, casting="unsafe")
     return out

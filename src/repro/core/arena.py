@@ -21,10 +21,10 @@ The arena holds nothing on the client side: every compressor returns an
 update that owns its arrays, on every backend and in every protocol, so an
 update stays valid for as long as anyone holds it.
 
-Determinism contract: every arena path performs exactly the same
-elementwise IEEE operations in the same order as the allocating path, so
-seeded histories are bit-identical with or without an arena
-(``tests/core/test_aggregation.py`` pins this).
+Every aggregation writes into an arena: a caller that passes none gets a
+fresh one (:func:`arena_for`), so there is one code path whether the
+buffers are reused or not, and reuse cannot change a result — each buffer
+is zeroed (or fully overwritten) before it is read.
 
 The arena is a *single-consumer* structure: one simulation (or one thread)
 aggregates at a time.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["AggregationArena"]
+__all__ = ["AggregationArena", "arena_for"]
 
 
 class AggregationArena:
@@ -79,3 +79,18 @@ class AggregationArena:
     def nbytes(self) -> int:
         """Total bytes currently held (observability/reporting)."""
         return int(self._acc.nbytes + self.step_scratch.nbytes + self._rows.nbytes)
+
+
+def arena_for(updates, arena: AggregationArena | None = None) -> AggregationArena:
+    """The arena an aggregation of ``updates`` writes into: ``arena``,
+    checked against the updates' common width, else a fresh one."""
+    if not updates:
+        raise ValueError("need at least one update")
+    d = updates[0].dense_size
+    if any(u.dense_size != d for u in updates):
+        raise ValueError("updates disagree on dense_size")
+    if arena is None:
+        return AggregationArena(d)
+    if arena.dense_size != d:
+        raise ValueError(f"arena dense_size {arena.dense_size} != updates' {d}")
+    return arena

@@ -22,9 +22,9 @@ __all__ = ["ServerOptimizer", "ServerSGD", "ServerAdam", "make_server_optimizer"
 class ServerOptimizer:
     """Maps (current params, pseudo-gradient) to the next global params.
 
-    ``out``/``scratch`` select the in-place descent path of
-    :func:`~repro.core.aggregation.apply_server_update` — ``out=params``
-    is legal and bit-identical to the copying path.
+    ``out``/``scratch`` are the buffers of
+    :func:`~repro.core.aggregation.apply_server_update`'s in-place descent
+    (``out=params`` is legal); a caller that passes neither gets fresh ones.
     """
 
     def step(
@@ -36,9 +36,6 @@ class ServerOptimizer:
         scratch: np.ndarray | None = None,
     ) -> np.ndarray:
         raise NotImplementedError
-
-    def reset(self) -> None:
-        """Drop optimizer state (restart)."""
 
 
 class ServerSGD(ServerOptimizer):
@@ -74,9 +71,6 @@ class ServerSGD(ServerOptimizer):
         else:
             update = pseudo_grad
         return apply_server_update(params, update, self.lr, out=out, scratch=scratch)
-
-    def reset(self) -> None:
-        self._velocity = None
 
 
 class ServerAdam(ServerOptimizer):
@@ -124,10 +118,6 @@ class ServerAdam(ServerOptimizer):
         # server_step=1.0: fl(1·step) = step exactly, so the buffered path
         # reproduces fl(params − step) bit-for-bit.
         return apply_server_update(params, step, 1.0, out=out, scratch=scratch)
-
-    def reset(self) -> None:
-        self._m = self._v = None
-        self._t = 0
 
 
 def make_server_optimizer(name: str, **kwargs) -> ServerOptimizer:

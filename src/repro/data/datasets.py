@@ -46,10 +46,6 @@ class Dataset:
         return int(self.x.shape[0])
 
     @property
-    def in_channels(self) -> int:
-        return int(self.x.shape[1])
-
-    @property
     def image_size(self) -> int:
         return int(self.x.shape[2])
 

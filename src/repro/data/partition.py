@@ -48,14 +48,6 @@ class Partition:
             mat[:, c] = binc
         return mat
 
-    def data_frequencies(self) -> np.ndarray:
-        """FedAvg averaging coefficients ``f_i = n_i / n`` (Alg. 1 line 13)."""
-        sizes = self.sizes().astype(np.float64)
-        total = sizes.sum()
-        if total == 0:
-            raise ValueError("empty partition")
-        return sizes / total
-
 
 def dirichlet_partition(
     labels: np.ndarray,

@@ -13,7 +13,9 @@ state — its :class:`~repro.data.loader.BatchLoader` RNG stream and its
 (possibly stateful, e.g. error-feedback) compressor. Backends must route
 every task for client ``i`` through the single object pair owning that
 state, in selection order, so a seeded run produces bit-identical results on
-every backend.
+every backend. The parallel backends share one rule for that,
+:func:`shard_tasks`: client ``cid`` always runs on worker ``cid % workers``,
+its tasks in list order — so a batch may hold one client more than once.
 
 The "clients" and "compressors" a :class:`WorkerContext` carries are lazy
 pools (:mod:`repro.population.hydration`): indexing ``clients[cid]`` hydrates
@@ -46,6 +48,7 @@ __all__ = [
     "WorkerContext",
     "ExecutionBackend",
     "resolve_workers",
+    "shard_tasks",
 ]
 
 
@@ -235,3 +238,12 @@ def resolve_workers(workers: int | None) -> int:
             raise ValueError(f"workers must be >= 1, got {workers}")
         return int(workers)
     return max(1, min(os.cpu_count() or 1, 8))
+
+
+def shard_tasks(tasks: Sequence[ClientTask], workers: int) -> list[list[ClientTask]]:
+    """Worker ``k``'s tasks: those of every client ``cid % workers == k``,
+    in list order — a client's tasks never split across workers."""
+    shards: list[list[ClientTask]] = [[] for _ in range(workers)]
+    for task in tasks:
+        shards[task.cid % workers].append(task)
+    return shards

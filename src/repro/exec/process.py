@@ -11,11 +11,12 @@ Design:
   ``cid % workers`` slice of each round's cohort, and the parent process
   never hydrates at all.
 - **Stable client sharding.** Client ``cid`` is always executed by worker
-  ``cid % workers``. Per-client state (batch-loader RNG stream,
-  error-feedback residual) therefore lives in exactly one process and
-  advances in selection order, exactly as in serial execution — seeded runs
-  are bit-identical across backends. Changing ``workers`` mid-run would
-  break this, so the count is fixed at construction.
+  ``cid % workers`` (:func:`~repro.exec.base.shard_tasks`). Per-client
+  state (batch-loader RNG stream, error-feedback residual) therefore lives
+  in exactly one process and advances in selection order, exactly as in
+  serial execution — seeded runs are bit-identical across backends.
+  Changing ``workers`` mid-run would break this, so the count is fixed at
+  construction.
 - **Shared read-only global parameters.** Each round the parent writes the
   global parameter vector into one POSIX shared-memory block; workers map
   it once and read a zero-copy view. Only the small task list travels over
@@ -43,6 +44,7 @@ from repro.exec.base import (
     TrainSpec,
     WorkerContext,
     resolve_workers,
+    shard_tasks,
 )
 
 __all__ = ["ProcessBackend"]
@@ -239,11 +241,7 @@ class ProcessBackend(ExecutionBackend):
         assert self._pool is not None
         payload = self._broadcast(global_params)
 
-        # Stable sharding: client cid always runs on worker cid % workers.
-        shards: list[list[ClientTask]] = [[] for _ in range(self.workers)]
-        for task in tasks:
-            shards[task.cid % self.workers].append(task)
-
+        shards = shard_tasks(tasks, self.workers)
         active = [w for w, shard in enumerate(shards) if shard]
         # Drain every active worker before raising: an unconsumed reply would
         # be read as a later round's result if the caller retries run_round.

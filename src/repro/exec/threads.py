@@ -2,10 +2,12 @@
 
 Worker threads share the client and compressor objects (per-client state
 advances in exactly one place) but each owns a private model replica, since
-``local_train`` mutates the model in place. A client appears in at most one
-task per round, so two threads never touch the same client or compressor
-concurrently — the per-client RNG/EF streams advance exactly as in serial
-execution and seeded runs stay bit-identical.
+``local_train`` mutates the model in place. Tasks are sharded by
+:func:`~repro.exec.base.shard_tasks` (client ``cid`` on thread
+``cid % workers``, as in the process backend), so two threads never touch
+the same client or compressor concurrently — a client's tasks run in order
+on one thread, its RNG/EF streams advance exactly as in serial execution
+and seeded runs stay bit-identical.
 
 Python's GIL serializes the interpreter, so the speedup here is bounded by
 how much time the numeric kernels spend outside it (NumPy releases the GIL
@@ -28,6 +30,7 @@ from repro.exec.base import (
     TrainSpec,
     WorkerContext,
     resolve_workers,
+    shard_tasks,
 )
 
 __all__ = ["ThreadBackend"]
@@ -72,11 +75,11 @@ class ThreadBackend(ExecutionBackend):
         def run_chunk(ctx: WorkerContext, chunk: list[ClientTask]) -> list[TaskResult]:
             return [ctx.execute(t, global_params, spec) for t in chunk]
 
-        # Round-robin task chunks; each chunk runs on one context/thread.
+        # One shard per context/thread; each runs its clients' tasks in order.
         futures = [
-            self._pool.submit(run_chunk, self._context(k), list(tasks[k :: self.workers]))
-            for k in range(self.workers)
-            if tasks[k :: self.workers]
+            self._pool.submit(run_chunk, self._context(k), shard)
+            for k, shard in enumerate(shard_tasks(tasks, self.workers))
+            if shard
         ]
         try:
             results = [r for f in futures for r in f.result()]

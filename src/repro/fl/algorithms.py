@@ -49,21 +49,18 @@ def _downlink_times(links: list[LinkSpec], volume_bits: float) -> np.ndarray:
 def _round_times(
     links: list[LinkSpec],
     volume_bits: float,
-    ratios: np.ndarray | None,
+    compressed: np.ndarray | None,
     *,
     downlink: np.ndarray | None = None,
 ) -> RoundTimes:
     """Sec. 5.2 metrics: *maximum* is always the uncompressed straggler time
     (the FedAvg cost of the same round); *actual*/*minimum* are the
-    algorithm's own slowest/fastest client under its ratios. ``downlink``
+    algorithm's own slowest/fastest client over its per-client upload
+    times ``compressed`` (``None`` = dense uploads). ``downlink``
     (optional per-client broadcast times) adds to every metric."""
     dense = np.array([uplink_time(link, volume_bits) for link in links])
-    if ratios is None:
+    if compressed is None:
         compressed = dense
-    else:
-        compressed = np.array(
-            [sparse_uplink_time(link, volume_bits, r) for link, r in zip(links, ratios)]
-        )
     if downlink is not None:
         dense = dense + downlink
         compressed = compressed + downlink
@@ -117,12 +114,13 @@ class TopKAlgorithm(Algorithm):
     compressor_name = "topk"
 
     def plan(self, links, data_frequencies, volume_bits) -> RoundPlan:
-        ratios = np.full(len(links), self.config.compression_ratio)
+        cr = self.config.compression_ratio
+        compressed = np.array([sparse_uplink_time(link, volume_bits, cr) for link in links])
         return RoundPlan(
-            ratios=ratios,
+            ratios=np.full(len(links), cr),
             weights=fedavg_coefficients(data_frequencies),
             use_opwa=False,
-            times=_round_times(links, volume_bits, ratios, downlink=self._downlink(links, volume_bits)),
+            times=_round_times(links, volume_bits, compressed, downlink=self._downlink(links, volume_bits)),
         )
 
 
@@ -200,19 +198,8 @@ class BCRSAlgorithm(Algorithm):
         weights = adjusted_coefficients(
             data_frequencies, sched.ratios, cfg.alpha, norm=cfg.norm_mode
         )
-        dense = np.array([uplink_time(link, volume_bits) for link in links])
-        scheduled = sched.scheduled_times
-        down = self._downlink(links, volume_bits)
-        if down is not None:
-            dense = dense + down
-            scheduled = scheduled + down
-        times = RoundTimes(
-            actual=float(scheduled.max()),
-            # Scheduled times can exceed the dense straggler at CR* > 0.5
-            # (sparse factor 2); keep maximum the worst per-client time.
-            maximum=float(np.maximum(dense, scheduled).max()),
-            minimum=float(scheduled.min()),
-            downlink=0.0 if down is None else float(down.max()),
+        times = _round_times(
+            links, volume_bits, sched.scheduled_times, downlink=self._downlink(links, volume_bits)
         )
         return RoundPlan(ratios=sched.ratios, weights=weights, use_opwa=self.use_opwa, times=times)
 

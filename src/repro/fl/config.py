@@ -203,6 +203,13 @@ class ExperimentConfig:
                     "compressor override requires a compressing algorithm "
                     "(fedavg uploads dense by definition); pick e.g. 'topk'"
                 )
+            if self.mode == "async":
+                raise ValueError(
+                    "compressor override is not supported with mode='async': "
+                    "async prices each upload at dispatch, before it is "
+                    "trained, from the algorithm's own Top-K size — an "
+                    "overriding compressor's wire size is not known then"
+                )
         check_positive("beta", self.beta)
         check_positive("lr", self.lr)
         check_positive("alpha", self.alpha)

@@ -419,8 +419,9 @@ class Simulation:
         and quantized encodings alike; for deferred training (async
         dispatch) the Top-K wire size is predicted exactly
         (``k_from_ratio`` entries of (index, value) pairs — the same count
-        the compressor will emit). The planned-ratio × factor-2
-        approximation remains only for ``volume_override_bits`` runs.
+        the algorithm's (EF-)Top-K will emit; async takes no compressor
+        override). The planned-ratio × factor-2 approximation remains only
+        for ``volume_override_bits`` runs.
         """
         if not self._price_from_updates:
             return Payload.planned(self.volume_bits, ratio)
@@ -453,7 +454,6 @@ class Simulation:
         down, train_t, up = pipeline_times(
             self.devices.with_link(cid, link),
             volume_bits=self.volume_bits,
-            ratio=ratio,
             num_samples=int(self.population.data_sizes[cid]),
             epochs=cfg.local_epochs,
             include_downlink=cfg.include_downlink,

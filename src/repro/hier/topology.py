@@ -138,13 +138,6 @@ class TierTopology:
     def num_clients(self) -> int:
         return len(self.client_links)
 
-    def edge_of(self, cid: int) -> int:
-        """The edge serving client ``cid``."""
-        for e, g in enumerate(self.groups):
-            if cid in g:
-                return e
-        raise KeyError(f"client {cid} is in no edge group")
-
     def backhaul_uplink_time(self, edge: int, volume_bits: float) -> float:
         """Edge→cloud transfer time of a dense ``volume_bits`` payload."""
         link = self.backhaul_links[edge]

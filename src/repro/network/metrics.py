@@ -43,15 +43,6 @@ class RoundTimes:
         if self.downlink < 0:
             raise ValueError(f"downlink time must be >= 0, got {self.downlink}")
 
-    @staticmethod
-    def from_client_times(times: np.ndarray, actual: float | None = None) -> "RoundTimes":
-        """Summarize per-client times; ``actual`` defaults to the straggler."""
-        times = np.asarray(times, dtype=np.float64)
-        if times.size == 0:
-            raise ValueError("need at least one client time")
-        mx = float(times.max())
-        return RoundTimes(actual=mx if actual is None else float(actual), maximum=mx, minimum=float(times.min()))
-
 
 @dataclass
 class TimeAccumulator:
@@ -77,7 +68,3 @@ class TimeAccumulator:
     def actual_series(self) -> np.ndarray:
         """Cumulative actual time after each round (Fig. 10 x-axis)."""
         return np.asarray(self._actual_series)
-
-    def straggler_gap(self) -> float:
-        """Accumulated Max − Min: the waiting time a perfect scheduler removes."""
-        return self.max_total - self.min_total

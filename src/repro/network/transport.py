@@ -123,20 +123,14 @@ class Payload:
 
 @dataclass(frozen=True)
 class TransferRecord:
-    """One priced transfer: when it ran, how long, and what it moved.
-
-    ``seconds`` is the transfer's duration — on exclusive links the analytic
-    ``L + V/B`` (stored directly so historical float arithmetic is preserved
-    bit-for-bit); on a contended pipe, ``end - start``. ``contended`` marks
-    transfers that went through a fair-shared ingress.
-    """
+    """One transfer priced through a fair-shared ingress: when it ran, how
+    long (``seconds`` = ``end - start``), and what it moved."""
 
     start: float
     end: float
     seconds: float
     bits: float
     direction: str = "uplink"
-    contended: bool = False
 
 
 @dataclass
@@ -478,9 +472,9 @@ class Transport:
     broadcasts stay exclusive (server egress is provisioned, the
     measured bottleneck is ingress).
 
-    Synchronized protocols price each round as its own contention epoch
-    (:meth:`resolve_uploads` / :meth:`round_pipe`); event-driven protocols
-    hold a persistent named :meth:`pipe` whose flows span rounds.
+    Synchronized protocols on a fair transport price each round as its own
+    contention epoch (:meth:`resolve_uploads`); event-driven protocols hold
+    a persistent named :meth:`pipe` whose flows span rounds.
     """
 
     def __init__(self, contention: str = "none", server_ingress_bps: float | None = None):
@@ -533,37 +527,20 @@ class Transport:
             )
         return self._pipes[name]
 
-    def round_pipe(self) -> IngressPipe:
-        """A fresh ingress scoped to one synchronized round/sub-round."""
-        return IngressPipe(self.server_ingress_bps if self.contended else None)
-
     def resolve_uploads(
         self,
         flows: list[tuple[Payload, LinkSpec, float]],
         *,
         direction: str = "uplink",
     ) -> list[TransferRecord]:
-        """Price one synchronized batch of uploads as a contention epoch.
+        """Price one synchronized batch of uploads as a fair-share epoch.
 
-        ``flows`` is ``[(payload, link, start), ...]``. Exclusive transports
-        price each flow analytically; fair transports water-fill the batch
-        through a fresh ingress pipe. Records come back in input order.
+        ``flows`` is ``[(payload, link, start), ...]``, water-filled through
+        a fresh ingress scoped to the round (or sub-round). Fair-share only:
+        exclusive links need no epoch — their callers price each upload
+        analytically. Records come back in input order.
         """
-        if not self.contended:
-            out = []
-            for payload, link, start in flows:
-                seconds = self.uplink_seconds(link, payload)
-                out.append(
-                    TransferRecord(
-                        start=start,
-                        end=start + seconds,
-                        seconds=seconds,
-                        bits=payload.bits,
-                        direction=direction,
-                    )
-                )
-            return out
-        pipe = self.round_pipe()
+        pipe = IngressPipe(self.server_ingress_bps)
         fids = [
             pipe.admit(payload.bits, link, start) for payload, link, start in flows
         ]
@@ -575,7 +552,6 @@ class Transport:
                 seconds=pipe.finish_time(fid) - start,
                 bits=payload.bits,
                 direction=direction,
-                contended=True,
             )
             for fid, (payload, link, start) in zip(fids, flows)
         ]

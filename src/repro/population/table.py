@@ -245,8 +245,3 @@ class Population:
             return self.partition.client_indices[cid]
         rng = self._rngs.counter(SHARD_STREAM, int(cid))
         return rng.integers(0, self.corpus_size, size=int(self.data_sizes[cid]))
-
-    def memory_bytes(self) -> int:
-        """Total bytes held by the numpy columns (the O(fleet) footprint)."""
-        cols = (self.bandwidth_bps, self.latency_s, self.s_per_sample, self.data_sizes)
-        return int(sum(c.nbytes for c in cols))

@@ -15,12 +15,13 @@ Three defenses, in increasing exactness:
 The order-statistic rules are unweighted by construction (a weighted median
 would re-open the door to weight-inflation attacks); they densify the
 cohort into an :meth:`AggregationArena.rows <repro.core.arena.
-AggregationArena.rows>` matrix — the dense fallback the issue requires for
-non-fixed-k compressors comes for free, since densification never assumes a
-uniform nnz. Under every rule, the weighted mean included, the OPWA mask
-scales the aggregated pseudo-gradient once: ``agg(u, mask=m) = m ⊙ agg(u)``.
-For the order statistics it is the only well-defined choice (masking before
-the median would let zeroed coordinates vote).
+AggregationArena.rows>` matrix (a fresh arena's when the caller passes
+none) — non-fixed-k compressors need no special case, since densification
+never assumes a uniform nnz. Under every rule, the weighted mean included,
+the OPWA mask scales the aggregated pseudo-gradient once:
+``agg(u, mask=m) = m ⊙ agg(u)``. For the order statistics it is the only
+well-defined choice (masking before the median would let zeroed
+coordinates vote).
 
 All rules produce a pseudo-gradient consumed by the unchanged
 :func:`repro.core.aggregation.apply_server_update` / server-optimizer step.
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.compression.base import CompressedUpdate, SparseUpdate
 from repro.core.aggregation import weighted_sparse_sum
-from repro.core.arena import AggregationArena
+from repro.core.arena import AggregationArena, arena_for
 
 __all__ = [
     "densify_updates",
@@ -43,16 +44,6 @@ __all__ = [
 ]
 
 
-def _check_updates(updates: list[CompressedUpdate]) -> int:
-    if not updates:
-        raise ValueError("need at least one update")
-    d = updates[0].dense_size
-    for u in updates:
-        if u.dense_size != d:
-            raise ValueError("updates disagree on dense_size")
-    return d
-
-
 def densify_updates(
     updates: list[CompressedUpdate],
     *,
@@ -61,18 +52,11 @@ def densify_updates(
     """Scatter the cohort into an ``(n, d)`` float64 row matrix.
 
     Row ``i`` is ``dense(updates[i])`` upcast to float64 (exact for the
-    float32 wire formats). With an ``arena`` the rows live in its reusable
-    matrix — zeroed per call, so the scatter is correct for any sparsity
-    pattern, fixed-k or not.
+    float32 wire formats). The rows live in the ``arena``'s reusable matrix
+    (a fresh arena's without one), zeroed per call, so the scatter is
+    correct for any sparsity pattern, fixed-k or not.
     """
-    d = _check_updates(updates)
-    n = len(updates)
-    if arena is not None:
-        if arena.dense_size != d:
-            raise ValueError(f"arena dense_size {arena.dense_size} != updates' {d}")
-        rows = arena.rows(n)
-    else:
-        rows = np.zeros((n, d), dtype=np.float64)
+    rows = arena_for(updates, arena).rows(len(updates))
     for i, u in enumerate(updates):
         if isinstance(u, SparseUpdate):
             rows[i, u.indices] = u.values
@@ -87,9 +71,9 @@ def coordinate_median(
     arena: AggregationArena | None = None,
 ) -> np.ndarray:
     """Per-coordinate median of the densified cohort (breakdown point 1/2)."""
-    d = _check_updates(updates)
+    arena = arena_for(updates, arena)
     rows = densify_updates(updates, arena=arena)
-    out = arena.accumulator() if arena is not None else np.empty(d, dtype=np.float64)
+    out = arena.accumulator()
     np.median(rows, axis=0, out=out, overwrite_input=True)
     return out
 
@@ -107,11 +91,11 @@ def trimmed_mean(
     """
     if not 0.0 <= beta < 0.5:
         raise ValueError(f"beta must be in [0, 0.5), got {beta}")
-    d = _check_updates(updates)
+    arena = arena_for(updates, arena)
     n = len(updates)
     k = int(beta * n)
     rows = densify_updates(updates, arena=arena)
-    out = arena.accumulator() if arena is not None else np.empty(d, dtype=np.float64)
+    out = arena.accumulator()
     rows.sort(axis=0)
     np.mean(rows[k : n - k], axis=0, out=out)
     return out
@@ -131,7 +115,6 @@ def norm_clip_weights(
     """
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    _check_updates(updates)
     w = np.array(weights, dtype=np.float64, copy=True)
     if w.shape != (len(updates),):
         raise ValueError(f"weights shape {w.shape} != ({len(updates)},)")

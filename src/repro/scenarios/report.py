@@ -2,8 +2,8 @@
 
 A :class:`SweepReport` is the summary-data layer of every multi-run
 experiment: :meth:`~SweepReport.rows` derives each cell's headline numbers
-once, and everything else reads them — which cells won
-(:meth:`~SweepReport.best_cells`), what each axis did on its own
+once, and everything else reads them — which cells won (the renderers
+rank the rows by final accuracy), what each axis did on its own
 (:meth:`~SweepReport.marginals` — mean over every other axis and seed),
 the two-axis mean grid (:meth:`~SweepReport.grid_means`), and where the
 time-to-accuracy frontier lies
@@ -131,26 +131,6 @@ class SweepReport:
                 )
             out[value] = h
         return out
-
-    # ------------------------------------------------------------- rankings
-
-    def best_cells(
-        self, *, metric: str = "final", top: int | None = None
-    ) -> list[tuple[ScenarioSpec, History, float]]:
-        """Cells ranked by ``metric`` (``"final"`` or ``"best"`` accuracy).
-
-        Cells without evaluations are omitted. Ties keep sweep order, so
-        rankings are deterministic.
-        """
-        if metric not in ("final", "best"):
-            raise ValueError(f"metric must be 'final' or 'best', got {metric!r}")
-        scored = [
-            (spec, h, row[metric])
-            for (spec, h), row in zip(self.cells, self.rows())
-            if row[metric] is not None
-        ]
-        scored.sort(key=lambda cell: -cell[2])
-        return scored if top is None else scored[:top]
 
     def marginals(self) -> dict[str, dict[object, dict[str, float]]]:
         """Per-axis value → {mean_final, mean_best, n}, marginalized.

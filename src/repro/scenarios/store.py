@@ -79,7 +79,7 @@ class RunStore:
         Sorted by (spec name, spec hash) — not directory order — so
         post-hoc consumers (``repro report --store``) render identically
         regardless of filesystem enumeration. Torn or foreign files are
-        skipped, matching :meth:`completed_hashes`.
+        skipped.
         """
         out: list[tuple[ScenarioSpec, History]] = []
         if not self.root.is_dir():
@@ -98,18 +98,4 @@ class RunStore:
                 continue
             out.append((spec, history))
         out.sort(key=lambda cell: (cell[0].name, cell[0].spec_hash()))
-        return out
-
-    def completed_hashes(self) -> set[str]:
-        """Spec hashes of every finished cell in the store."""
-        out: set[str] = set()
-        if not self.root.is_dir():
-            return out
-        for path in self.root.glob("*.json"):
-            try:
-                data = json.loads(path.read_text())
-            except (json.JSONDecodeError, OSError):
-                continue
-            if isinstance(data, dict) and data.get("completed"):
-                out.add(data.get("spec_hash", path.stem))
         return out

@@ -47,15 +47,6 @@ class SpanLog:
         self.spans.append(span)
         return span
 
-    def window(self, t0: float, t1: float) -> list[ClientSpan]:
-        """Spans overlapping ``[t0, t1]`` (for a timeline view of that window)."""
-        if t1 < t0:
-            raise ValueError(f"need t0 <= t1, got [{t0}, {t1}]")
-        return [s for s in self.spans if s.end >= t0 and s.start <= t1]
-
-    def for_client(self, cid: int) -> list[ClientSpan]:
-        return [s for s in self.spans if s.cid == cid]
-
     def __len__(self) -> int:
         return len(self.spans)
 

@@ -8,7 +8,9 @@ priced from seeded draws:
   samples × epochs`` seconds; per-client speeds come from a lognormal draw
   around the configured median (device heterogeneity);
 - **comm**: the paper's alpha-beta cost model (:mod:`repro.network.cost`) —
-  uplink via Eq. 4 / Alg. 2 line 7, downlink via the broadcast variant.
+  uplink via Eq. 4 / Alg. 2 line 7 on the upload's exact
+  :class:`~repro.network.transport.Payload` bits, downlink via the
+  broadcast variant.
 
 Every number is a pure function of the config seed, so event timestamps are
 bit-identical across execution backends.
@@ -22,7 +24,6 @@ from repro.network.cost import (
     DOWNLINK_FACTOR,
     LinkSpec,
     downlink_time,
-    sparse_uplink_time,
     uplink_time,
 )
 from repro.network.transport import Payload
@@ -57,10 +58,10 @@ class ComputeSpec:
 class DeviceProfile:
     """One client's full timing identity: compute speed + link draw.
 
-    ``compute`` is the client's :class:`ComputeSpec`; ``link`` is its
-    uplink draw. Comm methods accept a ``link`` override so time-varying
-    links can be priced at their current state without rebuilding the
-    profile.
+    ``compute`` is the client's :class:`ComputeSpec`; ``link`` is the link
+    a dispatch is priced on — the population hands out profiles already
+    carrying the client's *current* link (``devices.with_link``), so
+    drifting links need no override here.
     """
 
     cid: int
@@ -70,59 +71,29 @@ class DeviceProfile:
     def train_time(self, num_samples: int, epochs: int) -> float:
         return self.compute.train_time(num_samples, epochs)
 
-    def upload_time(
-        self,
-        volume_bits: float,
-        ratio: float | None,
-        *,
-        link: LinkSpec | None = None,
-        payload: Payload | None = None,
-    ) -> float:
-        """Uplink time of one update on an exclusive link.
-
-        With a :class:`~repro.network.transport.Payload` the transfer is
-        priced from its *exact* wire bits (Eq. 4 on what was actually
-        emitted — quantized and sparse encodings included); without one it
-        falls back to the planned-ratio approximation (dense volume, or
-        ``SPARSE_VOLUME_FACTOR × V × CR`` for ``ratio`` set).
-        """
-        link = self.link if link is None else link
-        if payload is not None:
-            return uplink_time(link, payload.bits)
-        if ratio is None:
-            return uplink_time(link, volume_bits)
-        return sparse_uplink_time(link, volume_bits, float(ratio))
-
-    def download_time(self, volume_bits: float, *, link: LinkSpec | None = None) -> float:
-        """Broadcast (server→client) time for the dense global model, at
-        :data:`~repro.network.cost.DOWNLINK_FACTOR` × the uplink bandwidth."""
-        link = self.link if link is None else link
-        return downlink_time(link, volume_bits, bandwidth_factor=DOWNLINK_FACTOR)
-
 
 def pipeline_times(
     device: DeviceProfile,
     *,
     volume_bits: float,
-    ratio: float | None,
     num_samples: int,
     epochs: int,
     include_downlink: bool,
-    link: LinkSpec | None = None,
-    payload: Payload | None = None,
+    payload: Payload,
 ) -> tuple[float, float, float]:
     """(download, train, upload) virtual durations for one dispatch.
 
-    The downlink stage is 0 when ``include_downlink`` is off, matching the
-    paper's uplink-only accounting (Sec. 3.3); pass the client's *current*
-    ``link`` when links drift round-to-round, and the upload's ``payload``
-    to price the exact emitted bits instead of the ratio plan.
+    The upload is Eq. 4 on the ``payload``'s exact wire bits over
+    ``device.link``; the download broadcasts the dense ``volume_bits`` at
+    :data:`~repro.network.cost.DOWNLINK_FACTOR` × that link's bandwidth, or
+    is 0 when ``include_downlink`` is off (the paper's uplink-only
+    accounting, Sec. 3.3).
     """
     down = (
-        device.download_time(volume_bits, link=link)
+        downlink_time(device.link, volume_bits, bandwidth_factor=DOWNLINK_FACTOR)
         if include_downlink
         else 0.0
     )
     train = device.train_time(num_samples, epochs)
-    up = device.upload_time(volume_bits, ratio, link=link, payload=payload)
+    up = uplink_time(device.link, payload.bits)
     return down, train, up

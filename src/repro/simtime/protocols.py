@@ -123,7 +123,8 @@ class _EventDrivenSimulation(Simulation):
         With ``result=None`` training is deferred until :meth:`_flush_training`
         (one backend batch per aggregation window instead of one per dispatch);
         the upload is then priced from the predicted Top-K wire size, which
-        for deterministic-``k`` sparsifiers equals the emitted bits.
+        equals the emitted bits: async runs the algorithm's own (EF-)Top-K,
+        since ``ExperimentConfig`` rejects a compressor override here.
 
         Fault injection decides the upload's fate here, at dispatch: a
         truncated upload is re-priced at its delivered bits (so its arrival
@@ -231,38 +232,23 @@ class _EventDrivenSimulation(Simulation):
         )
 
     def _flush_training(self) -> None:
-        """Train every deferred dispatch, batched per aggregation window.
+        """Train every deferred dispatch as one backend batch per window.
 
         All deferred dispatches share the current model version (the server
         only steps at aggregation, and aggregation always flushes first), so
         training them together from today's ``global_params`` is bit-identical
-        to having trained each at its dispatch instant.
-
-        A fast client can be dispatched twice within one window; the exec
-        backends assume a client appears at most once per ``run_round`` call
-        (the thread pool shards by position, so duplicates would race on the
-        client's shared loader/compressor state). Duplicates are therefore
-        split into sequential waves — unique cids per wave, a client's tasks
-        in dispatch order across waves.
+        to having trained each at its dispatch instant. A fast client can be
+        dispatched twice in one window; every backend runs a client's tasks
+        in list order on one worker (:func:`~repro.exec.base.shard_tasks`),
+        so its second task trains after its first.
         """
         pending, self._untrained = self._untrained, []
-        while pending:
-            wave: list[_Pending] = []
-            seen: set[int] = set()
-            rest: list[_Pending] = []
-            for p in pending:
-                if p.cid in seen:
-                    rest.append(p)
-                else:
-                    seen.add(p.cid)
-                    wave.append(p)
-            tasks = [
-                ClientTask(position=pos, cid=p.cid, ratio=p.ratio)
-                for pos, p in enumerate(wave)
-            ]
-            for p, result in zip(wave, self._train_now(tasks)):
-                p.result = result
-            pending = rest
+        tasks = [
+            ClientTask(position=pos, cid=p.cid, ratio=p.ratio)
+            for pos, p in enumerate(pending)
+        ]
+        for p, result in zip(pending, self._train_now(tasks)):
+            p.result = result
 
     # ------------------------------------------------------------ aggregate
 

@@ -47,12 +47,6 @@ class TestErrorFeedback:
         with pytest.raises(ValueError):
             ef.compress(rng.normal(size=11).astype(np.float32), 0.5)
 
-    def test_reset(self, rng):
-        ef = ErrorFeedback(TopK())
-        ef.compress(rng.normal(size=10).astype(np.float32), 0.2)
-        ef.reset()
-        assert ef.memory is None
-
     def test_name(self):
         assert ErrorFeedback(TopK()).name == "ef_topk"
         assert ErrorFeedback(QSGDQuantizer()).name == "ef_qsgd"

@@ -1,7 +1,11 @@
 """Tests for the fused sparse-aggregation arena and the in-place step path.
 
-The load-bearing property everywhere: arena-backed calls are **bit-for-bit**
-equal to the allocating paths they replace — the arena may only change who
+Every aggregation runs through an arena (a caller without one gets a fresh
+one) and every server step through ``out``/``scratch`` buffers, so the
+references here live in the tests: the frozen allocating sum of
+``test_sparse_pipeline_exact``, the order statistics over a freshly densified
+matrix, and the literal ``(w.astype(f64) − s·g).astype(f32)`` step. Reused
+buffers must reproduce them **bit for bit** — the arena may only change who
 owns the memory, never a single IEEE operation.
 """
 
@@ -15,6 +19,30 @@ from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask_from_updates
 from repro.core.server_opt import make_server_optimizer
 from repro.robust.aggregators import coordinate_median, robust_aggregate, trimmed_mean
+from tests.core.test_sparse_pipeline_exact import ref_weighted_sparse_sum
+
+
+def ref_step(w, g, s):
+    """Algorithm 1's descent ``w − s·g`` in float64, rounded to float32."""
+    return (w.astype(np.float64) - s * g).astype(np.float32)
+
+
+def ref_rows(updates):
+    """The cohort densified into a fresh float64 matrix."""
+    rows = np.zeros((len(updates), updates[0].dense_size))
+    for i, u in enumerate(updates):
+        rows[i] = u.to_dense()
+    return rows
+
+
+def ref_median(updates):
+    return np.median(ref_rows(updates), axis=0)
+
+
+def ref_trimmed_mean(updates, beta=0.2):
+    n = len(updates)
+    k = int(beta * n)
+    return np.mean(np.sort(ref_rows(updates), axis=0)[k : n - k], axis=0)
 
 
 def topk_updates(rng, d, n, ratio):
@@ -31,7 +59,7 @@ class TestArenaSparseSum:
         weights = rng.dirichlet(np.ones(5))
         arena = AggregationArena(d)
         got = weighted_sparse_sum(updates, weights, arena=arena)
-        ref = weighted_sparse_sum(updates, weights)
+        ref = ref_weighted_sparse_sum(updates, weights)
         np.testing.assert_array_equal(got, ref)
 
     def test_bit_identical_with_mask(self, rng):
@@ -41,7 +69,7 @@ class TestArenaSparseSum:
         mask = opwa_mask_from_updates(updates, gamma=7.0)
         arena = AggregationArena(d)
         got = robust_aggregate(updates, weights, mask=mask, arena=arena)
-        ref = robust_aggregate(updates, weights, mask=mask)
+        ref = ref_weighted_sparse_sum(updates, weights, mask=mask)
         np.testing.assert_array_equal(got, ref)
 
     def test_reuse_across_calls_bit_identical(self, rng):
@@ -52,7 +80,7 @@ class TestArenaSparseSum:
             updates = topk_updates(rng, d, n, 0.25)
             weights = rng.dirichlet(np.ones(n))
             got = weighted_sparse_sum(updates, weights, arena=arena).copy()
-            ref = weighted_sparse_sum(updates, weights)
+            ref = ref_weighted_sparse_sum(updates, weights)
             np.testing.assert_array_equal(got, ref)
 
     def test_accumulator_is_arena_owned(self, rng):
@@ -68,7 +96,7 @@ class TestArenaSparseSum:
         du = DenseUpdate(dense_size=d, values=np.ones(d, np.float32))
         arena = AggregationArena(d)
         got = weighted_sparse_sum([su, du], np.array([1.0, 2.0]), arena=arena)
-        ref = weighted_sparse_sum([su, du], np.array([1.0, 2.0]))
+        ref = ref_weighted_sparse_sum([su, du], np.array([1.0, 2.0]))
         np.testing.assert_array_equal(got, ref)
 
     def test_arena_dense_size_mismatch_rejected(self, rng):
@@ -88,17 +116,22 @@ class TestArenaBuffers:
         """The order-statistic rules densify into the arena's grow-only row
         matrix and reduce into its accumulator: after the first round a
         robust round allocates no ``(n, d)`` matrix, and the values are the
-        allocating path's bit for bit."""
+        order statistics of a freshly densified matrix bit for bit."""
         d = 60
         arena = AggregationArena(d)
         updates = topk_updates(rng, d, 6, 0.2)
         first = trimmed_mean(updates, 0.2, arena=arena)
         rows, held = arena._rows, arena.nbytes()
-        for rule in (coordinate_median, lambda u, **kw: trimmed_mean(u, 0.2, **kw)):
+        rules = (
+            (coordinate_median, ref_median),
+            (lambda u, **kw: trimmed_mean(u, 0.2, **kw), ref_trimmed_mean),
+        )
+        for rule, ref in rules:
             got = rule(updates[:4], arena=arena)  # a smaller cohort: a view, not a new matrix
             assert got is first is arena._acc
             assert arena._rows is rows and arena.nbytes() == held
-            np.testing.assert_array_equal(got, rule(updates[:4]))
+            np.testing.assert_array_equal(got, ref(updates[:4]))
+            np.testing.assert_array_equal(rule(updates[:4]), ref(updates[:4]))  # a fresh arena
         with pytest.raises(ValueError, match="arena dense_size"):
             coordinate_median(updates, arena=AggregationArena(d + 1))
 
@@ -109,7 +142,7 @@ class TestInPlaceServerStep:
     def test_out_and_scratch_bit_identical(self, rng):
         w = rng.normal(size=500).astype(np.float32)
         g = rng.normal(size=500)
-        ref = apply_server_update(w, g, 0.7)
+        ref = ref_step(w, g, 0.7)
         scratch = np.empty(500, dtype=np.float64)
         out = np.empty(500, dtype=np.float32)
         got = apply_server_update(w, g, 0.7, out=out, scratch=scratch)
@@ -119,7 +152,7 @@ class TestInPlaceServerStep:
     def test_out_aliasing_params_is_exact(self, rng):
         w = rng.normal(size=200).astype(np.float32)
         g = rng.normal(size=200)
-        ref = apply_server_update(w, g, 1.0)
+        ref = ref_step(w, g, 1.0)
         got = apply_server_update(w, g, 1.0, out=w, scratch=np.empty(200, np.float64))
         assert got is w
         np.testing.assert_array_equal(w, ref)
@@ -127,9 +160,11 @@ class TestInPlaceServerStep:
     def test_scratch_only_path_exact(self, rng):
         w = rng.normal(size=100).astype(np.float32)
         g = rng.normal(size=100)
-        ref = apply_server_update(w, g, 0.3)
+        ref = ref_step(w, g, 0.3)
         got = apply_server_update(w, g, 0.3, scratch=np.empty(100, np.float64))
+        assert got.dtype == np.float32
         np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(apply_server_update(w, g, 0.3), ref)  # no buffers
 
     def test_bad_scratch_rejected(self, rng):
         w = np.ones(4, np.float32)
@@ -148,15 +183,25 @@ class TestInPlaceServerStep:
 
     @pytest.mark.parametrize("name", ["sgd", "adam"])
     def test_server_optimizers_out_path_exact(self, rng, name):
+        """Three stateful steps (momentum / Adam moments) through ``out=``
+        equal the optimizers' update rules written out literally."""
         d = 64
         kwargs = {"lr": 0.5, "momentum": 0.4} if name == "sgd" else {"lr": 0.5}
-        opt_a = make_server_optimizer(name, **kwargs)
-        opt_b = make_server_optimizer(name, **kwargs)
-        w_a = rng.normal(size=d).astype(np.float32)
-        w_b = w_a.copy()
+        opt = make_server_optimizer(name, **kwargs)
+        w = rng.normal(size=d).astype(np.float32)
+        ref = w.copy()
         scratch = np.empty(d, dtype=np.float64)
-        for _ in range(3):  # stateful across steps (momentum / Adam moments)
+        v = m = np.zeros(d)
+        for t in range(1, 4):
             g = rng.normal(size=d)
-            w_a = opt_a.step(w_a, g)
-            w_b = opt_b.step(w_b, g, out=w_b, scratch=scratch)
-        np.testing.assert_array_equal(w_a, w_b)
+            w = opt.step(w, g, out=w, scratch=scratch)
+            if name == "sgd":
+                v = v * 0.4 + g
+                ref = ref_step(ref, v, 0.5)
+            else:  # ServerAdam's defaults: beta1 0.9, beta2 0.99, eps 1e-3
+                m = 0.9 * m + (1 - 0.9) * g
+                v = 0.99 * v + (1 - 0.99) * g * g
+                m_hat = m / (1 - 0.9**t)
+                v_hat = v / (1 - 0.99**t)
+                ref = ref_step(ref, 0.5 * m_hat / (np.sqrt(v_hat) + 1e-3), 1.0)
+            np.testing.assert_array_equal(w, ref)

@@ -22,13 +22,6 @@ class TestServerSGD:
         w = opt.step(w, g)  # v=1.9, w=-2.9
         assert w[0] == pytest.approx(-2.9)
 
-    def test_reset_clears_velocity(self):
-        opt = ServerSGD(lr=1.0, momentum=0.9)
-        opt.step(np.zeros(1, dtype=np.float32), np.ones(1))
-        opt.reset()
-        w = opt.step(np.zeros(1, dtype=np.float32), np.ones(1))
-        assert w[0] == pytest.approx(-1.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ServerSGD(lr=0)
@@ -60,12 +53,6 @@ class TestServerAdam:
         for _ in range(300):
             w = opt.step(w, 2 * w.astype(np.float64))
         assert abs(w[0]) < 0.1
-
-    def test_reset(self):
-        opt = ServerAdam(lr=0.1)
-        opt.step(np.zeros(1, dtype=np.float32), np.ones(1))
-        opt.reset()
-        assert opt._t == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -43,10 +43,6 @@ class TestPartitionInvariants:
         mat = part.counts_matrix()
         np.testing.assert_array_equal(mat.sum(axis=1), np.bincount(labels, minlength=10))
 
-    def test_data_frequencies_sum_to_one(self, labels):
-        part = dirichlet_partition(labels, 8, 0.1, seed=0)
-        assert part.data_frequencies().sum() == pytest.approx(1.0)
-
     def test_min_size_enforced(self, labels):
         part = dirichlet_partition(labels, 10, 0.1, seed=0, min_size=10)
         assert part.sizes().min() >= 10

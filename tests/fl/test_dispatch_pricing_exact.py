@@ -5,10 +5,12 @@ and pass it to pricing and to the ingress pipe. Until then every dispatch
 re-derived its link from ``sim.links[cid]`` (three times) and its device from
 ``sim.devices[cid]``. ``ref_stage_dispatch`` / ``ref_price_round`` below are
 those bodies, frozen: they ignore the link they are handed and look everything
-up again at pricing time. A live run must land on the same bytes — durations,
-up/down bits, every priced dispatch, the span log and the whole history — in
-all four protocols, with and without contention, downlink accounting and
-drifting links (where a stale link from an earlier round would show).
+up again at pricing time (the device as ``sim.devices.with_link(cid,
+sim.links[cid])``, since pricing reads the link off the profile). A live
+run must land on the same bytes — durations, up/down bits, every priced
+dispatch, the span log and the whole history — in all four protocols, with
+and without contention, downlink accounting and drifting links (where a
+stale link from an earlier round would show).
 """
 
 from __future__ import annotations
@@ -56,13 +58,11 @@ def ref_stage_dispatch(self, cid, link, ratio, update, *, payload=None):
     if payload is None:
         payload = self._payload_for(update, ratio)
     down, train_t, up = pipeline_times(
-        self.devices[cid],
+        self.devices.with_link(cid, self.links[cid]),
         volume_bits=self.volume_bits,
-        ratio=ratio,
         num_samples=int(self.population.data_sizes[cid]),
         epochs=cfg.local_epochs,
         include_downlink=cfg.include_downlink,
-        link=self.links[cid],
         payload=payload,
     )
     return payload, down, train_t, up

@@ -22,7 +22,11 @@ cells pinned compressors no preset, scenario, workload or example selected
 (``sync-randomk``, ``sync-ef_randomk-lossy``, ``sync-threshold``); they
 were deleted with Random-K and the threshold sparsifier. Error feedback
 under drop + truncate stays pinned by ``sync-lossy-eftopk``, and the seeded
-per-client compressor stream by the four ``qsgd8`` cells. Every cell
+per-client compressor stream by the three ``qsgd8`` cells. The async one,
+``async-qsgd8-lossy``, was deleted when ``ExperimentConfig`` began rejecting
+a ``compressor`` override under ``mode="async"`` (async prices an upload
+before it is trained, and only the algorithm's own Top-K size is known
+then); deferred truncation stays pinned by ``async-lossy-eftopk``. Every cell
 runs on ``serial`` and on ``thread``: seeded runs are bit-identical across
 backends, so both replay the same digests.
 """
@@ -89,7 +93,6 @@ CELLS: dict[str, ExperimentConfig] = {
     # a quantiser beneath topk: dense updates, a seeded stream per client
     "sync-qsgd8": _cfg(compressor="qsgd8"),
     "semisync-qsgd8": _cfg(**_SEMISYNC, compressor="qsgd8"),
-    "async-qsgd8-lossy": _cfg(**_ASYNC, compressor="qsgd8", truncate_prob=0.4),
     "hier-qsgd8": _cfg(**_HIER, compressor="qsgd8"),
     # order-statistic aggregation, a server optimizer with moments
     "sync-trimmed-adam": _cfg(aggregator="trimmed_mean", trim_beta=0.2, server_optimizer="adam", server_step=0.01),
@@ -159,10 +162,6 @@ PINNED: dict[str, list[str]] = {
     "semisync-qsgd8": [
         "e36d84093f6b0b2c", "7a852d2b541775ef", "ce6b865c566ab8bc", "f4bfa45994ac051e",
         "a86184c06737fc25",
-    ],
-    "async-qsgd8-lossy": [
-        "c009a404fbe56115", "9bac947226c7739b", "a6e85dbc5eae5d9d", "533d3d6156b38608",
-        "0495d3a3122150ae",
     ],
     "hier-qsgd8": [
         "55884feb45cff597", "68b9769c4a420a21", "6ef9cb1c4f525f79", "015c7bcb21703a19",

@@ -91,7 +91,7 @@ class TestTierTopology:
         topo = self.build()
         assert topo.num_edges == 2
         assert topo.num_clients == 6
-        assert topo.edge_of(0) == 0 and topo.edge_of(5) == 1
+        assert 0 in topo.groups[0] and 5 in topo.groups[1]
 
     def test_backhaul_times(self):
         topo = self.build(backhaul_mbps=50.0)

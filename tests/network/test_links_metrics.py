@@ -57,20 +57,9 @@ class TestTimeVaryingLink:
 
 
 class TestRoundTimes:
-    def test_from_client_times(self):
-        rt = RoundTimes.from_client_times(np.array([1.0, 3.0, 2.0]))
-        assert rt.actual == rt.maximum == 3.0
-        assert rt.minimum == 1.0
-
-    def test_explicit_actual(self):
-        rt = RoundTimes.from_client_times(np.array([1.0, 3.0]), actual=1.5)
-        assert rt.actual == 1.5
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RoundTimes(actual=1.0, maximum=1.0, minimum=2.0)
-        with pytest.raises(ValueError):
-            RoundTimes.from_client_times(np.array([]))
 
 
 class TestTimeAccumulator:
@@ -83,8 +72,3 @@ class TestTimeAccumulator:
         assert acc.min_total == pytest.approx(1.5)
         assert acc.rounds == 2
         np.testing.assert_allclose(acc.actual_series, [1.0, 2.5])
-
-    def test_straggler_gap(self):
-        acc = TimeAccumulator()
-        acc.update(RoundTimes(actual=2.0, maximum=2.0, minimum=0.5))
-        assert acc.straggler_gap() == pytest.approx(1.5)

@@ -311,26 +311,17 @@ class TestTransport:
         with pytest.raises(ValueError, match="server_ingress_bps"):
             Transport(contention="fair")
 
-    def test_exclusive_resolve_matches_eq4(self):
-        t = Transport()
-        [rec] = t.resolve_uploads([(Payload.dense(1e6), LINK, 3.0)])
-        assert rec.seconds == uplink_time(LINK, 1e6)  # bitwise
-        assert rec.end == 3.0 + rec.seconds
-        assert not rec.contended
-
-    def test_fair_batch_never_faster_and_flagged(self):
+    def test_fair_batch_never_faster(self):
         flows = [(Payload.dense(1e6), LINK, 0.0), (Payload.dense(1e6), LINK, 0.0)]
-        none = Transport().resolve_uploads(flows)
         fair = Transport("fair", 1.0 * MBIT).resolve_uploads(flows)
-        for n, f in zip(none, fair):
-            assert f.end >= n.end - 1e-9
-            assert f.contended and not n.contended
+        for (payload, link, start), f in zip(flows, fair):
+            assert f.end >= start + Transport().uplink_seconds(link, payload) - 1e-9
+            assert f.seconds == f.end - start
 
     def test_named_pipe_is_persistent_and_scoped(self):
         t = Transport("fair", 1.0 * MBIT)
         assert t.pipe("server") is t.pipe("server")
         assert t.pipe("server") is not t.pipe("cloud")
-        assert t.round_pipe() is not t.round_pipe()
 
     def test_broadcast_free_link_costs_nothing(self):
         t = Transport()

@@ -85,7 +85,12 @@ def test_population_columns_scale_linearly_and_small():
 
     pop = Population.from_config(cfg, partition=None)
     # Four numpy columns: 3 float64 + 1 int64 = 32 bytes/client.
-    assert pop.memory_bytes() == 100_000 * 32
+    assert column_bytes(pop) == 100_000 * 32
+
+
+def column_bytes(pop) -> int:
+    """Bytes of every array the population holds: its O(fleet) footprint."""
+    return sum(v.nbytes for v in vars(pop).values() if isinstance(v, np.ndarray))
 
 
 def updates_nbytes(updates) -> int:

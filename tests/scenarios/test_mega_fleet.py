@@ -6,6 +6,8 @@ client objects, so the cap can never silently return."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.fl.simulation import Simulation
 from repro.scenarios import get_scenario
 
@@ -28,4 +30,5 @@ def test_simulation_constructs_without_hydrating_a_single_client():
         assert sim.compressors.resident == 0
         assert sim.partition is None
         # The fleet's whole footprint is four numpy columns: 32 bytes/client.
-        assert sim.population.memory_bytes() == 1_000_000 * 32
+        arrays = [v for v in vars(sim.population).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == 1_000_000 * 32

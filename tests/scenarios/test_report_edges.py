@@ -54,7 +54,6 @@ class TestAllFailedCells:
 
     def test_analytics_are_empty_not_errors(self):
         rep = self.report()
-        assert rep.best_cells() == []
         assert rep.marginals() == {"gamma": {}}
         assert rep.pareto_frontier() == []
         assert rep.time_to_accuracy_frontier(0.5) == [
@@ -78,12 +77,6 @@ class TestMissingAccuracyMode:
         ]
         return SweepReport(cells=cells, executed=2)
 
-    def test_unevaluated_cells_drop_out_of_rankings(self):
-        rep = self.report()
-        ranked = rep.best_cells()
-        assert [spec for spec, _, _ in ranked] == [rep.cells[1][0]]
-        assert rep.best_cells(metric="best")[0][2] == 0.4
-
     def test_marginals_skip_unevaluated_cells(self):
         marg = self.report().marginals()["gamma"]
         assert list(marg) == [5.0]
@@ -93,6 +86,12 @@ class TestMissingAccuracyMode:
         frontier = self.report().pareto_frontier()
         assert len(frontier) == 1
         assert frontier[0][3] == 0.4
+
+    def test_unevaluated_cells_drop_out_of_rankings(self):
+        out = sweep_section(self.report())
+        ranking = out[out.index("Top cells") :]
+        ranking = ranking[: ranking.index("</table>")]
+        assert "gamma=5" in ranking and "gamma=3" not in ranking
 
     def test_renderer_keeps_the_evaluated_cell(self):
         out = sweep_section(self.report())
@@ -107,7 +106,6 @@ class TestSingleCellSweep:
 
     def test_one_cell_is_its_own_frontier(self):
         rep = self.report()
-        assert len(rep.best_cells()) == 1
         assert len(rep.pareto_frontier()) == 1
         assert rep.marginals()["gamma"][3.0]["mean_final"] == 0.3
 
@@ -120,7 +118,6 @@ class TestSingleCellSweep:
 class TestEmptySweep:
     def test_zero_cells(self):
         rep = SweepReport()
-        assert rep.best_cells() == []
         assert rep.marginals() == {}
         assert rep.pareto_frontier() == []
         assert "No evaluated cells" in sweep_section(rep)

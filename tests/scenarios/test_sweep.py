@@ -35,6 +35,11 @@ def tiny_cells():
     return expand_grid(tiny_base(), {"gamma": [3.0, 5.0], "include_downlink": [False, True]})
 
 
+def stored_hashes(store: RunStore) -> set[str]:
+    """Spec hashes of the finished cells the store reads back."""
+    return {spec.spec_hash() for spec, _ in store.load_all()}
+
+
 def stripped(history) -> dict:
     """History dict minus the wall-clock fields (backend-dependent)."""
     d = history_to_dict(history)
@@ -117,7 +122,7 @@ class TestResume:
         assert isinstance(err.value.__cause__, OSError)
         # Serial stops at the failure; the pool had all four in flight.
         finished = cells[:1] if executor == "serial" else [c for c in cells if c is not bad]
-        assert store.completed_hashes() == {c.spec_hash() for c in finished}
+        assert stored_hashes(store) == {c.spec_hash() for c in finished}
         assert sorted(seen) == sorted(c.name for c in finished)
 
         monkeypatch.setattr(sweep, "run_cell", real)
@@ -154,7 +159,7 @@ class TestResume:
         (store.root / "notes.json").write_text("[]")  # non-object JSON
         store.path_for(cells[0]).write_text("[1, 2]")  # even a hash-named one
         assert not store.completed(cells[0])
-        assert store.completed_hashes() == set()
+        assert stored_hashes(store) == set()
         report = SweepRunner(cells, parallel=1, store=store).run()
         assert report.executed == 1  # healed, not crashed
 
@@ -166,16 +171,12 @@ class TestResume:
         assert data["completed"] is True
         assert data["spec"]["overrides"]["gamma"] == 3.0
         assert data["history"]["records"]
-        assert store.completed_hashes() == {cells[0].spec_hash()}
+        assert stored_hashes(store) == {cells[0].spec_hash()}
 
 
 class TestReport:
     def test_rankings_marginals_frontier(self):
         report = SweepRunner(tiny_cells(), parallel=1).run()
-        ranked = report.best_cells(metric="final")
-        assert len(ranked) == 4
-        assert all(ranked[i][2] >= ranked[i + 1][2] for i in range(3))
-
         marg = report.marginals()
         assert set(marg) == {"gamma", "include_downlink"}
         assert all(stats["n"] == 2.0 for stats in marg["gamma"].values())

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.network.cost import DOWNLINK_FACTOR, LinkSpec, sparse_uplink_time, uplink_time
+from repro.network.cost import DOWNLINK_FACTOR, LinkSpec, downlink_time, uplink_time
+from repro.network.transport import Payload
 from repro.simtime.profiles import ComputeSpec, DeviceProfile, pipeline_times
 
 LINK = LinkSpec(bandwidth_bps=1e6, latency_s=0.1)
@@ -23,40 +24,41 @@ class TestComputeSpec:
             ComputeSpec(0.01).train_time(-1, 1)
 
 
-class TestDeviceProfile:
-    def test_upload_dense_and_sparse(self):
-        dev = DeviceProfile(cid=0, compute=ComputeSpec(0.01), link=LINK)
-        assert dev.upload_time(1e6, None) == pytest.approx(uplink_time(LINK, 1e6))
-        assert dev.upload_time(1e6, 0.1) == pytest.approx(sparse_uplink_time(LINK, 1e6, 0.1))
+def profile(link: LinkSpec = LINK) -> DeviceProfile:
+    return DeviceProfile(cid=0, compute=ComputeSpec(0.01), link=link)
 
-    def test_link_override_prices_drifted_link(self):
-        dev = DeviceProfile(cid=0, compute=ComputeSpec(0.01), link=LINK)
-        fast = LinkSpec(bandwidth_bps=4e6, latency_s=0.1)
-        assert dev.upload_time(1e6, None, link=fast) < dev.upload_time(1e6, None)
 
-    def test_download_uses_bandwidth_factor(self):
-        dev = DeviceProfile(cid=0, compute=ComputeSpec(0.01), link=LINK)
-        down = dev.download_time(1e6)
-        assert DOWNLINK_FACTOR == 10.0
-        assert down < dev.upload_time(1e6, None)
-        assert down == pytest.approx(0.1 + 1e6 / 1e7)
+def times(dev: DeviceProfile, payload: Payload, **kw) -> tuple[float, float, float]:
+    args = dict(volume_bits=1e6, num_samples=100, epochs=1, include_downlink=True)
+    return pipeline_times(dev, payload=payload, **{**args, **kw})
 
 
 class TestPipelineTimes:
+    def test_upload_is_eq4_on_the_payload_bits(self):
+        for payload in (Payload.dense(1e6), Payload.sparse(5_000), Payload(12_345.0, "quantized")):
+            _, _, up = times(profile(), payload)
+            assert up == uplink_time(LINK, payload.bits)  # bitwise
+
+    def test_prices_the_profile_link(self):
+        """A drifted link reaches pricing as the profile's own link."""
+        fast = LinkSpec(bandwidth_bps=4e6, latency_s=0.1)
+        payload = Payload.dense(1e6)
+        assert times(profile(fast), payload)[2] < times(profile(), payload)[2]
+        assert times(profile(fast), payload)[0] < times(profile(), payload)[0]
+
+    def test_download_uses_bandwidth_factor(self):
+        down, _, up = times(profile(), Payload.dense(1e6))
+        assert DOWNLINK_FACTOR == 10.0
+        assert down < up
+        assert down == downlink_time(LINK, 1e6, bandwidth_factor=DOWNLINK_FACTOR)
+        assert down == pytest.approx(0.1 + 1e6 / 1e7)
+
     def test_stages_compose(self):
-        dev = DeviceProfile(cid=0, compute=ComputeSpec(0.01), link=LINK)
-        down, train, up = pipeline_times(
-            dev, volume_bits=1e6, ratio=0.1, num_samples=100, epochs=1,
-            include_downlink=True,
-        )
-        assert down == pytest.approx(dev.download_time(1e6))
+        down, train, up = times(profile(), Payload.sparse(5_000))
+        assert down == pytest.approx(0.2)
         assert train == pytest.approx(1.0)
-        assert up == pytest.approx(sparse_uplink_time(LINK, 1e6, 0.1))
+        assert up == pytest.approx(0.1 + Payload.sparse(5_000).bits / 1e6)
 
     def test_downlink_gated(self):
-        dev = DeviceProfile(cid=0, compute=ComputeSpec(0.01), link=LINK)
-        down, _, _ = pipeline_times(
-            dev, volume_bits=1e6, ratio=None, num_samples=10, epochs=1,
-            include_downlink=False,
-        )
+        down, _, _ = times(profile(), Payload.dense(1e6), num_samples=10, include_downlink=False)
         assert down == 0.0

@@ -76,8 +76,13 @@ class TestVirtualSpans:
 
     @pytest.mark.parametrize("mode", ["sync", "semisync", "async", "hier"])
     def test_dense_updates_record_one_unit_ratio_each(self, mode):
-        """A quantiser beneath topk emits dense updates: every mode records
-        1.0 per emitted update (sync and hier used to record none)."""
+        """A quantiser beneath topk emits dense updates: every mode that takes
+        the override records 1.0 per emitted update (sync and hier used to
+        record none). Async rejects the override at construction."""
+        if mode == "async":
+            with pytest.raises(ValueError, match="compressor.*mode='async'"):
+                small_config(mode=mode, compressor="qsgd8")
+            return
         _, h = run_sim(small_config(mode=mode, compressor="qsgd8"))
         for r in h.records:
             assert r.ratios and set(r.ratios) == {1.0}
@@ -201,6 +206,20 @@ class TestReviewRegressions:
         with pytest.raises(ValueError, match="time_varying_links"):
             make_simulation(small_config(mode="async", time_varying_links=True))
 
+    @pytest.mark.parametrize("compressor", ["qsgd8", "ef_topk", "topk"])
+    def test_async_rejects_a_compressor_override(self, compressor):
+        """Async prices an upload at dispatch, before it is trained, from the
+        algorithm's own Top-K size — which an override does not emit (qsgd8
+        at CR 0.2 used to be billed as a sparse upload). The error names both
+        fields and the reason; the other modes keep the override."""
+        with pytest.raises(ValueError) as err:
+            small_config(mode="async", compressor=compressor)
+        message = str(err.value)
+        assert "compressor" in message and "mode='async'" in message
+        assert "before it is trained" in message
+        for mode in ("sync", "semisync", "hier"):
+            assert small_config(mode=mode, compressor=compressor).compressor == compressor
+
     def test_async_warns_on_schedule_based_algorithms(self):
         import warnings as w
 
@@ -210,24 +229,33 @@ class TestReviewRegressions:
             w.simplefilter("error")  # plain topk must stay silent
             make_simulation(small_config(mode="async", algorithm="topk"))
 
-    def test_flush_batches_never_repeat_a_client(self):
-        """A fast client dispatched twice in one window must train in two
-        sequential backend batches — the thread pool shards by position and
-        would otherwise race on the client's shared loader/compressor."""
-        sim = make_simulation(small_config(mode="async", algorithm="eftopk", seed=5))
-        batches = []
-        original = sim._train_now
+    def test_flush_batches_a_repeated_client_on_every_backend(self):
+        """A fast client dispatched twice in one window trains twice in the
+        window's one backend batch. Every backend runs a client's tasks in
+        order on one worker (``cid % workers``), so the thread and process
+        histories still equal the serial one."""
 
-        def recording(tasks):
-            batches.append([t.cid for t in tasks])
-            return original(tasks)
+        def run(backend):
+            cfg = small_config(mode="async", algorithm="eftopk", seed=5)
+            sim = make_simulation(cfg.with_(backend=backend, workers=2))
+            batches = []
+            original = sim._train_now
 
-        sim._train_now = recording
-        sim.run()
-        sim.close()
-        assert any(len(b) > 1 for b in batches)  # batching actually happens
-        for b in batches:
-            assert len(b) == len(set(b)), f"duplicate client in one batch: {b}"
+            def recording(tasks):
+                batches.append([t.cid for t in tasks])
+                return original(tasks)
+
+            sim._train_now = recording
+            with sim:
+                history = sim.run()
+            return sim, history, batches
+
+        serial_sim, serial_hist, batches = run("serial")
+        assert any(len(b) > len(set(b)) for b in batches), batches
+        for backend in ("thread", "process"):
+            sim, hist, other_batches = run(backend)
+            assert other_batches == batches
+            TestBackendDeterminism.assert_identical(serial_sim, serial_hist, sim, hist)
 
     def test_async_comm_time_is_not_wall_time(self):
         """times.actual carries Sec. 5.2 upload semantics; the window's

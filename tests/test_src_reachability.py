@@ -8,6 +8,15 @@ Imports are followed, by ``ast``, from the program's real entry points:
 1. every ``src/repro`` module is reached;
 2. every ``__all__`` name is used by something the walk reaches.
 
+A third rule covers what ``__all__`` does not list, the members of classes:
+
+3. every public method or property of a ``src/repro`` class has its name
+   used as an attribute (``x.name``) or as a string (``getattr(x,
+   "name")``) somewhere outside ``tests/`` — in ``src/`` or an entry
+   directory. Names are matched without types, so a use of one class's
+   ``step`` keeps every class's ``step``: the rule can miss a dead method,
+   never flag a live one.
+
 What counts as a use: an import whose bound name the importing file loads,
 and a load of a module's own top-level name from another of its top-level
 statements. A name an annotation mentions — of an argument, a return or an
@@ -59,6 +68,19 @@ ALLOWED_NAMES = {
     ),
     ("repro.viz.ascii", "ascii_sweep_grid"): (
         "tests/report/golden_summaries.txt pins it as the text twin of the report's heatmap"
+    ),
+}
+#: Public methods and properties that only tests may use.
+ALLOWED_METHODS = {
+    ("repro.core.bcrs", "BCRSSchedule", "saved_time"): (
+        "ROADMAP item 4 records the window BCRS converts per round, through it"
+    ),
+    ("repro.utils.rng", "_Key", "generate_state"): (
+        "NumPy's seed-sequence protocol: np.random.Generator calls it by name"
+    ),
+    ("repro.compression.ef", "ErrorFeedback", "memory"): (
+        "the EF residual is client state: the exactness suite pins it and "
+        "ROADMAP needle 4 reports its growth through it"
     ),
 }
 
@@ -258,6 +280,45 @@ def unreached(src: Path = SRC, repo: Path = REPO) -> tuple[list[str], list[str]]
     return dead_modules, dead_names
 
 
+def _attribute_uses(tree: ast.AST) -> set[str]:
+    """Every attribute name and every string constant in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unused_methods(src: Path = SRC, repo: Path = REPO) -> list[str]:
+    """``"module.Class.name"`` for each public method or property whose name
+    nothing outside ``tests/`` uses, allowlist entries excluded."""
+    modules = _src_modules(src)
+    paths = sorted((src / "repro").rglob("*.py"))
+    for directory in ENTRY_DIRS:
+        paths += sorted((repo / directory).rglob("*.py"))
+    used = set()
+    for path in paths:
+        used |= _attribute_uses(ast.parse(path.read_text(), filename=str(path)))
+    dead = []
+    for module, f in modules.items():
+        if _allowed(module):
+            continue
+        for cls in ast.walk(f.tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")
+                    and node.name not in used
+                    and (module, cls.name, node.name) not in ALLOWED_METHODS
+                ):
+                    dead.append(f"{module}.{cls.name}.{node.name}")
+    return sorted(dead)
+
+
 @functools.cache
 def _unreached_in_repo() -> tuple[list[str], list[str]]:
     return unreached()
@@ -285,10 +346,34 @@ def test_module_exports_are_used_outside_tests(module):
     )
 
 
+@functools.cache
+def _unused_methods_in_repo() -> list[str]:
+    return unused_methods()
+
+
+@pytest.mark.parametrize("module", _CHECKED)
+def test_module_methods_are_used_outside_tests(module):
+    dead = [name for name in _unused_methods_in_repo() if name.rsplit(".", 2)[0] == module]
+    assert dead == [], (
+        f"only tests use {dead}: call them from the program, or delete them"
+    )
+
+
+def _methods(f: _File) -> set[tuple[str, str]]:
+    return {
+        (cls.name, node.name)
+        for cls in ast.walk(f.tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
 def test_allowlist_entries_exist():
     modules = _src_modules(SRC)
     assert all(m in modules for m in ALLOWED_MODULES)
     assert all(name in modules[m].exports for m, name in ALLOWED_NAMES)
+    assert all((c, name) in _methods(modules[m]) for m, c, name in ALLOWED_METHODS)
 
 
 def _copy_src(tmp_path: Path) -> Path:
@@ -363,3 +448,45 @@ def test_an_annotation_is_not_a_use(tmp_path, where, use, flagged):
     path.write_text(path.read_text() + "\n\n" + use)
     _, dead_names = unreached(src)
     assert dead_names == (["repro.utils.validation.Marker"] if flagged else [])
+
+
+_HOLDER = (
+    "\n\nclass Holder:\n"
+    "    def _private(self):\n        return self.helper()\n\n"
+    "    def helper(self):\n        return 1\n\n"
+    "    @property\n    def {name}(self):\n        return 2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "name, where, use, flagged",
+    [
+        ("only_tested", None, "", True),
+        ("only_tested", "rng", "def f(x):\n    return x.elsewhere\n", True),
+        ("read_elsewhere", "rng", "def f(x):\n    return x.read_elsewhere\n", False),
+        ("by_name", "rng", 'def f(x):\n    return getattr(x, "by_name")\n', False),
+        ("_hidden", None, "", False),
+    ],
+    ids=["only-tests", "another-attribute", "attribute", "string", "private"],
+)
+def test_a_method_only_tests_use_fails(tmp_path, name, where, use, flagged):
+    """A public method or property counts only if its name is an attribute
+    or a string outside ``tests/``; the module's ``__all__`` does not matter."""
+    src = _copy_src(tmp_path)
+    utils = src / "repro" / "utils"
+    validation = utils / "validation.py"
+    validation.write_text(validation.read_text() + _HOLDER.format(name=name))
+    if where is not None:
+        path = utils / f"{where}.py"
+        path.write_text(path.read_text() + "\n\n" + use)
+    dead = [m for m in unused_methods(src) if m.startswith("repro.utils.validation.Holder.")]
+    assert dead == ([f"repro.utils.validation.Holder.{name}"] if flagged else [])
+    # The module rules never see a class member: only rule 3 can flag it.
+    assert unreached(src) == ([], [])
+
+
+def test_an_allowlisted_module_keeps_its_methods(tmp_path):
+    src = _copy_src(tmp_path)
+    path = src / "repro" / "testing" / "goldens.py"
+    path.write_text(path.read_text() + "\n\nclass Holder:\n    def only_tested(self):\n        pass\n")
+    assert unused_methods(src) == []
