@@ -5,7 +5,8 @@ The paper positions its framework as "a versatile foundation for future
 cross-device, communication-efficient FL research". This example registers a
 new compressor — Top-K applied per block rather than globally — and selects
 it by name with the ``compressor`` config field, so the standard engine
-builds it through the registry like any built-in. It runs beneath the
+builds it through the registry like any built-in. A registration declares the
+compressor's wire size, from which the engine prices every upload. It runs beneath the
 ``topk`` algorithm (uniform ratios, f-weights) against global Top-K.
 
 Run:  python examples/custom_compressor.py
@@ -48,9 +49,20 @@ class BlockTopK:
         return SparseUpdate(dense_size=d, indices=idx, values=update[idx])
 
 
+def block_topk_wire(d: int, ratio: float, block_size: int = 2048) -> tuple[int, int, str]:
+    """BlockTopK's wire size, declared so each upload is priced before it is
+    trained: every block keeps its own ``k_from_ratio`` entries, each an
+    (int32 index, float32 value) pair; a prefix of them is still a valid
+    sparse update."""
+    blocks = [min(block_size, d - start) for start in range(0, d, block_size)]
+    return sum(k_from_ratio(b, ratio) for b in blocks), 64, "sparse"
+
+
 def main() -> None:
     # Stateless and unseeded: every client shares one instance.
-    register_compressor("block_topk", lambda seed=0: BlockTopK(), seeded=False, stateful=False)
+    register_compressor(
+        "block_topk", lambda seed=0: BlockTopK(), wire=block_topk_wire, seeded=False, stateful=False
+    )
     print("registered compressors:", ", ".join(available_compressors()))
 
     rows = []

@@ -203,13 +203,6 @@ class ExperimentConfig:
                     "compressor override requires a compressing algorithm "
                     "(fedavg uploads dense by definition); pick e.g. 'topk'"
                 )
-            if self.mode == "async":
-                raise ValueError(
-                    "compressor override is not supported with mode='async': "
-                    "async prices each upload at dispatch, before it is "
-                    "trained, from the algorithm's own Top-K size — an "
-                    "overriding compressor's wire size is not known then"
-                )
         check_positive("beta", self.beta)
         check_positive("lr", self.lr)
         check_positive("alpha", self.alpha)
@@ -241,9 +234,14 @@ class ExperimentConfig:
                 "drift state is O(fleet), which the virtual-shard regime "
                 "exists to avoid"
             )
-        if self.volume_override_bits is not None and self.volume_override_bits <= 0:
+        if self.volume_override_bits is not None and (
+            self.volume_override_bits <= 0 or self.volume_override_bits % 32
+        ):
+            # Uploads are priced at width V/32 (float32 entries), so V must
+            # be a positive whole number of them.
             raise ValueError(
-                f"volume_override_bits must be > 0, got {self.volume_override_bits}"
+                "volume_override_bits must be a positive multiple of 32, got "
+                f"{self.volume_override_bits}"
             )
         if self.proximal_mu < 0:
             raise ValueError(f"proximal_mu must be >= 0, got {self.proximal_mu}")
@@ -261,6 +259,14 @@ class ExperimentConfig:
         if self.late_policy not in LATE_POLICIES:
             raise ValueError(
                 f"late_policy must be one of {LATE_POLICIES}, got {self.late_policy!r}"
+            )
+        if self.mode == "async" and self.time_varying_links:
+            # Link drift is a per-round process; async has no rounds to pin
+            # it to. Refuse rather than silently freeze the links.
+            raise ValueError(
+                "time_varying_links is not supported in mode='async' — drift "
+                "is defined per synchronized round; use mode='sync' or "
+                "'semisync'"
             )
         if self.buffer_size is not None and self.buffer_size < 1:
             raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")

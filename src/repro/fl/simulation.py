@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import CompressedUpdate, SparseUpdate
-from repro.compression.sparsifiers import k_from_ratio
+from repro.compression.registry import wire_size
 from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask_from_updates
 from repro.core.server_opt import make_server_optimizer
@@ -193,17 +193,19 @@ class Simulation:
         )
 
         # Unified transport (repro.network.transport): every transfer is
-        # priced through it. Compressed uploads are priced from the *actual*
-        # emitted bits — unless the run simulates a paper-scale volume
-        # (volume_override_bits), where the trained model is smaller than
-        # the priced one and the planned-ratio approximation must stand in.
+        # priced through it, each upload from its compressor's registered
+        # wire size at the priced width — the trained one, or the float32
+        # width of a paper-scale volume (volume_override_bits).
         self.transport = Transport.from_config(config)
         # Transport fault injection (None when both probabilities are zero —
         # the honest path performs no per-upload fate draws at all).
         self.faults = FaultInjector.from_config(config)
         self.dense_size = num_parameters(self.model)
-        self._price_from_updates = (
-            self.compressors is not None and config.volume_override_bits is None
+        self._comp_name = comp_name
+        self._priced_width = (
+            self.dense_size
+            if config.volume_override_bits is None
+            else int(config.volume_override_bits) // 32
         )
 
         # The server-side full-width buffers every aggregation reuses: the
@@ -412,43 +414,35 @@ class Simulation:
                 params, server_opt, updates, weights, self.algorithm.use_opwa
             )
 
-    def _payload_for(self, update: CompressedUpdate | None, ratio: float | None) -> Payload:
-        """What this dispatch puts on the wire.
+    def _payload_for(self, ratio: float | None, frac: float = 1.0) -> Payload:
+        """What one dispatch puts on the wire: its compressor's registered
+        wire size (:func:`~repro.compression.registry.wire_size`) at the
+        priced width, known before the update is trained; dense
+        ``volume_bits`` without a compressor.
 
-        Priced from the *actual emitted* update whenever one exists — sparse
-        and quantized encodings alike; for deferred training (async
-        dispatch) the Top-K wire size is predicted exactly
-        (``k_from_ratio`` entries of (index, value) pairs — the same count
-        the algorithm's (EF-)Top-K will emit; async takes no compressor
-        override). The planned-ratio × factor-2 approximation remains only
-        for ``volume_override_bits`` runs.
+        ``frac`` is the fault fate's surviving fraction, applied as
+        :meth:`FaultInjector.truncate` applies it: a sparse upload keeps
+        ``int(frac·entries)`` entries; fewer than one, or any other kind,
+        is a drop, billed at full size (a drop's ``frac`` is 0).
         """
-        if not self._price_from_updates:
-            return Payload.planned(self.volume_bits, ratio)
-        if update is not None:
-            return Payload.from_update(update)
         if ratio is None:
             return Payload.dense(self.volume_bits)
-        return Payload.sparse(k_from_ratio(self.dense_size, float(ratio)))
+        entries, entry_bits, kind = wire_size(self._comp_name, self._priced_width, float(ratio))
+        kept = int(frac * entries)
+        if kind == "sparse" and kept >= 1:
+            entries = kept
+        return Payload(bits=float(entries * entry_bits), kind=kind)
 
     def _stage_dispatch(
-        self,
-        cid: int,
-        link: LinkSpec,
-        ratio: float | None,
-        update: CompressedUpdate | None,
-        *,
-        payload: Payload | None = None,
+        self, cid: int, link: LinkSpec, ratio: float | None, frac: float = 1.0
     ) -> tuple[Payload, float, float, float]:
         """(payload, download, train, exclusive-upload) of one dispatch —
         the single pricing computation every protocol path shares.
         ``link`` is the client's *current* link, built once by the caller
-        (per cohort per round; drifting links are re-read every round).
-        ``payload`` overrides the derived wire volume (fault injection
-        re-prices truncated uploads at their delivered bits)."""
+        (per cohort per round; drifting links are re-read every round);
+        ``frac`` the upload's fault fraction (:meth:`_payload_for`)."""
         cfg = self.config
-        if payload is None:
-            payload = self._payload_for(update, ratio)
+        payload = self._payload_for(ratio, frac)
         if self.obs.enabled:
             self.obs.metrics.counter("wire_bits", kind=payload.kind).inc(payload.bits)
         down, train_t, up = pipeline_times(
@@ -468,9 +462,7 @@ class Simulation:
         ratio: float | None,
         t: float,
         tag: int,
-        *,
-        update: CompressedUpdate | None = None,
-        payload: Payload | None = None,
+        frac: float = 1.0,
     ) -> tuple[float, float, float, Payload]:
         """(download, train, upload, payload) of one dispatch at ``t``.
 
@@ -478,9 +470,7 @@ class Simulation:
         resolve the real finish later (the upload span is then logged at
         resolution, not here).
         """
-        payload, down, train_t, up = self._stage_dispatch(
-            cid, link, ratio, update, payload=payload
-        )
+        payload, down, train_t, up = self._stage_dispatch(cid, link, ratio, frac)
         t0 = t + down
         self.spans.add(cid, "train", t0, t0 + train_t, tag=tag)
         if not self.transport.contended:
@@ -492,13 +482,14 @@ class Simulation:
         selected,
         links: list[LinkSpec],
         ratios,
-        updates: list[CompressedUpdate] | None,
+        fracs: list[float] | None,
         t: float,
         tag: int,
     ) -> tuple[list[float], list[float], list[float]]:
         """Price one synchronized batch of dispatches starting at ``t``.
 
-        ``links`` are the cohort's current links, aligned with ``selected``.
+        ``links`` are the cohort's current links and ``fracs`` their fault
+        fractions (None: every upload delivered), aligned with ``selected``.
         Returns (per-dispatch pipeline durations, uplink bits, downlink
         bits), aligned the same way. Exclusive transports keep the
         historical per-link arithmetic bit-for-bit; fair transports admit
@@ -511,9 +502,9 @@ class Simulation:
             for pos, cid in enumerate(selected):
                 cid = int(cid)
                 ratio = None if ratios is None else float(ratios[pos])
-                update = None if updates is None else updates[pos]
+                frac = 1.0 if fracs is None else fracs[pos]
                 link = links[pos]
-                payload, down, train_t, up = self._stage_dispatch(cid, link, ratio, update)
+                payload, down, train_t, up = self._stage_dispatch(cid, link, ratio, frac)
                 staged.append((cid, link, payload, down, train_t, up))
 
             ends: list[float] | None = None
@@ -567,25 +558,16 @@ class Simulation:
 
         # Transport fault injection: decide each upload's fate — a pure
         # function of (seed, round, cid), so fates are backend-invariant.
-        # ``delivered[pos] is None`` marks a lost upload; ``wire_updates``
-        # is what pricing charges (truncated payloads re-priced at their
-        # delivered bits; drops burn their full bits in flight).
+        # ``delivered[pos] is None`` marks a lost upload. A fate's fraction
+        # is 1 on delivery and 0 on a drop, so one truncation serves every
+        # fate that is not a delivery; pricing bills the same fractions.
         delivered: list[CompressedUpdate | None] = list(updates)
-        wire_updates: list[CompressedUpdate] = updates
+        fracs: list[float] | None = None
         if self.faults is not None:
-            wire_updates = list(updates)
-            for pos, cid in enumerate(selected):
-                kind, frac = self.faults.fate(self.round_index, int(cid))
-                if kind == "deliver":
-                    continue
-                trunc = (
-                    FaultInjector.truncate(updates[pos], frac)
-                    if kind == "truncate"
-                    else None
-                )
-                delivered[pos] = trunc
-                if trunc is not None:
-                    wire_updates[pos] = trunc
+            fracs = [self.faults.fate(self.round_index, int(cid))[1] for cid in selected]
+            for pos, frac in enumerate(fracs):
+                if frac < 1.0:
+                    delivered[pos] = FaultInjector.truncate(updates[pos], frac)
         surv = [pos for pos, u in enumerate(delivered) if u is not None]
         self.last_round_updates = [delivered[pos] for pos in surv]
 
@@ -609,11 +591,11 @@ class Simulation:
         # uploaded. Clients the plan zero-weighted (deadline_topk drops
         # stragglers) still burn device time — their spans are logged —
         # but the server does not wait for them. Uploads are priced through
-        # the transport from the actually-emitted payloads; with fair
-        # contention the round is one shared-ingress epoch.
+        # the transport from their compressor's declared wire size; with
+        # fair contention the round is one shared-ingress epoch.
         sim_start = self.sim_clock
         durations, up_bits, down_bits = self._price_round(
-            selected, links, plan.ratios, wire_updates, sim_start, tag=self.round_index
+            selected, links, plan.ratios, fracs, sim_start, tag=self.round_index
         )
         # The barrier waits on delivered contributors; an all-lost round
         # still spans the slowest expected upload (the server's timeout).

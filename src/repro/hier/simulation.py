@@ -51,13 +51,6 @@ class HierSimulation(Simulation):
 
     def __init__(self, config: ExperimentConfig, obs=None, context=None):
         super().__init__(config, obs=obs, context=context)
-        if self.faults is not None:
-            # Client-uplink faults assume the flat server ingress; the
-            # hierarchical failure model is the edge aggregator itself.
-            raise ValueError(
-                "drop_prob/truncate_prob are not supported in hier mode — "
-                "edge failures are modeled by edge_crash_prob"
-            )
         rngs = RngFactory(config.seed)
         # Edge-crash fates draw from a dedicated counter stream keyed by
         # (cloud round, edge) — stateless, so zero probability means zero
@@ -103,12 +96,12 @@ class HierSimulation(Simulation):
         results = self._run_tasks(tasks, self._edge_params[edge], self._train_spec)
         updates: list[CompressedUpdate] = [r.update for r in results]
 
-        # Price every dispatch at the edge's clock through the transport:
-        # payload-accurate uploads, and under fair contention one shared
-        # ingress epoch per (edge, sub-round) — each edge aggregator owns
-        # its own ingress capacity.
+        # Price every dispatch at the edge's clock through the transport
+        # (no client-uplink faults here: every upload is delivered), under
+        # fair contention one shared ingress epoch per (edge, sub-round) —
+        # each edge aggregator owns its own ingress capacity.
         durs, up_bits, down_bits = self._price_round(
-            selected, links, plan.ratios, updates, t_start, tag=self.round_index
+            selected, links, plan.ratios, None, t_start, tag=self.round_index
         )
         durations = np.array(durs)
 

@@ -9,13 +9,12 @@ For *sparsified* uploads the paper charges ``2 × V × CR / B``: each retained
 parameter ships an (index, value) pair, doubling the per-entry volume
 relative to a dense vector of the same retained fraction.
 
-The factor-2 expression is *ratio-only planning*: the simulator's actual
-transfers are priced by :mod:`repro.network.transport` from the exact wire
-volume of the emitted update (``nnz × (index_bits + value_bits)`` for sparse
-formats, ``d × value_bits`` for quantized ones). ``SPARSE_VOLUME_FACTOR``
-remains the documented fallback wherever no update exists yet — BCRS's
-plan-time ratio scheduling (:mod:`repro.core.bcrs`) and
-``volume_override_bits`` runs that price a larger model than they train.
+The factor-2 expression is *ratio-only planning*, used by BCRS's plan-time
+ratio scheduling (:mod:`repro.core.bcrs`). The simulator's transfers are
+priced by :mod:`repro.network.transport` from each compressor's registered
+wire size (``k × (index_bits + value_bits)`` for Top-K, ``d × value_bits``
+for quantized formats), at the trained width or a ``volume_override_bits``
+model's.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ __all__ = [
 ]
 
 #: Paper's factor for sparse transfers (index + value per retained entry).
-#: Fallback for ratio-only planning; actual transfers price the emitted
-#: update's exact bits via repro.network.transport.Payload.
+#: Ratio-only planning; transfers are priced from each compressor's
+#: registered wire size via repro.network.transport.Payload.
 SPARSE_VOLUME_FACTOR = 2.0
 
 #: Client downlink bandwidth as a multiple of its uplink (Sec. 3.3:

@@ -3,8 +3,7 @@
 Every transfer the simulator prices goes through this module:
 
 - a :class:`Payload` says *what* crosses a link — the exact wire volume in
-  bits (from the emitted :class:`~repro.compression.base.CompressedUpdate`
-  whenever one exists) plus its encoding kind;
+  bits plus its encoding kind;
 - a :class:`Transport` says *how long* it takes — either on an exclusive
   link (``contention="none"``: the paper's Eq. 4 ``T = L + V/B``,
   arithmetic bit-identical to the historical pricing paths) or through a
@@ -16,11 +15,13 @@ Every transfer the simulator prices goes through this module:
 - a :class:`TransferRecord` says *what happened* — start/end/volume — and
   feeds the per-round flow ledgers (:class:`repro.fl.history.RoundComm`).
 
-Planned-ratio pricing (``SPARSE_VOLUME_FACTOR × V × CR``) survives only as
-the documented fallback for ``volume_override_bits`` runs (the trained
-model is smaller than the priced one, so emitted bit counts are
-meaningless) and for BCRS's plan-time ratio scheduling
-(:mod:`repro.core.bcrs`), which must price ratios before any update exists.
+An upload's payload is its compressor's registered wire size
+(:func:`repro.compression.registry.wire_size`) at the priced width — the
+trained model's, or that of a ``volume_override_bits`` model — so it is known
+at dispatch, before the update is trained, and equals the emitted update's
+bits (:meth:`Payload.from_update`) whenever the two widths agree. The paper's
+ratio-only ``SPARSE_VOLUME_FACTOR × V × CR`` is left to BCRS's plan-time
+ratio scheduling (:mod:`repro.core.bcrs`).
 """
 
 from __future__ import annotations
@@ -30,14 +31,9 @@ import math
 from dataclasses import dataclass
 
 from repro.compression.base import CompressedUpdate, DenseUpdate, SparseUpdate
-from repro.network.cost import (
-    SPARSE_VOLUME_FACTOR,
-    LinkSpec,
-    downlink_time,
-    uplink_time,
-)
+from repro.network.cost import LinkSpec, downlink_time, uplink_time
 from repro.utils.rng import RngFactory
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = [
     "Payload",
@@ -85,32 +81,9 @@ class Payload:
         return Payload(bits=float(volume_bits), kind="dense")
 
     @staticmethod
-    def planned(volume_bits: float, ratio: float | None) -> "Payload":
-        """Ratio-only fallback pricing (no emitted update to measure).
-
-        ``ratio=None`` is a dense transfer; otherwise the paper's
-        ``SPARSE_VOLUME_FACTOR × V × CR`` (index, value)-pair approximation
-        — kept for ``volume_override_bits`` runs and plan-time estimates.
-        """
-        if ratio is None:
-            return Payload.dense(volume_bits)
-        check_fraction("ratio", ratio)
-        return Payload(bits=SPARSE_VOLUME_FACTOR * float(volume_bits) * float(ratio), kind="sparse")
-
-    @staticmethod
-    def sparse(nnz: int, *, index_bits: int = 32, value_bits: int = 32) -> "Payload":
-        """Exact sparse wire volume: ``nnz × (index_bits + value_bits)``."""
-        if nnz < 0:
-            raise ValueError(f"nnz must be >= 0, got {nnz}")
-        return Payload(bits=float(nnz) * (index_bits + value_bits), kind="sparse")
-
-    @staticmethod
     def from_update(update: CompressedUpdate) -> "Payload":
-        """The exact emitted volume of a compressed update.
-
-        This is where quantized (reduced ``value_bits``) and sparse
-        ((index, value)-pair) formats get payload-accurate pricing instead
-        of being charged as 32-bit dense vectors.
+        """The exact emitted volume of a compressed update — the measure a
+        compressor's registered wire size must equal at the trained width.
         """
         if isinstance(update, SparseUpdate):
             kind = "sparse"
@@ -385,10 +358,10 @@ class FaultInjector:
 
     - **drop**: the payload burns its wire time (it contends, it is billed)
       but never reaches the aggregator — the update contributes nothing.
-    - **truncate**: a prefix of the sparse payload survives; the delivered
-      update is re-priced at its delivered bits. Partial *dense* blocks are
-      discarded deterministically (a truncated dense vector has no usable
-      framing), i.e. they degrade to a drop.
+    - **truncate**: a prefix of the sparse payload survives and is billed
+      at its delivered bits. Partial *dense* blocks are discarded
+      deterministically (a truncated dense vector has no usable framing),
+      i.e. they degrade to a drop.
     """
 
     def __init__(

@@ -39,7 +39,6 @@ from repro.exec import ClientTask, TaskResult
 from repro.fl.config import ExperimentConfig
 from repro.fl.history import RoundComm, RoundRecord
 from repro.fl.simulation import Simulation
-from repro.compression.sparsifiers import k_from_ratio
 from repro.network.cost import LinkSpec
 from repro.network.metrics import RoundTimes
 from repro.network.transport import FaultInjector, Payload
@@ -121,43 +120,22 @@ class _EventDrivenSimulation(Simulation):
         (the client's current link — priced and admitted as the one object).
 
         With ``result=None`` training is deferred until :meth:`_flush_training`
-        (one backend batch per aggregation window instead of one per dispatch);
-        the upload is then priced from the predicted Top-K wire size, which
-        equals the emitted bits: async runs the algorithm's own (EF-)Top-K,
-        since ``ExperimentConfig`` rejects a compressor override here.
+        (one backend batch per aggregation window instead of one per dispatch).
+        Pricing needs no update either way: the upload is billed its
+        compressor's declared wire size (:meth:`Simulation._payload_for`).
 
-        Fault injection decides the upload's fate here, at dispatch: a
-        truncated upload is re-priced at its delivered bits (so its arrival
-        shifts earlier), a dropped one burns its full wire price in flight.
+        Fault injection decides the upload's fate here, at dispatch, and the
+        price bills it: a truncated sparse upload at its kept entries (so its
+        arrival shifts earlier), a drop — or a truncation with nothing
+        decodable left — at full size. What the server receives resolves at
+        arrival (:meth:`_delivered_update`).
         """
-        update = None if result is None else result.update
         fate, frac = "deliver", 1.0
-        delivered: CompressedUpdate | None = None
-        payload_override: Payload | None = None
         if self.faults is not None:
             fate, frac = self.faults.fate(self._fault_seq, int(cid))
             self._fault_seq += 1
-            if fate == "truncate":
-                if update is not None:
-                    delivered = FaultInjector.truncate(update, frac)
-                    if delivered is None:
-                        fate = "drop"  # nothing decodable survives
-                    else:
-                        payload_override = self._payload_for(delivered, ratio)
-                elif self._price_from_updates and ratio is not None:
-                    # Deferred training: predict the truncated wire size from
-                    # the deterministic Top-K count the compressor will emit.
-                    k = int(frac * k_from_ratio(self.dense_size, float(ratio)))
-                    if k < 1:
-                        fate = "drop"
-                    else:
-                        payload_override = Payload.sparse(k)
-                else:
-                    # Dense / planned-volume uploads have no partial decoding:
-                    # a truncated block is discarded whole.
-                    fate = "drop"
         down, train_t, up, payload = self._price_dispatch(
-            cid, link, ratio, t, tag=self.version, update=update, payload=payload_override
+            cid, link, ratio, t, tag=self.version, frac=frac
         )
         duration = down + train_t + up
         up_start = (t + down) + train_t
@@ -175,7 +153,6 @@ class _EventDrivenSimulation(Simulation):
             up_start=up_start,
             fate=fate,
             frac=frac,
-            delivered=delivered,
         )
         if result is None:
             self._untrained.append(pend)
@@ -205,8 +182,9 @@ class _EventDrivenSimulation(Simulation):
     def _delivered_update(self, pend: _Pending) -> CompressedUpdate | None:
         """The update the server actually receives (None = lost in flight).
 
-        Deferred-training truncations resolve lazily here, after
-        :meth:`_flush_training` has produced the full update.
+        Truncations resolve lazily here, once the full update exists (after
+        :meth:`_flush_training` for deferred training); one with nothing
+        decodable left becomes a drop.
         """
         if pend.fate == "drop":
             return None
@@ -329,12 +307,13 @@ class _EventDrivenSimulation(Simulation):
 
     def _uniform_ratio(self) -> float | None:
         """Per-dispatch compression ratio: uniform CR* when the algorithm
-        compresses, dense otherwise.
+        compresses (with its own compressor or the configured ``compressor``),
+        dense otherwise.
 
         BCRS's per-round ratio *scheduling* assumes a synchronized benchmark
         window and does not transfer to event-driven dispatch; under
-        ``mode="async"`` a BCRS config degrades to uniform Top-K (OPWA still
-        applies at aggregation).
+        ``mode="async"`` a BCRS config degrades to uniform-ratio compression
+        (OPWA still applies at aggregation).
         """
         if self.algorithm.compressor_name is None:
             return None
@@ -357,22 +336,15 @@ class AsyncSimulation(_EventDrivenSimulation):
 
     def __init__(self, config: ExperimentConfig, obs=None, context=None):
         super().__init__(config, obs=obs, context=context)
-        if config.time_varying_links:
-            # Link drift is a per-round process; async has no rounds to pin
-            # it to. Refuse rather than silently freeze the links.
-            raise ValueError(
-                "time_varying_links is not supported in async mode — drift "
-                "is defined per synchronized round; use mode='sync' or "
-                "'semisync'"
-            )
         if config.algorithm in ("bcrs", "bcrs_opwa", "deadline_topk"):
             # These algorithms' plan-time scheduling (BCRS ratio windows,
             # deadline straggler drops) assumes synchronized rounds; under
-            # async dispatch they degrade to uniform-ratio Top-K. Say so
-            # instead of letting the history silently mislabel the run.
+            # async dispatch they degrade to uniform-ratio compression. Say
+            # so instead of letting the history silently mislabel the run.
             warnings.warn(
-                f"algorithm {config.algorithm!r} under mode='async' runs "
-                "uniform Top-K at compression_ratio (per-round scheduling "
+                f"algorithm {config.algorithm!r} under mode='async' runs uniform "
+                f"{'Top-K' if config.compressor is None else repr(config.compressor)} "
+                "at compression_ratio (per-round scheduling "
                 "does not transfer to event-driven dispatch"
                 + ("; OPWA still applies)" if config.algorithm == "bcrs_opwa" else ")"),
                 stacklevel=3,

@@ -4,8 +4,8 @@ A run reaches a compressor only through :func:`make_compressor`, so each
 registered name is held to what the round path relies on: a float32 dense
 reconstruction of the input's length, an input left untouched, an update that
 owns its arrays, no entry whose sign flips or magnitude grows, fewer bits than
-the dense upload, and seed and state behaviour that matches the traits the
-name declares.
+the dense upload, seed and state behaviour that matches the traits the
+name declares, and an emitted size equal to the wire size it declares.
 """
 
 from __future__ import annotations
@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from repro.compression.base import compression_error
-from repro.compression.registry import available_compressors, compressor_traits, make_compressor
+from repro.compression.registry import (
+    available_compressors,
+    compressor_traits,
+    make_compressor,
+    register_compressor,
+    wire_size,
+)
+from repro.network.transport import Payload
 
 NAMES = available_compressors()
 D = 257
@@ -126,3 +133,21 @@ def test_reconstruction_beats_sending_nothing(name):
 def test_single_entry_update_survives(name):
     u = np.array([-0.5], np.float32)
     np.testing.assert_allclose(make_compressor(name, seed=1).compress(u, RATIO).to_dense(), u)
+
+
+@pytest.mark.parametrize("ratio", [1e-4, 0.1, 1.0])
+@pytest.mark.parametrize("d", [1, 7, 33_610])
+@pytest.mark.parametrize("name", NAMES)
+def test_emitted_update_has_the_declared_wire_size(name, d, ratio):
+    """Uploads are priced from the declaration before they are trained, so
+    it must be exactly what the update then measures — at the k = 1 clamp
+    (d·r < 1/2), at k ≥ d (d = 1, r = 1) and at the paper model's width."""
+    entries, entry_bits, kind = wire_size(name, d, ratio)
+    emitted = Payload.from_update(make_compressor(name, seed=1).compress(vector(0, d), ratio))
+    assert (entries * entry_bits, kind) == (emitted.bits, emitted.kind)
+
+
+def test_registration_requires_a_wire_size():
+    with pytest.raises(TypeError, match="wire"):
+        register_compressor("undeclared", lambda seed=0: make_compressor("topk"))
+    assert "undeclared" not in available_compressors()

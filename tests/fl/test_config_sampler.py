@@ -56,6 +56,13 @@ class TestConfig:
             ExperimentConfig(mode=mode, **{field: 0.1})
         ExperimentConfig(mode="hier", edge_crash_prob=0.1)
 
+    @pytest.mark.parametrize("bits", [0, -32.0, 4e8 + 16, 33.0])
+    def test_volume_override_is_a_positive_multiple_of_32(self, bits):
+        """Uploads are priced at width V/32; a volume that is not a whole
+        number of float32 entries fails at construction, naming the field."""
+        with pytest.raises(ValueError, match="^volume_override_bits must be a positive multiple of 32"):
+            ExperimentConfig(volume_override_bits=bits)
+
     def test_with_override(self):
         cfg = ExperimentConfig().with_(algorithm="bcrs", compression_ratio=0.1)
         assert cfg.algorithm == "bcrs"

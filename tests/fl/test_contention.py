@@ -8,10 +8,9 @@ contended histories stay bit-identical across execution backends, and the
 per-round ledgers add up to what the compressors actually emitted.
 """
 
-import numpy as np
 import pytest
 
-from repro.compression.base import DenseUpdate, SparseUpdate
+from repro.compression.base import SparseUpdate
 from repro.fl.config import ExperimentConfig
 from repro.network.cost import uplink_time
 from repro.simtime import make_simulation
@@ -73,37 +72,8 @@ class TestPayloadAccuratePricing:
                 link.latency_s + u.bits / link.bandwidth_bps
             )
 
-    def test_volume_override_falls_back_to_planned_ratio(self):
-        """Paper-scale volume simulation can't use the small model's emitted
-        bits; the documented factor-2 fallback must price it."""
-        from repro.network.cost import sparse_uplink_time
-
-        sim, h = run_sim(small_config(rounds=1, volume_override_bits=32e6))
-        rec = h.records[0]
-        spans = {
-            s.cid: s.end - s.start
-            for s in sim.spans
-            if s.tag == 0 and s.kind == "upload"
-        }
-        for cid in rec.selected:
-            expected = sparse_uplink_time(
-                sim.links[cid], 32e6, small_config().compression_ratio
-            )
-            assert spans[cid] == pytest.approx(expected)
-
-    def test_emitted_update_outprices_every_plan(self):
-        """An emitted update always wins over plan-based pricing — a
-        quantized (8-bit) DenseUpdate is priced at d × 8 bits even when the
-        plan says dense (ratio=None), not charged as 32-bit dense."""
-        sim, _ = run_sim(small_config(rounds=1))
-        d = sim.dense_size
-        quant = DenseUpdate(dense_size=d, values=np.zeros(d, np.float32), value_bits=8)
-        p = sim._payload_for(quant, None)
-        assert p.kind == "quantized"
-        assert p.bits == d * 8
-
     def test_async_predicted_bits_match_emitted_bits(self):
-        """Deferred-training dispatches are priced from the predicted Top-K
+        """Deferred-training dispatches are priced from Top-K's declared
         wire size — which must equal what the compressor then emits."""
         sim, h = run_sim(small_config(mode="async", rounds=3))
         for r in h.records:

@@ -53,10 +53,9 @@ def config(**overrides) -> ExperimentConfig:
 # ---- the arithmetic as it stood ----------------------------------------------
 
 
-def ref_stage_dispatch(self, cid, link, ratio, update, *, payload=None):
+def ref_stage_dispatch(self, cid, link, ratio, frac=1.0):
     cfg = self.config
-    if payload is None:
-        payload = self._payload_for(update, ratio)
+    payload = self._payload_for(ratio, frac)
     down, train_t, up = pipeline_times(
         self.devices.with_link(cid, self.links[cid]),
         volume_bits=self.volume_bits,
@@ -68,14 +67,14 @@ def ref_stage_dispatch(self, cid, link, ratio, update, *, payload=None):
     return payload, down, train_t, up
 
 
-def ref_price_round(self, selected, links, ratios, updates, t, tag):
+def ref_price_round(self, selected, links, ratios, fracs, t, tag):
     cfg = self.config
     staged = []
     for pos, cid in enumerate(selected):
         cid = int(cid)
         ratio = None if ratios is None else float(ratios[pos])
-        update = None if updates is None else updates[pos]
-        payload, down, train_t, up = self._stage_dispatch(cid, None, ratio, update)
+        frac = 1.0 if fracs is None else fracs[pos]
+        payload, down, train_t, up = self._stage_dispatch(cid, None, ratio, frac)
         staged.append((cid, payload, down, train_t, up))
 
     ends = None
@@ -177,8 +176,8 @@ def test_drifting_links_are_re_read_every_round(monkeypatch):
     stale: dict[int, object] = {}
     live_stage = Simulation._stage_dispatch
 
-    def stage_over_first_link(self, cid, link, ratio, update, *, payload=None):
-        return live_stage(self, cid, stale.setdefault(cid, link), ratio, update, payload=payload)
+    def stage_over_first_link(self, cid, link, ratio, frac=1.0):
+        return live_stage(self, cid, stale.setdefault(cid, link), ratio, frac)
 
     monkeypatch.setattr(Simulation, "_stage_dispatch", stage_over_first_link)
     frozen, _, _ = run(cfg, monkeypatch, reference=False)

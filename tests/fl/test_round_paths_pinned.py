@@ -6,7 +6,7 @@ record plus one for the virtual-time span log. The cells pair every protocol
 mode with the features whose handling the round loops share — fault fates,
 zero-weight stragglers, drifting links, fair-share ingress with downlink
 accounting, a quantising compressor with a seeded stream per client, robust
-aggregation, a server optimizer with state, planned-volume pricing, late
+aggregation, a server optimizer with state, paper-scale volume pricing, late
 policies, edge deadlines/crashes/backhaul — so a change to the shared round
 stages that moves any of them shows up as the first differing round.
 
@@ -22,13 +22,25 @@ cells pinned compressors no preset, scenario, workload or example selected
 (``sync-randomk``, ``sync-ef_randomk-lossy``, ``sync-threshold``); they
 were deleted with Random-K and the threshold sparsifier. Error feedback
 under drop + truncate stays pinned by ``sync-lossy-eftopk``, and the seeded
-per-client compressor stream by the three ``qsgd8`` cells. The async one,
+per-client compressor stream by the ``qsgd8`` cells. The async one,
 ``async-qsgd8-lossy``, was deleted when ``ExperimentConfig`` began rejecting
-a ``compressor`` override under ``mode="async"`` (async prices an upload
-before it is trained, and only the algorithm's own Top-K size is known
-then); deferred truncation stays pinned by ``async-lossy-eftopk``. Every cell
-runs on ``serial`` and on ``thread``: seeded runs are bit-identical across
-backends, so both replay the same digests.
+a ``compressor`` override under ``mode="async"`` (async priced an upload
+before it was trained from Top-K's size alone), and re-recorded once every
+compressor declared its wire size at registration: its truncated quantized
+uploads are drops billed at 8 bits per entry.
+
+That change also re-recorded three ``volume_override_bits`` cells, whose
+uploads had been billed ``2·V·r`` whatever happened to them; they are now
+billed the compressor's declared size at width V/32.
+``hier-volume`` moved only by rounding each BCRS ratio to whole Top-K
+entries (at most 32 bits an upload). ``sync-volume-lossy`` also bills a
+truncated upload its kept prefix instead of its full size; what it
+aggregates is unchanged. ``async-volume-lossy`` used to drop every truncated
+upload whole, and now delivers its prefix, so its learning moves from round
+0. ``semisync-drop-fixed-volume`` (Top-K at CR 0.2, whole entries already, no
+faults) replays unchanged. Every cell runs on ``serial`` and on ``thread``:
+seeded runs are bit-identical across backends, so both replay the same
+digests.
 """
 
 from __future__ import annotations
@@ -93,13 +105,14 @@ CELLS: dict[str, ExperimentConfig] = {
     # a quantiser beneath topk: dense updates, a seeded stream per client
     "sync-qsgd8": _cfg(compressor="qsgd8"),
     "semisync-qsgd8": _cfg(**_SEMISYNC, compressor="qsgd8"),
+    "async-qsgd8-lossy": _cfg(**_ASYNC, compressor="qsgd8", truncate_prob=0.4),
     "hier-qsgd8": _cfg(**_HIER, compressor="qsgd8"),
     # order-statistic aggregation, a server optimizer with moments
     "sync-trimmed-adam": _cfg(aggregator="trimmed_mean", trim_beta=0.2, server_optimizer="adam", server_step=0.01),
     "semisync-trimmed": _cfg(**_SEMISYNC, aggregator="trimmed_mean", trim_beta=0.2),
     "async-adam": _cfg(**_ASYNC, algorithm="bcrs_opwa", server_optimizer="adam", server_step=0.01),
     "hier-trimmed-adam": _cfg(**_HIER, aggregator="trimmed_mean", trim_beta=0.2, server_optimizer="adam", server_step=0.01),
-    # uploads priced from the planned volume, not the emitted bits
+    # uploads priced at a paper-scale volume's width, not the trained one
     "sync-volume-lossy": _cfg(volume_override_bits=4e8, algorithm="bcrs_opwa", compression_ratio=0.1, drop_prob=0.2, truncate_prob=0.3),
     "async-volume-lossy": _cfg(**_ASYNC, volume_override_bits=4e8, truncate_prob=0.4),
     "hier-volume": _cfg(**_HIER, volume_override_bits=4e8, algorithm="bcrs", compression_ratio=0.1),
@@ -163,6 +176,10 @@ PINNED: dict[str, list[str]] = {
         "e36d84093f6b0b2c", "7a852d2b541775ef", "ce6b865c566ab8bc", "f4bfa45994ac051e",
         "a86184c06737fc25",
     ],
+    "async-qsgd8-lossy": [
+        "d06d5c723748a88d", "38f6fbe5943d9ef4", "45424084e7000ea8", "e46799804109cd5b",
+        "d1591490939ef03e",
+    ],
     "hier-qsgd8": [
         "55884feb45cff597", "68b9769c4a420a21", "6ef9cb1c4f525f79", "015c7bcb21703a19",
     ],
@@ -181,14 +198,14 @@ PINNED: dict[str, list[str]] = {
         "044a8a43bbf05738", "66f6003762a52816", "ada0e13b9428a7ae", "4e52a286f09d1526",
     ],
     "sync-volume-lossy": [
-        "c9f3e8a1f5170822", "8b3f19fda2810461", "c4f4ee550cb86303", "91de955dbbe61ea4",
+        "cd1d0d608dfdb3dd", "97dd6c6ca26f7180", "dbae8546175911f3", "7985397b0c9fbb72",
     ],
     "async-volume-lossy": [
-        "ffa12d3b32983aa0", "370b832ee33e6732", "6a83202e4d43047b", "4ce8a8467e0e5048",
-        "be9373bc651be174",
+        "e0da64a53817545f", "353cbe0e692fd958", "3d1ea76e016ba846", "921dd5b53b531fa8",
+        "b263da867b04f587",
     ],
     "hier-volume": [
-        "bcd1cadf4a6f0253", "53ba1c9aea813744", "37adb3533d951d70", "aefaa3611cd55acf",
+        "a4c549b5395f552a", "890be0c23ee3dc9a", "1707c09a120a0d32", "0eb3e28e9e7a0494",
     ],
     "semisync-carryover-fixed": [
         "eb77166fb65b32ba", "95cd2310ccf41b19", "82df52140511f03c", "659570d8825f0028",

@@ -13,7 +13,7 @@ import pytest
 
 from repro.compression.base import DenseUpdate, SparseUpdate
 from repro.compression.quantization import QSGDQuantizer
-from repro.network.cost import SPARSE_VOLUME_FACTOR, LinkSpec, uplink_time
+from repro.network.cost import LinkSpec, uplink_time
 from repro.network.links import LinkModel, sample_links
 from repro.network.transport import MBIT, IngressPipe, Payload, Transport
 
@@ -25,18 +25,6 @@ class TestPayload:
         p = Payload.dense(32e6)
         assert p.bits == 32e6 and p.kind == "dense"
         assert p.nbytes == 4e6
-
-    def test_planned_none_is_dense(self):
-        assert Payload.planned(32e6, None) == Payload.dense(32e6)
-
-    def test_planned_ratio_uses_documented_factor(self):
-        p = Payload.planned(32e6, 0.1)
-        assert p.bits == pytest.approx(SPARSE_VOLUME_FACTOR * 32e6 * 0.1)
-        assert p.kind == "sparse"
-
-    def test_sparse_exact_wire_volume(self):
-        assert Payload.sparse(100).bits == 100 * 64
-        assert Payload.sparse(100, index_bits=16, value_bits=8).bits == 100 * 24
 
     def test_from_sparse_update_uses_index_plus_value_bits(self):
         """Satellite: sparse wire volume comes from the update's own

@@ -148,6 +148,11 @@ def scratch_registry(monkeypatch):
     monkeypatch.setattr(registry, "_FACTORIES", dict(registry._FACTORIES))
 
 
+def qsgd8_wire(d: int, ratio: float) -> tuple[int, int, str]:
+    """The 8-bit quantizer's declared wire size (every test factory builds one)."""
+    return d, 8, "quantized"
+
+
 @pytest.mark.parametrize("regime", ["child", "counter"])
 def test_third_party_factory_without_metadata_stays_per_client_and_seeded(
     scratch_registry, regime
@@ -158,7 +163,7 @@ def test_third_party_factory_without_metadata_stays_per_client_and_seeded(
         seeds.append(seed)
         return QSGDQuantizer(seed=seed)
 
-    register_compressor("third_party", factory)
+    register_compressor("third_party", factory, wire=qsgd8_wire)
     assert compressor_traits("third_party") == (True, True)
     pool = CompressorPool("third_party", population(regime))
     assert seeds == []  # nothing built until a client asks
@@ -173,7 +178,11 @@ def test_third_party_factory_without_metadata_stays_per_client_and_seeded(
 def test_declared_stateless_third_party_is_shared(scratch_registry):
     built = []
     register_compressor(
-        "pure", lambda seed=0: built.append(seed) or QSGDQuantizer(seed=0), seeded=False, stateful=False
+        "pure",
+        lambda seed=0: built.append(seed) or QSGDQuantizer(seed=0),
+        wire=qsgd8_wire,
+        seeded=False,
+        stateful=False,
     )
     pool = CompressorPool("pure", population("counter"))
     assert pool[0] is pool[39] and pool.resident == 0 and built == [0]
@@ -181,7 +190,9 @@ def test_declared_stateless_third_party_is_shared(scratch_registry):
 
 def test_seeded_implies_per_client(scratch_registry):
     """A generator that advances is client state, whatever the caller says."""
-    register_compressor("odd", lambda seed=0: QSGDQuantizer(seed=seed), seeded=True, stateful=False)
+    register_compressor(
+        "odd", lambda seed=0: QSGDQuantizer(seed=seed), wire=qsgd8_wire, seeded=True, stateful=False
+    )
     assert compressor_traits("odd") == (True, True)
 
 

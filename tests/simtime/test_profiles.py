@@ -35,7 +35,7 @@ def times(dev: DeviceProfile, payload: Payload, **kw) -> tuple[float, float, flo
 
 class TestPipelineTimes:
     def test_upload_is_eq4_on_the_payload_bits(self):
-        for payload in (Payload.dense(1e6), Payload.sparse(5_000), Payload(12_345.0, "quantized")):
+        for payload in (Payload.dense(1e6), Payload(5_000 * 64.0, "sparse"), Payload(12_345.0, "quantized")):
             _, _, up = times(profile(), payload)
             assert up == uplink_time(LINK, payload.bits)  # bitwise
 
@@ -54,10 +54,10 @@ class TestPipelineTimes:
         assert down == pytest.approx(0.1 + 1e6 / 1e7)
 
     def test_stages_compose(self):
-        down, train, up = times(profile(), Payload.sparse(5_000))
+        down, train, up = times(profile(), Payload(5_000 * 64.0, "sparse"))
         assert down == pytest.approx(0.2)
         assert train == pytest.approx(1.0)
-        assert up == pytest.approx(0.1 + Payload.sparse(5_000).bits / 1e6)
+        assert up == pytest.approx(0.1 + Payload(5_000 * 64.0, "sparse").bits / 1e6)
 
     def test_downlink_gated(self):
         down, _, _ = times(profile(), Payload.dense(1e6), num_samples=10, include_downlink=False)

@@ -76,13 +76,8 @@ class TestVirtualSpans:
 
     @pytest.mark.parametrize("mode", ["sync", "semisync", "async", "hier"])
     def test_dense_updates_record_one_unit_ratio_each(self, mode):
-        """A quantiser beneath topk emits dense updates: every mode that takes
-        the override records 1.0 per emitted update (sync and hier used to
-        record none). Async rejects the override at construction."""
-        if mode == "async":
-            with pytest.raises(ValueError, match="compressor.*mode='async'"):
-                small_config(mode=mode, compressor="qsgd8")
-            return
+        """A quantiser beneath topk emits dense updates: every mode records
+        1.0 per emitted update (sync and hier used to record none)."""
         _, h = run_sim(small_config(mode=mode, compressor="qsgd8"))
         for r in h.records:
             assert r.ratios and set(r.ratios) == {1.0}
@@ -206,25 +201,23 @@ class TestReviewRegressions:
         with pytest.raises(ValueError, match="time_varying_links"):
             make_simulation(small_config(mode="async", time_varying_links=True))
 
-    @pytest.mark.parametrize("compressor", ["qsgd8", "ef_topk", "topk"])
-    def test_async_rejects_a_compressor_override(self, compressor):
-        """Async prices an upload at dispatch, before it is trained, from the
-        algorithm's own Top-K size — which an override does not emit (qsgd8
-        at CR 0.2 used to be billed as a sparse upload). The error names both
-        fields and the reason; the other modes keep the override."""
-        with pytest.raises(ValueError) as err:
-            small_config(mode="async", compressor=compressor)
-        message = str(err.value)
-        assert "compressor" in message and "mode='async'" in message
-        assert "before it is trained" in message
-        for mode in ("sync", "semisync", "hier"):
-            assert small_config(mode=mode, compressor=compressor).compressor == compressor
+    def test_async_rejects_time_varying_links_at_config_construction(self):
+        """The config alone refuses the pair, naming both sides — a sweep
+        fails before its first cell runs, not inside the simulation."""
+        with pytest.raises(ValueError, match="time_varying_links.*mode='async'"):
+            small_config(mode="async", time_varying_links=True)
+        with pytest.raises(ValueError, match="time_varying_links.*mode='async'"):
+            small_config(time_varying_links=True).with_(mode="async")
+        for mode in ("sync", "semisync"):
+            assert small_config(mode=mode, time_varying_links=True).time_varying_links
 
     def test_async_warns_on_schedule_based_algorithms(self):
         import warnings as w
 
         with pytest.warns(UserWarning, match="uniform Top-K"):
             make_simulation(small_config(mode="async", algorithm="bcrs"))
+        with pytest.warns(UserWarning, match="uniform 'qsgd8'"):  # the override is what runs
+            make_simulation(small_config(mode="async", algorithm="bcrs", compressor="qsgd8"))
         with w.catch_warnings():
             w.simplefilter("error")  # plain topk must stay silent
             make_simulation(small_config(mode="async", algorithm="topk"))
