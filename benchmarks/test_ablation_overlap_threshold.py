@@ -8,8 +8,7 @@ sweeps D and reports accuracy plus how much of the model each D enlarges.
 
 
 from benchmarks.conftest import emit
-from repro.compression.base import SparseUpdate
-from repro.core.opwa import opwa_mask_from_updates
+from repro.core.opwa import opwa_mask
 from repro.experiments import bench_config, format_table, run_grid
 from repro.fl import Simulation
 
@@ -20,13 +19,12 @@ def test_ablation_overlap_threshold(once):
     base = bench_config("cifar10", "bcrs_opwa", beta=0.1, compression_ratio=0.01, rounds=40)
     results = once(run_grid, base, {"required_overlap": DS}).by_axis("required_overlap")
 
-    # Measure the enlarged share for each D on a fresh round's updates.
+    # Measure the enlarged share for each D on a fresh round's overlap counts.
     sim = Simulation(base)
     sim.run_round()
-    updates = [u for u in sim.last_round_updates if isinstance(u, SparseUpdate)]
     shares = {}
     for d in DS:
-        mask = opwa_mask_from_updates(updates, gamma=base.gamma, required_overlap=d)
+        mask = opwa_mask(sim.last_overlap.per_index, gamma=base.gamma, required_overlap=d)
         shares[d] = float((mask > 1).mean())
 
     rows = [

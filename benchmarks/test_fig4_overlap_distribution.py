@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
-from repro.compression.base import SparseUpdate
-from repro.core.overlap import overlap_distribution
 from repro.experiments import bench_config, format_table
 from repro.experiments.paper_reference import FIG4_SINGLETON_FRACTIONS
 from repro.fl import Simulation
@@ -21,8 +19,7 @@ def round_distribution(beta: float, cr: float):
     cfg = bench_config("cifar10", "topk", beta=beta, compression_ratio=cr, rounds=3)
     sim = Simulation(cfg)
     sim.run()
-    updates = [u for u in sim.last_round_updates if isinstance(u, SparseUpdate)]
-    return overlap_distribution(updates)
+    return sim.last_overlap
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5])

@@ -10,9 +10,7 @@ enlarge-rate mask (Algorithm 3).
 Run:  python examples/overlap_analysis.py
 """
 
-from repro.compression.base import SparseUpdate
-from repro.core.opwa import opwa_mask_from_updates
-from repro.core.overlap import overlap_distribution
+from repro.core.opwa import opwa_mask
 from repro.experiments import bench_config, format_table
 from repro.fl import Simulation
 
@@ -21,20 +19,19 @@ def main() -> None:
         cfg = bench_config("cifar10", "topk", beta=0.1, compression_ratio=cr, rounds=3)
         sim = Simulation(cfg)
         sim.run()
-        updates = [u for u in sim.last_round_updates if isinstance(u, SparseUpdate)]
-        dist = overlap_distribution(updates)
+        dist = sim.last_overlap  # the last round's, folded in as each upload arrived
 
         rows = [
             [f"{f + 1}", f"{count}", f"{frac:.2%}"]
             for f, (count, frac) in enumerate(zip(dist.counts, dist.fractions()))
         ]
-        print(f"\n=== CR = {cr}  ({len(updates)} clients, "
+        print(f"\n=== CR = {cr}  ({dist.num_clients} clients, "
               f"{dist.total_retained} distinct retained indices) ===")
         print(format_table(["overlap degree", "#parameters", "share"], rows))
         print(f"singleton fraction: {dist.singleton_fraction():.2%} "
               f"(paper reports ~59% at CR=0.1, ~87% at CR=0.01)")
 
-        mask = opwa_mask_from_updates(updates, gamma=7.0)
+        mask = opwa_mask(dist.per_index, gamma=7.0)
         enlarged = int((mask > 1).sum())
         print(f"OPWA mask with gamma=7 would enlarge {enlarged} parameters "
               f"({enlarged / mask.size:.2%} of the model).")

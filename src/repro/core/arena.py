@@ -1,30 +1,31 @@
 """Preallocated full-width buffers for the server's aggregate → step path.
 
 A compressing round's server-side cost is array plumbing at the model's
-width: :func:`~repro.core.aggregation.weighted_sparse_sum` needs a zeroed
-``float64`` sum, the server step a ``float64`` working vector, and the
-order-statistic aggregators one densified row per update.
+width: the :class:`~repro.core.aggregation.CohortFold` a round folds its
+uploads into needs a zeroed ``float64`` sum, the server step a ``float64``
+working vector, and the order-statistic rules one densified row per update.
 :class:`AggregationArena` owns those buffers once per aggregation point and
 hands the same storage out round after round:
 
-- **accumulator** — the zeroed full-width ``float64`` vector
-  :func:`~repro.core.aggregation.weighted_sparse_sum` scatter-adds every
-  update's ``(indices, values)`` into.
+- **accumulator** — the zeroed full-width ``float64`` vector every update's
+  weighted ``(indices, values)`` are scatter-added into as it arrives.
 - **step scratch** — the ``float64`` working vector
   :func:`~repro.core.aggregation.apply_server_update` and the server
   optimizers use for their in-place ``out=`` path, eliminating the
   ``astype(float64)`` copy of the widest array in the system.
 - **rows** — the grow-only ``(n, d)`` matrix the coordinate median and the
-  trimmed mean densify a cohort into.
+  trimmed mean densify a cohort into: the one buffer that grows with the
+  cohort, so a simulation refuses a cohort whose rows would pass
+  :data:`ROWS_CAP_BYTES`.
 
 The arena holds nothing on the client side: every compressor returns an
 update that owns its arrays, on every backend and in every protocol, so an
 update stays valid for as long as anyone holds it.
 
 Every aggregation writes into an arena: a caller that passes none gets a
-fresh one (:func:`arena_for`), so there is one code path whether the
-buffers are reused or not, and reuse cannot change a result — each buffer
-is zeroed (or fully overwritten) before it is read.
+fresh one, so there is one code path whether the buffers are reused or not,
+and reuse cannot change a result — each buffer is zeroed (or fully
+overwritten) before it is read.
 
 The arena is a *single-consumer* structure: one simulation (or one thread)
 aggregates at a time.
@@ -34,7 +35,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["AggregationArena", "arena_for"]
+__all__ = ["AggregationArena", "ROWS_CAP_BYTES"]
+
+#: The largest ``|S_t| × d`` float64 rows matrix an order-statistic rule may
+#: densify a cohort into (1 GiB): every other aggregation holds O(d).
+ROWS_CAP_BYTES = 1 << 30
 
 
 class AggregationArena:
@@ -79,18 +84,3 @@ class AggregationArena:
     def nbytes(self) -> int:
         """Total bytes currently held (observability/reporting)."""
         return int(self._acc.nbytes + self.step_scratch.nbytes + self._rows.nbytes)
-
-
-def arena_for(updates, arena: AggregationArena | None = None) -> AggregationArena:
-    """The arena an aggregation of ``updates`` writes into: ``arena``,
-    checked against the updates' common width, else a fresh one."""
-    if not updates:
-        raise ValueError("need at least one update")
-    d = updates[0].dense_size
-    if any(u.dense_size != d for u in updates):
-        raise ValueError("updates disagree on dense_size")
-    if arena is None:
-        return AggregationArena(d)
-    if arena.dense_size != d:
-        raise ValueError(f"arena dense_size {arena.dense_size} != updates' {d}")
-    return arena

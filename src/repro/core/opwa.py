@@ -55,12 +55,6 @@ def opwa_mask_from_updates(
     gamma: float,
     *,
     required_overlap: int = 1,
-    counts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """CalculateOverlap + GenerateMask in one call (Alg. 3); ``counts`` skips the
-    scan where the caller holds it (``overlap_distribution(updates).per_index``)."""
-    if counts is None:
-        counts = narrow_overlap_counts(updates)
-    elif counts.shape != (updates[0].dense_size,):
-        raise ValueError(f"counts shape {counts.shape} != the updates' ({updates[0].dense_size},)")
-    return opwa_mask(counts, gamma, required_overlap=required_overlap)
+    """CalculateOverlap + GenerateMask in one call (Alg. 3)."""
+    return opwa_mask(narrow_overlap_counts(updates), gamma, required_overlap=required_overlap)

@@ -23,20 +23,17 @@ def narrow_overlap_counts(updates: list[SparseUpdate]) -> np.ndarray:
     """Retention counts in the narrowest unsigned dtype that holds the cohort.
 
     uint8 below 256 updates: the full-width vector the histogram and the
-    mask re-read is 1 byte per parameter, not 8. One scatter-add of ones per
-    update, in the counter's own dtype so ``np.add.at`` stays on its indexed
-    fast loop.
+    mask re-read is 1 byte per parameter, not 8. The counting half of
+    :class:`~repro.core.aggregation.CohortFold`, fed the list.
     """
+    from repro.core.aggregation import CohortFold  # which builds on this module
+
     if not updates:
         raise ValueError("need at least one update")
-    d = updates[0].dense_size
-    counts = np.zeros(d, dtype=np.min_scalar_type(len(updates)))
-    ones = np.ones(max(u.indices.size for u in updates), dtype=counts.dtype)
+    fold = CohortFold(len(updates))
     for u in updates:
-        if u.dense_size != d:
-            raise ValueError(f"dense_size mismatch: {u.dense_size} != {d}")
-        np.add.at(counts, u.indices, ones[: u.indices.size])
-    return counts
+        fold.add(u)
+    return fold.counts
 
 
 def overlap_counts(updates: list[SparseUpdate]) -> np.ndarray:
@@ -69,6 +66,12 @@ class OverlapDistribution:
             return np.zeros_like(self.counts, dtype=np.float64)
         return self.counts / total
 
+    @classmethod
+    def from_counts(cls, per_index: np.ndarray, n: int) -> "OverlapDistribution":
+        """The histogram of ``n`` updates' narrow per-index retention counts."""
+        hist = np.bincount(per_index, minlength=n + 1)[1 : n + 1]
+        return cls(counts=hist.astype(np.int64), num_clients=n, per_index=per_index)
+
     def singleton_fraction(self) -> float:
         """Fraction of retained indices that appear in exactly one client."""
         return float(self.fractions()[0])
@@ -76,7 +79,4 @@ class OverlapDistribution:
 
 def overlap_distribution(updates: list[SparseUpdate]) -> OverlapDistribution:
     """Compute the Fig. 4 histogram for one round's compressed updates."""
-    n = len(updates)
-    per_index = narrow_overlap_counts(updates)
-    hist = np.bincount(per_index, minlength=n + 1)[1 : n + 1]
-    return OverlapDistribution(counts=hist.astype(np.int64), num_clients=n, per_index=per_index)
+    return OverlapDistribution.from_counts(narrow_overlap_counts(updates), len(updates))

@@ -5,8 +5,10 @@ client ``i`` from the current global model and compress its update at ratio
 ``CR_i``" — whose only shared input, the global parameters, is read-only
 for the duration of the round. That independence is what makes
 the round parallelizable: every backend consumes the same
-:class:`ClientTask` list and returns the same :class:`TaskResult` list, so
-the round loop in :mod:`repro.fl.simulation` is backend-agnostic.
+:class:`ClientTask` list and yields the same :class:`TaskResult` stream in
+position order — serial one task at a time, the parallel backends
+:data:`WINDOW` positions at a time, so none holds or pickles a cohort — and
+the round loop in :mod:`repro.fl.simulation` folds each as it arrives.
 
 Determinism contract: a client's stochasticity lives entirely in per-client
 state — its :class:`~repro.data.loader.BatchLoader` RNG stream and its
@@ -25,8 +27,8 @@ inside a worker yields the same object state as hydrating in the parent —
 backends need no materialization step before fan-out.
 
 A :class:`TaskResult`'s update owns its arrays on every backend — a worker
-writes into no buffer the server reuses — so the round loop may hold results
-(``Simulation.last_round_updates``, semi-sync carryover) across rounds.
+writes into no buffer the server reuses — so a caller may hold results
+(semi-sync carryover) across rounds.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import os
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +51,12 @@ __all__ = [
     "ExecutionBackend",
     "resolve_workers",
     "shard_tasks",
+    "WINDOW",
 ]
+
+#: Positions a parallel backend dispatches at once. Windows run one after
+#: another, so a client's tasks keep their list order across windows too.
+WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,6 @@ class TaskResult:
     cid: int
     update: CompressedUpdate
     mean_loss: float
-    num_batches: int
     train_seconds: float  # per-task wall clock (summed into Fig. 6)
     compress_seconds: float
     #: Trace-clock instants bounding the task (``time.perf_counter`` is
@@ -197,7 +203,6 @@ class WorkerContext:
             cid=task.cid,
             update=update,
             mean_loss=res.mean_loss,
-            num_batches=res.num_batches,
             train_seconds=train_seconds,
             compress_seconds=compress_seconds,
             wall_start=wall_start,
@@ -211,6 +216,8 @@ class ExecutionBackend(ABC):
 
     #: Registry name ("serial" | "thread" | "process").
     name: str = "abstract"
+    #: Set once a round failed, or was abandoned with tasks left to run.
+    _poisoned = False
 
     @abstractmethod
     def run_round(
@@ -218,8 +225,9 @@ class ExecutionBackend(ABC):
         tasks: Sequence[ClientTask],
         global_params: np.ndarray | None,
         spec: TrainSpec,
-    ) -> list[TaskResult]:
-        """Execute ``tasks`` and return results sorted by ``position``."""
+    ) -> Iterator[TaskResult]:
+        """Execute ``tasks``, yielding their results in ``position`` order;
+        ``global_params`` must not change until the stream is exhausted."""
 
     def close(self) -> None:
         """Release worker resources (idempotent). Default: nothing to do."""
@@ -229,6 +237,30 @@ class ExecutionBackend(ABC):
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _check_healthy(self) -> None:
+        if self._poisoned:
+            raise RuntimeError(
+                f"{self.name} backend failed in a previous round, or its stream was abandoned "
+                "part-way; per-client state advanced for part of that round — build a fresh simulation"
+            )
+
+    def _windows(
+        self,
+        tasks: Sequence[ClientTask],
+        run_window: Callable[[Sequence[ClientTask]], list[TaskResult]],
+    ) -> Iterator[TaskResult]:
+        """Stream ``tasks`` through ``run_window`` (one window's results in
+        position order) :data:`WINDOW` positions at a time. A stream that
+        fails or is closed before its last window ran poisons the backend."""
+        left = len(tasks)
+        try:
+            for start in range(0, len(tasks), WINDOW):
+                results = run_window(tasks[start : start + WINDOW])
+                left -= len(results)
+                yield from results
+        finally:
+            self._poisoned = self._poisoned or left > 0
 
 
 def resolve_workers(workers: int | None) -> int:

@@ -17,6 +17,8 @@ Design:
   serial execution — seeded runs are bit-identical across backends.
   Changing ``workers`` mid-run would break this, so the count is fixed at
   construction.
+- **Windowed rounds.** A round goes out :data:`~repro.exec.base.WINDOW`
+  positions at a time: one window's updates, not a cohort's, are pickled.
 - **Shared read-only global parameters.** Each round the parent writes the
   global parameter vector into one POSIX shared-memory block; workers map
   it once and read a zero-copy view. Only the small task list travels over
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import weakref
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -172,7 +174,6 @@ class ProcessBackend(ExecutionBackend):
         self._pool: _Pool | None = None
         self._layout: tuple[tuple[int, ...], str] | None = None
         self._finalizer = None
-        self._poisoned = False
 
     # ------------------------------------------------------------------ setup
 
@@ -230,23 +231,21 @@ class ProcessBackend(ExecutionBackend):
         tasks: Sequence[ClientTask],
         global_params: np.ndarray | None,
         spec: TrainSpec,
-    ) -> list[TaskResult]:
-        if self._poisoned:
-            raise RuntimeError(
-                "process backend failed in a previous round; the healthy "
-                "workers' per-client state has already advanced, so retrying "
-                "would diverge — build a fresh simulation"
-            )
+    ) -> Iterator[TaskResult]:
+        self._check_healthy()
         self._ensure_started()
-        assert self._pool is not None
         payload = self._broadcast(global_params)
+        return self._windows(tasks, lambda window: self._run_window(window, spec, payload))
 
-        shards = shard_tasks(tasks, self.workers)
+    def _run_window(self, window: Sequence[ClientTask], spec: TrainSpec, payload) -> list[TaskResult]:
+        assert self._pool is not None
+        shards = shard_tasks(window, self.workers)
         active = [w for w, shard in enumerate(shards) if shard]
         # Drain every active worker before raising: an unconsumed reply would
-        # be read as a later round's result if the caller retries run_round.
-        # A dead worker (pipe EOF/break) can't be drained at all, so that
-        # path poisons the backend too.
+        # be read as a later window's result. Any failure poisons the backend
+        # (ExecutionBackend._windows): a partial round already advanced
+        # per-client state, and a dead worker or a failure mid-protocol
+        # leaves replies that cannot be drained.
         results: list[TaskResult] = []
         errors: list[tuple[int, str]] = []
         try:
@@ -259,22 +258,12 @@ class ProcessBackend(ExecutionBackend):
                 else:
                     errors.append((w, reply))
         except (EOFError, BrokenPipeError, OSError) as exc:
-            self._poisoned = True
             raise RuntimeError(
                 "process-backend worker died mid-round; per-client state on "
                 "the surviving workers may have advanced — build a fresh "
                 "simulation"
             ) from exc
-        except BaseException:
-            # Anything else mid-protocol (KeyboardInterrupt in recv(), an
-            # unpickling error, …) leaves replies queued in the pipes; a
-            # retried round would read them as its own results.
-            self._poisoned = True
-            raise
         if errors:
-            # A partial round already advanced per-client state on the
-            # healthy workers; further rounds would silently diverge.
-            self._poisoned = True
             w, message = errors[0]
             raise RuntimeError(f"process-backend worker {w} failed:\n{message}")
         results.sort(key=lambda r: r.position)

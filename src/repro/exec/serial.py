@@ -1,13 +1,14 @@
 """Serial backend — the reference implementation every other backend must match.
 
-Executes tasks in selection order on the caller's own context (the
-simulation's model instance), which is exactly the pre-backend behaviour of
-``Simulation.run_round``: bit-identical histories by construction.
+Executes tasks one at a time in selection order on the caller's own context
+(the simulation's model instance), which is exactly the pre-backend
+behaviour of ``Simulation.run_round``: bit-identical histories by
+construction.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -29,5 +30,5 @@ class SerialBackend(ExecutionBackend):
         tasks: Sequence[ClientTask],
         global_params: np.ndarray | None,
         spec: TrainSpec,
-    ) -> list[TaskResult]:
-        return [self.context.execute(t, global_params, spec) for t in tasks]
+    ) -> Iterator[TaskResult]:
+        return (self.context.execute(t, global_params, spec) for t in tasks)

@@ -7,7 +7,7 @@ advances in exactly one place) but each owns a private model replica, since
 ``cid % workers``, as in the process backend), so two threads never touch
 the same client or compressor concurrently — a client's tasks run in order
 on one thread, its RNG/EF streams advance exactly as in serial execution
-and seeded runs stay bit-identical.
+and seeded runs stay bit-identical, window after window of a round.
 
 Python's GIL serializes the interpreter, so the speedup here is bounded by
 how much time the numeric kernels spend outside it (NumPy releases the GIL
@@ -18,7 +18,7 @@ low-overhead sanity point between serial and process.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -46,7 +46,6 @@ class ThreadBackend(ExecutionBackend):
         self._factory = context_factory
         self._contexts: dict[int, WorkerContext] = {}
         self._pool: ThreadPoolExecutor | None = None
-        self._poisoned = False
 
     def _context(self, k: int) -> WorkerContext:
         """Worker ``k``'s context, built on first use — a round with fewer
@@ -60,13 +59,8 @@ class ThreadBackend(ExecutionBackend):
         tasks: Sequence[ClientTask],
         global_params: np.ndarray | None,
         spec: TrainSpec,
-    ) -> list[TaskResult]:
-        if self._poisoned:
-            raise RuntimeError(
-                "thread backend failed in a previous round; per-client state "
-                "may have advanced for part of that round, so retrying would "
-                "diverge — build a fresh simulation"
-            )
+    ) -> Iterator[TaskResult]:
+        self._check_healthy()
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-exec"
@@ -75,23 +69,24 @@ class ThreadBackend(ExecutionBackend):
         def run_chunk(ctx: WorkerContext, chunk: list[ClientTask]) -> list[TaskResult]:
             return [ctx.execute(t, global_params, spec) for t in chunk]
 
-        # One shard per context/thread; each runs its clients' tasks in order.
-        futures = [
-            self._pool.submit(run_chunk, self._context(k), shard)
-            for k, shard in enumerate(shard_tasks(tasks, self.workers))
-            if shard
-        ]
-        try:
-            results = [r for f in futures for r in f.result()]
-        except BaseException:
-            # Other chunks kept running and advanced shared per-client
-            # state; a continued run could not be reproduced serially.
-            for f in futures:
-                f.cancel()
-            self._poisoned = True
-            raise
-        results.sort(key=lambda r: r.position)
-        return results
+        def run_window(window: Sequence[ClientTask]) -> list[TaskResult]:
+            # One shard per context/thread; each runs its clients' tasks in order.
+            futures = [
+                self._pool.submit(run_chunk, self._context(k), shard)
+                for k, shard in enumerate(shard_tasks(window, self.workers))
+                if shard
+            ]
+            try:
+                results = [r for f in futures for r in f.result()]
+            except BaseException:
+                # Other chunks kept running and advanced shared per-client
+                # state; a continued run could not be reproduced serially.
+                for f in futures:
+                    f.cancel()
+                raise
+            return sorted(results, key=lambda r: r.position)
+
+        return self._windows(tasks, run_window)
 
     def close(self) -> None:
         if self._pool is not None:

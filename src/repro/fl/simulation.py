@@ -5,14 +5,15 @@ links, global model and algorithm, and advances round by round:
 
 1. sample the client set ``S_t`` (Alg. 1 line 7);
 2. the algorithm plans ratios/coefficients (BCRS, Alg. 2);
-3. the selected clients train locally from ``w_t`` (lines 9–11, 21–27) and
-   compress their updates (line 12) — dispatched as independent tasks to a
-   pluggable execution backend (:mod:`repro.exec`: serial, thread pool, or
-   forked process pool), all of which yield bit-identical seeded results;
-4. the server aggregates (lines 14–18, with the OPWA mask of Alg. 3 when
-   enabled);
-5. the round's communication times are scored with the Sec. 5.2 metrics,
-   the new global model is evaluated and the round is recorded.
+3. the round's communication times are scored with the Sec. 5.2 metrics
+   (uploads are priced from their compressor's declared wire size);
+4. the selected clients train locally from ``w_t`` (lines 9–11, 21–27) and
+   compress their updates (line 12) on a pluggable execution backend
+   (:mod:`repro.exec`: serial, thread pool, or forked process pool, all
+   bit-identical), and the server folds each upload into the aggregate as
+   it arrives (lines 14–18, with the OPWA mask of Alg. 3 when enabled) — a
+   round holds O(d), not its cohort's updates;
+5. the new global model is evaluated and the round is recorded.
 
 Each step is one ``Simulation`` method (the *round stages*); the other three
 centralised protocols assemble their rounds from the same methods.
@@ -33,10 +34,10 @@ import numpy as np
 
 from repro.compression.base import CompressedUpdate, SparseUpdate
 from repro.compression.registry import wire_size
-from repro.core.arena import AggregationArena
-from repro.core.opwa import opwa_mask_from_updates
+from repro.core.aggregation import ROW_RULES, CohortFold
+from repro.core.arena import ROWS_CAP_BYTES, AggregationArena
+from repro.core.overlap import OverlapDistribution
 from repro.core.server_opt import make_server_optimizer
-from repro.core.overlap import overlap_distribution
 from repro.data.datasets import DATASET_SPECS
 from repro.exec import (
     ClientTask,
@@ -61,7 +62,7 @@ from repro.nn.models import build_model
 from repro.nn.params import get_flat_params, num_parameters, set_flat_params
 from repro.population import ClientPool, CompressorPool, default_cache_size
 from repro.population.table import LinkColumns
-from repro.robust.aggregators import robust_aggregate
+from repro.robust.aggregators import robust_aggregate  # noqa: F401 — the list entry point, re-bound here by bench/layers.py
 from repro.simtime.events import SpanLog
 from repro.simtime.profiles import pipeline_times
 from repro.utils.rng import RngFactory
@@ -121,6 +122,14 @@ class Simulation:
         # Model and its flat-parameter view.
         self.model = build_config_model(config, seed=rngs.stream("model"))
         self.global_params = get_flat_params(self.model)
+        self.dense_size = num_parameters(self.model)
+        rows_bytes = config.clients_per_round * self.dense_size * 8
+        if config.aggregator in ROW_RULES and rows_bytes > ROWS_CAP_BYTES:
+            raise ValueError(
+                f"aggregator={config.aggregator!r} densifies a float64 row of {self.dense_size} "
+                f"per client: clients_per_round={config.clients_per_round} needs "
+                f"{rows_bytes} bytes, over the {ROWS_CAP_BYTES}-byte cap"
+            )
         # The timing simulation can price a paper-scale model (e.g. ResNet-18's
         # volume) while the trained model stays CPU-sized; the compression and
         # aggregation pipeline is identical either way.
@@ -200,7 +209,6 @@ class Simulation:
         # Transport fault injection (None when both probabilities are zero —
         # the honest path performs no per-upload fate draws at all).
         self.faults = FaultInjector.from_config(config)
-        self.dense_size = num_parameters(self.model)
         self._comp_name = comp_name
         self._priced_width = (
             self.dense_size
@@ -219,8 +227,9 @@ class Simulation:
 
         self.history = History()
         self.round_index = 0
-        #: What the most recent round aggregated (Fig. 4); released by _begin_round.
-        self.last_round_updates: list[CompressedUpdate] = []
+        #: The overlap of the most recent round's last aggregation (Fig. 4);
+        #: None before it aggregates anything.
+        self.last_overlap: OverlapDistribution | None = None
 
         self._train_spec = TrainSpec.from_config(config)
         self._commit_wall = trace_clock()  # wall instant of the previous commit
@@ -258,47 +267,36 @@ class Simulation:
     def _run_tasks(self, tasks, global_params, spec):
         """``backend.run_round`` plus observability: the one fan-out site.
 
-        Wraps the round's task execution in an ``exec.round`` span and, when
-        observability is live, replays each task's wall-clock instants
-        (stamped inside the worker by :meth:`WorkerContext.execute`) as
-        ``client.train`` / ``client.compress`` spans on the worker's pid
+        Yields the backend's results as they arrive, inside an ``exec.round``
+        span when observability is live, and replays each task's wall-clock
+        instants (stamped inside the worker by :meth:`WorkerContext.execute`)
+        as ``client.train`` / ``client.compress`` spans on the worker's pid
         lane. perf_counter is process-shared on Linux, so worker timestamps
         line up with the parent trace without any clock translation.
         """
+        stream = self.backend.run_round(tasks, global_params, spec)
         obs = self.obs
         if not obs.enabled:
-            return self.backend.run_round(tasks, global_params, spec)
+            yield from stream
+            return
         tracer, metrics = obs.tracer, obs.metrics
-        with tracer.span("exec.round", cat="exec", tasks=len(tasks)):
-            results = self.backend.run_round(tasks, global_params, spec)
         train_hist = metrics.histogram("task_train_seconds")
         compress_hist = metrics.histogram("task_compress_seconds")
-        for r in results:
-            if r.wall_start:
-                tracer.name_lane(r.worker_pid, f"worker-{r.worker_pid}")
-                tracer.add_span(
-                    "client.train",
-                    r.wall_start,
-                    r.wall_compress,
-                    cat="exec",
-                    tid=r.worker_pid,
-                    cid=r.cid,
-                )
-                tracer.add_span(
-                    "client.compress",
-                    r.wall_compress,
-                    r.wall_compress + r.compress_seconds,
-                    cat="exec",
-                    tid=r.worker_pid,
-                    cid=r.cid,
-                )
-                metrics.counter("worker_busy_seconds", worker=r.worker_pid).inc(
-                    r.train_seconds + r.compress_seconds
-                )
-            train_hist.observe(r.train_seconds)
-            compress_hist.observe(r.compress_seconds)
-        metrics.counter("tasks_executed").inc(len(results))
-        return results
+        with tracer.span("exec.round", cat="exec", tasks=len(tasks)):
+            for r in stream:
+                if r.wall_start:
+                    lane = dict(cat="exec", tid=r.worker_pid, cid=r.cid)
+                    tracer.name_lane(r.worker_pid, f"worker-{r.worker_pid}")
+                    tracer.add_span("client.train", r.wall_start, r.wall_compress, **lane)
+                    end = r.wall_compress + r.compress_seconds
+                    tracer.add_span("client.compress", r.wall_compress, end, **lane)
+                    metrics.counter("worker_busy_seconds", worker=r.worker_pid).inc(
+                        r.train_seconds + r.compress_seconds
+                    )
+                train_hist.observe(r.train_seconds)
+                compress_hist.observe(r.compress_seconds)
+                yield r
+        metrics.counter("tasks_executed").inc(len(tasks))
 
     def close(self) -> None:
         """Shut down backend workers and retire this simulation's engine.
@@ -323,10 +321,9 @@ class Simulation:
     # keeps only its own cohort choice, membership and barrier)
 
     def _begin_round(self) -> None:
-        """Before anything is dispatched: release the previous round's uploads
-        (a round holds one cohort's, not two; rebound, so a list a caller kept
-        still reads) and advance drifting links (fixed links: nothing to do)."""
-        self.last_round_updates = []
+        """Before anything is dispatched: forget the previous round's overlap
+        and advance drifting links (fixed links: nothing to do)."""
+        self.last_overlap = None
         if self._varying is not None:
             self.links = [tv.step() for tv in self._varying]
 
@@ -365,54 +362,64 @@ class Simulation:
         return make_server_optimizer("adam", lr=cfg.server_step)
 
     def _aggregate_into(
-        self, params: np.ndarray, server_opt, updates: list[CompressedUpdate], weights, use_opwa: bool
+        self, params: np.ndarray, server_opt, updates, weights, use_opwa: bool
     ) -> tuple[np.ndarray, float | None]:
         """Alg. 1 lines 14–18 against an explicit (params, optimizer) pair.
 
-        Returns (stepped params, OPWA singleton-fraction diagnostic). The
-        flat protocol applies it to the global model; the hierarchical one
-        to each edge model, with the OPWA mask scoped to the edge's updates.
+        ``updates`` — a held list, or a round's stream (:meth:`_stream`) —
+        fold into the aggregate one at a time, each with its entry of
+        ``weights``. Returns (stepped params, OPWA singleton-fraction
+        diagnostic) — ``params`` and None when nothing was folded — for the
+        global model, or an edge's with the mask scoped to the edge's updates.
         """
         cfg = self.config
-        mask = None
-        singleton = None
-        sparse = [u for u in updates if isinstance(u, SparseUpdate)]
-        if sparse:
-            overlap = overlap_distribution(sparse)  # its one scan also feeds the mask
-            singleton = overlap.singleton_fraction()
-        if use_opwa and sparse:
-            mask = opwa_mask_from_updates(
-                sparse, cfg.gamma, required_overlap=cfg.required_overlap, counts=overlap.per_index
+        weights = np.asarray(weights, dtype=np.float64)
+        rule = dict(aggregator=cfg.aggregator, trim_beta=cfg.trim_beta, clip_tau=cfg.clip_tau)
+        fold = CohortFold(len(weights), self.arena, **rule)
+        for i, update in enumerate(updates):
+            fold.add(update, weights[i])
+        if not fold.added:
+            return params, None
+        with self.obs.tracer.span("aggregate", cat="sim", contributions=fold.added):
+            pseudo_grad = fold.finish(
+                gamma=cfg.gamma if use_opwa else None, required_overlap=cfg.required_overlap
             )
-        arena = self.arena
-        # aggregator="mean" routes straight through weighted_sparse_sum with
-        # the identical arguments/buffers — bit-identical to every prior PR.
-        pseudo_grad = robust_aggregate(
-            updates,
-            np.asarray(weights),
-            aggregator=cfg.aggregator,
-            trim_beta=cfg.trim_beta,
-            clip_tau=cfg.clip_tau,
-            mask=mask,
-            arena=arena,
-        )
-        stepped = server_opt.step(
-            params, pseudo_grad, out=params, scratch=arena.step_scratch
-        )
-        return stepped, singleton
-
-    def _aggregate(
-        self, params, server_opt, updates, weights
-    ) -> tuple[np.ndarray, float | None]:
-        """The aggregate stage at one aggregation point (the global model,
-        or an edge's): Alg. 1 lines 14–18 on ``params``.
-
-        Returns (stepped params, OPWA singleton-fraction diagnostic).
-        """
-        with self.obs.tracer.span("aggregate", cat="sim", contributions=len(updates)):
-            return self._aggregate_into(
-                params, server_opt, updates, weights, self.algorithm.use_opwa
+            self.last_overlap = overlap = fold.overlap
+            stepped = server_opt.step(
+                params, pseudo_grad, out=params, scratch=self.arena.step_scratch
             )
+        return stepped, (None if overlap is None else overlap.singleton_fraction())
+
+    def _stream(self, tasks, params, members: list, fates: dict[int, float]):
+        """Run ``tasks`` from ``params``, yielding as each result arrives the
+        upload the server receives from each position in ``fates`` (whole, or
+        truncated to its fault fraction); of every result only its
+        :meth:`_member` scalars, appended to ``members``, outlive its turn."""
+        for r in self._run_tasks(tasks, params, self._train_spec):
+            members.append(self._member(r, r.update))
+            frac = fates.get(r.position)
+            if frac is None:
+                continue
+            update = r.update if frac >= 1.0 else FaultInjector.truncate(r.update, frac)
+            if update is None:
+                raise RuntimeError(f"client {r.cid}'s update contradicts its declared wire size")
+            yield update
+
+    @staticmethod
+    def _member(result: TaskResult, update: CompressedUpdate) -> tuple[float, float, float, float]:
+        """What a record keeps of one member: (loss, realized ratio — density
+        if sparse, else 1.0 — train seconds, compress seconds)."""
+        ratio = float(update.density) if isinstance(update, SparseUpdate) else 1.0
+        return (result.mean_loss, ratio, result.train_seconds, result.compress_seconds)
+
+    def _delivers(self, ratio: float | None, frac: float) -> bool:
+        """Whether an upload with fault fraction ``frac`` leaves the server
+        anything: all of it, or a sparse declaration truncated to at least one
+        entry at the trained width (:meth:`FaultInjector.truncate`'s rule)."""
+        if frac >= 1.0 or ratio is None:
+            return frac >= 1.0
+        entries, _, kind = wire_size(self._comp_name, self.dense_size, float(ratio))
+        return kind == "sparse" and int(frac * entries) >= 1
 
     def _payload_for(self, ratio: float | None, frac: float = 1.0) -> Payload:
         """What one dispatch puts on the wire: its compressor's registered
@@ -551,40 +558,17 @@ class Simulation:
         self._begin_round()
         links, plan, tasks = self._plan_cohort(selected)
 
-        # Local training + compression (lines 11–12): one task per selected
-        # client, dispatched to the configured execution backend.
-        results = self._run_tasks(tasks, self.global_params, self._train_spec)
-        updates: list[CompressedUpdate] = [r.update for r in results]
-
-        # Transport fault injection: decide each upload's fate — a pure
-        # function of (seed, round, cid), so fates are backend-invariant.
-        # ``delivered[pos] is None`` marks a lost upload. A fate's fraction
-        # is 1 on delivery and 0 on a drop, so one truncation serves every
-        # fate that is not a delivery; pricing bills the same fractions.
-        delivered: list[CompressedUpdate | None] = list(updates)
+        # Transport fault injection: each upload's fate is a pure function of
+        # (seed, round, cid), so fates are backend-invariant, and whether a
+        # truncation leaves anything decodable follows from the declared wire
+        # size — so fates, prices and the delivered cohort are known before
+        # dispatch. A fate's fraction is 1 on delivery and 0 on a drop.
         fracs: list[float] | None = None
         if self.faults is not None:
             fracs = [self.faults.fate(self.round_index, int(cid))[1] for cid in selected]
-            for pos, frac in enumerate(fracs):
-                if frac < 1.0:
-                    delivered[pos] = FaultInjector.truncate(updates[pos], frac)
-        surv = [pos for pos, u in enumerate(delivered) if u is not None]
-        self.last_round_updates = [delivered[pos] for pos in surv]
-
-        # OPWA mask (line 17) and aggregation (lines 14/16/18) — over the
-        # *delivered* cohort, weights renormalized when uploads were lost. A
-        # round that loses every upload is well-defined: the model is
-        # unchanged and the record carries num_participants=0.
-        singleton = None
-        if surv:
-            weights = plan.weights
-            if len(surv) < len(selected):
-                weights = np.asarray([plan.weights[pos] for pos in surv], dtype=np.float64)
-                if weights.sum() > 0:
-                    weights = weights / weights.sum()
-            self.global_params, singleton = self._aggregate(
-                self.global_params, self.server_opt, self.last_round_updates, weights
-            )
+        surv = [
+            pos for pos, t in enumerate(tasks) if fracs is None or self._delivers(t.ratio, fracs[pos])
+        ]
 
         # Virtual-clock span: the synchronous barrier releases when the
         # slowest *aggregated* client has downloaded, computed, and
@@ -600,14 +584,27 @@ class Simulation:
         # The barrier waits on delivered contributors; an all-lost round
         # still spans the slowest expected upload (the server's timeout).
         barrier = surv if surv else range(len(selected))
-        round_span = 0.0
-        for pos in barrier:
-            if plan.weights[pos] > 0:
-                round_span = max(round_span, durations[pos])
+        round_span = max((durations[pos] for pos in barrier if plan.weights[pos] > 0), default=0.0)
+
+        # Local training + compression (lines 11–12) on the execution
+        # backend, each delivered upload folded into the OPWA-masked
+        # aggregate (lines 14–18) as it arrives — weights renormalized when
+        # uploads were lost. A round that loses every upload is well-defined:
+        # the model is unchanged and the record carries num_participants=0.
+        weights = plan.weights
+        if len(surv) < len(selected):
+            weights = np.asarray([plan.weights[pos] for pos in surv], dtype=np.float64)
+            if weights.sum() > 0:
+                weights = weights / weights.sum()
+        members: list = []
+        fates = {pos: 1.0 if fracs is None else fracs[pos] for pos in surv}
+        stream = self._stream(tasks, self.global_params, members, fates)
+        self.global_params, singleton = self._aggregate_into(
+            self.global_params, self.server_opt, stream, weights, self.algorithm.use_opwa
+        )
         return self._commit(
             selected=selected,
-            results=results,
-            updates=updates,
+            members=members,
             times=plan.times,
             weights=plan.weights,
             singleton=singleton,
@@ -624,8 +621,7 @@ class Simulation:
         self,
         *,
         selected,
-        results: list[TaskResult],
-        updates: list[CompressedUpdate],
+        members: list[tuple[float, float, float, float]],
         times: RoundTimes,
         weights,
         singleton: float | None,
@@ -639,9 +635,8 @@ class Simulation:
         """Close a round: evaluate on cadence, append its record, advance the
         round index and the virtual clock, write the round-end metrics.
 
-        ``results`` are the tasks the record's loss and wall-clock sums range
-        over; ``updates`` the emitted updates whose realized ratios it
-        reports (density for sparse ones, 1.0 for dense or quantized).
+        ``members`` are the :meth:`_member` scalars of the tasks the record's
+        loss, realized ratios and wall-clock sums range over.
         """
         cfg = self.config
         # Evaluation cadence: every ``eval_every`` rounds plus the last.
@@ -653,16 +648,14 @@ class Simulation:
         record = RoundRecord(
             round_index=self.round_index,
             selected=tuple(int(i) for i in selected),
-            train_loss=float(np.mean([r.mean_loss for r in results])) if results else 0.0,
+            train_loss=float(np.mean([m[0] for m in members])) if members else 0.0,
             test_accuracy=test_acc,
             times=times,
-            ratios=tuple(
-                float(u.density) if isinstance(u, SparseUpdate) else 1.0 for u in updates
-            ),
+            ratios=tuple(m[1] for m in members),
             weights=tuple(float(w) for w in weights),
             singleton_fraction=singleton,
-            train_seconds=sum(r.train_seconds for r in results),
-            compress_seconds=sum(r.compress_seconds for r in results),
+            train_seconds=sum(m[2] for m in members),
+            compress_seconds=sum(m[3] for m in members),
             sim_start=sim_start,
             sim_end=sim_end,
             mean_staleness=mean_staleness,

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import CompressedUpdate
-from repro.exec import TaskResult
 from repro.fl.config import ExperimentConfig
 from repro.fl.history import EdgeRecord, RoundComm, RoundRecord
 from repro.fl.simulation import Simulation
@@ -93,13 +91,12 @@ class HierSimulation(Simulation):
         selected = self._sample_group(group)
         # BCRS benchmarks against this group's own slowest member.
         links, plan, tasks = self._plan_cohort(selected)
-        results = self._run_tasks(tasks, self._edge_params[edge], self._train_spec)
-        updates: list[CompressedUpdate] = [r.update for r in results]
 
         # Price every dispatch at the edge's clock through the transport
-        # (no client-uplink faults here: every upload is delivered), under
-        # fair contention one shared ingress epoch per (edge, sub-round) —
-        # each edge aggregator owns its own ingress capacity.
+        # before it trains (a price needs only the declared wire size; no
+        # client-uplink faults here, so every upload is delivered). Under
+        # fair contention that is one shared ingress epoch per (edge,
+        # sub-round): each edge aggregator owns its own ingress capacity.
         durs, up_bits, down_bits = self._price_round(
             selected, links, plan.ratios, None, t_start, tag=self.round_index
         )
@@ -131,7 +128,6 @@ class HierSimulation(Simulation):
             weights = w / w.sum()
             used = [pos for pos in range(len(selected)) if weights[pos] > 0]
             span = max(deadline, max(durations[pos] for pos in used))
-            agg_updates = [updates[pos] for pos in used]
             agg_weights = weights[used]
         else:
             # Lock-step barrier at the group's slowest *aggregated* member
@@ -141,16 +137,20 @@ class HierSimulation(Simulation):
                 (durations[pos] for pos in range(len(selected)) if weights[pos] > 0),
                 default=0.0,
             )
-            agg_updates = updates
-            agg_weights = weights
+            used, agg_weights = range(len(selected)), weights
 
-        self._edge_params[edge], singleton = self._aggregate(
-            self._edge_params[edge], self.edge_opts[edge], agg_updates, agg_weights
+        # Train the cohort from the edge model, folding each aggregated
+        # upload into the edge's aggregate as it arrives.
+        members: list = []
+        params = self._edge_params[edge]
+        stream = self._stream(tasks, params, members, dict.fromkeys(used, 1.0))
+        self._edge_params[edge], singleton = self._aggregate_into(
+            params, self.edge_opts[edge], stream, agg_weights, self.algorithm.use_opwa
         )
         fragments = {
             "selected": tuple(int(i) for i in selected),
             "weights": weights,
-            "results": results,
+            "members": members,
             "singleton": singleton,
             "up_bits": up_bits,
             "down_bits": down_bits,
@@ -176,15 +176,8 @@ class HierSimulation(Simulation):
         # sends no backhaul; the cloud reweights the survivors' models.
         crashed = [False] * E
         if cfg.edge_crash_prob > 0.0:
-            crashed = [
-                float(
-                    self._crash_rngs.counter(
-                        f"edge-crash-{self.round_index}", e
-                    ).random()
-                )
-                < cfg.edge_crash_prob
-                for e in range(E)
-            ]
+            draws = [self._crash_rngs.counter(f"edge-crash-{self.round_index}", e) for e in range(E)]
+            crashed = [float(rng.random()) < cfg.edge_crash_prob for rng in draws]
         alive = [e for e in range(E) if not crashed[e]]
 
         # Every edge starts from this round's global model.
@@ -209,7 +202,7 @@ class HierSimulation(Simulation):
         down_sum = [0.0] * E
         selected_all: list[int] = []
         weights_all: list[float] = []
-        results_all: list[TaskResult] = []
+        members_all: list = []
         singletons: list[float] = []
         edge_selected: list[list[int]] = [[] for _ in range(E)]
         up_map: dict[int, float] = {}
@@ -235,12 +228,11 @@ class HierSimulation(Simulation):
                 selected_all.extend(frag["selected"])
                 edge_selected[e].extend(frag["selected"])
                 weights_all.extend(frag["weights"])
-                results_all.extend(frag["results"])
+                members_all.extend(frag["members"])
                 if frag["singleton"] is not None:
                     singletons.append(frag["singleton"])
                 self._add_bits(up_map, frag["selected"], frag["up_bits"])
                 self._add_bits(down_map, frag["selected"], frag["down_bits"])
-        self.last_round_updates = [r.update for r in results_all]
 
         # Edge→cloud uploads (dense edge models over the backhaul), then the
         # cloud averages edge models by group data size — two-level FedAvg.
@@ -313,8 +305,7 @@ class HierSimulation(Simulation):
         )
         return self._commit(
             selected=selected_all,
-            results=results_all,
-            updates=self.last_round_updates,
+            members=members_all,
             times=times,
             weights=weights_all,
             singleton=float(np.mean(singletons)) if singletons else None,

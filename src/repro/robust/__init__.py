@@ -14,18 +14,6 @@ no extra RNG draws and no arithmetic changes, so every pre-existing seeded
 history replays byte-for-byte.
 """
 
-from repro.robust.aggregators import (
-    coordinate_median,
-    densify_updates,
-    norm_clip_weights,
-    robust_aggregate,
-    trimmed_mean,
-)
+from repro.robust.aggregators import robust_aggregate
 
-__all__ = [
-    "densify_updates",
-    "coordinate_median",
-    "trimmed_mean",
-    "norm_clip_weights",
-    "robust_aggregate",
-]
+__all__ = ["robust_aggregate"]

@@ -225,7 +225,7 @@ class _EventDrivenSimulation(Simulation):
             ClientTask(position=pos, cid=p.cid, ratio=p.ratio)
             for pos, p in enumerate(pending)
         ]
-        for p, result in zip(pending, self._train_now(tasks)):
+        for p, result in zip(pending, self._train_now(tasks), strict=True):
             p.result = result
 
     # ------------------------------------------------------------ aggregate
@@ -283,18 +283,15 @@ class _EventDrivenSimulation(Simulation):
         """
         lags = [self.version - p.version for p in contributions]
         updates = [self._delivered_update(p) for p in contributions]
-        results = [p.result for p in contributions]
         singleton = None
         if contributions:
-            self.last_round_updates = updates
-            self.global_params, singleton = self._aggregate(
-                self.global_params, self.server_opt, updates, weights
+            self.global_params, singleton = self._aggregate_into(
+                self.global_params, self.server_opt, updates, weights, self.algorithm.use_opwa
             )
             self.version += 1
         return self._commit(
             selected=selected,
-            results=results,
-            updates=updates,
+            members=[self._member(p.result, u) for p, u in zip(contributions, updates)],
             times=times,
             weights=weights,
             singleton=singleton,
@@ -470,7 +467,7 @@ class SemiSyncSimulation(_EventDrivenSimulation):
         if selected:
             links, plan, tasks = self._plan_cohort(selected)
             results = self._train_now(tasks)
-            for pos, (cid, res) in enumerate(zip(selected, results)):
+            for pos, (cid, res) in enumerate(zip(selected, results, strict=True)):
                 pend = self._dispatch(cid, links[pos], tasks[pos].ratio, t0, res)
                 own.append(pend)
                 plan_weights[cid] = float(plan.weights[pos])

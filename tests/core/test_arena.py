@@ -18,8 +18,16 @@ from repro.core.aggregation import apply_server_update, weighted_sparse_sum
 from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask_from_updates
 from repro.core.server_opt import make_server_optimizer
-from repro.robust.aggregators import coordinate_median, robust_aggregate, trimmed_mean
+from repro.robust.aggregators import robust_aggregate
 from tests.core.test_sparse_pipeline_exact import ref_weighted_sparse_sum
+
+
+def coordinate_median(updates, **kw):
+    return robust_aggregate(updates, None, aggregator="median", **kw)
+
+
+def trimmed_mean(updates, beta, **kw):
+    return robust_aggregate(updates, None, aggregator="trimmed_mean", trim_beta=beta, **kw)
 
 
 def ref_step(w, g, s):

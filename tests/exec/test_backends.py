@@ -19,6 +19,7 @@ from repro.exec import (
     make_backend,
     resolve_workers,
 )
+from repro.exec import base as exec_base
 from repro.exec.process import ProcessBackend
 from repro.exec.threads import ThreadBackend
 from repro.fl.config import ExperimentConfig
@@ -93,17 +94,57 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_held_round_updates_survive_later_rounds(self, backend):
-        """An update owns its arrays: ``last_round_updates`` kept by a caller
-        reads the same three rounds later, whichever backend produced it."""
+        """An update owns its arrays: results a caller kept from one
+        ``run_round`` read the same three rounds later, whichever backend
+        produced them."""
         with Simulation(small_config(rounds=4, backend=backend, workers=2)) as sim:
-            sim.run_round()
-            held = sim.last_round_updates
+            tasks = [ClientTask(position=pos, cid=cid, ratio=0.1) for pos, cid in enumerate(range(4))]
+            held = [r.update for r in sim.backend.run_round(tasks, sim.global_params, sim._train_spec)]
             snapshot = [(u.indices.copy(), u.values.copy()) for u in held]
             sim.run(3)
-        assert held and sim.last_round_updates is not held
+        assert len(held) == 4
         for update, (indices, values) in zip(held, snapshot):
             assert update.indices.tobytes() == indices.tobytes()
             assert update.values.tobytes() == values.tobytes()
+
+
+class TestWindowedRounds:
+    """Parallel backends dispatch a round ``WINDOW`` positions at a time."""
+
+    @pytest.mark.parametrize(
+        "mode, extra",
+        [("sync", dict(num_clients=12)), ("hier", dict(num_clients=20, num_edges=2))],
+    )
+    def test_backends_agree_beyond_one_window(self, monkeypatch, mode, extra):
+        monkeypatch.setattr(exec_base, "WINDOW", 2)
+        cfg = small_config(mode=mode, rounds=2, **extra)
+        histories = {}
+        for backend in BACKENDS:
+            with make_simulation(cfg.with_(backend=backend, workers=2)) as sim:
+                histories[backend] = sim.run()
+        # Every aggregation spans at least three windows.
+        for r in histories["serial"].records:
+            cohorts = [len(e.selected) for e in r.edge_breakdown or ()] or [len(r.selected)]
+            assert min(cohorts) >= 5
+        for backend in ("thread", "process"):
+            assert_histories_identical(histories["serial"], histories[backend])
+            for a, b in zip(histories["serial"].records, histories[backend].records):
+                assert (a.sim_start, a.sim_end, a.comm) == (b.sim_start, b.sim_end, b.comm)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_an_abandoned_stream_poisons_the_backend(self, monkeypatch, backend):
+        """Closing a round's stream with windows still to run leaves that
+        round's per-client state part-advanced, exactly like a failed round."""
+        monkeypatch.setattr(exec_base, "WINDOW", 2)
+        tasks = [ClientTask(position=pos, cid=cid, ratio=0.1) for pos, cid in enumerate(range(5))]
+        with Simulation(small_config(backend=backend, workers=2)) as sim:
+            whole = list(sim.backend.run_round(tasks, sim.global_params, sim._train_spec))
+            assert [r.position for r in whole] == list(range(5))
+            stream = sim.backend.run_round(tasks, sim.global_params, sim._train_spec)
+            next(stream)
+            stream.close()
+            with pytest.raises(RuntimeError, match="previous round"):
+                sim.backend.run_round(tasks, sim.global_params, sim._train_spec)
 
 
 class TestBackendPlumbing:
@@ -202,7 +243,7 @@ class TestBackendPlumbing:
         tasks = [ClientTask(position=pos, cid=cid, ratio=0.1) for pos, cid in enumerate(range(4))]
         with Simulation(small_config(backend="process", workers=2)) as sim:
             rounds = [
-                sim.backend.run_round(tasks, sim.global_params, sim._train_spec)
+                list(sim.backend.run_round(tasks, sim.global_params, sim._train_spec))
                 for _ in range(2)
             ]
             workers = {proc.pid for proc in sim.backend._pool.procs}
@@ -210,7 +251,7 @@ class TestBackendPlumbing:
             assert {r.worker_pid for r in rounds[0]} == workers
             assert [r.worker_pid for r in rounds[0]] == [r.worker_pid for r in rounds[1]]
         with Simulation(small_config()) as sim:
-            results = sim.backend.run_round(tasks, sim.global_params, sim._train_spec)
+            results = list(sim.backend.run_round(tasks, sim.global_params, sim._train_spec))
             assert {r.worker_pid for r in results} == {os.getpid()}
 
     def test_worker_error_propagates(self):
@@ -221,7 +262,7 @@ class TestBackendPlumbing:
             bad = [ClientTask(position=0, cid=0, ratio=None)]
             spec = TrainSpec(lr=0.1, epochs=1)
             with pytest.raises(RuntimeError, match="worker"):
-                backend.run_round(bad, None, spec)  # no params anywhere
+                list(backend.run_round(bad, None, spec))  # no params anywhere
             # A failed round may have advanced state on healthy workers;
             # the backend refuses further rounds instead of diverging.
             with pytest.raises(RuntimeError, match="previous round"):

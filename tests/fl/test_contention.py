@@ -12,6 +12,7 @@ import pytest
 
 from repro.compression.base import SparseUpdate
 from repro.fl.config import ExperimentConfig
+from repro.fl.simulation import Simulation
 from repro.network.cost import uplink_time
 from repro.simtime import make_simulation
 
@@ -43,6 +44,23 @@ def run_sim(config):
     return sim, history
 
 
+def run_sim_keeping_updates(config, monkeypatch):
+    """``run_sim`` plus the updates the last round's tasks emitted, collected
+    through a wrapped ``_run_tasks`` (a round folds its uploads and keeps none)."""
+    batches = []
+    live = Simulation._run_tasks
+
+    def run_tasks(self, tasks, global_params, spec):
+        batches.append([])
+        for result in live(self, tasks, global_params, spec):
+            batches[-1].append(result.update)
+            yield result
+
+    monkeypatch.setattr(Simulation, "_run_tasks", run_tasks)
+    sim, history = run_sim(config)
+    return sim, history, batches[-1]
+
+
 class TestPayloadAccuratePricing:
     def test_dense_uploads_price_eq4_exactly(self):
         """No compressor → upload span = L + V/B, bitwise (the seed
@@ -54,12 +72,11 @@ class TestPayloadAccuratePricing:
             expected = uplink_time(sim.links[s.cid], sim.volume_bits)
             assert s.end - s.start == pytest.approx(expected, abs=0.0, rel=1e-15)
 
-    def test_sparse_uploads_price_emitted_bits(self):
+    def test_sparse_uploads_price_emitted_bits(self, monkeypatch):
         """Compressed uploads are priced from nnz × (index+value bits), not
         the planned-ratio × factor-2 approximation."""
-        sim, h = run_sim(small_config(rounds=2))
+        sim, h, updates = run_sim_keeping_updates(small_config(rounds=2), monkeypatch)
         rec = h.records[-1]
-        updates = sim.last_round_updates
         spans = {
             s.cid: s.end - s.start
             for s in sim.spans
@@ -167,11 +184,11 @@ class TestFairContention:
 
 
 class TestFlowLedger:
-    def test_sync_ledger_matches_emitted_updates(self):
-        sim, h = run_sim(small_config(rounds=2))
+    def test_sync_ledger_matches_emitted_updates(self, monkeypatch):
+        sim, h, updates = run_sim_keeping_updates(small_config(rounds=2), monkeypatch)
         rec = h.records[-1]
         emitted = {}
-        for cid, u in zip(rec.selected, sim.last_round_updates):
+        for cid, u in zip(rec.selected, updates):
             emitted[cid] = emitted.get(cid, 0.0) + float(u.bits)
         assert dict(rec.comm.uplink) == emitted
         assert rec.comm.downlink == ()  # downlink accounting off

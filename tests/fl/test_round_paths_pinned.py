@@ -38,9 +38,9 @@ truncated upload its kept prefix instead of its full size; what it
 aggregates is unchanged. ``async-volume-lossy`` used to drop every truncated
 upload whole, and now delivers its prefix, so its learning moves from round
 0. ``semisync-drop-fixed-volume`` (Top-K at CR 0.2, whole entries already, no
-faults) replays unchanged. Every cell runs on ``serial`` and on ``thread``:
-seeded runs are bit-identical across backends, so both replay the same
-digests.
+faults) replays unchanged. Every cell runs on ``serial``, ``thread`` and
+``process``: seeded runs are bit-identical across backends, so all three
+replay the same digests.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def pinned_trace(name: str, backend: str) -> dict:
         return run_trace(CELLS[name].with_(backend=backend, workers=3))
 
 
-CASES = [(name, backend) for backend in ("serial", "thread") for name in CELLS]
+CASES = [(name, backend) for backend in ("serial", "thread", "process") for name in CELLS]
 
 
 @pytest.mark.parametrize("name,backend", CASES)

@@ -2,9 +2,10 @@
 
 ``Simulation._aggregate_into`` used to scan the cohort's indices twice — once
 in ``overlap_distribution`` for the singleton diagnostic, once more in
-``opwa_mask_from_updates`` for the mask. The distribution now carries the
-counts it was built from and the mask call takes them. ``two_scan_reference``
-is the old body, frozen; the live method must land on the same bytes.
+``opwa_mask_from_updates`` for the mask. Its fold now counts each update as
+it arrives and builds the histogram and the mask from those counts.
+``two_scan_reference`` composes the list functions the old body called; the
+live method must land on the same bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 import repro.core.opwa as opwa_module
 import repro.core.overlap as overlap_module
 from repro.compression.base import DenseUpdate, SparseUpdate
+from repro.core.aggregation import CohortFold
 from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask, opwa_mask_from_updates
 from repro.core.overlap import narrow_overlap_counts, overlap_distribution
@@ -145,15 +147,8 @@ class TestCarriedCounts:
         assert dist.per_index.tobytes() == narrow_overlap_counts(updates).tobytes()
         for required_overlap in (1, 3):
             fresh = opwa_mask_from_updates(updates, 7.0, required_overlap=required_overlap)
-            reused = opwa_mask_from_updates(
-                updates, 7.0, required_overlap=required_overlap, counts=dist.per_index
-            )
+            reused = opwa_mask(dist.per_index, 7.0, required_overlap=required_overlap)
             assert reused.dtype == fresh.dtype and reused.tobytes() == fresh.tobytes()
-
-    def test_counts_of_another_width_are_rejected(self, rng):
-        updates = synthetic_cohort(rng, 1000, 5, with_dense=False)
-        with pytest.raises(ValueError, match="counts shape"):
-            opwa_mask_from_updates(updates, 7.0, counts=np.zeros(999, np.uint8))
 
 
 MODES = {
@@ -169,25 +164,33 @@ MODES = {
 @pytest.mark.filterwarnings("ignore:algorithm 'bcrs_opwa' under mode='async'")
 @pytest.mark.parametrize("mode", MODES)
 def test_one_scan_per_aggregation_in_every_protocol(mode, monkeypatch):
-    scans, aggregations = [], []
-    real_scan = overlap_module.narrow_overlap_counts
+    """Every aggregation counts each sparse update's indices exactly once,
+    inside its own fold as the update arrives — no list is scanned — and
+    builds the mask from those counts."""
 
-    def counting_scan(updates):
-        scans.append(len(updates))
-        return real_scan(updates)
+    def no_scan(updates):
+        pytest.fail("a list of updates was scanned")
 
-    # Both importers of the kernel, so a scan from either side is seen.
-    monkeypatch.setattr(overlap_module, "narrow_overlap_counts", counting_scan)
-    monkeypatch.setattr(opwa_module, "narrow_overlap_counts", counting_scan)
+    # Both importers of the list kernel, so a scan from either side is seen.
+    monkeypatch.setattr(overlap_module, "narrow_overlap_counts", no_scan)
+    monkeypatch.setattr(opwa_module, "narrow_overlap_counts", no_scan)
 
-    real_aggregate = Simulation._aggregate_into
+    added: dict[int, int] = {}
+    aggregations = []
+    real_add, real_finish = CohortFold.add, CohortFold.finish
 
-    def counting_aggregate(self, params, server_opt, updates, weights, use_opwa):
-        sparse = sum(isinstance(u, SparseUpdate) for u in updates)
-        aggregations.append((sparse, use_opwa))
-        return real_aggregate(self, params, server_opt, updates, weights, use_opwa)
+    def counting_add(self, update, weight=0.0):
+        if isinstance(update, SparseUpdate):
+            added[id(self)] = added.get(id(self), 0) + update.indices.size
+        return real_add(self, update, weight)
 
-    monkeypatch.setattr(Simulation, "_aggregate_into", counting_aggregate)
+    def counting_finish(self, mask=None, **kwargs):
+        counted = 0 if self.counts is None else int(self.counts.sum())
+        aggregations.append((self.sparse, kwargs.get("gamma") is not None, counted, added.pop(id(self), 0)))
+        return real_finish(self, mask, **kwargs)
+
+    monkeypatch.setattr(CohortFold, "add", counting_add)
+    monkeypatch.setattr(CohortFold, "finish", counting_finish)
 
     cfg = config(**MODES[mode])
     with make_simulation(cfg) as sim:
@@ -195,5 +198,5 @@ def test_one_scan_per_aggregation_in_every_protocol(mode, monkeypatch):
     assert len(history.records) == cfg.rounds
     with_sparse = [a for a in aggregations if a[0]]
     assert len(with_sparse) >= cfg.rounds
-    assert all(use_opwa for _, use_opwa in with_sparse)  # the mask was built every time
-    assert scans == [n for n, _ in with_sparse]
+    assert all(use_opwa for _, use_opwa, _, _ in with_sparse)  # the mask was built every time
+    assert all(counted == nnz > 0 for _, _, counted, nnz in with_sparse)

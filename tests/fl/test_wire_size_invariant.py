@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.compression.registry import available_compressors
@@ -51,10 +52,11 @@ def priced_and_trained(cfg, monkeypatch) -> tuple[list, list]:
     result of every trained one, each in the order the run made them.
 
     Every protocol trains its dispatches in the order it prices them — sync
-    and hier a cohort, then its prices; semisync one batch, then a dispatch
-    per member; async prices at dispatch and trains each window's dispatches
-    in dispatch order — so the two lists align, the priced one longer by the
-    async uploads still in flight at the end.
+    and hier price a cohort, then stream its training; semisync trains one
+    batch, then prices a dispatch per member; async prices at dispatch and
+    trains each window's dispatches in dispatch order — so the two lists
+    align, the priced one longer by the async uploads still in flight at the
+    end.
     """
     priced, trained = [], []
     live_stage, live_tasks = Simulation._stage_dispatch, Simulation._run_tasks
@@ -65,9 +67,9 @@ def priced_and_trained(cfg, monkeypatch) -> tuple[list, list]:
         return out
 
     def run_tasks(self, tasks, global_params, spec):
-        results = live_tasks(self, tasks, global_params, spec)
-        trained.extend(results)
-        return results
+        for result in live_tasks(self, tasks, global_params, spec):
+            trained.append(result)
+            yield result
 
     with monkeypatch.context() as patch:
         patch.setattr(Simulation, "_stage_dispatch", stage)
@@ -114,3 +116,28 @@ def test_override_bills_the_declaration_at_width_v_over_32(name, monkeypatch):
         assert payload == Payload(64.0 * (kept if kept >= 1 else k), "sparse")
     if cfg.truncate_prob > 0 and compressor_of(cfg) != "qsgd8":
         assert truncated  # a truncation billed its kept prefix
+
+
+def test_a_sync_round_refuses_an_update_its_declaration_does_not_cover(monkeypatch):
+    """Sync decides from the declared wire size, before dispatch, which
+    truncated uploads still deliver an entry and renormalises the weights over
+    them; an emitted update shorter than its declaration would break that
+    plan, so the round refuses it instead of folding a different cohort."""
+    from repro.compression import registry
+    from repro.compression.base import SparseUpdate
+
+    class OneEntry:
+        def compress(self, update, ratio):
+            return SparseUpdate(dense_size=update.size, indices=np.array([0]), values=update[:1].copy())
+
+    monkeypatch.setattr(registry, "_FACTORIES", dict(registry._FACTORIES))
+    registry.register_compressor(
+        "one_entry",
+        lambda seed=0: OneEntry(),
+        wire=lambda d, ratio: (k_from_ratio(d, ratio), 64, "sparse"),
+        seeded=False,
+        stateful=False,
+    )
+    with make_simulation(_cfg(compressor="one_entry", truncate_prob=1.0)) as sim:
+        with pytest.raises(RuntimeError, match="contradicts its declared wire size"):
+            sim.run_round()

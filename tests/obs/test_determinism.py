@@ -92,6 +92,9 @@ class TestTracingDeterminism:
         assert ("transport.price" in names) == (mode in ("sync", "hier"))
         assert obs.metrics.value("rounds_completed") == 3
         assert obs.metrics.value("rounds_per_second") > 0
+        # Every task stream is driven to its end, where the count is taken.
+        trained = sum(s.name == "client.train" for s in obs.tracer.spans)
+        assert obs.metrics.value("tasks_executed") == trained > 0
         assert [snap["round"] for snap in obs.metrics.snapshots] == [0, 1, 2]
         assert all("rounds_per_second" in snap["values"] for snap in obs.metrics.snapshots)
 

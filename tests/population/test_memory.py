@@ -19,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.aggregation import CohortFold
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 
@@ -93,39 +94,47 @@ def column_bytes(pop) -> int:
     return sum(v.nbytes for v in vars(pop).values() if isinstance(v, np.ndarray))
 
 
-def updates_nbytes(updates) -> int:
-    return sum(u.indices.nbytes + u.values.nbytes for u in updates)
-
-
 def test_steady_state_round_holds_one_cohort_of_updates():
-    """From the second round on, a round's transient memory is one cohort's
-    uploads — the previous round's are released before dispatch, not after
-    the new ones are all built.
+    """From the second round on, a sync round's transient memory is the
+    server's O(d) buffers plus a few updates, not one cohort's uploads: each
+    upload is folded into the aggregate as it arrives and released.
 
     Plain ``topk`` so every round's uploads are the same size and nothing
     else grows (``eftopk`` adds 64 new clients' residuals per round — client
-    state, not round state). Measured with tracemalloc on this config:
-    (peak − static) / round-3 upload bytes = 1.06 with the release at round
-    start, 2.06 when the attribute was only rebound at aggregation; the 1.5
-    bound sits midway.
+    state, not round state). Measured with tracemalloc on this config
+    (d = 33,610, 64 uploads of 0.10 MB): peak − static = 0.56 MB, 0.09 of
+    the round's 6.45 MB of uploads — 1.06 when a round held its cohort until
+    the barrier. The bound is the arena's bytes (0.54 MB: the fold's counts
+    and mask are smaller) plus four uploads, a sixth of one cohort.
     """
     cfg = fleet_config(100_000).with_(algorithm="topk", rounds=4)
+    uploads: list[int] = []
+    real_add = CohortFold.add
+
+    def recording_add(self, update, weight=0.0):
+        uploads.append(update.indices.nbytes + update.values.nbytes)
+        return real_add(self, update, weight)
+
     tracemalloc.start()
     try:
-        with Simulation(cfg) as sim:
+        with pytest.MonkeyPatch.context() as patch, Simulation(cfg) as sim:
+            patch.setattr(CohortFold, "add", recording_add)
             for _ in range(3):
                 sim.run_round()
-            static = tracemalloc.get_traced_memory()[0] - updates_nbytes(sim.last_round_updates)
+            static = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
+            uploads.clear()
             sim.run_round()
             _, peak = tracemalloc.get_traced_memory()
-            held = updates_nbytes(sim.last_round_updates)
+            arena = sim.arena.nbytes()
     finally:
         tracemalloc.stop()
-    assert len(sim.last_round_updates) == COHORT and held > 0
-    assert peak - static <= 1.5 * held, (
-        f"round 3 peaked {(peak - static) / 1e6:.1f} MB above the static state "
-        f"for {held / 1e6:.1f} MB of uploads — a second cohort is being held"
+    assert len(uploads) == COHORT and len(set(uploads)) == 1
+    bound = arena + 4 * uploads[0]
+    assert peak - static <= bound, (
+        f"round 3 peaked {(peak - static) / 1e6:.2f} MB above the static state, "
+        f"over the {bound / 1e6:.2f} MB of O(d) buffers plus four uploads — "
+        f"the round is holding its {sum(uploads) / 1e6:.2f} MB cohort"
     )
 
 

@@ -16,16 +16,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.base import DenseUpdate, SparseUpdate
-from repro.core.aggregation import weighted_sparse_sum
+from repro.core.aggregation import clipped_weight, fold_list, weighted_sparse_sum
 from repro.network.transport import FaultInjector
-from repro.robust.aggregators import (
-    coordinate_median,
-    densify_updates,
-    norm_clip_weights,
-    robust_aggregate,
-    trimmed_mean,
-)
+from repro.robust.aggregators import robust_aggregate
 from repro.robust.attacks import apply_delta_attack, flip_labels, is_adversary
+
+
+def coordinate_median(updates):
+    return robust_aggregate(updates, None, aggregator="median")
+
+
+def trimmed_mean(updates, beta):
+    return robust_aggregate(updates, None, aggregator="trimmed_mean", trim_beta=beta)
+
+
+def densify_updates(updates):
+    """The cohort's rows as an order-statistic rule's fold densifies them."""
+    return fold_list(updates, aggregator="median").rows
+
+
+def norm_clip_weights(updates, weights, tau):
+    """Each weight as the norm-clip rule's fold scales it on arrival."""
+    return np.array([clipped_weight(u, w, tau) for u, w in zip(updates, weights)])
 
 
 def random_sparse(rng, d):

@@ -321,15 +321,15 @@ class TestReviewRegressions:
 
     @pytest.mark.parametrize("mode", ["sync", "semisync", "async"])
     def test_all_lost_round_leaves_no_round_updates(self, mode):
-        """A round that loses every upload aggregated nothing, so it holds
-        nothing — the event-driven windows used to keep the *previous*
-        window's updates here while the sync path already read ``[]``."""
+        """A round that loses every upload aggregated nothing, so it reports
+        no overlap — not the *previous* window's, which the event-driven
+        windows once kept while the sync path already read empty."""
         from repro.network.transport import FaultInjector
 
         cfg = small_config(mode=mode, rounds=12)
         with make_simulation(cfg) as sim:
             sim.run_round()
-            assert sim.last_round_updates
+            assert sim.last_overlap is not None
             # From here on every upload is lost in flight (uploads already
             # in the async/semisync ingress still land, so run until a
             # window consists of drop-fated arrivals only).
@@ -339,7 +339,7 @@ class TestReviewRegressions:
                 if record.num_participants == 0:
                     break
             assert record.num_participants == 0
-            assert sim.last_round_updates == []
+            assert sim.last_overlap is None
 
 
 class TestBackendDeterminism:

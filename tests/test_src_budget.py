@@ -5,12 +5,12 @@ CHANGES.md, a PR that deletes code lowers it."""
 
 from pathlib import Path
 
-#: Physical lines of ``src/**/*.py`` after every upload was priced from its
-#: compressor's registered wire size (13,817 before: the planned-ratio and
-#: sparse-count ``Payload`` constructors, the predicted-Top-K pricing branch,
-#: ``_dispatch``'s three truncate branches, sync's second list of priced
-#: updates, and two checks moved into or already made by ``ExperimentConfig``).
-SRC_LINE_CEILING = 13_773
+#: Physical lines of ``src/**/*.py`` after a round began folding its cohort
+#: as it arrives (13,773 before: the held update lists, ``arena_for``, the
+#: four robust list functions only tests called, ``opwa_mask_from_updates``'s
+#: carried-counts argument and ``TaskResult.num_batches``, against the fold,
+#: the windowed backend stream and the order-statistic rows cap).
+SRC_LINE_CEILING = 13_766
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
