@@ -7,7 +7,7 @@ one-axis grid (identical seeds, data and links in every cell), and prints
 final accuracy and accumulated communication time — the essence of
 Table 2 / Table 3 in one minute on a laptop.
 
-Run:  python examples/quickstart.py [--backend serial|thread|process]
+Run:  python examples/quickstart.py [--backend serial|process]
                                     [--workers N] [--rounds N]
                                     [--mode sync|semisync|async]
 
@@ -29,7 +29,7 @@ def main() -> None:
     parser.add_argument("--backend", default="serial", choices=BACKENDS,
                         help="execution backend for the round's client work")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for thread/process backends")
+                        help="worker count for the process backend")
     parser.add_argument("--mode", default="sync", choices=MODES,
                         help="round protocol on the virtual clock")
     parser.add_argument("--rounds", type=int, default=30)

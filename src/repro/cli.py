@@ -80,7 +80,7 @@ CONFIG_FLAGS = (
         help="execution backend for the round's client work (default: serial)")),
     ("--workers", "workers", dict(
         type=int,
-        help="parallel worker count for thread/process backends (default: auto)")),
+        help="worker count for the process backend (default: auto)")),
     ("--mode", "mode", dict(
         choices=MODES,
         help="round protocol: lock-step sync (default), deadline semisync, "

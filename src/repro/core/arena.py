@@ -27,8 +27,8 @@ fresh one, so there is one code path whether the buffers are reused or not,
 and reuse cannot change a result — each buffer is zeroed (or fully
 overwritten) before it is read.
 
-The arena is a *single-consumer* structure: one simulation (or one thread)
-aggregates at a time.
+The arena is a *single-consumer* structure: one simulation aggregates at a
+time.
 """
 
 from __future__ import annotations

@@ -7,8 +7,6 @@ this package provides interchangeable backends that execute them:
 backend    behaviour
 ========== ============================================================
 "serial"   in-process, in-order — the reference; zero overhead
-"thread"   thread pool, per-thread model replicas (GIL-bound for pure
-           Python; wins when kernels release the GIL)
 "process"  forked worker pool, shared-memory parameter broadcast —
            true parallelism for CPU-bound training
 ========== ============================================================
@@ -49,7 +47,7 @@ __all__ = [
 ]
 
 #: Registered backend names (also validated by ``ExperimentConfig``).
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def make_backend(
@@ -63,14 +61,10 @@ def make_backend(
 
     ``context`` is the caller's own context (used by the serial backend so
     its behaviour is exactly the pre-backend code path); ``context_factory``
-    builds contexts with fresh model replicas for the parallel backends.
+    builds the context the process backend forks into its workers.
     """
     if name == "serial":
         return SerialBackend(context)
-    if name == "thread":
-        from repro.exec.threads import ThreadBackend
-
-        return ThreadBackend(context_factory, workers)
     if name == "process":
         from repro.exec.process import ProcessBackend
 

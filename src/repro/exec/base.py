@@ -4,20 +4,22 @@ A round of Algorithm 1 fans out into independent *client tasks* — "train
 client ``i`` from the current global model and compress its update at ratio
 ``CR_i``" — whose only shared input, the global parameters, is read-only
 for the duration of the round. That independence is what makes
-the round parallelizable: every backend consumes the same
-:class:`ClientTask` list and yields the same :class:`TaskResult` stream in
-position order — serial one task at a time, the parallel backends
-:data:`WINDOW` positions at a time, so none holds or pickles a cohort — and
-the round loop in :mod:`repro.fl.simulation` folds each as it arrives.
+the round parallelizable: both backends consume the same
+:class:`ClientTask` list and yield the same :class:`TaskResult` stream in
+position order — serial one task at a time, the process backend
+:data:`~repro.exec.process.WINDOW` positions at a time, so neither holds
+or pickles a cohort — and the round loop in :mod:`repro.fl.simulation`
+folds each as it arrives.
 
 Determinism contract: a client's stochasticity lives entirely in per-client
 state — its :class:`~repro.data.loader.BatchLoader` RNG stream and its
 (possibly stateful, e.g. error-feedback) compressor. Backends must route
 every task for client ``i`` through the single object pair owning that
 state, in selection order, so a seeded run produces bit-identical results on
-every backend. The parallel backends share one rule for that,
-:func:`shard_tasks`: client ``cid`` always runs on worker ``cid % workers``,
-its tasks in list order — so a batch may hold one client more than once.
+every backend. The process backend's rule for that is
+:func:`~repro.exec.process.shard_tasks`: client ``cid`` always runs on
+worker ``cid % workers``, its tasks in list order — so a batch may hold one
+client more than once.
 
 The "clients" and "compressors" a :class:`WorkerContext` carries are lazy
 pools (:mod:`repro.population.hydration`): indexing ``clients[cid]`` hydrates
@@ -36,7 +38,7 @@ from __future__ import annotations
 import os
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +52,7 @@ __all__ = [
     "WorkerContext",
     "ExecutionBackend",
     "resolve_workers",
-    "shard_tasks",
-    "WINDOW",
 ]
-
-#: Positions a parallel backend dispatches at once. Windows run one after
-#: another, so a client's tasks keep their list order across windows too.
-WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -214,10 +210,8 @@ class WorkerContext:
 class ExecutionBackend(ABC):
     """Executes one round's client tasks; see the module determinism contract."""
 
-    #: Registry name ("serial" | "thread" | "process").
+    #: Registry name ("serial" | "process").
     name: str = "abstract"
-    #: Set once a round failed, or was abandoned with tasks left to run.
-    _poisoned = False
 
     @abstractmethod
     def run_round(
@@ -238,30 +232,6 @@ class ExecutionBackend(ABC):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _check_healthy(self) -> None:
-        if self._poisoned:
-            raise RuntimeError(
-                f"{self.name} backend failed in a previous round, or its stream was abandoned "
-                "part-way; per-client state advanced for part of that round — build a fresh simulation"
-            )
-
-    def _windows(
-        self,
-        tasks: Sequence[ClientTask],
-        run_window: Callable[[Sequence[ClientTask]], list[TaskResult]],
-    ) -> Iterator[TaskResult]:
-        """Stream ``tasks`` through ``run_window`` (one window's results in
-        position order) :data:`WINDOW` positions at a time. A stream that
-        fails or is closed before its last window ran poisons the backend."""
-        left = len(tasks)
-        try:
-            for start in range(0, len(tasks), WINDOW):
-                results = run_window(tasks[start : start + WINDOW])
-                left -= len(results)
-                yield from results
-        finally:
-            self._poisoned = self._poisoned or left > 0
-
 
 def resolve_workers(workers: int | None) -> int:
     """Worker count: explicit value, else ``min(cpu_count, 8)``."""
@@ -270,12 +240,3 @@ def resolve_workers(workers: int | None) -> int:
             raise ValueError(f"workers must be >= 1, got {workers}")
         return int(workers)
     return max(1, min(os.cpu_count() or 1, 8))
-
-
-def shard_tasks(tasks: Sequence[ClientTask], workers: int) -> list[list[ClientTask]]:
-    """Worker ``k``'s tasks: those of every client ``cid % workers == k``,
-    in list order — a client's tasks never split across workers."""
-    shards: list[list[ClientTask]] = [[] for _ in range(workers)]
-    for task in tasks:
-        shards[task.cid % workers].append(task)
-    return shards

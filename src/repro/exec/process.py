@@ -11,14 +11,14 @@ Design:
   ``cid % workers`` slice of each round's cohort, and the parent process
   never hydrates at all.
 - **Stable client sharding.** Client ``cid`` is always executed by worker
-  ``cid % workers`` (:func:`~repro.exec.base.shard_tasks`). Per-client
-  state (batch-loader RNG stream, error-feedback residual) therefore lives
-  in exactly one process and advances in selection order, exactly as in
-  serial execution — seeded runs are bit-identical across backends.
+  ``cid % workers`` (:func:`shard_tasks`). Per-client state (batch-loader
+  RNG stream, error-feedback residual) therefore lives in exactly one
+  process and advances in selection order, exactly as in serial execution
+  — seeded runs are bit-identical across backends.
   Changing ``workers`` mid-run would break this, so the count is fixed at
   construction.
-- **Windowed rounds.** A round goes out :data:`~repro.exec.base.WINDOW`
-  positions at a time: one window's updates, not a cohort's, are pickled.
+- **Windowed rounds.** A round goes out :data:`WINDOW` positions at a time:
+  one window's updates, not a cohort's, are pickled.
 - **Shared read-only global parameters.** Each round the parent writes the
   global parameter vector into one POSIX shared-memory block; workers map
   it once and read a zero-copy view. Only the small task list travels over
@@ -27,7 +27,7 @@ Design:
 
 The backend requires the ``fork`` start method (Linux, macOS); ``spawn``
 would have to rebuild client state from pickles and is deliberately not
-supported — use the thread or serial backend there.
+supported — use the serial backend there.
 """
 
 from __future__ import annotations
@@ -46,14 +46,26 @@ from repro.exec.base import (
     TrainSpec,
     WorkerContext,
     resolve_workers,
-    shard_tasks,
 )
 
 __all__ = ["ProcessBackend"]
 
+#: Positions the backend dispatches at once. Windows run one after another,
+#: so a client's tasks keep their list order across windows too.
+WINDOW = 64
+
 _CMD_ROUND = "round"
 _CMD_ATTACH = "attach"
 _CMD_STOP = "stop"
+
+
+def shard_tasks(tasks: Sequence[ClientTask], workers: int) -> list[list[ClientTask]]:
+    """Worker ``k``'s tasks: those of every client ``cid % workers == k``,
+    in list order — a client's tasks never split across workers."""
+    shards: list[list[ClientTask]] = [[] for _ in range(workers)]
+    for task in tasks:
+        shards[task.cid % workers].append(task)
+    return shards
 
 
 def _np_view(buf, layout: tuple[tuple[int, ...], str]) -> np.ndarray:
@@ -162,12 +174,14 @@ class ProcessBackend(ExecutionBackend):
     """Forked worker pool with shared-memory parameter broadcast."""
 
     name = "process"
+    #: Set once a round failed, or was abandoned with tasks left to run.
+    _poisoned = False
 
     def __init__(self, context_factory: Callable[[], WorkerContext], workers: int | None = None):
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
                 "the process backend requires the 'fork' start method; "
-                "use backend='thread' or 'serial' on this platform"
+                "use backend='serial' on this platform"
             )
         self.workers = resolve_workers(workers)
         self._factory = context_factory
@@ -232,10 +246,28 @@ class ProcessBackend(ExecutionBackend):
         global_params: np.ndarray | None,
         spec: TrainSpec,
     ) -> Iterator[TaskResult]:
-        self._check_healthy()
+        if self._poisoned:
+            raise RuntimeError(
+                "process backend failed in a previous round, or its stream was abandoned "
+                "part-way; per-client state advanced for part of that round — build a fresh simulation"
+            )
         self._ensure_started()
-        payload = self._broadcast(global_params)
-        return self._windows(tasks, lambda window: self._run_window(window, spec, payload))
+        return self._windows(tasks, spec, self._broadcast(global_params))
+
+    def _windows(
+        self, tasks: Sequence[ClientTask], spec: TrainSpec, payload
+    ) -> Iterator[TaskResult]:
+        """Stream ``tasks`` :data:`WINDOW` positions at a time, each window's
+        results in position order. A stream that fails or is closed before
+        its last window ran poisons the backend."""
+        left = len(tasks)
+        try:
+            for start in range(0, len(tasks), WINDOW):
+                results = self._run_window(tasks[start : start + WINDOW], spec, payload)
+                left -= len(results)
+                yield from results
+        finally:
+            self._poisoned = self._poisoned or left > 0
 
     def _run_window(self, window: Sequence[ClientTask], spec: TrainSpec, payload) -> list[TaskResult]:
         assert self._pool is not None
@@ -243,9 +275,9 @@ class ProcessBackend(ExecutionBackend):
         active = [w for w, shard in enumerate(shards) if shard]
         # Drain every active worker before raising: an unconsumed reply would
         # be read as a later window's result. Any failure poisons the backend
-        # (ExecutionBackend._windows): a partial round already advanced
-        # per-client state, and a dead worker or a failure mid-protocol
-        # leaves replies that cannot be drained.
+        # (_windows): a partial round already advanced per-client state, and
+        # a dead worker or a failure mid-protocol leaves replies that cannot
+        # be drained.
         results: list[TaskResult] = []
         errors: list[tuple[int, str]] = []
         try:

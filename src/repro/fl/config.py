@@ -124,7 +124,7 @@ class ExperimentConfig:
     eval_every: int = 1  # evaluate test accuracy every k rounds
 
     # Execution engine (repro.exec): how the round's client work runs.
-    backend: str = "serial"  # "serial" | "thread" | "process"
+    backend: str = "serial"  # "serial" | "process"
     workers: int | None = None  # parallel worker count (None = auto)
 
     # Virtual-clock protocol (repro.simtime): when client work *lands*.

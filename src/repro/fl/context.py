@@ -37,7 +37,6 @@ into one per worker per key.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -97,8 +96,7 @@ class SimulationContext:
     ``population`` is the one :class:`Population` every simulation of the
     key uses, its four columns frozen. Its only mutable state is the
     :class:`~repro.utils.rng.RngFactory` memo of counter keys, which stores
-    a deterministic hash per stream name and never changes a value, so
-    cells running on a thread executor share it safely.
+    a deterministic hash per stream name and never changes a value.
     """
 
     key: tuple
@@ -141,7 +139,7 @@ class SimulationContext:
 
 
 class WorldCache:
-    """Thread-safe LRU of :class:`SimulationContext` by dataset key.
+    """LRU of :class:`SimulationContext` by dataset key.
 
     ``max_entries`` bounds resident worlds (a synthetic-CIFAR world is a few
     MB; sweeps rarely span more than a handful of dataset keys at once).
@@ -154,7 +152,6 @@ class WorldCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
         self._entries: OrderedDict[tuple, SimulationContext] = OrderedDict()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -162,39 +159,30 @@ class WorldCache:
     def get(self, config) -> SimulationContext:
         """The context for ``config``'s dataset key, building on first use."""
         key = dataset_key(config)
-        with self._lock:
-            ctx = self._entries.get(key)
-            if ctx is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return ctx
-            self.misses += 1
-        # Build outside the lock (construction is the expensive part); a
-        # concurrent builder of the same key wastes one build, nothing more.
-        ctx = SimulationContext.build(config)
-        with self._lock:
-            self._entries[key] = ctx
+        ctx = self._entries.get(key)
+        if ctx is not None:
             self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self.hits += 1
+            return ctx
+        self.misses += 1
+        ctx = self._entries[key] = SimulationContext.build(config)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self.evictions += 1
         return ctx
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def stats(self) -> dict:
         """Cache accounting: hits/misses/evictions/resident entries."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "resident": len(self._entries),
-                "max_entries": self.max_entries,
-            }
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "resident": len(self._entries),
+            "max_entries": self.max_entries,
+        }

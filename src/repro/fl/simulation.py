@@ -9,8 +9,8 @@ links, global model and algorithm, and advances round by round:
    (uploads are priced from their compressor's declared wire size);
 4. the selected clients train locally from ``w_t`` (lines 9–11, 21–27) and
    compress their updates (line 12) on a pluggable execution backend
-   (:mod:`repro.exec`: serial, thread pool, or forked process pool, all
-   bit-identical), and the server folds each upload into the aggregate as
+   (:mod:`repro.exec`: serial or a forked process pool, bit-identical),
+   and the server folds each upload into the aggregate as
    it arrives (lines 14–18, with the OPWA mask of Alg. 3 when enabled) — a
    round holds O(d), not its cohort's updates;
 5. the new global model is evaluated and the round is recorded.

@@ -26,21 +26,19 @@ regime keeps the historical ``RngFactory.child`` SeedSequence families
 virtual regime derives both from counter-based Philox streams
 (:meth:`~repro.utils.rng.RngFactory.counter`), the O(1) scheme that scales
 to million-client fleets. Both are pure functions of ``(seed, cid)``, so
-hydration order — across rounds, threads, or forked process workers — can
+hydration order — across rounds or forked process workers — can
 never change a client's draws.
 
-Thread/process notes: a ``threading.Lock`` guards pool bookkeeping because
-the thread backend shares one pool among all worker contexts (each client
-still runs at most one task at a time, so the *objects* need no locking,
-exactly as before the refactor). The fork-based process backend inherits
-the pools copy-on-write; each worker then hydrates only the cids of its
+Process notes: a pool is only ever indexed by one caller at a time — the
+simulation in serial execution, one worker in the process backend — so its
+bookkeeping needs no lock. The fork-based process backend inherits the
+pools copy-on-write; each worker then hydrates only the cids of its
 ``cid % workers`` shard, which is what keeps worker memory at
 O(cohort / workers).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -114,7 +112,6 @@ class ClientPool:
         #: Philox/PCG generator per *distinct participant*, not per cohort —
         #: reported as ``stats()["loader_streams"]``.
         self._loader_rngs: dict[int, np.random.Generator] = {}
-        self._lock = threading.Lock()
         #: Total Client constructions ever (rehydrations included) — the
         #: materialization observable the no-eager-fleet tests assert on.
         self.hydrations = 0
@@ -147,41 +144,40 @@ class ClientPool:
         if not 0 <= cid < len(self):
             raise IndexError(f"client id {cid} out of range [0, {len(self)})")
         obs = self._obs
-        with self._lock:
-            client = self._cache.get(cid)
-            if client is not None:
-                self._cache.move_to_end(cid)
-                self.hits += 1
-                if obs is not None:
-                    obs.metrics.counter("hydration", outcome="hit").inc()
-                return client
-            tracer = obs.tracer if obs is not None else NULL_TRACER
-            # ``with``: a raising shard build still closes the span (and counts nothing).
-            with tracer.span("hydrate", cat="pop", cid=cid):
-                shard = self._train_set.subset(self._population.shard_indices(cid))
-                if self._flip_fraction > 0.0:
-                    from repro.robust.attacks import flip_labels, is_adversary
-
-                    if is_adversary(self._population.seed, cid, self._flip_fraction):
-                        flip_labels(shard.y, self._num_classes)
-                client = _client_cls()(cid, shard, self._batch_size, self._loader_rng(cid))
-            self.misses += 1
-            self._cache[cid] = client
-            self.hydrations += 1
-            while len(self._cache) > self._cache_size:
-                evicted_cid, _ = self._cache.popitem(last=False)
-                self.evictions += 1
-                if obs is not None:
-                    obs.tracer.instant("evict", cat="pop", cid=evicted_cid)
-                    obs.metrics.counter("hydration", outcome="eviction").inc()
-            # Peak is post-eviction steady state, so it never exceeds the
-            # configured cache size.
-            if len(self._cache) > self.peak_resident:
-                self.peak_resident = len(self._cache)
+        client = self._cache.get(cid)
+        if client is not None:
+            self._cache.move_to_end(cid)
+            self.hits += 1
             if obs is not None:
-                obs.metrics.counter("hydration", outcome="miss").inc()
-                obs.metrics.gauge("resident_clients").set(len(self._cache))
+                obs.metrics.counter("hydration", outcome="hit").inc()
             return client
+        tracer = obs.tracer if obs is not None else NULL_TRACER
+        # ``with``: a raising shard build still closes the span (and counts nothing).
+        with tracer.span("hydrate", cat="pop", cid=cid):
+            shard = self._train_set.subset(self._population.shard_indices(cid))
+            if self._flip_fraction > 0.0:
+                from repro.robust.attacks import flip_labels, is_adversary
+
+                if is_adversary(self._population.seed, cid, self._flip_fraction):
+                    flip_labels(shard.y, self._num_classes)
+            client = _client_cls()(cid, shard, self._batch_size, self._loader_rng(cid))
+        self.misses += 1
+        self._cache[cid] = client
+        self.hydrations += 1
+        while len(self._cache) > self._cache_size:
+            evicted_cid, _ = self._cache.popitem(last=False)
+            self.evictions += 1
+            if obs is not None:
+                obs.tracer.instant("evict", cat="pop", cid=evicted_cid)
+                obs.metrics.counter("hydration", outcome="eviction").inc()
+        # Peak is post-eviction steady state, so it never exceeds the
+        # configured cache size.
+        if len(self._cache) > self.peak_resident:
+            self.peak_resident = len(self._cache)
+        if obs is not None:
+            obs.metrics.counter("hydration", outcome="miss").inc()
+            obs.metrics.gauge("resident_clients").set(len(self._cache))
+        return client
 
     def observe(self, obs) -> None:
         """Attach an :class:`repro.obs.Obs` bundle (no-op when disabled).
@@ -197,17 +193,16 @@ class ClientPool:
         """Cache accounting: hits/misses/evictions/resident/peak, plus
         ``loader_streams`` — loader generators held outside the LRU, one per
         distinct client ever hydrated (eviction does not release them)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "hydrations": self.hydrations,
-                "resident": len(self._cache),
-                "peak_resident": self.peak_resident,
-                "cache_size": self._cache_size,
-                "loader_streams": len(self._loader_rngs),
-            }
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "hydrations": self.hydrations,
+            "resident": len(self._cache),
+            "peak_resident": self.peak_resident,
+            "cache_size": self._cache_size,
+            "loader_streams": len(self._loader_rngs),
+        }
 
     @property
     def resident(self) -> int:
@@ -227,7 +222,6 @@ class CompressorPool:
         self._rngs = RngFactory(population.seed)
         self._counter_streams = population.partition is None
         self._pool: dict[int, object] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return self._population.num_clients
@@ -241,18 +235,17 @@ class CompressorPool:
             raise IndexError(f"client id {cid} out of range [0, {len(self)})")
         if self._shared is not None:
             return self._shared
-        with self._lock:
-            comp = self._pool.get(cid)
-            if comp is None:
-                if not self._seeded:
-                    seed = 0
-                elif self._counter_streams:
-                    seed = self._rngs.counter("compressor", cid)
-                else:
-                    seed = self._rngs.child("compressor", cid)
-                comp = make_compressor(self._name, seed=seed)
-                self._pool[cid] = comp
-            return comp
+        comp = self._pool.get(cid)
+        if comp is None:
+            if not self._seeded:
+                seed = 0
+            elif self._counter_streams:
+                seed = self._rngs.counter("compressor", cid)
+            else:
+                seed = self._rngs.child("compressor", cid)
+            comp = make_compressor(self._name, seed=seed)
+            self._pool[cid] = comp
+        return comp
 
     @property
     def resident(self) -> int:

@@ -5,7 +5,7 @@ Membership is a pure O(1) function of ``(seed, cid)`` through the
 in the parent process, no draw order to preserve. Any worker on any backend
 asks :func:`is_adversary` for the clients it executes and reads the same
 answer, which is what keeps adversarial runs bit-identical across
-serial/thread/process and lets a million-client fleet carry adversaries
+serial/process and lets a million-client fleet carry adversaries
 without O(fleet) state.
 
 Two corruption sites:

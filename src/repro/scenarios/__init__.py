@@ -14,7 +14,7 @@ them:
 - :mod:`~repro.scenarios.grid` — typed multi-axis grid expansion with
   seed replication;
 - :mod:`~repro.scenarios.sweep` — :class:`SweepRunner`: cells fan out
-  over serial/thread/process pools with a resumable on-disk
+  over serial/process pools with a resumable on-disk
   :class:`~repro.scenarios.store.RunStore`; :func:`run_grid` expands,
   runs and reports in one call;
 - :mod:`~repro.scenarios.report` — :class:`SweepReport`: per-cell summary

@@ -8,21 +8,21 @@ multi-run entry point: an algorithm comparison, a γ sweep, a mode race and
 an edge-width sweep are all one-axis grids.
 
 Concurrency is *across cells*: whole experiments fan out over a pool named
-after the exec-backend vocabulary — ``"serial"`` (in-order, the reference),
-``"thread"`` (GIL-bound; fine for small grids and for exercising the
-machinery), ``"process"`` (forked workers — true parallelism; cells should
-then use ``backend="serial"`` internally so pools don't nest; the runner
-enforces this, see below). Per-cell results are a pure function of the
-cell's config seed, so the report is bit-identical at any ``parallel`` on
-any executor (wall-clock ``train_seconds``/``compress_seconds`` excepted,
-as everywhere).
+after the exec-backend vocabulary — ``"serial"`` (in-order, the reference)
+or ``"process"`` (forked workers — true parallelism; cells should then use
+``backend="serial"`` internally so pools don't nest; the runner enforces
+this, see below). Like the process backend, the process executor needs the
+``fork`` start method; without it, a runner that would fork refuses to be
+built. Per-cell results are a pure function of the cell's config seed, so
+the report is bit-identical at any ``parallel`` on any executor (wall-clock
+``train_seconds``/``compress_seconds`` excepted, as everywhere).
 
 **Persistent workers + cross-cell caching.** Grid cells overwhelmingly
 share their dataset world — same raw arrays, same splits, same partition,
 same population columns — and differ only in training knobs. Every
 :func:`run_cell` therefore resolves its cell's dataset-relevant config
 slice against a process-local :class:`~repro.fl.context.WorldCache` and
-threads the cached :class:`~repro.fl.context.SimulationContext` into
+passes the cached :class:`~repro.fl.context.SimulationContext` into
 :func:`~repro.fl.simulation.run_experiment`, so the expensive construction
 happens once per distinct world, not once per cell. The cache lives at
 module level, which makes it per-*worker* on the process executor — and the
@@ -46,7 +46,7 @@ import dataclasses
 import multiprocessing as mp
 import warnings
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from repro.fl.context import WorldCache
 from repro.fl.history import History
@@ -62,7 +62,7 @@ from repro.scenarios.store import RunStore
 __all__ = ["SweepRunner", "SWEEP_EXECUTORS", "run_cell", "run_grid", "WORLD_CACHE"]
 
 #: How cells fan out; mirrors the exec-backend vocabulary.
-SWEEP_EXECUTORS = ("serial", "thread", "process")
+SWEEP_EXECUTORS = ("serial", "process")
 
 #: Process-local dataset/world cache shared by every cell this process (or
 #: forked sweep worker) runs. Keyed purely on the dataset-relevant config
@@ -123,9 +123,10 @@ class SweepRunner:
     parallel:
         Max cells in flight at once (1 = sequential).
     executor:
-        ``"serial"`` | ``"thread"`` | ``"process"``; default picks
-        ``"process"`` when ``parallel > 1`` (falling back to ``"thread"``
-        where fork is unavailable) and ``"serial"`` otherwise.
+        ``"serial"`` | ``"process"``; default picks ``"process"`` when
+        ``parallel > 1`` and ``"serial"`` otherwise. ``"process"`` at
+        ``parallel > 1`` needs the ``fork`` start method (``ValueError``
+        without it).
     store:
         Optional :class:`RunStore` (or path) for resume: completed cells
         are loaded instead of re-run, fresh cells are persisted as they
@@ -133,8 +134,7 @@ class SweepRunner:
         fails the sweep (``RuntimeError`` naming it) once its siblings are saved.
     progress:
         Optional callback ``(spec, cached: bool)`` invoked as each cell
-        resolves (from worker threads' completion loop order, not cell
-        order).
+        resolves (in completion order, not cell order).
     on_start:
         Optional callback ``(spec)`` invoked when a cell is dispatched
         (submitted to the pool, or about to run on the serial path) —
@@ -161,11 +161,14 @@ class SweepRunner:
             raise ValueError(f"parallel must be >= 1, got {parallel}")
         if executor is None:
             executor = "process" if parallel > 1 else "serial"
-            if executor == "process" and "fork" not in mp.get_all_start_methods():
-                executor = "thread"  # pragma: no cover (non-POSIX)
         if executor not in SWEEP_EXECUTORS:
             raise ValueError(
                 f"executor must be one of {SWEEP_EXECUTORS}, got {executor!r}"
+            )
+        if executor == "process" and parallel > 1 and "fork" not in mp.get_all_start_methods():
+            raise ValueError(
+                "executor='process' needs the 'fork' start method, which this "
+                "platform lacks; use executor='serial' (or parallel=1)"
             )
         self.specs = list(specs)
         # Cross-field config errors surface here, before any cell runs.
@@ -182,23 +185,21 @@ class SweepRunner:
         self.progress = progress
         self.on_start = on_start
         self.obs = obs if obs is not None else NULL_OBS
-        self._pool: Executor | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._entered = False
         if self.executor == "process" and self.parallel > 1:
-            busy = sorted({c.backend for c in configs} - {"serial"})
-            if busy:
+            if any(c.backend == "process" for c in configs):
                 warnings.warn(
-                    f"sweep cells use backend={busy} inside a process-pool "
+                    "sweep cells use backend='process' inside a process-pool "
                     "sweep; nested worker pools oversubscribe the CPU — "
-                    "'process' cells are forced serial in the workers, "
-                    "'thread' cells run as requested; prefer "
+                    "they are forced serial in the workers; prefer "
                     "backend='serial' cells with sweep-level parallelism",
                     stacklevel=2,
                 )
 
     # ----------------------------------------------------------------- pool
 
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         """The runner's persistent executor pool (created on first use).
 
         Kept alive across :meth:`run` calls so forked workers — and with
@@ -206,12 +207,9 @@ class SweepRunner:
         the next. Released by :meth:`close` (or leaving a ``with`` block).
         """
         if self._pool is None:
-            if self.executor == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=self.parallel)
-            else:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.parallel, mp_context=mp.get_context("fork")
-                )
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.parallel, mp_context=mp.get_context("fork")
+            )
         return self._pool
 
     def close(self) -> None:
@@ -277,7 +275,6 @@ class SweepRunner:
             if self.progress is not None:
                 self.progress(self.specs[i], False)
 
-        force_serial = self.executor == "process" and self.parallel > 1
         failed: tuple[int, BaseException] | None = None  # first cell that raised
         if not pending:
             pass
@@ -306,7 +303,7 @@ class SweepRunner:
                             pool.submit(
                                 run_cell,
                                 self.specs[i].to_dict(),
-                                force_serial_backend=force_serial,
+                                force_serial_backend=True,
                             )
                         ] = i
                     done, _ = wait(futures, return_when=FIRST_COMPLETED)
@@ -355,7 +352,7 @@ def run_grid(
         seeds: Seed replication — an int ``k`` (base seed .. base seed
             + k − 1), an explicit sequence, or None for the base seed only.
         parallel: Max cells in flight (1 = sequential).
-        executor: ``"serial"`` | ``"thread"`` | ``"process"`` cell pool
+        executor: ``"serial"`` | ``"process"`` cell pool
             (default: process when ``parallel > 1``).
         store: Optional :class:`~repro.scenarios.RunStore` (or directory
             path) enabling resume: completed cells load instead of re-run.

@@ -22,7 +22,7 @@ virtual clock:
 
 Determinism: dispatch order, arrival order, and aggregation membership are
 pure functions of the config seed (completion ties break by admission
-order), so seeded runs are bit-identical across serial/thread/process
+order), so seeded runs are bit-identical across serial/process
 backends — the same contract :mod:`repro.exec` enforces for the synchronous
 engine, extended to contended transfers.
 """
@@ -216,8 +216,8 @@ class _EventDrivenSimulation(Simulation):
         only steps at aggregation, and aggregation always flushes first), so
         training them together from today's ``global_params`` is bit-identical
         to having trained each at its dispatch instant. A fast client can be
-        dispatched twice in one window; every backend runs a client's tasks
-        in list order on one worker (:func:`~repro.exec.base.shard_tasks`),
+        dispatched twice in one window; both backends run a client's tasks
+        in list order on one worker (:func:`~repro.exec.process.shard_tasks`),
         so its second task trains after its first.
         """
         pending, self._untrained = self._untrained, []

@@ -19,12 +19,14 @@ from repro.exec import (
     make_backend,
     resolve_workers,
 )
-from repro.exec import base as exec_base
+from repro.exec import process as exec_process
 from repro.exec.process import ProcessBackend
-from repro.exec.threads import ThreadBackend
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.simtime import make_simulation
+
+#: Every registered backend but the serial reference.
+PARALLEL = [b for b in BACKENDS if b != "serial"]
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -68,13 +70,13 @@ def assert_histories_identical(a, b) -> None:
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", PARALLEL)
     def test_bcrs_opwa_matches_serial(self, backend):
         serial = run_history(small_config())
         other = run_history(small_config(backend=backend, workers=2))
         assert_histories_identical(serial, other)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", PARALLEL)
     def test_stateful_ef_compressor_matches_serial(self, backend):
         """Error feedback keeps per-client residual state across rounds."""
         serial = run_history(small_config(algorithm="eftopk", rounds=4, seed=5))
@@ -109,14 +111,14 @@ class TestBackendEquivalence:
 
 
 class TestWindowedRounds:
-    """Parallel backends dispatch a round ``WINDOW`` positions at a time."""
+    """The process backend dispatches a round ``WINDOW`` positions at a time."""
 
     @pytest.mark.parametrize(
         "mode, extra",
         [("sync", dict(num_clients=12)), ("hier", dict(num_clients=20, num_edges=2))],
     )
     def test_backends_agree_beyond_one_window(self, monkeypatch, mode, extra):
-        monkeypatch.setattr(exec_base, "WINDOW", 2)
+        monkeypatch.setattr(exec_process, "WINDOW", 2)
         cfg = small_config(mode=mode, rounds=2, **extra)
         histories = {}
         for backend in BACKENDS:
@@ -126,16 +128,16 @@ class TestWindowedRounds:
         for r in histories["serial"].records:
             cohorts = [len(e.selected) for e in r.edge_breakdown or ()] or [len(r.selected)]
             assert min(cohorts) >= 5
-        for backend in ("thread", "process"):
+        for backend in PARALLEL:
             assert_histories_identical(histories["serial"], histories[backend])
             for a, b in zip(histories["serial"].records, histories[backend].records):
                 assert (a.sim_start, a.sim_end, a.comm) == (b.sim_start, b.sim_end, b.comm)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", PARALLEL)
     def test_an_abandoned_stream_poisons_the_backend(self, monkeypatch, backend):
         """Closing a round's stream with windows still to run leaves that
         round's per-client state part-advanced, exactly like a failed round."""
-        monkeypatch.setattr(exec_base, "WINDOW", 2)
+        monkeypatch.setattr(exec_process, "WINDOW", 2)
         tasks = [ClientTask(position=pos, cid=cid, ratio=0.1) for pos, cid in enumerate(range(5))]
         with Simulation(small_config(backend=backend, workers=2)) as sim:
             whole = list(sim.backend.run_round(tasks, sim.global_params, sim._train_spec))
@@ -158,12 +160,23 @@ class TestBackendPlumbing:
             small_config(backend="bogus")
         with pytest.raises(ValueError, match="workers"):
             small_config(workers=0)
-        assert small_config(backend="thread", workers=2).backend == "thread"
+        assert small_config(backend="process", workers=2).backend == "process"
+
+    def test_the_retired_thread_backend_is_refused(self):
+        with pytest.raises(ValueError, match="backend"):
+            small_config(backend="thread")
+
+    def test_process_backend_without_fork_names_the_serial_fallback(self, monkeypatch):
+        monkeypatch.setattr("multiprocessing.get_all_start_methods", lambda: ["spawn"])
+        ctx = WorkerContext([], None, model=None)
+        with pytest.raises(RuntimeError, match="fork") as info:
+            make_backend("process", context=ctx, context_factory=lambda: ctx)
+        assert "backend='serial'" in str(info.value)
+        assert "thread" not in str(info.value)
 
     def test_backend_class_names_match_registry(self):
         assert set(BACKENDS) == {
             SerialBackend.name,
-            ThreadBackend.name,
             ProcessBackend.name,
         }
 

@@ -11,6 +11,7 @@ per-round ledgers add up to what the compressors actually emitted.
 import pytest
 
 from repro.compression.base import SparseUpdate
+from repro.exec import BACKENDS
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.network.cost import uplink_time
@@ -137,7 +138,7 @@ class TestFairContention:
             small_config(contention="tdma")
 
     @pytest.mark.parametrize("mode", ALL_MODES)
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "serial"])
     def test_contended_runs_bit_identical_across_backends(self, mode, backend):
         """The determinism contract extends to contended transfers."""
         cfg = small_config(

@@ -24,8 +24,7 @@ from repro.fl.config import ExperimentConfig
 from repro.simtime import make_simulation
 
 CASES = [
-    ("sync", "serial"),
-    ("sync", "thread"),
+    *(("sync", backend) for backend in BACKENDS),
     ("semisync", "serial"),
     ("async", "serial"),
     ("hier", "serial"),

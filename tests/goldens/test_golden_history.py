@@ -4,7 +4,7 @@ Each ``*.json`` beside this file is the deterministic trace of one
 ``robust_golden_configs.ROBUST_GOLDEN_CONFIGS`` entry — every protocol
 mode × {honest, sign_flip, lossy} — captured by
 :mod:`repro.testing.goldens` and replayed here bit-for-bit: serially for
-all twelve, and on the thread/process backends for one faulty
+all twelve, and on every parallel backend for one faulty
 representative per mode (adversarial membership and fault fates are pure
 functions of ``(seed, stream, counter)``, so the backend must not leak
 into the trace).
@@ -24,6 +24,7 @@ from robust_golden_configs import (
     ROBUST_GOLDEN_CONFIGS,
     golden_name,
 )
+from repro.exec import BACKENDS
 from repro.testing.goldens import check_golden, regen_requested, run_trace
 
 GOLDEN_DIR = Path(__file__).parent
@@ -36,7 +37,7 @@ def test_serial_replays_golden(name):
     check_golden(GOLDEN_DIR / golden_name(name), trace, name=name)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "serial"])
 @pytest.mark.parametrize("name", PARALLEL_REPRESENTATIVES)
 def test_parallel_backends_replay_golden(name, backend):
     """Adversarial/faulty traces are backend-invariant, bit-for-bit."""

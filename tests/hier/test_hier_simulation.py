@@ -3,6 +3,7 @@ per-tier timings, and backend determinism."""
 
 import pytest
 
+from repro.exec import BACKENDS
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.hier.simulation import HierSimulation
@@ -262,7 +263,7 @@ class TestRunnerReporting:
 class TestBackendDeterminism:
     """Same seed ⇒ identical records and span logs on every exec backend."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "serial"])
     def test_matches_serial(self, backend):
         cfg = small_config(
             mode="hier", num_edges=3, edge_rounds=2, algorithm="eftopk",

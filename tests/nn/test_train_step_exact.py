@@ -10,7 +10,6 @@ the live step to reproduce it byte for byte. The reference is the spec: do not
 """
 
 import multiprocessing as mp
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -213,8 +212,8 @@ def _in_fork(fn):
 @pytest.mark.parametrize("model_name", ["mlp"])
 def test_backend_replica_matches_frozen_step(model_name, backend):
     """The model each backend trains on — the simulation's own (serial), a
-    replica in a pool thread (thread), a replica inherited by fork (process) —
-    reproduces the frozen step and keeps its parameters aliased."""
+    replica inherited by fork (process) — reproduces the frozen step and
+    keeps its parameters aliased."""
     hyper = OPTIMIZERS["sgd"]
     config = ExperimentConfig(dataset="synth-cifar10", model=model_name, num_clients=4, num_train=200,
                               num_test=50, rounds=1, backend=backend, workers=2, seed=0)
@@ -224,13 +223,7 @@ def test_backend_replica_matches_frozen_step(model_name, backend):
         def run():
             return _live_rounds(model, model_name, hyper)
 
-        if backend == "serial":
-            live, aliased = run()
-        elif backend == "thread":
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                live, aliased = pool.submit(run).result(timeout=120)
-        else:
-            live, aliased = _in_fork(run)
+        live, aliased = run() if backend == "serial" else _in_fork(run)
     assert live == _reference_rounds(model_name, hyper)
     assert aliased
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exec import BACKENDS
 from repro.fl.config import ExperimentConfig
 from repro.obs import NULL_OBS, MetricsRegistry, Obs, Tracer
 from repro.simtime import make_simulation
 
-BACKENDS = ("serial", "thread", "process")
 MODES = ("sync", "semisync", "async", "hier")
 
 #: Deterministic record fields; train/compress_seconds are wall clock.

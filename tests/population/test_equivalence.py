@@ -25,9 +25,13 @@ from pathlib import Path
 import pytest
 
 from golden_configs import GOLDEN_CONFIGS, golden_name
+from repro.exec import BACKENDS
 from repro.testing.goldens import check_golden, run_trace
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+#: Every registered backend but the serial reference.
+PARALLEL = [b for b in BACKENDS if b != "serial"]
 
 #: One golden per protocol mode for the (slower) parallel backends; the
 #: serial pass covers every golden.
@@ -50,10 +54,10 @@ def test_serial_reproduces_pre_refactor_golden(name):
     assert_matches(name, trace)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", PARALLEL)
 @pytest.mark.parametrize("name", MODE_REPRESENTATIVES)
 def test_parallel_backends_reproduce_golden(name, backend):
-    """All four protocol modes, bit-for-bit on thread and process pools."""
+    """All four protocol modes, bit-for-bit on every parallel backend."""
     trace = run_trace(GOLDEN_CONFIGS[name].with_(backend=backend, workers=3))
     assert_matches(name, trace)
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.fl.config import ExperimentConfig
 from repro.io.history_io import history_to_dict
-from repro.scenarios import run_grid
+from repro.scenarios import SWEEP_EXECUTORS, run_grid
 from repro.simtime import make_simulation
 from repro.testing.goldens import run_trace
 
@@ -71,7 +71,7 @@ def test_rerun_is_bitwise_identical(overrides):
     assert run_trace(cfg(**overrides)) == run_trace(cfg(**overrides))
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", [e for e in SWEEP_EXECUTORS if e != "serial"])
 def test_sweep_parallelism_is_invisible_to_faulty_cells(executor):
     """A robustness grid run at parallel=3 matches the sequential sweep
     cell-for-cell, bit-for-bit."""

@@ -11,6 +11,7 @@ from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import run_experiment
 from repro.io.history_io import history_to_dict
 from repro.scenarios import (
+    SWEEP_EXECUTORS,
     RunStore,
     ScenarioSpec,
     SweepRunner,
@@ -19,6 +20,9 @@ from repro.scenarios import (
     run_grid,
 )
 from repro.viz.ascii import ascii_sweep_grid
+
+#: Every registered sweep executor but the serial reference.
+PARALLEL = [e for e in SWEEP_EXECUTORS if e != "serial"]
 
 
 def tiny_base(**overrides) -> ExperimentConfig:
@@ -49,7 +53,7 @@ def stripped(history) -> dict:
 
 
 class TestParallelDeterminism:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", PARALLEL)
     def test_parallel_4_matches_parallel_1_bitwise(self, executor):
         """The determinism contract: same grid, any parallelism, same cells."""
         serial = SweepRunner(tiny_cells(), parallel=1).run()
@@ -64,8 +68,23 @@ class TestParallelDeterminism:
         with pytest.raises(ValueError, match="duplicate"):
             SweepRunner(cells + cells[:1])
 
+    def test_the_retired_thread_executor_is_refused(self):
+        with pytest.raises(ValueError, match="executor"):
+            SweepRunner(tiny_cells(), executor="thread")
+
+    @pytest.mark.parametrize("executor", [None, "process"])
+    def test_a_pool_without_fork_is_refused_at_construction(self, monkeypatch, executor):
+        """No silent stand-in: a runner that would fork where fork is
+        missing fails before any cell runs, naming ``executor``."""
+        monkeypatch.setattr("multiprocessing.get_all_start_methods", lambda: ["spawn"])
+        with pytest.raises(ValueError, match="executor='process'.*fork"):
+            SweepRunner(tiny_cells(), parallel=2, executor=executor)
+        # Nothing forks at parallel=1 or on the serial executor.
+        SweepRunner(tiny_cells(), parallel=1, executor=executor)
+        SweepRunner(tiny_cells(), parallel=2, executor="serial")
+
     def test_nested_pool_warning(self):
-        cells = expand_grid(tiny_base(backend="thread"), {"gamma": [3.0, 5.0]})
+        cells = expand_grid(tiny_base(backend="process"), {"gamma": [3.0, 5.0]})
         with pytest.warns(UserWarning, match="nested"):
             SweepRunner(cells, parallel=2, executor="process")
 
@@ -94,7 +113,7 @@ class TestResume:
         for (_, ha), (_, hb) in zip(full.cells, again.cells):
             assert stripped(ha) == stripped(hb)
 
-    @pytest.mark.parametrize("executor", ["thread", "serial"])
+    @pytest.mark.parametrize("executor", SWEEP_EXECUTORS)
     def test_failing_cell_loses_no_finished_cell(self, tmp_path, monkeypatch, executor):
         """One raising cell fails the sweep, but every cell that finished —
         on the pool path the ones in flight beside it too — is in the store
@@ -103,14 +122,16 @@ class TestResume:
 
         cells = tiny_cells()
         bad = cells[1]
-        real = sweep.run_cell
+        bad_config = bad.to_config()
+        real = sweep.run_experiment
 
-        def flaky(spec_dict, **kwargs):
-            if spec_dict["name"] == bad.name:
+        # Patched before the pool forks, so its workers run the flaky one too.
+        def flaky(config, **kwargs):
+            if config == bad_config:
                 raise OSError("disk on fire")
-            return real(spec_dict, **kwargs)
+            return real(config, **kwargs)
 
-        monkeypatch.setattr(sweep, "run_cell", flaky)
+        monkeypatch.setattr(sweep, "run_experiment", flaky)
         store = RunStore(tmp_path / "runs")
         seen: list[str] = []
         with pytest.raises(RuntimeError) as err:
@@ -125,7 +146,7 @@ class TestResume:
         assert stored_hashes(store) == {c.spec_hash() for c in finished}
         assert sorted(seen) == sorted(c.name for c in finished)
 
-        monkeypatch.setattr(sweep, "run_cell", real)
+        monkeypatch.setattr(sweep, "run_experiment", real)
         rerun = SweepRunner(cells, parallel=1, store=store).run()
         assert rerun.reused == len(finished)
         assert rerun.executed == len(cells) - len(finished)

@@ -124,7 +124,7 @@ class TestNestedBackendGuardRail:
         assert [got0, got1] == ref
 
     def test_non_process_cells_untouched(self):
-        spec = expand_grid(base_config(backend="thread", workers=2), {})[0]
+        spec = expand_grid(base_config(), {})[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_cell(spec.to_dict(), force_serial_backend=True)

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.exec import BACKENDS
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.simtime import make_simulation
 from repro.simtime.protocols import AsyncSimulation, SemiSyncSimulation
+
+#: Every registered backend but the serial reference.
+PARALLEL = [b for b in BACKENDS if b != "serial"]
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -225,8 +229,8 @@ class TestReviewRegressions:
     def test_flush_batches_a_repeated_client_on_every_backend(self):
         """A fast client dispatched twice in one window trains twice in the
         window's one backend batch. Every backend runs a client's tasks in
-        order on one worker (``cid % workers``), so the thread and process
-        histories still equal the serial one."""
+        order on one worker (``cid % workers``), so every parallel history
+        still equals the serial one."""
 
         def run(backend):
             cfg = small_config(mode="async", algorithm="eftopk", seed=5)
@@ -245,7 +249,7 @@ class TestReviewRegressions:
 
         serial_sim, serial_hist, batches = run("serial")
         assert any(len(b) > len(set(b)) for b in batches), batches
-        for backend in ("thread", "process"):
+        for backend in PARALLEL:
             sim, hist, other_batches = run(backend)
             assert other_batches == batches
             TestBackendDeterminism.assert_identical(serial_sim, serial_hist, sim, hist)
@@ -363,7 +367,7 @@ class TestBackendDeterminism:
         assert a_sim.spans.spans == b_sim.spans.spans
 
     @pytest.mark.parametrize("mode", ["semisync", "async"])
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", PARALLEL)
     def test_matches_serial(self, mode, backend):
         cfg = small_config(mode=mode, algorithm="eftopk", rounds=4, seed=5)
         serial_sim, serial_hist = run_sim(cfg)

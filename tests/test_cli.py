@@ -33,6 +33,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--algorithm", "sgd"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--backend", "thread"],
+        ["sweep", "--executor", "thread"],
+    ])
+    def test_rejects_the_retired_thread_pools(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(argv)
+        assert exit_.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_flag_table_names_config_fields_and_reads_their_vocabularies(self):
         """Each config-mapped flag is declared once, against a real field,
         and a choice flag accepts exactly what the config validates."""

@@ -41,7 +41,6 @@ UNSELECTED = (
     "repro.compression.quantization",
     "repro.data.stats",
     "repro.exec.process",
-    "repro.exec.threads",
     "repro.io.checkpoint",
     "repro.obs.profile",
     "repro.obs.progress",
@@ -111,12 +110,12 @@ SCRIPT = textwrap.dedent(
         lambda: make_simulation(config(mode="semisync", num_train=200, num_test=50)).close()
     )
 
-    def thread_backend():
-        sim = make_simulation(config(backend="thread", workers=1, num_train=200, num_test=50))
-        sim.backend  # built on first access
+    def process_backend():
+        sim = make_simulation(config(backend="process", workers=1, num_train=200, num_test=50))
+        sim.backend  # built on first access; forks only when a round runs
         sim.close()
 
-    out["thread"] = new_modules(thread_backend)
+    out["process"] = new_modules(process_backend)
     print(json.dumps(out))
     """
 )
@@ -173,7 +172,7 @@ def test_a_sync_serial_run_loads_only_what_it_selects():
     assert "repro.compression.ef" in probe["ef_topk"]
     assert "repro.compression.quantization" in probe["qsgd8"]
     assert "repro.simtime.protocols" in probe["semisync"]
-    assert "repro.exec.threads" in probe["thread"]
+    assert "repro.exec.process" in probe["process"]
 
 
 def test_a_sync_serial_run_stays_within_its_module_budget():
