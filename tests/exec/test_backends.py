@@ -28,6 +28,11 @@ from repro.simtime import make_simulation
 #: Every registered backend but the serial reference.
 PARALLEL = [b for b in BACKENDS if b != "serial"]
 
+#: Worker counts each parallel case runs at. Client ``cid`` trains on worker
+#: ``cid % workers``, so each count lays the cohort out differently, and
+#: neither layout may show in the result.
+WORKERS = (2, 3)
+
 
 def small_config(**overrides) -> ExperimentConfig:
     base = dict(
@@ -70,26 +75,29 @@ def assert_histories_identical(a, b) -> None:
 
 
 class TestBackendEquivalence:
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("backend", PARALLEL)
-    def test_bcrs_opwa_matches_serial(self, backend):
+    def test_bcrs_opwa_matches_serial(self, backend, workers):
         serial = run_history(small_config())
-        other = run_history(small_config(backend=backend, workers=2))
+        other = run_history(small_config(backend=backend, workers=workers))
         assert_histories_identical(serial, other)
 
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("backend", PARALLEL)
-    def test_stateful_ef_compressor_matches_serial(self, backend):
+    def test_stateful_ef_compressor_matches_serial(self, backend, workers):
         """Error feedback keeps per-client residual state across rounds."""
         serial = run_history(small_config(algorithm="eftopk", rounds=4, seed=5))
         other = run_history(
-            small_config(algorithm="eftopk", rounds=4, seed=5, backend=backend, workers=2)
+            small_config(algorithm="eftopk", rounds=4, seed=5, backend=backend, workers=workers)
         )
         assert_histories_identical(serial, other)
 
-    def test_dense_fedavg_matches_serial(self):
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_dense_fedavg_matches_serial(self, workers):
         serial = run_history(small_config(algorithm="fedavg", compression_ratio=1.0))
         proc = run_history(
             small_config(
-                algorithm="fedavg", compression_ratio=1.0, backend="process", workers=3
+                algorithm="fedavg", compression_ratio=1.0, backend="process", workers=workers
             )
         )
         assert_histories_identical(serial, proc)

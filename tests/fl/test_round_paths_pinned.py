@@ -39,8 +39,9 @@ aggregates is unchanged. ``async-volume-lossy`` used to drop every truncated
 upload whole, and now delivers its prefix, so its learning moves from round
 0. ``semisync-drop-fixed-volume`` (Top-K at CR 0.2, whole entries already, no
 faults) replays unchanged. Every cell runs on every registered backend
-(``serial`` and ``process``): seeded runs are bit-identical across
-backends, so each replays the same digests.
+(``serial`` and ``process``), each parallel one at two worker counts:
+seeded runs are bit-identical across backends and worker counts, so each
+replays the same digests.
 """
 
 from __future__ import annotations
@@ -231,22 +232,34 @@ def digests(trace: dict) -> list[str]:
     return [digest(rec) for rec in trace["history"]["records"]] + [digest(trace["spans"])]
 
 
-def pinned_trace(name: str, backend: str) -> dict:
+#: Worker counts each parallel case runs at. Client ``cid`` trains on worker
+#: ``cid % workers``, so each count lays the cohort out differently, and
+#: neither layout may show in the result.
+WORKERS = (2, 3)
+
+
+def pinned_trace(name: str, backend: str, workers: int) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # bcrs_opwa under async degrades, loudly
-        return run_trace(CELLS[name].with_(backend=backend, workers=3))
+        return run_trace(CELLS[name].with_(backend=backend, workers=workers))
 
 
-CASES = [(name, backend) for backend in BACKENDS for name in CELLS]
+#: Every cell on every backend; the serial one ignores the worker count.
+CASES = [
+    (name, backend, workers)
+    for backend in BACKENDS
+    for workers in (WORKERS[-1:] if backend == "serial" else WORKERS)
+    for name in CELLS
+]
 
 
-@pytest.mark.parametrize("name,backend", CASES)
-def test_round_path_replays_its_pinned_digests(name, backend):
-    got = digests(pinned_trace(name, backend))
+@pytest.mark.parametrize("name,backend,workers", CASES)
+def test_round_path_replays_its_pinned_digests(name, backend, workers):
+    got = digests(pinned_trace(name, backend, workers))
     want = PINNED[name]
     assert len(got) == len(want)
     differing = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
     assert not differing, (
-        f"{name} on {backend}: first differing round {differing[0]} "
+        f"{name} on {backend} ({workers} workers): first differing round {differing[0]} "
         f"(the last index is the span log)"
     )

@@ -23,12 +23,7 @@ from repro.exec import BACKENDS
 from repro.fl.config import ExperimentConfig
 from repro.simtime import make_simulation
 
-CASES = [
-    *(("sync", backend) for backend in BACKENDS),
-    ("semisync", "serial"),
-    ("async", "serial"),
-    ("hier", "serial"),
-]
+CASES = [(mode, backend) for mode in ("sync", "semisync", "async", "hier") for backend in BACKENDS]
 
 
 def small_config(mode: str, backend: str) -> ExperimentConfig:

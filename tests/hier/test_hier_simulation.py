@@ -10,6 +10,11 @@ from repro.hier.simulation import HierSimulation
 from repro.io.history_io import history_from_dict, history_to_dict
 from repro.simtime import make_simulation
 
+#: Worker counts each parallel case runs at. Client ``cid`` trains on worker
+#: ``cid % workers``, so each count lays the cohort out differently, and
+#: neither layout may show in the result.
+WORKERS = (2, 3)
+
 #: Deterministic record fields (train/compress_seconds are wall clock;
 #: edge_breakdown exists only on hierarchical records).
 FLAT_FIELDS = (
@@ -263,14 +268,15 @@ class TestRunnerReporting:
 class TestBackendDeterminism:
     """Same seed ⇒ identical records and span logs on every exec backend."""
 
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "serial"])
-    def test_matches_serial(self, backend):
+    def test_matches_serial(self, backend, workers):
         cfg = small_config(
             mode="hier", num_edges=3, edge_rounds=2, algorithm="eftopk",
             backhaul_bandwidth_mbps=50.0, backhaul_heterogeneity=0.3, seed=5,
         )
         serial_sim, serial_hist = run_sim(cfg)
-        other_sim, other_hist = run_sim(cfg.with_(backend=backend, workers=2))
+        other_sim, other_hist = run_sim(cfg.with_(backend=backend, workers=workers))
         assert_records_identical(serial_hist, other_hist)
         for ra, rb in zip(serial_hist.records, other_hist.records):
             assert ra.edge_breakdown == rb.edge_breakdown
