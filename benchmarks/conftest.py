@@ -13,6 +13,12 @@ import sys
 
 import pytest
 
+from repro.fl import run_experiment
+from repro.scenarios import RunStore, run_grid
+
+# Test modules import this file as ``benchmarks.conftest``; pytest loads it
+# under another name. One module object keeps one ``_BLOCKS`` for both.
+sys.modules.setdefault("benchmarks.conftest", sys.modules[__name__])
 
 #: Result blocks accumulated during the run; flushed into the terminal
 #: summary so the regenerated tables/figures appear in the bench log even
@@ -40,16 +46,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             tw.write_line(line)
 
 
-@pytest.fixture
-def once():
-    """Run a callable exactly once: a plain call.
+@pytest.fixture(scope="session")
+def _runs(tmp_path_factory) -> RunStore:
+    return RunStore(tmp_path_factory.mktemp("runs"))
 
-    Simulation runs are deterministic and expensive, so regenerating an
-    artifact is one run. Nothing is timed here — wall-clock numbers come
-    from ``python3 -m bench`` (see ``bench/README.md``).
+
+@pytest.fixture
+def once(_runs):
+    """Call ``fn(*args, **kwargs)``, running each simulated config once a session.
+
+    ``run_grid`` and ``run_experiment`` go through a session
+    :class:`~repro.scenarios.RunStore` keyed by each cell's ``spec_hash`` —
+    the full resolved config, ``rounds`` and ``backend`` included — so a cell
+    two grids share runs once; runs are deterministic, and every caller gets
+    its own copy of the history. Any other ``fn`` is a plain call, never
+    cached: a timing, or a live ``Simulation`` read for what no history
+    keeps (``last_overlap``, ``spans``). Wall-clock numbers come from
+    ``python3 -m bench`` (see ``bench/README.md``).
     """
 
     def _run(fn, *args, **kwargs):
+        if fn is run_grid:
+            return run_grid(*args, store=_runs, **kwargs)
+        if fn is run_experiment:
+            (config,) = args
+            return run_grid(config, {}, store=_runs).cells[0][1]
         return fn(*args, **kwargs)
 
     return _run

@@ -8,7 +8,7 @@ destroy the OPWA gains.
 
 from benchmarks.conftest import emit
 from repro.experiments import bench_config, format_table
-from repro.fl import Simulation
+from repro.fl import run_experiment
 
 # Momentum variants scale the server LR by (1 − m): the momentum sum
 # amplifies the step by 1/(1 − m), and OPWA's γ already enlarges sparse
@@ -21,18 +21,18 @@ VARIANTS = [
 ]
 
 
-def run_all():
+def run_all(once):
     out = {}
     for label, overrides in VARIANTS:
         cfg = bench_config(
             "cifar10", "bcrs_opwa", beta=0.1, compression_ratio=0.05, rounds=40, **overrides
         )
-        out[label] = Simulation(cfg).run()
+        out[label] = once(run_experiment, cfg)
     return out
 
 
 def test_ablation_server_optimizers(once):
-    results = once(run_all)
+    results = run_all(once)
 
     rows = [
         [label, f"{h.final_accuracy():.4f}", f"{h.best_accuracy():.4f}"]

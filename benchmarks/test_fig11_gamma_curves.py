@@ -18,7 +18,7 @@ GAMMAS = [3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
 def test_fig11_gamma_curves(once, beta):
     base = bench_config("cifar10", "bcrs_opwa", beta=beta, compression_ratio=0.1)
     results = once(run_grid, base, {"gamma": GAMMAS}).by_axis("gamma")
-    fedavg = run_experiment(base.with_(algorithm="fedavg"))
+    fedavg = once(run_experiment, base.with_(algorithm="fedavg"))
 
     rows = [["fedavg", f"{fedavg.final_accuracy():.4f}", f"{fedavg.best_accuracy():.4f}"]]
     for g in GAMMAS:

@@ -26,7 +26,7 @@ def test_fig12_gamma_scaling(once, num_clients):
         num_train=1600,
     )
     results = once(run_grid, base, {"gamma": GAMMAS}).by_axis("gamma")
-    topk = run_experiment(base.with_(algorithm="topk"))
+    topk = once(run_experiment, base.with_(algorithm="topk"))
 
     rows = [["topk", f"{topk.final_accuracy():.4f}"]]
     rows += [[f"gamma={int(g)}", f"{results[g].final_accuracy():.4f}"] for g in GAMMAS]

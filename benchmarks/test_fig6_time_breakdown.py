@@ -12,7 +12,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.experiments import bench_config, format_table
 from repro.experiments.paper_reference import FIG6_BREAKDOWN
-from repro.fl import Simulation
+from repro.fl import run_experiment
 
 
 #: Paper-scale transmitted volume: the paper's ~48 s dense straggler upload at
@@ -21,7 +21,7 @@ from repro.fl import Simulation
 PAPER_VOLUME_BITS = 4.7e7
 
 
-def breakdown_for(cr: float) -> dict[str, float]:
+def breakdown_for(once, cr: float) -> dict[str, float]:
     cfg = bench_config(
         "cifar10",
         "bcrs",
@@ -30,15 +30,12 @@ def breakdown_for(cr: float) -> dict[str, float]:
         rounds=10,
         volume_override_bits=PAPER_VOLUME_BITS,
     )
-    sim = Simulation(cfg)
-    sim.run()
-    b = sim.history.mean_breakdown()
-    return b
+    return once(run_experiment, cfg).mean_breakdown()
 
 
 @pytest.mark.parametrize("cr", [0.01, 0.1])
 def test_fig6_breakdown(once, cr):
-    b = once(breakdown_for, cr)
+    b = breakdown_for(once, cr)
     paper = FIG6_BREAKDOWN[cr]
 
     rows = [
@@ -61,6 +58,6 @@ def test_fig6_breakdown(once, cr):
 def test_fig6_cr_ordering(once):
     """BCRS round time scales with CR: CR=0.1 rounds cost ~10x CR=0.01 rounds
     (modulo latency), mirroring the paper's 9.78 s vs 1.14 s bars."""
-    b001 = once(breakdown_for, 0.01)
-    b01 = breakdown_for(0.1)
+    b001 = breakdown_for(once, 0.01)
+    b01 = breakdown_for(once, 0.1)
     assert b01["comm_actual_s"] > 3 * b001["comm_actual_s"]

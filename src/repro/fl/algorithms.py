@@ -33,7 +33,6 @@ class RoundPlan:
 
     ratios: np.ndarray | None  # per-client CR_i; None = dense upload
     weights: np.ndarray  # averaging coefficients (f_i or Eq. 6 p'_i)
-    use_opwa: bool
     times: RoundTimes  # actual/max/min per Sec. 5.2 semantics
 
 
@@ -102,7 +101,6 @@ class Algorithm:
         return RoundPlan(
             ratios=None,
             weights=weights,
-            use_opwa=False,
             times=_round_times(links, volume_bits, None, downlink=self._downlink(links, volume_bits)),
         )
 
@@ -119,7 +117,6 @@ class TopKAlgorithm(Algorithm):
         return RoundPlan(
             ratios=np.full(len(links), cr),
             weights=fedavg_coefficients(data_frequencies),
-            use_opwa=False,
             times=_round_times(links, volume_bits, compressed, downlink=self._downlink(links, volume_bits)),
         )
 
@@ -174,7 +171,7 @@ class DeadlineTopKAlgorithm(TopKAlgorithm):
             minimum += float(down.min())
             maximum += down_part
         times = RoundTimes(actual=actual, maximum=maximum, minimum=minimum, downlink=down_part)
-        return RoundPlan(ratios=ratios, weights=weights, use_opwa=False, times=times)
+        return RoundPlan(ratios=ratios, weights=weights, times=times)
 
 
 class BCRSAlgorithm(Algorithm):
@@ -201,7 +198,7 @@ class BCRSAlgorithm(Algorithm):
         times = _round_times(
             links, volume_bits, sched.scheduled_times, downlink=self._downlink(links, volume_bits)
         )
-        return RoundPlan(ratios=sched.ratios, weights=weights, use_opwa=self.use_opwa, times=times)
+        return RoundPlan(ratios=sched.ratios, weights=weights, times=times)
 
 
 class BCRSOPWAAlgorithm(BCRSAlgorithm):

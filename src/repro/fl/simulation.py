@@ -398,12 +398,22 @@ class Simulation:
         for r in self._run_tasks(tasks, params, self._train_spec):
             members.append(self._member(r, r.update))
             frac = fates.get(r.position)
-            if frac is None:
-                continue
-            update = r.update if frac >= 1.0 else FaultInjector.truncate(r.update, frac)
-            if update is None:
-                raise RuntimeError(f"client {r.cid}'s update contradicts its declared wire size")
-            yield update
+            if frac is not None:
+                yield self._delivered_update(r, frac)
+
+    @staticmethod
+    def _delivered_update(result: TaskResult, frac: float) -> CompressedUpdate:
+        """What the server receives of an upload :meth:`_delivers` passed:
+        the whole update, or its prefix at fault fraction ``frac``
+        (:meth:`FaultInjector.truncate`). An update too short to leave the
+        entry its declaration promised would change the cohort the round
+        already priced and weighted, so it is refused."""
+        if frac >= 1.0:
+            return result.update
+        update = FaultInjector.truncate(result.update, frac)
+        if update is None:
+            raise RuntimeError(f"client {result.cid}'s update contradicts its declared wire size")
+        return update
 
     @staticmethod
     def _member(result: TaskResult, update: CompressedUpdate) -> tuple[float, float, float, float]:

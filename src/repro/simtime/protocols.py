@@ -5,9 +5,10 @@ Both protocols reuse the seeded construction of
 compressors, server optimizer) and replace the lock-step round loop with a
 virtual clock:
 
-- a *dispatch* hands a client the current global model and runs its local
-  training immediately through the execution backend (the numerical result
-  does not depend on virtual time, only on the model snapshot);
+- a *dispatch* hands a client the current global model; its local training
+  runs later, batched with the window's other dispatches through the
+  execution backend (the numerical result does not depend on virtual time,
+  only on the model snapshot);
 - the *virtual cost* of that dispatch — download + compute + upload — is
   priced from the client's :class:`~repro.simtime.profiles.DeviceProfile`
   through the unified transport (:mod:`repro.network.transport`): the
@@ -34,14 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.base import CompressedUpdate
 from repro.exec import ClientTask, TaskResult
 from repro.fl.config import ExperimentConfig
 from repro.fl.history import RoundComm, RoundRecord
 from repro.fl.simulation import Simulation
 from repro.network.cost import LinkSpec
 from repro.network.metrics import RoundTimes
-from repro.network.transport import FaultInjector, Payload
+from repro.network.transport import Payload
 from repro.utils.rng import RngFactory
 
 __all__ = ["AsyncSimulation", "SemiSyncSimulation"]
@@ -55,10 +55,10 @@ _EPS = 1e-9
 class _Pending:
     """One in-flight (dispatched, not yet aggregated) client update.
 
-    ``result`` may be deferred: the arrival *time* is a pure function of the
-    device profile, so training can run later (batched) as long as it uses
-    the parameters of ``version`` — which the server mutates only at
-    aggregation, after every deferred dispatch of that version is trained.
+    ``result`` is deferred: the arrival *time* is a pure function of the
+    device profile, so training runs later (batched) from the parameters of
+    ``version`` — which the server mutates only at aggregation, after every
+    dispatch of that version is trained.
     """
 
     cid: int
@@ -73,11 +73,11 @@ class _Pending:
     payload: Payload | None = None  # what the upload puts on the wire
     fid: int = -1  # transport flow id of the upload
     up_start: float = 0.0  # when the upload entered the ingress
-    #: Fault-injection fate, decided at dispatch (pure function of
-    #: (seed, dispatch seq, cid)): "deliver" | "drop" | "truncate".
-    fate: str = "deliver"
-    frac: float = 1.0  # truncate: surviving payload fraction
-    delivered: CompressedUpdate | None = None  # truncated update, once known
+    #: Fault fraction, drawn at dispatch (pure function of (seed, dispatch
+    #: seq, cid)): 1 delivered whole, 0 dropped, else truncated to it.
+    frac: float = 1.0
+    #: Whether the server receives anything (:meth:`Simulation._delivers`).
+    delivers: bool = True
 
 
 class _EventDrivenSimulation(Simulation):
@@ -94,7 +94,7 @@ class _EventDrivenSimulation(Simulation):
         self._window_down: list[int] = []  # cids broadcast to since last record
         self.now = 0.0
         self.version = 0  # bumps once per aggregation
-        self._untrained: list[_Pending] = []  # dispatched, training deferred
+        self._untrained: list[_Pending] = []  # dispatched, not yet trained
         #: Per-dispatch fault-fate sequence: dispatch order is deterministic,
         #: so (seq, cid) indexes a unique counter-RNG draw per upload.
         self._fault_seq = 0
@@ -104,35 +104,24 @@ class _EventDrivenSimulation(Simulation):
 
     # ------------------------------------------------------------- dispatch
 
-    def _train_now(self, tasks: list[ClientTask]) -> list[TaskResult]:
-        """Run client tasks through the execution backend as one batch."""
-        return self._run_tasks(tasks, self.global_params, self._train_spec)
-
-    def _dispatch(
-        self,
-        cid: int,
-        link: LinkSpec,
-        ratio: float | None,
-        t: float,
-        result: TaskResult | None = None,
-    ) -> _Pending:
+    def _dispatch(self, cid: int, link: LinkSpec, ratio: float | None, t: float) -> _Pending:
         """Enter a dispatch's upload into the server ingress over ``link``
         (the client's current link — priced and admitted as the one object).
 
-        With ``result=None`` training is deferred until :meth:`_flush_training`
-        (one backend batch per aggregation window instead of one per dispatch).
-        Pricing needs no update either way: the upload is billed its
-        compressor's declared wire size (:meth:`Simulation._payload_for`).
+        Training waits for :meth:`_flush_training` (one backend batch per
+        aggregation window instead of one per dispatch): pricing needs no
+        update, the upload is billed its compressor's declared wire size
+        (:meth:`Simulation._payload_for`).
 
-        Fault injection decides the upload's fate here, at dispatch, and the
-        price bills it: a truncated sparse upload at its kept entries (so its
-        arrival shifts earlier), a drop — or a truncation with nothing
-        decodable left — at full size. What the server receives resolves at
-        arrival (:meth:`_delivered_update`).
+        Fault injection decides the upload's fate here, at dispatch, by the
+        rule sync uses (:meth:`Simulation._delivers`), and the price bills it:
+        a truncated sparse upload at its kept entries (so its arrival shifts
+        earlier), a drop — or a truncation with nothing decodable left — at
+        full size.
         """
-        fate, frac = "deliver", 1.0
+        frac = 1.0
         if self.faults is not None:
-            fate, frac = self.faults.fate(self._fault_seq, int(cid))
+            frac = self.faults.fate(self._fault_seq, int(cid))[1]
             self._fault_seq += 1
         down, train_t, up, payload = self._price_dispatch(
             cid, link, ratio, t, tag=self.version, frac=frac
@@ -148,14 +137,12 @@ class _EventDrivenSimulation(Simulation):
             duration=duration,
             upload=up,
             downlink=down,
-            result=result,
             payload=payload,
             up_start=up_start,
-            fate=fate,
             frac=frac,
+            delivers=self._delivers(ratio, frac),
         )
-        if result is None:
-            self._untrained.append(pend)
+        self._untrained.append(pend)
         if self.transport.contended:
             pend.fid = self._pipe.admit(payload.bits, link, up_start)
         else:
@@ -178,24 +165,6 @@ class _EventDrivenSimulation(Simulation):
             pend.upload = t_fin - pend.up_start
             self.spans.add(pend.cid, "upload", pend.up_start, t_fin, tag=pend.version)
         return pend
-
-    def _delivered_update(self, pend: _Pending) -> CompressedUpdate | None:
-        """The update the server actually receives (None = lost in flight).
-
-        Truncations resolve lazily here, once the full update exists (after
-        :meth:`_flush_training` for deferred training); one with nothing
-        decodable left becomes a drop.
-        """
-        if pend.fate == "drop":
-            return None
-        if pend.fate != "truncate":
-            return pend.result.update
-        if pend.delivered is None:
-            pend.delivered = FaultInjector.truncate(pend.result.update, pend.frac)
-            if pend.delivered is None:
-                pend.fate = "drop"
-                return None
-        return pend.delivered
 
     def _window_comm(self, contributions: list[_Pending]) -> RoundComm:
         """Flow ledger of one aggregation window: contributed uplink bits,
@@ -225,7 +194,8 @@ class _EventDrivenSimulation(Simulation):
             ClientTask(position=pos, cid=p.cid, ratio=p.ratio)
             for pos, p in enumerate(pending)
         ]
-        for p, result in zip(pending, self._train_now(tasks), strict=True):
+        results = self._run_tasks(tasks, self.global_params, self._train_spec)
+        for p, result in zip(pending, results, strict=True):
             p.result = result
 
     # ------------------------------------------------------------ aggregate
@@ -282,7 +252,7 @@ class _EventDrivenSimulation(Simulation):
         upload is a well-defined empty round: model and version unchanged.
         """
         lags = [self.version - p.version for p in contributions]
-        updates = [self._delivered_update(p) for p in contributions]
+        updates = [self._delivered_update(p.result, p.frac) for p in contributions]
         singleton = None
         if contributions:
             self.global_params, singleton = self._aggregate_into(
@@ -402,10 +372,8 @@ class AsyncSimulation(_EventDrivenSimulation):
 
         self._flush_training()  # everything dispatched this window, batched
         window, self._buffer = self._buffer, []
-        # Deferred truncations resolve now that the updates exist; one that
-        # yields nothing decodable degrades to a drop (dense updates, k < 1).
-        contributions = [p for p in window if self._delivered_update(p) is not None]
-        self._window_lost.extend(p for p in window if p.fate == "drop")
+        contributions = [p for p in window if p.delivers]
+        self._window_lost.extend(p for p in window if not p.delivers)
         weights = (
             self._staleness_weights(contributions)
             if contributions
@@ -460,17 +428,17 @@ class SemiSyncSimulation(_EventDrivenSimulation):
 
         self._begin_round()
 
-        # Plan + train the round's fresh dispatches in one backend batch
-        # (selection order = position order, per the exec contract).
+        # Plan and dispatch the round's fresh cohort; it trains as one
+        # backend batch (selection order = position order, per the exec
+        # contract) before anything aggregates.
         own: list[_Pending] = []
         plan_weights: dict[int, float] = {}
         if selected:
             links, plan, tasks = self._plan_cohort(selected)
-            results = self._train_now(tasks)
-            for pos, (cid, res) in enumerate(zip(selected, results, strict=True)):
-                pend = self._dispatch(cid, links[pos], tasks[pos].ratio, t0, res)
-                own.append(pend)
+            for pos, cid in enumerate(selected):
+                own.append(self._dispatch(cid, links[pos], tasks[pos].ratio, t0))
                 plan_weights[cid] = float(plan.weights[pos])
+            self._flush_training()
 
         # Deadline: fixed, or the quantile of this round's predicted finishes.
         if cfg.deadline_s is not None:
@@ -500,8 +468,8 @@ class SemiSyncSimulation(_EventDrivenSimulation):
             arrived.append(pend)
         # Drop-fated completions finished transmitting (the device is idle
         # again, its bits hit the ledger) but contribute nothing.
-        contributions = [p for p in arrived if self._delivered_update(p) is not None]
-        self._window_lost.extend(p for p in arrived if p.fate == "drop")
+        contributions = [p for p in arrived if p.delivers]
+        self._window_lost.extend(p for p in arrived if not p.delivers)
         own_arrived = {p.cid for p in arrived if p.version == self.version}
 
         # Late updates: carry over (device keeps uploading; its flow stays

@@ -22,7 +22,7 @@ class TestFedAvgPlan:
         plan = plan_for("fedavg")
         assert plan.ratios is None
         np.testing.assert_allclose(plan.weights, FREQS)
-        assert not plan.use_opwa
+        assert not make_algorithm(ExperimentConfig(algorithm="fedavg")).use_opwa
 
     def test_actual_is_dense_straggler(self):
         plan = plan_for("fedavg")
@@ -73,8 +73,8 @@ class TestBCRSPlan:
         assert bcrs.times.actual == pytest.approx(topk.times.actual)
 
     def test_opwa_flag(self):
-        assert not plan_for("bcrs", compression_ratio=0.1).use_opwa
-        assert plan_for("bcrs_opwa", compression_ratio=0.1).use_opwa
+        assert not make_algorithm(ExperimentConfig(algorithm="bcrs", compression_ratio=0.1)).use_opwa
+        assert make_algorithm(ExperimentConfig(algorithm="bcrs_opwa", compression_ratio=0.1)).use_opwa
 
     def test_median_benchmark_propagates(self):
         plan = plan_for("bcrs", compression_ratio=0.1, benchmark="median")

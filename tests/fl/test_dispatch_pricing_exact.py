@@ -115,8 +115,8 @@ def run(cfg: ExperimentConfig, monkeypatch, *, reference: bool):
             patch.setattr(
                 _EventDrivenSimulation,
                 "_dispatch",
-                lambda self, cid, link, ratio, t, result=None: live_dispatch(
-                    self, cid, self.links[cid], ratio, t, result
+                lambda self, cid, link, ratio, t: live_dispatch(
+                    self, cid, self.links[cid], ratio, t
                 ),
             )
         for name in ("_price_round", "_price_dispatch"):

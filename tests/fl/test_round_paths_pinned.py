@@ -90,7 +90,7 @@ CELLS: dict[str, ExperimentConfig] = {
     # fault fates over error-feedback Top-K (hier rejects per-flow faults)
     "sync-lossy-eftopk": _cfg(**_LOSSY),
     "semisync-lossy-eftopk": _cfg(**_SEMISYNC, **_LOSSY),
-    "async-lossy-eftopk": _cfg(**_ASYNC, **_LOSSY),  # deferred truncation
+    "async-lossy-eftopk": _cfg(**_ASYNC, **_LOSSY),  # per-dispatch fates, deferred training
     "sync-lossy-dense": _cfg(algorithm="fedavg", compression_ratio=1.0, drop_prob=0.2, truncate_prob=0.3),
     # the plan zero-weights stragglers
     "sync-deadline_topk": _cfg(algorithm="deadline_topk", include_downlink=True),

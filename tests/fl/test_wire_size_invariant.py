@@ -28,7 +28,7 @@ from repro.network.transport import FaultInjector, Payload
 from repro.scenarios.registry import REGISTRY
 from repro.simtime import make_simulation
 
-from tests.fl.test_round_paths_pinned import _ASYNC, CELLS, _cfg
+from tests.fl.test_round_paths_pinned import _ASYNC, _SEMISYNC, CELLS, _cfg
 
 UNPRICED = {name: cfg.with_(volume_override_bits=None, rounds=2) for name, cfg in CELLS.items()}
 UNPRICED.update(
@@ -52,11 +52,10 @@ def priced_and_trained(cfg, monkeypatch) -> tuple[list, list]:
     result of every trained one, each in the order the run made them.
 
     Every protocol trains its dispatches in the order it prices them — sync
-    and hier price a cohort, then stream its training; semisync trains one
-    batch, then prices a dispatch per member; async prices at dispatch and
-    trains each window's dispatches in dispatch order — so the two lists
-    align, the priced one longer by the async uploads still in flight at the
-    end.
+    and hier price a cohort, then stream its training; semisync and async
+    price at dispatch and train each window's dispatches in dispatch order —
+    so the two lists align, the priced one longer by the async uploads still
+    in flight at the end.
     """
     priced, trained = [], []
     live_stage, live_tasks = Simulation._stage_dispatch, Simulation._run_tasks
@@ -118,11 +117,13 @@ def test_override_bills_the_declaration_at_width_v_over_32(name, monkeypatch):
         assert truncated  # a truncation billed its kept prefix
 
 
-def test_a_sync_round_refuses_an_update_its_declaration_does_not_cover(monkeypatch):
-    """Sync decides from the declared wire size, before dispatch, which
-    truncated uploads still deliver an entry and renormalises the weights over
-    them; an emitted update shorter than its declaration would break that
-    plan, so the round refuses it instead of folding a different cohort."""
+@pytest.mark.parametrize("mode", ["sync", "semisync", "async"])
+def test_a_sync_round_refuses_an_update_its_declaration_does_not_cover(monkeypatch, mode):
+    """Every mode decides from the declared wire size, at dispatch, which
+    truncated uploads still deliver an entry, and prices and weights the
+    round by it; an emitted update shorter than its declaration would break
+    that plan, so the round refuses it instead of folding a different cohort
+    (or dropping an upload it billed as a delivered prefix)."""
     from repro.compression import registry
     from repro.compression.base import SparseUpdate
 
@@ -138,6 +139,7 @@ def test_a_sync_round_refuses_an_update_its_declaration_does_not_cover(monkeypat
         seeded=False,
         stateful=False,
     )
-    with make_simulation(_cfg(compressor="one_entry", truncate_prob=1.0)) as sim:
+    modes = {"sync": {}, "semisync": _SEMISYNC, "async": _ASYNC}
+    with make_simulation(_cfg(**modes[mode], compressor="one_entry", truncate_prob=1.0)) as sim:
         with pytest.raises(RuntimeError, match="contradicts its declared wire size"):
             sim.run_round()

@@ -241,13 +241,13 @@ class TestReviewRegressions:
             cfg = small_config(mode="async", algorithm="eftopk", seed=5)
             sim = make_simulation(cfg.with_(backend=backend, workers=2))
             batches = []
-            original = sim._train_now
+            original = sim._run_tasks
 
-            def recording(tasks):
+            def recording(tasks, params, spec):
                 batches.append([t.cid for t in tasks])
-                return original(tasks)
+                return original(tasks, params, spec)
 
-            sim._train_now = recording
+            sim._run_tasks = recording
             with sim:
                 history = sim.run()
             return sim, history, batches

@@ -17,8 +17,9 @@ itself and ``repro.testing``), ``bench/``, ``benchmarks/``, ``examples/`` or
 - the field of a ``CONFIG_FLAGS`` entry (a CLI flag);
 
 or when ``README.md``, ``docs/*.md`` or ``.github/`` runs ``--grid NAME=``.
-The scan is ``ast``-based and deliberately generous: it asks whether any
-setter exists, not whether it runs.
+The scan is ``ast``-based (one parse, ``tests/repo_index.py``) and
+deliberately generous: it asks whether any setter exists, not whether it
+runs.
 
 A registry name counts as reached only where something *selects* it, in
 the same scanned files outside the place that defines it:
@@ -40,8 +41,6 @@ names it.
 
 from __future__ import annotations
 
-import ast
-import importlib
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -55,14 +54,10 @@ from repro.data.datasets import DATASET_SPECS
 from repro.fl import config as fl_config
 from repro.fl.config import ExperimentConfig
 from repro.nn.models import MODEL_BUILDERS
+from tests.repo_index import REPO, repo_index
 
-REPO = Path(__file__).resolve().parent.parent
-SCAN_DIRS = ("src", "bench", "benchmarks", "examples", "scripts")
 #: Relative to the repo root; a directory excludes everything below it.
 EXCLUDED = ("src/repro/fl/config.py", "src/repro/testing")
-SETTER_CALLS = frozenset(
-    {"ExperimentConfig", "with_", "with_overrides", "paper_config", "bench_config", "replace", "dict"}
-)
 #: Fields only tests may set, each with its reason.
 ALLOWED_UNSET: dict[str, str] = {}
 
@@ -93,56 +88,12 @@ _GRID_AXIS = re.compile(r"--grid\s+([A-Za-z_]\w*)=")
 _GRID_VALUES = re.compile(r"--grid\s+([A-Za-z_]\w*)=([\w.,-]+)")
 
 
-def _python_files(repo: Path, excluded_paths=EXCLUDED):
-    excluded = [repo / e for e in excluded_paths]
-    for top in SCAN_DIRS:
-        for path in sorted((repo / top).rglob("*.py")):
-            if not any(path == e or e in path.parents for e in excluded):
-                yield path
-
-
-def _call_name(func: ast.expr) -> str | None:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _code_setters(tree: ast.Module) -> set[str]:
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _call_name(node.func) in SETTER_CALLS:
-            names |= {kw.arg for kw in node.keywords if kw.arg is not None}
-        elif isinstance(node, ast.Dict):
-            names |= {
-                key.value
-                for key in node.keys
-                if isinstance(key, ast.Constant) and isinstance(key.value, str)
-            }
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "CONFIG_FLAGS" for t in node.targets
-        ):
-            for entry in getattr(node.value, "elts", ()):
-                field = entry.elts[1] if isinstance(entry, ast.Tuple) else None
-                if isinstance(field, ast.Constant) and isinstance(field.value, str):
-                    names.add(field.value)
-    return names
-
-
-def _doc_files(repo: Path):
-    yield from (p for p in [repo / "README.md"] if p.is_file())
-    yield from sorted((repo / "docs").glob("*.md"))
-    yield from sorted(p for p in (repo / ".github").rglob("*") if p.is_file())
-
-
 def config_setters(repo: Path = REPO) -> set[str]:
     """Every name the scan finds set outside ``tests/``."""
-    names: set[str] = set()
-    for path in _python_files(repo):
-        names |= _code_setters(ast.parse(path.read_text(), filename=str(path)))
-    for path in _doc_files(repo):
-        names.update(_GRID_AXIS.findall(path.read_text()))
+    index = repo_index(repo)
+    names = set().union(*(f.setters for f in index.files if not f.under(*EXCLUDED)))
+    for text in index.docs:
+        names.update(_GRID_AXIS.findall(text))
     return names
 
 
@@ -188,84 +139,6 @@ def test_unset_field_fails(tmp_path):
     assert unset_fields(fields_, repo=tmp_path) == ["knob"]
 
 
-def _module_constants(tree: ast.Module) -> dict[str, object]:
-    """Module-level ``NAME = expr`` bindings, and ``from repro.X import NAME``
-    as ``(module, name)``: a selecting position may name either instead of
-    spelling a literal."""
-    consts: dict[str, object] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    consts[target.id] = node.value
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
-            for alias in node.names:
-                consts[alias.asname or alias.name] = (node.module, alias.name)
-    return consts
-
-
-def _values(node, consts: dict) -> set[str]:
-    """The string names ``node`` spells: a literal, a literal list or tuple,
-    or a module-level constant (or ``repro`` import) holding either."""
-    if isinstance(node, ast.Constant):
-        return {node.value} if isinstance(node.value, str) else set()
-    if isinstance(node, (ast.Tuple, ast.List)):
-        return {e.value for e in node.elts if isinstance(e, ast.Constant) and isinstance(e.value, str)}
-    if isinstance(node, ast.Name) and node.id in consts:
-        target = consts[node.id]
-        if isinstance(target, tuple):  # imported: read the live value
-            value = getattr(importlib.import_module(target[0]), target[1], None)
-            return {v for v in value if isinstance(v, str)} if isinstance(value, tuple) else set()
-        return _values(target, {k: v for k, v in consts.items() if k != node.id})
-    return set()
-
-
-def _flag_field(call: ast.Call) -> str | None:
-    """The config field an ``add_argument("--flag-name", ...)`` call stores into."""
-    first = call.args[0] if call.args else None
-    if isinstance(first, ast.Constant) and isinstance(first.value, str):
-        return first.value.lstrip("-").replace("-", "_")
-    return None
-
-
-def _choices(call: ast.Call) -> ast.expr | None:
-    return next((kw.value for kw in call.keywords if kw.arg == "choices"), None)
-
-
-def _selections(tree: ast.Module, fields_: set[str]) -> set[tuple[str, str]]:
-    """Every ``(field, name)`` the file selects: ``field=name`` keywords,
-    ``"field": name`` dict entries, CLI ``choices=``, ``compressor_name``."""
-    consts = _module_constants(tree)
-    found: set[tuple[str, str]] = set()
-
-    def add(field, node):
-        if field in fields_:
-            found.update((field, v) for v in _values(node, consts))
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            for kw in node.keywords:
-                add(kw.arg, kw.value)
-            if _call_name(node.func) == "add_argument" and (choices := _choices(node)):
-                add(_flag_field(node), choices)
-        elif isinstance(node, ast.Dict):
-            for key, value in zip(node.keys, node.values):
-                if isinstance(key, ast.Constant):
-                    add(key.value, value)
-        elif isinstance(node, ast.Tuple) and len(node.elts) == 3:
-            # A CONFIG_FLAGS entry: (flag, field, dict(choices=...)).
-            field, kwargs = node.elts[1], node.elts[2]
-            if isinstance(field, ast.Constant) and isinstance(kwargs, ast.Call) and (
-                choices := _choices(kwargs)
-            ):
-                add(field.value, choices)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "compressor_name" for t in node.targets
-        ):
-            add("compressor", node.value)
-    return found
-
-
 def selected_names(repo: Path = REPO, defined_in: str = _CONFIG) -> set[tuple[str, str]]:
     """Every ``(field, name)`` a selecting position names, in the scanned
     files outside ``defined_in`` (and ``repro.testing``), in a documented
@@ -276,10 +149,12 @@ def selected_names(repo: Path = REPO, defined_in: str = _CONFIG) -> set[tuple[st
         for f in fields(ExperimentConfig)
         if f.name in fields_ and isinstance(f.default, str)
     }
-    for path in _python_files(repo, ("src/repro/testing", defined_in)):
-        found |= _selections(ast.parse(path.read_text(), filename=str(path)), fields_)
-    for path in _doc_files(repo):
-        for field, values in _GRID_VALUES.findall(path.read_text()):
+    index = repo_index(repo)
+    for f in index.files:
+        if not f.under("src/repro/testing", defined_in):
+            found.update(pair for pair in f.selections if pair[0] in fields_)
+    for text in index.docs:
+        for field, values in _GRID_VALUES.findall(text):
             if field in fields_:
                 found.update((field, v) for v in values.split(","))
     return found

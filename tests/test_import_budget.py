@@ -21,18 +21,17 @@ subsystem.
 
 from __future__ import annotations
 
-import ast
 import functools
 import json
 import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parent.parent
+from tests.repo_index import REPO, repo_index
+
 SRC = REPO / "src"
 
 #: Optional subsystems a sync, serial, ``bcrs_opwa`` run never executes.
@@ -195,24 +194,15 @@ THIRD_PARTY = ("numpy",)
 LOCAL_MODULES = {"robust_golden_configs": "tests/goldens/robust_golden_configs.py"}
 
 
-def _imported_modules(path: Path):
-    """``(line, module)`` of every absolute import in ``path``."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield node.lineno, alias.name
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            yield node.lineno, node.module
-
-
 @pytest.mark.parametrize("root", ["src/repro", "examples", "scripts"])
 def test_the_program_imports_only_the_stdlib_numpy_and_itself(root):
     assert all((REPO / f).is_file() for f in LOCAL_MODULES.values())
     allowed = set(sys.stdlib_module_names) | {"repro", *THIRD_PARTY, *LOCAL_MODULES}
     foreign = [
-        f"{path.relative_to(REPO)}:{line} imports {module}"
-        for path in sorted((REPO / root).rglob("*.py"))
-        for line, module in _imported_modules(path)
+        f"{f.rel}:{line} imports {module}"
+        for f in repo_index().files
+        if f.under(root)
+        for module, _, _, _, line in f.imports
         if module.split(".")[0] not in allowed
     ]
     assert foreign == []

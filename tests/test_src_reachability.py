@@ -30,21 +30,20 @@ the package at run time; that dynamic import is deliberately not followed.
 An allowlisted module is kept on purpose, so it is walked as an entry
 point too: what it calls stays for as long as it does.
 
-Each module is its own test case, so a failure names the module.
+Each module is its own test case, so a failure names the module. The
+facts come from one parse of the repository (``tests/repo_index.py``); the
+negative cases run the rules on a small synthetic package.
 """
 
 from __future__ import annotations
 
-import ast
 import functools
-import shutil
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parent.parent
-SRC = REPO / "src"
+from tests.repo_index import REPO, repo_index
+
 ENTRY_MODULES = ("repro.cli", "repro.__main__", "repro.simtime")
 ENTRY_DIRS = ("bench", "benchmarks", "examples", "scripts")
 
@@ -85,117 +84,19 @@ ALLOWED_METHODS = {
 }
 
 
-@dataclass
-class _File:
-    """What the walk needs from one parsed file."""
-
-    name: str
-    tree: ast.Module
-    #: (module, name or None, bound name): ``from module import name`` or
-    #: ``import module``, wherever in the file it appears.
-    imports: list = field(default_factory=list)
-    loads: set = field(default_factory=set)
-    #: Dotted ``a.b.c`` attribute chains rooted at a loaded name.
-    chains: list = field(default_factory=list)
-    defined: set = field(default_factory=set)
-    exports: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for node in _walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    self.imports.append((alias.name, None, bound, alias.asname is not None))
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                for alias in node.names:
-                    self.imports.append((node.module, alias.name, alias.asname or alias.name, True))
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                self.loads.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                chain = _chain(node)
-                if chain:
-                    self.chains.append(chain)
-        for stmt in self.tree.body:
-            self.defined |= _defines(stmt)
-            if isinstance(stmt, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
-            ):
-                self.exports = [elt.value for elt in stmt.value.elts]
-
-    def binding(self, name: str):
-        """``(module, name or None)`` an import in this file binds ``name`` to."""
-        for module, imported, bound, _ in self.imports:
-            if bound == name:
-                return module, imported
-        return None
-
-
-def _annotations(node: ast.AST) -> tuple:
-    if isinstance(node, (ast.arg, ast.AnnAssign)):
-        return (node.annotation,)
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return (node.returns,)
-    return ()
-
-
-def _walk(tree: ast.AST):
-    """``ast.walk`` that does not descend into annotations."""
-    todo = [tree]
-    while todo:
-        node = todo.pop()
-        yield node
-        skip = _annotations(node)
-        todo.extend(
-            child for child in ast.iter_child_nodes(node)
-            if not any(child is ann for ann in skip)
-        )
-
-
-def _chain(node: ast.Attribute) -> list[str] | None:
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    return [node.id, *reversed(parts)]
-
-
-def _defines(stmt: ast.stmt) -> set[str]:
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return {stmt.name}
-    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
-        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
-    )
-    return {t.id for t in targets if isinstance(t, ast.Name)}
-
-
-def _parse(path: Path, name: str) -> _File:
-    return _File(name, ast.parse(path.read_text(), filename=str(path)))
-
-
-def _src_modules(src: Path) -> dict[str, _File]:
-    modules = {}
-    for path in sorted((src / "repro").rglob("*.py")):
-        parts = path.relative_to(src).with_suffix("").parts
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        name = ".".join(parts)
-        modules[name] = _parse(path, name)
-    return modules
-
-
 def _allowed(module: str) -> bool:
     return any(module == m or module.startswith(m + ".") for m in ALLOWED_MODULES)
 
 
-def unreached(src: Path = SRC, repo: Path = REPO) -> tuple[list[str], list[str]]:
+@functools.cache
+def unreached(root: Path = REPO) -> tuple[list[str], list[str]]:
     """``(modules nothing reaches, "module.name" exports nothing uses)``,
     allowlist entries excluded."""
-    modules = _src_modules(src)
+    index = repo_index(root)
+    modules = index.modules
     reached: set[str] = set()
     used: set[tuple[str, str]] = set()
-    queue: list[_File] = []
+    queue = []
 
     def reach(module: str) -> None:
         parts = module.split(".")
@@ -227,8 +128,8 @@ def unreached(src: Path = SRC, repo: Path = REPO) -> tuple[list[str], list[str]]
         if name is not None:
             used.add((module, name))
 
-    def scan(f: _File) -> None:
-        for module, name, bound, binds_target in f.imports:
+    def scan(f) -> None:
+        for module, name, bound, binds_target, _ in f.imports:
             if bound not in f.loads or not module.startswith("repro"):
                 continue
             if name is None:
@@ -239,30 +140,25 @@ def unreached(src: Path = SRC, repo: Path = REPO) -> tuple[list[str], list[str]]
                 target = f"{module}.{name}"
             if target not in modules:
                 continue
-            for chain in f.chains:
-                if chain[0] != bound:
-                    continue
+            for chain in f.chains.get(bound, ()):
                 current = target
-                for attr in chain[1:]:
+                for attr in chain:
                     if f"{current}.{attr}" not in modules:
                         use(current, attr)
                         break
                     current = f"{current}.{attr}"
                     reach(current)
-        if f.name in modules:
-            for stmt in f.tree.body:
-                loads = {n.id for n in _walk(stmt) if isinstance(n, ast.Name)}
-                for name in (loads & f.defined) - _defines(stmt):
-                    used.add((f.name, name))
+        if f.module is not None:
+            used.update((f.module, name) for name in f.self_uses)
 
     for module in ENTRY_MODULES:
         reach(module)
     for module in modules:
         if _allowed(module):
             reach(module)
-    for directory in ENTRY_DIRS:
-        for path in sorted((repo / directory).rglob("*.py")):
-            scan(_parse(path, str(path)))
+    for f in index.files:
+        if f.under(*ENTRY_DIRS):
+            scan(f)
     while queue:
         scan(queue.pop())
 
@@ -280,57 +176,30 @@ def unreached(src: Path = SRC, repo: Path = REPO) -> tuple[list[str], list[str]]
     return dead_modules, dead_names
 
 
-def _attribute_uses(tree: ast.AST) -> set[str]:
-    """Every attribute name and every string constant in ``tree``."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    return names
-
-
-def unused_methods(src: Path = SRC, repo: Path = REPO) -> list[str]:
+@functools.cache
+def unused_methods(root: Path = REPO) -> list[str]:
     """``"module.Class.name"`` for each public method or property whose name
     nothing outside ``tests/`` uses, allowlist entries excluded."""
-    modules = _src_modules(src)
-    paths = sorted((src / "repro").rglob("*.py"))
-    for directory in ENTRY_DIRS:
-        paths += sorted((repo / directory).rglob("*.py"))
-    used = set()
-    for path in paths:
-        used |= _attribute_uses(ast.parse(path.read_text(), filename=str(path)))
-    dead = []
-    for module, f in modules.items():
-        if _allowed(module):
-            continue
-        for cls in ast.walk(f.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for node in cls.body:
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not node.name.startswith("_")
-                    and node.name not in used
-                    and (module, cls.name, node.name) not in ALLOWED_METHODS
-                ):
-                    dead.append(f"{module}.{cls.name}.{node.name}")
-    return sorted(dead)
+    index = repo_index(root)
+    used = set().union(*(f.names for f in index.files))
+    return sorted(
+        f"{module}.{cls}.{name}"
+        for module, f in index.modules.items()
+        if not _allowed(module)
+        for cls, name in f.methods
+        if not name.startswith("_")
+        and name not in used
+        and (module, cls, name) not in ALLOWED_METHODS
+    )
 
 
-@functools.cache
-def _unreached_in_repo() -> tuple[list[str], list[str]]:
-    return unreached()
-
-
-_MODULES = _src_modules(SRC)
+_MODULES = repo_index().modules
 _CHECKED = sorted(m for m in _MODULES if not _allowed(m))
 
 
 @pytest.mark.parametrize("module", _CHECKED)
 def test_module_is_reached_from_an_entry_point(module):
-    dead_modules, _ = _unreached_in_repo()
+    dead_modules, _ = unreached()
     assert module not in dead_modules, (
         f"only tests reach {module}: call it from the program or delete it"
     )
@@ -338,7 +207,7 @@ def test_module_is_reached_from_an_entry_point(module):
 
 @pytest.mark.parametrize("module", [m for m in _CHECKED if _MODULES[m].exports])
 def test_module_exports_are_used_outside_tests(module):
-    _, dead_names = _unreached_in_repo()
+    _, dead_names = unreached()
     dead = [name for name in dead_names if name.rsplit(".", 1)[0] == module]
     assert dead == [], (
         f"only tests use {dead}: call them from the program, or delete them "
@@ -346,66 +215,68 @@ def test_module_exports_are_used_outside_tests(module):
     )
 
 
-@functools.cache
-def _unused_methods_in_repo() -> list[str]:
-    return unused_methods()
-
-
 @pytest.mark.parametrize("module", _CHECKED)
 def test_module_methods_are_used_outside_tests(module):
-    dead = [name for name in _unused_methods_in_repo() if name.rsplit(".", 2)[0] == module]
+    dead = [name for name in unused_methods() if name.rsplit(".", 2)[0] == module]
     assert dead == [], (
         f"only tests use {dead}: call them from the program, or delete them"
     )
 
 
-def _methods(f: _File) -> set[tuple[str, str]]:
-    return {
-        (cls.name, node.name)
-        for cls in ast.walk(f.tree)
-        if isinstance(cls, ast.ClassDef)
-        for node in cls.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
 def test_allowlist_entries_exist():
-    modules = _src_modules(SRC)
-    assert all(m in modules for m in ALLOWED_MODULES)
-    assert all(name in modules[m].exports for m, name in ALLOWED_NAMES)
-    assert all((c, name) in _methods(modules[m]) for m, c, name in ALLOWED_METHODS)
+    assert all(m in _MODULES for m in ALLOWED_MODULES)
+    assert all(name in _MODULES[m].exports for m, name in ALLOWED_NAMES)
+    assert all((c, name) in _MODULES[m].methods for m, c, name in ALLOWED_METHODS)
 
 
-def _copy_src(tmp_path: Path) -> Path:
-    src = tmp_path / "src"
-    shutil.copytree(SRC / "repro", src / "repro", ignore=shutil.ignore_patterns("__pycache__"))
-    return src
+def _exporting(name: str) -> str:
+    return f'__all__ = ["{name}"]\n\n\ndef {name}(x):\n    return x\n'
+
+
+#: A package every rule passes: ``repro.cli`` reaches each module and uses
+#: each export; ``repro.testing`` is allowlisted.
+_SYNTHETIC = {
+    "cli.py": "from repro.fl import run\nfrom repro.utils.rng import make_rng\n"
+    "from repro.utils.validation import validate\n\nrun(validate(make_rng(0)))\n",
+    "fl/__init__.py": _exporting("run"),
+    "utils/rng.py": _exporting("make_rng"),
+    "utils/validation.py": _exporting("validate"),
+    **dict.fromkeys(["__init__.py", "utils/__init__.py", "testing/__init__.py", "testing/goldens.py"], ""),
+}
+
+
+def _synthetic_src(tmp_path: Path) -> Path:
+    """``src/`` of a repository at ``tmp_path`` holding only :data:`_SYNTHETIC`."""
+    for rel, text in _SYNTHETIC.items():
+        path = tmp_path / "src" / "repro" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return tmp_path / "src"
 
 
 def test_an_unimported_module_fails(tmp_path):
-    src = _copy_src(tmp_path)
+    src = _synthetic_src(tmp_path)
     (src / "repro" / "fl" / "orphan.py").write_text('"""Nothing imports me."""\n')
-    dead_modules, _ = unreached(src)
+    dead_modules, _ = unreached(tmp_path)
     assert dead_modules == ["repro.fl.orphan"]
 
 
 def test_a_name_only_tests_use_fails(tmp_path):
-    src = _copy_src(tmp_path)
+    src = _synthetic_src(tmp_path)
     path = src / "repro" / "utils" / "validation.py"
     text = path.read_text().replace('__all__ = ["', '__all__ = ["only_tested", "', 1)
     path.write_text(text + "\n\ndef only_tested():\n    return None\n")
-    _, dead_names = unreached(src)
+    _, dead_names = unreached(tmp_path)
     assert dead_names == ["repro.utils.validation.only_tested"]
 
 
 def test_a_reexport_is_not_a_use(tmp_path):
-    src = _copy_src(tmp_path)
+    src = _synthetic_src(tmp_path)
     (src / "repro" / "utils" / "orphan.py").write_text('__all__ = ["f"]\n\n\ndef f():\n    pass\n')
     init = src / "repro" / "utils" / "__init__.py"
     init.write_text("from repro.utils.orphan import f\n" + init.read_text())
-    dead_modules, _ = unreached(src)
+    dead_modules, _ = unreached(tmp_path)
     assert dead_modules == ["repro.utils.orphan"]
-
 
 
 _IMPORTED = "from repro.utils.validation import Marker\n\n\n"
@@ -439,14 +310,14 @@ _IMPORTED = "from repro.utils.validation import Marker\n\n\n"
     ],
 )
 def test_an_annotation_is_not_a_use(tmp_path, where, use, flagged):
-    src = _copy_src(tmp_path)
+    src = _synthetic_src(tmp_path)
     utils = src / "repro" / "utils"
     validation = utils / "validation.py"
     text = validation.read_text().replace('__all__ = ["', '__all__ = ["Marker", "', 1)
     validation.write_text(text + "\n\nclass Marker:\n    pass\n")
     path = utils / f"{where}.py"
     path.write_text(path.read_text() + "\n\n" + use)
-    _, dead_names = unreached(src)
+    _, dead_names = unreached(tmp_path)
     assert dead_names == (["repro.utils.validation.Marker"] if flagged else [])
 
 
@@ -472,21 +343,21 @@ _HOLDER = (
 def test_a_method_only_tests_use_fails(tmp_path, name, where, use, flagged):
     """A public method or property counts only if its name is an attribute
     or a string outside ``tests/``; the module's ``__all__`` does not matter."""
-    src = _copy_src(tmp_path)
+    src = _synthetic_src(tmp_path)
     utils = src / "repro" / "utils"
     validation = utils / "validation.py"
     validation.write_text(validation.read_text() + _HOLDER.format(name=name))
     if where is not None:
         path = utils / f"{where}.py"
         path.write_text(path.read_text() + "\n\n" + use)
-    dead = [m for m in unused_methods(src) if m.startswith("repro.utils.validation.Holder.")]
+    dead = [m for m in unused_methods(tmp_path) if m.startswith("repro.utils.validation.Holder.")]
     assert dead == ([f"repro.utils.validation.Holder.{name}"] if flagged else [])
     # The module rules never see a class member: only rule 3 can flag it.
-    assert unreached(src) == ([], [])
+    assert unreached(tmp_path) == ([], [])
 
 
 def test_an_allowlisted_module_keeps_its_methods(tmp_path):
-    src = _copy_src(tmp_path)
+    src = _synthetic_src(tmp_path)
     path = src / "repro" / "testing" / "goldens.py"
     path.write_text(path.read_text() + "\n\nclass Holder:\n    def only_tested(self):\n        pass\n")
-    assert unused_methods(src) == []
+    assert unused_methods(tmp_path) == []
