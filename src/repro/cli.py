@@ -184,13 +184,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="write a Chrome-trace JSON (open in Perfetto) plus a sibling "
-             ".jsonl event stream; tracing off = zero-overhead null path",
+        help="write a Chrome-trace JSON (open in Perfetto); tracing off = "
+             "zero-overhead null path",
     )
     p.add_argument(
         "--metrics", metavar="PATH", default=None,
-        help="write a metrics-registry JSON plus a sibling .prom "
-             "(Prometheus text) snapshot",
+        help="write a metrics-registry JSON with per-round snapshots",
     )
     p.add_argument(
         "--html", metavar="PATH", default=None,
@@ -388,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rep.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="an exported trace: Chrome JSON or .jsonl stream",
+        help="a Chrome-trace JSON written by --trace",
     )
     p_rep.add_argument(
         "--metrics", default=None, metavar="PATH",
@@ -406,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser(
         "profile", help="rank the top hot spots from an exported trace"
     )
-    p_prof.add_argument("trace", help="trace file: Chrome JSON or .jsonl stream")
+    p_prof.add_argument("trace", help="a Chrome-trace JSON written by --trace")
     p_prof.add_argument(
         "--top", type=int, default=10, help="hot spots to list (default: 10)"
     )

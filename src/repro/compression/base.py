@@ -14,7 +14,10 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["CompressedUpdate", "SparseUpdate", "DenseUpdate", "Compressor", "compression_error"]
+__all__ = [
+    "CompressedUpdate", "SparseUpdate", "DenseUpdate", "Compressor",
+    "compression_error", "retained_mass",
+]
 
 
 @dataclass(frozen=True)
@@ -120,3 +123,11 @@ def compression_error(update: np.ndarray, compressed: CompressedUpdate) -> float
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(update - dense)) / denom
+
+
+def retained_mass(update: np.ndarray, compressed: CompressedUpdate, *, ord: int = 2) -> float:
+    """Fraction ``||û|| / ||u||`` of the update's Lp mass the compressed form carries."""
+    total = float(np.linalg.norm(update.astype(np.float64), ord=ord))
+    if total == 0.0:
+        return 1.0
+    return float(np.linalg.norm(compressed.to_dense().astype(np.float64), ord=ord)) / total

@@ -5,7 +5,7 @@ from repro.core.aggregation import apply_server_update, weighted_sparse_sum
 from repro.core.bcrs import BCRSSchedule, schedule_ratios
 from repro.core.coefficients import adjusted_coefficients, fedavg_coefficients, normalize_ratios
 from repro.core.opwa import opwa_mask, opwa_mask_from_updates
-from repro.core.overlap import OverlapDistribution, overlap_counts, overlap_distribution
+from repro.core.overlap import OverlapDistribution, overlap_distribution
 from repro.core.server_opt import ServerAdam, ServerOptimizer, ServerSGD, make_server_optimizer
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "normalize_ratios",
     "fedavg_coefficients",
     "adjusted_coefficients",
-    "overlap_counts",
     "OverlapDistribution",
     "overlap_distribution",
     "opwa_mask",

@@ -15,8 +15,9 @@ hands the same storage out round after round:
   ``astype(float64)`` copy of the widest array in the system.
 - **rows** — the grow-only ``(n, d)`` matrix the coordinate median and the
   trimmed mean densify a cohort into: the one buffer that grows with the
-  cohort, so a simulation refuses a cohort whose rows would pass
-  :data:`ROWS_CAP_BYTES`.
+  cohort, so it refuses to grow past :data:`ROWS_CAP_BYTES`, and a
+  simulation refuses a config whose aggregations could fold that many
+  updates before it trains anything.
 
 The arena holds nothing on the client side: every compressor returns an
 update that owns its arrays, on every backend and in every protocol, so an
@@ -35,11 +36,22 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["AggregationArena", "ROWS_CAP_BYTES"]
+__all__ = ["AggregationArena", "ROWS_CAP_BYTES", "check_rows"]
 
-#: The largest ``|S_t| × d`` float64 rows matrix an order-statistic rule may
-#: densify a cohort into (1 GiB): every other aggregation holds O(d).
+#: The largest ``n × d`` float64 rows matrix an order-statistic rule may
+#: densify the ``n`` updates of one aggregation into (1 GiB): every other
+#: aggregation holds O(d).
 ROWS_CAP_BYTES = 1 << 30
+
+
+def check_rows(n: int, dense_size: int) -> None:
+    """Refuse an ``(n, dense_size)`` float64 rows matrix over :data:`ROWS_CAP_BYTES`."""
+    nbytes = n * dense_size * 8
+    if nbytes > ROWS_CAP_BYTES:
+        raise ValueError(
+            f"{n} float64 rows of {dense_size} need {nbytes} bytes, over "
+            f"ROWS_CAP_BYTES = {ROWS_CAP_BYTES}"
+        )
 
 
 class AggregationArena:
@@ -73,6 +85,7 @@ class AggregationArena:
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        check_rows(n, self.dense_size)
         if self._rows.shape[0] < n:
             self._rows = np.empty((n, self.dense_size), dtype=np.float64)
         view = self._rows[:n]

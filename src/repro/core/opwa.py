@@ -30,7 +30,8 @@ def opwa_mask(
     Parameters
     ----------
     counts:
-        Per-index retention counts from :func:`repro.core.overlap.overlap_counts`.
+        Per-index retention counts from
+        :func:`repro.core.overlap.narrow_overlap_counts`.
     gamma:
         Enlarge rate ``γ`` applied to low-overlap parameters. The paper sweeps
         γ from 1 up to the client count N and finds the optimum roughly

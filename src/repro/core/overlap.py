@@ -16,14 +16,16 @@ import numpy as np
 
 from repro.compression.base import SparseUpdate
 
-__all__ = ["overlap_counts", "OverlapDistribution", "overlap_distribution"]
+__all__ = ["OverlapDistribution", "overlap_distribution"]
 
 
 def narrow_overlap_counts(updates: list[SparseUpdate]) -> np.ndarray:
-    """Retention counts in the narrowest unsigned dtype that holds the cohort.
+    """Per-index retention count across clients (Alg. 3 CalculateOverlap),
+    in the narrowest unsigned dtype that holds the cohort.
 
-    uint8 below 256 updates: the full-width vector the histogram and the
-    mask re-read is 1 byte per parameter, not 8. The counting half of
+    Entry ``j`` is the number of updates that retained index ``j``. uint8
+    below 256 updates: the full-width vector the histogram and the mask
+    re-read is 1 byte per parameter, not 8. The counting half of
     :class:`~repro.core.aggregation.CohortFold`, fed the list.
     """
     from repro.core.aggregation import CohortFold  # which builds on this module
@@ -34,15 +36,6 @@ def narrow_overlap_counts(updates: list[SparseUpdate]) -> np.ndarray:
     for u in updates:
         fold.add(u)
     return fold.counts
-
-
-def overlap_counts(updates: list[SparseUpdate]) -> np.ndarray:
-    """Per-index retention count across clients (Alg. 3 CalculateOverlap).
-
-    Returns an int64 vector of length ``dense_size``; entry ``j`` is the
-    number of clients whose sparse update retained index ``j`` (0 if none).
-    """
-    return narrow_overlap_counts(updates).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import numpy as np
 from repro.compression.base import CompressedUpdate, SparseUpdate
 from repro.compression.registry import wire_size
 from repro.core.aggregation import ROW_RULES, CohortFold
-from repro.core.arena import ROWS_CAP_BYTES, AggregationArena
+from repro.core.arena import AggregationArena, check_rows
 from repro.core.overlap import OverlapDistribution
 from repro.core.server_opt import make_server_optimizer
 from repro.data.datasets import DATASET_SPECS
@@ -87,6 +87,20 @@ def build_config_model(config, seed):
     )
 
 
+def fold_capacity(config) -> tuple[str, int]:
+    """The most updates one aggregation can fold, and the field that sets it.
+
+    A sync or hier round folds its cohort; an async window its buffer K; a
+    semisync window with carryover its fresh cohort plus every late update
+    that lands in it — at most one in flight per client, so the fleet.
+    """
+    if config.mode == "async":
+        return "async_buffer_size", config.async_buffer_size
+    if config.mode == "semisync" and config.late_policy == "carryover":
+        return "num_clients", config.num_clients
+    return "clients_per_round", config.clients_per_round
+
+
 class Simulation:
     """A fully-seeded FL run; the round's client work runs on ``backend``.
 
@@ -123,13 +137,15 @@ class Simulation:
         self.model = build_config_model(config, seed=rngs.stream("model"))
         self.global_params = get_flat_params(self.model)
         self.dense_size = num_parameters(self.model)
-        rows_bytes = config.clients_per_round * self.dense_size * 8
-        if config.aggregator in ROW_RULES and rows_bytes > ROWS_CAP_BYTES:
-            raise ValueError(
-                f"aggregator={config.aggregator!r} densifies a float64 row of {self.dense_size} "
-                f"per client: clients_per_round={config.clients_per_round} needs "
-                f"{rows_bytes} bytes, over the {ROWS_CAP_BYTES}-byte cap"
-            )
+        if config.aggregator in ROW_RULES:
+            field, capacity = fold_capacity(config)
+            try:
+                check_rows(capacity, self.dense_size)
+            except ValueError as exc:
+                raise ValueError(
+                    f"aggregator={config.aggregator!r} densifies one float64 row per "
+                    f"update an aggregation folds, up to {field}={capacity}: {exc}"
+                ) from None
         # The timing simulation can price a paper-scale model (e.g. ResNet-18's
         # volume) while the trained model stays CPU-sized; the compression and
         # aggregation pipeline is identical either way.

@@ -447,7 +447,7 @@ class Transport:
 
     Synchronized protocols on a fair transport price each round as its own
     contention epoch (:meth:`resolve_uploads`); event-driven protocols hold
-    a persistent named :meth:`pipe` whose flows span rounds.
+    the persistent server :meth:`pipe`, whose flows span rounds.
     """
 
     def __init__(self, contention: str = "none", server_ingress_bps: float | None = None):
@@ -461,7 +461,7 @@ class Transport:
             check_positive("server_ingress_bps", server_ingress_bps)
         self.contention = contention
         self.server_ingress_bps = server_ingress_bps
-        self._pipes: dict[str, IngressPipe] = {}
+        self._pipe: IngressPipe | None = None
 
     @classmethod
     def from_config(cls, config) -> "Transport":
@@ -492,13 +492,11 @@ class Transport:
 
     # ------------------------------------------------------------ contended
 
-    def pipe(self, name: str = "server") -> IngressPipe:
-        """The persistent named ingress (created on first use)."""
-        if name not in self._pipes:
-            self._pipes[name] = IngressPipe(
-                self.server_ingress_bps if self.contended else None
-            )
-        return self._pipes[name]
+    def pipe(self) -> IngressPipe:
+        """The persistent server ingress (created on first use)."""
+        if self._pipe is None:
+            self._pipe = IngressPipe(self.server_ingress_bps if self.contended else None)
+        return self._pipe
 
     def resolve_uploads(
         self,

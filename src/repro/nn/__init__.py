@@ -9,13 +9,13 @@ from repro.nn.layers import Flatten, Layer, Linear, Parameter, ReLU
 from repro.nn.losses import cross_entropy
 from repro.nn.models import build_mlp, build_model
 from repro.nn.optim import SGD
-from repro.nn.params import get_flat_params, num_parameters, param_slices, set_flat_params
+from repro.nn.params import get_flat_params, num_parameters, set_flat_params
 from repro.nn.sequential import Sequential
 
 __all__ = [
     "Layer", "Parameter", "Linear", "ReLU", "Flatten", "Sequential",
     "cross_entropy",
     "SGD",
-    "num_parameters", "param_slices", "get_flat_params", "set_flat_params",
+    "num_parameters", "get_flat_params", "set_flat_params",
     "build_mlp", "build_model",
 ]

@@ -16,23 +16,12 @@ __all__ = [
     "num_parameters",
     "get_flat_params",
     "set_flat_params",
-    "param_slices",
 ]
 
 
 def num_parameters(model: Sequential) -> int:
     """Total scalar parameter count of ``model``."""
     return model.flat()[0].size
-
-
-def param_slices(model: Sequential) -> list[tuple[str, slice, tuple[int, ...]]]:
-    """Describe the flat layout: (name, slice in the flat vector, shape)."""
-    out: list[tuple[str, slice, tuple[int, ...]]] = []
-    offset = 0
-    for p in model.parameters():
-        out.append((p.name, slice(offset, offset + p.size), p.data.shape))
-        offset += p.size
-    return out
 
 
 def _read(vec: np.ndarray, out: np.ndarray | None) -> np.ndarray:

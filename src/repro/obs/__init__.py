@@ -5,9 +5,9 @@ experiment — that's :class:`~repro.fl.history.History`) routes through an
 :class:`Obs` bundle:
 
 - ``obs.tracer`` — wall-clock spans (:mod:`repro.obs.tracer`), exported as
-  Chrome-trace JSON (Perfetto-openable) and a JSONL event stream;
+  one Chrome-trace JSON (Perfetto-openable);
 - ``obs.metrics`` — counters/gauges/histograms with per-round snapshots
-  (:mod:`repro.obs.metrics`), exported as JSON and Prometheus text;
+  (:mod:`repro.obs.metrics`), exported as one JSON file;
 - ``obs.enabled`` — the one branch hot paths check.
 
 The default everywhere is :data:`NULL_OBS`: both halves are the shared
@@ -23,12 +23,10 @@ mode.
 Wiring: build an :class:`Obs` and hand it to
 :func:`repro.simtime.make_simulation` (or the ``Simulation`` classes
 directly); the CLI does this for ``--trace``/``--metrics``. After the run,
-:meth:`Obs.export` writes every requested artifact.
+:meth:`Obs.export` writes every requested artifact, one file each.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -93,23 +91,16 @@ class Obs:
     def export(self) -> list[str]:
         """Write every configured artifact; returns the paths written.
 
-        ``trace_path`` gets the Chrome-trace JSON plus a sibling ``.jsonl``
-        event stream; ``metrics_path`` gets the JSON registry dump plus a
-        sibling ``.prom`` Prometheus text file.
+        ``trace_path`` gets the Chrome-trace JSON, ``metrics_path`` the JSON
+        registry dump.
         """
         written: list[str] = []
         if self.trace_path and isinstance(self.tracer, Tracer):
             self.tracer.export_chrome(self.trace_path)
             written.append(self.trace_path)
-            jsonl = str(Path(self.trace_path).with_suffix(".jsonl"))
-            self.tracer.export_jsonl(jsonl)
-            written.append(jsonl)
         if self.metrics_path and isinstance(self.metrics, MetricsRegistry):
             self.metrics.export_json(self.metrics_path)
             written.append(self.metrics_path)
-            prom = str(Path(self.metrics_path).with_suffix(".prom"))
-            self.metrics.export_prometheus(prom)
-            written.append(prom)
         return written
 
 

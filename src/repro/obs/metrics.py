@@ -7,14 +7,13 @@ Three instrument kinds:
 - :class:`Counter` — monotonically increasing total (``inc``);
 - :class:`Gauge` — last-set value, with its observed peak (``set``);
 - :class:`Histogram` — fixed-bucket distribution (``observe``), exported
-  Prometheus-style with cumulative ``le`` buckets plus count/sum/min/max.
+  with per-bucket ``le`` counts plus count/sum/min/max.
 
 :meth:`MetricsRegistry.snapshot` freezes every current value under a round
 index, so per-round series (hydration misses per round, wire bits per
-round) can be reconstructed from one export. Exports:
-:meth:`~MetricsRegistry.export_json` (full registry + snapshots) and
-:meth:`~MetricsRegistry.export_prometheus` (the text exposition format, for
-eyeballs and scrape-compatible tooling).
+round) can be reconstructed from one export. The one export is
+:meth:`~MetricsRegistry.export_json`: the full registry and its snapshots
+as one JSON file, which ``python -m repro report --metrics`` renders.
 
 The disabled path is :class:`NullMetrics`: its instrument getters return
 one shared no-op instrument, so un-observed code paths cost an attribute
@@ -270,43 +269,3 @@ class MetricsRegistry:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, default=str)
             fh.write("\n")
-
-    def to_prometheus(self) -> str:
-        """The Prometheus text exposition format (one final scrape)."""
-
-        def fmt_labels(labels: dict, extra: dict | None = None) -> str:
-            merged = {**labels, **(extra or {})}
-            if not merged:
-                return ""
-            inner = ",".join(f'{k}="{v}"' for k, v in sorted(merged.items()))
-            return "{" + inner + "}"
-
-        by_name: dict[str, list] = {}
-        for (name, labels), inst in sorted(self._instruments.items()):
-            by_name.setdefault(name, []).append((dict(labels), inst))
-
-        lines: list[str] = []
-        for name, rows in by_name.items():
-            kind = rows[0][1].kind
-            lines.append(f"# TYPE {name} {kind}")
-            for labels, inst in rows:
-                if isinstance(inst, Counter):
-                    lines.append(f"{name}_total{fmt_labels(labels)} {inst.value:g}")
-                elif isinstance(inst, Gauge):
-                    lines.append(f"{name}{fmt_labels(labels)} {inst.value:g}")
-                else:
-                    assert isinstance(inst, Histogram)
-                    cumulative = 0
-                    for le, c in zip((*inst.bounds, math.inf), inst.bucket_counts):
-                        cumulative += c
-                        le_txt = "+Inf" if le == math.inf else f"{le:g}"
-                        lines.append(
-                            f"{name}_bucket{fmt_labels(labels, {'le': le_txt})} {cumulative}"
-                        )
-                    lines.append(f"{name}_sum{fmt_labels(labels)} {inst.total:g}")
-                    lines.append(f"{name}_count{fmt_labels(labels)} {inst.count}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def export_prometheus(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_prometheus())

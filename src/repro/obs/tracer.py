@@ -1,16 +1,14 @@
-"""Wall-clock span tracing with Chrome-trace and JSONL export.
+"""Wall-clock span tracing, exported as a Chrome trace.
 
 A :class:`Tracer` records *spans* — named wall-clock intervals with a
 category, a lane (``tid``), and free-form args — and *instants* (zero-width
 events). Spans cover the whole simulator taxonomy (see
 ``docs/ARCHITECTURE.md`` § Observability): round phases, per-client
 train/compress tasks, transport resolution, hier sub-rounds, hydrations,
-sweep cells. Export targets:
-
-- :meth:`Tracer.export_chrome` — the Chrome trace event format
-  (``chrome://tracing`` / https://ui.perfetto.dev open it directly);
-- :meth:`Tracer.export_jsonl` — one JSON object per line, for ad-hoc
-  ``jq``/pandas analysis and for :mod:`repro.obs.profile`.
+sweep cells. :meth:`Tracer.export_chrome` writes the one export, the
+Chrome trace event format: ``chrome://tracing`` and
+https://ui.perfetto.dev open it directly, and :func:`load_trace` reads it
+back for :mod:`repro.obs.profile` and the HTML report.
 
 Timestamps are ``time.perf_counter()`` seconds. On Linux that clock is
 ``CLOCK_MONOTONIC``, which is shared across processes — so spans measured
@@ -300,88 +298,42 @@ class Tracer:
             json.dump(self.to_chrome(), fh)
             fh.write("\n")
 
-    def export_jsonl(self, path) -> None:
-        """Write the event stream: one JSON object per line."""
-        with open(path, "w") as fh:
-            for s in self.spans:
-                fh.write(
-                    json.dumps(
-                        {
-                            "type": "span",
-                            "name": s.name,
-                            "cat": s.cat,
-                            "t0": s.start - self.epoch,
-                            "t1": s.end - self.epoch,
-                            "tid": s.tid,
-                            "args": s.args or {},
-                        }
-                    )
-                    + "\n"
-                )
-            for i in self.instants:
-                fh.write(
-                    json.dumps(
-                        {
-                            "type": "instant",
-                            "name": i.name,
-                            "cat": i.cat,
-                            "t": i.t - self.epoch,
-                            "tid": i.tid,
-                            "args": i.args or {},
-                        }
-                    )
-                    + "\n"
-                )
-
 
 def load_trace(path) -> list[Span]:
-    """Read wall-clock spans back from either export format.
+    """Read wall-clock spans back from an exported Chrome trace.
 
-    Accepts the Chrome-trace JSON (``{"traceEvents": [...]}`` or a bare
-    event list) and the JSONL stream; returns :class:`Span` objects with
-    times in seconds relative to the trace epoch. Virtual-clock (pid 2)
-    events and metadata are skipped — the profiler ranks wall-clock cost.
+    Accepts the Chrome trace event format :meth:`Tracer.export_chrome`
+    writes (``{"traceEvents": [...]}``, or a bare event list) and raises
+    :class:`ValueError` naming that format for anything else — a
+    ``.jsonl`` event stream from an older run, a metrics JSON. Returns
+    :class:`Span` objects with times in seconds relative to the trace
+    epoch. Virtual-clock (pid 2) events and metadata are skipped — the
+    profiler ranks wall-clock cost.
     """
     with open(path) as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
-        doc = None  # multi-line JSONL
-    # A single-line JSONL file parses as one dict too — only a document
-    # with "traceEvents" (or a bare event list) is the Chrome format.
-    if isinstance(doc, list) or (isinstance(doc, dict) and "traceEvents" in doc):
-        events = doc["traceEvents"] if isinstance(doc, dict) else doc
-        spans = []
-        for ev in events:
-            if ev.get("ph") != "X" or ev.get("pid") == VIRTUAL_PID:
-                continue
-            t0 = ev["ts"] / 1e6
-            spans.append(
-                Span(
-                    name=ev["name"],
-                    cat=ev.get("cat", "sim"),
-                    start=t0,
-                    end=t0 + ev.get("dur", 0.0) / 1e6,
-                    tid=int(ev.get("tid", MAIN_TID)),
-                    args=ev.get("args") or None,
-                )
-            )
-        return spans
+        doc = None
+    if isinstance(doc, dict):
+        doc = doc.get("traceEvents")
+    if not isinstance(doc, list) or not all(isinstance(ev, dict) for ev in doc):
+        raise ValueError(
+            f"{path} is not a Chrome trace: expected the JSON --trace writes, "
+            '{"traceEvents": [...]} or a bare event list'
+        )
     spans = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    for ev in doc:
+        if ev.get("ph") != "X" or ev.get("pid") == VIRTUAL_PID:
             continue
-        ev = json.loads(line)
-        if ev.get("type") != "span":
-            continue
+        t0 = ev["ts"] / 1e6
         spans.append(
             Span(
                 name=ev["name"],
                 cat=ev.get("cat", "sim"),
-                start=ev["t0"],
-                end=ev["t1"],
+                start=t0,
+                end=t0 + ev.get("dur", 0.0) / 1e6,
                 tid=int(ev.get("tid", MAIN_TID)),
                 args=ev.get("args") or None,
             )

@@ -64,7 +64,6 @@ class _Pending:
     cid: int
     ratio: float | None
     version: int  # global-model version the client trained from
-    t_dispatch: float
     t_arrival: float  # exclusive-link prediction; overwritten on contended pipes
     duration: float  # download + compute + upload (exclusive-link prediction)
     upload: float  # the communication (uplink) part alone
@@ -89,7 +88,7 @@ class _EventDrivenSimulation(Simulation):
         # in deterministic (finish, admission) order — exclusive links
         # reproduce the historical event-queue arrival order bit-for-bit,
         # fair contention water-fills the in-flight flows.
-        self._pipe = self.transport.pipe("server")
+        self._pipe = self.transport.pipe()
         self._flights: dict[int, _Pending] = {}  # flow id → in-flight dispatch
         self._window_down: list[int] = []  # cids broadcast to since last record
         self.now = 0.0
@@ -132,7 +131,6 @@ class _EventDrivenSimulation(Simulation):
             cid=cid,
             ratio=ratio,
             version=self.version,
-            t_dispatch=t,
             t_arrival=t + duration,
             duration=duration,
             upload=up,

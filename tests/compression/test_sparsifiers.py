@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.compression.base import DenseUpdate, SparseUpdate, compression_error
+from repro.compression.base import DenseUpdate, SparseUpdate, compression_error, retained_mass
 from repro.compression.sparsifiers import TopK, k_from_ratio
 
 
@@ -122,4 +122,13 @@ class TestTopK:
         errs = [compression_error(u, TopK().compress(u, r)) for r in (0.01, 0.1, 0.5, 1.0)]
         assert errs == sorted(errs, reverse=True)
         assert errs[-1] == 0.0
+
+    def test_retained_mass_full_at_cr1(self, rng):
+        u = rng.normal(size=100).astype(np.float32)
+        assert retained_mass(u, TopK().compress(u, 1.0)) == pytest.approx(1.0)
+
+    def test_retained_mass_monotone_in_cr(self, rng):
+        u = rng.normal(size=500).astype(np.float32)
+        masses = [retained_mass(u, TopK().compress(u, r)) for r in (0.01, 0.1, 0.5)]
+        assert masses == sorted(masses)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.compression.base import SparseUpdate
 from repro.compression.sparsifiers import TopK
 from repro.core.opwa import opwa_mask, opwa_mask_from_updates
-from repro.core.overlap import overlap_counts, overlap_distribution
+from repro.core.overlap import narrow_overlap_counts, overlap_distribution
 
 
 def sparse(d, idx, vals=None):
@@ -23,20 +23,20 @@ class TestOverlapCounts:
         u1 = sparse(8, [1, 4, 7])
         u2 = sparse(8, [1, 3, 7])
         u3 = sparse(8, [1, 5])
-        counts = overlap_counts([u1, u2, u3])
+        counts = narrow_overlap_counts([u1, u2, u3])
         np.testing.assert_array_equal(counts, [0, 3, 0, 1, 1, 1, 0, 2])
 
     def test_single_update(self):
-        counts = overlap_counts([sparse(4, [0, 2])])
+        counts = narrow_overlap_counts([sparse(4, [0, 2])])
         np.testing.assert_array_equal(counts, [1, 0, 1, 0])
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            overlap_counts([sparse(4, [0]), sparse(5, [0])])
+            narrow_overlap_counts([sparse(4, [0]), sparse(5, [0])])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            overlap_counts([])
+            narrow_overlap_counts([])
 
     @given(st.integers(2, 6), st.integers(10, 60))
     @settings(max_examples=30, deadline=None)
@@ -47,7 +47,7 @@ class TestOverlapCounts:
             k = rng.integers(1, d)
             idx = np.sort(rng.choice(d, size=k, replace=False))
             updates.append(sparse(d, idx))
-        counts = overlap_counts(updates)
+        counts = narrow_overlap_counts(updates)
         assert counts.max() <= n_clients
         assert counts.sum() == sum(u.nnz for u in updates)
 

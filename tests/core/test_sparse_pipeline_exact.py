@@ -31,7 +31,7 @@ from repro.compression.sparsifiers import TopK, k_from_ratio
 from repro.core.aggregation import weighted_sparse_sum
 from repro.core.arena import AggregationArena
 from repro.core.opwa import opwa_mask, opwa_mask_from_updates
-from repro.core.overlap import narrow_overlap_counts, overlap_counts, overlap_distribution
+from repro.core.overlap import narrow_overlap_counts, overlap_distribution
 from repro.robust.aggregators import robust_aggregate
 
 # --------------------------------------------------------------------------
@@ -232,7 +232,9 @@ class TestTopKExact:
 class TestOverlapMaskSumExact:
     def test_counts_and_histogram(self, d):
         updates = cohort(np.random.default_rng(d), d)
-        assert_same_array(overlap_counts(updates), ref_overlap_counts(updates))
+        counts = narrow_overlap_counts(updates)
+        assert counts.dtype == np.uint8  # five updates
+        assert_same_array(counts.astype(np.int64), ref_overlap_counts(updates))
         dist = overlap_distribution(updates)
         assert dist.num_clients == len(updates)
         assert_same_array(dist.counts, ref_overlap_hist(updates))
@@ -404,8 +406,8 @@ def test_counter_does_not_wrap(n):
         dense_size=d, indices=np.array([0, 2]), values=np.ones(2, np.float32)
     )
     updates = [shared] * (n - 1) + [loner]
-    counts = overlap_counts(updates)
-    assert counts.dtype == np.int64
+    counts = narrow_overlap_counts(updates)
+    assert np.iinfo(counts.dtype).max >= n
     assert counts.tolist() == [n, 0, 1]
     hist = overlap_distribution(updates).counts
     assert hist.shape == (n,) and hist[0] == 1 and hist[n - 1] == 1 and hist.sum() == 2

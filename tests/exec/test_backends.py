@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.compression.base import DenseUpdate, SparseUpdate
-from repro.core.overlap import overlap_counts
+from repro.core.overlap import narrow_overlap_counts
 from repro.data.datasets import DATASET_SPECS
 from repro.exec import (
     BACKENDS,
@@ -305,4 +305,4 @@ class TestOverlapCountsValidation:
             values=np.ones(2, dtype=np.float32),
         )
         with pytest.raises(ValueError, match="dense_size mismatch: 9 != 8"):
-            overlap_counts([a, b])
+            narrow_overlap_counts([a, b])

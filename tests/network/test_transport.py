@@ -306,10 +306,9 @@ class TestTransport:
             assert f.end >= start + Transport().uplink_seconds(link, payload) - 1e-9
             assert f.seconds == f.end - start
 
-    def test_named_pipe_is_persistent_and_scoped(self):
+    def test_pipe_is_persistent(self):
         t = Transport("fair", 1.0 * MBIT)
-        assert t.pipe("server") is t.pipe("server")
-        assert t.pipe("server") is not t.pipe("cloud")
+        assert t.pipe() is t.pipe()
 
     def test_broadcast_free_link_costs_nothing(self):
         t = Transport()

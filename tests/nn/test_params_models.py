@@ -18,7 +18,6 @@ from repro.nn.optim import SGD
 from repro.nn.params import (
     get_flat_params,
     num_parameters,
-    param_slices,
     set_flat_params,
 )
 from tests.conftest import is_aliased
@@ -32,17 +31,6 @@ class TestFlatParams:
         flat2 = rng.normal(size=flat.shape).astype(np.float32)
         set_flat_params(model, flat2)
         np.testing.assert_array_equal(get_flat_params(model), flat2)
-
-    def test_slices_cover_vector(self):
-        model = build_mlp(6, 2, hidden=(4,), seed=0)
-        slices = param_slices(model)
-        total = num_parameters(model)
-        covered = np.zeros(total, dtype=bool)
-        for _, sl, shape in slices:
-            assert not covered[sl].any(), "overlapping slices"
-            covered[sl] = True
-            assert int(np.prod(shape)) == sl.stop - sl.start
-        assert covered.all()
 
     def test_set_rejects_wrong_size(self):
         model = build_mlp(4, 2, hidden=(3,), seed=0)

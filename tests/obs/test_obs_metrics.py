@@ -88,18 +88,3 @@ class TestSnapshotsAndExport:
         assert hist["count"] == 1 and hist["buckets"][0]["count"] == 1
         assert doc["snapshots"][0]["round"] == 0
 
-    def test_prometheus_export(self):
-        reg = MetricsRegistry()
-        reg.counter("wire_bits", kind="sparse").inc(42)
-        reg.gauge("ingress_depth").set(3)
-        reg.histogram("task_seconds", buckets=(0.1, 1.0)).observe(0.5)
-        text = reg.to_prometheus()
-        assert '# TYPE wire_bits counter' in text
-        assert 'wire_bits_total{kind="sparse"} 42' in text
-        assert "ingress_depth 3" in text
-        # Histogram buckets are cumulative, with +Inf closing the series.
-        assert 'task_seconds_bucket{le="0.1"} 0' in text
-        assert 'task_seconds_bucket{le="1"} 1' in text
-        assert 'task_seconds_bucket{le="+Inf"} 1' in text
-        assert "task_seconds_sum 0.5" in text
-        assert "task_seconds_count 1" in text

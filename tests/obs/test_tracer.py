@@ -1,10 +1,12 @@
-"""Tracer span recording, Chrome/JSONL export, and round-trip loading."""
+"""Tracer span recording, Chrome-trace export, and round-trip loading."""
 
 from __future__ import annotations
 
 import json
 
-from repro.obs import NULL_TRACER, Span, Tracer, load_trace
+import pytest
+
+from repro.obs import NULL_TRACER, MetricsRegistry, Span, Tracer, load_trace
 from repro.obs.tracer import VIRTUAL_PID, WALL_PID
 
 
@@ -69,19 +71,36 @@ class TestTracer:
         virt = [ev for ev in doc["traceEvents"] if ev.get("pid") == VIRTUAL_PID]
         assert any(ev["ph"] == "X" and ev["name"] == "train" for ev in virt)
 
-    def test_load_trace_round_trips_both_formats(self, tmp_path):
+    def test_load_trace_round_trips_chrome(self, tmp_path):
         tracer = Tracer()
         tracer.add_span("a", tracer.epoch + 0.1, tracer.epoch + 0.3, cat="c", tid=5)
-        chrome, jsonl = tmp_path / "t.json", tmp_path / "t.jsonl"
+        chrome = tmp_path / "t.json"
         tracer.export_chrome(chrome)
-        tracer.export_jsonl(jsonl)
-        for path in (chrome, jsonl):
-            spans = load_trace(path)
-            assert len(spans) == 1
-            s = spans[0]
-            assert isinstance(s, Span)
-            assert s.name == "a" and s.tid == 5
-            assert abs(s.dur - 0.2) < 1e-6
+        spans = load_trace(chrome)
+        assert len(spans) == 1
+        s = spans[0]
+        assert isinstance(s, Span)
+        assert s.name == "a" and s.tid == 5
+        assert abs(s.dur - 0.2) < 1e-6
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            # The JSONL event stream older runs wrote beside the Chrome trace.
+            ("t.jsonl", '{"type": "span", "name": "a", "cat": "c", "t0": 0.1, "t1": 0.3, "tid": 5}\n'
+                        '{"type": "instant", "name": "i", "cat": "c", "t": 0.2, "tid": 5}\n'),
+            # One line of it parses as a JSON document, but not a trace.
+            ("one.jsonl", '{"type": "span", "name": "a", "cat": "c", "t0": 0.1, "t1": 0.3, "tid": 5}\n'),
+            ("m.json", json.dumps(MetricsRegistry().to_dict())),
+            ("list.json", "[1, 2]"),
+        ],
+        ids=["jsonl", "one-line-jsonl", "metrics-json", "list-of-non-events"],
+    )
+    def test_load_trace_refuses_other_formats(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a Chrome trace"):
+            load_trace(path)
 
     def test_null_tracer_is_inert(self):
         with NULL_TRACER.span("anything", cat="x", k=1) as cm:

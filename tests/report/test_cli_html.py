@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -109,14 +111,27 @@ class TestReportVerb:
         assert_self_contained(out1, "manifest", "history", "sweep", "trace", "metrics")
         assert out1.read_text() == out2.read_text()
 
-    def test_jsonl_trace_also_loads(self, tmp_path):
-        trace = tmp_path / "t.json"
-        assert main(run_args(tmp_path, "--trace", str(trace))) == 0
-        jsonl = trace.with_suffix(".jsonl")
-        assert jsonl.is_file()
-        out = tmp_path / "r.html"
-        assert main(["report", "--out", str(out), "--trace", str(jsonl)]) == 0
-        assert_self_contained(out, "trace")
+    def test_run_writes_one_file_per_artifact(self, tmp_path):
+        trace, metrics = tmp_path / "t.json", tmp_path / "m.json"
+        assert main(run_args(tmp_path, "--trace", str(trace), "--metrics", str(metrics))) == 0
+        assert sorted(tmp_path.iterdir()) == [metrics, trace]
+
+    @pytest.mark.parametrize("verb", ["profile", "report"])
+    def test_jsonl_trace_is_refused_by_name(self, tmp_path, capsys, verb):
+        """The JSONL event stream older runs wrote beside the Chrome trace."""
+        jsonl = tmp_path / "t.jsonl"
+        jsonl.write_text(
+            '{"type": "span", "name": "round", "cat": "sim", "t0": 0.0, "t1": 1.0, "tid": 0}\n'
+            '{"type": "instant", "name": "mark", "cat": "sim", "t": 0.5, "tid": 0}\n'
+        )
+        argv = (
+            ["profile", str(jsonl)]
+            if verb == "profile"
+            else ["report", "--out", str(tmp_path / "r.html"), "--trace", str(jsonl)]
+        )
+        assert main(argv) == 2
+        assert "is not a Chrome trace" in capsys.readouterr().err
+        assert not (tmp_path / "r.html").exists()
 
     def test_metrics_json_round_trips_through_export(self, tmp_path):
         metrics = tmp_path / "m.json"

@@ -55,7 +55,6 @@ UNSELECTED_PACKAGES = (
     "repro.hier",
     "repro.scenarios",
     "repro.report",
-    "repro.analysis",
     "repro.experiments",
     "repro.viz",
     "repro.cli",

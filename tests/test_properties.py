@@ -16,7 +16,7 @@ from repro.core.aggregation import weighted_sparse_sum
 from repro.core.bcrs import schedule_ratios
 from repro.core.coefficients import adjusted_coefficients
 from repro.core.opwa import opwa_mask
-from repro.core.overlap import overlap_counts, overlap_distribution
+from repro.core.overlap import narrow_overlap_counts, overlap_distribution
 from repro.network.cost import LinkSpec, sparse_uplink_time
 from repro.robust.aggregators import robust_aggregate
 
@@ -63,7 +63,7 @@ class TestAggregationAlgebra:
         rng = np.random.default_rng(seed)
         updates = [random_sparse(rng, d) for _ in range(n)]
         weights = rng.random(n) + 0.1
-        mask = opwa_mask(overlap_counts(updates), gamma)
+        mask = opwa_mask(narrow_overlap_counts(updates), gamma)
         plain = weighted_sparse_sum(updates, weights)
         masked = robust_aggregate(updates, weights, mask=mask)
         np.testing.assert_allclose(masked, plain * mask, atol=1e-9)
@@ -81,7 +81,7 @@ class TestCompressionOverlapConsistency:
         topk = TopK()
         updates = [topk.compress(rng.normal(size=d).astype(np.float32), ratio) for _ in range(n)]
         dist = overlap_distribution(updates)
-        counts = overlap_counts(updates)
+        counts = narrow_overlap_counts(updates)
         assert dist.total_retained == int((counts > 0).sum())
         # Total index mass: sum over histogram of degree×count equals nnz sum.
         degrees = np.arange(1, n + 1)

@@ -50,7 +50,6 @@ ENTRY_DIRS = ("bench", "benchmarks", "examples", "scripts")
 #: Modules (with everything below them) that only tests may reach.
 ALLOWED_MODULES = {
     "repro.testing": "test support by design: the golden-history harness",
-    "repro.analysis": "ROADMAP item 4 wires it into per-round diagnostics or deletes it",
     "repro.io.checkpoint": "ROADMAP item 3 makes resume exact through it or deletes it",
     "repro.experiments.metrics": "ROADMAP item 2's claims table takes speedup_to_target or deletes it",
 }
@@ -62,8 +61,11 @@ ALLOWED_NAMES = {
     ("repro.compression.base", "compression_error"): (
         "the reference metric the compressor tests measure against"
     ),
-    ("repro.nn.params", "param_slices"): (
-        "the flat layout repro.analysis.layerwise takes as input; goes or stays with it"
+    ("repro.compression.base", "retained_mass"): (
+        "ROADMAP item 4(a) records each round's retained mass through it"
+    ),
+    ("repro.core.aggregation", "weighted_sparse_sum"): (
+        "bench/layers.py wraps it by name as the aggregate layer"
     ),
     ("repro.viz.ascii", "ascii_sweep_grid"): (
         "tests/report/golden_summaries.txt pins it as the text twin of the report's heatmap"
