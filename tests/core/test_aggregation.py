@@ -28,6 +28,14 @@ class TestWeightedSparseSum:
         ref = sum(w * u.to_dense().astype(np.float64) for w, u in zip(weights, updates))
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
+    def test_full_ratio_aggregate_equals_dense_average(self, rng):
+        d = 50
+        dense = [rng.normal(size=d).astype(np.float32) for _ in range(3)]
+        weights = np.full(3, 1 / 3)
+        got = weighted_sparse_sum([TopK().compress(u, 1.0) for u in dense], weights)
+        ref = sum(w * u.astype(np.float64) for w, u in zip(weights, dense))
+        np.testing.assert_allclose(got, ref, atol=1e-12)
+
     def test_mask_applied_per_parameter(self):
         u1 = sparse(4, [0, 1], [1.0, 1.0])
         u2 = sparse(4, [1, 2], [1.0, 1.0])
@@ -105,6 +113,25 @@ class TestFedAvgRecovery:
         new = apply_server_update(w_global, weighted_sparse_sum(updates, f), server_step=1.0)
         expected = sum(fi * wm.astype(np.float64) for fi, wm in zip(f, client_models))
         np.testing.assert_allclose(new, expected, atol=1e-5)
+
+    def test_gamma_n_mask_restores_disjoint_compressed_updates(self, rng):
+        """The OPWA rationale with disjoint supports: every retained index is
+        a singleton, so γ = |S_t| undoes the 1/|S_t| weight and the masked
+        aggregate is the sum of the compressed updates, |S_t| times the
+        unmasked one."""
+        d, n = 400, 4
+        compressed = []
+        for i in range(n):
+            u = np.zeros(d, dtype=np.float32)
+            u[i * 100 : i * 100 + 100] = rng.normal(size=100)
+            compressed.append(TopK().compress(u, 0.1))
+        weights = np.full(n, 1.0 / n)
+        unmasked = weighted_sparse_sum(compressed, weights).copy()
+        mask = opwa_mask_from_updates(compressed, gamma=float(n))
+        masked = robust_aggregate(compressed, weights, mask=mask)
+        total = sum(c.to_dense().astype(np.float64) for c in compressed)
+        np.testing.assert_allclose(masked, total, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(masked, n * unmasked, rtol=1e-12, atol=1e-12)
 
     def test_gamma_mask_amplifies_unique_updates(self, rng):
         """OPWA vs uniform: unique parameters move further under the mask."""

@@ -310,6 +310,11 @@ class TestTransport:
         t = Transport("fair", 1.0 * MBIT)
         assert t.pipe() is t.pipe()
 
+    def test_pipe_is_scoped_to_its_transport(self):
+        assert Transport("fair", 1.0 * MBIT).pipe() is not Transport("fair", 1.0 * MBIT).pipe()
+        assert Transport("fair", 1.0 * MBIT).pipe().capacity_bps == 1.0 * MBIT
+        assert Transport().pipe().capacity_bps is None  # uncontended: exclusive links
+
     def test_broadcast_free_link_costs_nothing(self):
         t = Transport()
         assert t.broadcast_seconds(None, Payload.dense(1e9)) == 0.0

@@ -32,6 +32,16 @@ class TestFlatParams:
         set_flat_params(model, flat2)
         np.testing.assert_array_equal(get_flat_params(model), flat2)
 
+    def test_flat_vector_covers_every_parameter_in_order(self):
+        model = build_mlp(6, 2, hidden=(4,), seed=0)
+        total = num_parameters(model)
+        set_flat_params(model, np.arange(total, dtype=np.float32))
+        start = 0
+        for p in model.parameters():
+            np.testing.assert_array_equal(p.data.ravel(), np.arange(start, start + p.data.size))
+            start += p.data.size
+        assert start == total
+
     def test_set_rejects_wrong_size(self):
         model = build_mlp(4, 2, hidden=(3,), seed=0)
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""MetricsRegistry instruments, snapshots, and both export formats."""
+"""MetricsRegistry instruments, snapshots, and the JSON export."""
 
 from __future__ import annotations
 
@@ -87,4 +87,22 @@ class TestSnapshotsAndExport:
         hist = by_name[("t", ())]
         assert hist["count"] == 1 and hist["buckets"][0]["count"] == 1
         assert doc["snapshots"][0]["round"] == 0
+
+    def test_json_export_holds_gauges_and_every_histogram_bucket(self):
+        reg = MetricsRegistry()
+        depth = reg.gauge("ingress_depth")
+        depth.set(5)
+        depth.set(3)
+        hist = reg.histogram("task_seconds", buckets=(0.1, 1.0))
+        hist.observe(0.5)
+        hist.observe(2.0)
+        by_name = {m["name"]: m for m in reg.to_dict()["metrics"]}
+        assert by_name["ingress_depth"]["value"] == 3
+        assert by_name["ingress_depth"]["peak"] == 5
+        task = by_name["task_seconds"]
+        assert (task["count"], task["sum"], task["min"], task["max"]) == (2, 2.5, 0.5, 2.0)
+        # Per-bucket counts, with +inf closing the series.
+        assert [(b["le"], b["count"]) for b in task["buckets"]] == [
+            (0.1, 0), (1.0, 1), (float("inf"), 1),
+        ]
 

@@ -133,6 +133,25 @@ class TestReportVerb:
         assert "is not a Chrome trace" in capsys.readouterr().err
         assert not (tmp_path / "r.html").exists()
 
+    @pytest.mark.parametrize("verb", ["profile", "report"])
+    def test_metrics_json_is_refused_as_a_trace(self, tmp_path, capsys, verb):
+        metrics = tmp_path / "m.json"
+        assert main(run_args(tmp_path, "--metrics", str(metrics))) == 0
+        argv = (
+            ["profile", str(metrics)]
+            if verb == "profile"
+            else ["report", "--out", str(tmp_path / "r.html"), "--trace", str(metrics)]
+        )
+        assert main(argv) == 2
+        assert "is not a Chrome trace" in capsys.readouterr().err
+        assert not (tmp_path / "r.html").exists()
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+    def test_run_writes_only_the_requested_artifact(self, tmp_path, flag):
+        artifact = tmp_path / "a.json"
+        assert main(run_args(tmp_path, flag, str(artifact))) == 0
+        assert sorted(tmp_path.iterdir()) == [artifact]
+
     def test_metrics_json_round_trips_through_export(self, tmp_path):
         metrics = tmp_path / "m.json"
         assert main(run_args(tmp_path, "--metrics", str(metrics))) == 0

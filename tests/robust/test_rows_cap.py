@@ -105,20 +105,39 @@ def test_arena_refuses_rows_past_the_cap(three_rows):
         buffers.rows(4)
 
 
-def test_async_cap_is_sized_by_the_buffer(three_rows):
+@pytest.mark.parametrize(
+    "overrides, capacity",
+    [
+        ({}, ("clients_per_round", 3)),
+        ({"mode": "async"}, ("async_buffer_size", 2)),  # K = ⌈M/2⌉, M = |S_t|
+        ({"mode": "async", "buffer_size": 8}, ("async_buffer_size", 8)),
+        ({"mode": "semisync", "late_policy": "drop"}, ("clients_per_round", 3)),
+        ({"mode": "semisync", "late_policy": "carryover"}, ("num_clients", 10)),
+    ],
+    ids=["sync", "async-default-buffer", "async-buffer-8", "semisync-drop", "semisync-carryover"],
+)
+def test_fold_capacity_per_mode(overrides, capacity):
+    assert fold_capacity(small(**overrides)) == capacity
+
+
+@pytest.mark.parametrize("aggregator", ROW_RULES)
+def test_async_cap_is_sized_by_the_buffer(three_rows, aggregator):
     """An async window folds K = 8 updates, not |S_t| = 3."""
-    config = small(mode="async", buffer_size=8)
+    config = small(mode="async", buffer_size=8, aggregator=aggregator)
     assert fold_capacity(config) == ("async_buffer_size", 8)
-    with pytest.raises(ValueError, match="aggregator='median'.*async_buffer_size=8"):
+    with pytest.raises(ValueError, match=f"aggregator='{aggregator}'.*async_buffer_size=8"):
         make_simulation(config)
     make_simulation(config.with_(buffer_size=3)).close()
 
 
-def test_semisync_carryover_cap_is_sized_by_the_fleet(three_rows):
+@pytest.mark.parametrize("aggregator", ROW_RULES)
+def test_semisync_carryover_cap_is_sized_by_the_fleet(three_rows, aggregator):
     """A carryover window folds its fresh cohort plus the late updates that
     land in it; dropping late updates keeps every window within |S_t|."""
-    config = small(mode="semisync", deadline_quantile=0.1, late_policy="carryover")
-    with pytest.raises(ValueError, match="aggregator='median'.*num_clients=10"):
+    config = small(
+        mode="semisync", deadline_quantile=0.1, late_policy="carryover", aggregator=aggregator
+    )
+    with pytest.raises(ValueError, match=f"aggregator='{aggregator}'.*num_clients=10"):
         make_simulation(config)
     make_simulation(config.with_(late_policy="drop")).close()
 
