@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments import bench_config, format_table, run_grid
+from repro.experiments import bench_config, format_table
+from repro.fl import run_experiment
 
 ALGS = ["fedavg", "topk", "eftopk", "bcrs"]
 
 
 @pytest.mark.parametrize("beta,cr", [(0.1, 0.1), (0.1, 0.01), (0.5, 0.1), (0.5, 0.01)])
 def test_fig10_accuracy_vs_time(once, beta, cr):
-    base = bench_config("cifar10", "bcrs", beta=beta, rounds=50, compression_ratio=cr)
-    results = once(run_grid, base, {"algorithm": ALGS}).by_axis("algorithm")
+    shape = dict(beta=beta, rounds=50, compression_ratio=cr)
+    results = {alg: once(run_experiment, bench_config("cifar10", alg, **shape)) for alg in ALGS}
 
     rows = []
     for alg in ALGS:

@@ -17,16 +17,10 @@ GAMMAS = [2.0, 5.0, 8.0, 11.0, 14.0]
 
 @pytest.mark.parametrize("num_clients", [16, 20])
 def test_fig12_gamma_scaling(once, num_clients):
-    base = bench_config(
-        "cifar10",
-        "bcrs_opwa",
-        beta=0.1,
-        compression_ratio=0.01,
-        num_clients=num_clients,
-        num_train=1600,
-    )
+    shape = dict(beta=0.1, compression_ratio=0.01, num_clients=num_clients, num_train=1600)
+    base = bench_config("cifar10", "bcrs_opwa", **shape)
     results = once(run_grid, base, {"gamma": GAMMAS}).by_axis("gamma")
-    topk = once(run_experiment, base.with_(algorithm="topk"))
+    topk = once(run_experiment, bench_config("cifar10", "topk", **shape))
 
     rows = [["topk", f"{topk.final_accuracy():.4f}"]]
     rows += [[f"gamma={int(g)}", f"{results[g].final_accuracy():.4f}"] for g in GAMMAS]

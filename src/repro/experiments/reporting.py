@@ -14,22 +14,10 @@ from repro.viz.ascii import _num, ascii_comm_table, format_table
 
 __all__ = [
     "format_table",
-    "time_to_accuracy_row",
     "series_text",
     "summarize_comm",
     "summarize_sweep",
 ]
-
-
-def time_to_accuracy_row(
-    name: str, history: History, target: float, paper: tuple | None = None
-) -> list[str]:
-    """[algorithm, actual, max, min (measured) | paper actual] — Table 3 rows."""
-    t = history.time_to_accuracy(target)
-    row = [name, _num(t["actual"], 2), _num(t["max"], 2), _num(t["min"], 2)]
-    if paper is not None:
-        row.append(_num(paper[0], 2))
-    return row
 
 
 def series_text(history: History, *, every: int = 10, width: int = 40) -> str:

@@ -208,23 +208,14 @@ class History:
 
     # ---- Table 3: time to target accuracy ----------------------------------
 
-    def time_to_accuracy(self, target: float) -> dict[str, float | None]:
-        """Accumulated Actual/Max/Min communication time when ``target`` is
-        first reached (None if never) — the Table 3 extraction."""
-        actual = maximum = minimum = 0.0
+    def time_to_accuracy(self, target: float) -> float | None:
+        """Accumulated actual communication time when ``target`` is first
+        reached (None if never) — the Table 3 extraction."""
+        actual = 0.0
         for r in self.records:
             actual += r.times.actual
-            maximum += r.times.maximum
-            minimum += r.times.minimum
             if r.test_accuracy is not None and r.test_accuracy >= target:
-                return {"actual": actual, "max": maximum, "min": minimum}
-        return {"actual": None, "max": None, "min": None}
-
-    def rounds_to_accuracy(self, target: float) -> int | None:
-        """First round index reaching ``target`` accuracy (None if never)."""
-        for r in self.records:
-            if r.test_accuracy is not None and r.test_accuracy >= target:
-                return r.round_index
+                return actual
         return None
 
     # ---- transport flow accounting -----------------------------------------

@@ -51,6 +51,13 @@ __all__ = ["AsyncSimulation", "SemiSyncSimulation"]
 _EPS = 1e-9
 
 
+def _idle_ids(positions, busy: set[int]) -> list[int]:
+    """The ids at ascending ``positions`` among the ids not in ``busy``: j plus the busy
+    ids at most j idle ids precede, counted over the sorted busy set, not the fleet."""
+    taken = np.sort(np.fromiter(busy, np.int64, len(busy)))
+    return (positions + np.searchsorted(taken - np.arange(taken.size), positions, "right")).tolist()
+
+
 @dataclass
 class _Pending:
     """One in-flight (dispatched, not yet aggregated) client update.
@@ -365,8 +372,9 @@ class AsyncSimulation(_EventDrivenSimulation):
             self._buffer.append(pend)
             # Refill the slot: uniform over idle clients (the arrived client
             # is idle again, so the pool is never empty).
-            idle = [c for c in range(self.config.num_clients) if c not in self._in_flight]
-            self._launch(idle[int(self._rng.integers(len(idle)))], self.now)
+            n_idle = self.config.num_clients - len(self._in_flight)
+            (cid,) = _idle_ids([self._rng.integers(n_idle)], self._in_flight)
+            self._launch(cid, self.now)
 
         self._flush_training()  # everything dispatched this window, batched
         window, self._buffer = self._buffer, []
@@ -408,12 +416,11 @@ class SemiSyncSimulation(_EventDrivenSimulation):
         self._busy: set[int] = set()  # carryover clients still uploading
 
     def _select(self) -> list[int]:
-        idle = [c for c in range(self.config.num_clients) if c not in self._busy]
-        k = min(self.config.clients_per_round, len(idle))
+        n_idle = self.config.num_clients - len(self._busy)
+        k = min(self.config.clients_per_round, n_idle)
         if k == 0:
             return []
-        chosen = self._rng.choice(len(idle), size=k, replace=False)
-        return sorted(int(idle[i]) for i in chosen)
+        return _idle_ids(np.sort(self._rng.choice(n_idle, size=k, replace=False)), self._busy)
 
     def run_round(self) -> RoundRecord:
         with self.obs.tracer.span("round", cat="sim", round=self.round_index):

@@ -88,24 +88,19 @@ class TestTimeToAccuracy:
         h = History()
         h.append(record(0, acc=0.2, actual=1.0, maximum=3.0, minimum=0.5))
         h.append(record(1, acc=0.5, actual=1.0, maximum=3.0, minimum=0.5))
-        out = h.time_to_accuracy(0.4)
-        assert out["actual"] == pytest.approx(2.0)
-        assert out["max"] == pytest.approx(6.0)
-        assert out["min"] == pytest.approx(1.0)
-        assert h.rounds_to_accuracy(0.4) == 1
+        assert h.time_to_accuracy(0.4) == pytest.approx(2.0)
 
     def test_never_reached(self):
         h = History()
         h.append(record(0, acc=0.1))
-        assert h.time_to_accuracy(0.9) == {"actual": None, "max": None, "min": None}
-        assert h.rounds_to_accuracy(0.9) is None
+        assert h.time_to_accuracy(0.9) is None
 
     def test_counts_unevaluated_round_times(self):
         """Communication cost accrues even on rounds without evaluation."""
         h = History()
         h.append(record(0, actual=5.0))
         h.append(record(1, acc=0.9, actual=1.0))
-        assert h.time_to_accuracy(0.5)["actual"] == pytest.approx(6.0)
+        assert h.time_to_accuracy(0.5) == pytest.approx(6.0)
 
 
 class TestBreakdown:

@@ -7,7 +7,7 @@ from repro.exec import BACKENDS
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.simtime import make_simulation
-from repro.simtime.protocols import AsyncSimulation, SemiSyncSimulation
+from repro.simtime.protocols import AsyncSimulation, SemiSyncSimulation, _idle_ids
 
 #: Every registered backend but the serial reference.
 PARALLEL = [b for b in BACKENDS if b != "serial"]
@@ -189,6 +189,50 @@ class TestSemiSync:
         _, h = run_sim(small_config(mode="semisync", algorithm="bcrs", rounds=3))
         realized = [rr for r in h.records for rr in r.ratios]
         assert len(set(realized)) > 1  # per-client scheduled ratios differ
+
+
+class _CountingSet(set):
+    """A client-id set that counts membership probes and full scans."""
+
+    probes = scans = 0
+
+    def __contains__(self, cid):
+        self.probes += 1
+        return super().__contains__(cid)
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+class TestIdlePickBudget:
+    """Picking idle clients costs O(clients in flight), not O(fleet): each
+    pick reads the busy set once and never probes it id by id, so no list
+    of ``num_clients`` ids is built per arrival or per selection."""
+
+    def test_async_refill_scans_the_in_flight_set_once_per_arrival(self):
+        cfg = small_config(mode="async", buffer_size=2, rounds=3)
+        with make_simulation(cfg) as sim:
+            sim._in_flight = busy = _CountingSet()
+            sim.run()
+        assert (busy.probes, busy.scans) == (0, cfg.async_buffer_size * cfg.rounds)
+
+    def test_semisync_selection_scans_the_busy_set_once_per_round(self):
+        cfg = small_config(mode="semisync", deadline_quantile=0.3, rounds=4)
+        with make_simulation(cfg) as sim:
+            sim._busy = busy = _CountingSet()
+            h = sim.run()
+        assert (busy.probes, busy.scans) == (0, cfg.rounds)
+        assert any(r.mean_staleness for r in h.records)  # carryover kept clients busy
+
+    def test_picks_the_same_ids_as_the_idle_list(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            busy = set(rng.choice(n, size=int(rng.integers(0, n)), replace=False).tolist())
+            idle = [c for c in range(n) if c not in busy]
+            pos = np.sort(rng.choice(len(idle), size=int(rng.integers(1, len(idle) + 1)), replace=False))
+            assert _idle_ids(pos, busy) == [idle[i] for i in pos]
 
 
 class TestReachesSyncTarget:

@@ -51,7 +51,6 @@ ENTRY_DIRS = ("bench", "benchmarks", "examples", "scripts")
 ALLOWED_MODULES = {
     "repro.testing": "test support by design: the golden-history harness",
     "repro.io.checkpoint": "ROADMAP item 3 makes resume exact through it or deletes it",
-    "repro.experiments.metrics": "ROADMAP item 2's claims table takes speedup_to_target or deletes it",
 }
 #: Exported names that only tests may use.
 ALLOWED_NAMES = {
