@@ -16,10 +16,6 @@ import pytest
 from repro.fl import run_experiment
 from repro.scenarios import RunStore, run_grid
 
-# Test modules import this file as ``benchmarks.conftest``; pytest loads it
-# under another name. One module object keeps one ``_BLOCKS`` for both.
-sys.modules.setdefault("benchmarks.conftest", sys.modules[__name__])
-
 #: Result blocks accumulated during the run; flushed into the terminal
 #: summary so the regenerated tables/figures appear in the bench log even
 #: under pytest's fd-level capture — the bench output *is* the artifact.

@@ -15,7 +15,7 @@ null implementations, ``enabled`` is False, and every instrumentation site
 degrades to an attribute load plus a branch — an untraced run reaches a
 fixed handful of sites per round and none per client step
 (``tests/obs/test_null_path_budget.py``). The hard contract, enforced by
-``tests/obs/test_determinism.py``:
+``tests/test_invariance.py``:
 observability never touches a seeded RNG stream, so histories are
 bit-identical with tracing on or off, on every backend, in every protocol
 mode.

@@ -1,4 +1,8 @@
-"""Backend equivalence: seeded runs are bit-identical on every backend."""
+"""Execution backends: lifecycle, plumbing, and what a windowed round keeps.
+
+That a seeded run is bit-identical on every backend and worker count is
+checked for drawn configs by the invariance harness, ``tests/test_invariance.py``.
+"""
 
 from __future__ import annotations
 
@@ -21,87 +25,15 @@ from repro.exec import (
 )
 from repro.exec import process as exec_process
 from repro.exec.process import ProcessBackend
-from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.simtime import make_simulation
+from tests.test_invariance import assert_same_trace, small_config, trace
 
 #: Every registered backend but the serial reference.
 PARALLEL = [b for b in BACKENDS if b != "serial"]
 
-#: Worker counts each parallel case runs at. Client ``cid`` trains on worker
-#: ``cid % workers``, so each count lays the cohort out differently, and
-#: neither layout may show in the result.
-WORKERS = (2, 3)
-
-
-def small_config(**overrides) -> ExperimentConfig:
-    base = dict(
-        dataset="synth-cifar10",
-        model="mlp",
-        num_train=240,
-        num_test=120,
-        num_clients=6,
-        participation=0.5,
-        rounds=3,
-        batch_size=32,
-        algorithm="bcrs_opwa",
-        compression_ratio=0.1,
-        seed=3,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-def run_history(config: ExperimentConfig):
-    with Simulation(config) as sim:
-        return sim.run()
-
-
-def assert_histories_identical(a, b) -> None:
-    """Field-by-field equality of the deterministic record fields.
-
-    ``train_seconds``/``compress_seconds`` are wall clock and excluded.
-    """
-    assert len(a) == len(b)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.round_index == rb.round_index
-        assert ra.selected == rb.selected
-        assert ra.train_loss == rb.train_loss
-        assert ra.test_accuracy == rb.test_accuracy
-        assert ra.times == rb.times
-        assert ra.ratios == rb.ratios
-        assert ra.weights == rb.weights
-        assert ra.singleton_fraction == rb.singleton_fraction
-
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("backend", PARALLEL)
-    def test_bcrs_opwa_matches_serial(self, backend, workers):
-        serial = run_history(small_config())
-        other = run_history(small_config(backend=backend, workers=workers))
-        assert_histories_identical(serial, other)
-
-    @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("backend", PARALLEL)
-    def test_stateful_ef_compressor_matches_serial(self, backend, workers):
-        """Error feedback keeps per-client residual state across rounds."""
-        serial = run_history(small_config(algorithm="eftopk", rounds=4, seed=5))
-        other = run_history(
-            small_config(algorithm="eftopk", rounds=4, seed=5, backend=backend, workers=workers)
-        )
-        assert_histories_identical(serial, other)
-
-    @pytest.mark.parametrize("workers", WORKERS)
-    def test_dense_fedavg_matches_serial(self, workers):
-        serial = run_history(small_config(algorithm="fedavg", compression_ratio=1.0))
-        proc = run_history(
-            small_config(
-                algorithm="fedavg", compression_ratio=1.0, backend="process", workers=workers
-            )
-        )
-        assert_histories_identical(serial, proc)
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_held_round_updates_survive_later_rounds(self, backend):
         """An update owns its arrays: results a caller kept from one
@@ -128,18 +60,14 @@ class TestWindowedRounds:
     def test_backends_agree_beyond_one_window(self, monkeypatch, mode, extra):
         monkeypatch.setattr(exec_process, "WINDOW", 2)
         cfg = small_config(mode=mode, rounds=2, **extra)
-        histories = {}
-        for backend in BACKENDS:
-            with make_simulation(cfg.with_(backend=backend, workers=2)) as sim:
-                histories[backend] = sim.run()
+        want = trace(make_simulation(cfg))
         # Every aggregation spans at least three windows.
-        for r in histories["serial"].records:
-            cohorts = [len(e.selected) for e in r.edge_breakdown or ()] or [len(r.selected)]
+        for r in want["history"]["records"]:
+            cohorts = [len(e["selected"]) for e in r["edge_breakdown"] or ()] or [len(r["selected"])]
             assert min(cohorts) >= 5
         for backend in PARALLEL:
-            assert_histories_identical(histories["serial"], histories[backend])
-            for a, b in zip(histories["serial"].records, histories[backend].records):
-                assert (a.sim_start, a.sim_end, a.comm) == (b.sim_start, b.sim_end, b.comm)
+            got = trace(make_simulation(cfg.with_(backend=backend, workers=2)))
+            assert_same_trace(want, got, f"{backend} backend, two-position windows")
 
     @pytest.mark.parametrize("backend", PARALLEL)
     def test_an_abandoned_stream_poisons_the_backend(self, monkeypatch, backend):

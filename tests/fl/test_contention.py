@@ -4,50 +4,25 @@ contention, and the flow-accounting ledger across all four protocols.
 The companion unit/property suite lives in tests/network/test_transport.py;
 this file checks the *integration* invariants: exclusive runs price exactly
 Eq. 4 on the emitted bits, fair runs are never faster than exclusive ones,
-contended histories stay bit-identical across execution backends, and the
-per-round ledgers add up to what the compressors actually emitted.
+and the per-round ledgers add up to what the compressors actually emitted.
+That contended runs are the same on every backend is the invariance
+harness's check (``tests/test_invariance.py``).
 """
+
+import functools
 
 import pytest
 
 from repro.compression.base import SparseUpdate
-from repro.exec import BACKENDS
-from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.network.cost import uplink_time
-from repro.simtime import make_simulation
+from tests import test_invariance as invariance
+from tests.test_invariance import run_sim
 
 ALL_MODES = ["sync", "semisync", "async", "hier"]
 
-#: Worker counts each parallel case runs at. Client ``cid`` trains on worker
-#: ``cid % workers``, so each count lays the cohort out differently, and
-#: neither layout may show in the result.
-WORKERS = (2, 3)
-
-
-def small_config(**overrides) -> ExperimentConfig:
-    base = dict(
-        dataset="synth-cifar10",
-        model="mlp",
-        num_train=240,
-        num_test=120,
-        num_clients=6,
-        participation=0.5,
-        rounds=3,
-        batch_size=32,
-        algorithm="topk",
-        compression_ratio=0.2,
-        seed=3,
-        eval_every=1,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-def run_sim(config):
-    with make_simulation(config) as sim:
-        history = sim.run()
-    return sim, history
+#: The transport tests' runs: uniform Top-K at CR 0.2.
+small_config = functools.partial(invariance.small_config, algorithm="topk", compression_ratio=0.2)
 
 
 def run_sim_keeping_updates(config, monkeypatch):
@@ -141,28 +116,6 @@ class TestFairContention:
             small_config(contention="fair")
         with pytest.raises(ValueError, match="contention"):
             small_config(contention="tdma")
-
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "serial"])
-    def test_contended_runs_bit_identical_across_backends(self, mode, backend, workers):
-        """The determinism contract extends to contended transfers."""
-        cfg = small_config(
-            mode=mode, algorithm="eftopk", rounds=3, seed=5,
-            contention="fair", server_ingress_mbps=0.8,
-        )
-        serial_sim, serial_h = run_sim(cfg)
-        other_sim, other_h = run_sim(cfg.with_(backend=backend, workers=workers))
-        assert len(serial_h) == len(other_h)
-        for ra, rb in zip(serial_h.records, other_h.records):
-            assert ra.selected == rb.selected
-            assert ra.train_loss == rb.train_loss
-            assert ra.times == rb.times
-            assert ra.weights == rb.weights
-            assert ra.sim_start == rb.sim_start
-            assert ra.sim_end == rb.sim_end
-            assert ra.comm == rb.comm
-        assert serial_sim.spans.spans == other_sim.spans.spans
 
     def test_semisync_drop_frees_ingress(self):
         """late_policy='drop' cancels the straggler's flow; the run still

@@ -25,6 +25,7 @@ from repro.io.history_io import history_to_dict
 from repro.simtime import make_simulation
 from repro.simtime.profiles import pipeline_times
 from repro.simtime.protocols import _EventDrivenSimulation
+from tests.test_invariance import ASYNC_DEGRADES
 
 
 def config(**overrides) -> ExperimentConfig:
@@ -129,7 +130,7 @@ def run(cfg: ExperimentConfig, monkeypatch, *, reference: bool):
 
             patch.setattr(Simulation, name, recording)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # bcrs_opwa under async degrades, loudly
+            warnings.filterwarnings("ignore", ASYNC_DEGRADES, UserWarning)
             with make_simulation(cfg) as sim:
                 history = sim.run()
                 spans = list(sim.spans)

@@ -38,23 +38,22 @@ truncated upload its kept prefix instead of its full size; what it
 aggregates is unchanged. ``async-volume-lossy`` used to drop every truncated
 upload whole, and now delivers its prefix, so its learning moves from round
 0. ``semisync-drop-fixed-volume`` (Top-K at CR 0.2, whole entries already, no
-faults) replays unchanged. Every cell runs on every registered backend
-(``serial`` and ``process``), each parallel one at two worker counts:
-seeded runs are bit-identical across backends and worker counts, so each
-replays the same digests.
+faults) replays unchanged. The cells replay serially; that each replays the
+same on every backend and worker count is the invariance harness's check
+(``tests/test_invariance.py``), whose explicit examples carry the features
+here its drawn configs do not reach.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 
 import pytest
 
-from repro.exec import BACKENDS
 from repro.fl.config import ExperimentConfig
 from repro.testing.goldens import run_trace
+from tests.test_invariance import ASYNC_DEGRADES
 
 
 def _cfg(**overrides) -> ExperimentConfig:
@@ -232,34 +231,13 @@ def digests(trace: dict) -> list[str]:
     return [digest(rec) for rec in trace["history"]["records"]] + [digest(trace["spans"])]
 
 
-#: Worker counts each parallel case runs at. Client ``cid`` trains on worker
-#: ``cid % workers``, so each count lays the cohort out differently, and
-#: neither layout may show in the result.
-WORKERS = (2, 3)
-
-
-def pinned_trace(name: str, backend: str, workers: int) -> dict:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # bcrs_opwa under async degrades, loudly
-        return run_trace(CELLS[name].with_(backend=backend, workers=workers))
-
-
-#: Every cell on every backend; the serial one ignores the worker count.
-CASES = [
-    (name, backend, workers)
-    for backend in BACKENDS
-    for workers in (WORKERS[-1:] if backend == "serial" else WORKERS)
-    for name in CELLS
-]
-
-
-@pytest.mark.parametrize("name,backend,workers", CASES)
-def test_round_path_replays_its_pinned_digests(name, backend, workers):
-    got = digests(pinned_trace(name, backend, workers))
+@pytest.mark.filterwarnings(f"ignore:{ASYNC_DEGRADES}:UserWarning")
+@pytest.mark.parametrize("name", CELLS)
+def test_round_path_replays_its_pinned_digests(name):
+    got = digests(run_trace(CELLS[name]))
     want = PINNED[name]
     assert len(got) == len(want)
     differing = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
     assert not differing, (
-        f"{name} on {backend} ({workers} workers): first differing round {differing[0]} "
-        f"(the last index is the span log)"
+        f"{name}: first differing round {differing[0]} (the last index is the span log)"
     )

@@ -20,30 +20,18 @@ import pytest
 
 from repro.core.aggregation import CohortFold
 from repro.exec import BACKENDS
-from repro.fl.config import ExperimentConfig
 from repro.simtime import make_simulation
+from tests.test_invariance import small_config
 
 CASES = [(mode, backend) for mode in ("sync", "semisync", "async", "hier") for backend in BACKENDS]
 
 
-def small_config(mode: str, backend: str) -> ExperimentConfig:
+def lifetime_config(mode: str, backend: str):
+    """Eight clients of uniform Top-K; hier splits them over two edges of two sub-rounds."""
     extra = dict(num_edges=2, edge_rounds=2) if mode == "hier" else {}
-    return ExperimentConfig(
-        dataset="synth-cifar10",
-        model="mlp",
-        num_train=240,
-        num_test=120,
-        num_clients=8,
-        participation=0.5,
-        rounds=3,
-        batch_size=32,
-        algorithm="topk",
-        compression_ratio=0.1,
-        seed=3,
-        mode=mode,
-        backend=backend,
-        workers=2 if backend != "serial" else None,
-        **extra,
+    return small_config(
+        num_clients=8, algorithm="topk", mode=mode, backend=backend,
+        workers=2 if backend != "serial" else None, **extra,
     )
 
 
@@ -63,7 +51,7 @@ def test_previous_round_updates_are_released_before_dispatch(mode, backend, monk
         return real_add(self, update, weight)
 
     monkeypatch.setattr(CohortFold, "add", recording_add)
-    with make_simulation(small_config(mode, backend)) as sim:
+    with make_simulation(lifetime_config(mode, backend)) as sim:
         sim.run_round()
         assert folded and sim.last_overlap is not None
         assert all(ref() is None for ref in folded)
@@ -96,7 +84,7 @@ def test_previous_round_updates_are_released_before_dispatch(mode, backend, monk
 def test_no_update_outlives_its_round(mode, backend):
     """Not one update a sync or hier round's backend yielded — aggregated or
     not — is alive once ``run_round`` returns."""
-    with make_simulation(small_config(mode, backend)) as sim:
+    with make_simulation(lifetime_config(mode, backend)) as sim:
         yielded: list[weakref.ref] = []
         inner = sim.backend.run_round
 

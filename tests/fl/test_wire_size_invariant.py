@@ -29,6 +29,7 @@ from repro.scenarios.registry import REGISTRY
 from repro.simtime import make_simulation
 
 from tests.fl.test_round_paths_pinned import _ASYNC, _SEMISYNC, CELLS, _cfg
+from tests.test_invariance import ASYNC_DEGRADES
 
 UNPRICED = {name: cfg.with_(volume_override_bits=None, rounds=2) for name, cfg in CELLS.items()}
 UNPRICED.update(
@@ -74,7 +75,7 @@ def priced_and_trained(cfg, monkeypatch) -> tuple[list, list]:
         patch.setattr(Simulation, "_stage_dispatch", stage)
         patch.setattr(Simulation, "_run_tasks", run_tasks)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # BCRS under async degrades, loudly
+            warnings.filterwarnings("ignore", ASYNC_DEGRADES, UserWarning)
             with make_simulation(cfg) as sim:
                 sim.run()
     return priced, trained

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.fl.config import ExperimentConfig
 
-__all__ = ["ROBUST_GOLDEN_CONFIGS", "PARALLEL_REPRESENTATIVES", "golden_name"]
+__all__ = ["ROBUST_GOLDEN_CONFIGS", "golden_name"]
 
 
 def _cfg(**overrides) -> ExperimentConfig:
@@ -92,15 +92,6 @@ ROBUST_GOLDEN_CONFIGS: dict[str, ExperimentConfig] = {
     for mode in _MODES
     for variant in ("honest", "sign_flip", "lossy")
 }
-
-#: One non-honest golden per protocol mode for the (slower) parallel
-#: backends; the serial pass covers every golden.
-PARALLEL_REPRESENTATIVES = (
-    "sync-sign_flip",
-    "semisync-lossy",
-    "async-sign_flip",
-    "hier-lossy",
-)
 
 
 def golden_name(name: str) -> str:

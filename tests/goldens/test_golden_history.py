@@ -3,11 +3,11 @@
 Each ``*.json`` beside this file is the deterministic trace of one
 ``robust_golden_configs.ROBUST_GOLDEN_CONFIGS`` entry — every protocol
 mode × {honest, sign_flip, lossy} — captured by
-:mod:`repro.testing.goldens` and replayed here bit-for-bit: serially for
-all twelve, and on every parallel backend for one faulty
-representative per mode (adversarial membership and fault fates are pure
-functions of ``(seed, stream, counter)``, so the backend must not leak
-into the trace).
+:mod:`repro.testing.goldens` and replayed here bit-for-bit on the serial
+backend. Adversarial membership and fault fates are pure functions of
+``(seed, stream, counter)``, so the backend must not leak into the trace:
+the invariance harness (``tests/test_invariance.py``) checks that for drawn
+adversarial and faulty configs.
 
 Regenerate after an intentional trace change with
 ``scripts/regen_goldens.py`` or ``REGEN_GOLDEN=1 pytest tests/goldens``.
@@ -19,39 +19,16 @@ from pathlib import Path
 
 import pytest
 
-from robust_golden_configs import (
-    PARALLEL_REPRESENTATIVES,
-    ROBUST_GOLDEN_CONFIGS,
-    golden_name,
-)
-from repro.exec import BACKENDS
 from repro.testing.goldens import check_golden, regen_requested, run_trace
+from tests.goldens.robust_golden_configs import ROBUST_GOLDEN_CONFIGS, golden_name
 
 GOLDEN_DIR = Path(__file__).parent
-
-#: Worker counts each parallel case runs at. Client ``cid`` trains on worker
-#: ``cid % workers``, so each count lays the cohort out differently, and
-#: neither layout may show in the result.
-WORKERS = (2, 3)
 
 
 @pytest.mark.parametrize("name", sorted(ROBUST_GOLDEN_CONFIGS))
 def test_serial_replays_golden(name):
     """Every mode × variant golden, bit-for-bit on the serial backend."""
     trace = run_trace(ROBUST_GOLDEN_CONFIGS[name].with_(backend="serial"))
-    check_golden(GOLDEN_DIR / golden_name(name), trace, name=name)
-
-
-@pytest.mark.parametrize("workers", WORKERS)
-@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "serial"])
-@pytest.mark.parametrize("name", PARALLEL_REPRESENTATIVES)
-def test_parallel_backends_replay_golden(name, backend, workers):
-    """Adversarial/faulty traces are backend-invariant, bit-for-bit."""
-    if regen_requested():
-        pytest.skip("regenerating goldens (serial pass writes them)")
-    trace = run_trace(
-        ROBUST_GOLDEN_CONFIGS[name].with_(backend=backend, workers=workers)
-    )
     check_golden(GOLDEN_DIR / golden_name(name), trace, name=name)
 
 

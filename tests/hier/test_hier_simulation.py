@@ -1,22 +1,18 @@
-"""Hierarchical protocol tests: degenerate equivalence, two-level semantics,
-per-tier timings, and backend determinism."""
+"""Hierarchical protocol tests: degenerate equivalence, two-level semantics
+and per-tier timings. Backend invariance is the invariance harness's check
+(``tests/test_invariance.py``)."""
 
 import pytest
 
-from repro.exec import BACKENDS
-from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.hier.simulation import HierSimulation
 from repro.io.history_io import history_from_dict, history_to_dict
 from repro.simtime import make_simulation
+from tests.test_invariance import run_sim, small_config
 
-#: Worker counts each parallel case runs at. Client ``cid`` trains on worker
-#: ``cid % workers``, so each count lays the cohort out differently, and
-#: neither layout may show in the result.
-WORKERS = (2, 3)
-
-#: Deterministic record fields (train/compress_seconds are wall clock;
-#: edge_breakdown exists only on hierarchical records).
+#: The record fields a flat run shares with a hierarchical one:
+#: train/compress_seconds are wall clock, and edge_breakdown exists only on
+#: hierarchical records.
 FLAT_FIELDS = (
     "round_index",
     "selected",
@@ -30,31 +26,6 @@ FLAT_FIELDS = (
     "sim_end",
     "mean_staleness",
 )
-
-
-def small_config(**overrides) -> ExperimentConfig:
-    base = dict(
-        dataset="synth-cifar10",
-        model="mlp",
-        num_train=240,
-        num_test=120,
-        num_clients=6,
-        participation=0.5,
-        rounds=3,
-        batch_size=32,
-        algorithm="bcrs_opwa",
-        compression_ratio=0.1,
-        seed=3,
-        eval_every=1,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-def run_sim(config):
-    with make_simulation(config) as sim:
-        history = sim.run()
-    return sim, history
 
 
 def assert_records_identical(a, b, fields=FLAT_FIELDS):
@@ -264,20 +235,3 @@ class TestRunnerReporting:
         assert "num_edges=1" in text and "num_edges=3" in text
         assert "backhaul/rnd" in text and "t_to_target" in text
 
-
-class TestBackendDeterminism:
-    """Same seed ⇒ identical records and span logs on every exec backend."""
-
-    @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "serial"])
-    def test_matches_serial(self, backend, workers):
-        cfg = small_config(
-            mode="hier", num_edges=3, edge_rounds=2, algorithm="eftopk",
-            backhaul_bandwidth_mbps=50.0, backhaul_heterogeneity=0.3, seed=5,
-        )
-        serial_sim, serial_hist = run_sim(cfg)
-        other_sim, other_hist = run_sim(cfg.with_(backend=backend, workers=workers))
-        assert_records_identical(serial_hist, other_hist)
-        for ra, rb in zip(serial_hist.records, other_hist.records):
-            assert ra.edge_breakdown == rb.edge_breakdown
-        assert serial_sim.spans.spans == other_sim.spans.spans

@@ -18,6 +18,7 @@ import pytest
 from repro.fl.config import ExperimentConfig
 from repro.obs.tracer import NullTracer
 from repro.simtime import make_simulation
+from tests.test_invariance import ASYNC_DEGRADES
 
 ROUNDS = 3
 
@@ -52,7 +53,7 @@ def null_spans(mode: str, num_clients: int) -> tuple[int, int]:
         return inner(self, name, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # async: BCRS → uniform Top-K
+        warnings.filterwarnings("ignore", ASYNC_DEGRADES, UserWarning)
         patch.setattr(NullTracer, "span", counting)
         with make_simulation(config) as sim:
             sim.run()

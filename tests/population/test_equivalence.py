@@ -3,11 +3,12 @@
 ``goldens/*.json`` are frozen pre-refactor traces (see ``make_goldens.py``):
 full histories plus span logs from the eager ``list[Client]`` construction,
 captured before the struct-of-arrays population landed. Every test here
-replays a golden config through the population path via the shared
-:mod:`repro.testing.goldens` harness and requires *bitwise* equality —
-across all four protocol modes (sync, semisync, async, hier) and all three
-execution backends, and under an LRU so small that clients are evicted and
-rehydrated mid-run.
+replays a golden config serially through the population path via the
+shared :mod:`repro.testing.goldens` harness and requires *bitwise* equality
+— across all four protocol modes (sync, semisync, async, hier), and under
+an LRU so small that clients are evicted and rehydrated mid-run. That the
+population path replays the same on every backend is the invariance
+harness's check (``tests/test_invariance.py``).
 
 These goldens are frozen artifacts, not build products: ``check_golden`` is
 called with ``regen=False`` so ``REGEN_GOLDEN=1`` (which rebuilds the
@@ -24,28 +25,10 @@ from pathlib import Path
 
 import pytest
 
-from golden_configs import GOLDEN_CONFIGS, golden_name
-from repro.exec import BACKENDS
 from repro.testing.goldens import check_golden, run_trace
+from tests.population.golden_configs import GOLDEN_CONFIGS, golden_name
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-
-#: Every registered backend but the serial reference.
-PARALLEL = [b for b in BACKENDS if b != "serial"]
-
-#: Worker counts each parallel case runs at. Client ``cid`` trains on worker
-#: ``cid % workers``, so each count lays the cohort out differently, and
-#: neither layout may show in the result.
-WORKERS = (2, 3)
-
-#: One golden per protocol mode for the (slower) parallel backends; the
-#: serial pass covers every golden.
-MODE_REPRESENTATIVES = (
-    "sync-eftopk",
-    "semisync-eftopk",
-    "async-topk",
-    "hier-bcrs_opwa",
-)
 
 
 def assert_matches(name: str, trace: dict) -> None:
@@ -56,15 +39,6 @@ def assert_matches(name: str, trace: dict) -> None:
 def test_serial_reproduces_pre_refactor_golden(name):
     """Every mode × algorithm golden, bit-for-bit on the serial backend."""
     trace = run_trace(GOLDEN_CONFIGS[name].with_(backend="serial"))
-    assert_matches(name, trace)
-
-
-@pytest.mark.parametrize("workers", WORKERS)
-@pytest.mark.parametrize("backend", PARALLEL)
-@pytest.mark.parametrize("name", MODE_REPRESENTATIVES)
-def test_parallel_backends_reproduce_golden(name, backend, workers):
-    """All four protocol modes, bit-for-bit on every parallel backend."""
-    trace = run_trace(GOLDEN_CONFIGS[name].with_(backend=backend, workers=workers))
     assert_matches(name, trace)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from _artifacts import make_history, make_metrics, make_spans, make_sweep
+from tests.report._artifacts import make_history, make_metrics, make_spans, make_sweep
 
 
 @pytest.fixture

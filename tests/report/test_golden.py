@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from _artifacts import (
+from tests.report._artifacts import (
     MANIFEST,
     make_hier_sweep,
     make_history,

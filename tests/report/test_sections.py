@@ -13,7 +13,7 @@ from repro.report.sections import (
     sweep_section,
     trace_section,
 )
-from _artifacts import MANIFEST, make_hier_sweep, make_history, make_robust_sweep
+from tests.report._artifacts import MANIFEST, make_hier_sweep, make_history, make_robust_sweep
 
 from repro.obs.tracer import Span
 

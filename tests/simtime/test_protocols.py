@@ -1,46 +1,28 @@
-"""Tests for the event-driven protocols: semantics + backend determinism."""
+"""Tests for the event-driven protocols' semantics.
+
+That their seeded runs are the same on every backend is checked by the
+invariance harness, ``tests/test_invariance.py``.
+"""
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.exec import BACKENDS
-from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.simtime import make_simulation
 from repro.simtime.protocols import AsyncSimulation, SemiSyncSimulation, _idle_ids
+from tests import test_invariance as invariance
+from tests.test_invariance import assert_same_trace, run_sim, trace
 
 #: Every registered backend but the serial reference.
 PARALLEL = [b for b in BACKENDS if b != "serial"]
 
-#: Worker counts each parallel case runs at. Client ``cid`` trains on worker
-#: ``cid % workers``, so each count lays the cohort out differently, and
-#: neither layout may show in the result.
-WORKERS = (2, 3)
-
-
-def small_config(**overrides) -> ExperimentConfig:
-    base = dict(
-        dataset="synth-cifar10",
-        model="mlp",
-        num_train=240,
-        num_test=120,
-        num_clients=6,
-        participation=0.5,
-        rounds=4,
-        batch_size=32,
-        algorithm="topk",
-        compression_ratio=0.2,
-        seed=3,
-        eval_every=1,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-def run_sim(config):
-    with make_simulation(config) as sim:
-        history = sim.run()
-    return sim, history
+#: The protocol tests' runs: uniform Top-K at CR 0.2 over four rounds.
+small_config = functools.partial(
+    invariance.small_config, algorithm="topk", compression_ratio=0.2, rounds=4
+)
 
 
 class TestFactory:
@@ -292,16 +274,14 @@ class TestReviewRegressions:
                 return original(tasks, params, spec)
 
             sim._run_tasks = recording
-            with sim:
-                history = sim.run()
-            return sim, history, batches
+            return trace(sim), batches
 
-        serial_sim, serial_hist, batches = run("serial")
+        want, batches = run("serial")
         assert any(len(b) > len(set(b)) for b in batches), batches
         for backend in PARALLEL:
-            sim, hist, other_batches = run(backend)
+            got, other_batches = run(backend)
             assert other_batches == batches
-            TestBackendDeterminism.assert_identical(serial_sim, serial_hist, sim, hist)
+            assert_same_trace(want, got, f"{backend} backend")
 
     def test_async_comm_time_is_not_wall_time(self):
         """times.actual carries Sec. 5.2 upload semantics; the window's
@@ -394,32 +374,3 @@ class TestReviewRegressions:
             assert record.num_participants == 0
             assert sim.last_overlap is None
 
-
-class TestBackendDeterminism:
-    """Same seed ⇒ identical event order/records on every exec backend."""
-
-    @staticmethod
-    def assert_identical(a_sim, a_hist, b_sim, b_hist):
-        assert len(a_hist) == len(b_hist)
-        for ra, rb in zip(a_hist.records, b_hist.records):
-            assert ra.round_index == rb.round_index
-            assert ra.selected == rb.selected
-            assert ra.train_loss == rb.train_loss
-            assert ra.test_accuracy == rb.test_accuracy
-            assert ra.times == rb.times
-            assert ra.ratios == rb.ratios
-            assert ra.weights == rb.weights
-            assert ra.sim_start == rb.sim_start
-            assert ra.sim_end == rb.sim_end
-            assert ra.mean_staleness == rb.mean_staleness
-        # The full event log — every train/upload interval — matches too.
-        assert a_sim.spans.spans == b_sim.spans.spans
-
-    @pytest.mark.parametrize("mode", ["sync", "semisync", "async"])
-    @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("backend", PARALLEL)
-    def test_matches_serial(self, mode, backend, workers):
-        cfg = small_config(mode=mode, algorithm="eftopk", rounds=4, seed=5)
-        serial_sim, serial_hist = run_sim(cfg)
-        other_sim, other_hist = run_sim(cfg.with_(backend=backend, workers=workers))
-        self.assert_identical(serial_sim, serial_hist, other_sim, other_hist)
