@@ -40,7 +40,7 @@ upload whole, and now delivers its prefix, so its learning moves from round
 0. ``semisync-drop-fixed-volume`` (Top-K at CR 0.2, whole entries already, no
 faults) replays unchanged. The cells replay serially; that each replays the
 same on every backend and worker count is the invariance harness's check
-(``tests/test_invariance.py``), whose explicit examples carry the features
+(``tests/test_invariance.py``), whose ``FEATURES`` carry the features
 here its drawn configs do not reach.
 """
 

@@ -18,11 +18,12 @@ plus a digest of the final global parameters — must be identical under:
 
 Two knobs with a neutral value are identities checked on the same draws:
 ``bcrs_opwa`` at ``gamma=1`` is ``bcrs``, and ``norm_clip`` at
-``clip_tau=1e30`` is ``mean``. The harness runs once per (mode, aggregator)
-pair, so every pair runs on the process backend; the explicit examples add
-the features of the pinned round paths (``tests/fl/test_round_paths_pinned.py``)
-that the drawn fields do not reach. A failure names the execution knob that
-moved the trace and the first field it moved.
+``clip_tau=1e30`` is ``mean``. The drawn test runs once per (mode,
+aggregator) pair, so every pair runs on the process backend. ``FEATURES``
+names the features of the pinned round paths
+(``tests/fl/test_round_paths_pinned.py``) that the draws may not reach; each
+runs as one test per knob. A failure names the execution knob that moved the
+trace and the first field it moved.
 
 This module also holds the suite's one small seeded config and its one
 full-trace comparison, which the protocol tests import.
@@ -30,11 +31,12 @@ full-trace comparison, which the protocol tests import.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from repro.compression.registry import available_compressors
@@ -164,19 +166,92 @@ def selecting_fields(draw) -> dict:
     )
 
 
-#: Neutral values: (identity, applies to a config, the same run spelt another way).
-IDENTITIES = (
-    (
-        "bcrs_opwa at gamma=1 as bcrs",
+def _traced() -> Obs:
+    return Obs(Tracer(), MetricsRegistry())
+
+
+def _rerun(respell, traced=False):
+    """A knob that runs ``respell(config)`` afresh, traced or not."""
+
+    def rerun(config, reference, tmp_path_factory):
+        return trace(make_simulation(respell(config), obs=_traced() if traced else None))
+
+    return rerun
+
+
+def _process(workers: int):
+    return lambda c: c.with_(backend="process", workers=workers)
+
+
+def _stored(config, reference, tmp_path_factory):
+    want, history = reference
+    store = RunStore(tmp_path_factory.mktemp("store"))
+    spec = ScenarioSpec.from_config(config, name="run")
+    store.save(spec, history)
+    return {**want, "history": deterministic(store.load(spec))}
+
+
+def _always(config) -> bool:
+    return True
+
+
+two, three = WORKERS
+
+#: Every other spelling of a seeded run: id → (what a failure calls it, the
+#: configs it applies to, how it gets the run's trace from the config and
+#: the serial run's trace and history). The last two are neutral values.
+KNOBS = {
+    "traced": ("tracing", _always, _rerun(lambda c: c, traced=True)),
+    f"process-{two}": (f"process backend, {two} workers", _always, _rerun(_process(two))),
+    f"process-{three}-traced": (
+        f"process backend, {three} workers, traced",
+        _always,
+        _rerun(_process(three), traced=True),
+    ),
+    "store": ("a RunStore save and load", _always, _stored),
+    "bcrs_opwa-gamma1": (
+        "identity bcrs_opwa at gamma=1 as bcrs",
         lambda c: c.algorithm == "bcrs",
-        lambda c: c.with_(algorithm="bcrs_opwa", gamma=1.0),
+        _rerun(lambda c: c.with_(algorithm="bcrs_opwa", gamma=1.0)),
     ),
-    (
-        "norm_clip at clip_tau=1e30 as mean",
+    "norm_clip-1e30": (
+        "identity norm_clip at clip_tau=1e30 as mean",
         lambda c: c.aggregator == "mean",
-        lambda c: c.with_(aggregator="norm_clip", clip_tau=1e30),
+        _rerun(lambda c: c.with_(aggregator="norm_clip", clip_tau=1e30)),
     ),
-)
+}
+
+
+@functools.lru_cache(maxsize=1)
+def _reference(config) -> tuple[dict, object]:
+    # A feature's knobs run one after another: its serial run is made once.
+    sim = make_simulation(config)
+    return trace(sim), sim.history
+
+
+def assert_invariant(config, knob: str, tmp_path_factory) -> None:
+    """``knob`` leaves the serial run of ``config`` bit for bit as it is."""
+    name, _, rerun = KNOBS[knob]
+    reference = _reference(config)
+    assert_same_trace(reference[0], rerun(config, reference, tmp_path_factory), name)
+
+
+@pytest.mark.filterwarnings(f"ignore:{ASYNC_DEGRADES}:UserWarning")
+@pytest.mark.parametrize("aggregator", AGGREGATORS)
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=2, derandomize=True, database=None, deadline=None)
+@given(fields=selecting_fields())
+def test_a_seeded_run_is_the_same_run_under_every_execution_knob(
+    mode, aggregator, fields, tmp_path_factory
+):
+    try:
+        config = small_config(mode=mode, aggregator=aggregator, **fields)
+    except ValueError:
+        reject()
+    for knob, (_, applies, _) in KNOBS.items():
+        if applies(config):
+            assert_invariant(config, knob, tmp_path_factory)
+
 
 _LOSSY = dict(drop_prob=0.2, truncate_prob=0.3)
 _FAIR = dict(contention="fair", server_ingress_mbps=0.8)
@@ -185,112 +260,95 @@ _HIER = dict(mode="hier", num_edges=3, edge_rounds=2)
 _BACKHAUL = dict(backhaul_bandwidth_mbps=20.0, backhaul_latency_s=0.05, backhaul_heterogeneity=0.3)
 _EXTRAS = dict(server_optimizer="adam", server_step=0.01, volume_override_bits=4e8)
 
-
-@pytest.mark.filterwarnings(f"ignore:{ASYNC_DEGRADES}:UserWarning")
-@pytest.mark.parametrize("aggregator", AGGREGATORS)
-@pytest.mark.parametrize("mode", MODES)
-@settings(max_examples=2, derandomize=True, database=None, deadline=None)
-@given(fields=selecting_fields())
-# Every feature an earlier backend test or pinned round path ran on the
-# process backend, whatever the draws: error feedback under faults and fair
-# ingress; dense FedAvg; plain BCRS; BCRS+OPWA with drift, shared ingress
-# and downlink, a server optimizer with moments, paper-scale volume pricing
-# and a byzantine minority; a Top-K plan that drops stragglers, under a
-# quantiser; fixed semisync deadlines under both late policies; hierarchy
-# with edge deadlines, costly backhaul and edge crashes.
-@example(fields=dict(mode="sync", aggregator="mean", algorithm="eftopk", **_LOSSY, **_FAIR))
-@example(fields=dict(mode="sync", aggregator="mean", algorithm="fedavg", **_LOSSY))
-@example(
-    fields=dict(
+#: Every feature an earlier backend test or pinned round path ran on the
+#: process backend, whatever the draws reach: error feedback under faults and
+#: fair ingress; dense FedAvg; plain BCRS, with link drift; BCRS+OPWA with
+#: drift, shared ingress and downlink, a server optimizer with moments,
+#: paper-scale volume pricing and a byzantine minority; a quantiser beneath
+#: Top-K, over virtual shards; Top-K under a trimmed mean, with a server
+#: optimizer with moments; a Top-K plan that drops stragglers; fixed
+#: semisync deadlines under both late policies; hierarchy with edge
+#: deadlines, costly backhaul and edge crashes.
+FEATURES = {
+    "sync-eftopk-lossy-fair": dict(mode="sync", aggregator="mean", algorithm="eftopk", **_LOSSY, **_FAIR),
+    "sync-fedavg-lossy": dict(mode="sync", aggregator="mean", algorithm="fedavg", **_LOSSY),
+    "sync-bcrs_opwa-all": dict(
         mode="sync", aggregator="trimmed_mean", trim_beta=0.2, adversary="sign_flip",
         adversary_fraction=0.25, time_varying_links=True, **_LOSSY, **_SHARED, **_EXTRAS,
-    )
-)
-@example(fields=dict(mode="sync", aggregator="norm_clip", clip_tau=0.5, algorithm="bcrs"))
-@example(
-    fields=dict(
+    ),
+    "sync-bcrs-clip": dict(mode="sync", aggregator="norm_clip", clip_tau=0.5, algorithm="bcrs"),
+    "sync-topk-qsgd8-virtual": dict(
+        mode="sync", aggregator="mean", algorithm="topk", compressor="qsgd8", virtual_shards=True
+    ),
+    "sync-topk-trimmed-adam": dict(
+        mode="sync", aggregator="trimmed_mean", trim_beta=0.2, algorithm="topk",
+        server_optimizer="adam", server_step=0.01,
+    ),
+    "sync-deadline_topk-qsgd8-downlink": dict(
         mode="sync", aggregator="median", algorithm="deadline_topk", compressor="qsgd8",
         include_downlink=True,
-    )
-)
-@example(
-    fields=dict(
+    ),
+    "semisync-eftopk-lossy-fair-fixed": dict(
         mode="semisync", aggregator="mean", algorithm="eftopk", deadline_s=0.7, **_LOSSY, **_FAIR
-    )
-)
-@example(
-    fields=dict(
+    ),
+    "semisync-bcrs_opwa-drift-shared": dict(
         mode="semisync", aggregator="trimmed_mean", trim_beta=0.2, time_varying_links=True,
         **_SHARED,
-    )
-)
-@example(
-    fields=dict(
+    ),
+    "semisync-bcrs-drift": dict(
+        mode="semisync", aggregator="mean", algorithm="bcrs", time_varying_links=True
+    ),
+    "semisync-topk-qsgd8-drop-fixed-volume": dict(
         mode="semisync", aggregator="mean", algorithm="topk", compressor="qsgd8", deadline_s=150.0,
         late_policy="drop", contention="fair", server_ingress_mbps=20.0, volume_override_bits=4e8,
-    )
-)
-@example(
-    fields=dict(
+    ),
+    "semisync-topk-trimmed": dict(
+        mode="semisync", aggregator="trimmed_mean", trim_beta=0.2, algorithm="topk"
+    ),
+    "semisync-deadline_topk-scaled": dict(
         mode="semisync", aggregator="median", algorithm="deadline_topk", adversary="scaled",
         adversary_fraction=0.2,
-    )
-)
-@example(fields=dict(mode="async", aggregator="mean", algorithm="eftopk", **_LOSSY, **_FAIR))
-@example(fields=dict(mode="async", aggregator="mean", server_optimizer="adam", server_step=0.01))
-@example(
-    fields=dict(
+    ),
+    "async-eftopk-lossy-fair": dict(mode="async", aggregator="mean", algorithm="eftopk", **_LOSSY, **_FAIR),
+    "async-bcrs_opwa-adam": dict(mode="async", aggregator="mean", server_optimizer="adam", server_step=0.01),
+    "async-bcrs-virtual": dict(mode="async", aggregator="median", algorithm="bcrs", virtual_shards=True),
+    "async-topk-sign_flip-volume-shared": dict(
         mode="async", aggregator="trimmed_mean", trim_beta=0.2, algorithm="topk",
         adversary="sign_flip", adversary_fraction=0.25, truncate_prob=0.4,
         volume_override_bits=4e8, **_SHARED,
-    )
-)
-@example(
-    fields=dict(
+    ),
+    "async-topk-qsgd8-truncate": dict(
         mode="async", aggregator="mean", algorithm="topk", compressor="qsgd8", truncate_prob=0.4
-    )
-)
-@example(fields=dict(aggregator="mean", algorithm="eftopk", **_HIER, **_BACKHAUL, **_FAIR))
-@example(
-    fields=dict(
+    ),
+    "hier-eftopk-backhaul-fair": dict(aggregator="mean", algorithm="eftopk", **_HIER, **_BACKHAUL, **_FAIR),
+    "hier-bcrs_opwa-all": dict(
         aggregator="trimmed_mean", trim_beta=0.2, edge_crash_prob=0.4, time_varying_links=True,
         **_HIER, **_BACKHAUL, **_SHARED, **_EXTRAS,
-    )
-)
-@example(
-    fields=dict(
+    ),
+    "hier-bcrs-clip-volume": dict(
+        aggregator="norm_clip", clip_tau=0.5, algorithm="bcrs", volume_override_bits=4e8, **_HIER
+    ),
+    "hier-topk-trimmed-adam": dict(
+        aggregator="trimmed_mean", trim_beta=0.2, algorithm="topk", server_optimizer="adam",
+        server_step=0.01, **_HIER,
+    ),
+    "hier-topk-qsgd8": dict(aggregator="mean", algorithm="topk", compressor="qsgd8", **_HIER),
+    "hier-deadline_topk-qsgd8-edge-semisync": dict(
         aggregator="mean", algorithm="deadline_topk", compressor="qsgd8", edge_sync="semisync",
         **_HIER,
-    )
+    ),
+}
+
+
+@pytest.mark.filterwarnings(f"ignore:{ASYNC_DEGRADES}:UserWarning")
+@pytest.mark.parametrize(
+    ("feature", "knob"),
+    [
+        pytest.param(feature, knob, id=f"{feature}-{knob}")
+        for feature, fields in FEATURES.items()
+        for knob, (_, applies, _) in KNOBS.items()
+        if applies(small_config(**fields))
+    ],
 )
-def test_a_seeded_run_is_the_same_run_under_every_execution_knob(
-    mode, aggregator, fields, tmp_path_factory
-):
-    fields = {"mode": mode, "aggregator": aggregator, **fields}
-    # An explicit example names its own pair and runs under that pair only.
-    assume((fields["mode"], fields["aggregator"]) == (mode, aggregator))
-    try:
-        config = small_config(**fields)
-    except ValueError:
-        reject()
-    reference = make_simulation(config)
-    want = trace(reference)
-    two, three = (config.with_(backend="process", workers=w) for w in WORKERS)
-    for knob, cfg, obs in (
-        ("tracing", config, Obs(Tracer(), MetricsRegistry())),
-        (f"process backend, {two.workers} workers", two, None),
-        (
-            f"process backend, {three.workers} workers, traced",
-            three,
-            Obs(Tracer(), MetricsRegistry()),
-        ),
-    ):
-        assert_same_trace(want, trace(make_simulation(cfg, obs=obs)), knob)
-    for identity, applies, spell in IDENTITIES:
-        if applies(config):
-            assert_same_trace(want, trace(make_simulation(spell(config))), f"identity {identity}")
-    store = RunStore(tmp_path_factory.mktemp("store"))
-    spec = ScenarioSpec.from_config(config, name="run")
-    store.save(spec, reference.history)
-    loaded = {**want, "history": deterministic(store.load(spec))}
-    assert_same_trace(want, loaded, "a RunStore save and load")
+def test_each_feature_is_the_same_run_under_each_execution_knob(feature, knob, tmp_path_factory):
+    assert_invariant(small_config(**FEATURES[feature]), knob, tmp_path_factory)
