@@ -50,10 +50,10 @@ def timed_run(cfg: ExperimentConfig) -> tuple[float, object]:
         return time.perf_counter() - t0, history
 
 
-def test_process_backend_speedup(once):
+def test_process_backend_speedup():
     # Best of two on both sides: a single noisy-neighbor stall on a shared
     # CI runner should not fail the whole tier-1 job on timing alone.
-    serial_s, serial_hist = once(timed_run, bench_cfg())
+    serial_s, serial_hist = timed_run(bench_cfg())
     serial_s = min(serial_s, timed_run(bench_cfg())[0])
     process_s, process_hist = timed_run(bench_cfg(backend="process", workers=WORKERS))
     process_s = min(process_s, timed_run(bench_cfg(backend="process", workers=WORKERS))[0])

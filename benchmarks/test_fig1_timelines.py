@@ -25,8 +25,8 @@ def build_timelines():
     return dense, uniform, sched
 
 
-def test_fig1_timelines(once):
-    dense, uniform, sched = once(build_timelines)
+def test_fig1_timelines():
+    dense, uniform, sched = build_timelines()
 
     rows = []
     for i in range(3):

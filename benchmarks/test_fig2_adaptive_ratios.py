@@ -22,8 +22,8 @@ def schedule_over_bandwidths():
     return bws, schedule_ratios(links, VOLUME, CR)
 
 
-def test_fig2_monotone_ratios(once):
-    bws, sched = once(schedule_over_bandwidths)
+def test_fig2_monotone_ratios():
+    bws, sched = schedule_over_bandwidths()
 
     rows = [
         [f"{b / 1e6:.2f} Mbit/s", f"{r:.4f}", f"{t:.2f}s"]

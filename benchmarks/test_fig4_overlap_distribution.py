@@ -23,8 +23,8 @@ def round_distribution(beta: float, cr: float):
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5])
-def test_fig4_overlap_histograms(once, beta):
-    dist_001 = once(round_distribution, beta, 0.01)
+def test_fig4_overlap_histograms(beta):
+    dist_001 = round_distribution(beta, 0.01)
     dist_01 = round_distribution(beta, 0.1)
 
     for cr, dist in [(0.01, dist_001), (0.1, dist_01)]:

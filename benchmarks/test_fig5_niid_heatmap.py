@@ -20,8 +20,8 @@ def build_partitions():
     return ds, p05, p01
 
 
-def test_fig5_heatmaps(once):
-    ds, p05, p01 = once(build_partitions)
+def test_fig5_heatmaps():
+    ds, p05, p01 = build_partitions()
 
     for beta, part in [(0.5, p05), (0.1, p01)]:
         emit(

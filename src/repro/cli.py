@@ -482,7 +482,7 @@ def _cmd_single(args: argparse.Namespace, spec: ScenarioSpec | None = None) -> i
         history = sim.run()
         _finish_obs(obs, sim)
 
-    from repro.experiments.reporting import series_text, summarize_comm
+    from repro.viz.ascii import series_text, summarize_comm
     from repro.io.history_io import export_curves_csv, save_history
 
     accuracy = f"final accuracy {history.final_accuracy():.4f}"
@@ -565,7 +565,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if live is not None:
             live.close()
     _finish_obs(obs)
-    from repro.experiments.reporting import summarize_sweep
+    from repro.viz.ascii import summarize_sweep
     from repro.io.history_io import export_curves_csv, save_history
 
     for spec, h in report.cells:

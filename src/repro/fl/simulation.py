@@ -680,8 +680,8 @@ class Simulation:
             ratios=tuple(m[1] for m in members),
             weights=tuple(float(w) for w in weights),
             singleton_fraction=singleton,
-            train_seconds=sum(m[2] for m in members),
-            compress_seconds=sum(m[3] for m in members),
+            train_seconds=sum((m[2] for m in members), 0.0),
+            compress_seconds=sum((m[3] for m in members), 0.0),
             sim_start=sim_start,
             sim_end=sim_end,
             mean_staleness=mean_staleness,

@@ -11,7 +11,7 @@ time-to-accuracy frontier lies
 :meth:`~SweepReport.pareto_frontier` for the full accuracy-vs-virtual-time
 trade-off). :meth:`~SweepReport.by_axis` hands a one-factor grid back as
 ``{value: History}``. The renderers hold no arithmetic of their own: text in
-:func:`repro.experiments.reporting.summarize_sweep` and
+:func:`repro.viz.ascii.summarize_sweep` and
 :func:`repro.viz.ascii.ascii_sweep_grid`, HTML in
 :func:`repro.report.sections.sweep_section`.
 """

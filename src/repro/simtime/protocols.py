@@ -148,14 +148,9 @@ class _EventDrivenSimulation(Simulation):
             delivers=self._delivers(ratio, frac),
         )
         self._untrained.append(pend)
-        if self.transport.contended:
-            pend.fid = self._pipe.admit(payload.bits, link, up_start)
-        else:
-            # Exclusive links: hand the pipe the already-priced finish so the
-            # historical arrival arithmetic survives bit-for-bit.
-            pend.fid = self._pipe.admit(
-                payload.bits, link, up_start, finish=pend.t_arrival
-            )
+        # An exclusive pipe takes the already-priced finish, so the arrival
+        # arithmetic stays bit-for-bit; a fair pipe ignores it.
+        pend.fid = self._pipe.admit(payload.bits, link, up_start, finish=pend.t_arrival)
         self._flights[pend.fid] = pend
         self._window_down.append(cid)
         if self.obs.enabled:

@@ -3,10 +3,11 @@
 A *golden* is the deterministic trace of one seeded config — the full
 :func:`~repro.io.history_io.history_to_dict` payload with the two
 wall-clock fields zeroed, plus the virtual-time span log — stored as JSON.
-:func:`run_trace` captures it, :func:`check_golden` compares a fresh
-capture against the stored artifact and fails on the first diverging
-record, so any change to sampling, training, compression, aggregation,
-fault injection, or virtual-time pricing shows up as a readable diff.
+:func:`run_trace` captures it (:func:`sim_trace` from a built simulation),
+:func:`check_golden` compares a fresh capture against the stored artifact
+and fails on the first diverging record, so any change to sampling,
+training, compression, aggregation, fault injection, or virtual-time
+pricing shows up as a readable diff.
 
 Regeneration is explicit: running the suite with ``REGEN_GOLDEN=1`` (or
 ``scripts/regen_goldens.py``, which sets it) rewrites the goldens instead
@@ -30,6 +31,7 @@ __all__ = [
     "load_golden",
     "regen_requested",
     "run_trace",
+    "sim_trace",
     "write_golden",
 ]
 
@@ -43,23 +45,28 @@ def regen_requested() -> bool:
     return bool(os.environ.get(REGEN_ENV))
 
 
+def sim_trace(sim) -> dict:
+    """Run ``sim`` to the end, close it, and capture its deterministic trace
+    (golden format)."""
+    with sim:
+        history = sim.run()
+    payload = history_to_dict(history)
+    for rec in payload["records"]:
+        # Wall-clock fields are nondeterministic by nature; goldens store
+        # zeros so traces stay bitwise-comparable.
+        rec["train_seconds"] = rec["compress_seconds"] = 0.0
+    spans = [[s.cid, s.kind, s.start, s.end, s.tag] for s in sim.spans]
+    return {"history": payload, "spans": spans}
+
+
 def run_trace(config) -> dict:
-    """Run ``config`` and capture its deterministic trace (golden format).
+    """Run ``config`` and capture its deterministic trace (:func:`sim_trace`).
 
     The config is run as given — callers pin ``backend`` (and anything
     else execution-related) themselves, since the whole point is replaying
     the same trace from different execution strategies.
     """
-    with make_simulation(config) as sim:
-        history = sim.run()
-        spans = [[s.cid, s.kind, s.start, s.end, s.tag] for s in sim.spans]
-    payload = history_to_dict(history)
-    for rec in payload["records"]:
-        # Wall-clock fields are nondeterministic by nature; goldens store
-        # zeros so traces stay bitwise-comparable.
-        rec["train_seconds"] = 0.0
-        rec["compress_seconds"] = 0.0
-    return {"history": payload, "spans": spans}
+    return sim_trace(make_simulation(config))
 
 
 def load_golden(path: str | Path) -> dict:

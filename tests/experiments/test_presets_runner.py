@@ -5,7 +5,7 @@ import pytest
 from repro.experiments import run_grid
 from repro.experiments.paper_reference import TABLE2, TABLE3, TABLE4
 from repro.experiments.presets import DATASET_NAME_MAP, bench_config, paper_config
-from repro.experiments.reporting import format_table, series_text
+from repro.viz.ascii import format_table, series_text
 from repro.fl.simulation import Simulation, run_experiment
 from repro.io.history_io import history_to_dict
 

@@ -21,10 +21,10 @@ import pytest
 
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
-from repro.io.history_io import history_to_dict
 from repro.simtime import make_simulation
 from repro.simtime.profiles import pipeline_times
 from repro.simtime.protocols import _EventDrivenSimulation
+from repro.testing.goldens import sim_trace
 from tests.test_invariance import ASYNC_DEGRADES
 
 
@@ -131,13 +131,8 @@ def run(cfg: ExperimentConfig, monkeypatch, *, reference: bool):
             patch.setattr(Simulation, name, recording)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", ASYNC_DEGRADES, UserWarning)
-            with make_simulation(cfg) as sim:
-                history = sim.run()
-                spans = list(sim.spans)
-    payload = history_to_dict(history)
-    for record in payload["records"]:
-        record["train_seconds"] = record["compress_seconds"] = 0.0
-    return payload, spans, priced
+            trace = sim_trace(make_simulation(cfg))
+    return trace["history"], trace["spans"], priced
 
 
 CASES = [

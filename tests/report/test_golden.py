@@ -20,7 +20,7 @@ from tests.report._artifacts import (
     make_sweep,
 )
 
-from repro.experiments.reporting import summarize_comm, summarize_sweep
+from repro.viz.ascii import summarize_comm, summarize_sweep
 from repro.report import render_report
 from repro.viz.ascii import ascii_comm_table, ascii_sweep_grid
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.reporting import summarize_sweep
+from repro.viz.ascii import summarize_sweep
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import run_experiment
 from repro.io.history_io import history_to_dict

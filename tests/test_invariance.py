@@ -14,7 +14,8 @@ plus a digest of the final global parameters — must be identical under:
 - the process backend at 2 workers, and at 3 workers traced (client ``cid``
   trains on worker ``cid % workers``, so each count lays the cohort out
   differently);
-- a :class:`~repro.scenarios.RunStore` save and load of the serial history.
+- a :class:`~repro.scenarios.RunStore` save and load of the serial history,
+  wall-clock fields and their types included.
 
 Two knobs with a neutral value are identities checked on the same draws:
 ``bcrs_opwa`` at ``gamma=1`` is ``bcrs``, and ``norm_clip`` at
@@ -54,6 +55,7 @@ from repro.io.history_io import history_to_dict
 from repro.obs import MetricsRegistry, Obs, Tracer
 from repro.scenarios import RunStore, ScenarioSpec
 from repro.simtime import make_simulation
+from repro.testing.goldens import sim_trace
 
 #: Worker counts the process legs run at.
 WORKERS = (2, 3)
@@ -88,25 +90,11 @@ def run_sim(config, obs=None):
     return sim, history
 
 
-def deterministic(history) -> dict:
-    """``history`` as a golden stores it: the wall-clock fields zeroed."""
-    payload = history_to_dict(history)
-    for rec in payload["records"]:
-        rec["train_seconds"] = rec["compress_seconds"] = 0.0
-    return payload
-
-
 def trace(sim) -> dict:
     """Run ``sim`` to the end and close it: its golden-format trace
-    (:func:`repro.testing.goldens.run_trace`) plus a digest of the final
+    (:func:`repro.testing.goldens.sim_trace`) plus a digest of the final
     global parameters."""
-    with sim:
-        history = sim.run()
-    return {
-        "history": deterministic(history),
-        "spans": [[s.cid, s.kind, s.start, s.end, s.tag] for s in sim.spans],
-        "params": hashlib.sha256(sim.global_params.tobytes()).hexdigest(),
-    }
+    return {**sim_trace(sim), "params": hashlib.sha256(sim.global_params.tobytes()).hexdigest()}
 
 
 def _canonical(obj) -> str:
@@ -174,7 +162,8 @@ def _rerun(respell, traced=False):
     """A knob that runs ``respell(config)`` afresh, traced or not."""
 
     def rerun(config, reference, tmp_path_factory):
-        return trace(make_simulation(respell(config), obs=_traced() if traced else None))
+        obs = _traced() if traced else None
+        return reference[0], trace(make_simulation(respell(config), obs=obs))
 
     return rerun
 
@@ -184,11 +173,12 @@ def _process(workers: int):
 
 
 def _stored(config, reference, tmp_path_factory):
-    want, history = reference
+    # The whole history, wall-clock fields and their types included.
+    _, history = reference
     store = RunStore(tmp_path_factory.mktemp("store"))
     spec = ScenarioSpec.from_config(config, name="run")
     store.save(spec, history)
-    return {**want, "history": deterministic(store.load(spec))}
+    return history_to_dict(history), history_to_dict(store.load(spec))
 
 
 def _always(config) -> bool:
@@ -198,8 +188,9 @@ def _always(config) -> bool:
 two, three = WORKERS
 
 #: Every other spelling of a seeded run: id → (what a failure calls it, the
-#: configs it applies to, how it gets the run's trace from the config and
-#: the serial run's trace and history). The last two are neutral values.
+#: configs it applies to, how it gets what it compares — the serial run's
+#: trace or history and its own — from the config and the serial run's
+#: trace and history). The last two are neutral values.
 KNOBS = {
     "traced": ("tracing", _always, _rerun(lambda c: c, traced=True)),
     f"process-{two}": (f"process backend, {two} workers", _always, _rerun(_process(two))),
@@ -232,8 +223,7 @@ def _reference(config) -> tuple[dict, object]:
 def assert_invariant(config, knob: str, tmp_path_factory) -> None:
     """``knob`` leaves the serial run of ``config`` bit for bit as it is."""
     name, _, rerun = KNOBS[knob]
-    reference = _reference(config)
-    assert_same_trace(reference[0], rerun(config, reference, tmp_path_factory), name)
+    assert_same_trace(*rerun(config, _reference(config), tmp_path_factory), name)
 
 
 @pytest.mark.filterwarnings(f"ignore:{ASYNC_DEGRADES}:UserWarning")
@@ -352,3 +342,14 @@ FEATURES = {
 )
 def test_each_feature_is_the_same_run_under_each_execution_knob(feature, knob, tmp_path_factory):
     assert_invariant(small_config(**FEATURES[feature]), knob, tmp_path_factory)
+
+
+def test_an_empty_record_sums_its_wall_clock_from_float_zero(tmp_path_factory):
+    """A round no upload reached records ``0.0`` seconds, not the int ``0``,
+    and a store returns it as it was saved."""
+    config = small_config(mode="semisync", algorithm="topk", drop_prob=0.5, rounds=6, seed=1)
+    _, history = _reference(config)
+    empty = [r for r in history.records if not r.ratios]
+    assert empty
+    assert all(type(r.train_seconds) is type(r.compress_seconds) is float for r in empty)
+    assert_invariant(config, "store", tmp_path_factory)

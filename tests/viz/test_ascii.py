@@ -53,7 +53,7 @@ class TestCommTable:
         assert "no flow ledgers" in ascii_comm_table(History())
 
     def test_summarize_comm_adds_throughput(self):
-        from repro.experiments.reporting import summarize_comm
+        from repro.viz.ascii import summarize_comm
         from dataclasses import replace
 
         h = self.history()
