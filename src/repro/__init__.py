@@ -3,7 +3,7 @@ for Communication-Efficient Federated Learning" (Tang et al., ICPP 2024).
 
 Subpackages
 -----------
-- ``repro.nn``: numpy neural-network substrate (models the paper trains).
+- ``repro.nn``: numpy training substrate (the MLP the runs train, its loss, SGD).
 - ``repro.data``: synthetic federated datasets + Dirichlet non-IID partitioning.
 - ``repro.network``: the paper's communication cost model and time metrics.
 - ``repro.compression``: Top-K, QSGD quantization, error feedback.

@@ -22,8 +22,6 @@ necessarily backend-dependent. Select via
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.exec.base import (
     ClientTask,
     ExecutionBackend,
@@ -54,19 +52,15 @@ def make_backend(
     name: str,
     *,
     context: WorkerContext,
-    context_factory: Callable[[], WorkerContext],
     workers: int | None = None,
 ) -> ExecutionBackend:
-    """Build an execution backend by registry name.
-
-    ``context`` is the caller's own context (used by the serial backend so
-    its behaviour is exactly the pre-backend code path); ``context_factory``
-    builds the context the process backend forks into its workers.
-    """
+    """Build an execution backend by registry name over the caller's own
+    ``context``: the serial backend executes on it, the process backend
+    forks it into every worker."""
     if name == "serial":
         return SerialBackend(context)
     if name == "process":
         from repro.exec.process import ProcessBackend
 
-        return ProcessBackend(context_factory, workers)
+        return ProcessBackend(context, workers)
     raise ValueError(f"unknown execution backend {name!r}; expected one of {BACKENDS}")

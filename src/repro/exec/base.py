@@ -126,10 +126,9 @@ class WorkerContext:
     """The per-worker execution state: clients, compressors, one model.
 
     Exactly one context must own a given client's (loader, compressor) state
-    at a time — the backends arrange that. The model is a scratch instance:
-    :meth:`execute` loads the task's parameters into it before
-    training, so any architecturally-identical replica yields identical
-    results.
+    at a time — the backends arrange that. The model is scratch: each
+    :meth:`execute` overwrites its parameters with the task's before
+    training, so a forked worker's copy of it yields the parent's results.
     """
 
     def __init__(
@@ -148,12 +147,10 @@ class WorkerContext:
     def execute(
         self,
         task: ClientTask,
-        global_params: np.ndarray | None,
+        global_params: np.ndarray,
         spec: TrainSpec,
     ) -> TaskResult:
         """Run one client task to completion (train, then compress)."""
-        if global_params is None:
-            raise ValueError(f"task for client {task.cid} has no parameters")
         client = self.clients[task.cid]
 
         wall_start = t0 = time.perf_counter()
@@ -217,7 +214,7 @@ class ExecutionBackend(ABC):
     def run_round(
         self,
         tasks: Sequence[ClientTask],
-        global_params: np.ndarray | None,
+        global_params: np.ndarray,
         spec: TrainSpec,
     ) -> Iterator[TaskResult]:
         """Execute ``tasks``, yielding their results in ``position`` order;

@@ -3,8 +3,8 @@
 Design:
 
 - **Fork-based persistent workers.** The pool forks once, on first use, so
-  every worker inherits the full :class:`WorkerContext` (clients,
-  compressors, one model replica) by copy-on-write — nothing is pickled at
+  every worker inherits the simulation's own :class:`WorkerContext`
+  (clients, compressors, its model) by copy-on-write — nothing is pickled at
   startup and the dataset is not duplicated over pipes. The client and
   compressor pools are lazy, so what is inherited is the population's
   column table, not client objects: each worker hydrates only the
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import weakref
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -113,18 +113,10 @@ def _worker_loop(conn, context: WorkerContext) -> None:
                 shm = _attach_untracked(name)
                 view = _np_view(shm.buf, layout)
                 continue
-            # cmd == _CMD_ROUND. The payload says explicitly where this
-            # round's globals live — "shared" must never be inferred from a
-            # previously-attached segment, or a later globals-free round
-            # would silently train from the prior round's parameters.
+            # cmd == _CMD_ROUND. The payload says where this round's
+            # globals live: the attached segment, or inline in the message.
             _, tasks, spec, payload = msg
-            kind = payload[0]
-            if kind == "inline":
-                global_params = payload[1]
-            elif kind == "shared":
-                global_params = view
-            else:  # "none"
-                global_params = None
+            global_params = view if payload[0] == "shared" else payload[1]
             try:
                 results = [context.execute(t, global_params, spec) for t in tasks]
                 conn.send(("ok", results))
@@ -177,14 +169,14 @@ class ProcessBackend(ExecutionBackend):
     #: Set once a round failed, or was abandoned with tasks left to run.
     _poisoned = False
 
-    def __init__(self, context_factory: Callable[[], WorkerContext], workers: int | None = None):
+    def __init__(self, context: WorkerContext, workers: int | None = None):
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
                 "the process backend requires the 'fork' start method; "
                 "use backend='serial' on this platform"
             )
         self.workers = resolve_workers(workers)
-        self._factory = context_factory
+        self._context = context
         self._pool: _Pool | None = None
         self._layout: tuple[tuple[int, ...], str] | None = None
         self._finalizer = None
@@ -195,12 +187,11 @@ class ProcessBackend(ExecutionBackend):
         if self._pool is not None:
             return
         ctx = mp.get_context("fork")
-        context = self._factory()  # forked into every worker below
         pool = _Pool()
         for _ in range(self.workers):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
-                target=_worker_loop, args=(child_conn, context), daemon=True
+                target=_worker_loop, args=(child_conn, self._context), daemon=True
             )
             proc.start()
             child_conn.close()
@@ -226,12 +217,10 @@ class ProcessBackend(ExecutionBackend):
             conn.send((_CMD_ATTACH, self._pool.shm.name, layout))
         return True
 
-    def _broadcast(self, global_params: np.ndarray | None) -> tuple:
+    def _broadcast(self, global_params: np.ndarray) -> tuple:
         """Publish round inputs; returns the payload tag for the task message:
-        ``("shared",)`` (read the shm view), ``("inline", params)`` (shm
-        unavailable), or ``("none",)`` (this round has no globals)."""
-        if global_params is None:
-            return ("none",)
+        ``("shared",)`` (read the shm view) or ``("inline", params)`` (shm
+        unavailable)."""
         if self._ensure_shared(global_params):
             assert self._pool is not None and self._pool.shm is not None
             _np_view(self._pool.shm.buf, self._layout)[...] = global_params
@@ -243,7 +232,7 @@ class ProcessBackend(ExecutionBackend):
     def run_round(
         self,
         tasks: Sequence[ClientTask],
-        global_params: np.ndarray | None,
+        global_params: np.ndarray,
         spec: TrainSpec,
     ) -> Iterator[TaskResult]:
         if self._poisoned:

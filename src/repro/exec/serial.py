@@ -28,7 +28,7 @@ class SerialBackend(ExecutionBackend):
     def run_round(
         self,
         tasks: Sequence[ClientTask],
-        global_params: np.ndarray | None,
+        global_params: np.ndarray,
         spec: TrainSpec,
     ) -> Iterator[TaskResult]:
         return (self.context.execute(t, global_params, spec) for t in tasks)

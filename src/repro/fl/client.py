@@ -14,9 +14,8 @@ import numpy as np
 from repro.data.datasets import Dataset
 from repro.data.loader import BatchLoader
 from repro.nn.losses import cross_entropy
+from repro.nn.mlp import MLP
 from repro.nn.optim import SGD
-from repro.nn.params import set_flat_params
-from repro.nn.sequential import Sequential
 
 __all__ = ["LocalTrainResult", "Client"]
 
@@ -53,7 +52,7 @@ class Client:
 
     def local_train(
         self,
-        model: Sequential,
+        model: MLP,
         global_params: np.ndarray,
         *,
         lr: float,
@@ -65,26 +64,26 @@ class Client:
         The caller owns the model object; this method loads ``global_params``
         into it, trains in place, and reads the result out — the
         single-process analogue of shipping the model to the device.
-        Because the model is fully re-initialized from the round's inputs,
-        any architecturally-identical replica produces the same result,
-        which is what lets execution backends train on private model copies.
+        Because every parameter is overwritten from the round's inputs, the
+        result depends on no earlier use of the model, which is what lets a
+        forked worker train its own copy of the simulation's model.
 
         ``proximal_mu > 0`` adds FedProx's proximal gradient
         ``μ·(w − w_t)`` each step, pulling local iterates toward the global
         model to counter client drift (Li et al., the paper's FedProx [27]).
         """
-        set_flat_params(model, global_params)
-        data, grad = model.flat()
+        data, grad = model.data, model.grad
+        np.copyto(data, global_params)
         opt = SGD(data, grad, lr=lr)
         anchor = data.copy() if proximal_mu > 0 else None
         total_loss = 0.0
         batches = 0
         for _ in range(epochs):
             for x, y in self.loader:
-                # Allocation-free: layer workspaces; the loss gradient overwrites the logits.
+                # Allocation-free: model workspaces; the loss gradient overwrites the logits.
                 logits = model(x, training=True)
                 loss, grad_logits = cross_entropy(logits, y, out=logits)
-                model.backward(grad_logits, input_grad=False)
+                model.backward(grad_logits)
                 if anchor is not None:
                     grad += proximal_mu * (data - anchor)
                 opt.step()

@@ -9,7 +9,7 @@ from repro.core.coefficients import NORM_MODES
 from repro.data.datasets import DATASET_SPECS
 from repro.exec import BACKENDS
 from repro.network.transport import CONTENTION_MODES
-from repro.nn.models import MODEL_BUILDERS
+from repro.nn.mlp import MODELS
 from repro.utils.validation import check_fraction, check_positive
 
 __all__ = [
@@ -182,7 +182,7 @@ class ExperimentConfig:
         # fail here, naming the field, not as a bare KeyError mid-sweep.
         for name, known in (
             ("dataset", tuple(DATASET_SPECS)),
-            ("model", tuple(MODEL_BUILDERS)),
+            ("model", MODELS),
             ("norm_mode", NORM_MODES),
             ("benchmark", BENCHMARK_RULES),
         ):

@@ -19,13 +19,13 @@ Each step is one ``Simulation`` method (the *round stages*); the other three
 centralised protocols assemble their rounds from the same methods.
 
 The simulation also owns the execution backend's lifecycle: the backend is
-built lazily on first use (serial runs stay free), parallel workers get
-replica models, and ``close()`` is **permanent**. Parallel backends advance
-per-client state (batch-loader RNG streams, error-feedback residuals)
-inside their workers, so the parent's copies go stale the moment a round
-runs. Re-creating a backend after ``close()`` would silently replay that
-stale state — instead any further backend access raises, and a fresh
-simulation must be built.
+built lazily on first use (serial runs stay free), parallel workers fork
+the simulation's own worker context, and ``close()`` is **permanent**.
+Parallel backends advance per-client state (batch-loader RNG streams,
+error-feedback residuals) inside their workers, so the parent's copies go
+stale the moment a round runs. Re-creating a backend after ``close()``
+would silently replay that stale state — instead any further backend
+access raises, and a fresh simulation must be built.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ from repro.network.links import TimeVaryingLink
 from repro.network.transport import FaultInjector, Payload, Transport
 from repro.obs import NULL_OBS, Obs
 from repro.obs.tracer import trace_clock
-from repro.nn.models import build_model
-from repro.nn.params import get_flat_params, num_parameters, set_flat_params
+from repro.nn.mlp import MLP
 from repro.population import ClientPool, CompressorPool, default_cache_size
 from repro.population.table import LinkColumns
 from repro.robust.aggregators import robust_aggregate  # noqa: F401 — the list entry point, re-bound here by bench/layers.py
@@ -70,21 +69,11 @@ from repro.utils.rng import RngFactory
 __all__ = ["Simulation", "run_experiment"]
 
 
-def build_config_model(config, seed):
-    """Build the config's model with the dataset's geometry unpacked.
-
-    The single place that turns an ``ExperimentConfig`` into a model
-    instance — used for the simulation's own model and for the parallel
-    workers' replicas.
-    """
+def build_config_model(config, seed) -> MLP:
+    """The config's model (``config.model`` has one legal value, the MLP),
+    sized by its dataset: flattened images in, one logit per class out."""
     spec = DATASET_SPECS[config.dataset]
-    return build_model(
-        config.model,
-        in_channels=spec.channels,
-        image_size=spec.image_size,
-        num_classes=spec.num_classes,
-        seed=seed,
-    )
+    return MLP(spec.channels * spec.image_size * spec.image_size, spec.num_classes, seed=seed)
 
 
 def fold_capacity(config) -> tuple[str, int]:
@@ -133,10 +122,10 @@ class Simulation:
         self.train_set, self.test_set = context.train_set, context.test_set
         self.partition = context.partition
 
-        # Model and its flat-parameter view.
+        # Model and the global parameters, a copy of its flat vector.
         self.model = build_config_model(config, seed=rngs.stream("model"))
-        self.global_params = get_flat_params(self.model)
-        self.dense_size = num_parameters(self.model)
+        self.global_params = self.model.data.copy()
+        self.dense_size = self.global_params.size
         if config.aggregator in ROW_RULES:
             field, capacity = fold_capacity(config)
             try:
@@ -152,7 +141,7 @@ class Simulation:
         self.volume_bits = (
             config.volume_override_bits
             if config.volume_override_bits is not None
-            else model_bits(num_parameters(self.model))
+            else model_bits(self.dense_size)
         )
 
         # The fleet as a struct-of-arrays table: link/compute/size columns
@@ -252,14 +241,6 @@ class Simulation:
 
     # ------------------------------------------------------ execution engine
 
-    def _replica_model(self):
-        """A fresh architecturally-identical model for a parallel worker.
-
-        Workers fully re-initialize the model from the round's inputs before
-        training, so the replica's own init seed is irrelevant.
-        """
-        return build_config_model(self.config, seed=0)
-
     @property
     def backend(self) -> ExecutionBackend:
         """The execution backend (created lazily so serial runs stay free)."""
@@ -273,9 +254,6 @@ class Simulation:
             self._backend = make_backend(
                 self.config.backend,
                 context=WorkerContext(self.clients, self.compressors, self.model),
-                context_factory=lambda: WorkerContext(
-                    self.clients, self.compressors, self._replica_model()
-                ),
                 workers=self.config.workers,
             )
         return self._backend
@@ -714,7 +692,7 @@ class Simulation:
 
     def evaluate(self, batch_size: int = 256) -> float:
         """Test accuracy of the current global model."""
-        set_flat_params(self.model, self.global_params)
+        np.copyto(self.model.data, self.global_params)
         correct = 0
         n = len(self.test_set)
         for start in range(0, n, batch_size):

@@ -11,7 +11,7 @@ class SGD:
     """Plain SGD: ``w ← w − lr · g``.
 
     ``data`` and ``grad`` are same-shaped float arrays — for a model, the two
-    vectors of :meth:`Sequential.flat`. A step updates ``data`` in place and
+    vectors ``MLP.data``/``MLP.grad``. A step updates ``data`` in place and
     consumes ``grad``, which the next ``backward`` writes afresh.
     """
 

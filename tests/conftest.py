@@ -1,4 +1,4 @@
-"""Shared test fixtures and numerical-gradient helpers."""
+"""Shared test fixtures, the numerical-gradient helper and the model-layout check."""
 
 from __future__ import annotations
 
@@ -28,53 +28,16 @@ def numeric_grad(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
     return g
 
 
-def layer_loss(layer, x: np.ndarray, w: np.ndarray) -> float:
-    """Scalar probe loss sum(out * w) for checking layer gradients."""
-    out = layer.forward(x.astype(np.float32), training=True)
-    return float(np.sum(out.astype(np.float64) * w))
-
-
-def check_layer_gradients(layer, x: np.ndarray, *, atol: float = 1e-2, rtol: float = 5e-2) -> None:
-    """Verify input and parameter gradients of ``layer`` at point ``x``.
-
-    Uses the probe loss L = sum(out * w) with fixed random w, so
-    dL/dout = w feeds backward directly.
-    """
-    rng = np.random.default_rng(0)
-    out = layer.forward(x.astype(np.float32), training=True)
-    w = rng.normal(size=out.shape).astype(np.float64)
-
-    # Analytic gradients (backward writes them; nothing to zero first).
-    grad_in = layer.backward(w.astype(np.float32))
-
-    # Numeric input gradient.
-    xf = x.astype(np.float64)
-    num_gx = numeric_grad(lambda: layer_loss(layer, xf, w), xf)
-    np.testing.assert_allclose(grad_in, num_gx, atol=atol, rtol=rtol)
-
-    # Numeric parameter gradients.
-    for p in layer.parameters():
-        analytic = p.grad.copy()
-        pdata = p.data.astype(np.float64)
-
-        def probe(p=p, pdata=pdata):
-            p.data = pdata.astype(np.float32)
-            return layer_loss(layer, xf, w)
-
-        num_gp = numeric_grad(probe, pdata)
-        p.data = pdata.astype(np.float32)
-        np.testing.assert_allclose(analytic, num_gp, atol=atol, rtol=rtol, err_msg=p.name)
-
-
 def is_aliased(model) -> bool:
-    """Whether every parameter and gradient of ``model`` is a view of its two
-    flat vectors, at the position ``parameters()`` order assigns it."""
-    data, grad = model.flat()
-    offset = 0
-    for p in model.parameters():
-        span = slice(offset, offset + p.size)
-        if not (p.data.base is data and p.grad.base is grad and p.data.flags.c_contiguous
-                and np.shares_memory(p.data, data[span]) and np.shares_memory(p.grad, grad[span])):
-            return False
-        offset = span.stop
-    return offset == data.size
+    """Whether every layer's ``(W, b, dW, db)`` are views of the model's two
+    flat vectors at the spans the ``(W, b)``-per-layer layout assigns them."""
+    start = 0
+    for w, b, dw, db in model.layers:
+        spans = ((w, model.data, start), (b, model.data, start + w.size),
+                 (dw, model.grad, start), (db, model.grad, start + w.size))
+        for view, vec, at in spans:
+            if not (view.base is vec and view.flags.c_contiguous
+                    and view.ctypes.data == vec.ctypes.data + at * vec.itemsize):
+                return False
+        start += w.size + b.size
+    return start == model.data.size

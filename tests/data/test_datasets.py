@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.datasets import DATASET_SPECS, Dataset, SyntheticSpec, make_dataset, train_test_split
 from repro.nn.losses import cross_entropy
-from repro.nn.models import build_mlp
+from repro.nn.mlp import MLP
 from repro.nn.optim import SGD
 
 
@@ -74,8 +74,8 @@ class TestLearnability:
         """An MLP trained briefly must beat chance clearly — the datasets must
         carry signal, or every FL experiment degenerates to noise."""
         train, test = train_test_split("synth-cifar10", 1500, 400, seed=3)
-        model = build_mlp(3 * 8 * 8, 10, hidden=(64,), seed=0)
-        opt = SGD(*model.flat(), lr=0.1)
+        model = MLP(3 * 8 * 8, 10, hidden=(64,), seed=0)
+        opt = SGD(model.data, model.grad, lr=0.1)
         xf = train.x.reshape(len(train), -1)
         rng = np.random.default_rng(0)
         for _ in range(60):

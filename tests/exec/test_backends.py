@@ -89,7 +89,7 @@ class TestBackendPlumbing:
     def test_make_backend_rejects_unknown_name(self):
         ctx = WorkerContext([], None, model=None)
         with pytest.raises(ValueError, match="unknown execution backend"):
-            make_backend("gpu", context=ctx, context_factory=lambda: ctx)
+            make_backend("gpu", context=ctx)
 
     def test_config_validates_backend_and_workers(self):
         with pytest.raises(ValueError, match="backend"):
@@ -106,7 +106,7 @@ class TestBackendPlumbing:
         monkeypatch.setattr("multiprocessing.get_all_start_methods", lambda: ["spawn"])
         ctx = WorkerContext([], None, model=None)
         with pytest.raises(RuntimeError, match="fork") as info:
-            make_backend("process", context=ctx, context_factory=lambda: ctx)
+            make_backend("process", context=ctx)
         assert "backend='serial'" in str(info.value)
         assert "thread" not in str(info.value)
 
@@ -147,15 +147,12 @@ class TestBackendPlumbing:
 
     @pytest.mark.parametrize("dataset", sorted(DATASET_SPECS))
     def test_replica_model_has_the_simulation_models_geometry(self, dataset):
-        """A parallel worker's replica is built from the config's dataset
-        geometry, so it trains the same architecture as the parent."""
+        """The model every backend trains — the simulation's own, forked into
+        process workers — is sized by the config's dataset geometry."""
         with Simulation(small_config(dataset=dataset)) as sim:
-            replica = sim._replica_model()
-            assert replica is not sim.model
             x = sim.test_set.x[:4]
-            assert replica(x, training=False).shape == (4, DATASET_SPECS[dataset].num_classes)
             assert sim.model(x, training=False).shape == (4, DATASET_SPECS[dataset].num_classes)
-            assert replica.flat()[0].shape == sim.model.flat()[0].shape
+            assert sim.model.data.shape == sim.global_params.shape
 
     def test_train_spec_carries_the_local_knobs_of_the_config(self):
         cfg = small_config(
@@ -166,13 +163,6 @@ class TestBackendPlumbing:
             lr=0.05, epochs=3, proximal_mu=0.01, adversary="sign_flip",
             adversary_fraction=0.2, adversary_scale=4.0, seed=11,
         )
-
-    def test_a_task_without_parameters_is_refused(self):
-        with Simulation(small_config()) as sim:
-            ctx = WorkerContext(sim.clients, sim.compressors, sim.model)
-            task = ClientTask(position=0, cid=2, ratio=0.1)
-            with pytest.raises(ValueError, match="client 2 has no parameters"):
-                ctx.execute(task, None, sim._train_spec)
 
     def test_compression_without_compressors_is_refused(self):
         with Simulation(small_config(algorithm="fedavg", compression_ratio=1.0)) as sim:
@@ -204,18 +194,18 @@ class TestBackendPlumbing:
             assert {r.worker_pid for r in results} == {os.getpid()}
 
     def test_worker_error_propagates(self):
-        cfg = small_config(backend="process", workers=2)
+        cfg = small_config(algorithm="fedavg", compression_ratio=1.0, backend="process", workers=2)
         sim = Simulation(cfg)
         try:
             backend = sim.backend
-            bad = [ClientTask(position=0, cid=0, ratio=None)]
+            bad = [ClientTask(position=0, cid=0, ratio=0.1)]  # no compressors to compress with
             spec = TrainSpec(lr=0.1, epochs=1)
-            with pytest.raises(RuntimeError, match="worker"):
-                list(backend.run_round(bad, None, spec))  # no params anywhere
+            with pytest.raises(RuntimeError, match="worker 0 failed:\n.*no compressors were configured"):
+                list(backend.run_round(bad, sim.global_params, spec))
             # A failed round may have advanced state on healthy workers;
             # the backend refuses further rounds instead of diverging.
             with pytest.raises(RuntimeError, match="previous round"):
-                backend.run_round(bad, None, spec)
+                backend.run_round(bad, sim.global_params, spec)
         finally:
             sim.close()
 

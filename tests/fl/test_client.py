@@ -6,8 +6,7 @@ import pytest
 from repro.data.datasets import make_dataset
 from repro.data.partition import dirichlet_partition, iid_partition
 from repro.fl.client import Client
-from repro.nn.models import build_mlp
-from repro.nn.params import get_flat_params
+from repro.nn.mlp import MLP
 
 
 @pytest.fixture
@@ -17,37 +16,43 @@ def shard():
 
 @pytest.fixture
 def model():
-    return build_mlp(3 * 8 * 8, 10, hidden=(32,), seed=0)
+    return MLP(3 * 8 * 8, 10, hidden=(32,), seed=0)
 
 
 class TestClient:
     def test_delta_sign_convention(self, shard, model):
         """Δw = w_t − w_local: applying w_t − Δw must give the trained model."""
         client = Client(0, shard, 32, np.random.default_rng(0))
-        w0 = get_flat_params(model)
+        w0 = model.data.copy()
         res = client.local_train(model, w0, lr=0.1, epochs=1)
-        trained = get_flat_params(model)
+        trained = model.data.copy()
         np.testing.assert_allclose(w0 - res.delta, trained, atol=1e-6)
 
     def test_training_changes_params(self, shard, model):
         client = Client(0, shard, 32, np.random.default_rng(0))
-        res = client.local_train(model, get_flat_params(model), lr=0.1, epochs=1)
+        res = client.local_train(model, model.data.copy(), lr=0.1, epochs=1)
         assert np.linalg.norm(res.delta) > 0
 
     def test_more_epochs_more_batches(self, shard, model):
         client = Client(0, shard, 32, np.random.default_rng(0))
-        w0 = get_flat_params(model)
+        w0 = model.data.copy()
         r1 = client.local_train(model, w0, lr=0.01, epochs=1)
         r3 = client.local_train(model, w0, lr=0.01, epochs=3)
         assert r3.num_batches == 3 * r1.num_batches
 
     def test_loss_decreases_over_epochs(self, shard, model):
         client = Client(0, shard, 32, np.random.default_rng(0))
-        w0 = get_flat_params(model)
+        w0 = model.data.copy()
         res = client.local_train(model, w0, lr=0.2, epochs=8)
         # Mean loss across 8 epochs must beat a 1-epoch run's mean loss.
         res1 = client.local_train(model, w0, lr=0.2, epochs=1)
         assert res.mean_loss < res1.mean_loss
+
+    @pytest.mark.parametrize("size", [-1, 1], ids=["short", "long"])
+    def test_a_parameter_vector_of_the_wrong_size_is_refused(self, shard, model, size):
+        client = Client(0, shard, 32, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            client.local_train(model, np.zeros(model.data.size + size, dtype=np.float32), lr=0.1, epochs=1)
 
     def test_empty_shard_rejected(self, shard):
         with pytest.raises(ValueError):
@@ -59,7 +64,7 @@ class TestClient:
         assert client.client_id == 3
 
     def test_deterministic_given_rng(self, shard, model):
-        w0 = get_flat_params(model)
+        w0 = model.data.copy()
         c1 = Client(0, shard, 32, np.random.default_rng(5))
         r1 = c1.local_train(model, w0, lr=0.1, epochs=1)
         c2 = Client(0, shard, 32, np.random.default_rng(5))
@@ -78,8 +83,8 @@ def test_noniid_clients_less_aligned_than_iid():
     """The paper's premise, measured: Dirichlet(0.1) client updates are less
     mutually aligned than IID client updates."""
     ds = make_dataset("synth-cifar10", 1500, seed=0)
-    model = build_mlp(192, 10, hidden=(32,), seed=0)
-    w0 = get_flat_params(model)
+    model = MLP(192, 10, hidden=(32,), seed=0)
+    w0 = model.data.copy()
 
     def client_updates(partition):
         updates = []

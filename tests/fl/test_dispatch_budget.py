@@ -1,5 +1,5 @@
-"""Call budget of the step and dispatch loops: what is constant for a run is
-computed once, not once per step or per dispatch.
+"""Call budget of the dispatch loop: what is constant for a run is computed
+once, not once per dispatch.
 
 Counting monkeypatches over a 6-round synchronous run with fair-share
 contention (the pricing path that needs each link twice: Eq. 4 and the
@@ -15,7 +15,6 @@ import repro.exec.base as exec_base
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.network.cost import LinkSpec
-from repro.nn.layers import Layer
 from repro.simtime.profiles import ComputeSpec
 
 ROUNDS = 6
@@ -42,16 +41,9 @@ def config() -> ExperimentConfig:
     )
 
 
-def _all_subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _all_subclasses(sub)
-
-
 def counted_run(monkeypatch) -> dict:
-    """One seeded run with every counter installed; counts after round 1 and
-    at the end."""
-    counts = dict.fromkeys(("link", "compute", "parameters", "getpid", "contexts"), 0)
+    """One seeded run with every counter installed; counts at the end."""
+    counts = dict.fromkeys(("link", "compute", "getpid", "contexts"), 0)
 
     def counting(key, inner):
         def wrapper(*args, **kwargs):
@@ -65,9 +57,6 @@ def counted_run(monkeypatch) -> dict:
         patch.setattr(
             ComputeSpec, "__post_init__", counting("compute", ComputeSpec.__post_init__)
         )
-        for cls in {Layer, *_all_subclasses(Layer)}:
-            if "parameters" in cls.__dict__:
-                patch.setattr(cls, "parameters", counting("parameters", cls.parameters))
         patch.setattr(
             exec_base,
             "os",
@@ -80,15 +69,11 @@ def counted_run(monkeypatch) -> dict:
         )
         with Simulation(config()) as sim:
             built = dict(counts)  # construction draws links for nothing we count here
-            sim.run_round()
-            first = {k: counts[k] - built[k] for k in counts}
-            for _ in range(ROUNDS - 1):
-                sim.run_round()
+            sim.run()
             total = {k: counts[k] - built[k] for k in counts}
             contexts = counts["contexts"]
             records = sim.history.records
     return {
-        "first": first,
         "total": total,
         "contexts": contexts,
         # a synchronous round dispatches its whole cohort, once
@@ -98,7 +83,7 @@ def counted_run(monkeypatch) -> dict:
 
 def test_dispatch_and_step_budget(monkeypatch):
     run = counted_run(monkeypatch)
-    total, first = run["total"], run["first"]
+    total = run["total"]
     dispatches = cohort_rounds = run["dispatches"]
     assert dispatches == ROUNDS * 4
 
@@ -108,11 +93,6 @@ def test_dispatch_and_step_budget(monkeypatch):
     assert total["link"] <= dispatches + cohort_rounds
     assert total["link"] == cohort_rounds
     assert 0 < total["compute"] <= dispatches
-
-    # The backward walk, the flat vectors and the buffer list are derived
-    # from parameters() on a model's first step and never again.
-    assert first["parameters"] > 0
-    assert total["parameters"] == first["parameters"]
 
     # One pid lookup per worker context, however many tasks it executes.
     assert run["contexts"] >= 1

@@ -9,8 +9,7 @@ from repro.fl.client import Client
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import run_experiment
 from repro.network.cost import LinkSpec
-from repro.nn.models import build_mlp
-from repro.nn.params import get_flat_params
+from repro.nn.mlp import MLP
 
 FAST = dict(num_train=500, num_test=150, rounds=5, num_clients=5, participation=0.6,
             lr=0.1, model="mlp", eval_every=2)
@@ -20,8 +19,8 @@ class TestFedProx:
     def test_proximal_term_shrinks_drift(self):
         """Large mu keeps the local model closer to the global anchor."""
         shard = make_dataset("synth-cifar10", 256, seed=0)
-        model = build_mlp(192, 10, hidden=(32,), seed=0)
-        w0 = get_flat_params(model)
+        model = MLP(192, 10, hidden=(32,), seed=0)
+        w0 = model.data.copy()
         client = Client(0, shard, 64, np.random.default_rng(0))
         plain = client.local_train(model, w0, lr=0.2, epochs=3, proximal_mu=0.0)
         client2 = Client(0, shard, 64, np.random.default_rng(0))
@@ -30,8 +29,8 @@ class TestFedProx:
 
     def test_mu_zero_identical_to_plain(self):
         shard = make_dataset("synth-cifar10", 128, seed=0)
-        model = build_mlp(192, 10, hidden=(16,), seed=0)
-        w0 = get_flat_params(model)
+        model = MLP(192, 10, hidden=(16,), seed=0)
+        w0 = model.data.copy()
         r1 = Client(0, shard, 64, np.random.default_rng(1)).local_train(
             model, w0, lr=0.1, epochs=1
         )

@@ -31,9 +31,7 @@ class TestSimulationConstruction:
 
     def test_volume_matches_model(self):
         sim = Simulation(ExperimentConfig(**FAST))
-        from repro.nn.params import num_parameters
-
-        assert sim.volume_bits == num_parameters(sim.model) * 32
+        assert sim.volume_bits == sim.model.data.size * 32
 
     @pytest.mark.parametrize("partition", ["dirichlet", "iid", "shard"])
     def test_all_partitions_build(self, partition):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Parameter
 from repro.nn.losses import cross_entropy
 from repro.nn.optim import SGD
 from tests.conftest import numeric_grad
@@ -39,10 +38,9 @@ class TestCrossEntropy:
 
 class TestSGD:
     def test_plain_step(self):
-        p = Parameter("w", np.array([1.0, 2.0], dtype=np.float32))
-        p.grad[...] = [0.5, 0.5]
-        SGD(p.data, p.grad, lr=0.1).step()
-        np.testing.assert_allclose(p.data, [0.95, 1.95], rtol=1e-6)
+        data = np.array([1.0, 2.0], dtype=np.float32)
+        SGD(data, np.array([0.5, 0.5], dtype=np.float32), lr=0.1).step()
+        np.testing.assert_allclose(data, [0.95, 1.95], rtol=1e-6)
 
     def test_step_matches_lr_times_grad(self, rng):
         """``grad *= lr; data -= grad`` rounds exactly like ``data -= lr * grad``."""
@@ -58,9 +56,9 @@ class TestSGD:
             SGD(np.zeros(1), np.zeros(1), **kwargs)
 
     def test_converges_on_quadratic(self):
-        p = Parameter("w", np.array([5.0], dtype=np.float32))
-        opt = SGD(p.data, p.grad, lr=0.1)
+        data, grad = np.array([5.0], dtype=np.float32), np.zeros(1, dtype=np.float32)
+        opt = SGD(data, grad, lr=0.1)
         for _ in range(100):
-            p.grad[...] = 2 * p.data  # d/dw w^2
+            grad[...] = 2 * data  # d/dw w^2
             opt.step()
-        assert abs(p.data[0]) < 1e-3
+        assert abs(data[0]) < 1e-3

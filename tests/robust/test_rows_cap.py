@@ -19,7 +19,6 @@ from repro.core import arena
 from repro.core.aggregation import ROW_RULES
 from repro.core.arena import ROWS_CAP_BYTES, AggregationArena
 from repro.fl.simulation import Simulation, build_config_model, fold_capacity
-from repro.nn.params import num_parameters
 from repro.fl.config import ExperimentConfig
 from repro.simtime import make_simulation
 from repro.scenarios.registry import REGISTRY
@@ -27,7 +26,7 @@ from tests.fl.test_round_paths_pinned import CELLS
 
 
 def width(config: ExperimentConfig) -> int:
-    return num_parameters(build_config_model(config, seed=0))
+    return build_config_model(config, seed=0).data.size
 
 
 def fleet(cohort: int, aggregator: str) -> ExperimentConfig:

@@ -53,7 +53,7 @@ from repro.core.coefficients import NORM_MODES
 from repro.data.datasets import DATASET_SPECS
 from repro.fl import config as fl_config
 from repro.fl.config import ExperimentConfig
-from repro.nn.models import MODEL_BUILDERS
+from repro.nn.mlp import MODELS
 from tests.repo_index import REPO, repo_index
 
 #: Relative to the repo root; a directory excludes everything below it.
@@ -66,7 +66,7 @@ _CONFIG = "src/repro/fl/config.py"
 #: to the repo root; a directory covers everything below it). A literal in
 #: the defining place is the definition, not a use.
 REGISTRIES: dict[str, tuple[tuple[str, ...], str]] = {
-    "model": (tuple(MODEL_BUILDERS), "src/repro/nn"),
+    "model": (MODELS, "src/repro/nn"),
     "dataset": (tuple(DATASET_SPECS), "src/repro/data/datasets.py"),
     "compressor": (tuple(available_compressors()), "src/repro/compression"),
     "algorithm": (fl_config.ALGORITHMS, _CONFIG),
@@ -185,8 +185,8 @@ def test_registry_name_is_selected_outside_tests(field, name, selected_by_defini
 
 def test_unreached_registry_name_fails(tmp_path):
     (tmp_path / "src" / "repro" / "nn").mkdir(parents=True)
-    (tmp_path / "src" / "repro" / "nn" / "models.py").write_text(
-        "MODEL_BUILDERS = {'mlp': 1, 'cnn': 2}\n"  # the definition never counts
+    (tmp_path / "src" / "repro" / "nn" / "mlp.py").write_text(
+        "MODELS = ('mlp', 'cnn')\n"  # the definition never counts
     )
     (tmp_path / "examples").mkdir()
     (tmp_path / "examples" / "demo.py").write_text("cfg = paper_config(model='mlp')\n")
