@@ -24,6 +24,9 @@ Design:
   it once and read a zero-copy view. Only the small task list travels over
   the pipe. If shared memory is unavailable the backend transparently falls
   back to shipping the vector in the task message.
+- **One BLAS thread per worker.** The workers already split the cohort
+  over the cores; each starts with the BLAS library NumPy bundles pinned to
+  one thread, so no worker's BLAS pool competes with its siblings.
 
 The backend requires the ``fork`` start method (Linux, macOS); ``spawn``
 would have to rebuild client state from pickles and is deliberately not
@@ -32,10 +35,14 @@ supported — use the serial backend there.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import multiprocessing as mp
+import warnings
 import weakref
 from collections.abc import Iterator, Sequence
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 
@@ -57,6 +64,34 @@ WINDOW = 64
 _CMD_ROUND = "round"
 _CMD_ATTACH = "attach"
 _CMD_STOP = "stop"
+
+#: Thread-count setters of the BLAS builds NumPy wheels bundle, by symbol.
+BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+@functools.cache
+def bundled_blas() -> tuple | None:
+    """The thread-count setter and getter of the BLAS library NumPy bundles,
+    found by symbol (:data:`BLAS_SETTERS`); None, warned once, when no
+    bundled library has one."""
+    numpy_dir = Path(np.__file__).parent  # wheels: numpy.libs/ (Linux), .dylibs/ (macOS)
+    libs = [*numpy_dir.parent.glob("numpy.libs/*blas*"), *numpy_dir.glob(".dylibs/*blas*")]
+    for path in sorted(libs):
+        lib = ctypes.CDLL(str(path))
+        for name in BLAS_SETTERS:
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                get_threads = getattr(lib, name.replace("_set_", "_get_"))
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    warnings.warn(
+        f"no BLAS thread setter ({', '.join(BLAS_SETTERS)}) in NumPy's bundled libraries: "
+        "process-backend workers run at the BLAS default thread count",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return None
 
 
 def shard_tasks(tasks: Sequence[ClientTask], workers: int) -> list[list[ClientTask]]:
@@ -100,6 +135,10 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 
 def _worker_loop(conn, context: WorkerContext) -> None:
     """Serve rounds until told to stop. Runs in the forked child."""
+    blas = bundled_blas()  # looked up by the parent before it forked
+    if blas is not None:
+        set_threads, _ = blas
+        set_threads(1)
     shm = None
     view: np.ndarray | None = None
     try:
@@ -187,6 +226,7 @@ class ProcessBackend(ExecutionBackend):
         if self._pool is not None:
             return
         ctx = mp.get_context("fork")
+        bundled_blas()  # once, in the parent: the workers inherit the lookup
         pool = _Pool()
         for _ in range(self.workers):
             parent_conn, child_conn = ctx.Pipe()

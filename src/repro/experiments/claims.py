@@ -213,8 +213,6 @@ CLAIMS = (
     Claim("uncompressed / bcrs comm per round > 1, each CR", (FIG6,), _every,
           of=lambda h: np.divide(h.time.max_total, h.time.actual_total), bound=1,
           paper=_fig6_paper(lambda b: b[2] / b[3])),
-    Claim("(uncompressed - bcrs comm) / compress time per round > 10, each CR", (FIG6,), _every,
-          of=_saved_per_compress, bound=10, paper=_fig6_paper(lambda b: (b[2] - b[3]) / b[0])),
     Claim("bcrs comm per round at CR 0.1 / CR 0.01 > 3", (FIG6,), lambda c: c[0.1] / c[0.01],
           of=lambda h: h.mean_breakdown()["comm_actual_s"], bound=3,
           paper=_fig6_paper(lambda b: b[3])),
@@ -242,9 +240,12 @@ CLAIMS = (
     Claim("final accuracy > 0.3 of every server optimizer", (A5,), _every, bound=0.3),
 )
 #: Rows the claims table reports with k/n and nothing asserts: Table 2's
-#: remaining ones, Table 4 at CR 0.1, and BCRS's time premise (Figs. 1–2: a
+#: remaining ones, Table 4 at CR 0.1, BCRS's time premise (Figs. 1–2: a
 #: BCRS round spans no longer than a TopK round; Table 3's speedup in
-#: virtual time).
+#: virtual time), and Fig. 6's saved-time-per-compress-second ratio, which
+#: cannot fail here: it divides virtual seconds priced at the paper's 47 Mbit
+#: message by wall-clock seconds compressing the CPU-sized MLP (tens of
+#: thousands against the paper's 137–181).
 REPORTED = (
     *(_gap(hi, lo) for hi, lo in [("bcrs", "topk"), ("bcrs_opwa", "bcrs"), ("bcrs", "eftopk")]),
     _gap("bcrs_opwa", "fedavg", _panels(crs=(0.1,)), " at CR 0.1"),
@@ -255,6 +256,8 @@ REPORTED = (
     Claim(f"topk / bcrs virtual time to {TARGET:g} >= 1/1.05", TABLE3_PANELS,
           lambda t: t["topk"] / t["bcrs"], of=methodcaller("simtime_to_accuracy", TARGET),
           bound=1 / 1.05, strict=False),
+    Claim("(uncompressed - bcrs comm) / compress time per round > 10, each CR", (FIG6,), _every,
+          of=_saved_per_compress, bound=10, paper=_fig6_paper(lambda b: (b[2] - b[3]) / b[0])),
 )
 
 

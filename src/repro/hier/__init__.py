@@ -1,8 +1,9 @@
 """Hierarchical cloud–edge–client federation.
 
-- :mod:`repro.hier.topology` — :class:`TierTopology`: cloud → E edge
-  aggregators → clients, with distinct per-tier link draws (last-mile
-  client↔edge links vs. edge↔cloud backhaul);
+- :mod:`repro.hier.topology` — the hierarchy as draws beside the population
+  columns: :func:`assign_edges` (one sorted int64 client-id array per edge)
+  and :func:`sample_backhaul_links` (one edge↔cloud link per edge, ``None``
+  for a free tier);
 - :mod:`repro.hier.simulation` — :class:`HierSimulation`: K₁ client↔edge
   sub-rounds per cloud round, per-edge BCRS/OPWA aggregation, backhaul
   uploads priced on the virtual clock, two-level (edge then cloud) FedAvg.
@@ -14,20 +15,9 @@ sub-round, free backhaul) reproduce the flat protocol bit-for-bit.
 
 from __future__ import annotations
 
-from repro.hier.topology import (
-    TierTopology,
-    assign_edges,
-    build_tier_topology,
-    sample_backhaul_links,
-)
+from repro.hier.topology import assign_edges, sample_backhaul_links
 
-__all__ = [
-    "TierTopology",
-    "assign_edges",
-    "build_tier_topology",
-    "sample_backhaul_links",
-    "HierSimulation",
-]
+__all__ = ["assign_edges", "sample_backhaul_links", "HierSimulation"]
 
 
 def __getattr__(name):

@@ -21,8 +21,9 @@ Degenerate-equivalence contract: with ``num_edges=1``, ``edge_rounds=1``
 and a free backhaul (the config defaults), every round record is
 **bit-for-bit identical** to the flat :class:`~repro.fl.simulation.
 Simulation` under the same seed — same selections, losses, times, weights,
-and virtual spans. ``tests/hier/`` enforces this, along with the usual
-contract that seeded runs are bit-identical across execution backends.
+and virtual spans. The invariance harness (``tests/test_invariance.py``)
+checks it on every sync config without client-uplink faults, along with
+the usual contract that seeded runs are bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import numpy as np
 from repro.fl.config import ExperimentConfig
 from repro.fl.history import EdgeRecord, RoundComm, RoundRecord
 from repro.fl.simulation import Simulation
-from repro.hier.topology import TierTopology, build_tier_topology
+from repro.hier.topology import assign_edges, sample_backhaul_links
+from repro.network.cost import uplink_time
 from repro.network.metrics import RoundTimes
 from repro.network.transport import Payload
 from repro.utils.rng import RngFactory
@@ -54,21 +56,29 @@ class HierSimulation(Simulation):
         # (cloud round, edge) — stateless, so zero probability means zero
         # draws and the degenerate-equivalence contract is untouched.
         self._crash_rngs = rngs
-        self.topology: TierTopology = build_tier_topology(config, self.links, rngs)
+        # The hierarchy, from dedicated streams so it never perturbs the flat
+        # protocol's draws: groups[e] are the sorted int64 ids edge e serves,
+        # backhaul_links[e] its edge↔cloud link (None = free).
+        self.groups = assign_edges(
+            config.num_clients, config.num_edges, config.edge_assignment,
+            bandwidth_bps=self.population.bandwidth_bps, seed=rngs.stream("edge-assign"),
+        )
+        self.backhaul_links = sample_backhaul_links(
+            config.num_edges, bandwidth_mbps=config.backhaul_bandwidth_mbps,
+            latency_s=config.backhaul_latency_s, heterogeneity=config.backhaul_heterogeneity,
+            seed=rngs.stream("backhaul"),
+        )
         # One server optimizer per edge (identical hyperparameters); its
         # state (momentum/Adam moments) persists across cloud rounds.
-        self.edge_opts = [self._make_server_opt() for _ in self.topology.groups]
+        self.edge_opts = [self._make_server_opt() for _ in self.groups]
         # Weight the cloud tier by each group's data — summed from the size
         # column, so a fleet-scale hierarchy never hydrates clients here.
-        sizes = np.array(
-            [self.population.group_size(group) for group in self.topology.groups],
-            dtype=np.float64,
-        )
+        sizes = np.array([self.population.data_sizes[g].sum() for g in self.groups], dtype=float)
         self.edge_freqs = sizes / sizes.sum()
 
     # ------------------------------------------------------------ sub-round
 
-    def _sample_group(self, group: tuple[int, ...]) -> np.ndarray:
+    def _sample_group(self, group: np.ndarray) -> np.ndarray:
         """Fraction-C uniform selection within one edge group.
 
         All edges draw from the *flat sampler's* stream in (sub-round, edge)
@@ -77,18 +87,18 @@ class HierSimulation(Simulation):
         """
         k = max(1, int(round(len(group) * self.config.participation)))
         ids = self.sampler.rng.choice(len(group), size=k, replace=False)
-        return np.sort(np.asarray(group)[ids])
+        return np.sort(group[ids])
 
-    def _edge_sub_round(self, edge: int, t_start: float):
-        """One client↔edge sub-round: sample, plan, train, aggregate.
+    def _edge_sub_round(self, edge: int, t_start: float, edge_params: list):
+        """One client↔edge sub-round: sample, plan, train, aggregate into
+        ``edge_params[edge]``.
 
         Returns (sub-round virtual span, plan times, record fragments).
         ``t_start`` is the edge's current position on the virtual clock;
         client spans are logged there.
         """
         cfg = self.config
-        group = self.topology.groups[edge]
-        selected = self._sample_group(group)
+        selected = self._sample_group(self.groups[edge])
         # BCRS benchmarks against this group's own slowest member.
         links, plan, tasks = self._plan_cohort(selected)
 
@@ -142,9 +152,9 @@ class HierSimulation(Simulation):
         # Train the cohort from the edge model, folding each aggregated
         # upload into the edge's aggregate as it arrives.
         members: list = []
-        params = self._edge_params[edge]
+        params = edge_params[edge]
         stream = self._stream(tasks, params, members, dict.fromkeys(used, 1.0))
-        self._edge_params[edge], singleton = self._aggregate_into(
+        edge_params[edge], singleton = self._aggregate_into(
             params, self.edge_opts[edge], stream, agg_weights, self.algorithm.use_opwa
         )
         fragments = {
@@ -166,7 +176,7 @@ class HierSimulation(Simulation):
 
     def _cloud_round(self) -> RoundRecord:
         cfg = self.config
-        E = self.topology.num_edges
+        E = len(self.groups)
         self._begin_round()
 
         sim_start = self.sim_clock
@@ -181,7 +191,7 @@ class HierSimulation(Simulation):
         alive = [e for e in range(E) if not crashed[e]]
 
         # Every edge starts from this round's global model.
-        self._edge_params = [self.global_params.copy() for _ in range(E)]
+        edge_params = [self.global_params.copy() for _ in range(E)]
 
         # Cloud→edge broadcast opens the round (charged only when downlink
         # accounting is on, mirroring the client tier). Backhaul links are
@@ -189,22 +199,18 @@ class HierSimulation(Simulation):
         # broadcast is exclusive (contention models the shared *ingress*).
         dense_model = Payload.dense(self.volume_bits)
         backhaul_down = [
-            self.transport.broadcast_seconds(self.topology.backhaul_links[e], dense_model)
+            self.transport.broadcast_seconds(link, dense_model)
             if cfg.include_downlink and not crashed[e]
             else 0.0
-            for e in range(E)
+            for e, link in enumerate(self.backhaul_links)
         ]
         elapsed = list(backhaul_down)  # per-edge virtual time since sim_start
-        sub_spans: list[list[float]] = [[] for _ in range(E)]
-        actual_sum = [0.0] * E
-        max_sum = [0.0] * E
-        min_sum = [0.0] * E
-        down_sum = [0.0] * E
+        # Each edge's sub-rounds in order: (span, plan times, selected ids).
+        subs: list[list[tuple]] = [[] for _ in range(E)]
         selected_all: list[int] = []
         weights_all: list[float] = []
         members_all: list = []
         singletons: list[float] = []
-        edge_selected: list[list[int]] = [[] for _ in range(E)]
         up_map: dict[int, float] = {}
         down_map: dict[int, float] = {}
 
@@ -212,21 +218,12 @@ class HierSimulation(Simulation):
         # edges are independent in virtual time (each has its own clock),
         # but the (sub-round, edge) iteration fixes the sampling sequence.
         for _k in range(cfg.edge_rounds):
-            for e in range(E):
-                if crashed[e]:
-                    continue
-                with self.obs.tracer.span(
-                    "hier.subround", cat="hier", edge=e, sub_round=_k
-                ):
-                    span, times, frag = self._edge_sub_round(e, sim_start + elapsed[e])
+            for e in alive:
+                with self.obs.tracer.span("hier.subround", cat="hier", edge=e, sub_round=_k):
+                    span, times, frag = self._edge_sub_round(e, sim_start + elapsed[e], edge_params)
                 elapsed[e] += span
-                sub_spans[e].append(span)
-                actual_sum[e] += times.actual
-                max_sum[e] += times.maximum
-                min_sum[e] += times.minimum
-                down_sum[e] += times.downlink
+                subs[e].append((span, times, frag["selected"]))
                 selected_all.extend(frag["selected"])
-                edge_selected[e].extend(frag["selected"])
                 weights_all.extend(frag["weights"])
                 members_all.extend(frag["members"])
                 if frag["singleton"] is not None:
@@ -238,33 +235,21 @@ class HierSimulation(Simulation):
         # cloud averages edge models by group data size — two-level FedAvg.
         # Under fair contention the E backhaul uploads share the *cloud's*
         # ingress capacity (one water-filled epoch per cloud round).
+        billed = [e for e in alive if self.backhaul_links[e] is not None]
+        backhaul_up = [0.0] * E
         if self.transport.contended:
-            billed = [
-                (e, self.topology.backhaul_links[e])
-                for e in alive
-                if self.topology.backhaul_links[e] is not None
-            ]
+            uploads = [(dense_model, self.backhaul_links[e], sim_start + elapsed[e])
+                       for e in billed]
             with self.obs.tracer.span("hier.backhaul", cat="hier", edges=len(billed)):
-                recs = self.transport.resolve_uploads(
-                    [(dense_model, link, sim_start + elapsed[e]) for e, link in billed],
-                    direction="backhaul",
-                )
-            backhaul_up = [0.0] * E
-            for (e, _), rec in zip(billed, recs):
+                recs = self.transport.resolve_uploads(uploads, direction="backhaul")
+            for e, rec in zip(billed, recs):
                 backhaul_up[e] = rec.seconds
         else:
-            backhaul_up = [
-                self.topology.backhaul_uplink_time(e, self.volume_bits)
-                if not crashed[e]
-                else 0.0
-                for e in range(E)
-            ]
+            for e in billed:
+                backhaul_up[e] = uplink_time(self.backhaul_links[e], self.volume_bits)
         edge_totals = [elapsed[e] + backhaul_up[e] for e in range(E)]
-
-        backhaul_map: dict[int, float] = {}
-        for e in alive:
-            if self.topology.backhaul_links[e] is not None:
-                backhaul_map[e] = self.volume_bits * (2.0 if cfg.include_downlink else 1.0)
+        backhaul_bits = self.volume_bits * (2.0 if cfg.include_downlink else 1.0)  # up (+ down)
+        backhaul_map = dict.fromkeys(billed, backhaul_bits)
 
         # Cloud merge over the surviving edges, reweighted by their share of
         # the data. The no-crash path keeps edge_freqs bit-for-bit (no
@@ -278,16 +263,25 @@ class HierSimulation(Simulation):
             # float64 sum in ``alive`` order, rounded once: the goldens pin it.
             acc = np.zeros_like(self.global_params, dtype=np.float64)
             for f, e in zip(freqs_alive, alive):
-                acc += f * self._edge_params[e]
+                acc += f * edge_params[e]
             self.global_params = acc.astype(np.float32)
 
         backhaul_s = [backhaul_up[e] + backhaul_down[e] for e in range(E)]
+
+        def summed(e: int, field: str) -> float:
+            # Edge e's sub-round times added in order (not ``sum()``, whose
+            # float path is compensated from Python 3.12 on).
+            total = 0.0
+            for _, times, _ in subs[e]:
+                total += getattr(times, field)
+            return total
+
         if alive:
             times = RoundTimes(
-                actual=max(actual_sum[e] + backhaul_s[e] for e in alive),
-                maximum=max(max_sum[e] + backhaul_s[e] for e in alive),
-                minimum=min(min_sum[e] + backhaul_s[e] for e in alive),
-                downlink=max(down_sum[e] + backhaul_down[e] for e in alive),
+                actual=max(summed(e, "actual") + backhaul_s[e] for e in alive),
+                maximum=max(summed(e, "maximum") + backhaul_s[e] for e in alive),
+                minimum=min(summed(e, "minimum") + backhaul_s[e] for e in alive),
+                downlink=max(summed(e, "downlink") + backhaul_down[e] for e in alive),
             )
         else:
             times = RoundTimes(0.0, 0.0, 0.0, 0.0)
@@ -295,8 +289,8 @@ class HierSimulation(Simulation):
         breakdown = tuple(
             EdgeRecord(
                 edge=e,
-                selected=tuple(edge_selected[e]),
-                sub_spans=tuple(sub_spans[e]),
+                selected=tuple(c for _, _, selected in subs[e] for c in selected),
+                sub_spans=tuple(span for span, _, _ in subs[e]),
                 backhaul_s=backhaul_s[e],
                 start=sim_start,
                 end=sim_start + edge_totals[e],
@@ -312,10 +306,6 @@ class HierSimulation(Simulation):
             sim_start=sim_start,
             sim_end=sim_start + max(edge_totals),
             edge_breakdown=breakdown,
-            comm=RoundComm.from_maps(
-                uplink=up_map, downlink=down_map, backhaul=backhaul_map
-            ),
-            num_participants=(
-                len(selected_all) if cfg.edge_crash_prob > 0.0 else None
-            ),
+            comm=RoundComm.from_maps(uplink=up_map, downlink=down_map, backhaul=backhaul_map),
+            num_participants=len(selected_all) if cfg.edge_crash_prob > 0.0 else None,
         )

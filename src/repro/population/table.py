@@ -229,10 +229,6 @@ class Population:
         vectorized over the cohort without touching client objects."""
         return self.data_sizes[np.asarray(ids, dtype=np.int64)].astype(np.float64)
 
-    def group_size(self, ids) -> int:
-        """Total samples held by the clients in ``ids`` (edge-tier weights)."""
-        return int(self.data_sizes[np.asarray(ids, dtype=np.int64)].sum())
-
     def shard_indices(self, cid: int) -> np.ndarray:
         """Corpus indices of client ``cid``'s shard.
 

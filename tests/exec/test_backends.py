@@ -7,6 +7,7 @@ checked for drawn configs by the invariance harness, ``tests/test_invariance.py`
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -208,6 +209,31 @@ class TestBackendPlumbing:
                 backend.run_round(bad, sim.global_params, spec)
         finally:
             sim.close()
+
+
+class TestBlasThreads:
+    def test_a_forked_worker_runs_one_blas_thread(self, monkeypatch):
+        """The parent at 2 BLAS threads forks workers that each read 1
+        through the bundled library's getter, and keeps its own count."""
+        blas = exec_process.bundled_blas()
+        if blas is None:
+            pytest.skip("NumPy bundles no BLAS with a known thread setter")
+        set_threads, get_threads = blas
+
+        def report(context, task, global_params, spec):
+            return SimpleNamespace(position=task.position, blas_threads=get_threads())
+
+        monkeypatch.setattr(WorkerContext, "execute", report)
+        tasks = [ClientTask(position=pos, cid=cid, ratio=0.1) for pos, cid in enumerate(range(4))]
+        before = get_threads()
+        set_threads(2)
+        try:
+            with Simulation(small_config(backend="process", workers=2)) as sim:
+                results = list(sim.backend.run_round(tasks, sim.global_params, sim._train_spec))
+            assert [r.blas_threads for r in results] == [1, 1, 1, 1]
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
 
 
 class TestOverlapCountsValidation:

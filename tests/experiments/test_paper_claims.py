@@ -192,6 +192,11 @@ class TestScoring:
         text = claims_table(runs)
         assert "cifar10 0.1 0.01 60" in text and "--" in text
 
+    def test_claims_asserted_and_reported(self):
+        assert (len(CLAIMS), len(REPORTED)) == (31, 8)
+        fig6 = [c.name for c in REPORTED if c.cells == (FIG6,)]
+        assert fig6 == ["(uncompressed - bcrs comm) / compress time per round > 10, each CR"]
+
     def test_table_lists_every_claim_and_cell(self):
         text = claims_table(paper_runs())
         for claim in CLAIMS + REPORTED:

@@ -1,18 +1,15 @@
 """Tests for the multi-tier topology model."""
 
+import numpy as np
 import pytest
 
-from repro.hier.topology import (
-    TierTopology,
-    assign_edges,
-    sample_backhaul_links,
-)
+from repro.hier.topology import assign_edges, sample_backhaul_links
 from repro.network.cost import LinkSpec
 from repro.network.links import PAPER_LINK_MODEL, sample_links
 
 
-def links(n, seed=0):
-    return sample_links(n, PAPER_LINK_MODEL, seed=seed)
+def bandwidths(n, seed=0):
+    return np.array([link.bandwidth_bps for link in sample_links(n, PAPER_LINK_MODEL, seed=seed)])
 
 
 class TestAssignEdges:
@@ -20,33 +17,36 @@ class TestAssignEdges:
     @pytest.mark.parametrize("num_edges", [1, 2, 3, 10])
     def test_partition_invariants(self, mode, num_edges):
         n = 10
-        groups = assign_edges(n, num_edges, mode, links=links(n), seed=7)
+        groups = assign_edges(n, num_edges, mode, bandwidth_bps=bandwidths(n), seed=7)
         assert len(groups) == num_edges
-        flat = sorted(c for g in groups for c in g)
-        assert flat == list(range(n))  # exact partition, no dupes/gaps
         for g in groups:
-            assert g  # non-empty
-            assert list(g) == sorted(g)  # id-sorted within a group
+            assert isinstance(g, np.ndarray) and g.dtype == np.int64
+            assert g.size  # non-empty
+            assert np.all(np.diff(g) > 0)  # id-sorted within a group
+        flat = np.sort(np.concatenate(groups))
+        assert flat.tolist() == list(range(n))  # exact partition, no dupes/gaps
 
     def test_contiguous_is_consecutive_chunks(self):
         groups = assign_edges(6, 3, "contiguous")
-        assert groups == ((0, 1), (2, 3), (4, 5))
+        assert [g.tolist() for g in groups] == [[0, 1], [2, 3], [4, 5]]
 
     def test_random_is_seeded(self):
-        a = assign_edges(12, 3, "random", seed=5)
-        b = assign_edges(12, 3, "random", seed=5)
-        c = assign_edges(12, 3, "random", seed=6)
+        a, b, c = (
+            [g.tolist() for g in assign_edges(12, 3, "random", seed=seed)] for seed in (5, 5, 6)
+        )
         assert a == b
         assert a != c
 
     def test_bandwidth_groups_are_bandwidth_ordered(self):
-        ls = links(12, seed=3)
-        groups = assign_edges(12, 4, "bandwidth", links=ls)
+        bw = bandwidths(12, seed=3)
+        groups = assign_edges(12, 4, "bandwidth", bandwidth_bps=bw)
         # Every client in group e is no faster than any client in group e+1.
         for e in range(3):
-            assert max(ls[c].bandwidth_bps for c in groups[e]) <= min(
-                ls[c].bandwidth_bps for c in groups[e + 1]
-            )
+            assert bw[groups[e]].max() <= bw[groups[e + 1]].min()
+
+    def test_bandwidth_ties_keep_id_order(self):
+        groups = assign_edges(4, 2, "bandwidth", bandwidth_bps=np.array([5.0, 1.0, 5.0, 1.0]))
+        assert [g.tolist() for g in groups] == [[1, 3], [0, 2]]
 
     def test_errors(self):
         with pytest.raises(ValueError, match="num_edges"):
@@ -55,8 +55,10 @@ class TestAssignEdges:
             assign_edges(4, 0, "contiguous")
         with pytest.raises(ValueError, match="unknown edge assignment"):
             assign_edges(4, 2, "geo")
-        with pytest.raises(ValueError, match="links"):
+        with pytest.raises(ValueError, match="bandwidth_bps"):
             assign_edges(4, 2, "bandwidth")
+        with pytest.raises(ValueError, match="3 bandwidths for 4 clients"):
+            assign_edges(4, 2, "bandwidth", bandwidth_bps=np.ones(3))
 
 
 class TestBackhaulLinks:
@@ -74,39 +76,3 @@ class TestBackhaulLinks:
         b = sample_backhaul_links(8, bandwidth_mbps=100.0, latency_s=0.01, heterogeneity=0.5, seed=2)
         assert a == b
         assert len({link.bandwidth_bps for link in a}) > 1
-
-
-class TestTierTopology:
-    def build(self, n=6, num_edges=2, backhaul_mbps=50.0):
-        ls = links(n)
-        return TierTopology(
-            groups=assign_edges(n, num_edges, "contiguous"),
-            client_links=tuple(ls),
-            backhaul_links=sample_backhaul_links(
-                num_edges, bandwidth_mbps=backhaul_mbps, latency_s=0.02, seed=1
-            ),
-        )
-
-    def test_shape_accessors(self):
-        topo = self.build()
-        assert topo.num_edges == 2
-        assert topo.num_clients == 6
-        assert 0 in topo.groups[0] and 5 in topo.groups[1]
-
-    def test_backhaul_times(self):
-        topo = self.build(backhaul_mbps=50.0)
-        v = 1e6
-        t = topo.backhaul_uplink_time(0, v)
-        link = topo.backhaul_links[0]
-        assert t == pytest.approx(link.latency_s + v / link.bandwidth_bps)
-        free = self.build(backhaul_mbps=None)
-        assert free.backhaul_uplink_time(0, v) == 0.0
-
-    def test_validation(self):
-        ls = tuple(links(4))
-        with pytest.raises(ValueError, match="partition"):
-            TierTopology(groups=((0, 1), (1, 2, 3)), client_links=ls, backhaul_links=(None, None))
-        with pytest.raises(ValueError, match="backhaul"):
-            TierTopology(groups=((0, 1), (2, 3)), client_links=ls, backhaul_links=(None,))
-        with pytest.raises(ValueError, match="at least one client"):
-            TierTopology(groups=((0, 1, 2, 3), ()), client_links=ls, backhaul_links=(None, None))

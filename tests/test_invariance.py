@@ -17,9 +17,12 @@ plus a digest of the final global parameters — must be identical under:
 - a :class:`~repro.scenarios.RunStore` save and load of the serial history,
   wall-clock fields and their types included.
 
-Two knobs with a neutral value are identities checked on the same draws:
-``bcrs_opwa`` at ``gamma=1`` is ``bcrs``, and ``norm_clip`` at
-``clip_tau=1e30`` is ``mean``. The drawn test runs once per (mode,
+Three knobs with a neutral value are identities checked on the same draws:
+``bcrs_opwa`` at ``gamma=1`` is ``bcrs``, ``norm_clip`` at ``clip_tau=1e30``
+is ``mean``, and ``hier`` with one edge, one sub-round and a free backhaul is
+``sync`` (on every sync config without client-uplink faults, which the edge
+tier does not model; ``edge_breakdown``, the one record field ``hier`` adds,
+is left out of the comparison). The drawn test runs once per (mode,
 aggregator) pair, so every pair runs on the process backend. ``FEATURES``
 names the features of the pinned round paths
 (``tests/fl/test_round_paths_pinned.py``) that the draws may not reach; each
@@ -185,12 +188,28 @@ def _always(config) -> bool:
     return True
 
 
+def _without_edges(t: dict) -> dict:
+    records = [
+        {k: v for k, v in r.items() if k != "edge_breakdown"} for r in t["history"]["records"]
+    ]
+    return {**t, "history": {**t["history"], "records": records}}
+
+
+def _one_edge(config, reference, tmp_path_factory):
+    # Drawn sync configs carry inert hier values: force the neutral ones.
+    hier = config.with_(
+        mode="hier", num_edges=1, edge_rounds=1, edge_sync="sync",
+        backhaul_bandwidth_mbps=None, edge_crash_prob=0.0,
+    )
+    return _without_edges(reference[0]), _without_edges(trace(make_simulation(hier)))
+
+
 two, three = WORKERS
 
 #: Every other spelling of a seeded run: id → (what a failure calls it, the
 #: configs it applies to, how it gets what it compares — the serial run's
 #: trace or history and its own — from the config and the serial run's
-#: trace and history). The last two are neutral values.
+#: trace and history). The last three are neutral values.
 KNOBS = {
     "traced": ("tracing", _always, _rerun(lambda c: c, traced=True)),
     f"process-{two}": (f"process backend, {two} workers", _always, _rerun(_process(two))),
@@ -209,6 +228,11 @@ KNOBS = {
         "identity norm_clip at clip_tau=1e30 as mean",
         lambda c: c.aggregator == "mean",
         _rerun(lambda c: c.with_(aggregator="norm_clip", clip_tau=1e30)),
+    ),
+    "hier-1-edge": (
+        "identity hier with one free edge and one sub-round as sync",
+        lambda c: c.mode == "sync" and c.drop_prob == 0.0 and c.truncate_prob == 0.0,
+        _one_edge,
     ),
 }
 
@@ -252,7 +276,8 @@ _EXTRAS = dict(server_optimizer="adam", server_step=0.01, volume_override_bits=4
 
 #: Every feature an earlier backend test or pinned round path ran on the
 #: process backend, whatever the draws reach: error feedback under faults and
-#: fair ingress; dense FedAvg; plain BCRS, with link drift; BCRS+OPWA with
+#: fair ingress; dense FedAvg, lossy and clean (the clean one as one free
+#: edge too); plain BCRS, with link drift; BCRS+OPWA with
 #: drift, shared ingress and downlink, a server optimizer with moments,
 #: paper-scale volume pricing and a byzantine minority; a quantiser beneath
 #: Top-K, over virtual shards; Top-K under a trimmed mean, with a server
@@ -262,6 +287,7 @@ _EXTRAS = dict(server_optimizer="adam", server_step=0.01, volume_override_bits=4
 FEATURES = {
     "sync-eftopk-lossy-fair": dict(mode="sync", aggregator="mean", algorithm="eftopk", **_LOSSY, **_FAIR),
     "sync-fedavg-lossy": dict(mode="sync", aggregator="mean", algorithm="fedavg", **_LOSSY),
+    "sync-fedavg-dense": dict(mode="sync", aggregator="mean", algorithm="fedavg", compression_ratio=1.0),
     "sync-bcrs_opwa-all": dict(
         mode="sync", aggregator="trimmed_mean", trim_beta=0.2, adversary="sign_flip",
         adversary_fraction=0.25, time_varying_links=True, **_LOSSY, **_SHARED, **_EXTRAS,
