@@ -180,11 +180,6 @@ class Simulation:
                 for link in self.links
             ]
 
-        # Device timing profiles (repro.simtime): per-client compute speed
-        # drawn once into the population's columns, viewed as DeviceProfiles
-        # on demand. Used to price each round's virtual-time span; the
-        # event-driven protocols schedule from them directly.
-        self.devices = self.population.devices
         self.spans = SpanLog()  # per-client train/upload intervals (trace timeline)
         self.sim_clock = 0.0  # virtual time at which the last round completed
 
@@ -431,17 +426,17 @@ class Simulation:
         priced width, known before the update is trained; dense
         ``volume_bits`` without a compressor.
 
-        ``frac`` is the fault fate's surviving fraction, applied as
-        :meth:`FaultInjector.truncate` applies it: a sparse upload keeps
-        ``int(frac·entries)`` entries; fewer than one, or any other kind,
-        is a drop, billed at full size (a drop's ``frac`` is 0).
+        ``frac`` is the fault fate's surviving fraction. A truncation the
+        server receives (:meth:`_delivers`, decided at the trained width)
+        keeps ``int(frac·entries)`` of the priced entries, at least one;
+        every other upload — whole, dropped (``frac`` 0), or truncated to
+        nothing decodable — is billed at full size.
         """
         if ratio is None:
             return Payload.dense(self.volume_bits)
         entries, entry_bits, kind = wire_size(self._comp_name, self._priced_width, float(ratio))
-        kept = int(frac * entries)
-        if kind == "sparse" and kept >= 1:
-            entries = kept
+        if frac < 1.0 and self._delivers(ratio, frac):
+            entries = max(1, int(frac * entries))
         return Payload(bits=float(entries * entry_bits), kind=kind)
 
     def _stage_dispatch(
@@ -457,7 +452,8 @@ class Simulation:
         if self.obs.enabled:
             self.obs.metrics.counter("wire_bits", kind=payload.kind).inc(payload.bits)
         down, train_t, up = pipeline_times(
-            self.devices.with_link(cid, link),
+            link,
+            float(self.population.s_per_sample[cid]),
             volume_bits=self.volume_bits,
             num_samples=int(self.population.data_sizes[cid]),
             epochs=cfg.local_epochs,
@@ -465,28 +461,6 @@ class Simulation:
             payload=payload,
         )
         return payload, down, train_t, up
-
-    def _price_dispatch(
-        self,
-        cid: int,
-        link: LinkSpec,
-        ratio: float | None,
-        t: float,
-        tag: int,
-        frac: float = 1.0,
-    ) -> tuple[float, float, float, Payload]:
-        """(download, train, upload, payload) of one dispatch at ``t``.
-
-        Upload time is the *exclusive-link* price; contended transports
-        resolve the real finish later (the upload span is then logged at
-        resolution, not here).
-        """
-        payload, down, train_t, up = self._stage_dispatch(cid, link, ratio, frac)
-        t0 = t + down
-        self.spans.add(cid, "train", t0, t0 + train_t, tag=tag)
-        if not self.transport.contended:
-            self.spans.add(cid, "upload", t0 + train_t, t0 + train_t + up, tag=tag)
-        return down, train_t, up, payload
 
     def _price_round(
         self,
@@ -525,7 +499,7 @@ class Simulation:
                     for _, link, payload, down, train_t, _ in staged
                 ]
                 with self.obs.tracer.span("transport.resolve", cat="net", flows=len(flows)):
-                    ends = [rec.end for rec in self.transport.resolve_uploads(flows)]
+                    ends = self.transport.resolve_uploads(flows)
 
             durations: list[float] = []
             up_bits: list[float] = []

@@ -241,9 +241,9 @@ class HierSimulation(Simulation):
             uploads = [(dense_model, self.backhaul_links[e], sim_start + elapsed[e])
                        for e in billed]
             with self.obs.tracer.span("hier.backhaul", cat="hier", edges=len(billed)):
-                recs = self.transport.resolve_uploads(uploads, direction="backhaul")
-            for e, rec in zip(billed, recs):
-                backhaul_up[e] = rec.seconds
+                ends = self.transport.resolve_uploads(uploads)
+            for e, (_, _, start), end in zip(billed, uploads, ends):
+                backhaul_up[e] = end - start
         else:
             for e in billed:
                 backhaul_up[e] = uplink_time(self.backhaul_links[e], self.volume_bits)

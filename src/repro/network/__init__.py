@@ -5,7 +5,6 @@ from repro.network.transport import (
     IngressPipe,
     Payload,
     Transport,
-    TransferRecord,
 )
 from repro.network.cost import (
     SPARSE_VOLUME_FACTOR,
@@ -31,7 +30,6 @@ __all__ = [
     "RoundTimes",
     "TimeAccumulator",
     "Payload",
-    "TransferRecord",
     "IngressPipe",
     "Transport",
     "CONTENTION_MODES",

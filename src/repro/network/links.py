@@ -63,35 +63,33 @@ def sample_links(
     return [model.sample(rng) for _ in range(num_clients)]
 
 
+#: Share of the log-bandwidth gap to the base value a drifting link closes
+#: each round.
+_REVERSION = 0.3
+
+
 class TimeVaryingLink:
     """A link whose bandwidth drifts round-to-round (extension beyond the paper).
 
     Bandwidth follows a mean-reverting multiplicative random walk around the
-    initial value; latency is fixed. Models mobile/edge clients whose
-    connectivity fluctuates, stressing BCRS's per-round rescheduling.
+    initial value (each round closes ``_REVERSION`` of the log-gap to it);
+    latency is fixed. Models mobile/edge clients whose connectivity
+    fluctuates, stressing BCRS's per-round rescheduling.
     """
 
-    def __init__(
-        self,
-        base: LinkSpec,
-        rng: np.random.Generator,
-        *,
-        volatility: float = 0.1,
-        reversion: float = 0.3,
-    ):
-        if not 0 <= reversion <= 1:
-            raise ValueError(f"reversion must be in [0, 1], got {reversion}")
+    def __init__(self, base: LinkSpec, rng: np.random.Generator, *, volatility: float = 0.1):
         check_positive("volatility", volatility, strict=False)
         self.base = base
         self.rng = rng
         self.volatility = float(volatility)
-        self.reversion = float(reversion)
         self._current_bw = base.bandwidth_bps
 
     def step(self) -> LinkSpec:
         """Advance one round and return the current link state."""
         shock = self.rng.normal(0.0, self.volatility)
-        drift = self.reversion * (np.log(self.base.bandwidth_bps) - np.log(self._current_bw))
-        # Bandwidth never drifts below 0.05 Mbit/s.
-        self._current_bw = max(self._current_bw * float(np.exp(drift + shock)), 0.05 * MBIT)
+        drift = _REVERSION * (np.log(self.base.bandwidth_bps) - np.log(self._current_bw))
+        # Bandwidth never drifts below the paper model's sampling floor.
+        self._current_bw = max(
+            self._current_bw * float(np.exp(drift + shock)), PAPER_LINK_MODEL.bandwidth_floor_bps
+        )
         return LinkSpec(bandwidth_bps=self._current_bw, latency_s=self.base.latency_s)

@@ -12,8 +12,9 @@ Every transfer the simulator prices goes through this module:
   finish times computed by progressive water-filling as flows start and
   finish — the alpha-beta model's natural extension from the MPICH
   collective-communication literature the paper draws on);
-- a :class:`TransferRecord` says *what happened* — start/end/volume — and
-  feeds the per-round flow ledgers (:class:`repro.fl.history.RoundComm`).
+- :meth:`Transport.resolve_uploads` says *when* each upload of one
+  synchronized batch finishes under fair sharing; the bits it moved feed
+  the per-round flow ledgers (:class:`repro.fl.history.RoundComm`).
 
 An upload's payload is its compressor's registered wire size
 (:func:`repro.compression.registry.wire_size`) at the priced width — the
@@ -37,7 +38,6 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "Payload",
-    "TransferRecord",
     "IngressPipe",
     "Transport",
     "FaultInjector",
@@ -71,10 +71,6 @@ class Payload:
         if self.kind not in PAYLOAD_KINDS:
             raise ValueError(f"kind must be one of {PAYLOAD_KINDS}, got {self.kind!r}")
 
-    @property
-    def nbytes(self) -> float:
-        return self.bits / 8.0
-
     @staticmethod
     def dense(volume_bits: float) -> "Payload":
         """An uncompressed model/update of ``volume_bits``."""
@@ -92,18 +88,6 @@ class Payload:
         else:
             kind = "custom"
         return Payload(bits=float(update.bits), kind=kind)
-
-
-@dataclass(frozen=True)
-class TransferRecord:
-    """One transfer priced through a fair-shared ingress: when it ran, how
-    long (``seconds`` = ``end - start``), and what it moved."""
-
-    start: float
-    end: float
-    seconds: float
-    bits: float
-    direction: str = "uplink"
 
 
 @dataclass
@@ -498,31 +482,15 @@ class Transport:
             self._pipe = IngressPipe(self.server_ingress_bps if self.contended else None)
         return self._pipe
 
-    def resolve_uploads(
-        self,
-        flows: list[tuple[Payload, LinkSpec, float]],
-        *,
-        direction: str = "uplink",
-    ) -> list[TransferRecord]:
+    def resolve_uploads(self, flows: list[tuple[Payload, LinkSpec, float]]) -> list[float]:
         """Price one synchronized batch of uploads as a fair-share epoch.
 
         ``flows`` is ``[(payload, link, start), ...]``, water-filled through
         a fresh ingress scoped to the round (or sub-round). Fair-share only:
         exclusive links need no epoch — their callers price each upload
-        analytically. Records come back in input order.
+        analytically. Finish times come back in input order.
         """
         pipe = IngressPipe(self.server_ingress_bps)
-        fids = [
-            pipe.admit(payload.bits, link, start) for payload, link, start in flows
-        ]
+        fids = [pipe.admit(payload.bits, link, start) for payload, link, start in flows]
         pipe.drain()
-        return [
-            TransferRecord(
-                start=start,
-                end=pipe.finish_time(fid),
-                seconds=pipe.finish_time(fid) - start,
-                bits=payload.bits,
-                direction=direction,
-            )
-            for fid, (payload, link, start) in zip(fids, flows)
-        ]
+        return [pipe.finish_time(fid) for fid in fids]

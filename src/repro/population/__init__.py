@@ -9,12 +9,11 @@ the two shard regimes and the RNG derivation contract.
 """
 
 from repro.population.hydration import ClientPool, CompressorPool, default_cache_size
-from repro.population.table import DeviceColumns, LinkColumns, Population
+from repro.population.table import LinkColumns, Population
 
 __all__ = [
     "Population",
     "LinkColumns",
-    "DeviceColumns",
     "ClientPool",
     "CompressorPool",
     "default_cache_size",

@@ -48,10 +48,9 @@ import numpy as np
 from repro.data.partition import Partition
 from repro.network.cost import LinkSpec
 from repro.network.links import LinkModel, PAPER_LINK_MODEL, sample_links
-from repro.simtime.profiles import ComputeSpec, DeviceProfile
 from repro.utils.rng import RngFactory
 
-__all__ = ["Population", "LinkColumns", "DeviceColumns", "SHARD_STREAM", "COMPUTE_S_PER_SAMPLE"]
+__all__ = ["Population", "LinkColumns", "SHARD_STREAM", "COMPUTE_S_PER_SAMPLE"]
 
 #: Counter-based stream name for virtual shard contents (one Philox stream
 #: per client id, reconstructible on any worker in any order).
@@ -98,38 +97,6 @@ class LinkColumns(Sequence):
         return LinkSpec(bandwidth_bps=float(self._bw[i]), latency_s=float(self._lat[i]))
 
 
-class DeviceColumns:
-    """Lazy :class:`DeviceProfile` view over the compute + link columns —
-    the columns, not the :class:`Population`: in a reference cycle a dropped
-    population would keep its MBs of columns until the cyclic collector ran."""
-
-    def __init__(self, s_per_sample: np.ndarray, overhead_s: float, links: LinkColumns):
-        self._s_per_sample = s_per_sample
-        self._overhead_s = overhead_s
-        self._links = links
-
-    def __len__(self) -> int:
-        return len(self._links)
-
-    def __getitem__(self, cid: int) -> DeviceProfile:
-        return self.with_link(cid, self._links[cid])
-
-    def with_link(self, cid: int, link: LinkSpec) -> DeviceProfile:
-        """Client ``cid``'s profile over a ``link`` the caller already holds
-        (the round's cohort links, a drifted link) — no second link object."""
-        return DeviceProfile(
-            cid=int(cid),
-            compute=ComputeSpec(
-                s_per_sample=float(self._s_per_sample[cid]),
-                overhead_s=self._overhead_s,
-            ),
-            link=link,
-        )
-
-    def __iter__(self):
-        return (self[cid] for cid in range(len(self)))
-
-
 @dataclass
 class Population:
     """The fleet as columns; see the module docstring for the regimes."""
@@ -139,7 +106,6 @@ class Population:
     latency_s: np.ndarray
     s_per_sample: np.ndarray
     data_sizes: np.ndarray
-    compute_overhead_s: float = 0.0
     #: Shard source: a real corpus partition (legacy-exact), or ``None`` in
     #: the virtual regime where shards are drawn procedurally on hydration.
     partition: Partition | None = None
@@ -157,7 +123,6 @@ class Population:
             raise ValueError("every client needs at least one sample")
         self._rngs = RngFactory(self.seed)
         self.links = LinkColumns(self.bandwidth_bps, self.latency_s)
-        self.devices = DeviceColumns(self.s_per_sample, self.compute_overhead_s, self.links)
 
     # ------------------------------------------------------------- building
 

@@ -10,8 +10,8 @@ virtual clock:
   execution backend (the numerical result does not depend on virtual time,
   only on the model snapshot);
 - the *virtual cost* of that dispatch — download + compute + upload — is
-  priced from the client's :class:`~repro.simtime.profiles.DeviceProfile`
-  through the unified transport (:mod:`repro.network.transport`): the
+  priced from the client's current link and training speed
+  (:meth:`Simulation._stage_dispatch`) through the unified transport (:mod:`repro.network.transport`): the
   download/compute stages are exclusive, the upload enters the server's
   ingress pipe, which either resolves it immediately (``contention="none"``,
   Eq. 4 on the payload's exact bits) or water-fills it against every other
@@ -63,9 +63,9 @@ class _Pending:
     """One in-flight (dispatched, not yet aggregated) client update.
 
     ``result`` is deferred: the arrival *time* is a pure function of the
-    device profile, so training runs later (batched) from the parameters of
-    ``version`` — which the server mutates only at aggregation, after every
-    dispatch of that version is trained.
+    client's link and speed, so training runs later (batched) from the
+    parameters of ``version`` — which the server mutates only at
+    aggregation, after every dispatch of that version is trained.
     """
 
     cid: int
@@ -129,11 +129,13 @@ class _EventDrivenSimulation(Simulation):
         if self.faults is not None:
             frac = self.faults.fate(self._fault_seq, int(cid))[1]
             self._fault_seq += 1
-        down, train_t, up, payload = self._price_dispatch(
-            cid, link, ratio, t, tag=self.version, frac=frac
-        )
+        payload, down, train_t, up = self._stage_dispatch(cid, link, ratio, frac)
         duration = down + train_t + up
         up_start = (t + down) + train_t
+        self.spans.add(cid, "train", t + down, up_start, tag=self.version)
+        if not self.transport.contended:
+            # A contended upload's span is logged when the pipe resolves it.
+            self.spans.add(cid, "upload", up_start, up_start + up, tag=self.version)
         pend = _Pending(
             cid=cid,
             ratio=ratio,
@@ -337,7 +339,7 @@ class AsyncSimulation(_EventDrivenSimulation):
     def _launch(self, cid: int, t: float) -> None:
         # Training is deferred: the whole aggregation window trains as one
         # backend batch in _flush_training (arrival times need only the
-        # device profile), so parallel backends see real batches.
+        # client's link and speed), so parallel backends see real batches.
         self._dispatch(cid, self.links[cid], self._uniform_ratio(), t)
         self._in_flight.add(cid)
 

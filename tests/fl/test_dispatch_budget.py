@@ -12,10 +12,10 @@ import os
 from types import SimpleNamespace
 
 import repro.exec.base as exec_base
+import repro.fl.simulation as fl_simulation
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
 from repro.network.cost import LinkSpec
-from repro.simtime.profiles import ComputeSpec
 
 ROUNDS = 6
 
@@ -43,7 +43,7 @@ def config() -> ExperimentConfig:
 
 def counted_run(monkeypatch) -> dict:
     """One seeded run with every counter installed; counts at the end."""
-    counts = dict.fromkeys(("link", "compute", "getpid", "contexts"), 0)
+    counts = dict.fromkeys(("link", "price", "getpid", "contexts"), 0)
 
     def counting(key, inner):
         def wrapper(*args, **kwargs):
@@ -55,7 +55,7 @@ def counted_run(monkeypatch) -> dict:
     with monkeypatch.context() as patch:
         patch.setattr(LinkSpec, "__post_init__", counting("link", LinkSpec.__post_init__))
         patch.setattr(
-            ComputeSpec, "__post_init__", counting("compute", ComputeSpec.__post_init__)
+            fl_simulation, "pipeline_times", counting("price", fl_simulation.pipeline_times)
         )
         patch.setattr(
             exec_base,
@@ -92,7 +92,8 @@ def test_dispatch_and_step_budget(monkeypatch):
     # one, which event-driven dispatch outside a cohort uses).
     assert total["link"] <= dispatches + cohort_rounds
     assert total["link"] == cohort_rounds
-    assert 0 < total["compute"] <= dispatches
+    # One pricing call per dispatch: download, train and Eq. 4 together.
+    assert total["price"] == dispatches
 
     # One pid lookup per worker context, however many tasks it executes.
     assert run["contexts"] >= 1

@@ -2,15 +2,15 @@
 
 The protocol loops build each selected client's ``LinkSpec`` once per round
 and pass it to pricing and to the ingress pipe. Until then every dispatch
-re-derived its link from ``sim.links[cid]`` (three times) and its device from
-``sim.devices[cid]``. ``ref_stage_dispatch`` / ``ref_price_round`` below are
-those bodies, frozen: they ignore the link they are handed and look everything
-up again at pricing time (the device as ``sim.devices.with_link(cid,
-sim.links[cid])``, since pricing reads the link off the profile). A live
-run must land on the same bytes — durations, up/down bits, every priced
-dispatch, the span log and the whole history — in all four protocols, with
-and without contention, downlink accounting and drifting links (where a
-stale link from an earlier round would show).
+re-derived its link from ``sim.links[cid]`` (three times).
+``ref_stage_dispatch`` / ``ref_price_round`` below are those bodies, frozen:
+they ignore the link they are handed and look everything up again at pricing
+time (the link as ``sim.links[cid]``, the speed as
+``sim.population.s_per_sample[cid]``). A live run must land on the same
+bytes — durations, up/down bits, every priced dispatch, the span log and the
+whole history — in all four protocols, with and without contention, downlink
+accounting and drifting links (where a stale link from an earlier round
+would show).
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ def ref_stage_dispatch(self, cid, link, ratio, frac=1.0):
     cfg = self.config
     payload = self._payload_for(ratio, frac)
     down, train_t, up = pipeline_times(
-        self.devices.with_link(cid, self.links[cid]),
+        self.links[cid],
+        float(self.population.s_per_sample[cid]),
         volume_bits=self.volume_bits,
         num_samples=int(self.population.data_sizes[cid]),
         epochs=cfg.local_epochs,
@@ -84,7 +85,7 @@ def ref_price_round(self, selected, links, ratios, fracs, t, tag):
             (payload, self.links[cid], (t + down) + train_t)
             for cid, payload, down, train_t, _ in staged
         ]
-        ends = [rec.end for rec in self.transport.resolve_uploads(flows)]
+        ends = self.transport.resolve_uploads(flows)
 
     durations, up_bits, down_bits = [], [], []
     for pos, (cid, payload, down, train_t, up) in enumerate(staged):
@@ -120,7 +121,7 @@ def run(cfg: ExperimentConfig, monkeypatch, *, reference: bool):
                     self, cid, self.links[cid], ratio, t
                 ),
             )
-        for name in ("_price_round", "_price_dispatch"):
+        for name in ("_price_round", "_stage_dispatch"):
             inner = getattr(Simulation, name)
 
             def recording(self, *args, _inner=inner, **kwargs):

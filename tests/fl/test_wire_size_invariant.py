@@ -104,18 +104,38 @@ def test_billed_bits_are_the_delivered_updates_bits(name, monkeypatch):
 def test_override_bills_the_declaration_at_width_v_over_32(name, monkeypatch):
     cfg = OVERRIDDEN[name]
     width = int(cfg.volume_override_bits) // 32
-    priced, _ = priced_and_trained(cfg, monkeypatch)
+    priced, trained = priced_and_trained(cfg, monkeypatch)
+    dense_size = trained[0].update.dense_size  # the trained width
     truncated = 0
     for _, ratio, frac, payload in priced:
         if compressor_of(cfg) == "qsgd8":  # 8-bit values, never truncated
             assert payload == Payload(8.0 * width, "quantized")
             continue
         k = k_from_ratio(width, ratio)
-        kept = int(frac * k)
-        truncated += 0 < frac < 1.0 and kept >= 1
-        assert payload == Payload(64.0 * (kept if kept >= 1 else k), "sparse")
+        # the server receives a truncation with an entry left at the trained width
+        received = 0 < frac < 1.0 and int(frac * k_from_ratio(dense_size, ratio)) >= 1
+        truncated += received
+        assert payload == Payload(64.0 * (max(1, int(frac * k)) if received else k), "sparse")
     if cfg.truncate_prob > 0 and compressor_of(cfg) != "qsgd8":
         assert truncated  # a truncation billed its kept prefix
+
+
+def test_a_truncation_the_server_refuses_is_billed_whole():
+    """Delivery is decided at the trained width, billing at the priced one.
+    Under ``volume_override_bits`` a truncation can keep entries of the wide
+    priced declaration yet none of the trained update; the server then
+    receives nothing, so the upload is billed whole, as a drop is."""
+    cfg = _cfg(compression_ratio=0.01, volume_override_bits=4.7e7, truncate_prob=1.0)
+    with make_simulation(cfg) as sim:
+        trained_k = k_from_ratio(sim.dense_size, 0.01)
+        priced_k = k_from_ratio(int(cfg.volume_override_bits) // 32, 0.01)
+        assert (trained_k, priced_k) == (336, 14_688)
+        assert not sim._delivers(0.01, 0.001)  # int(0.001 · 336) = 0 entries arrive
+        assert sim._payload_for(0.01, 0.001) == Payload(64.0 * priced_k, "sparse")
+        for frac in (0.0, 0.001, 0.002, 0.003, 0.01, 0.5, 0.999, 1.0):
+            received = frac < 1.0 and sim._delivers(0.01, frac)
+            kept = max(1, int(frac * priced_k)) if received else priced_k
+            assert sim._payload_for(0.01, frac) == Payload(64.0 * kept, "sparse"), frac
 
 
 @pytest.mark.parametrize("mode", ["sync", "semisync", "async"])

@@ -24,7 +24,6 @@ class TestPayload:
     def test_dense_bits_and_kind(self):
         p = Payload.dense(32e6)
         assert p.bits == 32e6 and p.kind == "dense"
-        assert p.nbytes == 4e6
 
     def test_from_sparse_update_uses_index_plus_value_bits(self):
         """Satellite: sparse wire volume comes from the update's own
@@ -302,9 +301,9 @@ class TestTransport:
     def test_fair_batch_never_faster(self):
         flows = [(Payload.dense(1e6), LINK, 0.0), (Payload.dense(1e6), LINK, 0.0)]
         fair = Transport("fair", 1.0 * MBIT).resolve_uploads(flows)
-        for (payload, link, start), f in zip(flows, fair):
-            assert f.end >= start + Transport().uplink_seconds(link, payload) - 1e-9
-            assert f.seconds == f.end - start
+        assert len(fair) == len(flows)
+        for (payload, link, start), end in zip(flows, fair):
+            assert end >= start + Transport().uplink_seconds(link, payload) - 1e-9
 
     def test_pipe_is_persistent(self):
         t = Transport("fair", 1.0 * MBIT)
