@@ -118,14 +118,15 @@ class CohortFold:
         """Close the fold and return the pseudo-gradient (in the arena's
         accumulator, valid until its next use).
 
-        Builds the Fig. 4 histogram (:attr:`overlap`) from the counts and,
-        given ``gamma``, the OPWA mask (Alg. 3 GenerateMask); the mask, or
-        the one passed in, scales the rule's aggregate once.
+        Wraps the counts as :attr:`overlap` (its Fig. 4 histogram is built
+        only when read) and, given ``gamma``, builds the OPWA mask (Alg. 3
+        GenerateMask); the mask, or the one passed in, scales the rule's
+        aggregate once.
         """
         if not self.added:
             raise ValueError("need at least one update")
         if self.counts is not None:
-            self.overlap = OverlapDistribution.from_counts(self.counts, self.sparse)
+            self.overlap = OverlapDistribution(self.counts, self.sparse)
             if gamma is not None:
                 mask = opwa_mask(self.counts, gamma, required_overlap=required_overlap)
         if self.rows is None:

@@ -11,6 +11,7 @@ under-updating OPWA compensates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,17 +41,23 @@ def narrow_overlap_counts(updates: list[SparseUpdate]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OverlapDistribution:
-    """Histogram of degree of overlap among *retained* indices (Fig. 4)."""
+    """Degree of overlap among *retained* indices (Fig. 4). A round reads only
+    :meth:`singleton_fraction`; the histogram is built when read."""
 
-    counts: np.ndarray  # counts[f-1] = number of indices retained by exactly f clients
+    #: The narrow per-index retention counts (the OPWA mask reuses them).
+    per_index: np.ndarray
     num_clients: int
-    #: The narrow per-index counts the histogram was built from (the OPWA mask reuses them).
-    per_index: np.ndarray | None = None
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """``counts[f-1]`` = number of indices retained by exactly ``f`` clients."""
+        n = self.num_clients
+        return np.bincount(self.per_index, minlength=n + 1)[1 : n + 1].astype(np.int64)
 
     @property
     def total_retained(self) -> int:
         """Number of distinct indices retained by at least one client."""
-        return int(self.counts.sum())
+        return np.count_nonzero(self.per_index)
 
     def fractions(self) -> np.ndarray:
         """Share of retained indices per frequency (the Fig. 4 percentages)."""
@@ -59,17 +66,12 @@ class OverlapDistribution:
             return np.zeros_like(self.counts, dtype=np.float64)
         return self.counts / total
 
-    @classmethod
-    def from_counts(cls, per_index: np.ndarray, n: int) -> "OverlapDistribution":
-        """The histogram of ``n`` updates' narrow per-index retention counts."""
-        hist = np.bincount(per_index, minlength=n + 1)[1 : n + 1]
-        return cls(counts=hist.astype(np.int64), num_clients=n, per_index=per_index)
-
     def singleton_fraction(self) -> float:
         """Fraction of retained indices that appear in exactly one client."""
-        return float(self.fractions()[0])
+        total = self.total_retained
+        return np.count_nonzero(self.per_index == 1) / total if total else 0.0
 
 
 def overlap_distribution(updates: list[SparseUpdate]) -> OverlapDistribution:
     """Compute the Fig. 4 histogram for one round's compressed updates."""
-    return OverlapDistribution.from_counts(narrow_overlap_counts(updates), len(updates))
+    return OverlapDistribution(narrow_overlap_counts(updates), len(updates))

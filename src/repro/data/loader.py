@@ -1,4 +1,4 @@
-"""Seeded mini-batch iteration over in-memory datasets."""
+"""Seeded mini-batch iteration over a shard of an in-memory corpus."""
 
 from __future__ import annotations
 
@@ -13,39 +13,44 @@ __all__ = ["BatchLoader"]
 
 
 class BatchLoader:
-    """Iterate a dataset in shuffled mini-batches.
+    """Iterate the shard ``indices`` of ``dataset`` in shuffled mini-batches.
 
-    Re-iterating yields a fresh shuffle from the same generator, so a client's
-    epoch order is reproducible given its RNG stream.
+    Each epoch composes ``indices[order]`` once and gathers every batch
+    straight from the corpus, whose rows are never copied (a whole dataset
+    is the shard ``np.arange(len(dataset))``). Re-iterating yields a fresh
+    shuffle from the same generator, so a client's epoch order is
+    reproducible given its RNG stream. ``flip_classes`` C > 0 maps each
+    batch's gathered labels through ``flip_labels`` (a label-flip adversary).
     """
 
     def __init__(
         self,
         dataset: Dataset,
+        indices: np.ndarray,
         batch_size: int,
         rng: int | np.random.Generator = 0,
         *,
-        shuffle: bool = True,
-        drop_last: bool = False,
+        flip_classes: int = 0,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.dataset = dataset
+        self.indices = np.asarray(indices, dtype=np.int64)
         self.batch_size = int(batch_size)
-        self.shuffle = bool(shuffle)
-        self.drop_last = bool(drop_last)
         self.rng = as_generator(rng)
+        self.flip_classes = int(flip_classes)
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return -(-len(self.indices) // self.batch_size)
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        n = len(self.dataset)
-        order = self.rng.permutation(n) if self.shuffle else np.arange(n)
-        stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
-            idx = order[start : start + self.batch_size]
-            yield self.dataset.x[idx], self.dataset.y[idx]
+        rows = self.indices[self.rng.permutation(len(self.indices))]
+        x, y = self.dataset.x, self.dataset.y
+        if self.flip_classes:
+            from repro.robust.attacks import flip_labels
+        for start in range(0, len(rows), self.batch_size):
+            idx = rows[start : start + self.batch_size]
+            labels = y[idx]
+            if self.flip_classes:
+                flip_labels(labels, self.flip_classes)
+            yield x[idx], labels

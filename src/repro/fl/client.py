@@ -30,25 +30,27 @@ class LocalTrainResult:
 
 
 class Client:
-    """One federated participant with a fixed local shard."""
+    """One federated participant: a fixed shard of the corpus, by row index."""
 
     def __init__(
         self,
         client_id: int,
         dataset: Dataset,
+        indices: np.ndarray,
         batch_size: int,
         rng: np.random.Generator,
+        *,
+        flip_classes: int = 0,
     ):
-        if len(dataset) == 0:
+        if len(indices) == 0:
             raise ValueError(f"client {client_id} has an empty shard")
         self.client_id = int(client_id)
-        self.dataset = dataset
-        self.loader = BatchLoader(dataset, batch_size, rng=rng)
+        self.loader = BatchLoader(dataset, indices, batch_size, rng, flip_classes=flip_classes)
 
     @property
     def num_samples(self) -> int:
         """Local shard size ``n_k``."""
-        return len(self.dataset)
+        return len(self.loader.indices)
 
     def local_train(
         self,

@@ -6,15 +6,14 @@ The pools are drop-in replacements for the eager ``list[Client]`` /
 while a client is *hot*:
 
 - :class:`ClientPool` holds an LRU of hydrated :class:`~repro.fl.client.
-  Client` objects. Hydrating client ``cid`` rebuilds its shard from the
-  population's :meth:`~repro.population.table.Population.shard_indices` and
-  wires in the client's **persistent** batch-loader generator, which lives
-  in a side table outside the LRU. Eviction therefore only drops the shard
-  arrays and loader object; re-hydration resumes the identical RNG stream,
-  so cache size is semantically invisible — a fact the equivalence suite
-  pins by running goldens under a cache of 2. The side table is the one
-  part of the pool that is *not* cohort-bound: it keeps one generator per
-  distinct participant for the life of the run (``loader_streams``).
+  Client` objects. A client's shard is its int64 row indices
+  (:meth:`~repro.population.table.Population.shard_indices`): its loader
+  gathers batches straight from the world's corpus, which no client copies.
+  Eviction parks the loader's generator as its state words (:func:`_park`)
+  and re-hydration resumes them, so cache size is semantically invisible —
+  the equivalence suite runs goldens under a cache of 2. The parked words
+  are the one part of the pool that is *not* cohort-bound: about a hundred
+  bytes per distinct participant for the run (``loader_streams``).
 - :class:`CompressorPool` hands every client the one shared instance of a
   stateless compressor (Top-K). A stateful one hydrates on first use and is
   kept forever: error-feedback residuals and advancing generators *are*
@@ -31,10 +30,10 @@ never change a client's draws.
 
 Process notes: a pool is only ever indexed by one caller at a time — the
 simulation in serial execution, one worker in the process backend — so its
-bookkeeping needs no lock. The fork-based process backend inherits the
-pools copy-on-write; each worker then hydrates only the cids of its
-``cid % workers`` shard, which is what keeps worker memory at
-O(cohort / workers).
+bookkeeping needs no lock, and an evicted ``Client`` is never used again.
+The fork-based process backend inherits the pools copy-on-write; each worker
+then hydrates only the cids of its ``cid % workers`` shard, which is what
+keeps worker memory at O(cohort / workers).
 """
 
 from __future__ import annotations
@@ -74,6 +73,30 @@ def _client_cls():
     return Client
 
 
+def _park(bit_generator: np.random.BitGenerator) -> bytes:
+    """A loader stream's resume words: Philox's counter, buffer and position
+    (the key is rebuilt from ``(seed, cid)``) or PCG64's state and increment,
+    then the buffered-uint32 pair."""
+    s = bit_generator.state
+    if s["bit_generator"] == "Philox":
+        words = [*s["state"]["counter"], *s["buffer"], s["buffer_pos"]]
+    else:
+        words = [*divmod(s["state"]["state"], 1 << 64), *divmod(s["state"]["inc"], 1 << 64)]
+    return np.array([*words, s["has_uint32"], s["uinteger"]], dtype=np.uint64).tobytes()
+
+
+def _unpark(bit_generator: np.random.BitGenerator, parked: bytes) -> None:
+    """Restore :func:`_park`'s words into a fresh generator of the same stream."""
+    w = [int(word) for word in np.frombuffer(parked, dtype=np.uint64)]
+    s = bit_generator.state
+    if s["bit_generator"] == "Philox":
+        s["state"]["counter"], s["buffer"], s["buffer_pos"] = w[:4], w[4:8], w[8]
+    else:
+        s["state"] = {"state": w[0] << 64 | w[1], "inc": w[2] << 64 | w[3]}
+    s["has_uint32"], s["uinteger"] = w[-2:]
+    bit_generator.state = s
+
+
 class ClientPool:
     """Sequence-like lazy ``Client`` pool over a :class:`Population`."""
 
@@ -97,9 +120,9 @@ class ClientPool:
         self._batch_size = int(batch_size)
         self._cache_size = int(cache_size)
         #: Label-flip poisoning (repro.robust): adversarial clients — a pure
-        #: function of (population.seed, cid) — train on shards whose labels
-        #: are flipped *at hydration*, so poisoning costs O(cohort) and the
-        #: world-cached corpus arrays stay untouched (``subset`` copies).
+        #: function of (population.seed, cid) — get a loader that flips each
+        #: batch's gathered labels, so poisoning costs nothing at hydration
+        #: and the world-cached corpus arrays stay untouched.
         self._flip_fraction = float(label_flip_fraction)
         self._num_classes = (
             int(train_set.y.max()) + 1 if self._flip_fraction > 0.0 else 0
@@ -107,11 +130,9 @@ class ClientPool:
         self._rngs = RngFactory(population.seed)
         self._counter_streams = population.partition is None
         self._cache: OrderedDict[int, object] = OrderedDict()
-        #: cid → loader generator; survives eviction (the one piece of
-        #: client state that advances during training), so it grows by one
-        #: Philox/PCG generator per *distinct participant*, not per cohort —
-        #: reported as ``stats()["loader_streams"]``.
-        self._loader_rngs: dict[int, np.random.Generator] = {}
+        #: cid → an evicted client's loader stream as :func:`_park` words,
+        #: popped at re-hydration: parked + resident = ``loader_streams``.
+        self._parked: dict[int, bytes] = {}
         #: Total Client constructions ever (rehydrations included) — the
         #: materialization observable the no-eager-fleet tests assert on.
         self.hydrations = 0
@@ -130,13 +151,15 @@ class ClientPool:
         return (self[cid] for cid in range(len(self)))
 
     def _loader_rng(self, cid: int) -> np.random.Generator:
-        rng = self._loader_rngs.get(cid)
-        if rng is None:
-            if self._counter_streams:
-                rng = self._rngs.counter("client", cid)
-            else:
-                rng = self._rngs.child("client", cid)
-            self._loader_rngs[cid] = rng
+        """Client ``cid``'s loader stream, resumed from its parked words (which
+        stay parked until the client is built) if it was evicted."""
+        if self._counter_streams:
+            rng = self._rngs.counter("client", cid)
+        else:
+            rng = self._rngs.child("client", cid)
+        parked = self._parked.get(cid)
+        if parked is not None:
+            _unpark(rng.bit_generator, parked)
         return rng
 
     def __getitem__(self, cid: int):
@@ -154,18 +177,24 @@ class ClientPool:
         tracer = obs.tracer if obs is not None else NULL_TRACER
         # ``with``: a raising shard build still closes the span (and counts nothing).
         with tracer.span("hydrate", cat="pop", cid=cid):
-            shard = self._train_set.subset(self._population.shard_indices(cid))
+            flip = 0
             if self._flip_fraction > 0.0:
-                from repro.robust.attacks import flip_labels, is_adversary
+                from repro.robust.attacks import is_adversary
 
                 if is_adversary(self._population.seed, cid, self._flip_fraction):
-                    flip_labels(shard.y, self._num_classes)
-            client = _client_cls()(cid, shard, self._batch_size, self._loader_rng(cid))
+                    flip = self._num_classes
+            indices = self._population.shard_indices(cid)
+            client = _client_cls()(
+                cid, self._train_set, indices, self._batch_size, self._loader_rng(cid),
+                flip_classes=flip,
+            )
+        self._parked.pop(cid, None)
         self.misses += 1
         self._cache[cid] = client
         self.hydrations += 1
         while len(self._cache) > self._cache_size:
-            evicted_cid, _ = self._cache.popitem(last=False)
+            evicted_cid, evicted = self._cache.popitem(last=False)
+            self._parked[evicted_cid] = _park(evicted.loader.rng.bit_generator)
             self.evictions += 1
             if obs is not None:
                 obs.tracer.instant("evict", cat="pop", cid=evicted_cid)
@@ -191,8 +220,8 @@ class ClientPool:
 
     def stats(self) -> dict:
         """Cache accounting: hits/misses/evictions/resident/peak, plus
-        ``loader_streams`` — loader generators held outside the LRU, one per
-        distinct client ever hydrated (eviction does not release them)."""
+        ``loader_streams`` — one per distinct client ever hydrated: the
+        resident clients' generators and the evicted ones' parked words."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -201,7 +230,7 @@ class ClientPool:
             "resident": len(self._cache),
             "peak_resident": self.peak_resident,
             "cache_size": self._cache_size,
-            "loader_streams": len(self._loader_rngs),
+            "loader_streams": len(self._parked) + len(self._cache),
         }
 
     @property

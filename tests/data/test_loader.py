@@ -9,42 +9,55 @@ from repro.data.loader import BatchLoader
 
 @pytest.fixture
 def ds():
-    return make_dataset("synth-cifar10", 37, seed=0)
+    ds = make_dataset("synth-cifar10", 37, seed=0)
+    ds.x.flags.writeable = ds.y.flags.writeable = False  # a loader only reads the corpus
+    return ds
+
+
+#: The whole 37-sample dataset as one shard.
+ALL = np.arange(37)
 
 
 class TestBatchLoader:
     def test_covers_all_samples(self, ds):
-        loader = BatchLoader(ds, 8, rng=0)
+        loader = BatchLoader(ds, ALL, 8, rng=0)
         seen = sum(len(y) for _, y in loader)
         assert seen == 37
 
     def test_len_matches_iteration(self, ds):
-        loader = BatchLoader(ds, 8, rng=0)
+        loader = BatchLoader(ds, ALL, 8, rng=0)
         assert len(list(loader)) == len(loader) == 5
 
-    def test_drop_last(self, ds):
-        loader = BatchLoader(ds, 8, rng=0, drop_last=True)
-        batches = list(loader)
-        assert len(batches) == 4
-        assert all(len(y) == 8 for _, y in batches)
-
     def test_shuffle_changes_order_across_epochs(self, ds):
-        loader = BatchLoader(ds, 37, rng=0)
+        loader = BatchLoader(ds, ALL, 37, rng=0)
         (x1, y1), = list(loader)
         (x2, y2), = list(loader)
         assert not np.array_equal(y1, y2)
 
-    def test_no_shuffle_is_sequential(self, ds):
-        loader = BatchLoader(ds, 10, rng=0, shuffle=False)
-        _, y = next(iter(loader))
-        np.testing.assert_array_equal(y, ds.y[:10])
-
     def test_same_seed_same_order(self, ds):
-        l1 = BatchLoader(ds, 8, rng=42)
-        l2 = BatchLoader(ds, 8, rng=42)
+        l1 = BatchLoader(ds, ALL, 8, rng=42)
+        l2 = BatchLoader(ds, ALL, 8, rng=42)
         for (_, y1), (_, y2) in zip(l1, l2):
             np.testing.assert_array_equal(y1, y2)
 
     def test_rejects_bad_batch_size(self, ds):
         with pytest.raises(ValueError):
-            BatchLoader(ds, 0)
+            BatchLoader(ds, ALL, 0)
+
+    def test_a_shard_is_gathered_from_the_corpus_in_permuted_order(self, ds):
+        """Repeated rows included, as a virtual shard draws with replacement."""
+        shard = np.array([3, 3, 30, 7, 12])
+        batches = list(BatchLoader(ds, shard, 2, rng=5))
+        assert [len(y) for _, y in batches] == [2, 2, 1]
+        rows = shard[np.random.default_rng(5).permutation(len(shard))]
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in batches]), ds.x[rows])
+        np.testing.assert_array_equal(np.concatenate([y for _, y in batches]), ds.y[rows])
+
+    def test_flip_classes_flips_each_batch_not_the_corpus(self, ds):
+        corpus_y = ds.y.copy()
+        honest = list(BatchLoader(ds, ALL, 8, rng=3))
+        flipped = list(BatchLoader(ds, ALL, 8, rng=3, flip_classes=10))
+        for (xh, yh), (xf, yf) in zip(honest, flipped, strict=True):
+            np.testing.assert_array_equal(xf, xh)
+            np.testing.assert_array_equal(yf, 9 - yh)
+        np.testing.assert_array_equal(ds.y, corpus_y)

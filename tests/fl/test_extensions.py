@@ -21,9 +21,9 @@ class TestFedProx:
         shard = make_dataset("synth-cifar10", 256, seed=0)
         model = MLP(192, 10, hidden=(32,), seed=0)
         w0 = model.data.copy()
-        client = Client(0, shard, 64, np.random.default_rng(0))
+        client = Client(0, shard, np.arange(len(shard)), 64, np.random.default_rng(0))
         plain = client.local_train(model, w0, lr=0.2, epochs=3, proximal_mu=0.0)
-        client2 = Client(0, shard, 64, np.random.default_rng(0))
+        client2 = Client(0, shard, np.arange(len(shard)), 64, np.random.default_rng(0))
         prox = client2.local_train(model, w0, lr=0.2, epochs=3, proximal_mu=1.0)
         assert np.linalg.norm(prox.delta) < np.linalg.norm(plain.delta)
 
@@ -31,10 +31,10 @@ class TestFedProx:
         shard = make_dataset("synth-cifar10", 128, seed=0)
         model = MLP(192, 10, hidden=(16,), seed=0)
         w0 = model.data.copy()
-        r1 = Client(0, shard, 64, np.random.default_rng(1)).local_train(
+        r1 = Client(0, shard, np.arange(len(shard)), 64, np.random.default_rng(1)).local_train(
             model, w0, lr=0.1, epochs=1
         )
-        r2 = Client(0, shard, 64, np.random.default_rng(1)).local_train(
+        r2 = Client(0, shard, np.arange(len(shard)), 64, np.random.default_rng(1)).local_train(
             model, w0, lr=0.1, epochs=1, proximal_mu=0.0
         )
         np.testing.assert_array_equal(r1.delta, r2.delta)

@@ -167,11 +167,12 @@ OPTIMIZERS = {
 DATASETS = sorted(DATASET_SPECS)
 
 
-def _shard(dataset):
-    """One client's shard of a Dirichlet(0.5) split, sized so the last batch is ragged."""
+def _client(dataset):
+    """A client on one shard of a Dirichlet(0.5) split, sized so the last batch is ragged."""
     data = make_dataset(dataset, 400, seed=3)
     partition = dirichlet_partition(data.y, 5, 0.5, seed=3)
-    return next(data.subset(ix) for ix in partition.client_indices if len(ix) > BATCH and len(ix) % BATCH)
+    shard = next(ix for ix in partition.client_indices if len(ix) > BATCH and len(ix) % BATCH)
+    return Client(0, data, shard, BATCH, np.random.default_rng(11))
 
 
 def _three_rounds(train, w0, hyper):
@@ -189,13 +190,13 @@ def _initial(dataset):
 
 
 def _reference_rounds(dataset, hyper):
-    client = Client(0, _shard(dataset), BATCH, np.random.default_rng(11))
+    client = _client(dataset)
     dims = dims_of(dataset)
     return _three_rounds(lambda w, **kw: ref_local_train(client, dims, w, **kw), _initial(dataset), hyper)
 
 
 def _live_rounds(model, dataset, hyper):
-    client = Client(0, _shard(dataset), BATCH, np.random.default_rng(11))
+    client = _client(dataset)
 
     def train(w, **kwargs):
         res = client.local_train(model, w, **kwargs)

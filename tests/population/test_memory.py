@@ -22,6 +22,7 @@ import pytest
 from repro.core.aggregation import CohortFold
 from repro.fl.config import ExperimentConfig
 from repro.fl.simulation import Simulation
+from repro.scenarios.registry import get_scenario
 
 COHORT = 64
 
@@ -135,6 +136,39 @@ def test_steady_state_round_holds_one_cohort_of_updates():
         f"round 3 peaked {(peak - static) / 1e6:.2f} MB above the static state, "
         f"over the {bound / 1e6:.2f} MB of O(d) buffers plus four uploads — "
         f"the round is holding its {sum(uploads) / 1e6:.2f} MB cohort"
+    )
+
+
+#: Bytes a fleet round may leave allocated per participant. Measured on
+#: ``mega-fleet``'s overrides at 200K clients (2K cohort, rounds 2–3): 946 B,
+#: mostly the round's span log and the history's per-client ledgers; 3,578 B
+#: when every participant kept a whole loader ``Generator`` and the LRU's
+#: clients held copies of their shard rows.
+RETAINED_PER_PARTICIPANT_ROUND = 1536
+
+
+@pytest.mark.slow
+def test_fleet_rounds_retain_little_per_participant():
+    """Memory a fleet keeps grows with its distinct participants (the parked
+    loader streams) and with its rounds' records — bounded here per
+    participant-round, so growth of ``mega-fleet`` from round to round stays
+    pinned without a 1M-client run."""
+    cfg = get_scenario("mega-fleet").to_config().with_(num_clients=200_000, rounds=3)
+    with Simulation(cfg) as sim:
+        sim.run_round()  # warm-up: buffers and caches a first round sizes
+        tracemalloc.start()
+        try:
+            sim.run_round()
+            sim.run_round()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        participants = sum(len(r.selected) for r in sim.history.records[1:])
+    assert participants == 2 * cfg.clients_per_round == 4000
+    per = retained / participants
+    assert per <= RETAINED_PER_PARTICIPANT_ROUND, (
+        f"two fleet rounds left {retained / 1e6:.2f} MB allocated, {per:.0f} B per "
+        f"participant-round (bound {RETAINED_PER_PARTICIPANT_ROUND} B)"
     )
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.data.datasets import DATASET_SPECS, train_test_split
 from repro.fl.config import ExperimentConfig
+from repro.fl.context import SimulationContext
 from repro.population import ClientPool, Population
 from repro.utils.rng import RngFactory
 
@@ -111,17 +112,46 @@ def test_hydration_order_does_not_change_shards_or_streams():
     assert sig_a == sig_b
 
 
-def test_eviction_resumes_the_same_loader_stream():
-    """Evict a client mid-stream; the rehydrated one continues the exact
-    sequence a never-evicted twin produces."""
-    churn, steady = build_pool(cache_size=1), build_pool(cache_size=64)
-    seq_steady = [first_batch_signature(steady[5]) for _ in range(2)]
-    first = first_batch_signature(churn[5])
-    churn[6]  # cache_size=1 → evicts client 5
-    assert churn.resident == 1
-    second = first_batch_signature(churn[5])  # rehydrated
-    assert [first, second] == seq_steady
-    assert churn.hydrations == 3  # 5, 6, then 5 again
+def frozen_world_pool(*, virtual: bool, cache_size: int, label_flip: float) -> ClientPool:
+    """A pool over a read-only corpus: a write to any corpus row raises."""
+    cfg = virtual_config() if virtual else virtual_config(virtual_shards=False, num_clients=20)
+    world = SimulationContext.build(cfg)
+    world.train_set.x.flags.writeable = world.train_set.y.flags.writeable = False
+    return ClientPool(
+        world.population, world.train_set, cfg.batch_size,
+        cache_size=cache_size, label_flip_fraction=label_flip,
+    )
+
+
+def epoch(client) -> list:
+    return [(x.tobytes(), y.tolist()) for x, y in client.loader]
+
+
+@pytest.mark.parametrize("label_flip", [0.0, 1.0], ids=["honest", "label_flip"])
+@pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "partitioned"])
+def test_eviction_resumes_the_same_loader_stream(virtual, label_flip):
+    """Evict a client mid-stream after every epoch; each rehydration
+    continues the exact batches a never-evicted twin produces, in both shard
+    regimes, with and without a label-flip adversary — over a read-only
+    corpus, so no row is copied into place or written."""
+    churn = frozen_world_pool(virtual=virtual, cache_size=1, label_flip=label_flip)
+    steady = frozen_world_pool(virtual=virtual, cache_size=64, label_flip=label_flip)
+    honest = frozen_world_pool(virtual=virtual, cache_size=64, label_flip=0.0)
+    seq_churn = []
+    for _ in range(3):
+        seq_churn.append(epoch(churn[5]))
+        churn[6]  # cache_size=1 → evicts client 5
+        assert churn.resident == 1
+    assert churn.hydrations == 6  # 5 and 6, three times each
+    assert churn.stats()["loader_streams"] == 2
+    # The loader reads the read-only corpus itself: a gathered copy of its
+    # rows would be writeable.
+    assert not steady[5].loader.dataset.x.flags.writeable
+    seq_steady = [epoch(steady[5]) for _ in range(3)]
+    assert seq_churn == seq_steady
+    seq_honest = [epoch(honest[5]) for _ in range(3)]
+    flipped = [[(x, [9 - c for c in y]) for x, y in batches] for batches in seq_honest]
+    assert seq_steady == (flipped if label_flip else seq_honest)
 
 
 def test_virtual_shards_are_stable_and_sized_from_columns():

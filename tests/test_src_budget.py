@@ -5,11 +5,12 @@ CHANGES.md, a PR that deletes code lowers it."""
 
 from pathlib import Path
 
-#: Physical lines of ``src/**/*.py`` after a dispatch became priced straight
-#: from the population's columns (13,069 before: ``ComputeSpec``,
-#: ``DeviceProfile``, ``DeviceColumns``, ``TransferRecord`` and
-#: ``Simulation._price_dispatch`` went).
-SRC_LINE_CEILING = 12_931
+#: Physical lines of ``src/**/*.py`` after a hydrated client began holding
+#: its shard as corpus row indices and an evicted one's loader stream as
+#: parked state words (12,931 before: the park/restore pair and the loader's
+#: per-batch label flip added more than ``BatchLoader``'s ``shuffle`` and
+#: ``drop_last`` knobs removed).
+SRC_LINE_CEILING = 12_970
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
