@@ -118,10 +118,9 @@ class CohortFold:
         """Close the fold and return the pseudo-gradient (in the arena's
         accumulator, valid until its next use).
 
-        Wraps the counts as :attr:`overlap` (its Fig. 4 histogram is built
-        only when read) and, given ``gamma``, builds the OPWA mask (Alg. 3
-        GenerateMask); the mask, or the one passed in, scales the rule's
-        aggregate once.
+        Wraps the counts as :attr:`overlap` (Fig. 4; histogram built when
+        read) and, given ``gamma``, builds the OPWA mask (Alg. 3 GenerateMask);
+        the mask, or the one passed in, scales the rule's aggregate once.
         """
         if not self.added:
             raise ValueError("need at least one update")

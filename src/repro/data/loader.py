@@ -13,14 +13,11 @@ __all__ = ["BatchLoader"]
 
 
 class BatchLoader:
-    """Iterate the shard ``indices`` of ``dataset`` in shuffled mini-batches.
+    """Iterate the shard ``indices`` of ``dataset`` in shuffled mini-batches,
+    gathered straight from the corpus (a whole dataset is ``np.arange(n)``).
 
-    Each epoch composes ``indices[order]`` once and gathers every batch
-    straight from the corpus, whose rows are never copied (a whole dataset
-    is the shard ``np.arange(len(dataset))``). Re-iterating yields a fresh
-    shuffle from the same generator, so a client's epoch order is
-    reproducible given its RNG stream. ``flip_classes`` C > 0 maps each
-    batch's gathered labels through ``flip_labels`` (a label-flip adversary).
+    Re-iterating yields a fresh shuffle from the same generator, so a client's
+    epoch order is reproducible given its RNG stream.
     """
 
     def __init__(
@@ -29,8 +26,6 @@ class BatchLoader:
         indices: np.ndarray,
         batch_size: int,
         rng: int | np.random.Generator = 0,
-        *,
-        flip_classes: int = 0,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -38,7 +33,6 @@ class BatchLoader:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.batch_size = int(batch_size)
         self.rng = as_generator(rng)
-        self.flip_classes = int(flip_classes)
 
     def __len__(self) -> int:
         return -(-len(self.indices) // self.batch_size)
@@ -46,11 +40,6 @@ class BatchLoader:
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         rows = self.indices[self.rng.permutation(len(self.indices))]
         x, y = self.dataset.x, self.dataset.y
-        if self.flip_classes:
-            from repro.robust.attacks import flip_labels
         for start in range(0, len(rows), self.batch_size):
             idx = rows[start : start + self.batch_size]
-            labels = y[idx]
-            if self.flip_classes:
-                flip_labels(labels, self.flip_classes)
-            yield x[idx], labels
+            yield x[idx], y[idx]

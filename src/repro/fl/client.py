@@ -39,13 +39,11 @@ class Client:
         indices: np.ndarray,
         batch_size: int,
         rng: np.random.Generator,
-        *,
-        flip_classes: int = 0,
     ):
         if len(indices) == 0:
             raise ValueError(f"client {client_id} has an empty shard")
         self.client_id = int(client_id)
-        self.loader = BatchLoader(dataset, indices, batch_size, rng, flip_classes=flip_classes)
+        self.loader = BatchLoader(dataset, indices, batch_size, rng)
 
     @property
     def num_samples(self) -> int:

@@ -48,8 +48,8 @@ EDGE_SYNC_MODES = ("sync", "semisync")
 # for config consumers.
 
 #: Byzantine client behaviors (repro.robust.attacks). sign_flip and scaled
-#: corrupt the trained delta; label_flip poisons the labels of each batch
-#: the client's loader gathers, so virtual fleets stay O(active cohort).
+#: corrupt the trained delta; label_flip clients gather their batches from
+#: one label-flipped view of the corpus, so virtual fleets stay O(active cohort).
 ADVERSARIES = ("sign_flip", "scaled", "label_flip")
 
 #: Server-side aggregation rules (repro.robust.aggregators). "mean" is the

@@ -30,7 +30,8 @@ never change a client's draws.
 
 Process notes: a pool is only ever indexed by one caller at a time — the
 simulation in serial execution, one worker in the process backend — so its
-bookkeeping needs no lock, and an evicted ``Client`` is never used again.
+bookkeeping needs no lock. An evicted ``Client`` drops its generator, so a
+caller that still holds one and trains it raises instead of replaying draws.
 The fork-based process backend inherits the pools copy-on-write; each worker
 then hydrates only the cids of its ``cid % workers`` shard, which is what
 keeps worker memory at O(cohort / workers).
@@ -38,6 +39,7 @@ keeps worker memory at O(cohort / workers).
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
 
 import numpy as np
@@ -87,7 +89,7 @@ def _park(bit_generator: np.random.BitGenerator) -> bytes:
 
 def _unpark(bit_generator: np.random.BitGenerator, parked: bytes) -> None:
     """Restore :func:`_park`'s words into a fresh generator of the same stream."""
-    w = [int(word) for word in np.frombuffer(parked, dtype=np.uint64)]
+    w = np.frombuffer(parked, dtype=np.uint64).tolist()
     s = bit_generator.state
     if s["bit_generator"] == "Philox":
         s["state"]["counter"], s["buffer"], s["buffer_pos"] = w[:4], w[4:8], w[8]
@@ -120,13 +122,15 @@ class ClientPool:
         self._batch_size = int(batch_size)
         self._cache_size = int(cache_size)
         #: Label-flip poisoning (repro.robust): adversarial clients — a pure
-        #: function of (population.seed, cid) — get a loader that flips each
-        #: batch's gathered labels, so poisoning costs nothing at hydration
-        #: and the world-cached corpus arrays stay untouched.
+        #: function of (population.seed, cid) — gather from one flipped view
+        #: of the corpus that shares its ``x`` and copies only its labels, so
+        #: the world-cached corpus arrays stay untouched.
         self._flip_fraction = float(label_flip_fraction)
-        self._num_classes = (
-            int(train_set.y.max()) + 1 if self._flip_fraction > 0.0 else 0
-        )
+        if self._flip_fraction > 0.0:
+            from repro.robust.attacks import flip_labels
+
+            flipped = flip_labels(train_set.y.copy(), int(train_set.y.max()) + 1)
+            self._flipped_set = dataclasses.replace(train_set, y=flipped)
         self._rngs = RngFactory(population.seed)
         self._counter_streams = population.partition is None
         self._cache: OrderedDict[int, object] = OrderedDict()
@@ -151,8 +155,7 @@ class ClientPool:
         return (self[cid] for cid in range(len(self)))
 
     def _loader_rng(self, cid: int) -> np.random.Generator:
-        """Client ``cid``'s loader stream, resumed from its parked words (which
-        stay parked until the client is built) if it was evicted."""
+        """Client ``cid``'s loader stream, resumed from its parked words if evicted."""
         if self._counter_streams:
             rng = self._rngs.counter("client", cid)
         else:
@@ -177,16 +180,15 @@ class ClientPool:
         tracer = obs.tracer if obs is not None else NULL_TRACER
         # ``with``: a raising shard build still closes the span (and counts nothing).
         with tracer.span("hydrate", cat="pop", cid=cid):
-            flip = 0
+            corpus = self._train_set
             if self._flip_fraction > 0.0:
                 from repro.robust.attacks import is_adversary
 
                 if is_adversary(self._population.seed, cid, self._flip_fraction):
-                    flip = self._num_classes
+                    corpus = self._flipped_set
             indices = self._population.shard_indices(cid)
             client = _client_cls()(
-                cid, self._train_set, indices, self._batch_size, self._loader_rng(cid),
-                flip_classes=flip,
+                cid, corpus, indices, self._batch_size, self._loader_rng(cid)
             )
         self._parked.pop(cid, None)
         self.misses += 1
@@ -195,6 +197,7 @@ class ClientPool:
         while len(self._cache) > self._cache_size:
             evicted_cid, evicted = self._cache.popitem(last=False)
             self._parked[evicted_cid] = _park(evicted.loader.rng.bit_generator)
+            evicted.loader.rng = None  # a stale Client fails instead of replaying draws
             self.evictions += 1
             if obs is not None:
                 obs.tracer.instant("evict", cat="pop", cid=evicted_cid)

@@ -14,10 +14,10 @@ Two corruption sites:
   in the worker, after local training and before compression — the
   compressor then faithfully transmits the poisoned vector, exactly like a
   real byzantine client would;
-- **data poisoning** (:func:`flip_labels`) rewrites the labels of each
-  batch an adversary's loader gathers (:class:`repro.data.loader.
-  BatchLoader`), so it trains honestly on dishonest data, the corpus is
-  never written and virtual-shard fleets stay O(active cohort).
+- **data poisoning** (:func:`flip_labels`) gives adversaries one
+  label-flipped view of the corpus (:class:`repro.population.hydration.
+  ClientPool`): they train honestly on dishonest data, the corpus is never
+  written and virtual-shard fleets stay O(active cohort).
 """
 
 from __future__ import annotations

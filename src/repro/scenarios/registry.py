@@ -347,7 +347,7 @@ register_scenario(ScenarioSpec(
     name="poisoned-edge",
     description=(
         "Data poisoning inside a hierarchy: 25% of clients train on "
-        "label-flipped shards (labels inverted in each gathered batch, so "
+        "label-flipped shards (one label-inverted view of the corpus, so "
         "virtual shards stay O(1) and the cached corpus is untouched) spread "
         "across three edge aggregators, with every aggregation point — "
         "edges and cloud alike — using the coordinate median. Exercises "

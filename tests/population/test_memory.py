@@ -140,8 +140,8 @@ def test_steady_state_round_holds_one_cohort_of_updates():
 
 
 #: Bytes a fleet round may leave allocated per participant. Measured on
-#: ``mega-fleet``'s overrides at 200K clients (2K cohort, rounds 2–3): 946 B,
-#: mostly the round's span log and the history's per-client ledgers; 3,578 B
+#: ``mega-fleet``'s overrides at 100K clients (1K cohort, rounds 2–3): 1,061 B,
+#: mostly the round's span log and the history's per-client ledgers; 5,523 B
 #: when every participant kept a whole loader ``Generator`` and the LRU's
 #: clients held copies of their shard rows.
 RETAINED_PER_PARTICIPANT_ROUND = 1536
@@ -153,7 +153,7 @@ def test_fleet_rounds_retain_little_per_participant():
     loader streams) and with its rounds' records — bounded here per
     participant-round, so growth of ``mega-fleet`` from round to round stays
     pinned without a 1M-client run."""
-    cfg = get_scenario("mega-fleet").to_config().with_(num_clients=200_000, rounds=3)
+    cfg = get_scenario("mega-fleet").to_config().with_(num_clients=100_000, rounds=3)
     with Simulation(cfg) as sim:
         sim.run_round()  # warm-up: buffers and caches a first round sizes
         tracemalloc.start()
@@ -164,7 +164,7 @@ def test_fleet_rounds_retain_little_per_participant():
         finally:
             tracemalloc.stop()
         participants = sum(len(r.selected) for r in sim.history.records[1:])
-    assert participants == 2 * cfg.clients_per_round == 4000
+    assert participants == 2 * cfg.clients_per_round == 2000
     per = retained / participants
     assert per <= RETAINED_PER_PARTICIPANT_ROUND, (
         f"two fleet rounds left {retained / 1e6:.2f} MB allocated, {per:.0f} B per "

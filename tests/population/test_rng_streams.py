@@ -139,9 +139,12 @@ def test_eviction_resumes_the_same_loader_stream(virtual, label_flip):
     honest = frozen_world_pool(virtual=virtual, cache_size=64, label_flip=0.0)
     seq_churn = []
     for _ in range(3):
-        seq_churn.append(epoch(churn[5]))
+        held = churn[5]
+        seq_churn.append(epoch(held))
         churn[6]  # cache_size=1 → evicts client 5
         assert churn.resident == 1
+        with pytest.raises(AttributeError):  # evicted: its stream is parked
+            epoch(held)
     assert churn.hydrations == 6  # 5 and 6, three times each
     assert churn.stats()["loader_streams"] == 2
     # The loader reads the read-only corpus itself: a gathered copy of its

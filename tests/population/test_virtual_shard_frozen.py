@@ -60,9 +60,9 @@ def test_shards_and_first_loader_permutation_are_frozen(seed):
         assert population.shard_indices(cid).tolist() == shard
         client = pool[cid]  # hydration draws the shard again, in another order
         assert client.num_samples == len(shard)
-        # The first batch is gathered from the corpus through the frozen
+        # The first epoch is gathered from the corpus through the frozen
         # shard, in the frozen permutation's order.
-        x, y = next(iter(client.loader))
-        rows = np.asarray(shard)[permutation[: len(y)]]
-        assert len(y) == min(len(shard), client.loader.batch_size)
-        assert np.array_equal(x, train_set.x[rows]) and np.array_equal(y, train_set.y[rows])
+        xs, ys = zip(*client.loader)
+        rows = np.asarray(shard)[permutation]
+        assert np.array_equal(np.concatenate(xs), train_set.x[rows])
+        assert np.array_equal(np.concatenate(ys), train_set.y[rows])
