@@ -18,7 +18,10 @@ import numpy as np
 
 from repro.utils.validation import check_positive
 
-__all__ = ["NORM_MODES", "normalize_ratios", "adjusted_coefficients", "fedavg_coefficients"]
+__all__ = [
+    "NORM_MODES", "normalize_ratios", "adjusted_coefficients", "fedavg_coefficients",
+    "straggler_cut",
+]
 
 
 #: Valid ``Norm()`` variants for Eq. 6 (the ``norm_mode`` ablation axis).
@@ -90,3 +93,20 @@ def adjusted_coefficients(
         raise ValueError(f"ratios shape {ratios.shape} != frequencies shape {f.shape}")
     normed = normalize_ratios(ratios, mode=norm)
     return f / np.maximum(f, normed) * alpha
+
+
+def straggler_cut(weights, times, deadline: float) -> np.ndarray:
+    """Drop every member whose ``times`` entry misses ``deadline`` and
+    renormalise the rest of ``weights`` to sum 1.
+
+    A member finishing at the cut up to float rounding (1e-9) makes it. When
+    every positive-weight member (there is one) misses, the fastest of them
+    keeps weight 1: an update the weights already zeroed is never brought back.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    cut = weights * (times <= deadline + 1e-9)
+    if cut.sum() == 0.0:
+        pool = np.flatnonzero(weights > 0)
+        cut[pool[np.argmin(times[pool])]] = 1.0
+    return cut / cut.sum()

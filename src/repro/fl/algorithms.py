@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bcrs import schedule_ratios
-from repro.core.coefficients import adjusted_coefficients, fedavg_coefficients
+from repro.core.coefficients import adjusted_coefficients, fedavg_coefficients, straggler_cut
 from repro.fl.config import ExperimentConfig
 from repro.network.cost import (
     DOWNLINK_FACTOR,
@@ -133,8 +133,10 @@ class DeadlineTopKAlgorithm(TopKAlgorithm):
 
     The classic alternative to BCRS for straggler mitigation: the round ends
     at the ``deadline_quantile`` of the clients' compressed upload times;
-    clients that cannot finish are excluded from aggregation (their weight is
-    renormalized over the survivors). Drops information instead of adapting
+    clients that cannot finish are excluded from aggregation by
+    :func:`~repro.core.coefficients.straggler_cut` (their weight is
+    renormalized over the survivors) — the cut hier's semisync edge makes on
+    its sub-rounds' priced durations. Drops information instead of adapting
     ratios — the ablation BCRS is designed to beat.
     """
 
@@ -147,16 +149,7 @@ class DeadlineTopKAlgorithm(TopKAlgorithm):
             [sparse_uplink_time(link, volume_bits, cfg.compression_ratio) for link in links]
         )
         deadline = float(np.quantile(compressed, cfg.deadline_quantile))
-        included = compressed <= deadline + 1e-12
-        weights = fedavg_coefficients(data_frequencies).copy()
-        weights[~included] = 0.0
-        total = weights.sum()
-        if total == 0.0:  # degenerate: keep the fastest client
-            fastest = int(np.argmin(compressed))
-            weights[fastest] = 1.0
-            included[fastest] = True
-        else:
-            weights /= total
+        weights = straggler_cut(fedavg_coefficients(data_frequencies), compressed, deadline)
         dense = np.array([uplink_time(link, volume_bits) for link in links])
         down = self._downlink(links, volume_bits)
         actual = deadline

@@ -15,8 +15,11 @@ links, global model and algorithm, and advances round by round:
    round holds O(d), not its cohort's updates;
 5. the new global model is evaluated and the round is recorded.
 
-Each step is one ``Simulation`` method (the *round stages*); the other three
-centralised protocols assemble their rounds from the same methods.
+Each step is one ``Simulation`` method (the *round stages*). Steps 2–4 for a
+lock-step cohort are one stage, :meth:`Simulation._cohort_round`: a sync
+round is a sample, that stage and a commit, and each hierarchical edge
+sub-round runs the same stage against its edge's model. The event-driven
+protocols assemble their windows from the finer stages.
 
 The simulation also owns the execution backend's lifecycle: the backend is
 built lazily on first use (serial runs stay free), parallel workers fork
@@ -30,12 +33,15 @@ access raises, and a fresh simulation must be built.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.compression.base import CompressedUpdate, SparseUpdate
 from repro.compression.registry import wire_size
 from repro.core.aggregation import ROW_RULES, CohortFold
 from repro.core.arena import AggregationArena, check_rows
+from repro.core.coefficients import straggler_cut
 from repro.core.overlap import OverlapDistribution
 from repro.core.server_opt import make_server_optimizer
 from repro.data.datasets import DATASET_SPECS
@@ -67,6 +73,20 @@ from repro.simtime.profiles import pipeline_times
 from repro.utils.rng import RngFactory
 
 __all__ = ["Simulation", "run_experiment"]
+
+
+class Cohort(NamedTuple):
+    """What :meth:`Simulation._cohort_round` leaves its round's record."""
+
+    params: np.ndarray  # the stepped parameters
+    members: list  # :meth:`Simulation._member` scalars, in arrival order
+    weights: np.ndarray  # recorded weights, one per selected member
+    singleton: float | None  # the OPWA singleton-fraction diagnostic
+    span: float  # virtual seconds from dispatch to the barrier or the cut
+    times: RoundTimes  # the plan's
+    up_bits: list[float]
+    down_bits: list[float]
+    survivors: int  # members whose upload was aggregated
 
 
 def build_config_model(config, seed) -> MLP:
@@ -355,7 +375,7 @@ class Simulation:
     ) -> tuple[np.ndarray, float | None]:
         """Alg. 1 lines 14–18 against an explicit (params, optimizer) pair.
 
-        ``updates`` — a held list, or a round's stream (:meth:`_stream`) —
+        ``updates`` — a held list, or :meth:`_cohort_round`'s stream —
         fold into the aggregate one at a time, each with its entry of
         ``weights``. Returns (stepped params, OPWA singleton-fraction
         diagnostic) — ``params`` and None when nothing was folded — for the
@@ -378,17 +398,6 @@ class Simulation:
                 params, pseudo_grad, out=params, scratch=self.arena.step_scratch
             )
         return stepped, (None if overlap is None else overlap.singleton_fraction())
-
-    def _stream(self, tasks, params, members: list, fates: dict[int, float]):
-        """Run ``tasks`` from ``params``, yielding as each result arrives the
-        upload the server receives from each position in ``fates`` (whole, or
-        truncated to its fault fraction); of every result only its
-        :meth:`_member` scalars, appended to ``members``, outlive its turn."""
-        for r in self._run_tasks(tasks, params, self._train_spec):
-            members.append(self._member(r, r.update))
-            frac = fates.get(r.position)
-            if frac is not None:
-                yield self._delivered_update(r, frac)
 
     @staticmethod
     def _delivered_update(result: TaskResult, frac: float) -> CompressedUpdate:
@@ -534,6 +543,34 @@ class Simulation:
         with self.obs.tracer.span("sample", cat="sim"):
             selected = self.sampler.sample()
         self._begin_round()
+        sim_start = self.sim_clock
+        cohort = self._cohort_round(selected, self.global_params, self.server_opt, sim_start)
+        self.global_params = cohort.params
+        return self._commit(
+            selected=selected,
+            members=cohort.members,
+            times=cohort.times,
+            weights=cohort.weights,
+            singleton=cohort.singleton,
+            sim_start=sim_start,
+            sim_end=sim_start + cohort.span,
+            comm=RoundComm.from_maps(
+                uplink=self._add_bits({}, selected, cohort.up_bits),
+                downlink=self._add_bits({}, selected, cohort.down_bits),
+            ),
+            num_participants=(cohort.survivors if self.faults is not None else None),
+        )
+
+    def _cohort_round(self, selected, params, server_opt, t0: float, cut: bool = False) -> Cohort:
+        """Alg. 1 lines 8–18 for one lock-step cohort: plan it, draw its fault
+        fates (hier has none), price it from virtual time ``t0``, train it
+        from ``params`` and fold its uploads into one ``server_opt`` step — a
+        sync round, or a hier edge sub-round on the edge's model and optimizer.
+
+        The barrier is the slowest aggregated member; with ``cut`` (hier's
+        semisync edge) the cohort closes at :meth:`_deadline` instead, and
+        :func:`~repro.core.coefficients.straggler_cut` drops whoever misses it.
+        """
         links, plan, tasks = self._plan_cohort(selected)
 
         # Transport fault injection: each upload's fate is a pure function of
@@ -548,52 +585,60 @@ class Simulation:
             pos for pos, t in enumerate(tasks) if fracs is None or self._delivers(t.ratio, fracs[pos])
         ]
 
-        # Virtual-clock span: the synchronous barrier releases when the
-        # slowest *aggregated* client has downloaded, computed, and
-        # uploaded. Clients the plan zero-weighted (deadline_topk drops
-        # stragglers) still burn device time — their spans are logged —
-        # but the server does not wait for them. Uploads are priced through
-        # the transport from their compressor's declared wire size; with
-        # fair contention the round is one shared-ingress epoch.
-        sim_start = self.sim_clock
+        # Virtual-clock span: the barrier releases when the slowest
+        # *aggregated* client has downloaded, computed, and uploaded. Clients
+        # the plan zero-weighted (deadline_topk drops stragglers) still burn
+        # device time — their spans are logged — but are not waited on.
         durations, up_bits, down_bits = self._price_round(
-            selected, links, plan.ratios, fracs, sim_start, tag=self.round_index
+            selected, links, plan.ratios, fracs, t0, tag=self.round_index
         )
-        # The barrier waits on delivered contributors; an all-lost round
-        # still spans the slowest expected upload (the server's timeout).
-        barrier = surv if surv else range(len(selected))
-        round_span = max((durations[pos] for pos in barrier if plan.weights[pos] > 0), default=0.0)
+        weights = agg = plan.weights
+        if cut and len(selected) > 1:
+            # No carryover at a cut: a lock-step cohort has no later window
+            # for a late arrival to join, so ``late_policy`` does not apply.
+            deadline = self._deadline(durations)
+            weights = straggler_cut(weights, durations, deadline)
+            surv = [pos for pos in range(len(selected)) if weights[pos] > 0]
+            span = max(deadline, max(durations[pos] for pos in surv))
+            agg = weights[surv]
+        else:
+            # The barrier waits on delivered contributors; an all-lost round
+            # still spans the slowest expected upload (the server's timeout).
+            barrier = surv if surv else range(len(selected))
+            span = max((durations[pos] for pos in barrier if weights[pos] > 0), default=0.0)
+            if len(surv) < len(selected):  # uploads were lost: renormalise
+                agg = np.asarray([weights[pos] for pos in surv], dtype=np.float64)
+                if agg.sum() > 0:
+                    agg = agg / agg.sum()
 
-        # Local training + compression (lines 11–12) on the execution
-        # backend, each delivered upload folded into the OPWA-masked
-        # aggregate (lines 14–18) as it arrives — weights renormalized when
-        # uploads were lost. A round that loses every upload is well-defined:
-        # the model is unchanged and the record carries num_participants=0.
-        weights = plan.weights
-        if len(surv) < len(selected):
-            weights = np.asarray([plan.weights[pos] for pos in surv], dtype=np.float64)
-            if weights.sum() > 0:
-                weights = weights / weights.sum()
+        # Train + compress (lines 11–12) on the backend, folding as each
+        # result arrives (lines 14–18) the upload the server receives from a
+        # survivor (whole, or truncated to its fault fraction). Of every
+        # result only its _member scalars outlive its turn. A cohort that
+        # loses every upload leaves the model unchanged.
         members: list = []
         fates = {pos: 1.0 if fracs is None else fracs[pos] for pos in surv}
-        stream = self._stream(tasks, self.global_params, members, fates)
-        self.global_params, singleton = self._aggregate_into(
-            self.global_params, self.server_opt, stream, weights, self.algorithm.use_opwa
+
+        def stream():
+            for r in self._run_tasks(tasks, params, self._train_spec):
+                members.append(self._member(r, r.update))
+                if r.position in fates:
+                    yield self._delivered_update(r, fates[r.position])
+
+        params, singleton = self._aggregate_into(
+            params, server_opt, stream(), agg, self.algorithm.use_opwa
         )
-        return self._commit(
-            selected=selected,
-            members=members,
-            times=plan.times,
-            weights=plan.weights,
-            singleton=singleton,
-            sim_start=sim_start,
-            sim_end=sim_start + round_span,
-            comm=RoundComm.from_maps(
-                uplink=self._add_bits({}, selected, up_bits),
-                downlink=self._add_bits({}, selected, down_bits),
-            ),
-            num_participants=(len(surv) if self.faults is not None else None),
-        )
+        return Cohort(params, members, weights, singleton, float(span), plan.times,
+                      up_bits, down_bits, len(surv))
+
+    def _deadline(self, durations) -> float:
+        """When a deadline-cut cohort closes, from its dispatch: ``deadline_s``,
+        else the ``deadline_quantile`` of its members' predicted ``durations``
+        (0 with none) — flat semisync's window and hier's semisync edge alike."""
+        cfg = self.config
+        if cfg.deadline_s is not None:
+            return float(cfg.deadline_s)
+        return float(np.quantile(durations, cfg.deadline_quantile)) if len(durations) else 0.0
 
     def _commit(
         self,

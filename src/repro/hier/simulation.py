@@ -3,18 +3,20 @@
 One *cloud round* of :class:`HierSimulation`:
 
 1. every edge runs ``K₁ = edge_rounds`` client↔edge sub-rounds: it samples
-   clients from its own group, the algorithm plans ratios/coefficients over
-   the group's last-mile links — so **BCRS schedules against each edge
-   group's own slowest member**, not the global straggler — clients train
-   from the edge model, and the edge aggregates with the overlap/OPWA
-   machinery scoped to its group (per-edge server optimizer);
+   its share of ``clients_per_round`` from its own group, and runs the flat
+   sync round's cohort stage (:meth:`~repro.fl.simulation.Simulation.
+   _cohort_round`) against the edge model and optimizer — the algorithm
+   plans over the group's last-mile links, so **BCRS schedules against each
+   edge group's own slowest member**, not the global straggler, and the
+   overlap/OPWA machinery is scoped to the group;
 2. each edge then uploads its model over its backhaul link, and the cloud
    averages the edge models by group data size (two-level aggregation, the
    HierFAVG discipline);
 3. the whole round is priced on the virtual clock: edges advance in
    parallel, each sub-round's barrier is the group's slowest aggregated
-   member (``edge_sync="sync"``) or a deadline-quantile cut that drops
-   stragglers (``edge_sync="semisync"``), and the cloud waits for the
+   member (``edge_sync="sync"``) or flat semisync's deadline, at which
+   :func:`~repro.core.coefficients.straggler_cut` drops stragglers
+   (``edge_sync="semisync"``), and the cloud waits for the
    slowest edge's backhaul upload.
 
 Degenerate-equivalence contract: with ``num_edges=1``, ``edge_rounds=1``
@@ -32,7 +34,7 @@ import numpy as np
 
 from repro.fl.config import ExperimentConfig
 from repro.fl.history import EdgeRecord, RoundComm, RoundRecord
-from repro.fl.simulation import Simulation
+from repro.fl.simulation import Cohort, Simulation
 from repro.hier.topology import assign_edges, sample_backhaul_links
 from repro.network.cost import uplink_time
 from repro.network.metrics import RoundTimes
@@ -40,10 +42,6 @@ from repro.network.transport import Payload
 from repro.utils.rng import RngFactory
 
 __all__ = ["HierSimulation"]
-
-#: Deadline-inclusion tolerance for semi-sync edge sub-rounds (a client
-#: finishing exactly at the cut, up to float rounding, still makes it).
-_EPS = 1e-9
 
 
 class HierSimulation(Simulation):
@@ -75,97 +73,13 @@ class HierSimulation(Simulation):
         # column, so a fleet-scale hierarchy never hydrates clients here.
         sizes = np.array([self.population.data_sizes[g].sum() for g in self.groups], dtype=float)
         self.edge_freqs = sizes / sizes.sum()
-
-    # ------------------------------------------------------------ sub-round
-
-    def _sample_group(self, group: np.ndarray) -> np.ndarray:
-        """Fraction-C uniform selection within one edge group.
-
-        All edges draw from the *flat sampler's* stream in (sub-round, edge)
-        order; with one edge spanning every client this consumes the stream
-        exactly like the flat protocol — the degenerate contract's hinge.
-        """
-        k = max(1, int(round(len(group) * self.config.participation)))
-        ids = self.sampler.rng.choice(len(group), size=k, replace=False)
-        return np.sort(group[ids])
-
-    def _edge_sub_round(self, edge: int, t_start: float, edge_params: list):
-        """One client↔edge sub-round: sample, plan, train, aggregate into
-        ``edge_params[edge]``.
-
-        Returns (sub-round virtual span, plan times, record fragments).
-        ``t_start`` is the edge's current position on the virtual clock;
-        client spans are logged there.
-        """
-        cfg = self.config
-        selected = self._sample_group(self.groups[edge])
-        # BCRS benchmarks against this group's own slowest member.
-        links, plan, tasks = self._plan_cohort(selected)
-
-        # Price every dispatch at the edge's clock through the transport
-        # before it trains (a price needs only the declared wire size; no
-        # client-uplink faults here, so every upload is delivered). Under
-        # fair contention that is one shared ingress epoch per (edge,
-        # sub-round): each edge aggregator owns its own ingress capacity.
-        durs, up_bits, down_bits = self._price_round(
-            selected, links, plan.ratios, None, t_start, tag=self.round_index
-        )
-        durations = np.array(durs)
-
-        weights = np.asarray(plan.weights, dtype=np.float64)
-        if cfg.edge_sync == "semisync" and len(selected) > 1:
-            # The edge closes at ``deadline_s`` (or, unset, at the deadline
-            # quantile of its members' pipeline times); stragglers are
-            # dropped from this sub-round. Unlike the flat semisync mode
-            # there is no carryover: lock-step sub-rounds have no later
-            # window for a stale arrival to join, so ``late_policy`` does
-            # not apply at the edges.
-            deadline = (
-                float(cfg.deadline_s)
-                if cfg.deadline_s is not None
-                else float(np.quantile(durations, cfg.deadline_quantile))
-            )
-            w = weights * (durations <= deadline + _EPS)
-            if w.sum() == 0.0:
-                # Every planned contributor missed the cut: extend to the
-                # fastest *planned* member rather than resurrect an update
-                # the plan deliberately zero-weighted (deadline_topk drops).
-                planned = np.flatnonzero(weights > 0)
-                pool = planned if planned.size else np.arange(len(selected))
-                fastest = int(pool[np.argmin(durations[pool])])
-                w = np.zeros_like(weights)
-                w[fastest] = 1.0
-            weights = w / w.sum()
-            used = [pos for pos in range(len(selected)) if weights[pos] > 0]
-            span = max(deadline, max(durations[pos] for pos in used))
-            agg_weights = weights[used]
-        else:
-            # Lock-step barrier at the group's slowest *aggregated* member
-            # (plan-dropped stragglers still burn device time but are not
-            # waited on) — the flat protocol's semantics, scoped to a group.
-            span = max(
-                (durations[pos] for pos in range(len(selected)) if weights[pos] > 0),
-                default=0.0,
-            )
-            used, agg_weights = range(len(selected)), weights
-
-        # Train the cohort from the edge model, folding each aggregated
-        # upload into the edge's aggregate as it arrives.
-        members: list = []
-        params = edge_params[edge]
-        stream = self._stream(tasks, params, members, dict.fromkeys(used, 1.0))
-        edge_params[edge], singleton = self._aggregate_into(
-            params, self.edge_opts[edge], stream, agg_weights, self.algorithm.use_opwa
-        )
-        fragments = {
-            "selected": tuple(int(i) for i in selected),
-            "weights": weights,
-            "members": members,
-            "singleton": singleton,
-            "up_bits": up_bits,
-            "down_bits": down_bits,
-        }
-        return float(span), plan.times, fragments
+        # Each edge's sub-round share: clients_per_round split by group size,
+        # largest remainder first (ties to the lower edge), at least one.
+        counts = np.array([len(g) for g in self.groups], dtype=np.int64)
+        k = config.clients_per_round
+        shares, rem = np.divmod(k * counts, counts.sum())
+        shares[np.argsort(-rem, kind="stable")[: k - shares.sum()]] += 1
+        self.shares = np.maximum(shares, 1).tolist()
 
     # ------------------------------------------------------------------ round
 
@@ -205,31 +119,31 @@ class HierSimulation(Simulation):
             for e, link in enumerate(self.backhaul_links)
         ]
         elapsed = list(backhaul_down)  # per-edge virtual time since sim_start
-        # Each edge's sub-rounds in order: (span, plan times, selected ids).
-        subs: list[list[tuple]] = [[] for _ in range(E)]
-        selected_all: list[int] = []
-        weights_all: list[float] = []
-        members_all: list = []
-        singletons: list[float] = []
-        up_map: dict[int, float] = {}
-        down_map: dict[int, float] = {}
+        # Each edge's sub-rounds in order: (selected ids, its cohort).
+        subs: list[list[tuple[np.ndarray, Cohort]]] = [[] for _ in range(E)]
 
         # Sub-rounds advance lock-step across edges only in *stream order*:
-        # edges are independent in virtual time (each has its own clock),
-        # but the (sub-round, edge) iteration fixes the sampling sequence.
-        for _k in range(cfg.edge_rounds):
+        # edges are independent in virtual time (each has its own clock), but
+        # every edge draws from the flat sampler's stream in (sub-round, edge)
+        # order — with one edge, exactly as the flat protocol does.
+        for k in range(cfg.edge_rounds):
             for e in alive:
-                with self.obs.tracer.span("hier.subround", cat="hier", edge=e, sub_round=_k):
-                    span, times, frag = self._edge_sub_round(e, sim_start + elapsed[e], edge_params)
-                elapsed[e] += span
-                subs[e].append((span, times, frag["selected"]))
-                selected_all.extend(frag["selected"])
-                weights_all.extend(frag["weights"])
-                members_all.extend(frag["members"])
-                if frag["singleton"] is not None:
-                    singletons.append(frag["singleton"])
-                self._add_bits(up_map, frag["selected"], frag["up_bits"])
-                self._add_bits(down_map, frag["selected"], frag["down_bits"])
+                with self.obs.tracer.span("hier.subround", cat="hier", edge=e, sub_round=k):
+                    group = self.groups[e]
+                    picks = self.sampler.rng.choice(len(group), size=self.shares[e], replace=False)
+                    selected = np.sort(group[picks])
+                    # BCRS benchmarks against this group's own slowest member;
+                    # under fair contention each (edge, sub-round) is one
+                    # ingress epoch — each edge aggregator owns its capacity.
+                    sub = self._cohort_round(
+                        selected, edge_params[e], self.edge_opts[e], sim_start + elapsed[e],
+                        cut=cfg.edge_sync == "semisync",
+                    )
+                edge_params[e] = sub.params
+                elapsed[e] += sub.span
+                subs[e].append((selected, sub))
+        ran = [subs[e][k] for k in range(cfg.edge_rounds) for e in alive]  # stream order
+        cohort = [int(c) for selected, _ in ran for c in selected]
 
         # Edge→cloud uploads (dense edge models over the backhaul), then the
         # cloud averages edge models by group data size — two-level FedAvg.
@@ -272,8 +186,8 @@ class HierSimulation(Simulation):
             # Edge e's sub-round times added in order (not ``sum()``, whose
             # float path is compensated from Python 3.12 on).
             total = 0.0
-            for _, times, _ in subs[e]:
-                total += getattr(times, field)
+            for _, sub in subs[e]:
+                total += getattr(sub.times, field)
             return total
 
         if alive:
@@ -289,23 +203,28 @@ class HierSimulation(Simulation):
         breakdown = tuple(
             EdgeRecord(
                 edge=e,
-                selected=tuple(c for _, _, selected in subs[e] for c in selected),
-                sub_spans=tuple(span for span, _, _ in subs[e]),
+                selected=tuple(int(c) for selected, _ in subs[e] for c in selected),
+                sub_spans=tuple(sub.span for _, sub in subs[e]),
                 backhaul_s=backhaul_s[e],
                 start=sim_start,
                 end=sim_start + edge_totals[e],
             )
             for e in range(E)
         )
+        singletons = [sub.singleton for _, sub in ran if sub.singleton is not None]
         return self._commit(
-            selected=selected_all,
-            members=members_all,
+            selected=cohort,
+            members=[m for _, sub in ran for m in sub.members],
             times=times,
-            weights=weights_all,
+            weights=[w for _, sub in ran for w in sub.weights],
             singleton=float(np.mean(singletons)) if singletons else None,
             sim_start=sim_start,
             sim_end=sim_start + max(edge_totals),
             edge_breakdown=breakdown,
-            comm=RoundComm.from_maps(uplink=up_map, downlink=down_map, backhaul=backhaul_map),
-            num_participants=len(selected_all) if cfg.edge_crash_prob > 0.0 else None,
+            comm=RoundComm.from_maps(
+                uplink=self._add_bits({}, cohort, [b for _, sub in ran for b in sub.up_bits]),
+                downlink=self._add_bits({}, cohort, [b for _, sub in ran for b in sub.down_bits]),
+                backhaul=backhaul_map,
+            ),
+            num_participants=len(cohort) if cfg.edge_crash_prob > 0.0 else None,
         )

@@ -442,16 +442,9 @@ class SemiSyncSimulation(_EventDrivenSimulation):
                 plan_weights[cid] = float(plan.weights[pos])
             self._flush_training()
 
-        # Deadline: fixed, or the quantile of this round's predicted finishes.
-        if cfg.deadline_s is not None:
-            deadline = float(cfg.deadline_s)
-        elif own:
-            deadline = float(
-                np.quantile([p.duration for p in own], cfg.deadline_quantile)
-            )
-        else:
-            deadline = 0.0  # no dispatches: the round exists only to drain arrivals
-        t_end = t0 + deadline
+        # Deadline: fixed, or the quantile of this round's predicted finishes
+        # (no dispatches: the round exists only to drain arrivals).
+        t_end = t0 + self._deadline([p.duration for p in own])
 
         if not self._flights:
             raise RuntimeError("semi-sync round has no dispatches and no pending arrivals")

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coefficients import adjusted_coefficients, fedavg_coefficients, normalize_ratios
+from repro.core.coefficients import (
+    adjusted_coefficients,
+    fedavg_coefficients,
+    normalize_ratios,
+    straggler_cut,
+)
 
 
 class TestNormalizeRatios:
@@ -99,3 +104,31 @@ class TestAdjustedCoefficients:
         crs = np.full(4, 0.1)
         p = adjusted_coefficients(f, crs, alpha=0.5)
         np.testing.assert_allclose(p, 0.5)
+
+
+class TestStragglerCut:
+    def test_drops_whoever_misses_and_renormalises(self):
+        w = straggler_cut([0.2, 0.3, 0.5], [1.0, 3.0, 2.0], deadline=2.0)
+        np.testing.assert_allclose(w, [0.2 / 0.7, 0.0, 0.5 / 0.7])
+        assert w.sum() == pytest.approx(1.0)
+
+    def test_a_finish_at_the_cut_up_to_rounding_makes_it(self):
+        w = straggler_cut([0.5, 0.5], [1.0, 2.0 + 1e-10], deadline=2.0)
+        assert np.all(w > 0)
+
+    def test_when_everyone_misses_the_fastest_weighted_member_keeps_it_all(self):
+        # Member 0 is the fastest overall but carries no weight, so the
+        # fastest positive-weight member (2) is the one kept.
+        w = straggler_cut([0.0, 0.6, 0.4], [0.5, 3.0, 2.0], deadline=0.1)
+        np.testing.assert_array_equal(w, [0.0, 0.0, 1.0])
+
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(0.0, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_survivors_sum_to_one_and_a_zero_weight_is_never_chosen(self, n, seed, deadline):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.7)
+        if not weights.any():
+            weights[rng.integers(n)] = 1.0
+        w = straggler_cut(weights, rng.uniform(0.0, 2.0, size=n), deadline)
+        assert w.sum() == pytest.approx(1.0)
+        assert np.all(w[weights == 0] == 0)

@@ -169,6 +169,42 @@ class TestTwoLevelSemantics:
         for r in h.records:
             assert len(r.selected) == 6  # every edge samples its lone client
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(num_clients=10, num_edges=3, participation=0.5),
+            dict(num_clients=10**6, num_edges=4, participation=0.00025, virtual_shards=True),
+        ],
+        ids=["10-clients-3-edges", "1M-clients-4-edges"],
+    )
+    def test_a_sub_round_trains_clients_per_round(self, shape):
+        """The edges split clients_per_round by group size (largest
+        remainder), so shares that do not divide exactly still sum to it:
+        rounding each edge's share on its own trained 6 of 5 and 248 of 250."""
+        cfg = small_config(mode="hier", rounds=1, **shape)
+        _, h = run_sim(cfg)
+        assert len(h.records[0].selected) == cfg.clients_per_round
+
+    def test_semisync_edge_missing_everyone_keeps_its_fastest_planned_member(self):
+        """A deadline no member meets keeps one member per sub-round, at
+        weight 1, and never one the plan zero-weighted (deadline_topk's
+        stragglers) — read from the same config in lock-step, whose recorded
+        weights are the plan's: selections, plans and prices do not depend
+        on the model."""
+        base = dict(
+            mode="hier", algorithm="deadline_topk", num_edges=2, num_clients=12,
+            edge_rounds=2, compute_heterogeneity=1.5, deadline_quantile=0.5, deadline_s=1e-9,
+        )
+        sim, semi = run_sim(small_config(**base, edge_sync="semisync"))
+        _, sync = run_sim(small_config(**base, edge_sync="sync"))
+        bounds = np.cumsum([0] + sim.shares * base["edge_rounds"])
+        for rs, rd in zip(sync.records, semi.records):
+            assert rs.selected == rd.selected
+            for lo, hi in zip(bounds, bounds[1:]):
+                kept = [pos for pos in range(lo, hi) if rd.weights[pos] > 0]
+                assert [rd.weights[pos] for pos in kept] == [1.0]
+                assert rs.weights[kept[0]] > 0
+
     def test_semisync_edges_drop_stragglers(self):
         base = dict(
             mode="hier", num_edges=2, num_clients=8, compute_heterogeneity=1.5,

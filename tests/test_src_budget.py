@@ -5,11 +5,10 @@ CHANGES.md, a PR that deletes code lowers it."""
 
 from pathlib import Path
 
-#: Physical lines of ``src/**/*.py`` after a hydrated client began holding
-#: its shard as corpus row indices and an evicted one's loader stream as
-#: parked state words (12,931 before: the park/restore pair added more than
-#: ``BatchLoader``'s ``shuffle`` and ``drop_last`` knobs removed).
-SRC_LINE_CEILING = 12_959
+#: Physical lines of ``src/**/*.py`` after a sync round and every hier edge
+#: sub-round became one lock-step cohort stage (``Simulation._cohort_round``)
+#: with one straggler cut and one deadline rule (12,959 before).
+SRC_LINE_CEILING = 12_929
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
